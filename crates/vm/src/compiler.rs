@@ -193,13 +193,7 @@ impl CompilerSubsystem {
         let rt = &mut self.methods[m.0 as usize];
         rt.tier = tier;
         rt.code_addr = addr;
-        if tier == Tier::Opt {
-            // Produce the register body the VM's register engine runs for
-            // Opt frames. This is host-side work: the *modeled* cost of
-            // optimizing compilation is `opt_compile`'s charge, and the
-            // meter sequence here is identical whether lowering succeeds
-            // (register engine, bit-identical charges) or not (the method
-            // stays on the stack interpreter).
+        if self.rir[m.0 as usize].is_none() {
             self.rir[m.0 as usize] = lower(program, program.method(m)).ok().map(Arc::new);
         }
     }

@@ -33,10 +33,8 @@ impl Vm {
         let mut rf = frame.rir.take().expect("step_rir on a stack frame");
         let body = Arc::clone(&rf.body);
         let n_locals = body.n_locals as usize;
-        // The instruction-budget hook: this engine exists for the tier
-        // whose model charges no dispatch and keeps locals in registers.
-        debug_assert_eq!(frame.tier.dispatch_ops(), 0, "register engine tier");
-        debug_assert!(!frame.tier.locals_in_memory(), "register engine tier");
+        let dispatch = frame.tier.dispatch_ops();
+        let locals_in_memory = frame.tier.locals_in_memory();
         let expansion = u64::from(frame.tier.code_expansion());
         let program = Arc::clone(&self.program);
 
@@ -57,8 +55,9 @@ impl Vm {
             if pc & 7 == 0 {
                 self.meter.ifetch(frame.code_addr + (pc as u64) * expansion);
             }
-            // Tier::Opt dispatch_ops() == 0: no dispatch charge here, by
-            // construction rather than by a skipped branch.
+            if dispatch > 0 {
+                self.meter.int_ops(dispatch);
+            }
             self.stats.bytecodes += 1;
             self.rir_bytecodes += 1;
             if self.stats.bytecodes >= self.step_budget {
@@ -85,6 +84,22 @@ impl Vm {
                 RirOp::Mov { dst, src } => {
                     self.meter.int_ops(1);
                     rf.window[dst as usize] = rf.window[src as usize];
+                }
+                RirOp::LoadLocal { dst, local } => {
+                    if locals_in_memory {
+                        self.meter.load(frame.stack_addr + u64::from(local) * 8);
+                    } else {
+                        self.meter.int_ops(1);
+                    }
+                    rf.window[dst as usize] = rf.window[local as usize];
+                }
+                RirOp::StoreLocal { local, src } => {
+                    if locals_in_memory {
+                        self.meter.store(frame.stack_addr + u64::from(local) * 8);
+                    } else {
+                        self.meter.int_ops(1);
+                    }
+                    rf.window[local as usize] = rf.window[src as usize];
                 }
                 RirOp::Drop => {
                     self.meter.int_ops(1);

@@ -193,12 +193,12 @@ pub(crate) fn lower(program: &Program, method: &Method) -> Result<RirBody, Lower
                 a: r(d - 1),
                 b: r(d - 2),
             },
-            Op::Load(n) => RirOp::Mov {
+            Op::Load(n) => RirOp::LoadLocal {
                 dst: r(d),
-                src: u16::from(n),
+                local: u16::from(n),
             },
-            Op::Store(n) => RirOp::Mov {
-                dst: u16::from(n),
+            Op::Store(n) => RirOp::StoreLocal {
+                local: u16::from(n),
                 src: r(d - 1),
             },
             Op::Add
@@ -350,7 +350,7 @@ mod tests {
         assert_eq!(body.ops.len(), 4);
         assert_eq!(body.n_locals, 3);
         // load 0 at depth 0 writes register n_locals + 0.
-        assert_eq!(body.ops[0], RirOp::Mov { dst: 3, src: 0 });
+        assert_eq!(body.ops[0], RirOp::LoadLocal { dst: 3, local: 0 });
         assert_eq!(body.ops[1], RirOp::ConstI { dst: 4, lit: 0 });
         assert_eq!(
             body.ops[2],

@@ -271,9 +271,15 @@ pub(crate) enum RirOp {
     ConstF { dst: u16, lit: u16 },
     /// `window[dst] = null`.
     ConstNull { dst: u16 },
-    /// Register move (lowered `Load`/`Store`/`Dup` — all charge one µop
-    /// at the optimizing tier).
+    /// Register move (lowered `Dup`): one µop.
     Mov { dst: u16, src: u16 },
+    /// `window[dst] = window[local]` (lowered `Load`): a stack-memory
+    /// load when the frame's tier keeps locals in memory, one µop when it
+    /// register-allocates them.
+    LoadLocal { dst: u16, local: u16 },
+    /// `window[local] = window[src]` (lowered `Store`), metered like
+    /// [`RirOp::LoadLocal`] with a store.
+    StoreLocal { local: u16, src: u16 },
     /// Discard-only (lowered `Pop`): charges the µop, moves nothing.
     Drop,
     /// Exchange two registers (lowered `Swap`).

@@ -817,7 +817,7 @@ impl Vm {
         // frame. Promotion during the activation changes nothing (no OSR),
         // identically to how `tier`/`code_addr` behave.
         let rt = *self.compilers.method(m);
-        let mut rir = if self.config.rir && rt.tier == Tier::Opt {
+        let mut rir = if self.config.rir {
             self.compilers.rir_body(m).map(|body| {
                 let window = self.windows.acquire(body.n_regs as usize);
                 RirFrame {

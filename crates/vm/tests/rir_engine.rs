@@ -5,6 +5,7 @@
 use vmprobe_bytecode::{assemble, ArrKind, MathFn, Program, ProgramBuilder};
 use vmprobe_faults::FaultPlan;
 use vmprobe_heap::CollectorKind;
+use vmprobe_power::ComponentId;
 use vmprobe_vm::{RunOutcome, Value, Vm, VmConfig, VmError};
 
 /// Assert everything in a [`RunOutcome`] that the differential harness
@@ -18,6 +19,32 @@ fn assert_bit_identical(reg: &RunOutcome, stack: &RunOutcome) {
     assert_eq!(reg.result, stack.result, "program result diverged");
     assert_eq!(reg.live_bytes_end, stack.live_bytes_end);
     assert_eq!(reg.total_alloc_bytes, stack.total_alloc_bytes);
+}
+
+/// FNV-1a over the `Debug` rendering of every simulated observable of a
+/// run, or of its typed error. The constants the tests below compare
+/// against were recorded from the stack interpreter.
+fn digest(out: &Result<RunOutcome, VmError>) -> u64 {
+    let text = match out {
+        Ok(o) => format!(
+            "{:?}",
+            (
+                &o.report,
+                &o.gc,
+                &o.vm,
+                &o.compiler,
+                o.duration,
+                o.result,
+                o.live_bytes_end,
+                o.total_alloc_bytes,
+                &o.spans,
+            )
+        ),
+        Err(e) => format!("{e:?}"),
+    };
+    text.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
 }
 
 /// A hot leaf kernel invoked enough times for the Jikes controller to
@@ -60,39 +87,65 @@ fn promoted_methods_run_on_the_register_engine_bit_identically() {
     );
     assert_eq!(stack.rir_bytecodes, 0, "rir(false) must stay on the stack");
     assert_bit_identical(&reg, &stack);
+    assert_eq!(
+        digest(&Ok(stack)),
+        0x8f0a2a16dd467456,
+        "promoted kernel digest"
+    );
 }
 
 #[test]
 fn promotion_mid_activation_keeps_the_old_tier() {
     // `main` is entered once and never re-invoked. Its back-edge counter
     // promotes it mid-activation, so an opt compile happens — but with no
-    // on-stack replacement the activation keeps the baseline stack frame,
-    // and the register engine never runs. This pins the modeled lack of
-    // OSR documented on `Tier::dispatch_ops`.
-    let mut p = ProgramBuilder::new();
-    let cls = p.class("Mono").build();
-    let main = p.method(cls, "main", 0, 2, |b| {
-        b.const_i(0).store(0);
-        b.for_range(1, 0, 300_000, |b| {
-            b.load(0).const_i(1).add().store(0);
+    // on-stack replacement the activation keeps being metered at the
+    // baseline tier it was invoked at. This pins the modeled lack of OSR
+    // documented on `Tier::dispatch_ops`.
+    let program = || {
+        let mut p = ProgramBuilder::new();
+        let cls = p.class("Mono").build();
+        let main = p.method(cls, "main", 0, 2, |b| {
+            b.const_i(0).store(0);
+            b.for_range(1, 0, 300_000, |b| {
+                b.load(0).const_i(1).add().store(0);
+            });
+            b.load(0).ret_value();
         });
-        b.load(0).ret_value();
-    });
-    let program = p.finish(main).unwrap();
+        p.finish(main).unwrap()
+    };
     let mut cfg = VmConfig::jikes(CollectorKind::SemiSpace, 1 << 20).opt_threshold(1);
     // Shrink the quantum so the controller gets several scans inside the
     // one long-running activation.
     cfg.quantum_cycles = 100_000;
-    let out = Vm::new(program, cfg).run().unwrap();
+    let promoted = Vm::new(program(), cfg).run().unwrap();
+    let never = Vm::new(program(), cfg.opt_threshold(u64::MAX))
+        .run()
+        .unwrap();
     assert!(
-        out.compiler.opt_compiles >= 1,
+        promoted.compiler.opt_compiles >= 1,
         "the single hot activation should still trigger an opt compile"
     );
-    assert_eq!(
-        out.rir_bytecodes, 0,
-        "no re-invocation at Tier::Opt means no register-engine execution"
+    assert_eq!(never.compiler.opt_compiles, 0);
+    // The application retires as many instructions as in a run whose
+    // controller never promotes, up to the periodic perf sampler's
+    // attribution slack (about 1.5% here). Metering the rest of the
+    // activation at `Tier::Opt` would drop its dispatch µops and
+    // memory-resident locals, cutting the count by more than half.
+    let app = |o: &RunOutcome| o.report.components[&ComponentId::Application].instructions;
+    let (promoted_app, never_app) = (app(&promoted) as f64, app(&never) as f64);
+    assert!(
+        (promoted_app - never_app).abs() < 0.03 * never_app,
+        "the activation must stay metered at Tier::Baseline after promotion: \
+         {promoted_app} vs {never_app} application instructions"
     );
-    assert_eq!(out.result, Some(Value::I(300_000)));
+    assert_eq!(promoted.result, Some(Value::I(300_000)));
+    let stack = Vm::new(program(), cfg.rir(false)).run().unwrap();
+    assert_bit_identical(&promoted, &stack);
+    assert_eq!(
+        digest(&Ok(stack)),
+        0x96abb1c849287a41,
+        "promoted-activation digest"
+    );
 }
 
 #[test]
@@ -141,17 +194,22 @@ fn mixed_engine_call_boundaries_are_bit_identical() {
     assert!(reg.rir_bytecodes > 0);
     assert!(reg.gc.minor_collections > 0, "heap should cycle under load");
     assert_bit_identical(&reg, &stack);
+    assert_eq!(digest(&Ok(stack)), 0x60a151bfa52c98a6, "mixed-tier digest");
 }
 
 #[test]
 fn register_engine_is_identical_under_measurement_and_vm_faults() {
-    for spec in ["drop=0.05,dup=0.02,noise=0.01,seed=7", "budget=200000"] {
+    for (spec, expected) in [
+        ("drop=0.05,dup=0.02,noise=0.01,seed=7", 0x710c645f68dcb039),
+        ("budget=200000", 0x7fefe5d85808fcbe),
+    ] {
         let faults = FaultPlan::parse(spec).unwrap();
         let cfg = VmConfig::jikes(CollectorKind::SemiSpace, 1 << 20)
             .opt_threshold(2_000)
             .faults(faults);
         let reg = Vm::new(hot_kernel_program(30_000), cfg).run();
         let stack = Vm::new(hot_kernel_program(30_000), cfg.rir(false)).run();
+        assert_eq!(digest(&stack), expected, "fault {spec} digest");
         match (reg, stack) {
             (Ok(r), Ok(s)) => assert_bit_identical(&r, &s),
             (Err(r), Err(s)) => assert_eq!(r, s, "fault {spec} diverged"),
@@ -161,14 +219,20 @@ fn register_engine_is_identical_under_measurement_and_vm_faults() {
 }
 
 #[test]
-fn kaffe_never_uses_the_register_engine() {
-    // Kaffe has no optimizing tier, so even with `rir: true` (the
-    // default) every frame stays on the stack interpreter.
-    let out = Vm::new(hot_kernel_program(5_000), VmConfig::kaffe(1 << 20))
+fn kaffe_runs_on_the_register_engine() {
+    // Kaffe has no optimizing tier, yet its JIT frames run on the
+    // register engine too: the tier sets what each bytecode costs, not
+    // which engine executes it.
+    let cfg = VmConfig::kaffe(1 << 20);
+    let reg = Vm::new(hot_kernel_program(5_000), cfg).run().unwrap();
+    let stack = Vm::new(hot_kernel_program(5_000), cfg.rir(false))
         .run()
         .unwrap();
-    assert!(out.compiler.jit_compiles > 0);
-    assert_eq!(out.rir_bytecodes, 0);
+    assert!(reg.compiler.jit_compiles > 0);
+    assert_eq!(reg.compiler.opt_compiles, 0);
+    assert_eq!(reg.rir_bytecodes, reg.vm.bytecodes);
+    assert_bit_identical(&reg, &stack);
+    assert_eq!(digest(&Ok(stack)), 0xac49fb47cc0fb982, "Kaffe JIT digest");
 }
 
 #[test]
@@ -222,6 +286,14 @@ fn negative_array_length_faults_identically_on_both_engines() {
     let reg_err = Vm::new(build(), cfg).run().unwrap_err();
     let stack_err = Vm::new(build(), cfg.rir(false)).run().unwrap_err();
     assert_eq!(reg_err, stack_err);
+    assert_eq!(
+        stack_err,
+        VmError::NegativeArrayLength {
+            method: vmprobe_bytecode::MethodId(0),
+            pc: 1,
+            len: -4
+        }
+    );
     assert!(
         matches!(reg_err, VmError::NegativeArrayLength { len: -4, .. }),
         "got {reg_err}"

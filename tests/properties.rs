@@ -5,11 +5,15 @@
 //!   randomly chosen collector.
 //! * All five collectors must agree on reachability for arbitrary mutation
 //!   sequences over a shared object-graph script.
+//! * A recorded corpus of random blueprints, crossed with every collector
+//!   and fault spec, must reproduce the committed digests of the stack
+//!   interpreter's observables on every tier.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 use vmprobe_heap::{AllocRequest, CollectorKind, CollectorPlan, ObjId, ObjectHeap, RootSet};
 use vmprobe_platform::{Machine, PlatformKind};
-use vmprobe_vm::{Vm, VmConfig};
+use vmprobe_vm::{RunOutcome, Vm, VmConfig, VmError};
 use vmprobe_workloads::{build_program, Blueprint, InputScale};
 
 fn arb_blueprint() -> impl Strategy<Value = Blueprint> {
@@ -199,59 +203,137 @@ fn run_script(kind: CollectorKind, ops: &[GraphOp]) -> Vec<usize> {
     live
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(18))]
+/// Cases in the recorded engine corpus; case `i` draws its blueprint from
+/// `TestRng::from_seed(i)` and crosses every collector with every fault
+/// spec (5 and 3 are coprime, so 15 consecutive cases cover each pair).
+const ENGINE_CASES: u64 = 48;
+const ENGINE_COLLECTORS: [CollectorKind; 5] = [
+    CollectorKind::SemiSpace,
+    CollectorKind::MarkSweep,
+    CollectorKind::GenCopy,
+    CollectorKind::GenMs,
+    CollectorKind::KaffeIncremental,
+];
+const ENGINE_FAULTS: [&str; 3] = ["-", "drop=0.1,dup=0.02,seed=11", "budget=25000"];
 
-    /// Differential execution: the register engine must be a pure host-side
-    /// optimization. For arbitrary programs, collectors and fault plans,
-    /// every simulated observable — meter-derived report, GC/VM/compiler
-    /// stats, fault-stream consumption, telemetry spans, result — is
-    /// bit-identical between the stack interpreter and the register engine.
-    #[test]
-    fn register_engine_is_bit_identical_to_stack_interpreter(
-        bp in arb_blueprint(),
-        k in arb_collector(),
-        fault_seed in 0usize..3,
-    ) {
-        let specs = ["", "drop=0.1,dup=0.02,seed=11", "budget=400000"];
-        let mk = |rir: bool| {
-            let program = build_program(&bp, InputScale::Reduced);
-            let mut cfg = match k {
-                CollectorKind::KaffeIncremental => VmConfig::kaffe(1 << 20),
-                // Aggressive promotion (low threshold, tiny quantum so the
-                // controller scans often) so even reduced-scale random
-                // programs reach Tier::Opt and the register engine inside
-                // one run.
-                k => VmConfig::jikes(k, 1 << 20).opt_threshold(50),
-            };
-            cfg = cfg.record_spans(true);
-            cfg.quantum_cycles = 5_000;
-            if !specs[fault_seed].is_empty() {
-                cfg = cfg.faults(vmprobe::FaultPlan::parse(specs[fault_seed]).unwrap());
-            }
-            Vm::new(program, cfg.rir(rir)).run()
-        };
-        match (mk(true), mk(false)) {
-            (Ok(reg), Ok(stack)) => {
-                prop_assert_eq!(reg.report, stack.report);
-                prop_assert_eq!(reg.gc, stack.gc);
-                prop_assert_eq!(reg.vm, stack.vm);
-                prop_assert_eq!(reg.compiler, stack.compiler);
-                prop_assert_eq!(reg.duration, stack.duration);
-                prop_assert_eq!(reg.result, stack.result);
-                prop_assert_eq!(reg.live_bytes_end, stack.live_bytes_end);
-                prop_assert_eq!(reg.total_alloc_bytes, stack.total_alloc_bytes);
-                prop_assert_eq!(reg.spans, stack.spans);
-                prop_assert_eq!(stack.rir_bytecodes, 0);
-            }
-            (Err(reg), Err(stack)) => prop_assert_eq!(reg, stack),
-            (reg, stack) => {
-                return Err(proptest::test_runner::TestCaseError::fail(format!(
-                    "engines disagree on outcome kind: {reg:?} vs {stack:?}"
-                )));
-            }
-        }
+fn engine_case(seed: u64) -> (Blueprint, CollectorKind, &'static str) {
+    let mut rng = TestRng::from_seed(seed);
+    let i = seed as usize;
+    (
+        arb_blueprint().new_value(&mut rng),
+        ENGINE_COLLECTORS[i % ENGINE_COLLECTORS.len()],
+        ENGINE_FAULTS[i % ENGINE_FAULTS.len()],
+    )
+}
+
+fn run_engine_case(
+    bp: &Blueprint,
+    k: CollectorKind,
+    faults: &str,
+    rir: bool,
+) -> Result<RunOutcome, VmError> {
+    let program = build_program(bp, InputScale::Reduced);
+    // A 64 KB heap makes about a quarter of the cases collect with
+    // suspended frames on the stack, and the step budget cuts more than
+    // half of the budget cases short.
+    let heap = 64 << 10;
+    let mut cfg = match k {
+        CollectorKind::KaffeIncremental => VmConfig::kaffe(heap),
+        // Aggressive promotion (low threshold, tiny quantum so the
+        // controller scans often) so even reduced-scale random programs
+        // run at both the baseline and the optimizing tier in one run.
+        k => VmConfig::jikes(k, heap).opt_threshold(50),
+    };
+    cfg = cfg.record_spans(true);
+    cfg.quantum_cycles = 5_000;
+    if faults != "-" {
+        cfg = cfg.faults(vmprobe::FaultPlan::parse(faults).unwrap());
     }
+    Vm::new(program, cfg.rir(rir)).run()
+}
+
+/// FNV-1a over the `Debug` rendering of every simulated observable of a
+/// run (or of its typed error).
+fn observables_digest(out: &Result<RunOutcome, VmError>) -> u64 {
+    let text = match out {
+        Ok(o) => format!(
+            "{:?}",
+            (
+                &o.report,
+                &o.gc,
+                &o.vm,
+                &o.compiler,
+                o.duration,
+                o.result,
+                o.live_bytes_end,
+                o.total_alloc_bytes,
+                &o.spans,
+            )
+        ),
+        Err(e) => format!("{e:?}"),
+    };
+    text.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Differential execution over a recorded corpus: for every tier, the
+/// register engine must be a pure host-side optimization. Each case's
+/// meter-derived report, GC/VM/compiler stats, fault-stream consumption,
+/// telemetry spans and result (or typed error) must be bit-identical to
+/// the stack interpreter's, and the interpreter's digest must match
+/// `tests/golden/engine/digests.txt` (re-bless with `VMPROBE_BLESS=1`).
+#[test]
+fn register_engine_is_bit_identical_to_stack_interpreter() {
+    let mut lines = vec![
+        "# FNV-1a digests of each engine-corpus case's observables.".to_string(),
+        "# seed collector faults digest".to_string(),
+    ];
+    for seed in 0..ENGINE_CASES {
+        let (bp, k, faults) = engine_case(seed);
+        let reg = run_engine_case(&bp, k, faults, true);
+        let stack = run_engine_case(&bp, k, faults, false);
+        match (&reg, &stack) {
+            (Ok(reg), Ok(stack)) => {
+                assert_eq!(reg.report, stack.report, "case {seed}");
+                assert_eq!(reg.gc, stack.gc, "case {seed}");
+                assert_eq!(reg.vm, stack.vm, "case {seed}");
+                assert_eq!(reg.compiler, stack.compiler, "case {seed}");
+                assert_eq!(reg.duration, stack.duration, "case {seed}");
+                assert_eq!(reg.result, stack.result, "case {seed}");
+                assert_eq!(reg.live_bytes_end, stack.live_bytes_end, "case {seed}");
+                assert_eq!(
+                    reg.total_alloc_bytes, stack.total_alloc_bytes,
+                    "case {seed}"
+                );
+                assert_eq!(reg.spans, stack.spans, "case {seed}");
+                assert_eq!(reg.rir_bytecodes, reg.vm.bytecodes, "case {seed}");
+                assert_eq!(stack.rir_bytecodes, 0, "case {seed}");
+            }
+            (Err(reg), Err(stack)) => assert_eq!(reg, stack, "case {seed}"),
+            (reg, stack) => panic!("case {seed}: engines disagree: {reg:?} vs {stack:?}"),
+        }
+        lines.push(format!(
+            "{seed} {k:?} {faults} {:016x}",
+            observables_digest(&stack)
+        ));
+    }
+    let actual = lines.join("\n") + "\n";
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/engine/digests.txt");
+    if std::env::var_os("VMPROBE_BLESS").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &actual).unwrap();
+        return;
+    }
+    let golden = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
+    assert_eq!(
+        actual,
+        golden,
+        "engine corpus diverged from {}",
+        path.display()
+    );
 }
 
 proptest! {
