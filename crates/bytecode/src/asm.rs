@@ -7,8 +7,11 @@
 //! analysis crate's dataflow verifier need real invalid programs to
 //! reject, and tests need a compact notation for them.
 //!
-//! **Never feed an assembled program straight to the runtime.** Run it
-//! through `vmprobe-analysis`' `verify_program` first (the daemon does).
+//! **Verify an assembled program before running it.** Run it through
+//! `vmprobe-analysis`' `verify_program` first (the daemon does). The
+//! runtime rejects a structurally unsound method with a typed error at
+//! its first compile even when verification is off, but only the
+//! dataflow tier catches ill-typed code.
 //!
 //! # Notation
 //!

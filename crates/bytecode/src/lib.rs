@@ -56,4 +56,4 @@ pub use disasm::disassemble;
 pub use method::{Method, MethodId};
 pub use opcode::{ArrKind, MathFn, Op, Ty};
 pub use program::Program;
-pub use verifier::{verify_method, verify_program, VerifyError};
+pub use verifier::{stack_depths, verify_method, verify_program, VerifyError};

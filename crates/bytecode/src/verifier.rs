@@ -110,6 +110,23 @@ pub enum VerifyError {
         /// The method that has no body.
         method: MethodId,
     },
+    /// The method declares more arguments than local slots to hold them.
+    ArgsExceedLocals {
+        /// Offending method.
+        method: MethodId,
+        /// Declared argument count.
+        n_args: u8,
+        /// Declared frame size.
+        n_locals: u8,
+    },
+    /// Locals plus operand stack exceed the 65535 slots a frame can
+    /// address (the class-file format's `max_locals`/`max_stack` bound).
+    FrameTooLarge {
+        /// Offending method.
+        method: MethodId,
+        /// Instruction index where the stack outgrows the frame.
+        pc: u32,
+    },
 }
 
 impl fmt::Display for VerifyError {
@@ -158,6 +175,17 @@ impl fmt::Display for VerifyError {
             VerifyError::UndefinedMethod { method } => {
                 write!(f, "method {method} declared but never defined")
             }
+            VerifyError::ArgsExceedLocals {
+                method,
+                n_args,
+                n_locals,
+            } => write!(
+                f,
+                "{method} takes {n_args} arguments but has only {n_locals} locals"
+            ),
+            VerifyError::FrameTooLarge { method, pc } => {
+                write!(f, "frame exceeds 65535 slots at {method}:{pc}")
+            }
         }
     }
 }
@@ -170,15 +198,35 @@ impl Error for VerifyError {}
 ///
 /// See [`VerifyError`] for every condition checked.
 pub fn verify_method(program: &Program, method: &Method) -> Result<(), VerifyError> {
+    stack_depths(program, method).map(|_| ())
+}
+
+/// Verify a single method and return its operand-stack depth table:
+/// entry `pc` is the one static depth every path reaches `pc` with, or
+/// `None` when `pc` is unreachable. Locals plus any recorded depth fit in
+/// a `u16` frame slot index.
+///
+/// # Errors
+///
+/// As [`verify_method`].
+pub fn stack_depths(program: &Program, method: &Method) -> Result<Vec<Option<u16>>, VerifyError> {
     let id = method.id();
     let code = method.code();
     if code.is_empty() {
         return Err(VerifyError::EmptyBody { method: id });
     }
+    if method.n_args() > method.n_locals() {
+        return Err(VerifyError::ArgsExceedLocals {
+            method: id,
+            n_args: method.n_args(),
+            n_locals: method.n_locals(),
+        });
+    }
+    let max_depth = u16::MAX - u16::from(method.n_locals());
 
     // Per-instruction stack depth, None = not yet visited.
-    let mut depth_at: Vec<Option<usize>> = vec![None; code.len()];
-    let mut worklist: Vec<(u32, usize)> = vec![(0, 0)];
+    let mut depth_at: Vec<Option<u16>> = vec![None; code.len()];
+    let mut worklist: Vec<(u32, u16)> = vec![(0, 0)];
 
     while let Some((pc, depth)) = worklist.pop() {
         let idx = pc as usize;
@@ -188,8 +236,8 @@ pub fn verify_method(program: &Program, method: &Method) -> Result<(), VerifyErr
                 return Err(VerifyError::StackDepthMismatch {
                     method: id,
                     pc,
-                    expected: d,
-                    found: depth,
+                    expected: d.into(),
+                    found: depth.into(),
                 })
             }
             None => depth_at[idx] = Some(depth),
@@ -239,10 +287,14 @@ pub fn verify_method(program: &Program, method: &Method) -> Result<(), VerifyErr
             }
             _ => (op.pops(), op.pushes()),
         };
+        let depth = usize::from(depth);
         if pops > depth {
             return Err(VerifyError::StackUnderflow { method: id, pc });
         }
-        let next_depth = depth - pops + pushes;
+        let next_depth = u16::try_from(depth - pops + pushes)
+            .ok()
+            .filter(|d| *d <= max_depth)
+            .ok_or(VerifyError::FrameTooLarge { method: id, pc })?;
 
         // Successors.
         if let Some(target) = op.branch_target() {
@@ -263,7 +315,7 @@ pub fn verify_method(program: &Program, method: &Method) -> Result<(), VerifyErr
         }
     }
 
-    Ok(())
+    Ok(depth_at)
 }
 
 /// Verify every method in a program.
@@ -382,6 +434,42 @@ mod tests {
             b.const_i(21).call(callee).ret_value();
         });
         assert!(p.finish(main).is_ok());
+    }
+
+    #[test]
+    fn depth_table_records_one_depth_per_reachable_pc() {
+        let prog =
+            crate::assemble(".method main 0 1\n const_i 1\n pop\n ret\n nop\n ret\n").unwrap();
+        let depths = stack_depths(&prog, prog.method(prog.entry())).unwrap();
+        assert_eq!(depths, vec![Some(0), Some(1), Some(0), None, None]);
+    }
+
+    #[test]
+    fn rejects_more_arguments_than_locals() {
+        let prog = crate::assemble(".method main 0 1\n ret\n.method f 2 1\n ret\n").unwrap();
+        assert!(matches!(
+            verify_program(&prog),
+            Err(VerifyError::ArgsExceedLocals {
+                n_args: 2,
+                n_locals: 1,
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn rejects_frames_beyond_u16_slots() {
+        let mut p = ProgramBuilder::new();
+        let m = p.function("t", 0, 255, |b| {
+            for _ in 0..=(u16::MAX - 255) {
+                b.const_i(0);
+            }
+            b.ret();
+        });
+        assert!(matches!(
+            p.finish(m),
+            Err(VerifyError::FrameTooLarge { pc: 65280, .. })
+        ));
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //!                       written through, so an interrupted or repeated sweep
 //!                       only pays for what is missing
 //!   --no-cache          ignore --cache-dir (compute everything, write nothing)
-//!   --no-verify         skip load-time bytecode verification (escape hatch;
+//!   --no-verify         skip load-time dataflow verification (escape hatch;
+//!                       the structural pass still runs at first compile;
 //!                       verification is host-side and costs zero simulated
 //!                       cycles, so results are identical either way)
 //!   --resume            with --cache-dir: report on stderr how many cells the

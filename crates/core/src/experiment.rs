@@ -199,12 +199,6 @@ impl ExperimentConfig {
             .record_spans(self.record_spans)
             .verify(self.verify)
             .probe(self.probe)
-            // Engine selection, not an experiment axis: the register and
-            // stack engines are bit-identical by contract, so this is
-            // deliberately absent from `key()`/`fault_key()` — cached
-            // summaries are valid for both. The env escape hatch exists
-            // for A/B wall-clock benching and the CI golden gate.
-            .rir(std::env::var_os("VMPROBE_STACK_ENGINE").is_none())
     }
 
     /// Execute the experiment without fault injection.

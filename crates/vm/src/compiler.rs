@@ -11,13 +11,14 @@
 //!
 //! Compilation cost scales with method bytecode size; compiled-code quality
 //! is modeled as the per-bytecode dispatch overhead and whether locals
-//! live in memory or registers (see the interpreter).
+//! live in memory or registers, which the register engine charges per
+//! frame (see `rir`).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use vmprobe_bytecode::{MethodId, Program};
+use vmprobe_bytecode::{MethodId, Program, VerifyError};
 use vmprobe_platform::{Exec, CODE_BASE, VM_BASE};
 
 use crate::rir::{lower, RirBody};
@@ -43,7 +44,7 @@ impl Tier {
     ///
     /// Frames snapshot their tier at invocation: an activation already
     /// executing when the controller promotes its method keeps charging
-    /// the old tier's dispatch (and engine) for the rest of that
+    /// the old tier's dispatch for the rest of that
     /// activation. This models the lack of on-stack replacement — Jikes
     /// RVM's adaptive system in the paper's configuration swaps code at
     /// the *next* invocation, not mid-activation — and is pinned by the
@@ -113,10 +114,9 @@ pub struct CompilerStats {
 pub struct CompilerSubsystem {
     methods: Vec<MethodRuntime>,
     code_cursor: u64,
-    /// Lowered register bodies, populated when a method reaches
-    /// [`Tier::Opt`]. `None` for lower tiers and for methods the
-    /// conservative lowering pass declined (they stay on the stack
-    /// interpreter).
+    /// Lowered register bodies, produced at each method's first compile
+    /// (`None` until then). A body serves every tier: tiers differ only
+    /// in what the engine charges for it.
     rir: Vec<Option<Arc<RirBody>>>,
     /// Methods awaiting the optimizing compiler thread.
     pub opt_queue: VecDeque<MethodId>,
@@ -144,10 +144,19 @@ impl CompilerSubsystem {
         }
     }
 
-    /// The lowered register body installed for `m`, if it has one (i.e.
-    /// the method reached [`Tier::Opt`] and lowering succeeded).
-    pub(crate) fn rir_body(&self, m: MethodId) -> Option<Arc<RirBody>> {
-        self.rir[m.0 as usize].clone()
+    /// The lowered register body of `m`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` has not been compiled yet.
+    pub(crate) fn rir_body(&self, m: MethodId) -> Arc<RirBody> {
+        Arc::clone(self.rir[m.0 as usize].as_ref().expect("method compiled"))
+    }
+
+    /// Lower `m` to the register IR (its first compile).
+    fn lower(&mut self, program: &Program, m: MethodId) -> Result<(), VerifyError> {
+        self.rir[m.0 as usize] = Some(Arc::new(lower(program, program.method(m))?));
+        Ok(())
     }
 
     /// Runtime state of `m`.
@@ -178,14 +187,7 @@ impl CompilerSubsystem {
         }
     }
 
-    fn install_code(
-        &mut self,
-        program: &Program,
-        meter: &mut Meter,
-        m: MethodId,
-        bytes: u32,
-        tier: Tier,
-    ) {
+    fn install_code(&mut self, meter: &mut Meter, m: MethodId, bytes: u32, tier: Tier) {
         let size = bytes * tier.code_expansion();
         let addr = self.code_cursor;
         self.code_cursor += u64::from(size) + 64;
@@ -193,35 +195,55 @@ impl CompilerSubsystem {
         let rt = &mut self.methods[m.0 as usize];
         rt.tier = tier;
         rt.code_addr = addr;
-        if self.rir[m.0 as usize].is_none() {
-            self.rir[m.0 as usize] = lower(program, program.method(m)).ok().map(Arc::new);
-        }
     }
 
     /// Baseline-compile `m` (charged to the caller's current component;
     /// the VM brackets this with `BaseCompiler`).
-    pub fn baseline_compile(&mut self, program: &Program, m: MethodId, meter: &mut Meter) {
+    ///
+    /// # Errors
+    ///
+    /// The structural verifier's error when `m` cannot be lowered; nothing
+    /// is charged or installed then.
+    pub fn baseline_compile(
+        &mut self,
+        program: &Program,
+        m: MethodId,
+        meter: &mut Meter,
+    ) -> Result<(), VerifyError> {
+        self.lower(program, m)?;
         let bytes = program.method(m).bytecode_bytes();
         self.charge_compile(meter, bytes, BASE_OPS_PER_BYTE);
-        self.install_code(program, meter, m, bytes, Tier::Baseline);
+        self.install_code(meter, m, bytes, Tier::Baseline);
         self.stats.baseline_compiles += 1;
         self.stats.bytes_compiled += u64::from(bytes);
+        Ok(())
     }
 
     /// JIT-translate `m` (Kaffe).
-    pub fn jit_compile(&mut self, program: &Program, m: MethodId, meter: &mut Meter) {
+    ///
+    /// # Errors
+    ///
+    /// As [`CompilerSubsystem::baseline_compile`].
+    pub fn jit_compile(
+        &mut self,
+        program: &Program,
+        m: MethodId,
+        meter: &mut Meter,
+    ) -> Result<(), VerifyError> {
+        self.lower(program, m)?;
         let bytes = program.method(m).bytecode_bytes();
         self.charge_compile(meter, bytes, JIT_OPS_PER_BYTE);
-        self.install_code(program, meter, m, bytes, Tier::Jit);
+        self.install_code(meter, m, bytes, Tier::Jit);
         self.stats.jit_compiles += 1;
         self.stats.bytes_compiled += u64::from(bytes);
+        Ok(())
     }
 
     /// Recompile `m` with the optimizing compiler (Jikes compiler thread).
     pub fn opt_compile(&mut self, program: &Program, m: MethodId, meter: &mut Meter) {
         let bytes = program.method(m).bytecode_bytes();
         self.charge_compile(meter, bytes, OPT_OPS_PER_BYTE);
-        self.install_code(program, meter, m, bytes, Tier::Opt);
+        self.install_code(meter, m, bytes, Tier::Opt);
         self.stats.opt_compiles += 1;
         self.stats.bytes_compiled += u64::from(bytes);
     }
@@ -295,7 +317,7 @@ mod tests {
         let prog = program_with_methods(2);
         let mut cs = CompilerSubsystem::new(&prog);
         let mut meter = Meter::new(PlatformKind::PentiumM, false);
-        cs.baseline_compile(&prog, MethodId(0), &mut meter);
+        cs.baseline_compile(&prog, MethodId(0), &mut meter).unwrap();
         let base_cost = meter.cycles();
         cs.opt_compile(&prog, MethodId(1), &mut meter);
         let opt_cost = meter.cycles() - base_cost;
@@ -316,7 +338,7 @@ mod tests {
         let prog = program_with_methods(3);
         let mut cs = CompilerSubsystem::new(&prog);
         let mut meter = Meter::new(PlatformKind::PentiumM, false);
-        cs.baseline_compile(&prog, MethodId(1), &mut meter);
+        cs.baseline_compile(&prog, MethodId(1), &mut meter).unwrap();
         cs.method_mut(MethodId(1)).hotness = 10_000;
         let mut ctrl = Controller::default();
         ctrl.scan(&mut cs, 6_000, &mut meter);

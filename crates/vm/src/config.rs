@@ -83,7 +83,8 @@ pub struct VmConfig {
     pub record_spans: bool,
     /// Run the dataflow verification tier when a class is first loaded
     /// (rejecting the run with [`VmError::VerifyRejected`] on failure).
-    /// On by default; the `--no-verify` escape hatch clears it.
+    /// On by default; the `--no-verify` escape hatch clears it. The
+    /// structural pass runs regardless, at each method's first compile.
     /// Verification happens host-side and charges zero simulated cycles,
     /// so results are bit-identical with this on or off.
     ///
@@ -93,15 +94,6 @@ pub struct VmConfig {
     /// default (40 µs, transparent) is the classic free-probes rig; any
     /// other value perturbs or re-times the measurement itself.
     pub probe: ProbeSpec,
-    /// Execute [`Tier::Opt`] methods on the register engine (lowered
-    /// three-address IR over recycled register windows) instead of the
-    /// stack interpreter. On by default. A pure *engine* switch: metered
-    /// µops, fault streams, spans and reports are bit-identical either
-    /// way — turning it off only costs host wall-clock, which is what the
-    /// differential harness exploits.
-    ///
-    /// [`Tier::Opt`]: crate::Tier::Opt
-    pub rir: bool,
 }
 
 impl VmConfig {
@@ -122,7 +114,6 @@ impl VmConfig {
             record_spans: false,
             verify: true,
             probe: ProbeSpec::default(),
-            rir: true,
         }
     }
 
@@ -144,7 +135,6 @@ impl VmConfig {
             record_spans: false,
             verify: true,
             probe: ProbeSpec::default(),
-            rir: true,
         }
     }
 
@@ -204,15 +194,6 @@ impl VmConfig {
     /// Select the measurement mode (observer-effect studies).
     pub fn probe(mut self, probe: ProbeSpec) -> Self {
         self.probe = probe;
-        self
-    }
-
-    /// Enable/disable the register engine for [`Tier::Opt`] frames
-    /// (differential testing; results are bit-identical either way).
-    ///
-    /// [`Tier::Opt`]: crate::Tier::Opt
-    pub fn rir(mut self, on: bool) -> Self {
-        self.rir = on;
         self
     }
 }

@@ -84,10 +84,11 @@ pub enum VmError {
         /// The configured budget in bytecodes.
         budget: u64,
     },
-    /// The load-time verification tier rejected a class: some method
-    /// failed the dataflow verifier (merge-point type conflict,
-    /// uninitialized local, structural defect). Disable with the
-    /// `--no-verify` escape hatch ([`VmConfig::verify`]).
+    /// The verifier rejected a class: some method failed the load-time
+    /// dataflow tier (merge-point type conflict, uninitialized local,
+    /// structural defect), or failed the structural pass at its first
+    /// compile. The `--no-verify` escape hatch ([`VmConfig::verify`])
+    /// skips only the dataflow tier.
     ///
     /// [`VmConfig::verify`]: crate::VmConfig::verify
     VerifyRejected {
@@ -95,6 +96,14 @@ pub enum VmError {
         class: ClassId,
         /// The verifier's diagnostic, rendered.
         reason: String,
+    },
+    /// The program's entry method declares arguments, which nothing can
+    /// supply.
+    EntryTakesArguments {
+        /// The entry method.
+        method: MethodId,
+        /// Its declared argument count.
+        n_args: u8,
     },
 }
 
@@ -147,6 +156,9 @@ impl fmt::Display for VmError {
             }
             VmError::VerifyRejected { class, reason } => {
                 write!(f, "class C{} rejected by the verifier: {reason}", class.0)
+            }
+            VmError::EntryTakesArguments { method, n_args } => {
+                write!(f, "entry method {method} takes {n_args} arguments; it must take none")
             }
         }
     }

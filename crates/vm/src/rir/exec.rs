@@ -1,21 +1,14 @@
-//! The register execution engine for [`Tier::Opt`](crate::Tier) frames.
+//! The execution engine: `Vm::step` runs one frame's lowered
+//! [`RirBody`](super::RirBody) over its register window until the frame
+//! calls, returns, or faults.
 //!
-//! `Vm::step_rir` is the register twin of the stack interpreter's `step`:
-//! it executes a lowered [`RirBody`](super::RirBody) over the frame's
-//! register window instead of replaying operand-stack traffic. The hot
-//! loop is the whole point — no `Vec` push/pop per operand, no dispatch
-//! µop charges (the optimizing tier's budget is zero), just indexed moves
-//! over one flat window.
-//!
-//! **Parity obligations** (checked by the differential harness): for every
-//! executed instruction this loop must issue the *exact* meter-call
-//! sequence the stack interpreter issues for an `Opt` frame — quantum
-//! check first, `ifetch` on the same `pc & 7 == 0` cadence against the
-//! same code address, zero dispatch charges, the same per-op charges in
-//! the same order, and faults raised at the same `pc` with the same typed
-//! error. Any divergence is a bug in this file, never a re-bless.
-
-use std::sync::Arc;
+//! **Metering obligations** (checked by the recorded engine corpus): per
+//! executed instruction, the quantum check comes first, then `ifetch` on
+//! the `pc & 7 == 0` cadence at the tier's code expansion, then the
+//! tier's dispatch µops, then the instruction's own charges, with faults
+//! raised at the instruction's `pc`. The frame's tier, snapshotted at
+//! invocation, is the only input that distinguishes baseline, JIT and
+//! optimized code.
 
 use vmprobe_heap::{AllocRequest, ObjKind};
 use vmprobe_platform::Exec;
@@ -25,23 +18,18 @@ use crate::vm::{Frame, Vm, STATICS_BASE};
 use crate::{Value, VmError};
 
 impl Vm {
-    /// Execute a register frame until it calls, returns, or faults.
-    ///
-    /// The caller (the run loop's `step`) has already popped `frame` and
-    /// checked that it carries register state.
-    pub(crate) fn step_rir(&mut self, mut frame: Frame) -> Result<(), VmError> {
-        let mut rf = frame.rir.take().expect("step_rir on a stack frame");
-        let body = Arc::clone(&rf.body);
+    /// Execute `frame` (already popped by the run loop) until it calls,
+    /// returns, or faults.
+    pub(crate) fn step(&mut self, mut frame: Frame) -> Result<(), VmError> {
+        let body = &*frame.body;
         let n_locals = body.n_locals as usize;
         let dispatch = frame.tier.dispatch_ops();
         let locals_in_memory = frame.tier.locals_in_memory();
         let expansion = u64::from(frame.tier.code_expansion());
-        let program = Arc::clone(&self.program);
 
         macro_rules! fault {
             ($e:expr) => {{
                 let e = $e;
-                frame.rir = Some(rf);
                 self.frames.push(frame);
                 return Err(e);
             }};
@@ -59,7 +47,6 @@ impl Vm {
                 self.meter.int_ops(dispatch);
             }
             self.stats.bytecodes += 1;
-            self.rir_bytecodes += 1;
             if self.stats.bytecodes >= self.step_budget {
                 fault!(VmError::StepBudgetExhausted {
                     budget: self.step_budget,
@@ -71,19 +58,19 @@ impl Vm {
                 // ---- constants & moves ----
                 RirOp::ConstI { dst, lit } => {
                     self.meter.int_ops(1);
-                    rf.window[dst as usize] = Value::I(body.pool_i[lit as usize]);
+                    frame.window[dst as usize] = Value::I(body.pool_i[lit as usize]);
                 }
                 RirOp::ConstF { dst, lit } => {
                     self.meter.int_ops(1);
-                    rf.window[dst as usize] = Value::F(body.pool_f[lit as usize]);
+                    frame.window[dst as usize] = Value::F(body.pool_f[lit as usize]);
                 }
                 RirOp::ConstNull { dst } => {
                     self.meter.int_ops(1);
-                    rf.window[dst as usize] = Value::Null;
+                    frame.window[dst as usize] = Value::Null;
                 }
                 RirOp::Mov { dst, src } => {
                     self.meter.int_ops(1);
-                    rf.window[dst as usize] = rf.window[src as usize];
+                    frame.window[dst as usize] = frame.window[src as usize];
                 }
                 RirOp::LoadLocal { dst, local } => {
                     if locals_in_memory {
@@ -91,7 +78,7 @@ impl Vm {
                     } else {
                         self.meter.int_ops(1);
                     }
-                    rf.window[dst as usize] = rf.window[local as usize];
+                    frame.window[dst as usize] = frame.window[local as usize];
                 }
                 RirOp::StoreLocal { local, src } => {
                     if locals_in_memory {
@@ -99,67 +86,67 @@ impl Vm {
                     } else {
                         self.meter.int_ops(1);
                     }
-                    rf.window[local as usize] = rf.window[src as usize];
+                    frame.window[local as usize] = frame.window[src as usize];
                 }
                 RirOp::Drop => {
                     self.meter.int_ops(1);
                 }
                 RirOp::Swap { a, b } => {
                     self.meter.int_ops(2);
-                    rf.window.swap(a as usize, b as usize);
+                    frame.window.swap(a as usize, b as usize);
                 }
 
                 // ---- integer ALU ----
                 RirOp::IntAlu { kind, dst, a, b } => {
                     self.meter.int_ops(1);
-                    let av = rf.window[a as usize].as_i();
-                    let bv = rf.window[b as usize].as_i();
-                    rf.window[dst as usize] = Value::I(int_alu(kind, av, bv));
+                    let av = frame.window[a as usize].as_i();
+                    let bv = frame.window[b as usize].as_i();
+                    frame.window[dst as usize] = Value::I(int_alu(kind, av, bv));
                 }
                 RirOp::Neg { dst, src } => {
                     self.meter.int_ops(1);
-                    let a = rf.window[src as usize].as_i();
-                    rf.window[dst as usize] = Value::I(a.wrapping_neg());
+                    let a = frame.window[src as usize].as_i();
+                    frame.window[dst as usize] = Value::I(a.wrapping_neg());
                 }
 
                 // ---- float ALU ----
                 RirOp::FAlu { kind, dst, a, b } => {
                     self.meter.fp_ops(1);
-                    let av = rf.window[a as usize].as_f();
-                    let bv = rf.window[b as usize].as_f();
-                    rf.window[dst as usize] = Value::F(f_alu(kind, av, bv));
+                    let av = frame.window[a as usize].as_f();
+                    let bv = frame.window[b as usize].as_f();
+                    frame.window[dst as usize] = Value::F(f_alu(kind, av, bv));
                 }
                 RirOp::FNeg { dst, src } => {
                     self.meter.fp_ops(1);
-                    let a = rf.window[src as usize].as_f();
-                    rf.window[dst as usize] = Value::F(-a);
+                    let a = frame.window[src as usize].as_f();
+                    frame.window[dst as usize] = Value::F(-a);
                 }
                 RirOp::Math { f, dst, src } => {
                     self.meter.math_op();
-                    let a = rf.window[src as usize].as_f();
-                    rf.window[dst as usize] = Value::F(math_fn(f, a));
+                    let a = frame.window[src as usize].as_f();
+                    frame.window[dst as usize] = Value::F(math_fn(f, a));
                 }
                 RirOp::I2F { dst, src } => {
                     self.meter.fp_ops(1);
-                    let a = rf.window[src as usize].as_i();
-                    rf.window[dst as usize] = Value::F(a as f64);
+                    let a = frame.window[src as usize].as_i();
+                    frame.window[dst as usize] = Value::F(a as f64);
                 }
                 RirOp::F2I { dst, src } => {
                     self.meter.fp_ops(1);
-                    let a = rf.window[src as usize].as_f();
-                    rf.window[dst as usize] = Value::I(if a.is_nan() { 0 } else { a as i64 });
+                    let a = frame.window[src as usize].as_f();
+                    frame.window[dst as usize] = Value::I(if a.is_nan() { 0 } else { a as i64 });
                 }
 
                 // ---- comparisons ----
                 RirOp::Cmp { kind, dst, a, b } => {
                     self.meter.int_ops(1);
-                    let r = compare(kind, rf.window[a as usize], rf.window[b as usize]);
-                    rf.window[dst as usize] = Value::I(i64::from(r));
+                    let r = compare(kind, frame.window[a as usize], frame.window[b as usize]);
+                    frame.window[dst as usize] = Value::I(i64::from(r));
                 }
                 RirOp::IsNull { dst, src } => {
                     self.meter.int_ops(1);
-                    let r = rf.window[src as usize] == Value::Null;
-                    rf.window[dst as usize] = Value::I(i64::from(r));
+                    let r = frame.window[src as usize] == Value::Null;
+                    frame.window[dst as usize] = Value::I(i64::from(r));
                 }
 
                 // ---- control flow ----
@@ -177,7 +164,7 @@ impl Vm {
                     back_edge,
                 } => {
                     self.meter.branch();
-                    let v = rf.window[cond as usize].truthy();
+                    let v = frame.window[cond as usize].truthy();
                     if v == on_true {
                         if back_edge {
                             self.compilers.method_mut(frame.method).hotness += 1;
@@ -187,37 +174,39 @@ impl Vm {
                 }
                 RirOp::Call { m, save_sp } => {
                     self.meter.int_ops(4);
-                    rf.live_sp = save_sp;
-                    frame.rir = Some(rf);
+                    frame.live_sp = save_sp;
                     self.frames.push(frame);
                     return self.invoke(m);
                 }
                 RirOp::Ret => {
                     self.meter.int_ops(3);
-                    self.windows.release(rf.window);
+                    self.windows.release(frame.window);
                     return Ok(());
                 }
                 RirOp::RetV { src } => {
                     self.meter.int_ops(3);
-                    let v = rf.window[src as usize];
+                    let v = frame.window[src as usize];
                     match self.frames.last_mut() {
                         Some(caller) => caller.push_return(v),
                         None => self.result = Some(v),
                     }
-                    self.windows.release(rf.window);
+                    self.windows.release(frame.window);
                     return Ok(());
                 }
 
                 // ---- objects & arrays ----
                 RirOp::New { class, dst, gc_sp } => {
-                    if let Err(e) = self.loader.ensure_loaded(&program, class, &mut self.meter) {
+                    if let Err(e) = self
+                        .loader
+                        .ensure_loaded(&self.program, class, &mut self.meter)
+                    {
                         fault!(e);
                     }
                     let rt = self.loader.class(class);
                     let req = AllocRequest::instance(class.0, rt.ref_slots(), rt.prim_slots());
-                    let (live, rest) = rf.window.split_at(n_locals);
+                    let (live, rest) = frame.window.split_at(n_locals);
                     match self.alloc(req, live, &rest[..gc_sp as usize]) {
-                        Ok(id) => rf.window[dst as usize] = Value::Ref(id),
+                        Ok(id) => frame.window[dst as usize] = Value::Ref(id),
                         Err(e) => fault!(e),
                     }
                 }
@@ -228,7 +217,7 @@ impl Vm {
                     gc_sp,
                 } => {
                     self.meter.int_ops(2);
-                    let len = rf.window[len as usize].as_i();
+                    let len = frame.window[len as usize].as_i();
                     if len < 0 {
                         fault!(VmError::NegativeArrayLength {
                             method: frame.method,
@@ -242,14 +231,14 @@ impl Vm {
                         vmprobe_bytecode::ArrKind::Float => AllocRequest::float_array(len),
                         vmprobe_bytecode::ArrKind::Ref => AllocRequest::ref_array(len),
                     };
-                    let (live, rest) = rf.window.split_at(n_locals);
+                    let (live, rest) = frame.window.split_at(n_locals);
                     match self.alloc(req, live, &rest[..gc_sp as usize]) {
-                        Ok(id) => rf.window[dst as usize] = Value::Ref(id),
+                        Ok(id) => frame.window[dst as usize] = Value::Ref(id),
                         Err(e) => fault!(e),
                     }
                 }
                 RirOp::GetField { obj, dst, fidx } => {
-                    let obj = rf.window[obj as usize];
+                    let obj = frame.window[obj as usize];
                     let Some(id) = obj.as_ref_id() else {
                         fault!(VmError::NullDereference {
                             method: frame.method,
@@ -286,11 +275,11 @@ impl Vm {
                             Value::I(bits as i64)
                         }
                     };
-                    rf.window[dst as usize] = v;
+                    frame.window[dst as usize] = v;
                 }
                 RirOp::PutField { obj, val, fidx } => {
-                    let v = rf.window[val as usize];
-                    let obj = rf.window[obj as usize];
+                    let v = frame.window[val as usize];
+                    let obj = frame.window[obj as usize];
                     let Some(id) = obj.as_ref_id() else {
                         fault!(VmError::NullDereference {
                             method: frame.method,
@@ -325,15 +314,15 @@ impl Vm {
                 }
                 RirOp::GetStatic { dst, slot } => {
                     self.meter.load(STATICS_BASE + u64::from(slot) * 8);
-                    rf.window[dst as usize] = self.statics[slot as usize];
+                    frame.window[dst as usize] = self.statics[slot as usize];
                 }
                 RirOp::PutStatic { src, slot } => {
                     self.meter.store(STATICS_BASE + u64::from(slot) * 8);
-                    self.statics[slot as usize] = rf.window[src as usize];
+                    self.statics[slot as usize] = frame.window[src as usize];
                 }
                 RirOp::ALoad { arr, idx, dst } => {
-                    let idx = rf.window[idx as usize].as_i();
-                    let arr = rf.window[arr as usize];
+                    let idx = frame.window[idx as usize].as_i();
+                    let arr = frame.window[arr as usize];
                     let Some(id) = arr.as_ref_id() else {
                         fault!(VmError::NullDereference {
                             method: frame.method,
@@ -365,12 +354,12 @@ impl Vm {
                         }
                         _ => Value::I(self.heap.get_prim(id, idx as usize) as i64),
                     };
-                    rf.window[dst as usize] = v;
+                    frame.window[dst as usize] = v;
                 }
                 RirOp::AStore { arr, idx, val } => {
-                    let v = rf.window[val as usize];
-                    let idx = rf.window[idx as usize].as_i();
-                    let arr = rf.window[arr as usize];
+                    let v = frame.window[val as usize];
+                    let idx = frame.window[idx as usize].as_i();
+                    let arr = frame.window[arr as usize];
                     let Some(id) = arr.as_ref_id() else {
                         fault!(VmError::NullDereference {
                             method: frame.method,
@@ -402,7 +391,7 @@ impl Vm {
                     }
                 }
                 RirOp::ArrLen { arr, dst } => {
-                    let arr = rf.window[arr as usize];
+                    let arr = frame.window[arr as usize];
                     let Some(id) = arr.as_ref_id() else {
                         fault!(VmError::NullDereference {
                             method: frame.method,
@@ -412,7 +401,7 @@ impl Vm {
                     // Length lives in the array header.
                     self.meter.load(self.heap.get(id).addr());
                     let o = self.heap.get(id);
-                    rf.window[dst as usize] = Value::I(o.ref_count().max(o.prim_count()) as i64);
+                    frame.window[dst as usize] = Value::I(o.ref_count().max(o.prim_count()) as i64);
                 }
                 RirOp::Nop => {
                     self.meter.int_ops(1);

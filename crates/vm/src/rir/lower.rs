@@ -1,171 +1,62 @@
-//! Lowering from verified stack bytecode to the register IR.
+//! Lowering from stack bytecode to the register IR.
 //!
-//! The pass re-runs the structural verifier's worklist over operand-stack
-//! *depth* (see `vmprobe_bytecode::verify_method`): structural soundness
-//! guarantees every reachable pc has exactly one static depth, which makes
-//! the stack-to-register mapping total — local `n` is register `n`, the
-//! operand slot at depth `d` is register `n_locals + d`. Emission is then
-//! strictly 1:1: register instruction `i` is bytecode `pc == i`, so branch
-//! targets, the ifetch cadence (`pc & 7 == 0`) and fault pcs carry over
-//! unchanged. Unreachable pcs lower to `Nop` placeholders that can never
-//! execute.
+//! The structural verifier's depth table
+//! ([`vmprobe_bytecode::stack_depths`]) gives every reachable pc exactly
+//! one static operand-stack depth, which makes the stack-to-register
+//! mapping total: local `n` is register `n`, the operand slot at depth
+//! `d` is register `n_locals + d`. Emission is then strictly 1:1: register
+//! instruction `i` is bytecode `pc == i`, so branch targets, the ifetch
+//! cadence (`pc & 7 == 0`) and fault pcs carry over unchanged.
+//! Unreachable pcs lower to `Nop` placeholders that can never execute.
 //!
-//! The pass is deliberately re-run here rather than trusting the caller:
-//! `vmprobe_bytecode::assemble` does not verify, and the `--no-verify`
-//! escape hatch disables the load-time tier, so the compiler subsystem
-//! may be handed structurally broken methods. Lowering then returns an
-//! error and the method simply stays on the stack interpreter, which is
-//! always semantically authoritative.
+//! The structural pass runs here even when the program was verified
+//! before: `vmprobe_bytecode::assemble` does not verify, and the
+//! `--no-verify` escape hatch skips only the dataflow tier, so the
+//! compiler subsystem may be handed a structurally broken method. Its
+//! [`VerifyError`] then rejects the method at its first compile.
 //!
-//! Lowering happens host-side at `install_code` time and charges zero
-//! simulated cycles — the *modeled* cost of optimizing compilation is
-//! `opt_compile`'s charge, exactly as before.
+//! Lowering happens host-side at a method's first compile and charges
+//! zero simulated cycles: the *modeled* compilation cost is the
+//! compiler's own charge. The body does not depend on the tier; tiers
+//! differ only in what the engine charges for it.
 
 use std::collections::BTreeMap;
 
-use vmprobe_bytecode::{Method, Op, Program};
+use vmprobe_bytecode::{stack_depths, Method, Op, Program, VerifyError};
 
 use super::{AluKind, CmpKind, FAluKind, RirBody, RirOp};
 
-/// Why a method could not be lowered (it stays on the stack interpreter).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum LowerError {
-    /// Method body is empty.
-    EmptyBody,
-    /// Two paths reach a pc with different stack depths.
-    DepthMismatch {
-        /// The join-point pc.
-        pc: u32,
-    },
-    /// An instruction pops more values than the stack holds.
-    Underflow {
-        /// The offending pc.
-        pc: u32,
-    },
-    /// A branch target is outside the method body.
-    BranchOutOfRange {
-        /// The offending pc.
-        pc: u32,
-    },
-    /// Execution can run past the last instruction.
-    FallsOffEnd,
-    /// A static index (local, method, class, static slot) is out of range,
-    /// or a return kind contradicts the signature.
-    BadIndex {
-        /// The offending pc.
-        pc: u32,
-    },
-    /// The window or a literal pool would overflow the 16-bit operand
-    /// encoding.
-    TooWide,
-}
-
-/// Register index for operand-stack depth `d` in a method with `n_locals`
-/// locals.
-fn reg(n_locals: u16, d: usize) -> u16 {
-    n_locals + d as u16
-}
-
-/// Lower `method` to a register body, or report why it must stay on the
-/// stack interpreter.
-pub(crate) fn lower(program: &Program, method: &Method) -> Result<RirBody, LowerError> {
-    let code = method.code();
-    if code.is_empty() {
-        return Err(LowerError::EmptyBody);
-    }
+/// Lower `method` to a register body, or report why it is structurally
+/// unsound.
+pub(crate) fn lower(program: &Program, method: &Method) -> Result<RirBody, VerifyError> {
+    let depth_at = stack_depths(program, method)?;
     let n_locals = u16::from(method.n_locals());
+    // `stack_depths` bounds `n_locals + depth` by `u16::MAX`.
+    let max_depth = depth_at.iter().flatten().copied().max().unwrap_or(0);
+    let n_regs = n_locals + max_depth;
 
-    // Pass 1: the structural verifier's depth worklist, kept in sync with
-    // `vmprobe_bytecode::verify_method` so lowering accepts exactly the
-    // structurally sound methods.
-    let mut depth_at: Vec<Option<usize>> = vec![None; code.len()];
-    let mut worklist: Vec<(u32, usize)> = vec![(0, 0)];
-    let mut max_depth = 0usize;
-    while let Some((pc, depth)) = worklist.pop() {
-        let idx = pc as usize;
-        match depth_at[idx] {
-            Some(d) if d == depth => continue,
-            Some(_) => return Err(LowerError::DepthMismatch { pc }),
-            None => depth_at[idx] = Some(depth),
-        }
-        let op = &code[idx];
-        match op {
-            Op::Load(n) | Op::Store(n) if u16::from(*n) >= n_locals => {
-                return Err(LowerError::BadIndex { pc });
-            }
-            Op::Call(m) if m.0 as usize >= program.methods().len() => {
-                return Err(LowerError::BadIndex { pc });
-            }
-            Op::New(c) if c.0 as usize >= program.classes().len() => {
-                return Err(LowerError::BadIndex { pc });
-            }
-            Op::GetStatic(s) | Op::PutStatic(s) if *s as usize >= program.statics().len() => {
-                return Err(LowerError::BadIndex { pc });
-            }
-            Op::Ret if method.returns_value() => return Err(LowerError::BadIndex { pc }),
-            Op::RetV if !method.returns_value() => return Err(LowerError::BadIndex { pc }),
-            _ => {}
-        }
-        let (pops, pushes) = match op {
-            Op::Call(m) => {
-                let callee = program.method(*m);
-                (
-                    callee.n_args() as usize,
-                    usize::from(callee.returns_value()),
-                )
-            }
-            _ => (op.pops(), op.pushes()),
-        };
-        if pops > depth {
-            return Err(LowerError::Underflow { pc });
-        }
-        let next_depth = depth - pops + pushes;
-        max_depth = max_depth.max(next_depth).max(depth);
-        if let Some(target) = op.branch_target() {
-            if target as usize >= code.len() {
-                return Err(LowerError::BranchOutOfRange { pc });
-            }
-            worklist.push((target, next_depth));
-        }
-        if !op.is_terminator() {
-            if idx + 1 >= code.len() {
-                return Err(LowerError::FallsOffEnd);
-            }
-            worklist.push((pc + 1, next_depth));
-        }
-    }
-
-    let n_regs = (n_locals as usize)
-        .checked_add(max_depth)
-        .filter(|n| *n <= usize::from(u16::MAX))
-        .ok_or(LowerError::TooWide)? as u16;
-
-    // Pass 2: 1:1 emission. Literal pools deduplicate through BTreeMaps
-    // (floats keyed by bit pattern so NaN payloads and -0.0 survive);
-    // no hashing, per the determinism lint.
+    // Literal pools deduplicate through BTreeMaps (floats keyed by bit
+    // pattern so NaN payloads and -0.0 survive); no hashing, per the
+    // determinism lint.
     let mut pool_i: Vec<i64> = Vec::new();
     let mut pool_f: Vec<f64> = Vec::new();
-    let mut seen_i: BTreeMap<i64, u16> = BTreeMap::new();
-    let mut seen_f: BTreeMap<u64, u16> = BTreeMap::new();
-    let mut intern_i = |v: i64, pool: &mut Vec<i64>| -> Result<u16, LowerError> {
-        if let Some(&idx) = seen_i.get(&v) {
-            return Ok(idx);
-        }
-        let idx = u16::try_from(pool.len()).map_err(|_| LowerError::TooWide)?;
-        pool.push(v);
-        seen_i.insert(v, idx);
-        Ok(idx)
+    // A pool holds at most one entry per instruction, and pcs are `u32`.
+    let mut seen_i: BTreeMap<i64, u32> = BTreeMap::new();
+    let mut seen_f: BTreeMap<u64, u32> = BTreeMap::new();
+    let mut intern_i = |v: i64, pool: &mut Vec<i64>| -> u32 {
+        *seen_i.entry(v).or_insert_with(|| {
+            pool.push(v);
+            (pool.len() - 1) as u32
+        })
     };
-    let mut intern_f = |v: f64, pool: &mut Vec<f64>| -> Result<u16, LowerError> {
-        if let Some(&idx) = seen_f.get(&v.to_bits()) {
-            return Ok(idx);
-        }
-        let idx = u16::try_from(pool.len()).map_err(|_| LowerError::TooWide)?;
-        pool.push(v);
-        seen_f.insert(v.to_bits(), idx);
-        Ok(idx)
+    let mut intern_f = |v: f64, pool: &mut Vec<f64>| -> u32 {
+        *seen_f.entry(v.to_bits()).or_insert_with(|| {
+            pool.push(v);
+            (pool.len() - 1) as u32
+        })
     };
 
+    let code = method.code();
     let mut ops = Vec::with_capacity(code.len());
     for (idx, op) in code.iter().enumerate() {
         let pc = idx as u32;
@@ -173,15 +64,16 @@ pub(crate) fn lower(program: &Program, method: &Method) -> Result<RirBody, Lower
             ops.push(RirOp::Nop); // unreachable pc: placeholder, never runs
             continue;
         };
-        let r = |depth: usize| reg(n_locals, depth);
+        let d = usize::from(d);
+        let r = |depth: usize| n_locals + depth as u16;
         let lowered = match *op {
             Op::ConstI(v) => RirOp::ConstI {
                 dst: r(d),
-                lit: intern_i(v, &mut pool_i)?,
+                lit: intern_i(v, &mut pool_i),
             },
             Op::ConstF(v) => RirOp::ConstF {
                 dst: r(d),
-                lit: intern_f(v, &mut pool_f)?,
+                lit: intern_f(v, &mut pool_f),
             },
             Op::ConstNull => RirOp::ConstNull { dst: r(d) },
             Op::Dup => RirOp::Mov {
@@ -410,18 +302,14 @@ mod tests {
     }
 
     #[test]
-    fn rejects_underflow_like_the_verifier() {
+    fn rejects_what_the_structural_verifier_rejects() {
         // Assembled (unverified) code can underflow; lowering must bail.
         let prog = vmprobe_bytecode::assemble(".method main 0 1\n    add\n    ret\n").unwrap();
         let err = lower(&prog, prog.method(prog.entry())).unwrap_err();
-        assert_eq!(err, LowerError::Underflow { pc: 0 });
-    }
-
-    #[test]
-    fn rejects_falling_off_the_end() {
+        assert!(matches!(err, VerifyError::StackUnderflow { pc: 0, .. }));
         let prog = vmprobe_bytecode::assemble(".method main 0 1\n    nop\n").unwrap();
         let err = lower(&prog, prog.method(prog.entry())).unwrap_err();
-        assert_eq!(err, LowerError::FallsOffEnd);
+        assert!(matches!(err, VerifyError::FallsOffEnd { .. }));
     }
 
     #[test]

@@ -1,60 +1,38 @@
-//! Register IR for the optimizing tier.
+//! Register IR: the one form every method executes in.
 //!
-//! The stack-bytecode interpreter in [`crate::vm`] executes every tier by
-//! replaying push/pop traffic on a `Vec<Value>` operand stack. For
-//! [`Tier::Opt`](crate::Tier) code that is pure host overhead: the *model*
-//! says optimized code keeps locals in registers and pays zero dispatch
-//! µops, so nothing about the charged µop stream depends on the operand
-//! stack actually existing. This module lowers verified stack bytecode to
-//! fixed-width three-address instructions over a flat per-method register
-//! file (the Regorus RVM recipe: register windows per frame recycled
-//! through a pool, literal pools resolved at load time, a linear pc with
-//! absolute jumps) so the hot execution loop becomes direct indexed moves.
+//! Each method is lowered once, at its first compile, from verified stack
+//! bytecode to fixed-width three-address instructions over a flat
+//! per-activation register file (the Regorus RVM recipe: register windows
+//! per frame recycled through a pool, literal pools resolved at load time,
+//! a linear pc with absolute jumps), and every frame runs on the register
+//! engine in `exec`, whatever its tier.
 //!
-//! **Byte-identity discipline.** The register engine is an *engine*
-//! change, never a *model* change: for every executed bytecode it must
-//! drive the [`Meter`](crate::Meter) through exactly the call sequence the
-//! stack interpreter issues for a `Tier::Opt` frame — same ifetch cadence,
-//! same µop charges in the same order, same fault sites with the same
-//! `pc`. Metered reports, fault streams, telemetry spans and all golden
-//! figures are bit-identical with the register engine on or off; the
-//! differential harness in `tests/properties.rs` and the conformance
-//! suite enforce this.
+//! **Tiers are metering parameters.** Jikes' baseline and optimizing code
+//! and Kaffe's JIT code differ in what they *cost*, not in what they
+//! compute: the engine reads the frame's [`Tier`](crate::Tier) and
+//! charges its [`dispatch_ops`](crate::Tier::dispatch_ops) per bytecode,
+//! and meters `LoadLocal`/`StoreLocal` as stack-memory traffic when
+//! [`locals_in_memory`](crate::Tier::locals_in_memory) holds and as one
+//! register µop when it does not. The instruction stream is 1:1 with the
+//! bytecode, so ifetch cadence, branch targets and fault pcs are the
+//! bytecode's own.
 //!
-//! Lowering is conservative: any method the structural pass cannot prove
-//! well-formed (inconsistent stack depths, unreachable underflow, out of
-//! range indices — possible only for `--no-verify` runs of hand-assembled
-//! programs) simply keeps executing on the stack interpreter, which is
-//! always semantically authoritative.
+//! **Recorded oracle.** `tests/golden/engine/digests.txt` holds digests
+//! of a stack-machine interpreter's observables (reports, stats, spans,
+//! results and typed faults) for a seeded corpus on every tier, collector
+//! and fault spec; `tests/properties.rs` replays it against this engine.
+//! A divergence is a bug here, never a re-bless.
 
 mod exec;
 mod lower;
 
 pub(crate) use lower::lower;
 
-use std::sync::Arc;
-
 use vmprobe_bytecode::{ArrKind, ClassId, MathFn, MethodId, Op};
 
 use crate::Value;
 
-/// Register-engine state of one activation: the lowered body, the frame's
-/// register window (locals in `window[..n_locals]`, operand slots above),
-/// and the live operand depth while suspended at a call.
-#[derive(Debug, Clone)]
-pub(crate) struct RirFrame {
-    /// The method's lowered body (shared with the compiler subsystem).
-    pub body: Arc<RirBody>,
-    /// The register window, `body.n_regs` slots.
-    pub window: Vec<Value>,
-    /// Operand depth at the save point of the call this frame is
-    /// suspended at: the GC-root boundary (registers above it are dead),
-    /// and where a callee's return value lands. Meaningless while the
-    /// frame is executing.
-    pub live_sp: u16,
-}
-
-/// Integer ALU operation kind (shared semantics for both engines).
+/// Integer ALU operation kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum AluKind {
     /// Wrapping add.
@@ -156,8 +134,7 @@ impl CmpKind {
     }
 }
 
-/// Integer ALU semantics shared by the stack interpreter and the register
-/// engine — single source of truth so the two engines cannot drift.
+/// Integer ALU semantics.
 #[inline]
 pub(crate) fn int_alu(kind: AluKind, a: i64, b: i64) -> i64 {
     match kind {
@@ -186,7 +163,7 @@ pub(crate) fn int_alu(kind: AluKind, a: i64, b: i64) -> i64 {
     }
 }
 
-/// Float ALU semantics shared by both engines.
+/// Float ALU semantics.
 #[inline]
 pub(crate) fn f_alu(kind: FAluKind, a: f64, b: f64) -> f64 {
     match kind {
@@ -203,7 +180,7 @@ pub(crate) fn f_alu(kind: FAluKind, a: f64, b: f64) -> f64 {
     }
 }
 
-/// Comparison semantics shared by both engines: float contagion when
+/// Comparison semantics: float contagion when
 /// either operand is a float, identity (plus handle-order `Lt`) for
 /// reference pairs, integer views otherwise.
 #[inline]
@@ -242,7 +219,7 @@ pub(crate) fn compare(kind: CmpKind, a: Value, b: Value) -> bool {
     }
 }
 
-/// Math intrinsic semantics shared by both engines.
+/// Math intrinsic semantics.
 #[inline]
 pub(crate) fn math_fn(f: MathFn, a: f64) -> f64 {
     match f {
@@ -261,14 +238,13 @@ pub(crate) fn math_fn(f: MathFn, a: f64) -> f64 {
 /// slot at depth `d` (the verifier guarantees a single static depth per
 /// pc, so the mapping is total). The instruction stream is 1:1 with the
 /// source bytecode — instruction index *is* the bytecode pc — which keeps
-/// the ifetch cadence, branch targets and fault pcs trivially identical
-/// to the stack interpreter.
+/// the ifetch cadence, branch targets and fault pcs those of the bytecode.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum RirOp {
     /// `window[dst] = pool_i[lit]`.
-    ConstI { dst: u16, lit: u16 },
+    ConstI { dst: u16, lit: u32 },
     /// `window[dst] = pool_f[lit]`.
-    ConstF { dst: u16, lit: u16 },
+    ConstF { dst: u16, lit: u32 },
     /// `window[dst] = null`.
     ConstNull { dst: u16 },
     /// Register move (lowered `Dup`): one µop.
@@ -398,9 +374,9 @@ pub(crate) struct WindowPool {
 const POOL_CAP: usize = 64;
 
 impl WindowPool {
-    /// A window of `n` registers, all reset to the default value (the
-    /// same state a fresh stack frame's locals start in — recycled
-    /// windows must not leak stale references into GC root scans).
+    /// A window of `n` registers, all reset to the default value
+    /// (recycled windows must not leak stale references into GC root
+    /// scans).
     pub(crate) fn acquire(&mut self, n: usize) -> Vec<Value> {
         let mut w = self.free.pop().unwrap_or_default();
         w.clear();
@@ -421,7 +397,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn alu_semantics_match_interpreter_edge_cases() {
+    fn alu_semantics_edge_cases() {
         assert_eq!(int_alu(AluKind::Div, 7, 0), 0);
         assert_eq!(int_alu(AluKind::Rem, 7, 0), 0);
         assert_eq!(int_alu(AluKind::Add, i64::MAX, 1), i64::MIN);
@@ -430,7 +406,7 @@ mod tests {
     }
 
     #[test]
-    fn compare_mixes_floats_like_the_interpreter() {
+    fn compare_mixes_floats() {
         assert!(compare(CmpKind::Lt, Value::I(1), Value::F(1.5)));
         assert!(compare(CmpKind::Gt, Value::F(1.5), Value::I(1)));
         assert!(compare(CmpKind::Eq, Value::Null, Value::I(0)));

@@ -1,29 +1,18 @@
-//! Register-engine (`rir`) behaviour: bit-identity with the stack
-//! interpreter, tier snapshotting (no OSR), call-boundary interop across
-//! engines, and the negative-array-length fault the lowering work uncovered.
+//! Register-engine (`rir`) behaviour: every tier reproduces the digests
+//! recorded from the stack interpreter it replaced, tier snapshotting (no
+//! OSR), call boundaries across tiers, and the typed errors that replace
+//! panics on malformed programs.
 
-use vmprobe_bytecode::{assemble, ArrKind, MathFn, Program, ProgramBuilder};
+use vmprobe_bytecode::{assemble, ArrKind, MathFn, MethodId, Program, ProgramBuilder};
 use vmprobe_faults::FaultPlan;
 use vmprobe_heap::CollectorKind;
 use vmprobe_power::ComponentId;
-use vmprobe_vm::{RunOutcome, Value, Vm, VmConfig, VmError};
-
-/// Assert everything in a [`RunOutcome`] that the differential harness
-/// promises is engine-independent.
-fn assert_bit_identical(reg: &RunOutcome, stack: &RunOutcome) {
-    assert_eq!(reg.report, stack.report, "energy report diverged");
-    assert_eq!(reg.gc, stack.gc, "GC stats diverged");
-    assert_eq!(reg.vm, stack.vm, "VM stats diverged");
-    assert_eq!(reg.compiler, stack.compiler, "compiler stats diverged");
-    assert_eq!(reg.duration, stack.duration, "virtual duration diverged");
-    assert_eq!(reg.result, stack.result, "program result diverged");
-    assert_eq!(reg.live_bytes_end, stack.live_bytes_end);
-    assert_eq!(reg.total_alloc_bytes, stack.total_alloc_bytes);
-}
+use vmprobe_vm::{Personality, RunOutcome, Value, Vm, VmConfig, VmError};
 
 /// FNV-1a over the `Debug` rendering of every simulated observable of a
 /// run, or of its typed error. The constants the tests below compare
-/// against were recorded from the stack interpreter.
+/// against were recorded from the stack interpreter; a mismatch is an
+/// engine bug, never a reason to re-record.
 fn digest(out: &Result<RunOutcome, VmError>) -> u64 {
     let text = match out {
         Ok(o) => format!(
@@ -70,25 +59,17 @@ fn hot_kernel_program(iters: i64) -> Program {
 }
 
 #[test]
-fn promoted_methods_run_on_the_register_engine_bit_identically() {
+fn promoted_methods_reproduce_the_recorded_digest() {
     let cfg = VmConfig::jikes(CollectorKind::SemiSpace, 1 << 20).opt_threshold(2_000);
-    let reg = Vm::new(hot_kernel_program(30_000), cfg).run().unwrap();
-    let stack = Vm::new(hot_kernel_program(30_000), cfg.rir(false))
-        .run()
-        .unwrap();
+    let out = Vm::new(hot_kernel_program(30_000), cfg).run().unwrap();
     assert!(
-        reg.compiler.opt_compiles >= 1,
+        out.compiler.opt_compiles >= 1,
         "kernel should get promoted: {:?}",
-        reg.compiler
+        out.compiler
     );
-    assert!(
-        reg.rir_bytecodes > 0,
-        "promoted kernel should execute on the register engine"
-    );
-    assert_eq!(stack.rir_bytecodes, 0, "rir(false) must stay on the stack");
-    assert_bit_identical(&reg, &stack);
+    assert_eq!(out.rir_bytecodes, out.vm.bytecodes);
     assert_eq!(
-        digest(&Ok(stack)),
+        digest(&Ok(out)),
         0x8f0a2a16dd467456,
         "promoted kernel digest"
     );
@@ -139,23 +120,22 @@ fn promotion_mid_activation_keeps_the_old_tier() {
          {promoted_app} vs {never_app} application instructions"
     );
     assert_eq!(promoted.result, Some(Value::I(300_000)));
-    let stack = Vm::new(program(), cfg.rir(false)).run().unwrap();
-    assert_bit_identical(&promoted, &stack);
     assert_eq!(
-        digest(&Ok(stack)),
+        digest(&Ok(promoted)),
         0x96abb1c849287a41,
         "promoted-activation digest"
     );
 }
 
 #[test]
-fn mixed_engine_call_boundaries_are_bit_identical() {
+fn mixed_tier_call_boundaries_reproduce_the_recorded_digest() {
     // main -> kernel -> leaf, all hot. Promotion is staggered (the opt
     // queue retires one method per quantum), so the run crosses every
-    // caller/callee engine combination: stack->stack before promotion,
-    // stack->reg once `kernel` is Opt, reg->stack while `leaf` lags one
-    // quantum behind, and reg->reg at steady state. The kernel also
-    // allocates, so GC scans live register windows mid-flight.
+    // caller/callee tier combination: baseline->baseline before
+    // promotion, baseline->opt once `kernel` is Opt, opt->baseline while
+    // `leaf` lags one quantum behind, and opt->opt at steady state. The
+    // kernel also allocates, so GC scans live register windows
+    // mid-flight.
     let build = || {
         let mut p = ProgramBuilder::new();
         let cls = p.class("Mix").field("v", vmprobe_bytecode::Ty::Int).build();
@@ -186,19 +166,16 @@ fn mixed_engine_call_boundaries_are_bit_identical() {
     };
     let mut cfg = VmConfig::jikes(CollectorKind::GenCopy, 256 << 10).opt_threshold(2_000);
     // A short quantum staggers the promotions across many scheduler
-    // slices, maximizing the time spent in mixed-engine configurations.
+    // slices, maximizing the time spent in mixed-tier configurations.
     cfg.quantum_cycles = 100_000;
-    let reg = Vm::new(build(), cfg).run().unwrap();
-    let stack = Vm::new(build(), cfg.rir(false)).run().unwrap();
-    assert!(reg.compiler.opt_compiles >= 2, "{:?}", reg.compiler);
-    assert!(reg.rir_bytecodes > 0);
-    assert!(reg.gc.minor_collections > 0, "heap should cycle under load");
-    assert_bit_identical(&reg, &stack);
-    assert_eq!(digest(&Ok(stack)), 0x60a151bfa52c98a6, "mixed-tier digest");
+    let out = Vm::new(build(), cfg).run().unwrap();
+    assert!(out.compiler.opt_compiles >= 2, "{:?}", out.compiler);
+    assert!(out.gc.minor_collections > 0, "heap should cycle under load");
+    assert_eq!(digest(&Ok(out)), 0x60a151bfa52c98a6, "mixed-tier digest");
 }
 
 #[test]
-fn register_engine_is_identical_under_measurement_and_vm_faults() {
+fn measurement_and_vm_faults_reproduce_the_recorded_digests() {
     for (spec, expected) in [
         ("drop=0.05,dup=0.02,noise=0.01,seed=7", 0x710c645f68dcb039),
         ("budget=200000", 0x7fefe5d85808fcbe),
@@ -207,14 +184,8 @@ fn register_engine_is_identical_under_measurement_and_vm_faults() {
         let cfg = VmConfig::jikes(CollectorKind::SemiSpace, 1 << 20)
             .opt_threshold(2_000)
             .faults(faults);
-        let reg = Vm::new(hot_kernel_program(30_000), cfg).run();
-        let stack = Vm::new(hot_kernel_program(30_000), cfg.rir(false)).run();
-        assert_eq!(digest(&stack), expected, "fault {spec} digest");
-        match (reg, stack) {
-            (Ok(r), Ok(s)) => assert_bit_identical(&r, &s),
-            (Err(r), Err(s)) => assert_eq!(r, s, "fault {spec} diverged"),
-            (r, s) => panic!("engines disagree on outcome kind under {spec}: {r:?} vs {s:?}"),
-        }
+        let out = Vm::new(hot_kernel_program(30_000), cfg).run();
+        assert_eq!(digest(&out), expected, "fault {spec} digest");
     }
 }
 
@@ -223,16 +194,13 @@ fn kaffe_runs_on_the_register_engine() {
     // Kaffe has no optimizing tier, yet its JIT frames run on the
     // register engine too: the tier sets what each bytecode costs, not
     // which engine executes it.
-    let cfg = VmConfig::kaffe(1 << 20);
-    let reg = Vm::new(hot_kernel_program(5_000), cfg).run().unwrap();
-    let stack = Vm::new(hot_kernel_program(5_000), cfg.rir(false))
+    let out = Vm::new(hot_kernel_program(5_000), VmConfig::kaffe(1 << 20))
         .run()
         .unwrap();
-    assert!(reg.compiler.jit_compiles > 0);
-    assert_eq!(reg.compiler.opt_compiles, 0);
-    assert_eq!(reg.rir_bytecodes, reg.vm.bytecodes);
-    assert_bit_identical(&reg, &stack);
-    assert_eq!(digest(&Ok(stack)), 0xac49fb47cc0fb982, "Kaffe JIT digest");
+    assert!(out.compiler.jit_compiles > 0);
+    assert_eq!(out.compiler.opt_compiles, 0);
+    assert_eq!(out.rir_bytecodes, out.vm.bytecodes);
+    assert_eq!(digest(&Ok(out)), 0xac49fb47cc0fb982, "Kaffe JIT digest");
 }
 
 #[test]
@@ -263,10 +231,10 @@ fn negative_array_length_is_a_typed_fault_not_a_clamp() {
 }
 
 #[test]
-fn negative_array_length_faults_identically_on_both_engines() {
+fn negative_array_length_faults_at_the_recorded_pc_after_promotion() {
     // The hot kernel allocates arrays from its argument; after promotion
-    // the final iteration passes a negative length. Both engines must
-    // raise the same typed fault at the same pc.
+    // the final iteration passes a negative length, which must raise the
+    // typed fault the stack interpreter raised, at the same pc.
     let build = || {
         let mut p = ProgramBuilder::new();
         let cls = p.class("Arr").build();
@@ -283,19 +251,106 @@ fn negative_array_length_faults_identically_on_both_engines() {
         p.finish(main).unwrap()
     };
     let cfg = VmConfig::jikes(CollectorKind::SemiSpace, 1 << 20).opt_threshold(2_000);
-    let reg_err = Vm::new(build(), cfg).run().unwrap_err();
-    let stack_err = Vm::new(build(), cfg.rir(false)).run().unwrap_err();
-    assert_eq!(reg_err, stack_err);
+    let err = Vm::new(build(), cfg).run().unwrap_err();
     assert_eq!(
-        stack_err,
+        err,
         VmError::NegativeArrayLength {
-            method: vmprobe_bytecode::MethodId(0),
+            method: MethodId(0),
             pc: 1,
             len: -4
         }
     );
-    assert!(
-        matches!(reg_err, VmError::NegativeArrayLength { len: -4, .. }),
-        "got {reg_err}"
+}
+
+#[test]
+fn structurally_broken_bodies_are_rejected_even_unverified() {
+    // `--no-verify` skips the dataflow tier, but the structural pass runs
+    // at every method's first compile, so an unsound body is a typed
+    // rejection, not a panic inside the engine.
+    for (src, what) in [
+        (".method main 0 1\n add\n ret\n", "stack underflow"),
+        (".method main 0 1\n nop\n", "falls off the end"),
+        (
+            ".method main 0 1\n const_i 1\n const_i 2\n call f\n ret\n.method f 2 1\n ret\n",
+            "more arguments than locals",
+        ),
+    ] {
+        let program = assemble(src).unwrap();
+        for cfg in [
+            VmConfig::jikes(CollectorKind::SemiSpace, 1 << 20),
+            VmConfig::kaffe(1 << 20),
+        ] {
+            let err = Vm::new(program.clone(), cfg.verify(false))
+                .run()
+                .unwrap_err();
+            assert!(
+                matches!(err, VmError::VerifyRejected { .. }),
+                "{what}: expected VerifyRejected, got {err}"
+            );
+        }
+    }
+}
+
+#[test]
+fn entry_method_with_arguments_is_a_typed_error() {
+    let program = assemble(".method main 1 1\n ret\n").unwrap();
+    let err = Vm::new(program, VmConfig::jikes(CollectorKind::SemiSpace, 1 << 20))
+        .run()
+        .unwrap_err();
+    assert_eq!(
+        err,
+        VmError::EntryTakesArguments {
+            method: MethodId(0),
+            n_args: 1
+        }
     );
+}
+
+#[test]
+fn operand_stack_references_are_roots_across_calls() {
+    // Each iteration leaves a fresh object on `main`'s operand stack as
+    // its only reference, then calls a method that allocates enough
+    // garbage to collect. The suspended frame's live operand slots must
+    // root the object, on every collector and on both sides of
+    // promotion.
+    let build = || {
+        let mut p = ProgramBuilder::new();
+        let cls = p.class("Box").field("v", vmprobe_bytecode::Ty::Int).build();
+        let churn = p.method(cls, "churn", 0, 1, |b| {
+            b.for_range(0, 0, 16, |b| {
+                b.const_i(64).new_arr(ArrKind::Int).pop();
+            });
+            b.ret();
+        });
+        let main = p.method(cls, "main", 0, 2, |b| {
+            b.const_i(0).store(0);
+            b.for_range(1, 0, 400, |b| {
+                b.load(0);
+                b.new_obj(cls).dup().const_i(1).put_field(0);
+                b.call(churn);
+                b.get_field(0).add().store(0);
+            });
+            b.load(0).ret_value();
+        });
+        p.finish(main).unwrap()
+    };
+    for cfg in [
+        VmConfig::jikes(CollectorKind::SemiSpace, 96 << 10),
+        VmConfig::jikes(CollectorKind::MarkSweep, 96 << 10),
+        VmConfig::jikes(CollectorKind::GenCopy, 96 << 10),
+        VmConfig::jikes(CollectorKind::GenMs, 96 << 10),
+        VmConfig::kaffe(96 << 10),
+    ] {
+        let mut cfg = cfg.opt_threshold(200);
+        cfg.quantum_cycles = 20_000;
+        let out = Vm::new(build(), cfg).run().unwrap();
+        assert!(
+            out.gc.collections > 0 || out.vm.gc_increments > 0,
+            "{cfg:?}"
+        );
+        if cfg.personality == Personality::JikesRvm {
+            assert!(out.compiler.opt_compiles > 0, "{cfg:?}");
+        }
+        assert_eq!(out.result, Some(Value::I(400)), "{cfg:?}");
+    }
 }
