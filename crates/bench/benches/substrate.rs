@@ -5,7 +5,11 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use vmprobe_heap::{AllocRequest, CollectorKind, ObjectHeap, RootSet};
-use vmprobe_platform::{Cache, CacheConfig, Machine, PlatformKind};
+use vmprobe_platform::{
+    Cache, CacheConfig, CpuSpec, Exec, Machine, PlatformKind, CODE_BASE, HEAP_BASE,
+};
+use vmprobe_power::ComponentId;
+use vmprobe_vm::Meter;
 
 fn bench(c: &mut Criterion) {
     c.bench_function("cache_access_hit", |b| {
@@ -17,6 +21,38 @@ fn bench(c: &mut Criterion) {
         });
         cache.access(0x1000);
         b.iter(|| black_box(cache.access(black_box(0x1000))));
+    });
+
+    // Every line of one 32-way PXA255 set, touched round-robin: each
+    // access hits, but never in the way touched last, so it pays the scan.
+    c.bench_function("cache_access_set_scan_pxa", |b| {
+        let cfg = CpuSpec::of(PlatformKind::Pxa255).l1d;
+        let set_stride = u64::from(cfg.sets() * cfg.line_bytes);
+        let ways = u64::from(cfg.ways);
+        let mut cache = Cache::new(cfg);
+        for k in 0..ways {
+            cache.access(k * set_stride);
+        }
+        let mut k = 0u64;
+        b.iter(|| {
+            k = (k + 1) % ways;
+            black_box(cache.access(black_box(k * set_stride)))
+        });
+    });
+
+    // One simulated bytecode's charges through the meter, DAQ sampling on:
+    // dispatch µops, a data load and an instruction fetch.
+    c.bench_function("meter_charge_mix", |b| {
+        let mut m = Meter::new(PlatformKind::PentiumM, false);
+        m.set_base(ComponentId::Application);
+        let mut i = 0u64;
+        b.iter(|| {
+            i = (i + 8) % (16 << 10);
+            m.int_ops(3);
+            m.load(HEAP_BASE + i);
+            m.ifetch(CODE_BASE + i);
+            black_box(m.cycles())
+        });
     });
 
     c.bench_function("machine_load_l2_resident", |b| {

@@ -58,6 +58,8 @@ pub struct Cache {
     tags: Vec<u64>,
     /// Per-line last-use stamp for LRU.
     stamps: Vec<u64>,
+    /// Per-set way touched last, checked before the set scan.
+    last_way: Vec<u32>,
     clock: u64,
     stats: CacheStats,
 }
@@ -88,6 +90,7 @@ impl Cache {
             line_shift: cfg.line_bytes.trailing_zeros(),
             tags: vec![u64::MAX; n],
             stamps: vec![0; n],
+            last_way: vec![0; sets as usize],
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -100,30 +103,38 @@ impl Cache {
 
     /// Access the line containing `addr`, updating LRU state; returns `true`
     /// on hit. On miss the line is allocated, evicting the LRU way.
+    ///
+    /// The way touched last in the set is checked first, then the set's
+    /// tags; only a miss reads the stamps, to evict the first way with the
+    /// oldest one. A line lives in at most one way, so the order of the
+    /// search changes nothing but its cost.
     pub fn access(&mut self, addr: Addr) -> bool {
         self.clock += 1;
         self.stats.accesses += 1;
         let line = addr >> self.line_shift;
-        let set = (line as u32) & (self.sets - 1);
-        let base = (set * self.cfg.ways) as usize;
+        let set = ((line as u32) & (self.sets - 1)) as usize;
         let ways = self.cfg.ways as usize;
+        let base = set * ways;
 
-        let mut victim = base;
-        let mut victim_stamp = u64::MAX;
-        for i in base..base + ways {
-            if self.tags[i] == line {
-                self.stamps[i] = self.clock;
-                return true;
-            }
-            if self.stamps[i] < victim_stamp {
-                victim_stamp = self.stamps[i];
-                victim = i;
-            }
+        let last = base + self.last_way[set] as usize;
+        if self.tags[last] == line {
+            self.stamps[last] = self.clock;
+            return true;
         }
-        self.stats.misses += 1;
-        self.tags[victim] = line;
-        self.stamps[victim] = self.clock;
-        false
+        let (way, hit) = match self.tags[base..base + ways].iter().position(|&t| t == line) {
+            Some(way) => (way, true),
+            None => {
+                // `min_by_key` keeps the first of equal minima.
+                let stamps = &self.stamps[base..base + ways];
+                let victim = (0..ways).min_by_key(|&w| stamps[w]).unwrap_or(0);
+                self.stats.misses += 1;
+                self.tags[base + victim] = line;
+                (victim, false)
+            }
+        };
+        self.stamps[base + way] = self.clock;
+        self.last_way[set] = way as u32;
+        hit
     }
 
     /// Probe whether `addr` is resident without touching LRU state or stats.

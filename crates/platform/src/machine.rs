@@ -11,7 +11,12 @@ use crate::{Addr, Cache, CpuSpec, Hpm, HpmSnapshot, PlatformKind};
 ///
 /// Cycle accounting uses an `f64` accumulator (effective per-op costs are
 /// sub-cycle on the superscalar Pentium M); the public [`Machine::cycles`]
-/// view truncates, which is exact for the magnitudes involved (< 2⁵³).
+/// view truncates it. Deadlines can compare the raw accumulator
+/// ([`Machine::cycles_f64`]) instead: for any accumulator `x >= 0` and
+/// integer `n < 2⁵³`, `trunc(x) >= n` holds exactly when `x >= n as f64`,
+/// because `n` is then representable and `trunc` is `floor` on
+/// non-negative values. 2⁵³ cycles are about 65 days of simulated time at
+/// 1.6 GHz, far beyond any run.
 #[derive(Debug, Clone)]
 pub struct Machine {
     spec: CpuSpec,
@@ -77,8 +82,16 @@ impl Machine {
     }
 
     /// Elapsed cycles (truncated from the internal accumulator).
+    #[inline]
     pub fn cycles(&self) -> u64 {
         self.cycles as u64
+    }
+
+    /// The raw cycle accumulator. Comparing it against an integer deadline
+    /// below 2⁵³ gives the same answer as comparing [`Machine::cycles`].
+    #[inline]
+    pub fn cycles_f64(&self) -> f64 {
+        self.cycles
     }
 
     /// Elapsed simulated wall-clock time in seconds.
@@ -113,6 +126,7 @@ impl Machine {
     // ---- execution charges ----
 
     /// Retire `n` integer ALU operations.
+    #[inline]
     pub fn int_ops(&mut self, n: u32) {
         self.hpm.instructions += u64::from(n);
         self.hpm.int_ops += u64::from(n);
@@ -120,6 +134,7 @@ impl Machine {
     }
 
     /// Retire `n` floating point operations.
+    #[inline]
     pub fn fp_ops(&mut self, n: u32) {
         self.hpm.instructions += u64::from(n);
         self.hpm.fp_ops += u64::from(n);
@@ -127,6 +142,7 @@ impl Machine {
     }
 
     /// Retire one transcendental math intrinsic (sqrt/sin/...).
+    #[inline]
     pub fn math_op(&mut self) {
         self.hpm.instructions += 1;
         self.hpm.fp_ops += 1;
@@ -134,6 +150,7 @@ impl Machine {
     }
 
     /// Retire one branch.
+    #[inline]
     pub fn branch(&mut self) {
         self.hpm.instructions += 1;
         self.hpm.branches += 1;
@@ -141,6 +158,7 @@ impl Machine {
     }
 
     /// Retire a data load from `addr`, walking the cache hierarchy.
+    #[inline]
     pub fn load(&mut self, addr: Addr) {
         self.hpm.instructions += 1;
         self.hpm.loads += 1;
@@ -149,6 +167,7 @@ impl Machine {
     }
 
     /// Retire a data store to `addr` (write-allocate, charged like a load).
+    #[inline]
     pub fn store(&mut self, addr: Addr) {
         self.hpm.instructions += 1;
         self.hpm.stores += 1;
@@ -321,6 +340,30 @@ mod tests {
         let s = m.snapshot();
         assert_eq!(s.counters.instructions, 10);
         assert_eq!(s.cycles, m.cycles());
+    }
+
+    #[test]
+    fn f64_deadline_compare_agrees_with_truncated_cycles() {
+        for kind in [PlatformKind::PentiumM, PlatformKind::Pxa255] {
+            let mut m = Machine::new(kind);
+            let mut fractional = 0;
+            for step in 0..30_000u32 {
+                match step % 3 {
+                    0 => m.int_ops(1),
+                    1 => m.stall(0.5),
+                    _ => m.int_ops(3),
+                }
+                let (c, x) = (m.cycles(), m.cycles_f64());
+                fractional += u32::from(x.fract() != 0.0);
+                for n in [c.saturating_sub(1), c, c + 1, c + 2] {
+                    assert_eq!(c >= n, x >= n as f64, "{kind:?} at {x} vs deadline {n}");
+                }
+            }
+            assert!(
+                fractional > 10_000,
+                "{kind:?}: the stream must sit between integers"
+            );
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 use std::collections::VecDeque;
 
 use proptest::prelude::*;
-use vmprobe_platform::{Cache, CacheConfig, Machine, PlatformKind};
+use proptest::test_runner::TestCaseError;
+use vmprobe_platform::{Cache, CacheConfig, CpuSpec, Machine, PlatformKind};
 
 /// Reference model: per-set recency queues, most recent at the back.
 struct RefLru {
@@ -41,6 +42,53 @@ impl RefLru {
             false
         }
     }
+
+    fn flush(&mut self) {
+        self.queues.iter_mut().for_each(VecDeque::clear);
+    }
+}
+
+/// Replay `ops` on a cache of geometry `cfg` and on the reference model,
+/// checking every outcome and the final counters. Each op is a
+/// `(selector, set, tag, offset)` draw: selector 0 flushes, anything else
+/// touches a line in one of four sets, with half again as many tags as
+/// the set has ways so that hits, last-way misses and evictions all occur.
+fn replay_against_reference(
+    cfg: CacheConfig,
+    ops: &[(u8, u64, u64, u64)],
+) -> Result<(), TestCaseError> {
+    let mut cache = Cache::new(cfg);
+    let mut oracle = RefLru::new(cfg);
+    let sets = u64::from(cfg.sets());
+    let tags = u64::from(cfg.ways + cfg.ways / 2);
+    let line = u64::from(cfg.line_bytes);
+    let (mut accesses, mut misses) = (0u64, 0u64);
+    for (i, &(sel, set, tag, offset)) in ops.iter().enumerate() {
+        if sel == 0 {
+            cache.flush();
+            oracle.flush();
+            continue;
+        }
+        let addr = ((tag % tags) * sets + set) * line + offset % line;
+        let hit = cache.access(addr);
+        prop_assert_eq!(
+            hit,
+            oracle.access(addr),
+            "{} diverged at op {} (addr {:#x})",
+            cfg.name,
+            i,
+            addr
+        );
+        accesses += 1;
+        misses += u64::from(!hit);
+    }
+    prop_assert_eq!(cache.stats().accesses, accesses);
+    prop_assert_eq!(cache.stats().misses, misses);
+    Ok(())
+}
+
+fn arb_cache_ops() -> impl Strategy<Value = Vec<(u8, u64, u64, u64)>> {
+    prop::collection::vec((0u8..64, 0u64..4, any::<u64>(), any::<u64>()), 1..3000)
 }
 
 fn small_config() -> CacheConfig {
@@ -54,22 +102,20 @@ fn small_config() -> CacheConfig {
 
 proptest! {
     #[test]
-    fn cache_matches_reference_lru(addrs in prop::collection::vec(0u64..4096, 1..600)) {
-        let cfg = small_config();
-        let mut cache = Cache::new(cfg);
-        let mut oracle = RefLru::new(cfg);
-        for (i, &a) in addrs.iter().enumerate() {
-            let hit = cache.access(a);
-            let expect = oracle.access(a);
-            prop_assert_eq!(hit, expect, "divergence at access {} (addr {:#x})", i, a);
-        }
-        // Stats agree with the replayed outcomes.
-        let misses = {
-            let mut o2 = RefLru::new(cfg);
-            addrs.iter().filter(|&&a| !o2.access(a)).count() as u64
-        };
-        prop_assert_eq!(cache.stats().accesses, addrs.len() as u64);
-        prop_assert_eq!(cache.stats().misses, misses);
+    fn cache_matches_reference_lru(ops in arb_cache_ops()) {
+        replay_against_reference(small_config(), &ops)?;
+    }
+
+    #[test]
+    fn p6_l1d_matches_reference_lru_across_flushes(ops in arb_cache_ops()) {
+        // 8-way, 64 B lines.
+        replay_against_reference(CpuSpec::of(PlatformKind::PentiumM).l1d, &ops)?;
+    }
+
+    #[test]
+    fn pxa255_l1d_matches_reference_lru_across_flushes(ops in arb_cache_ops()) {
+        // 32-way, 32 B lines.
+        replay_against_reference(CpuSpec::of(PlatformKind::Pxa255).l1d, &ops)?;
     }
 
     #[test]

@@ -34,6 +34,17 @@ const PROBE_HPM_OFFSET: u64 = 1 << 20;
 /// region.
 const PROBE_PORT_OFFSET: u64 = 2 << 20;
 
+/// The earlier of the two monitors' deadlines, as a value of the machine's
+/// cycle accumulator.
+fn next_deadline(daq: &Daq, perf: &PerfMonitor) -> f64 {
+    let due = daq.next_due_cycles().min(perf.next_due_cycles());
+    debug_assert!(
+        due < 1 << 53,
+        "sample deadline {due} is past the exact f64 range"
+    );
+    due as f64
+}
+
 /// Machine plus measurement rig.
 #[derive(Debug)]
 pub struct Meter {
@@ -42,7 +53,9 @@ pub struct Meter {
     daq: Daq,
     perf: PerfMonitor,
     io_cycles: f64,
-    next_probe: u64,
+    /// The earlier of the DAQ and HPM deadlines, on the machine's cycle
+    /// accumulator (an integer below 2⁵³, so the compare is exact).
+    next_probe_at: f64,
     spans: Option<SpanTrace>,
     /// Measurement mode: sampling period and probe transparency.
     probe: ProbeSpec,
@@ -106,14 +119,14 @@ impl Meter {
         } else {
             perf
         };
-        let next_probe = daq.next_due_cycles().min(perf.next_due_cycles());
+        let next_probe_at = next_deadline(&daq, &perf);
         Self {
             machine: Machine::from_spec(spec),
             port: ComponentPort::new(),
             daq,
             perf,
             io_cycles: io_write_cycles(kind),
-            next_probe,
+            next_probe_at,
             spans: None,
             probe,
             hpm_stall: hpm_read_stall_cycles(kind),
@@ -258,37 +271,46 @@ impl Meter {
         self.cycles_paid += self.machine.cycles() - c0;
     }
 
-    #[inline]
+    /// Take any DAQ or HPM sample that has come due. This runs after every
+    /// charge, and almost always finds nothing due, so it is one inline
+    /// compare; the sampling itself is out of line in [`Meter::sample`].
+    #[inline(always)]
     fn maybe_sample(&mut self) {
-        if self.machine.cycles() >= self.next_probe {
-            let snap = self.machine.snapshot();
-            let c = self.port.current();
-            // Which monitors actually fire at this snapshot (observe() is a
-            // no-op for the one whose deadline has not arrived).
-            let daq_fired = snap.cycles >= self.daq.next_due_cycles();
-            let perf_fired = snap.cycles >= self.perf.next_due_cycles();
-            self.daq.observe(&snap, c);
-            self.perf.observe(&snap, c);
-            if self.probe.nontransparent {
-                // Probe costs are charged *after* the sample commits — the
-                // handler's own work lands in the next window, exactly like
-                // an ISR running with further sampling masked.
-                if daq_fired {
-                    self.pay_daq_sample();
-                }
-                if perf_fired {
-                    self.pay_hpm_read();
-                }
-            }
-            self.next_probe = self.daq.next_due_cycles().min(self.perf.next_due_cycles());
+        if self.machine.cycles_f64() >= self.next_probe_at {
+            self.sample();
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn sample(&mut self) {
+        let snap = self.machine.snapshot();
+        let c = self.port.current();
+        // Which monitors actually fire at this snapshot (observe() is a
+        // no-op for the one whose deadline has not arrived).
+        let daq_fired = snap.cycles >= self.daq.next_due_cycles();
+        let perf_fired = snap.cycles >= self.perf.next_due_cycles();
+        self.daq.observe(&snap, c);
+        self.perf.observe(&snap, c);
+        if self.probe.nontransparent {
+            // Probe costs are charged *after* the sample commits — the
+            // handler's own work lands in the next window, exactly like
+            // an ISR running with further sampling masked.
+            if daq_fired {
+                self.pay_daq_sample();
+            }
+            if perf_fired {
+                self.pay_hpm_read();
+            }
+        }
+        self.next_probe_at = next_deadline(&self.daq, &self.perf);
     }
 
     /// Drain any sample that is due right now (call at run end so the final
     /// partial window is not lost).
     pub fn flush_samples(&mut self) {
         // Force one final observation by stalling to the next boundary.
-        let due = self.next_probe.saturating_sub(self.machine.cycles());
+        let due = (self.next_probe_at as u64).saturating_sub(self.machine.cycles());
         if due > 0 {
             self.machine.stall(due as f64);
         }
@@ -516,6 +538,51 @@ mod tests {
             fine > 5 * classic,
             "4 µs sampling ({fine}) should far outnumber 40 µs ({classic})"
         );
+    }
+
+    #[test]
+    fn fractional_charge_stream_reproduces_the_integer_deadline_samples() {
+        // Recorded with the sampler that compared truncated `u64` cycles
+        // against an integer deadline: (platform, cycles, DAQ samples, CPU
+        // energy in J, HPM records).
+        let recorded = [
+            (
+                PlatformKind::PentiumM,
+                7_360_772,
+                115,
+                0.07980624389999999,
+                4,
+            ),
+            (
+                PlatformKind::Pxa255,
+                16_983_806,
+                1060,
+                0.01721788249999998,
+                4,
+            ),
+        ];
+        for (kind, cycles, samples, energy, hpm_records) in recorded {
+            let mut m = Meter::new(kind, false);
+            m.set_base(ComponentId::Application);
+            // Sub-cycle costs (int_cost 0.45 or 1.15, half-cycle stalls)
+            // keep the accumulator between integers at most deadlines.
+            for i in 0..360_000u64 {
+                m.int_ops(37);
+                m.stall(0.5);
+                if i % 7 == 0 {
+                    m.load(0x1000_0000 + (i * 40) % (1 << 20));
+                }
+            }
+            m.flush_samples();
+            let r = m.daq().report();
+            let got = (
+                Exec::cycles(&m),
+                r.component(ComponentId::Application).samples,
+                r.cpu_energy.joules(),
+                m.perf().records().len(),
+            );
+            assert_eq!(got, (cycles, samples, energy, hpm_records), "{kind:?}");
+        }
     }
 
     #[test]

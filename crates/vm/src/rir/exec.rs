@@ -36,7 +36,7 @@ impl Vm {
         }
 
         loop {
-            if self.meter.cycles() >= self.next_quantum {
+            if self.meter.machine().cycles_f64() >= self.next_quantum {
                 self.quantum();
             }
             let pc = frame.pc as usize;

@@ -144,7 +144,9 @@ pub struct Vm {
     pub(crate) statics: Vec<Value>,
     pub(crate) frames: Vec<Frame>,
     pub(crate) stats: VmStats,
-    pub(crate) next_quantum: u64,
+    /// Cycle at which the next scheduler quantum runs, compared against
+    /// the machine's `f64` accumulator (exact below 2⁵³).
+    pub(crate) next_quantum: f64,
     /// Bytecode count at which the run aborts (`u64::MAX` when no budget).
     pub(crate) step_budget: u64,
     /// Allocation count at which heap exhaustion is forced (`u64::MAX`
@@ -202,7 +204,7 @@ impl Vm {
                 required_bytes: e.required_bytes,
                 actual_bytes: e.actual_bytes,
             })?;
-        let next_quantum = config.quantum_cycles;
+        let next_quantum = config.quantum_cycles as f64;
         Ok(Self {
             program: Arc::new(program),
             config,
@@ -436,7 +438,7 @@ impl Vm {
     /// Scheduler quantum: timer tick, controller activation, one optimizing
     /// compilation if queued.
     pub(crate) fn quantum(&mut self) {
-        self.next_quantum = self.meter.cycles() + self.config.quantum_cycles;
+        self.next_quantum = (self.meter.cycles() + self.config.quantum_cycles) as f64;
         self.stats.quanta += 1;
 
         self.meter.enter(ComponentId::Scheduler);

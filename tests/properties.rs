@@ -72,20 +72,54 @@ proptest! {
         a in arb_collector(),
         b in arb_collector(),
     ) {
-        let heap = 1 << 20;
-        let mk = |k: CollectorKind| {
-            let program = build_program(&bp, InputScale::Reduced);
-            let cfg = match k {
-                CollectorKind::KaffeIncremental => VmConfig::kaffe(heap),
-                k => VmConfig::jikes(k, heap),
-            };
-            Vm::new(program, cfg).run().expect("random blueprint must run")
-        };
-        let ra = mk(a);
-        let rb = mk(b);
+        let ra = run_blueprint(&bp, a);
+        let rb = run_blueprint(&bp, b);
         prop_assert_eq!(ra.result, rb.result, "collectors {} vs {} disagree", a, b);
         prop_assert_eq!(ra.vm.bytecodes, rb.vm.bytecodes);
     }
+}
+
+/// Run `bp` at reduced inputs on a 1 MB heap under collector `k`.
+fn run_blueprint(bp: &Blueprint, k: CollectorKind) -> RunOutcome {
+    let heap = 1 << 20;
+    let program = build_program(bp, InputScale::Reduced);
+    let cfg = match k {
+        CollectorKind::KaffeIncremental => VmConfig::kaffe(heap),
+        k => VmConfig::jikes(k, heap),
+    };
+    Vm::new(program, cfg)
+        .run()
+        .expect("random blueprint must run")
+}
+
+/// The blueprint saved in `properties.proptest-regressions` for
+/// `random_blueprints_run_identically_under_any_two_collectors`. Its `cc`
+/// seed was written by the upstream proptest crate, which the shim cannot
+/// decode, so the case is replayed here by value.
+#[test]
+fn random_blueprints_run_identically_under_any_two_collectors_regression() {
+    let bp = Blueprint {
+        phases: 1,
+        lists_per_phase: 0,
+        nodes_per_list: 1,
+        trees_per_phase: 0,
+        tree_depth: 1,
+        live_records: 16,
+        record_payload_words: 1,
+        queries_per_phase: 0,
+        query_walk: 2,
+        int_iters: 0,
+        fp_iters: 0,
+        math_every: 0,
+        hot_kernels: 2,
+        app_classes: 3,
+        class_padding: 128,
+        work_array_words: 256,
+    };
+    let ra = run_blueprint(&bp, CollectorKind::SemiSpace);
+    let rb = run_blueprint(&bp, CollectorKind::SemiSpace);
+    assert_eq!(ra.result, rb.result);
+    assert_eq!(ra.vm.bytecodes, rb.vm.bytecodes);
 }
 
 /// A scripted object-graph mutation: indices are reduced modulo the live
@@ -310,18 +344,44 @@ fn register_engine_is_bit_identical_to_stack_interpreter() {
     );
 }
 
+/// The collectors checked against SemiSpace's reachable set.
+const OTHER_COLLECTORS: [CollectorKind; 4] = [
+    CollectorKind::MarkSweep,
+    CollectorKind::GenCopy,
+    CollectorKind::GenMs,
+    CollectorKind::KaffeIncremental,
+];
+
+/// The op sequence saved in `properties.proptest-regressions` for
+/// `all_collectors_agree_on_reachability`, replayed by value for the same
+/// reason as the saved blueprint above.
+#[test]
+fn all_collectors_agree_on_reachability_regression() {
+    let ops = [
+        GraphOp::Alloc {
+            refs: 1,
+            keep: false,
+        },
+        GraphOp::Collect,
+        GraphOp::DropRoot { idx: 0 },
+    ];
+    let reference = run_script(CollectorKind::SemiSpace, &ops);
+    for kind in OTHER_COLLECTORS {
+        assert_eq!(
+            run_script(kind, &ops),
+            reference,
+            "{kind} disagrees with SemiSpace on the reachable set"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn all_collectors_agree_on_reachability(ops in arb_graph_ops()) {
         let reference = run_script(CollectorKind::SemiSpace, &ops);
-        for kind in [
-            CollectorKind::MarkSweep,
-            CollectorKind::GenCopy,
-            CollectorKind::GenMs,
-            CollectorKind::KaffeIncremental,
-        ] {
+        for kind in OTHER_COLLECTORS {
             let live = run_script(kind, &ops);
             prop_assert_eq!(
                 &live,
