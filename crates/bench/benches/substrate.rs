@@ -1,9 +1,14 @@
 //! Substrate micro-benchmarks: how fast the simulator itself is.
 //!
 //! Not a paper artifact — these guard the performance of the pieces the
-//! figure sweeps depend on (cache simulation, interpreter, collectors).
+//! figure sweeps depend on (cache simulation, interpreter, collectors) and
+//! of the JSON codec the serve wire and the persistent cache run on.
+
+use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use vmprobe::json::{JsonObj, JsonValue};
+use vmprobe::{CacheLookup, ExperimentCache, ExperimentConfig};
 use vmprobe_heap::{AllocRequest, CollectorKind, ObjectHeap, RootSet};
 use vmprobe_platform::{
     Cache, CacheConfig, CpuSpec, Exec, Machine, PlatformKind, CODE_BASE, HEAP_BASE,
@@ -82,6 +87,40 @@ fn bench(c: &mut Criterion) {
             let stats = plan.collect(&mut heap, &RootSet::from_refs(roots), &mut m);
             black_box(stats.live_objects)
         });
+    });
+
+    // A typical serve `run` request line.
+    c.bench_function("json_parse_run_line", |b| {
+        let line = r#"{"op":"run","id":"r-17","tenant":"t0","benchmark":"_209_db","collector":"gencopy","heap_mb":64,"platform":"p6","scale":"s10"}"#;
+        b.iter(|| black_box(JsonValue::parse(black_box(line)).is_ok()));
+    });
+
+    // A `verify` line carrying a 60 KB program: the string scan must stay
+    // linear in the line length.
+    c.bench_function("json_parse_long_string", |b| {
+        let unit = "  iconst 1\n  iadd\n";
+        let program = unit.repeat(60 * 1024 / unit.len());
+        let mut o = JsonObj::new();
+        o.str("op", "verify")
+            .str("id", "v")
+            .str("program", &program);
+        let line = o.finish();
+        b.iter(|| black_box(JsonValue::parse(black_box(&line)).is_ok()));
+    });
+
+    // One persistent-cache lookup served from disk: read, checksum, parse
+    // and decode a real cell's entry.
+    c.bench_function("cache_entry_decode", |b| {
+        let dir = std::env::temp_dir().join(format!("vmprobe-bench-cache-{}", std::process::id()));
+        let mut cfg = ExperimentConfig::jikes("_209_db", CollectorKind::GenCopy, 32);
+        cfg.scale = vmprobe_workloads::InputScale::Reduced;
+        let summary = Arc::new(cfg.run().expect("cell runs"));
+        let cache = ExperimentCache::open(&dir)
+            .expect("temp dir")
+            .with_mem_capacity(0);
+        cache.store(&cfg.key(), &summary);
+        b.iter(|| black_box(matches!(cache.lookup(&cfg.key()), CacheLookup::Hit(_))));
+        let _ = std::fs::remove_dir_all(&dir);
     });
 }
 

@@ -2,14 +2,14 @@
 //!
 //! Each criterion bench regenerates one paper artifact at a *reduced scope*
 //! (a representative subset of benchmarks/heaps, so `cargo bench` finishes
-//! in minutes) and prints the resulting rows once. The `figures` binary in
-//! this crate regenerates every artifact at full scope; `EXPERIMENTS.md`
-//! records its output against the paper.
+//! in minutes) and prints the resulting rows once. `vmprobe-run all`
+//! regenerates every artifact at full scope; `EXPERIMENTS.md` records its
+//! output against the paper.
 
 use criterion::Criterion;
 
 /// Reduced heap sweep used by the criterion benches (the full paper sweep
-/// is run by the `figures` binary).
+/// is run by `vmprobe-run all`).
 pub const QUICK_HEAPS: [u32; 3] = [32, 64, 128];
 
 /// Reduced PXA255 heap sweep.

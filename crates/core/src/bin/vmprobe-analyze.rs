@@ -96,18 +96,12 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
                 };
                 match name.as_str() {
                     "scale" => {
-                        cli.scale = match value.as_str() {
-                            "full" => InputScale::Full,
-                            "s10" => InputScale::Reduced,
-                            other => return Err(format!("unknown scale '{other}'")),
-                        }
+                        cli.scale = InputScale::from_name(&value)
+                            .ok_or_else(|| format!("unknown scale '{value}'"))?;
                     }
                     "platform" => {
-                        cli.platform = match value.as_str() {
-                            "p6" => PlatformKind::PentiumM,
-                            "pxa255" => PlatformKind::Pxa255,
-                            other => return Err(format!("unknown platform '{other}'")),
-                        }
+                        cli.platform = PlatformKind::from_name(&value)
+                            .ok_or_else(|| format!("unknown platform '{value}'"))?;
                     }
                     "vm" => {
                         cli.vm = match value.as_str() {
@@ -249,13 +243,7 @@ impl GoldenRow {
         let mut o = JsonObj::new();
         o.str("benchmark", &self.benchmark)
             .str("vm", &self.vm)
-            .str(
-                "platform",
-                match self.platform {
-                    PlatformKind::PentiumM => "p6",
-                    PlatformKind::Pxa255 => "pxa255",
-                },
-            )
+            .str("platform", self.platform.name())
             .u64("bytecodes", self.bytecodes)
             .f64("measured_j", self.measured_j)
             .f64("bound_j", self.bound_j)
@@ -361,10 +349,7 @@ fn main() -> ExitCode {
                 "{:<16} {:<10} {:>8} {:>12} {:>12.4e} {:>12.4e} {:>8.1}",
                 r.benchmark,
                 r.vm,
-                match r.platform {
-                    PlatformKind::PentiumM => "p6",
-                    PlatformKind::Pxa255 => "pxa255",
-                },
+                r.platform.name(),
                 r.bytecodes,
                 r.measured_j,
                 r.bound_j,

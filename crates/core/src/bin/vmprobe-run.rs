@@ -57,7 +57,6 @@ use vmprobe::{
     ExperimentConfig, FaultPlan, HistId, NoopSink, ObserveEngine, ProbeSpec, Runner, Sink,
     StderrSink, Telemetry, VmChoice,
 };
-use vmprobe_heap::CollectorKind;
 use vmprobe_platform::PlatformKind;
 use vmprobe_power::ComponentId;
 use vmprobe_workloads::InputScale;
@@ -651,17 +650,11 @@ fn main() -> ExitCode {
         ));
     }
 
-    let vm = match cli.positionals.get(1).map(String::as_str) {
-        None | Some("gencopy") => VmChoice::Jikes(CollectorKind::GenCopy),
-        Some("semispace") => VmChoice::Jikes(CollectorKind::SemiSpace),
-        Some("marksweep") => VmChoice::Jikes(CollectorKind::MarkSweep),
-        Some("genms") => VmChoice::Jikes(CollectorKind::GenMs),
-        Some("kaffe") => VmChoice::Kaffe,
-        Some(other) => {
-            return fail(&format!(
-            "unknown collector '{other}' (expected semispace, marksweep, gencopy, genms or kaffe)"
-        ))
-        }
+    let collector = cli.positionals.get(1).map_or("gencopy", String::as_str);
+    let Some(vm) = VmChoice::from_collector_name(collector) else {
+        return fail(&format!(
+            "unknown collector '{collector}' (expected semispace, marksweep, gencopy, genms or kaffe)"
+        ));
     };
     let heap_mb: u32 = match cli.positionals.get(2).map(|s| s.parse()) {
         None => 64,
@@ -673,19 +666,15 @@ fn main() -> ExitCode {
             ))
         }
     };
-    let platform = match cli.positionals.get(3).map(String::as_str) {
-        None | Some("p6") => PlatformKind::PentiumM,
-        Some("pxa255") => PlatformKind::Pxa255,
-        Some(other) => {
-            return fail(&format!(
-                "unknown platform '{other}' (expected p6 or pxa255)"
-            ))
-        }
+    let platform = cli.positionals.get(3).map_or("p6", String::as_str);
+    let Some(platform) = PlatformKind::from_name(platform) else {
+        return fail(&format!(
+            "unknown platform '{platform}' (expected p6 or pxa255)"
+        ));
     };
-    let scale = match cli.positionals.get(4).map(String::as_str) {
-        None | Some("full") => InputScale::Full,
-        Some("s10") => InputScale::Reduced,
-        Some(other) => return fail(&format!("unknown scale '{other}' (expected full or s10)")),
+    let scale = cli.positionals.get(4).map_or("full", String::as_str);
+    let Some(scale) = InputScale::from_name(scale) else {
+        return fail(&format!("unknown scale '{scale}' (expected full or s10)"));
     };
 
     let cfg = ExperimentConfig {

@@ -9,33 +9,33 @@
 //!
 //! One file per cell under the cache directory, named by a 128-bit hash of
 //! the cell's full cache key ([`ExperimentConfig::key`] plus the runner's
-//! fault-plan suffix). Entries are line-oriented text:
+//! fault-plan suffix). An entry is two lines of JSON, written and read
+//! with the workspace's one codec ([`crate::json`]):
 //!
 //! ```text
-//! vmprobe-cache 2
-//! fingerprint <build fingerprint>
-//! key <escaped full key>
-//! body <line count> <fnv1a-64 checksum of the body>
-//! <body lines…>
+//! {"format":3,"fingerprint":"<build fingerprint>","key":"<full key>","fnv":"<16 hex>"}
+//! {"config":{…},"checksum":…,"report":{…},"gc":{…},…}
 //! ```
 //!
-//! Every `f64` in the body is stored as the hexadecimal form of its IEEE
-//! bit pattern, so a restored summary is *bit-identical* to the computed
-//! one — the property that lets a warm cache re-render byte-identical
-//! figures.
+//! `fnv` is the FNV-1a-64 of the body line's bytes. Every `f64` in the
+//! body is stored as the 16-hex-digit string of its IEEE bit pattern and
+//! every integer as a JSON integer, so a restored summary is
+//! *bit-identical* to the computed one — the property that lets a warm
+//! cache re-render byte-identical figures.
 //!
 //! # Invalidation and corruption
 //!
 //! A probe returns [`CacheLookup::Miss`] when the entry is absent or
-//! *stale* (written by a different build fingerprint or schema, or a
-//! filename-hash collision whose stored key differs), and
-//! [`CacheLookup::Corrupt`] when the entry exists for this key but fails
-//! its checksum or does not parse. Neither is ever an error: the runner
+//! *stale* (another format version, including the v1/v2 line format,
+//! another build fingerprint, or a filename-hash collision whose stored
+//! key differs), and [`CacheLookup::Corrupt`] when the header does not
+//! parse, the body fails its checksum or does not decode, or bytes follow
+//! the body line. Neither is ever an error: the runner
 //! recomputes the cell and overwrites the entry. Writes are atomic
 //! (unique temp file in the cache directory, then `rename`), so a killed
 //! sweep never leaves a truncated entry a later resume would trust.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -53,12 +53,13 @@ use vmprobe_vm::{CompilerStats, VmStats};
 use vmprobe_workloads::InputScale;
 
 use crate::experiment::{ExperimentConfig, RunSummary, VmChoice};
+use crate::json::{self, JsonObj, JsonValue};
 use crate::sweep::lock_unpoisoned;
 
 /// On-disk format version; bumping it invalidates every existing entry.
-/// v2 added the measurement-mode tokens on the `config` line and the
-/// `probe` ledger line (observer-effect mode).
-const FORMAT_VERSION: u32 = 2;
+/// v2 added the measurement-mode config fields and the probe ledger; v3
+/// replaced the line format with two JSON lines.
+const FORMAT_VERSION: u32 = 3;
 
 /// Default bound on the in-memory layer (entries, not bytes), sized so a
 /// full figure campaign fits while a multi-day soak cannot grow without
@@ -267,36 +268,26 @@ impl ExperimentCache {
             self.stats.hits.fetch_add(1, Ordering::Relaxed);
             return CacheLookup::Hit(Arc::clone(hit));
         }
-        let bytes = match fs::read(self.entry_path(key)) {
-            Ok(b) => b,
-            Err(_) => {
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                return CacheLookup::Miss;
-            }
+        let outcome = match fs::read(self.entry_path(key)) {
+            Err(_) => CacheLookup::Miss,
+            // The file exists, so anything unreadable from here on is
+            // damage, including bit flips that break the UTF-8 encoding.
+            Ok(bytes) => match String::from_utf8(bytes) {
+                Ok(text) => parse_entry(&text, key, &self.fingerprint),
+                Err(_) => CacheLookup::Corrupt,
+            },
         };
-        // The file exists, so anything unreadable from here on is damage,
-        // including bit flips that break the UTF-8 encoding itself.
-        let Ok(text) = String::from_utf8(bytes) else {
-            self.stats.corrupt.fetch_add(1, Ordering::Relaxed);
-            return CacheLookup::Corrupt;
-        };
-        match parse_entry(&text, key, &self.fingerprint) {
-            Parsed::Valid(summary) => {
-                let summary = Arc::new(*summary);
-                let ev = lock_unpoisoned(&self.mem).insert(key, Arc::clone(&summary));
+        let counter = match &outcome {
+            CacheLookup::Hit(summary) => {
+                let ev = lock_unpoisoned(&self.mem).insert(key, Arc::clone(summary));
                 self.stats.evictions.fetch_add(ev, Ordering::Relaxed);
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                CacheLookup::Hit(summary)
+                &self.stats.hits
             }
-            Parsed::Stale => {
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                CacheLookup::Miss
-            }
-            Parsed::Corrupt => {
-                self.stats.corrupt.fetch_add(1, Ordering::Relaxed);
-                CacheLookup::Corrupt
-            }
-        }
+            CacheLookup::Miss => &self.stats.misses,
+            CacheLookup::Corrupt => &self.stats.corrupt,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        outcome
     }
 
     /// Persist a freshly computed summary under `key` (atomic write:
@@ -332,569 +323,352 @@ impl ExperimentCache {
 // Entry codec
 // ---------------------------------------------------------------------------
 
-enum Parsed {
-    Valid(Box<RunSummary>),
-    Stale,
-    Corrupt,
-}
-
-/// Escape a string into a single whitespace-free token.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            ' ' => out.push_str("\\s"),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
+/// The JSON form of a struct whose fields are all `u64` counters, `f64`
+/// quantities and unit newtypes over `f64` (`field: Unit.accessor`): a
+/// fixed-shape array in the order listed, counters as integers and the
+/// rest in their exact bit spelling. Arrays rather than keyed objects
+/// halve the bytes and the allocations a lookup parses. The decoder is an
+/// exhaustive struct literal, so a field added to the struct but not
+/// listed here fails to compile.
+macro_rules! flat_codec {
+    ($encode:ident, $decode:ident, $ty:ident {
+        u64: [$($int:ident),*]
+        $(, f64: [$($float:ident),*])?
+        $(, units: [$($unit:ident: $wrap:ident.$raw:ident),*])?
+    }) => {
+        fn $encode(s: &$ty) -> String {
+            json::array([
+                $(s.$int.to_string(),)*
+                $($(json::f64_bits(s.$float),)*)?
+                $($(json::f64_bits(s.$unit.$raw()),)*)?
+            ])
         }
-    }
-    out
-}
 
-fn unesc(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut it = s.chars();
-    while let Some(c) = it.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
+        fn $decode(v: &JsonValue) -> Option<$ty> {
+            let [$($int,)* $($($float,)*)? $($($unit,)*)?] = v.as_array()? else {
+                return None;
+            };
+            Some($ty {
+                $($int: $int.as_u64()?,)*
+                $($($float: $float.as_f64_bits()?,)*)?
+                $($($unit: $wrap::new($unit.as_f64_bits()?),)*)?
+            })
         }
-        match it.next()? {
-            '\\' => out.push('\\'),
-            's' => out.push(' '),
-            'n' => out.push('\n'),
-            _ => return None,
-        }
-    }
-    Some(out)
+    };
 }
 
-fn f64_hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-fn p_f64(t: Option<&str>) -> Option<f64> {
-    u64::from_str_radix(t?, 16).ok().map(f64::from_bits)
-}
-
-fn p_u64(t: Option<&str>) -> Option<u64> {
-    t?.parse().ok()
-}
-
-fn p_usize(t: Option<&str>) -> Option<usize> {
-    t?.parse().ok()
-}
-
-fn p_i64(t: Option<&str>) -> Option<i64> {
-    t?.parse().ok()
-}
-
-fn p_bool(t: Option<&str>) -> Option<bool> {
-    match t? {
-        "t" => Some(true),
-        "f" => Some(false),
-        _ => None,
+flat_codec! {
+    encode_gc, decode_gc, GcStats {
+        u64: [
+            collections, minor_collections, major_collections, increments, total_pause_cycles,
+            total_copied_bytes, total_marked_objects, total_swept_objects, barrier_remembers,
+            barrier_stores
+        ]
     }
 }
 
-fn platform_tag(p: PlatformKind) -> &'static str {
-    match p {
-        PlatformKind::PentiumM => "p6",
-        PlatformKind::Pxa255 => "pxa",
+flat_codec! {
+    encode_vm, decode_vm, VmStats {
+        u64: [
+            bytecodes, calls, allocations, classes_loaded, classfile_bytes_loaded, gc_requests,
+            gc_increments, quanta, controller_activations, max_stack_depth
+        ]
     }
 }
 
-fn p_platform(t: Option<&str>) -> Option<PlatformKind> {
-    match t? {
-        "p6" => Some(PlatformKind::PentiumM),
-        "pxa" => Some(PlatformKind::Pxa255),
-        _ => None,
+flat_codec! {
+    encode_compiler, decode_compiler, CompilerStats {
+        u64: [baseline_compiles, jit_compiles, opt_compiles, bytes_compiled]
     }
 }
 
-fn scale_tag(s: InputScale) -> &'static str {
-    match s {
-        InputScale::Full => "full",
-        InputScale::Reduced => "reduced",
+flat_codec! {
+    encode_faults, decode_faults, FaultStats {
+        u64: [
+            samples_total, samples_dropped, samples_duplicated, port_glitches, wraps_unwrapped,
+            injected_oom, budget_exhausted
+        ],
+        f64: [dropped_energy_j, duplicated_energy_j, noise_abs_j, drift_abs_j, misattributed_energy_j]
     }
 }
 
-fn p_scale(t: Option<&str>) -> Option<InputScale> {
-    match t? {
-        "full" => Some(InputScale::Full),
-        "reduced" => Some(InputScale::Reduced),
-        _ => None,
+flat_codec! {
+    encode_probe, decode_probe, ProbeStats {
+        u64: [port_stores, daq_samples_paid, hpm_reads_paid, cycles_paid, transition_windows],
+        f64: [transition_energy_j]
     }
 }
 
-fn vm_tag(vm: &VmChoice) -> String {
-    match vm {
-        VmChoice::Jikes(c) => format!(
-            "jikes:{}",
-            match c {
-                CollectorKind::SemiSpace => "ss",
-                CollectorKind::MarkSweep => "ms",
-                CollectorKind::GenCopy => "gencopy",
-                CollectorKind::GenMs => "genms",
-                CollectorKind::KaffeIncremental => "kaffeinc",
-            }
-        ),
-        VmChoice::Kaffe => "kaffe".to_owned(),
+flat_codec! {
+    encode_profile, decode_profile, ComponentProfile {
+        u64: [instructions, samples],
+        f64: [ipc, l2_miss_rate],
+        units: [
+            time: Seconds.seconds, energy: Joules.joules, mem_energy: Joules.joules,
+            avg_power: Watts.watts, peak_power: Watts.watts
+        ]
     }
 }
 
-fn p_vm(t: Option<&str>) -> Option<VmChoice> {
-    match t? {
-        "kaffe" => Some(VmChoice::Kaffe),
-        "jikes:ss" => Some(VmChoice::Jikes(CollectorKind::SemiSpace)),
-        "jikes:ms" => Some(VmChoice::Jikes(CollectorKind::MarkSweep)),
-        "jikes:gencopy" => Some(VmChoice::Jikes(CollectorKind::GenCopy)),
-        "jikes:genms" => Some(VmChoice::Jikes(CollectorKind::GenMs)),
-        "jikes:kaffeinc" => Some(VmChoice::Jikes(CollectorKind::KaffeIncremental)),
-        _ => None,
-    }
-}
-
-/// Component labels are the static registry in [`ComponentId::ALL`]; a
-/// restored span or sample must point back into that registry (the label
-/// is a `&'static str`). An unknown label marks the entry corrupt.
-fn p_component(t: Option<&str>) -> Option<ComponentId> {
-    let label = t?;
-    ComponentId::ALL
-        .iter()
-        .copied()
-        .find(|c| c.label() == label)
-}
-
-fn encode_body(s: &RunSummary) -> Vec<String> {
-    let mut b = Vec::new();
+/// The body line: one JSON object holding every field of the summary.
+/// Power samples and spans are fixed-shape arrays (`[t, cpu_w, mem_w,
+/// component]`, `[name, start, end, depth]`) to keep traced entries small.
+fn encode_body(s: &RunSummary) -> String {
     let c = &s.config;
-    b.push(format!(
-        "config {} {} {} {} {} {} {} {} {}",
-        esc(&c.benchmark),
-        vm_tag(&c.vm),
-        c.heap_mb,
-        platform_tag(c.platform),
-        scale_tag(c.scale),
-        if c.trace_power { "t" } else { "f" },
-        if c.record_spans { "t" } else { "f" },
-        c.probe.daq_period_ns,
-        if c.probe.nontransparent { "t" } else { "f" },
-    ));
-    b.push(match s.result_checksum {
-        Some(v) => format!("checksum {v}"),
-        None => "checksum none".to_owned(),
-    });
+    let mut config = JsonObj::new();
+    config
+        .str("benchmark", &c.benchmark)
+        .str("vm", &c.vm.to_string())
+        .u64("heap_mb", u64::from(c.heap_mb))
+        .str("platform", c.platform.name())
+        .str("scale", c.scale.name())
+        .bool("trace_power", c.trace_power)
+        .bool("record_spans", c.record_spans)
+        .u64("daq_period_ns", c.probe.daq_period_ns)
+        .bool("nontransparent", c.probe.nontransparent);
 
     let r = &s.report;
-    b.push(format!(
-        "report {} {} {} {} {} {} {}",
-        platform_tag(r.platform),
-        f64_hex(r.duration.seconds()),
-        f64_hex(r.cpu_energy.joules()),
-        f64_hex(r.mem_energy.joules()),
-        f64_hex(r.total_energy.joules()),
-        f64_hex(r.edp.joule_seconds()),
-        f64_hex(r.clean_total_energy.joules()),
-    ));
-    b.push(encode_faults("faults", &r.faults));
-    b.push(format!(
-        "probe {} {} {} {} {} {}",
-        r.probe.port_stores,
-        r.probe.daq_samples_paid,
-        r.probe.hpm_reads_paid,
-        r.probe.cycles_paid,
-        r.probe.transition_windows,
-        f64_hex(r.probe.transition_energy_j),
-    ));
-    b.push(format!("components {}", r.components.len()));
+    let mut components = JsonObj::new();
     for (id, p) in &r.components {
-        b.push(format!(
-            "c {} {} {} {} {} {} {} {} {} {}",
-            esc(id.label()),
-            f64_hex(p.time.seconds()),
-            f64_hex(p.energy.joules()),
-            f64_hex(p.mem_energy.joules()),
-            f64_hex(p.avg_power.watts()),
-            f64_hex(p.peak_power.watts()),
-            p.instructions,
-            f64_hex(p.ipc),
-            f64_hex(p.l2_miss_rate),
-            p.samples,
-        ));
+        components.raw(id.label(), &encode_profile(p));
     }
+    let mut report = JsonObj::new();
+    report
+        .str("platform", r.platform.name())
+        .f64_bits("duration", r.duration.seconds())
+        .f64_bits("cpu_energy", r.cpu_energy.joules())
+        .f64_bits("mem_energy", r.mem_energy.joules())
+        .f64_bits("total_energy", r.total_energy.joules())
+        .f64_bits("edp", r.edp.joule_seconds())
+        .f64_bits("clean_total_energy", r.clean_total_energy.joules())
+        .raw("faults", &encode_faults(&r.faults))
+        .raw("probe", &encode_probe(&r.probe))
+        .raw("components", &components.finish());
 
-    let g = &s.gc;
-    b.push(format!(
-        "gc {} {} {} {} {} {} {} {} {} {}",
-        g.collections,
-        g.minor_collections,
-        g.major_collections,
-        g.increments,
-        g.total_pause_cycles,
-        g.total_copied_bytes,
-        g.total_marked_objects,
-        g.total_swept_objects,
-        g.barrier_remembers,
-        g.barrier_stores,
-    ));
-    let v = &s.vm;
-    b.push(format!(
-        "vm {} {} {} {} {} {} {} {} {} {}",
-        v.bytecodes,
-        v.calls,
-        v.allocations,
-        v.classes_loaded,
-        v.classfile_bytes_loaded,
-        v.gc_requests,
-        v.gc_increments,
-        v.quanta,
-        v.controller_activations,
-        v.max_stack_depth,
-    ));
-    let k = &s.compiler;
-    b.push(format!(
-        "compiler {} {} {} {}",
-        k.baseline_compiles, k.jit_compiles, k.opt_compiles, k.bytes_compiled,
-    ));
-    b.push(format!(
-        "alloc {} {}",
-        s.total_alloc_bytes, s.live_bytes_end
-    ));
-
+    let mut o = JsonObj::new();
+    o.raw("config", &config.finish());
+    match s.result_checksum {
+        Some(v) => o.i64("checksum", v),
+        None => o.raw("checksum", "null"),
+    };
+    o.raw("report", &report.finish())
+        .raw("gc", &encode_gc(&s.gc))
+        .raw("vm", &encode_vm(&s.vm))
+        .raw("compiler", &encode_compiler(&s.compiler))
+        .u64("total_alloc_bytes", s.total_alloc_bytes)
+        .u64("live_bytes_end", s.live_bytes_end);
     match &s.power_trace {
-        None => b.push("trace none".to_owned()),
-        Some(t) => {
-            b.push(format!("trace {}", t.len()));
-            for p in t {
-                b.push(format!(
-                    "s {} {} {} {}",
-                    f64_hex(p.t),
-                    f64_hex(p.cpu_w),
-                    f64_hex(p.mem_w),
-                    esc(p.component.label()),
-                ));
-            }
-        }
-    }
-
+        None => o.raw("power_trace", "null"),
+        Some(t) => o.array(
+            "power_trace",
+            t.iter().map(|p| {
+                format!(
+                    "[{},{},{},\"{}\"]",
+                    json::f64_bits(p.t),
+                    json::f64_bits(p.cpu_w),
+                    json::f64_bits(p.mem_w),
+                    json::escape(p.component.label())
+                )
+            }),
+        ),
+    };
     match &s.spans {
-        None => b.push("spans none".to_owned()),
+        None => o.raw("spans", "null"),
         Some(t) => {
-            b.push(format!(
-                "spans {} {} {} {}",
-                f64_hex(t.clock_hz()),
-                t.max_depth(),
-                t.total_cycles(),
-                t.len(),
-            ));
-            for sp in t.spans() {
-                b.push(format!(
-                    "v {} {} {} {}",
-                    esc(sp.name),
-                    sp.start_cycles,
-                    sp.end_cycles,
-                    sp.depth,
-                ));
-            }
+            let mut spans = JsonObj::new();
+            spans
+                .f64_bits("clock_hz", t.clock_hz())
+                .u64("max_depth", t.max_depth() as u64)
+                .u64("total_cycles", t.total_cycles())
+                .array(
+                    "spans",
+                    t.spans().iter().map(|sp| {
+                        format!(
+                            "[\"{}\",{},{},{}]",
+                            json::escape(sp.name),
+                            sp.start_cycles,
+                            sp.end_cycles,
+                            sp.depth
+                        )
+                    }),
+                );
+            o.raw("spans", &spans.finish())
         }
-    }
-    b
+    };
+    o.finish()
 }
 
-fn encode_faults(tag: &str, f: &FaultStats) -> String {
-    format!(
-        "{tag} {} {} {} {} {} {} {} {} {} {} {} {}",
-        f.samples_total,
-        f.samples_dropped,
-        f.samples_duplicated,
-        f.port_glitches,
-        f.wraps_unwrapped,
-        f.injected_oom,
-        f.budget_exhausted,
-        f64_hex(f.dropped_energy_j),
-        f64_hex(f.duplicated_energy_j),
-        f64_hex(f.noise_abs_j),
-        f64_hex(f.drift_abs_j),
-        f64_hex(f.misattributed_energy_j),
-    )
-}
-
-fn decode_faults<'a>(mut f: impl Iterator<Item = &'a str>) -> Option<FaultStats> {
-    Some(FaultStats {
-        samples_total: p_u64(f.next())?,
-        samples_dropped: p_u64(f.next())?,
-        samples_duplicated: p_u64(f.next())?,
-        port_glitches: p_u64(f.next())?,
-        wraps_unwrapped: p_u64(f.next())?,
-        injected_oom: p_u64(f.next())?,
-        budget_exhausted: p_u64(f.next())?,
-        dropped_energy_j: p_f64(f.next())?,
-        duplicated_energy_j: p_f64(f.next())?,
-        noise_abs_j: p_f64(f.next())?,
-        drift_abs_j: p_f64(f.next())?,
-        misattributed_energy_j: p_f64(f.next())?,
-    })
-}
-
-/// One body line, split on single spaces, with the leading tag consumed
-/// and checked.
-fn fields<'a>(line: &'a str, tag: &str) -> Option<impl Iterator<Item = &'a str>> {
-    let mut it = line.split(' ');
-    (it.next()? == tag).then_some(it)
-}
-
-fn decode_body(lines: &[&str]) -> Option<RunSummary> {
-    let mut it = lines.iter().copied();
-
-    let mut f = fields(it.next()?, "config")?;
+fn decode_body(b: &JsonValue) -> Option<RunSummary> {
+    let c = b.get("config")?;
+    let text = |k: &str| c.get(k)?.as_str();
     let config = ExperimentConfig {
-        benchmark: unesc(f.next()?)?,
-        vm: p_vm(f.next())?,
-        heap_mb: u32::try_from(p_u64(f.next())?).ok()?,
-        platform: p_platform(f.next())?,
-        scale: p_scale(f.next())?,
-        trace_power: p_bool(f.next())?,
-        record_spans: p_bool(f.next())?,
+        benchmark: text("benchmark")?.to_owned(),
+        vm: match text("vm")? {
+            "Kaffe" => VmChoice::Kaffe,
+            vm => VmChoice::Jikes(CollectorKind::from_name(vm.strip_prefix("Jikes/")?)?),
+        },
+        heap_mb: u32::try_from(c.get("heap_mb")?.as_u64()?).ok()?,
+        platform: PlatformKind::from_name(text("platform")?)?,
+        scale: InputScale::from_name(text("scale")?)?,
+        trace_power: c.get("trace_power")?.as_bool()?,
+        record_spans: c.get("record_spans")?.as_bool()?,
         // Not persisted: verification is host-side observation that
         // cannot change an accepted run's summary, so restored configs
         // always read the default.
         verify: true,
         probe: ProbeSpec {
-            daq_period_ns: p_u64(f.next())?,
-            nontransparent: p_bool(f.next())?,
+            daq_period_ns: c.get("daq_period_ns")?.as_u64()?,
+            nontransparent: c.get("nontransparent")?.as_bool()?,
         },
     };
-
-    let mut f = fields(it.next()?, "checksum")?;
-    let result_checksum = match f.next()? {
-        "none" => None,
-        v => Some(p_i64(Some(v))?),
+    let result_checksum = match b.get("checksum")? {
+        JsonValue::Null => None,
+        v => Some(v.as_i64()?),
     };
 
-    let mut f = fields(it.next()?, "report")?;
-    let platform = p_platform(f.next())?;
-    let duration = Seconds::new(p_f64(f.next())?);
-    let cpu_energy = Joules::new(p_f64(f.next())?);
-    let mem_energy = Joules::new(p_f64(f.next())?);
-    let total_energy = Joules::new(p_f64(f.next())?);
-    let edp = EnergyDelay::new(p_f64(f.next())?);
-    let clean_total_energy = Joules::new(p_f64(f.next())?);
-    let faults = decode_faults(fields(it.next()?, "faults")?)?;
-    let mut f = fields(it.next()?, "probe")?;
-    let probe = ProbeStats {
-        port_stores: p_u64(f.next())?,
-        daq_samples_paid: p_u64(f.next())?,
-        hpm_reads_paid: p_u64(f.next())?,
-        cycles_paid: p_u64(f.next())?,
-        transition_windows: p_u64(f.next())?,
-        transition_energy_j: p_f64(f.next())?,
+    let r = b.get("report")?;
+    let JsonValue::Obj(fields) = r.get("components")? else {
+        return None;
     };
-
-    let mut f = fields(it.next()?, "components")?;
-    let n_components = p_usize(f.next())?;
-    let mut components = std::collections::BTreeMap::new();
-    for _ in 0..n_components {
-        let mut f = fields(it.next()?, "c")?;
-        let id = p_component(f.next())?;
-        let profile = ComponentProfile {
-            time: Seconds::new(p_f64(f.next())?),
-            energy: Joules::new(p_f64(f.next())?),
-            mem_energy: Joules::new(p_f64(f.next())?),
-            avg_power: Watts::new(p_f64(f.next())?),
-            peak_power: Watts::new(p_f64(f.next())?),
-            instructions: p_u64(f.next())?,
-            ipc: p_f64(f.next())?,
-            l2_miss_rate: p_f64(f.next())?,
-            samples: p_u64(f.next())?,
-        };
-        components.insert(id, profile);
+    let mut components = BTreeMap::new();
+    for (label, p) in fields {
+        components.insert(ComponentId::from_label(label)?, decode_profile(p)?);
     }
+    let bits = |k: &str| r.get(k)?.as_f64_bits();
     let report = Report {
-        platform,
+        platform: PlatformKind::from_name(r.get("platform")?.as_str()?)?,
         components,
-        duration,
-        cpu_energy,
-        mem_energy,
-        total_energy,
-        edp,
-        clean_total_energy,
-        faults,
-        probe,
+        duration: Seconds::new(bits("duration")?),
+        cpu_energy: Joules::new(bits("cpu_energy")?),
+        mem_energy: Joules::new(bits("mem_energy")?),
+        total_energy: Joules::new(bits("total_energy")?),
+        edp: EnergyDelay::new(bits("edp")?),
+        clean_total_energy: Joules::new(bits("clean_total_energy")?),
+        faults: decode_faults(r.get("faults")?)?,
+        probe: decode_probe(r.get("probe")?)?,
     };
 
-    let mut f = fields(it.next()?, "gc")?;
-    let gc = GcStats {
-        collections: p_u64(f.next())?,
-        minor_collections: p_u64(f.next())?,
-        major_collections: p_u64(f.next())?,
-        increments: p_u64(f.next())?,
-        total_pause_cycles: p_u64(f.next())?,
-        total_copied_bytes: p_u64(f.next())?,
-        total_marked_objects: p_u64(f.next())?,
-        total_swept_objects: p_u64(f.next())?,
-        barrier_remembers: p_u64(f.next())?,
-        barrier_stores: p_u64(f.next())?,
+    let power_trace = match b.get("power_trace")? {
+        JsonValue::Null => None,
+        t => Some(
+            t.as_array()?
+                .iter()
+                .map(|sample| match sample.as_array()? {
+                    [t, cpu_w, mem_w, component] => Some(PowerSample {
+                        t: t.as_f64_bits()?,
+                        cpu_w: cpu_w.as_f64_bits()?,
+                        mem_w: mem_w.as_f64_bits()?,
+                        component: ComponentId::from_label(component.as_str()?)?,
+                    }),
+                    _ => None,
+                })
+                .collect::<Option<Vec<_>>>()?,
+        ),
     };
-
-    let mut f = fields(it.next()?, "vm")?;
-    let vm = VmStats {
-        bytecodes: p_u64(f.next())?,
-        calls: p_u64(f.next())?,
-        allocations: p_u64(f.next())?,
-        classes_loaded: p_u64(f.next())?,
-        classfile_bytes_loaded: p_u64(f.next())?,
-        gc_requests: p_u64(f.next())?,
-        gc_increments: p_u64(f.next())?,
-        quanta: p_u64(f.next())?,
-        controller_activations: p_u64(f.next())?,
-        max_stack_depth: p_u64(f.next())?,
-    };
-
-    let mut f = fields(it.next()?, "compiler")?;
-    let compiler = CompilerStats {
-        baseline_compiles: p_u64(f.next())?,
-        jit_compiles: p_u64(f.next())?,
-        opt_compiles: p_u64(f.next())?,
-        bytes_compiled: p_u64(f.next())?,
-    };
-
-    let mut f = fields(it.next()?, "alloc")?;
-    let total_alloc_bytes = p_u64(f.next())?;
-    let live_bytes_end = p_u64(f.next())?;
-
-    let mut f = fields(it.next()?, "trace")?;
-    let power_trace = match f.next()? {
-        "none" => None,
-        n => {
-            let n = p_usize(Some(n))?;
-            let mut samples = Vec::with_capacity(n);
-            for _ in 0..n {
-                let mut f = fields(it.next()?, "s")?;
-                samples.push(PowerSample {
-                    t: p_f64(f.next())?,
-                    cpu_w: p_f64(f.next())?,
-                    mem_w: p_f64(f.next())?,
-                    component: p_component(f.next())?,
-                });
-            }
-            Some(samples)
+    let spans = match b.get("spans")? {
+        JsonValue::Null => None,
+        t => {
+            let spans = t
+                .get("spans")?
+                .as_array()?
+                .iter()
+                .map(|span| match span.as_array()? {
+                    // Span names are component labels, restored as the
+                    // registry's `&'static str`.
+                    [name, start, end, depth] => Some(VirtualSpan {
+                        name: ComponentId::from_label(name.as_str()?)?.label(),
+                        start_cycles: start.as_u64()?,
+                        end_cycles: end.as_u64()?,
+                        depth: u8::try_from(depth.as_u64()?).ok()?,
+                    }),
+                    _ => None,
+                })
+                .collect::<Option<Vec<_>>>()?;
+            Some(SpanTrace::from_parts(
+                t.get("clock_hz")?.as_f64_bits()?,
+                spans,
+                usize::try_from(t.get("max_depth")?.as_u64()?).ok()?,
+                t.get("total_cycles")?.as_u64()?,
+            ))
         }
     };
 
-    let mut f = fields(it.next()?, "spans")?;
-    let spans = match f.next()? {
-        "none" => None,
-        clock => {
-            let clock_hz = p_f64(Some(clock))?;
-            let max_depth = p_usize(f.next())?;
-            let total_cycles = p_u64(f.next())?;
-            let n = p_usize(f.next())?;
-            let mut vs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let mut f = fields(it.next()?, "v")?;
-                vs.push(VirtualSpan {
-                    name: p_component(f.next())?.label(),
-                    start_cycles: p_u64(f.next())?,
-                    end_cycles: p_u64(f.next())?,
-                    depth: u8::try_from(p_u64(f.next())?).ok()?,
-                });
-            }
-            Some(SpanTrace::from_parts(clock_hz, vs, max_depth, total_cycles))
-        }
-    };
-
-    if it.next().is_some() {
-        return None; // trailing garbage inside the checksummed region
-    }
     Some(RunSummary {
         config,
         result_checksum,
         report,
-        gc,
-        vm,
-        compiler,
+        gc: decode_gc(b.get("gc")?)?,
+        vm: decode_vm(b.get("vm")?)?,
+        compiler: decode_compiler(b.get("compiler")?)?,
         power_trace,
-        total_alloc_bytes,
-        live_bytes_end,
+        total_alloc_bytes: b.get("total_alloc_bytes")?.as_u64()?,
+        live_bytes_end: b.get("live_bytes_end")?.as_u64()?,
         spans,
     })
 }
 
+/// An entry is two lines: a JSON header carrying the format, fingerprint,
+/// key and the FNV-1a-64 of the body line's bytes, then the body line.
 fn render_entry(key: &str, fingerprint: &str, summary: &RunSummary) -> String {
     let body = encode_body(summary);
-    let body_text = body.join("\n");
-    let mut out = String::with_capacity(body_text.len() + 128);
-    out.push_str(&format!("vmprobe-cache {FORMAT_VERSION}\n"));
-    out.push_str("fingerprint ");
-    out.push_str(&esc(fingerprint));
-    out.push('\n');
-    out.push_str("key ");
-    out.push_str(&esc(key));
-    out.push('\n');
-    out.push_str(&format!(
-        "body {} {:016x}\n",
-        body.len(),
-        fnv1a(body_text.as_bytes(), FNV_OFFSET)
-    ));
-    out.push_str(&body_text);
-    out.push('\n');
-    out
+    let mut header = JsonObj::new();
+    header
+        .u64("format", u64::from(FORMAT_VERSION))
+        .str("fingerprint", fingerprint)
+        .str("key", key)
+        .str("fnv", &body_checksum(&body));
+    format!("{}\n{body}\n", header.finish())
 }
 
-fn parse_entry(text: &str, key: &str, fingerprint: &str) -> Parsed {
-    let mut lines = text.lines();
-    match lines.next() {
-        Some(l) if l == format!("vmprobe-cache {FORMAT_VERSION}") => {}
-        // A future (or past) format revision is a stale entry, not damage.
-        Some(l) if l.starts_with("vmprobe-cache ") => return Parsed::Stale,
-        _ => return Parsed::Corrupt,
-    }
-    let Some(fp) = lines
-        .next()
-        .and_then(|l| l.strip_prefix("fingerprint "))
-        .and_then(unesc)
-    else {
-        return Parsed::Corrupt;
+/// The header's `fnv` field: FNV-1a-64 of the body line, 16 hex digits.
+fn body_checksum(body: &str) -> String {
+    format!("{:016x}", fnv1a(body.as_bytes(), FNV_OFFSET))
+}
+
+/// Read an entry's text for `key`: a stale entry (another format, build
+/// fingerprint or key) is a `Miss`, a damaged one `Corrupt`.
+fn parse_entry(text: &str, key: &str, fingerprint: &str) -> CacheLookup {
+    let Some((header, rest)) = text.split_once('\n') else {
+        return CacheLookup::Corrupt;
     };
-    let Some(stored_key) = lines
-        .next()
-        .and_then(|l| l.strip_prefix("key "))
-        .and_then(unesc)
+    // The v1/v2 line format is an older revision: stale, not damage.
+    if header.starts_with("vmprobe-cache ") {
+        return CacheLookup::Miss;
+    }
+    let Ok(header) = JsonValue::parse(header) else {
+        return CacheLookup::Corrupt;
+    };
+    match header.get("format").and_then(JsonValue::as_u64) {
+        Some(f) if f == u64::from(FORMAT_VERSION) => {}
+        Some(_) => return CacheLookup::Miss,
+        None => return CacheLookup::Corrupt,
+    }
+    let field = |k: &str| header.get(k).and_then(JsonValue::as_str);
+    let (Some(fp), Some(stored_key), Some(sum)) =
+        (field("fingerprint"), field("key"), field("fnv"))
     else {
-        return Parsed::Corrupt;
+        return CacheLookup::Corrupt;
     };
     if fp != fingerprint || stored_key != key {
-        return Parsed::Stale;
+        return CacheLookup::Miss;
     }
-    let header = lines.next().and_then(|l| {
-        let mut f = l.strip_prefix("body ")?.split(' ');
-        let n = p_usize(f.next())?;
-        let sum = u64::from_str_radix(f.next()?, 16).ok()?;
-        f.next().is_none().then_some((n, sum))
-    });
-    let Some((n, expect_sum)) = header else {
-        return Parsed::Corrupt;
+    // Anything after the body line, or a missing final newline, fails here
+    // or at the checksum.
+    let Some(body) = rest.strip_suffix('\n') else {
+        return CacheLookup::Corrupt;
     };
-    let body: Vec<&str> = lines.collect();
-    if body.len() != n {
-        return Parsed::Corrupt;
+    if sum != body_checksum(body) {
+        return CacheLookup::Corrupt;
     }
-    let body_text = body.join("\n");
-    if fnv1a(body_text.as_bytes(), FNV_OFFSET) != expect_sum {
-        return Parsed::Corrupt;
-    }
-    match decode_body(&body) {
-        Some(summary) => Parsed::Valid(Box::new(summary)),
-        None => Parsed::Corrupt,
+    match JsonValue::parse(body).ok().as_ref().and_then(decode_body) {
+        Some(summary) => CacheLookup::Hit(Arc::new(summary)),
+        None => CacheLookup::Corrupt,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
 
     fn test_dir(tag: &str) -> PathBuf {
         static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -1043,6 +817,126 @@ mod tests {
         };
         assert_bit_identical(&s, &hit);
         assert_eq!(cold.stats().hits(), 1);
+
+        // Awkward strings survive as fingerprint label and benchmark name.
+        for text in [
+            "a b",
+            "a\\b",
+            "line\nbreak",
+            "",
+            "plain",
+            "\\s \\n",
+            "say \"hi\"",
+            "Jikes/é😀",
+        ] {
+            let mut awkward = summary();
+            awkward.config.benchmark = text.to_owned();
+            let awkward = Arc::new(awkward);
+            let key = awkward.config.key();
+            ExperimentCache::open(&dir)
+                .unwrap()
+                .with_fingerprint(text)
+                .store(&key, &awkward);
+            let cold = ExperimentCache::open(&dir).unwrap().with_fingerprint(text);
+            let CacheLookup::Hit(hit) = cold.lookup(&key) else {
+                panic!("expected disk hit for {text:?}");
+            };
+            assert_bit_identical(&awkward, &hit);
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_config_axis_round_trips() {
+        let mut s = summary();
+        let vms = [
+            VmChoice::Kaffe,
+            VmChoice::Jikes(CollectorKind::SemiSpace),
+            VmChoice::Jikes(CollectorKind::MarkSweep),
+            VmChoice::Jikes(CollectorKind::GenCopy),
+            VmChoice::Jikes(CollectorKind::GenMs),
+            VmChoice::Jikes(CollectorKind::KaffeIncremental),
+        ];
+        for vm in vms {
+            for platform in [PlatformKind::PentiumM, PlatformKind::Pxa255] {
+                for scale in [InputScale::Full, InputScale::Reduced] {
+                    s.config.vm = vm;
+                    s.config.platform = platform;
+                    s.config.scale = scale;
+                    s.report.platform = platform;
+                    s.result_checksum = None;
+                    s.power_trace = None;
+                    let body = JsonValue::parse(&encode_body(&s)).unwrap();
+                    let back = decode_body(&body).expect("decodes");
+                    assert_bit_identical(&s, &back);
+                }
+            }
+        }
+    }
+
+    /// Every truncation and every single-byte flip of a stored entry reads
+    /// as a miss, as damage, or as a hit identical to the original — and
+    /// never panics.
+    #[test]
+    fn damaged_entries_never_yield_a_wrong_hit() {
+        let dir = test_dir("damage");
+        let cache = ExperimentCache::open(&dir).unwrap().with_mem_capacity(0);
+        let s = Arc::new(summary());
+        let key = s.config.key();
+        cache.store(&key, &s);
+        let path = cache.entry_path(&key);
+        let original = fs::read(&path).unwrap();
+        let check = |bytes: &[u8]| {
+            fs::write(&path, bytes).unwrap();
+            if let CacheLookup::Hit(hit) = cache.lookup(&key) {
+                assert_bit_identical(&s, &hit);
+            }
+        };
+        for len in 0..original.len() {
+            check(&original[..len]);
+        }
+        for i in 0..original.len() {
+            for mask in [0x01, 0x20, 0x80] {
+                let mut bytes = original.clone();
+                bytes[i] ^= mask;
+                check(&bytes);
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// An entry in the v2 line format, as the previous release wrote it.
+    const V2_ENTRY: &str = "\
+vmprobe-cache 2
+fingerprint fmt2|schema1|v0.1.0
+key moldyn|Jikes/GenCopy|32|PentiumM|Reduced|false
+body 15 e11e5c2eeb447ef9
+config moldyn jikes:gencopy 32 p6 reduced f f 40000 f
+checksum 308631
+report p6 3f525a181bcb9804 3f938f95ab3fb7bb 3f41b22b0af09ee5 3f941d2703973cb2 3ef7120e2e29ff30 3f941d2703973cb3
+faults 28 0 0 0 0 0 0 0000000000000000 0000000000000000 0000000000000000 0000000000000000 0000000000000000
+probe 0 0 0 0 11 3f7f4bdd828a5af9
+components 3
+c App 3f510a31065d3c47 3f92248c7a29f048 3f40080430664f41 403109208a71f09c 403206e978d4fdf4 2666646 3ffaaa9d1f601798 3fec12a9d6517f39 26
+c base_comp 3f04f98c48783ed6 3f45d9bafa6ffbc4 3f05619bd1574b15 4030ab02c9008fbf 4030ab02c9008fbf 0 0000000000000000 0000000000000000 1
+c sched 3f0503475d36bcd6 3f47876b2848f2ae 3ee503475d36bcd6 4031ea795bf18702 4031ea795bf18702 0 0000000000000000 0000000000000000 1
+gc 0 0 0 0 0 0 0 0 0 600
+vm 935309 12 704 15 11470 0 0 1 0 3
+compiler 12 0 0 1522
+alloc 303408 303408
+trace none
+spans none
+";
+
+    #[test]
+    fn v2_line_format_entry_is_a_stale_miss() {
+        let dir = test_dir("v2");
+        let cache = ExperimentCache::open(&dir).unwrap();
+        let key = "moldyn|Jikes/GenCopy|32|PentiumM|Reduced|false";
+        fs::write(cache.entry_path(key), V2_ENTRY).unwrap();
+        assert!(matches!(cache.lookup(key), CacheLookup::Miss));
+        assert_eq!(cache.stats().misses(), 1);
+        assert_eq!(cache.stats().corrupt(), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1122,12 +1016,17 @@ mod tests {
         cache.store(&key, &s);
         let path = cache.entry_path(&key);
         let text = fs::read_to_string(&path).unwrap();
-        let doctored = text.replacen(&build_fingerprint(), "fmt0|schema0|v0.0.0", 1);
-        assert_ne!(text, doctored, "fingerprint line must be present");
-        fs::write(&path, doctored).unwrap();
-        let cold = ExperimentCache::open(&dir).unwrap();
-        assert!(matches!(cold.lookup(&key), CacheLookup::Miss));
-        assert_eq!(cold.stats().corrupt(), 0);
+        for (from, to) in [
+            (build_fingerprint(), "fmt0|schema0|v0.0.0".to_owned()),
+            ("\"format\":3,".to_owned(), "\"format\":4,".to_owned()),
+        ] {
+            let doctored = text.replacen(&from, &to, 1);
+            assert_ne!(text, doctored, "{from} must be present");
+            fs::write(&path, doctored).unwrap();
+            let cold = ExperimentCache::open(&dir).unwrap();
+            assert!(matches!(cold.lookup(&key), CacheLookup::Miss));
+            assert_eq!(cold.stats().corrupt(), 0);
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1208,14 +1107,5 @@ mod tests {
             .collect();
         assert!(leftovers.is_empty(), "leaked temp files: {leftovers:?}");
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn escaping_roundtrips_awkward_strings() {
-        for s in ["a b", "a\\b", "line\nbreak", "", "plain", "\\s \\n"] {
-            assert_eq!(unesc(&esc(s)).as_deref(), Some(s));
-            assert!(!esc(s).contains(' '), "escaped form must be one token");
-        }
-        assert_eq!(unesc("bad\\x"), None);
     }
 }

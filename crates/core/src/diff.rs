@@ -27,7 +27,6 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use vmprobe_heap::CollectorKind;
-use vmprobe_platform::PlatformKind;
 use vmprobe_power::{
     perturbed_component_energy, ComponentId, DetRng, EnergyPerturbation, FaultPlan,
 };
@@ -36,7 +35,7 @@ use vmprobe_workloads::{all_benchmarks, InputScale};
 
 use crate::cache::ExperimentCache;
 use crate::experiment::{ExperimentConfig, RunSummary};
-use crate::json::JsonObj;
+use crate::json::{self, JsonObj};
 use crate::runner::SupervisedRunner;
 
 /// The golden sweep grid shared by `vmprobe-analyze --check-golden` and the
@@ -175,8 +174,8 @@ impl ComponentDelta {
         o.str("benchmark", &self.cell.benchmark)
             .str("vm", &self.cell.vm.to_string())
             .u64("heap_mb", u64::from(self.cell.heap_mb))
-            .str("platform", platform_label(self.cell.platform))
-            .str("scale", scale_label(self.cell.scale))
+            .str("platform", self.cell.platform.name())
+            .str("scale", self.cell.scale.name())
             .str("component", self.component.label())
             .f64("baseline_mean_j", self.baseline.mean)
             .f64("baseline_lo_j", self.baseline.lo)
@@ -186,20 +185,6 @@ impl ComponentDelta {
             .f64("candidate_hi_j", self.candidate.hi)
             .f64("rel_shift", self.rel_shift);
         o.finish()
-    }
-}
-
-fn platform_label(p: PlatformKind) -> &'static str {
-    match p {
-        PlatformKind::PentiumM => "p6",
-        PlatformKind::Pxa255 => "pxa255",
-    }
-}
-
-fn scale_label(s: InputScale) -> &'static str {
-    match s {
-        InputScale::Full => "full",
-        InputScale::Reduced => "s10",
     }
 }
 
@@ -264,7 +249,7 @@ impl RegressionReport {
                 "components_flagged",
                 self.components_flagged()
                     .into_iter()
-                    .map(|l| format!("\"{l}\"")),
+                    .map(|l| format!("\"{}\"", json::escape(l))),
             )
             .array(
                 "regressions",
@@ -523,6 +508,7 @@ impl DiffEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vmprobe_platform::PlatformKind;
 
     fn rng() -> DetRng {
         DetRng::new(0xB007)

@@ -21,6 +21,22 @@ pub enum VmChoice {
     Kaffe,
 }
 
+impl VmChoice {
+    /// The VM a collector name on the command line or the serve wire
+    /// selects: `semispace`, `marksweep`, `gencopy` or `genms` for Jikes
+    /// RVM, or `kaffe`.
+    pub fn from_collector_name(name: &str) -> Option<Self> {
+        match name {
+            "gencopy" => Some(VmChoice::Jikes(CollectorKind::GenCopy)),
+            "semispace" => Some(VmChoice::Jikes(CollectorKind::SemiSpace)),
+            "marksweep" => Some(VmChoice::Jikes(CollectorKind::MarkSweep)),
+            "genms" => Some(VmChoice::Jikes(CollectorKind::GenMs)),
+            "kaffe" => Some(VmChoice::Kaffe),
+            _ => None,
+        }
+    }
+}
+
 impl fmt::Display for VmChoice {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

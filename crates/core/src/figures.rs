@@ -2,8 +2,8 @@
 //! evaluation (Section VI), one entry point per artifact.
 //!
 //! Each function returns a typed data structure that also implements
-//! [`Display`](std::fmt::Display) so the `figures` binary (and the
-//! criterion benches) can print the same rows/series the paper reports.
+//! [`Display`](std::fmt::Display) so `vmprobe-run` (and the criterion
+//! benches) can print the same rows/series the paper reports.
 //! Absolute values differ from the paper's silicon — the substrate here is
 //! a calibrated simulator — but the *shapes* (who wins, by what factor,
 //! where crossovers fall) are the reproduction target; `EXPERIMENTS.md`

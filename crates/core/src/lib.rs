@@ -41,7 +41,6 @@ pub mod cache;
 pub mod diff;
 mod experiment;
 pub mod figures;
-pub mod json;
 pub mod observe;
 mod runner;
 mod scale;
@@ -66,6 +65,6 @@ pub use sweep::{default_jobs, ShardedMemo, SweepError, WorkStealingPool};
 pub use table::Table;
 pub use vmprobe_power::{FaultPlan, FaultSpecError, FaultStats, ProbeSpec, ProbeStats};
 pub use vmprobe_telemetry::{
-    validate_json, CounterId, HistId, NoopSink, Sink, Snapshot, SpanTrace, StderrSink, Telemetry,
+    json, CounterId, HistId, NoopSink, Sink, Snapshot, SpanTrace, StderrSink, Telemetry,
     SCHEMA_VERSION,
 };

@@ -336,6 +336,14 @@ impl CollectorKind {
             CollectorKind::KaffeIncremental => "KaffeIncMS",
         }
     }
+
+    /// The collector whose [`Self::name`] is `name`.
+    pub fn from_name(name: &str) -> Option<Self> {
+        CollectorKind::jikes_collectors()
+            .into_iter()
+            .chain([CollectorKind::KaffeIncremental])
+            .find(|c| c.name() == name)
+    }
 }
 
 impl fmt::Display for CollectorKind {

@@ -17,6 +17,24 @@ pub enum PlatformKind {
     Pxa255,
 }
 
+impl PlatformKind {
+    /// The short name the CLI, the serve wire and the cache use: `p6` or
+    /// `pxa255`.
+    pub fn name(self) -> &'static str {
+        match self {
+            PlatformKind::PentiumM => "p6",
+            PlatformKind::Pxa255 => "pxa255",
+        }
+    }
+
+    /// The platform a [`Self::name`] names.
+    pub fn from_name(name: &str) -> Option<Self> {
+        [PlatformKind::PentiumM, PlatformKind::Pxa255]
+            .into_iter()
+            .find(|p| p.name() == name)
+    }
+}
+
 impl std::fmt::Display for PlatformKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {

@@ -84,6 +84,11 @@ impl ComponentId {
         }
     }
 
+    /// The component whose [`Self::label`] is `label`.
+    pub fn from_label(label: &str) -> Option<ComponentId> {
+        Self::ALL.into_iter().find(|c| c.label() == label)
+    }
+
     /// Whether the component counts toward "JVM energy" in the paper's
     /// decomposition (everything the VM does on the application's behalf,
     /// as opposed to the application itself).

@@ -1,5 +1,5 @@
 //! Snapshot rendering: Chrome trace-event JSON, Prometheus text, and a
-//! human-readable summary — plus a minimal JSON validator for tests/CI.
+//! human-readable summary.
 //!
 //! The Chrome trace uses the `traceEvents` object form Perfetto and
 //! `chrome://tracing` load directly. Two processes keep the clock domains
@@ -13,25 +13,7 @@
 use std::fmt::Write as _;
 
 use crate::hub::Snapshot;
-
-/// Escape a string for a JSON string literal (quotes not included).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use crate::json::escape;
 
 /// Virtual process id in the Chrome trace.
 const PID_VIRTUAL: u32 = 1;
@@ -241,187 +223,10 @@ impl Snapshot {
     }
 }
 
-// ------------------------------------------------------------ validation
-
-/// Check that `s` is one complete, well-formed JSON value.
-///
-/// A minimal recursive-descent checker (the workspace has no JSON parser
-/// dependency): used by the test suite and CI to prove the Chrome trace
-/// loads as valid JSON without trusting the emitter that wrote it.
-///
-/// # Errors
-///
-/// A human-readable description of the first syntax error, with its byte
-/// offset.
-pub fn validate_json(s: &str) -> Result<(), String> {
-    let bytes = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing content at byte {pos}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{}' at byte {}", c as char, pos))
-    }
-}
-
-fn value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    match b.get(*pos) {
-        None => Err(format!("unexpected end of input at byte {pos}")),
-        Some(b'{') => object(b, pos),
-        Some(b'[') => array(b, pos),
-        Some(b'"') => string(b, pos),
-        Some(b't') => literal(b, pos, b"true"),
-        Some(b'f') => literal(b, pos, b"false"),
-        Some(b'n') => literal(b, pos, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, pos),
-        Some(c) => Err(format!("unexpected byte '{}' at {}", *c as char, pos)),
-    }
-}
-
-fn object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    expect(b, pos, b'{')?;
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        string(b, pos)?;
-        skip_ws(b, pos);
-        expect(b, pos, b':')?;
-        skip_ws(b, pos);
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-        }
-    }
-}
-
-fn array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    expect(b, pos, b'[')?;
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-        }
-    }
-}
-
-fn string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    expect(b, pos, b'"')?;
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        *pos += 1;
-                        for _ in 0..4 {
-                            if !b.get(*pos).is_some_and(u8::is_ascii_hexdigit) {
-                                return Err(format!("bad \\u escape at byte {pos}"));
-                            }
-                            *pos += 1;
-                        }
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-            }
-            0x00..=0x1f => return Err(format!("raw control byte in string at {pos}")),
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".to_owned())
-}
-
-fn number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let mut digits = 0;
-    while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-        *pos += 1;
-        digits += 1;
-    }
-    if digits == 0 {
-        return Err(format!("expected digits at byte {start}"));
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        if !b.get(*pos).is_some_and(u8::is_ascii_digit) {
-            return Err(format!("expected fraction digits at byte {pos}"));
-        }
-        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        if !b.get(*pos).is_some_and(u8::is_ascii_digit) {
-            return Err(format!("expected exponent digits at byte {pos}"));
-        }
-        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-        }
-    }
-    Ok(())
-}
-
-fn literal(b: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), String> {
-    if b.len() >= *pos + lit.len() && &b[*pos..*pos + lit.len()] == lit {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {pos}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::JsonValue;
     use crate::{CounterId, HistId, SpanTrace, Telemetry};
 
     fn sample_snapshot() -> Snapshot {
@@ -450,7 +255,7 @@ mod tests {
     #[test]
     fn chrome_trace_is_valid_json_with_both_processes() {
         let trace = sample_snapshot().chrome_trace();
-        validate_json(&trace).expect("well-formed");
+        JsonValue::parse(&trace).expect("well-formed");
         assert!(trace.contains("\"schema_version\":"));
         assert!(trace.contains("virtual: simulated machine"));
         assert!(trace.contains("host: runner"));
@@ -461,7 +266,7 @@ mod tests {
     #[test]
     fn virtual_rendering_excludes_host_spans() {
         let trace = sample_snapshot().chrome_trace_virtual();
-        validate_json(&trace).expect("well-formed");
+        JsonValue::parse(&trace).expect("well-formed");
         assert!(!trace.contains("host: runner"));
         assert!(!trace.contains("worker-0"));
         assert!(trace.contains("\"name\":\"GC\""));
@@ -519,32 +324,5 @@ mod tests {
         let text = sample_snapshot().summary();
         assert!(text.contains("cells_executed"));
         assert!(text.contains("2 cells / 3 virtual spans"));
-    }
-
-    #[test]
-    fn validator_accepts_and_rejects() {
-        for ok in [
-            "{}",
-            "[]",
-            "null",
-            "-1.5e-3",
-            r#"{"a":[1,2,{"b":"c\n"}],"d":true}"#,
-            "  [ 1 , 2 ]  ",
-        ] {
-            validate_json(ok).unwrap_or_else(|e| panic!("rejected {ok}: {e}"));
-        }
-        for bad in [
-            "",
-            "{",
-            "[1,]",
-            "{\"a\":}",
-            "tru",
-            "\"unterminated",
-            "1 2",
-            "{\"a\":1,}",
-            "[01x]",
-        ] {
-            assert!(validate_json(bad).is_err(), "accepted {bad}");
-        }
     }
 }

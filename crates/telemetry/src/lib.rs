@@ -20,6 +20,9 @@
 //!   JSON (loadable in Perfetto, one virtual track per VM component plus
 //!   one host track per worker), a Prometheus-style text dump, and a
 //!   human-readable summary table.
+//! * **One JSON codec.** [`json`] holds the workspace's only JSON escaper,
+//!   writer and parser; every report, wire line and cache entry above
+//!   this crate goes through it.
 //!
 //! Everything here is plain `std`: the build is fully offline and the
 //! crate sits below `vmprobe-vm`/`vmprobe` in the dependency graph.
@@ -30,11 +33,11 @@ mod counter;
 mod export;
 mod hist;
 mod hub;
+pub mod json;
 mod sink;
 mod span;
 
 pub use counter::CounterId;
-pub use export::validate_json;
 pub use hist::{HistId, Histogram};
 pub use hub::{CellStream, HostSpanGuard, Snapshot, Telemetry};
 pub use sink::{NoopSink, Sink, StderrSink};

@@ -18,6 +18,22 @@ pub enum InputScale {
 }
 
 impl InputScale {
+    /// The short name the CLI, the serve wire and the cache use: `full` or
+    /// `s10`.
+    pub fn name(self) -> &'static str {
+        match self {
+            InputScale::Full => "full",
+            InputScale::Reduced => "s10",
+        }
+    }
+
+    /// The scale a [`Self::name`] names.
+    pub fn from_name(name: &str) -> Option<Self> {
+        [InputScale::Full, InputScale::Reduced]
+            .into_iter()
+            .find(|s| s.name() == name)
+    }
+
     fn phase_div(self) -> u32 {
         match self {
             InputScale::Full => 1,

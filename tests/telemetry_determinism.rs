@@ -4,10 +4,8 @@
 //! comparison, figure text is unchanged by instrumentation, and every
 //! machine-readable artifact stamps the same `schema_version`.
 
-use vmprobe::{
-    figures, validate_json, ExperimentConfig, FaultPlan, Runner, Snapshot, Telemetry,
-    SCHEMA_VERSION,
-};
+use vmprobe::json::JsonValue;
+use vmprobe::{figures, ExperimentConfig, FaultPlan, Runner, Snapshot, Telemetry, SCHEMA_VERSION};
 use vmprobe_heap::CollectorKind;
 use vmprobe_workloads::InputScale;
 
@@ -69,8 +67,8 @@ fn host_spans_are_recorded_but_excluded_from_the_virtual_stream() {
     // … and none of that wall-clock material leaks into the stream the
     // determinism comparison runs on.
     assert!(!virt.contains("worker-"), "host tracks leaked: {virt}");
-    validate_json(&full).expect("full chrome trace is valid JSON");
-    validate_json(&virt).expect("virtual chrome trace is valid JSON");
+    JsonValue::parse(&full).expect("full chrome trace is valid JSON");
+    JsonValue::parse(&virt).expect("virtual chrome trace is valid JSON");
 }
 
 #[test]
