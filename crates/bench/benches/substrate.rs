@@ -29,7 +29,8 @@ fn bench(c: &mut Criterion) {
     });
 
     // Every line of one 32-way PXA255 set, touched round-robin: each
-    // access hits, but never in the way touched last, so it pays the scan.
+    // access hits, but always on the set's least recent line, so it pays
+    // the full scan and moves the whole set.
     c.bench_function("cache_access_set_scan_pxa", |b| {
         let cfg = CpuSpec::of(PlatformKind::Pxa255).l1d;
         let set_stride = u64::from(cfg.sets() * cfg.line_bytes);
@@ -42,6 +43,24 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             k = (k + 1) % ways;
             black_box(cache.access(black_box(k * set_stride)))
+        });
+    });
+
+    // 33 lines of one 32-way PXA255 set, touched round-robin: every
+    // access misses and evicts. One iteration is 33 000 accesses.
+    c.bench_function("cache_access_miss_pxa", |b| {
+        let cfg = CpuSpec::of(PlatformKind::Pxa255).l1d;
+        let set_stride = u64::from(cfg.sets() * cfg.line_bytes);
+        let lines = u64::from(cfg.ways) + 1;
+        let mut cache = Cache::new(cfg);
+        b.iter(|| {
+            let mut hits = 0u32;
+            for _ in 0..1000 {
+                for k in 0..lines {
+                    hits += u32::from(cache.access(black_box(k * set_stride)));
+                }
+            }
+            black_box(hits)
         });
     });
 
@@ -86,6 +105,33 @@ fn bench(c: &mut Criterion) {
             }
             let stats = plan.collect(&mut heap, &RootSet::from_refs(roots), &mut m);
             black_box(stats.live_objects)
+        });
+    });
+
+    // Allocation churn on the object table: rounds of small instances
+    // mixed with arrays of 256 words or more, each round collected with a
+    // few survivors rooted, so payloads are freed, reused and compacted.
+    c.bench_function("object_heap_alloc_free_churn", |b| {
+        b.iter(|| {
+            let mut heap = ObjectHeap::new();
+            let mut plan = CollectorKind::SemiSpace.new_plan(32 << 20);
+            let mut m = Machine::new(PlatformKind::PentiumM);
+            for round in 0..20u32 {
+                let mut roots = Vec::new();
+                for i in 0..500u32 {
+                    let req = match i % 50 {
+                        0 => AllocRequest::int_array(256 + round + i / 50),
+                        25 => AllocRequest::ref_array(300 + i / 50),
+                        _ => AllocRequest::instance(0, i % 4, 1 + i % 5),
+                    };
+                    let id = plan.alloc(&mut heap, req, &mut m).expect("fits");
+                    if i % 16 == 0 {
+                        roots.push(id);
+                    }
+                }
+                plan.collect(&mut heap, &RootSet::from_refs(roots), &mut m);
+            }
+            black_box(heap.live_objects())
         });
     });
 

@@ -1,4 +1,10 @@
 //! Set-associative LRU cache simulation.
+//!
+//! Each set keeps its tags in recency order: slot 0 holds the line used
+//! last and the tail slot the least recently used one, so a hit in slot 0
+//! costs one compare and the victim of a miss is always the tail. Invalid
+//! ways (`u64::MAX`) enter only at the tail and leave only by a miss, so
+//! they always sit behind every valid line and are filled first.
 
 use serde::{Deserialize, Serialize};
 
@@ -54,13 +60,9 @@ pub struct Cache {
     cfg: CacheConfig,
     sets: u32,
     line_shift: u32,
-    /// `sets * ways` tags; `u64::MAX` marks an invalid way.
+    /// `sets * ways` tags, each set most recent first; `u64::MAX` marks an
+    /// invalid way.
     tags: Vec<u64>,
-    /// Per-line last-use stamp for LRU.
-    stamps: Vec<u64>,
-    /// Per-set way touched last, checked before the set scan.
-    last_way: Vec<u32>,
-    clock: u64,
     stats: CacheStats,
 }
 
@@ -89,9 +91,6 @@ impl Cache {
             sets,
             line_shift: cfg.line_bytes.trailing_zeros(),
             tags: vec![u64::MAX; n],
-            stamps: vec![0; n],
-            last_way: vec![0; sets as usize],
-            clock: 0,
             stats: CacheStats::default(),
         }
     }
@@ -104,37 +103,40 @@ impl Cache {
     /// Access the line containing `addr`, updating LRU state; returns `true`
     /// on hit. On miss the line is allocated, evicting the LRU way.
     ///
-    /// The way touched last in the set is checked first, then the set's
-    /// tags; only a miss reads the stamps, to evict the first way with the
-    /// oldest one. A line lives in at most one way, so the order of the
-    /// search changes nothing but its cost.
+    /// A hit on the set's most recent line returns at once; every other
+    /// case goes out of line, to keep this inlined path small.
+    #[inline]
     pub fn access(&mut self, addr: Addr) -> bool {
-        self.clock += 1;
         self.stats.accesses += 1;
         let line = addr >> self.line_shift;
         let set = ((line as u32) & (self.sets - 1)) as usize;
-        let ways = self.cfg.ways as usize;
-        let base = set * ways;
-
-        let last = base + self.last_way[set] as usize;
-        if self.tags[last] == line {
-            self.stamps[last] = self.clock;
+        let base = set * self.cfg.ways as usize;
+        if self.tags[base] == line {
             return true;
         }
-        let (way, hit) = match self.tags[base..base + ways].iter().position(|&t| t == line) {
-            Some(way) => (way, true),
-            None => {
-                // `min_by_key` keeps the first of equal minima.
-                let stamps = &self.stamps[base..base + ways];
-                let victim = (0..ways).min_by_key(|&w| stamps[w]).unwrap_or(0);
-                self.stats.misses += 1;
-                self.tags[base + victim] = line;
-                (victim, false)
+        self.access_rest(base, line)
+    }
+
+    /// The part of `access` past the slot-0 check. A hit in slot `k`
+    /// rotates slots `0..=k` right by one, which moves the line to the
+    /// front. A miss rotates the whole set, so the tail (the LRU line, or
+    /// an invalid way if the set has one) falls off and the new line takes
+    /// slot 0.
+    #[inline(never)]
+    fn access_rest(&mut self, base: usize, line: u64) -> bool {
+        let set = &mut self.tags[base..base + self.cfg.ways as usize];
+        match set.iter().position(|&t| t == line) {
+            Some(k) => {
+                set[..=k].rotate_right(1);
+                true
             }
-        };
-        self.stamps[base + way] = self.clock;
-        self.last_way[set] = way as u32;
-        hit
+            None => {
+                self.stats.misses += 1;
+                set.rotate_right(1);
+                set[0] = line;
+                false
+            }
+        }
     }
 
     /// Probe whether `addr` is resident without touching LRU state or stats.
@@ -148,7 +150,6 @@ impl Cache {
     /// Invalidate every line (e.g. on simulated context loss).
     pub fn flush(&mut self) {
         self.tags.fill(u64::MAX);
-        self.stamps.fill(0);
     }
 
     /// Accumulated hit/miss counters.

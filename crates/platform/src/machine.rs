@@ -113,11 +113,6 @@ impl Machine {
         }
     }
 
-    /// L1 data cache statistics.
-    pub fn l1d_stats(&self) -> crate::CacheStats {
-        self.l1d.stats()
-    }
-
     /// L2 statistics, if the platform has an L2.
     pub fn l2_stats(&self) -> Option<crate::CacheStats> {
         self.l2.as_ref().map(Cache::stats)
