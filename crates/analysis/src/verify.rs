@@ -258,13 +258,6 @@ pub struct ProgramAnalysis {
     pub methods: Vec<MethodAnalysis>,
 }
 
-impl ProgramAnalysis {
-    /// Total unreachable instructions across all methods.
-    pub fn unreachable_ops(&self) -> usize {
-        self.methods.iter().map(|m| m.unreachable_pcs.len()).sum()
-    }
-}
-
 /// Abstract machine state at one program point.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Frame {

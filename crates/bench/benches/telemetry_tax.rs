@@ -1,4 +1,4 @@
-//! Self-overhead of the telemetry layer: the Figure 6 quick grid with no
+//! Self-overhead of the telemetry layer: Figure 6 over the quick grid with no
 //! hub attached vs a full recording hub (counters, histograms, and
 //! virtual + host span streams).
 //!
@@ -10,15 +10,16 @@
 //! under 5% on fig6).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use vmprobe::{figures, Runner, Telemetry};
-use vmprobe_bench::{QUICK_BENCHMARKS, QUICK_HEAPS};
+use vmprobe::figures::{self, Grid};
+use vmprobe::{Runner, Telemetry};
 use vmprobe_workloads::InputScale;
 
 fn sweep(telemetry: Telemetry) -> String {
     let mut runner = Runner::new()
         .scale(InputScale::Reduced)
         .with_telemetry(telemetry);
-    figures::fig6(&mut runner, &QUICK_BENCHMARKS, &QUICK_HEAPS)
+    let grid = Grid::quick();
+    figures::fig6(&mut runner, &grid.p6_benchmarks, &grid.p6_heaps)
         .expect("fig6 regenerates")
         .to_string()
 }

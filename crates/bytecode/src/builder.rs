@@ -597,6 +597,23 @@ mod tests {
     use super::*;
 
     #[test]
+    fn bitwise_helpers_emit_their_ops() {
+        let mut p = ProgramBuilder::new();
+        let main = p.function("main", 0, 0, |b| {
+            b.const_i(6).const_i(3).band();
+            b.const_i(5).bor().const_i(1).bxor().ret_value();
+        });
+        let prog = p.finish(main).expect("verifies");
+        let ops: Vec<_> = prog
+            .method(main)
+            .code()
+            .iter()
+            .filter(|o| matches!(o, Op::And | Op::Or | Op::Xor))
+            .collect();
+        assert_eq!(ops, [&Op::And, &Op::Or, &Op::Xor]);
+    }
+
+    #[test]
     fn for_range_counts_correctly_shaped_code() {
         let mut p = ProgramBuilder::new();
         let main = p.function("main", 0, 2, |b| {

@@ -28,6 +28,7 @@
 use std::process::ExitCode;
 
 use vmprobe::json::JsonObj;
+use vmprobe::request::{self, Args, Source};
 use vmprobe::{golden_cells, heap_bytes, ExperimentConfig, VmChoice};
 use vmprobe_analysis::{bound_program, verify_program, BoundParams, ProgramBound, VmTier};
 use vmprobe_heap::CollectorKind;
@@ -35,33 +36,11 @@ use vmprobe_platform::PlatformKind;
 use vmprobe_vm::VmConfig;
 use vmprobe_workloads::{all_benchmarks, benchmark, Benchmark, InputScale};
 
-struct Cli {
-    benchmarks: Vec<String>,
-    scale: InputScale,
-    platform: PlatformKind,
-    vm: VmTier,
-    heap_mb: u32,
-    step_budget: u64,
-    json: bool,
-    out: Option<String>,
-    check_golden: bool,
-}
+/// Flags that never take a value.
+const SWITCHES: [&str; 2] = ["json", "check-golden"];
 
-impl Default for Cli {
-    fn default() -> Self {
-        Self {
-            benchmarks: Vec::new(),
-            scale: InputScale::Reduced,
-            platform: PlatformKind::PentiumM,
-            vm: VmTier::Jikes,
-            heap_mb: 64,
-            step_budget: 50_000_000,
-            json: false,
-            out: None,
-            check_golden: false,
-        }
-    }
-}
+/// Flags that take one.
+const VALUED: [&str; 6] = ["scale", "platform", "vm", "heap-mb", "step-budget", "out"];
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -72,61 +51,24 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn parse_args(args: Vec<String>) -> Result<Cli, String> {
-    let mut cli = Cli::default();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        if arg == "--help" || arg == "-h" {
-            return Err(String::new());
-        }
-        let Some(flag) = arg.strip_prefix("--") else {
-            cli.benchmarks.push(arg);
-            continue;
-        };
-        let (name, inline) = match flag.split_once('=') {
-            Some((n, v)) => (n.to_owned(), Some(v.to_owned())),
-            None => (flag.to_owned(), None),
-        };
-        match name.as_str() {
-            "json" => cli.json = true,
-            "check-golden" => cli.check_golden = true,
-            _ => {
-                let Some(value) = inline.or_else(|| it.next()) else {
-                    return Err(format!("--{name} needs a value"));
-                };
-                match name.as_str() {
-                    "scale" => {
-                        cli.scale = InputScale::from_name(&value)
-                            .ok_or_else(|| format!("unknown scale '{value}'"))?;
-                    }
-                    "platform" => {
-                        cli.platform = PlatformKind::from_name(&value)
-                            .ok_or_else(|| format!("unknown platform '{value}'"))?;
-                    }
-                    "vm" => {
-                        cli.vm = match value.as_str() {
-                            "jikes" => VmTier::Jikes,
-                            "kaffe" => VmTier::Kaffe,
-                            other => return Err(format!("unknown vm '{other}'")),
-                        }
-                    }
-                    "heap-mb" => {
-                        cli.heap_mb = value
-                            .parse()
-                            .map_err(|_| format!("--heap-mb expects an integer, got '{value}'"))?
-                    }
-                    "step-budget" => {
-                        cli.step_budget = value.parse().map_err(|_| {
-                            format!("--step-budget expects an integer, got '{value}'")
-                        })?
-                    }
-                    "out" => cli.out = Some(value),
-                    other => return Err(format!("unknown flag --{other}")),
-                }
-            }
-        }
-    }
-    Ok(cli)
+/// The input scale and bound parameters the flags select.
+fn parse(args: &Args) -> Result<(InputScale, BoundParams), String> {
+    let vm = match args.str("vm")? {
+        None | Some("jikes") => VmTier::Jikes,
+        Some("kaffe") => VmTier::Kaffe,
+        Some(other) => return Err(format!("unknown vm '{other}' (expected jikes or kaffe)")),
+    };
+    let scale = args.str("scale")?.map(request::scale).transpose()?;
+    let platform = args.str("platform")?.map(request::platform).transpose()?;
+    let platform = platform.unwrap_or(PlatformKind::PentiumM);
+    let params = BoundParams {
+        platform,
+        vm,
+        heap_bytes: heap_bytes(request::heap_mb(args)?.unwrap_or(64)),
+        quantum_cycles: quantum_cycles(platform),
+        step_budget: args.u64("step_budget")?.unwrap_or(50_000_000),
+    };
+    Ok((scale.unwrap_or(InputScale::Reduced), params))
 }
 
 /// The scheduler quantum the VM actually uses for a platform, read off a
@@ -137,19 +79,14 @@ fn quantum_cycles(platform: PlatformKind) -> u64 {
         .quantum_cycles
 }
 
-fn bound_for(bench: &Benchmark, cli: &Cli, step_budget: u64) -> Result<ProgramBound, String> {
-    let program = bench.build(cli.scale);
+fn bound_for(
+    bench: &Benchmark,
+    scale: InputScale,
+    params: &BoundParams,
+) -> Result<ProgramBound, String> {
+    let program = bench.build(scale);
     verify_program(&program).map_err(|e| format!("{} rejected: {e}", bench.name))?;
-    Ok(bound_program(
-        &program,
-        &BoundParams {
-            platform: cli.platform,
-            vm: cli.vm,
-            heap_bytes: heap_bytes(cli.heap_mb),
-            quantum_cycles: quantum_cycles(cli.platform),
-            step_budget,
-        },
-    ))
+    Ok(bound_program(&program, params))
 }
 
 fn method_json(b: &vmprobe_analysis::MethodBound) -> String {
@@ -284,7 +221,9 @@ fn golden_cell(bench: &Benchmark, cfg: &ExperimentConfig) -> Result<GoldenRow, S
     })
 }
 
-fn check_golden(cli: &Cli) -> Result<(Vec<GoldenRow>, usize), String> {
+/// The CI gate: every golden cell's static bound must dominate its
+/// measured energy.
+fn check_golden(out: Option<String>) -> Result<ExitCode, String> {
     let mut rows = Vec::new();
     let mut violations = 0;
     // The golden grid — every benchmark on both personalities: Jikes
@@ -308,107 +247,88 @@ fn check_golden(cli: &Cli) -> Result<(Vec<GoldenRow>, usize), String> {
         }
         rows.push(row);
     }
-    let _ = cli; // all knobs are fixed by the golden grid
-    Ok((rows, violations))
-}
-
-fn golden_report(rows: &[GoldenRow], violations: usize) -> String {
-    let mut o = JsonObj::new();
-    o.schema_version()
-        .bool("ok", violations == 0)
-        .u64("violations", violations as u64)
-        .array("rows", rows.iter().map(GoldenRow::to_json));
-    o.finish()
-}
-
-fn main() -> ExitCode {
-    let cli = match parse_args(std::env::args().skip(1).collect()) {
-        Ok(cli) => cli,
-        Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("vmprobe-analyze: {msg}");
-            }
-            return usage();
-        }
-    };
-
-    if cli.check_golden {
-        let (rows, violations) = match check_golden(&cli) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("vmprobe-analyze: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+    println!(
+        "{:<16} {:<10} {:>8} {:>12} {:>12} {:>12} {:>8}",
+        "benchmark", "vm", "platform", "bytecodes", "measured J", "bound J", "slack"
+    );
+    for r in &rows {
         println!(
-            "{:<16} {:<10} {:>8} {:>12} {:>12} {:>12} {:>8}",
-            "benchmark", "vm", "platform", "bytecodes", "measured J", "bound J", "slack"
+            "{:<16} {:<10} {:>8} {:>12} {:>12.4e} {:>12.4e} {:>8.1}",
+            r.benchmark,
+            r.vm,
+            r.platform.name(),
+            r.bytecodes,
+            r.measured_j,
+            r.bound_j,
+            r.slack()
         );
-        for r in &rows {
-            println!(
-                "{:<16} {:<10} {:>8} {:>12} {:>12.4e} {:>12.4e} {:>8.1}",
-                r.benchmark,
-                r.vm,
-                r.platform.name(),
-                r.bytecodes,
-                r.measured_j,
-                r.bound_j,
-                r.slack()
-            );
-        }
-        let report = golden_report(&rows, violations);
-        if let Some(path) = &cli.out {
-            if let Err(e) = std::fs::write(path, &report) {
-                eprintln!("vmprobe-analyze: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        return if violations == 0 {
-            println!(
-                "analyze-gate: static bound dominates measured energy on all {} cells",
-                rows.len()
-            );
-            ExitCode::SUCCESS
-        } else {
-            eprintln!("analyze-gate: {violations} violation(s)");
-            ExitCode::FAILURE
-        };
     }
+    if let Some(path) = out {
+        let mut o = JsonObj::new();
+        o.schema_version()
+            .bool("ok", violations == 0)
+            .u64("violations", violations as u64)
+            .array("rows", rows.iter().map(GoldenRow::to_json));
+        std::fs::write(&path, o.finish()).map_err(|e| format!("cannot write {path}: {e}"))?;
+    }
+    if violations > 0 {
+        eprintln!("analyze-gate: {violations} violation(s)");
+        return Ok(ExitCode::FAILURE);
+    }
+    println!(
+        "analyze-gate: static bound dominates measured energy on all {} cells",
+        rows.len()
+    );
+    Ok(ExitCode::SUCCESS)
+}
 
-    let names: Vec<String> = if cli.benchmarks.is_empty() {
-        all_benchmarks().iter().map(|b| b.name.to_owned()).collect()
+/// Plain mode: per-benchmark bound tables (or JSON), no execution.
+fn analyze(args: &Args, scale: InputScale, params: &BoundParams) -> Result<ExitCode, String> {
+    let names: Vec<&str> = if args.positionals.is_empty() {
+        all_benchmarks().iter().map(|b| b.name).collect()
     } else {
-        cli.benchmarks.clone()
+        args.positionals.iter().map(String::as_str).collect()
     };
     let mut reports = Vec::new();
-    for name in &names {
-        let Some(bench) = benchmark(name) else {
-            eprintln!("vmprobe-analyze: unknown benchmark '{name}'");
-            return ExitCode::FAILURE;
-        };
-        let bound = match bound_for(&bench, &cli, cli.step_budget) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("vmprobe-analyze: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if cli.json {
-            println!("{}", program_json(name, cli.scale, &bound));
+    for name in names {
+        let bench = benchmark(name).ok_or_else(|| format!("unknown benchmark '{name}'"))?;
+        let bound = bound_for(&bench, scale, params)?;
+        let json = program_json(name, scale, &bound);
+        if args.has("json") {
+            println!("{json}");
         } else {
             print_table(name, &bound);
         }
-        reports.push(program_json(name, cli.scale, &bound));
+        reports.push(json);
     }
-    if let Some(path) = &cli.out {
+    if let Some(path) = args.string("out") {
         let mut o = JsonObj::new();
         o.schema_version().array("programs", reports);
-        if let Err(e) = std::fs::write(path, o.finish()) {
-            eprintln!("vmprobe-analyze: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(&path, o.finish()).map_err(|e| format!("cannot write {path}: {e}"))?;
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
+}
+
+fn main() -> ExitCode {
+    let parsed = request::lex(std::env::args().skip(1), &SWITCHES, &VALUED)
+        .and_then(|args| args.map(|args| Ok((parse(&args)?, args))).transpose());
+    let ((scale, params), args) = match parsed {
+        Ok(Some(parsed)) => parsed,
+        Ok(None) => return usage(),
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            return ExitCode::from(2);
+        }
+    };
+    let result = if args.has("check-golden") {
+        check_golden(args.string("out"))
+    } else {
+        analyze(&args, scale, &params)
+    };
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    })
 }
 
 #[cfg(test)]

@@ -30,36 +30,27 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use vmprobe::cache::build_fingerprint;
+use vmprobe::request::{self, Args, Source};
 use vmprobe::{golden_cells, DiffEngine, DiffOptions, DiffSide, ExperimentCache, Telemetry};
-use vmprobe_power::EnergyPerturbation;
 
-struct Cli {
-    benchmarks: Vec<String>,
-    jobs: usize,
-    options: DiffOptions,
-    perturb: EnergyPerturbation,
-    cache_dir: Option<String>,
-    baseline_fingerprint: Option<String>,
-    candidate_fingerprint: Option<String>,
-    out: Option<String>,
-    json: bool,
-}
+/// Flags that never take a value.
+const SWITCHES: [&str; 1] = ["json"];
 
-impl Default for Cli {
-    fn default() -> Self {
-        Self {
-            benchmarks: Vec::new(),
-            jobs: 1,
-            options: DiffOptions::default(),
-            perturb: EnergyPerturbation::none(),
-            cache_dir: None,
-            baseline_fingerprint: None,
-            candidate_fingerprint: None,
-            out: None,
-            json: false,
-        }
-    }
-}
+/// Flags that take one.
+const VALUED: [&str; 12] = [
+    "jobs",
+    "seed",
+    "replicates",
+    "resamples",
+    "confidence",
+    "noise",
+    "min-shift",
+    "perturb",
+    "cache-dir",
+    "baseline-fingerprint",
+    "candidate-fingerprint",
+    "out",
+];
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -72,77 +63,12 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn parse_args(args: Vec<String>) -> Result<Cli, String> {
-    let mut cli = Cli::default();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        if arg == "--help" || arg == "-h" {
-            return Err(String::new());
-        }
-        let Some(flag) = arg.strip_prefix("--") else {
-            cli.benchmarks.push(arg);
-            continue;
-        };
-        let (name, inline) = match flag.split_once('=') {
-            Some((n, v)) => (n.to_owned(), Some(v.to_owned())),
-            None => (flag.to_owned(), None),
-        };
-        match name.as_str() {
-            "json" => cli.json = true,
-            _ => {
-                let Some(value) = inline.or_else(|| it.next()) else {
-                    return Err(format!("--{name} needs a value"));
-                };
-                let int = |v: &str, flag: &str| -> Result<u64, String> {
-                    v.parse()
-                        .map_err(|_| format!("--{flag} expects an integer, got '{v}'"))
-                };
-                let float = |v: &str, flag: &str| -> Result<f64, String> {
-                    v.parse()
-                        .map_err(|_| format!("--{flag} expects a number, got '{v}'"))
-                };
-                match name.as_str() {
-                    "jobs" => cli.jobs = int(&value, "jobs")?.max(1) as usize,
-                    "seed" => cli.options.seed = int(&value, "seed")?,
-                    "replicates" => {
-                        cli.options.replicates = int(&value, "replicates")?.max(1) as usize
-                    }
-                    "resamples" => cli.options.resamples = int(&value, "resamples")?.max(1) as u32,
-                    "confidence" => {
-                        let c = float(&value, "confidence")?;
-                        if !(c > 0.0 && c < 1.0) {
-                            return Err(format!("--confidence must be in (0,1), got {c}"));
-                        }
-                        cli.options.confidence = c;
-                    }
-                    "noise" => {
-                        let s = float(&value, "noise")?;
-                        if !(s >= 0.0 && s.is_finite()) {
-                            return Err(format!("--noise must be >= 0, got {s}"));
-                        }
-                        cli.options.noise_sigma = s;
-                    }
-                    "min-shift" => {
-                        let m = float(&value, "min-shift")?;
-                        if !(m >= 0.0 && m.is_finite()) {
-                            return Err(format!("--min-shift must be >= 0, got {m}"));
-                        }
-                        cli.options.min_rel_shift = m;
-                    }
-                    "perturb" => {
-                        cli.perturb =
-                            EnergyPerturbation::parse(&value).map_err(|e| e.to_string())?
-                    }
-                    "cache-dir" => cli.cache_dir = Some(value),
-                    "baseline-fingerprint" => cli.baseline_fingerprint = Some(value),
-                    "candidate-fingerprint" => cli.candidate_fingerprint = Some(value),
-                    "out" => cli.out = Some(value),
-                    other => return Err(format!("unknown flag --{other}")),
-                }
-            }
-        }
+/// A non-negative, finite float flag.
+fn non_negative(args: &Args, flag: &str) -> Result<Option<f64>, String> {
+    match args.f64(flag)? {
+        Some(v) if !(v >= 0.0 && v.is_finite()) => Err(format!("--{flag} must be >= 0, got {v}")),
+        v => Ok(v),
     }
-    Ok(cli)
 }
 
 fn side(dir: Option<&str>, label: &str) -> Result<DiffSide, String> {
@@ -156,29 +82,45 @@ fn side(dir: Option<&str>, label: &str) -> Result<DiffSide, String> {
     Ok(side)
 }
 
-fn run(cli: &Cli) -> Result<ExitCode, String> {
+fn run(args: &Args) -> Result<ExitCode, String> {
+    let (mut options, perturb) = request::diff_options(
+        args,
+        DiffOptions::default(),
+        usize::MAX as u64,
+        u32::MAX.into(),
+    )?;
+    if let Some(sigma) = non_negative(args, "noise")? {
+        options.noise_sigma = sigma;
+    }
+    if let Some(floor) = non_negative(args, "min-shift")? {
+        options.min_rel_shift = floor;
+    }
+    let jobs = args.u64_in("jobs", 1, usize::MAX as u64)?;
+    let benchmarks = &args.positionals;
     let mut cells = golden_cells();
-    if !cli.benchmarks.is_empty() {
-        for name in &cli.benchmarks {
+    if !benchmarks.is_empty() {
+        for name in benchmarks {
             if !cells.iter().any(|c| &c.benchmark == name) {
                 return Err(format!("unknown benchmark '{name}'"));
             }
         }
-        cells.retain(|c| cli.benchmarks.contains(&c.benchmark));
+        cells.retain(|c| benchmarks.contains(&c.benchmark));
     }
 
     let build = build_fingerprint();
-    let base_label = cli.baseline_fingerprint.as_deref().unwrap_or(&build);
-    let cand_label = cli.candidate_fingerprint.as_deref().unwrap_or(&build);
-    let dir = cli.cache_dir.as_deref();
-    let engine = DiffEngine::new(cli.options, side(dir, base_label)?, side(dir, cand_label)?)
-        .perturb(cli.perturb.clone())
-        .jobs(cli.jobs)
+    let label = |flag| args.string(flag).unwrap_or_else(|| build.clone());
+    let dir = args.string("cache-dir");
+    let baseline = side(dir.as_deref(), &label("baseline-fingerprint"))?;
+    let candidate = side(dir.as_deref(), &label("candidate-fingerprint"))?;
+    let json = args.has("json");
+    let engine = DiffEngine::new(options, baseline, candidate)
+        .perturb(perturb)
+        .jobs(jobs.map_or(1, |j| j as usize))
         .with_telemetry(Telemetry::counters_only());
 
     let report = engine.run(&cells)?;
 
-    if cli.json {
+    if json {
         println!("{}", report.to_json());
     } else {
         for (kind, deltas) in [
@@ -201,8 +143,8 @@ fn run(cli: &Cli) -> Result<ExitCode, String> {
             }
         }
     }
-    if let Some(path) = &cli.out {
-        std::fs::write(path, report.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
+    if let Some(path) = args.string("out") {
+        std::fs::write(&path, report.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
     }
     let summary = if report.clean() {
         format!(
@@ -220,7 +162,7 @@ fn run(cli: &Cli) -> Result<ExitCode, String> {
     };
     // In --json mode stdout carries exactly the report, so scripts can pipe
     // it straight into a JSON parser; the human summary moves to stderr.
-    if cli.json {
+    if json {
         eprintln!("{summary}");
     } else {
         println!("{summary}");
@@ -233,20 +175,13 @@ fn run(cli: &Cli) -> Result<ExitCode, String> {
 }
 
 fn main() -> ExitCode {
-    let cli = match parse_args(std::env::args().skip(1).collect()) {
-        Ok(cli) => cli,
-        Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("vmprobe-diff: {msg}");
-            }
-            return usage();
-        }
+    let result = match request::lex(std::env::args().skip(1), &SWITCHES, &VALUED) {
+        Ok(Some(args)) => run(&args),
+        Ok(None) => return usage(),
+        Err(msg) => Err(msg),
     };
-    match run(&cli) {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("vmprobe-diff: {e}");
-            ExitCode::from(2)
-        }
-    }
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        ExitCode::from(2)
+    })
 }

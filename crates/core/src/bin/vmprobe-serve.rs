@@ -34,6 +34,7 @@ use std::process::ExitCode;
 #[cfg(unix)]
 fn run() -> ExitCode {
     use std::path::PathBuf;
+    use vmprobe::request::{self, Args, Source};
     use vmprobe::serve::{serve, ServeConfig};
 
     fn fail(msg: &str) -> ExitCode {
@@ -41,11 +42,64 @@ fn run() -> ExitCode {
         ExitCode::FAILURE
     }
 
-    let mut config = ServeConfig::default();
-    let mut socket: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--help" || arg == "-h" {
+    /// Flags that never take a value.
+    const SWITCHES: [&str; 1] = ["verbose"];
+
+    /// Flags that take one.
+    const VALUED: [&str; 13] = [
+        "socket",
+        "jobs",
+        "cache-dir",
+        "queue-cap",
+        "outbox-cap",
+        "quarantine-threshold",
+        "quarantine-cooldown",
+        "max-heap-mb",
+        "step-budget-cap",
+        "deadline-virtual-ms",
+        "retries",
+        "report-json",
+        "metrics-out",
+    ];
+
+    /// The default configuration with the flags applied.
+    fn configure(args: &Args) -> Result<ServeConfig, String> {
+        if let Some(arg) = args.positionals.first() {
+            return Err(format!("unexpected positional argument '{arg}'"));
+        }
+        let mut config = ServeConfig::default();
+        let positive = |key| args.u64_in(key, 1, usize::MAX as u64);
+        let path = |key| args.string(key).map(PathBuf::from);
+        config.cache_dir = path("cache-dir");
+        config.report_json = path("report-json");
+        config.metrics_out = path("metrics-out");
+        config.verbose = args.has("verbose");
+        config.jobs = positive("jobs")?.map_or(config.jobs, |v| v as usize);
+        config.queue_cap = positive("queue_cap")?.map_or(config.queue_cap, |v| v as usize);
+        config.outbox_cap = positive("outbox_cap")?.map_or(config.outbox_cap, |v| v as usize);
+        let u32_flag = |key, default: u32| -> Result<u32, String> {
+            Ok(args
+                .u64_in(key, 0, u32::MAX.into())?
+                .map_or(default, |v| v as u32))
+        };
+        let u64_flag =
+            |key, default: u64| -> Result<u64, String> { Ok(args.u64(key)?.unwrap_or(default)) };
+        config.quarantine_threshold =
+            u32_flag("quarantine_threshold", config.quarantine_threshold)?;
+        config.quarantine_cooldown = u64_flag("quarantine_cooldown", config.quarantine_cooldown)?;
+        config.envelope.max_heap_mb = u32_flag("max_heap_mb", config.envelope.max_heap_mb)?;
+        config.envelope.step_budget_cap =
+            u64_flag("step_budget_cap", config.envelope.step_budget_cap)?;
+        config.envelope.deadline_virtual_ms =
+            u64_flag("deadline_virtual_ms", config.envelope.deadline_virtual_ms)?;
+        config.retries = u32_flag("retries", config.retries)?;
+        config.socket = path("socket").ok_or("--socket is required (run with --help for usage)")?;
+        Ok(config)
+    }
+
+    let args = match request::lex(std::env::args().skip(1), &SWITCHES, &VALUED) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
             eprintln!(
                 "usage: vmprobe-serve --socket <path> [--jobs <n>] [--cache-dir <p>]\n\
                  \x20      [--queue-cap <n>] [--outbox-cap <n>] [--quarantine-threshold <n>]\n\
@@ -55,74 +109,12 @@ fn run() -> ExitCode {
             );
             return ExitCode::FAILURE;
         }
-        let Some(flag) = arg.strip_prefix("--") else {
-            return fail(&format!("unexpected positional argument '{arg}'"));
-        };
-        let (name, inline) = match flag.split_once('=') {
-            Some((n, v)) => (n.to_owned(), Some(v.to_owned())),
-            None => (flag.to_owned(), None),
-        };
-        if name == "verbose" {
-            if inline.is_some() {
-                return fail("--verbose takes no value");
-            }
-            config.verbose = true;
-            continue;
-        }
-        let Some(value) = inline.or_else(|| args.next()) else {
-            return fail(&format!("--{name} needs a value"));
-        };
-        macro_rules! num {
-            ($ty:ty) => {
-                match value.parse::<$ty>() {
-                    Ok(v) => v,
-                    Err(_) => {
-                        return fail(&format!(
-                            "--{name} expects a non-negative integer, got '{value}'"
-                        ))
-                    }
-                }
-            };
-        }
-        match name.as_str() {
-            "socket" => socket = Some(PathBuf::from(value)),
-            "cache-dir" => config.cache_dir = Some(PathBuf::from(value)),
-            "report-json" => config.report_json = Some(PathBuf::from(value)),
-            "metrics-out" => config.metrics_out = Some(PathBuf::from(value)),
-            "jobs" => {
-                let v = num!(usize);
-                if v == 0 {
-                    return fail("--jobs expects a positive integer");
-                }
-                config.jobs = v;
-            }
-            "queue-cap" => {
-                let v = num!(usize);
-                if v == 0 {
-                    return fail("--queue-cap expects a positive integer");
-                }
-                config.queue_cap = v;
-            }
-            "outbox-cap" => {
-                let v = num!(usize);
-                if v == 0 {
-                    return fail("--outbox-cap expects a positive integer");
-                }
-                config.outbox_cap = v;
-            }
-            "quarantine-threshold" => config.quarantine_threshold = num!(u32),
-            "quarantine-cooldown" => config.quarantine_cooldown = num!(u64),
-            "max-heap-mb" => config.envelope.max_heap_mb = num!(u32),
-            "step-budget-cap" => config.envelope.step_budget_cap = num!(u64),
-            "deadline-virtual-ms" => config.envelope.deadline_virtual_ms = num!(u64),
-            "retries" => config.retries = num!(u32),
-            other => return fail(&format!("unknown flag --{other}")),
-        }
-    }
-    let Some(socket) = socket else {
-        return fail("--socket is required (run with --help for usage)");
+        Err(e) => return fail(&e),
     };
-    config.socket = socket;
+    let config = match configure(&args) {
+        Ok(config) => config,
+        Err(e) => return fail(&e),
+    };
     let envelope_is_default = config.envelope.max_heap_mb == 0
         && config.envelope.step_budget_cap == 0
         && config.envelope.deadline_virtual_ms == 0;

@@ -141,13 +141,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// Disable the load-time verification tier (the `--no-verify`
-    /// escape hatch).
-    pub fn without_verify(mut self) -> Self {
-        self.verify = false;
-        self
-    }
-
     /// Select the measurement mode (observer-effect studies). Non-default
     /// specs mark [`Self::key`], so perturbed runs never share cache
     /// entries with the classic rig.

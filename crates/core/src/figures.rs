@@ -19,6 +19,7 @@ use vmprobe_workloads::{all_benchmarks, pxa255_benchmarks, suite_benchmarks, Sui
 
 use crate::{
     ExperimentConfig, ExperimentError, FailedCell, RunSummary, Runner, Table, P6_HEAPS_MB,
+    PXA_HEAPS_MB,
 };
 
 /// Names of every registered benchmark, in registry order — the default
@@ -30,6 +31,135 @@ pub fn all_benchmark_names() -> Vec<&'static str> {
 /// Names of the PXA255 benchmark subset (SpecJVM98 `-s10`).
 pub fn pxa_benchmark_names() -> Vec<&'static str> {
     pxa255_benchmarks().iter().map(|b| b.name).collect()
+}
+
+/// The benchmarks and heaps an artifact sweeps: the P6 grid feeds
+/// Figures 6–10 and Tables T1–T3, the PXA255 grid Figure 11, and T5 takes
+/// both heap lists.
+#[derive(Debug, Clone)]
+pub struct Grid {
+    /// Benchmarks swept on the P6.
+    pub p6_benchmarks: Vec<&'static str>,
+    /// Benchmarks swept on the PXA255.
+    pub pxa_benchmarks: Vec<&'static str>,
+    /// P6 heap labels, MB.
+    pub p6_heaps: Vec<u32>,
+    /// PXA255 heap labels, MB.
+    pub pxa_heaps: Vec<u32>,
+}
+
+impl Grid {
+    /// The paper's full scope: every benchmark at every paper heap.
+    pub fn full() -> Self {
+        Self {
+            p6_benchmarks: all_benchmark_names(),
+            pxa_benchmarks: pxa_benchmark_names(),
+            p6_heaps: P6_HEAPS_MB.to_vec(),
+            pxa_heaps: PXA_HEAPS_MB.to_vec(),
+        }
+    }
+
+    /// The quick tier's grid (run it at `InputScale::Reduced`): one
+    /// GC-heavy SpecJVM98 benchmark, one allocation-light one, and one per
+    /// remaining suite, at two heaps per platform. Same sweep shape as
+    /// [`Grid::full`], a fraction of the cells.
+    pub fn quick() -> Self {
+        const BENCHMARKS: [&str; 4] = ["_213_javac", "_209_db", "fop", "moldyn"];
+        Self {
+            p6_benchmarks: BENCHMARKS.to_vec(),
+            pxa_benchmarks: BENCHMARKS.to_vec(),
+            p6_heaps: vec![32, 64],
+            pxa_heaps: vec![16, 32],
+        }
+    }
+}
+
+/// One paper artifact: its name on the command line and in
+/// `tests/golden/`, and how to render it over a [`Grid`].
+#[derive(Debug)]
+pub struct Artifact {
+    /// `fig1` … `fig11`, `t1` … `t5`.
+    pub name: &'static str,
+    /// Whether the artifact sweeps the grid's benchmark lists (the others
+    /// fix their benchmarks or are static). These are the quick-tier
+    /// goldens.
+    pub sweeps_benchmarks: bool,
+    /// Render the artifact's text.
+    pub render: fn(&mut Runner, &Grid) -> Result<String, ExperimentError>,
+}
+
+/// Every paper artifact, in the order `vmprobe-run all` prints them.
+pub const ARTIFACTS: [Artifact; 13] = [
+    Artifact {
+        name: "fig1",
+        sweeps_benchmarks: false,
+        render: |r, _| fig1(r).map(|f| f.to_string()),
+    },
+    Artifact {
+        name: "fig5",
+        sweeps_benchmarks: false,
+        render: |_, _| Ok(fig5().to_string()),
+    },
+    Artifact {
+        name: "fig6",
+        sweeps_benchmarks: true,
+        render: |r, g| fig6(r, &g.p6_benchmarks, &g.p6_heaps).map(|f| f.to_string()),
+    },
+    Artifact {
+        name: "fig7",
+        sweeps_benchmarks: true,
+        render: |r, g| fig7(r, &g.p6_benchmarks, &g.p6_heaps).map(|f| f.to_string()),
+    },
+    Artifact {
+        name: "fig8",
+        sweeps_benchmarks: true,
+        render: |r, g| fig8(r, &g.p6_benchmarks, &g.p6_heaps).map(|f| f.to_string()),
+    },
+    Artifact {
+        name: "fig9",
+        sweeps_benchmarks: true,
+        render: |r, g| fig9(r, &g.p6_benchmarks, &g.p6_heaps).map(|f| f.to_string()),
+    },
+    Artifact {
+        name: "fig10",
+        sweeps_benchmarks: true,
+        render: |r, g| fig10(r, &g.p6_benchmarks, &g.p6_heaps).map(|f| f.to_string()),
+    },
+    Artifact {
+        name: "fig11",
+        sweeps_benchmarks: true,
+        render: |r, g| fig11(r, &g.pxa_benchmarks, &g.pxa_heaps).map(|f| f.to_string()),
+    },
+    Artifact {
+        name: "t1",
+        sweeps_benchmarks: false,
+        render: |r, g| t1_collector_power(r, &g.p6_heaps).map(|t| t.to_string()),
+    },
+    Artifact {
+        name: "t2",
+        sweeps_benchmarks: false,
+        render: |r, g| t2_l2_ipc(r, &g.p6_heaps).map(|t| t.to_string()),
+    },
+    Artifact {
+        name: "t3",
+        sweeps_benchmarks: false,
+        render: |r, g| t3_memory_energy(r, &g.p6_heaps).map(|t| t.to_string()),
+    },
+    Artifact {
+        name: "t4",
+        sweeps_benchmarks: false,
+        render: |r, _| t4_headlines(r).map(|t| t.to_string()),
+    },
+    Artifact {
+        name: "t5",
+        sweeps_benchmarks: false,
+        render: |r, g| t5_kaffe(r, &g.p6_heaps, &g.pxa_heaps).map(|t| t.to_string()),
+    },
+];
+
+/// The registry entry named `name`.
+pub fn artifact(name: &str) -> Option<&'static Artifact> {
+    ARTIFACTS.iter().find(|a| a.name == name)
 }
 
 /// Propagate the first failure (in submission order) of a strict sweep.

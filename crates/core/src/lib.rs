@@ -42,6 +42,7 @@ pub mod diff;
 mod experiment;
 pub mod figures;
 pub mod observe;
+pub mod request;
 mod runner;
 mod scale;
 #[cfg(unix)]
@@ -57,7 +58,7 @@ pub use diff::{
 pub use experiment::{ExperimentConfig, ExperimentError, RunSummary, VmChoice};
 pub use observe::{
     parse_period_grid, period_label, ObserveEngine, ObservePoint, ObserveReport, PeriodSummary,
-    MAX_OBSERVE_PERIODS,
+    DEFAULT_PERIOD_GRID, MAX_OBSERVE_PERIODS,
 };
 pub use runner::{FailedCell, QuarantinedConfig, RunReport, Runner, SupervisedRunner};
 pub use scale::{heap_bytes, P6_HEAPS_MB, PXA_HEAPS_MB, SIM_SCALE};

@@ -43,6 +43,10 @@ use crate::table::Table;
 /// runs.
 pub const MAX_OBSERVE_PERIODS: usize = 8;
 
+/// The probe-period grid an observe sweep uses when none is named: the
+/// paper's 40 µs rig bracketed by a decade below and two above.
+pub const DEFAULT_PERIOD_GRID: &str = "4us..4ms";
+
 /// Smallest accepted probe period: below ~1 µs the ISR would outrun its
 /// own sampling window on the PXA board.
 pub const MIN_PERIOD_NS: u64 = 1_000;

@@ -331,11 +331,6 @@ impl SupervisedRunner {
         self
     }
 
-    /// Configured worker count.
-    pub fn jobs_configured(&self) -> usize {
-        self.jobs
-    }
-
     /// Apply `plan` to every configuration this runner executes. Each cell
     /// derives its own independent fault stream from the plan's seed and
     /// the cell key, so results do not depend on sweep composition or

@@ -7,15 +7,13 @@
 //! malformed, nested deeper than [`crate::json::MAX_DEPTH`], or holding a
 //! raw control character — is a `bad_json` error.
 
-use vmprobe_platform::PlatformKind;
 use vmprobe_power::{EnergyPerturbation, FaultPlan};
-use vmprobe_workloads::InputScale;
 
 use crate::json::JsonObj;
 pub use crate::json::JsonValue;
+use crate::request::{self, Source};
 use crate::{
     DiffOptions, ExperimentConfig, ExperimentError, ObserveReport, RegressionReport, RunSummary,
-    VmChoice,
 };
 
 /// Maximum request line length in bytes (longer lines are `bad_request`).
@@ -203,153 +201,69 @@ fn parse_verify(v: &JsonValue) -> Result<VerifyRequest, (ErrorCode, String)> {
     Ok(VerifyRequest { id, program })
 }
 
-fn parse_run(v: &JsonValue) -> Result<RunRequest, (ErrorCode, String)> {
-    let bad = |msg: String| (ErrorCode::BadRequest, msg);
-    let str_field = |key: &str| -> Result<Option<&str>, (ErrorCode, String)> {
-        match v.get(key) {
-            None | Some(JsonValue::Null) => Ok(None),
-            Some(JsonValue::Str(s)) => Ok(Some(s)),
-            Some(_) => Err(bad(format!("field '{key}' must be a string"))),
-        }
-    };
-    let id = str_field("id")?
-        .ok_or_else(|| bad("run request needs a string 'id'".into()))?
-        .to_owned();
-    let tenant = str_field("tenant")?
-        .ok_or_else(|| bad("run request needs a string 'tenant'".into()))?
-        .to_owned();
+fn bad(msg: String) -> (ErrorCode, String) {
+    (ErrorCode::BadRequest, msg)
+}
+
+/// The non-empty `id` and `tenant` every executing request carries.
+fn identity(v: &JsonValue) -> Result<(String, String), (ErrorCode, String)> {
+    let id = v
+        .str("id")
+        .map_err(bad)?
+        .ok_or_else(|| bad("run request needs a string 'id'".into()))?;
+    let tenant = v
+        .str("tenant")
+        .map_err(bad)?
+        .ok_or_else(|| bad("run request needs a string 'tenant'".into()))?;
     if tenant.is_empty() || id.is_empty() {
         return Err(bad("'id' and 'tenant' must be non-empty".into()));
     }
-    let benchmark = str_field("benchmark")?
-        .ok_or_else(|| bad("run request needs a string 'benchmark'".into()))?
-        .to_owned();
+    Ok((id.to_owned(), tenant.to_owned()))
+}
 
-    let collector = str_field("collector")?.unwrap_or("gencopy");
-    let vm = VmChoice::from_collector_name(collector)
-        .ok_or_else(|| bad(format!("unknown collector '{collector}'")))?;
-    let heap_mb = match v.get("heap_mb") {
-        None => 64,
-        Some(n) => n
-            .as_u64()
-            .filter(|&h| h >= 1 && h <= u64::from(u32::MAX))
-            .ok_or_else(|| bad("'heap_mb' must be a positive integer".into()))?
-            as u32,
-    };
-    let platform = str_field("platform")?.unwrap_or("p6");
-    let platform = PlatformKind::from_name(platform)
-        .ok_or_else(|| bad(format!("unknown platform '{platform}'")))?;
-    let scale = str_field("scale")?.unwrap_or("full");
-    let scale =
-        InputScale::from_name(scale).ok_or_else(|| bad(format!("unknown scale '{scale}'")))?;
-
-    let mut plan = match str_field("faults")? {
-        None => None,
-        Some(spec) => {
-            Some(FaultPlan::parse(spec).map_err(|e| bad(format!("bad 'faults' spec: {e}")))?)
-        }
-    };
-    if let Some(seed) = v.get("seed") {
-        let seed = seed
-            .as_u64()
-            .ok_or_else(|| bad("'seed' must be an unsigned integer".into()))?;
-        plan = Some(plan.unwrap_or_else(FaultPlan::none).with_seed(seed));
-    }
-
+fn parse_run(v: &JsonValue) -> Result<RunRequest, (ErrorCode, String)> {
+    let (id, tenant) = identity(v)?;
     Ok(RunRequest {
         id,
         tenant,
-        config: ExperimentConfig {
-            benchmark,
-            vm,
-            heap_mb,
-            platform,
-            scale,
-            trace_power: false,
-            record_spans: false,
-            verify: true,
-            probe: vmprobe_power::ProbeSpec::default(),
-        },
-        plan,
+        config: request::cell(v).map_err(bad)?,
+        plan: request::fault_plan(v).map_err(bad)?,
     })
 }
 
 fn parse_diff(v: &JsonValue) -> Result<DiffRequest, (ErrorCode, String)> {
-    let bad = |msg: String| (ErrorCode::BadRequest, msg);
     if v.get("faults").is_some() {
         return Err(bad(
             "diff requests take no 'faults' (the seed ensemble injects its own noise)".into(),
         ));
     }
-    // A diff names its cell with exactly the run-request vocabulary
-    // (benchmark/collector/heap_mb/platform/scale), so the cell fields are
-    // parsed by the same code path; 'seed' seeds the diff, not a fault plan.
-    let run = parse_run(v)?;
-    let mut options = DiffOptions {
+    let (id, tenant) = identity(v)?;
+    let config = request::cell(v).map_err(bad)?;
+    let defaults = DiffOptions {
         replicates: 4,
         resamples: 100,
         ..DiffOptions::default()
     };
-    if let Some(plan) = run.plan {
-        options.seed = plan.seed;
-    }
-    let bounded = |key: &str, lo: u64, hi: u64| -> Result<Option<u64>, (ErrorCode, String)> {
-        match v.get(key) {
-            None | Some(JsonValue::Null) => Ok(None),
-            Some(n) => n
-                .as_u64()
-                .filter(|x| (lo..=hi).contains(x))
-                .map(Some)
-                .ok_or_else(|| bad(format!("'{key}' must be an integer in [{lo}, {hi}]"))),
-        }
-    };
-    if let Some(r) = bounded("replicates", 1, MAX_DIFF_REPLICATES)? {
-        options.replicates = r as usize;
-    }
-    if let Some(r) = bounded("resamples", 1, MAX_DIFF_RESAMPLES)? {
-        options.resamples = r as u32;
-    }
-    match v.get("confidence") {
-        None | Some(JsonValue::Null) => {}
-        Some(c) => match c.as_f64() {
-            Some(c) if c > 0.0 && c < 1.0 => options.confidence = c,
-            _ => return Err(bad("'confidence' must be a number in (0, 1)".into())),
-        },
-    }
-    let perturb = match v.get("perturb") {
-        None | Some(JsonValue::Null) => EnergyPerturbation::none(),
-        Some(JsonValue::Str(spec)) => {
-            EnergyPerturbation::parse(spec).map_err(|e| bad(e.to_string()))?
-        }
-        Some(_) => return Err(bad("'perturb' must be a spec string".into())),
-    };
+    let (options, perturb) =
+        request::diff_options(v, defaults, MAX_DIFF_REPLICATES, MAX_DIFF_RESAMPLES).map_err(bad)?;
     Ok(DiffRequest {
-        id: run.id,
-        tenant: run.tenant,
-        config: run.config,
+        id,
+        tenant,
+        config,
         options,
         perturb,
     })
 }
 
 fn parse_observe(v: &JsonValue) -> Result<ObserveRequest, (ErrorCode, String)> {
-    let bad = |msg: String| (ErrorCode::BadRequest, msg);
     if v.get("faults").is_some() || v.get("seed").is_some() {
         return Err(bad(
             "observe requests take no 'faults' or 'seed' (the sweep needs a clean cell)".into(),
         ));
     }
-    // An observe names its cell with exactly the run-request vocabulary;
-    // the only extra knob is the probe-period grid.
-    let run = parse_run(v)?;
-    let periods = match v.get("periods") {
-        None | Some(JsonValue::Null) => {
-            crate::observe::parse_period_grid("4us..4ms").expect("default observe grid must parse")
-        }
-        Some(JsonValue::Str(spec)) => crate::observe::parse_period_grid(spec)
-            .map_err(|e| bad(format!("bad 'periods': {e}")))?,
-        Some(_) => return Err(bad("'periods' must be a grid spec string".into())),
-    };
+    let (id, tenant) = identity(v)?;
+    let config = request::cell(v).map_err(bad)?;
+    let periods = request::period_grid(v, "periods").map_err(bad)?;
     if periods.len() > MAX_OBSERVE_REQUEST_PERIODS {
         return Err((
             ErrorCode::LimitExceeded,
@@ -360,9 +274,9 @@ fn parse_observe(v: &JsonValue) -> Result<ObserveRequest, (ErrorCode, String)> {
         ));
     }
     Ok(ObserveRequest {
-        id: run.id,
-        tenant: run.tenant,
-        config: run.config,
+        id,
+        tenant,
+        config,
         periods,
     })
 }
@@ -468,7 +382,9 @@ pub fn code_for(err: &ExperimentError) -> ErrorCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::VmChoice;
     use vmprobe_heap::CollectorKind;
+    use vmprobe_workloads::InputScale;
 
     #[test]
     fn parses_a_run_request_with_defaults() {

@@ -232,11 +232,6 @@ impl Scheduler {
         self.ready.notify_all();
     }
 
-    /// Whether [`Scheduler::drain`] has been called.
-    pub fn is_draining(&self) -> bool {
-        lock_unpoisoned(&self.state).draining
-    }
-
     /// Point-in-time status for the `status` op.
     pub fn status(&self) -> SchedulerStatus {
         let s = lock_unpoisoned(&self.state);

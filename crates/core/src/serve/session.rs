@@ -22,6 +22,7 @@ use super::scheduler::Job;
 use super::ServeShared;
 use crate::json::JsonObj;
 use crate::sweep::lock_unpoisoned;
+use crate::ExperimentConfig;
 
 #[derive(Debug, Default)]
 struct OutState {
@@ -256,30 +257,10 @@ fn handle_line(line: &str, outbox: &Arc<Outbox>, shared: &ServeShared) {
         }
         Request::Diff(diff) => {
             // Inline like `verify`, but it does execute experiments, so it
-            // passes the same admission gates as a run: resource envelope
-            // first, then the memoized benchmark verification. No pool
-            // slot and no quarantine accounting — the ensemble is bounded
-            // at parse time and failures are typed back to the tenant.
-            if let Err((code, msg)) = shared.envelope.admit(&diff.config) {
-                shared.telemetry.count(CounterId::ServeRejectedLimits, 1);
-                outbox.push_must(protocol::error_line(Some(&diff.id), code, &msg));
-                return;
-            }
-            let Some(bench) = vmprobe_workloads::benchmark(&diff.config.benchmark) else {
-                outbox.push_must(protocol::error_line(
-                    Some(&diff.id),
-                    ErrorCode::BadRequest,
-                    &format!("unknown benchmark '{}'", diff.config.benchmark),
-                ));
-                return;
-            };
-            if let Err(reason) = shared.verify_benchmark(&bench, diff.config.scale) {
-                shared.telemetry.count(CounterId::ServeVerifyRejected, 1);
-                outbox.push_must(protocol::error_line(
-                    Some(&diff.id),
-                    ErrorCode::VerifyRejected,
-                    &reason,
-                ));
+            // passes the same admission gates as a run. No pool slot and no
+            // quarantine accounting — the ensemble is bounded at parse time
+            // and failures are typed back to the tenant.
+            if !admit(&diff.id, &diff.config, outbox, shared) {
                 return;
             }
             shared.telemetry.count(CounterId::ServeRequests, 1);
@@ -310,26 +291,7 @@ fn handle_line(line: &str, outbox: &Arc<Outbox>, shared: &ServeShared) {
             // run-request admission gates, but the grid is hard-capped at
             // parse time (MAX_OBSERVE_REQUEST_PERIODS) so the reader
             // thread stays responsive. Cached cells make repeats cheap.
-            if let Err((code, msg)) = shared.envelope.admit(&req.config) {
-                shared.telemetry.count(CounterId::ServeRejectedLimits, 1);
-                outbox.push_must(protocol::error_line(Some(&req.id), code, &msg));
-                return;
-            }
-            let Some(bench) = vmprobe_workloads::benchmark(&req.config.benchmark) else {
-                outbox.push_must(protocol::error_line(
-                    Some(&req.id),
-                    ErrorCode::BadRequest,
-                    &format!("unknown benchmark '{}'", req.config.benchmark),
-                ));
-                return;
-            };
-            if let Err(reason) = shared.verify_benchmark(&bench, req.config.scale) {
-                shared.telemetry.count(CounterId::ServeVerifyRejected, 1);
-                outbox.push_must(protocol::error_line(
-                    Some(&req.id),
-                    ErrorCode::VerifyRejected,
-                    &reason,
-                ));
+            if !admit(&req.id, &req.config, outbox, shared) {
                 return;
             }
             shared.telemetry.count(CounterId::ServeRequests, 1);
@@ -354,29 +316,7 @@ fn handle_line(line: &str, outbox: &Arc<Outbox>, shared: &ServeShared) {
             }
         }
         Request::Run(run) => {
-            if let Err((code, msg)) = shared.envelope.admit(&run.config) {
-                shared.telemetry.count(CounterId::ServeRejectedLimits, 1);
-                outbox.push_must(protocol::error_line(Some(&run.id), code, &msg));
-                return;
-            }
-            let Some(bench) = vmprobe_workloads::benchmark(&run.config.benchmark) else {
-                outbox.push_must(protocol::error_line(
-                    Some(&run.id),
-                    ErrorCode::BadRequest,
-                    &format!("unknown benchmark '{}'", run.config.benchmark),
-                ));
-                return;
-            };
-            // Admission-time verification (memoized per benchmark+scale):
-            // an ill-typed program is refused before it can consume a
-            // pool slot, and the refusal never touches quarantine.
-            if let Err(reason) = shared.verify_benchmark(&bench, run.config.scale) {
-                shared.telemetry.count(CounterId::ServeVerifyRejected, 1);
-                outbox.push_must(protocol::error_line(
-                    Some(&run.id),
-                    ErrorCode::VerifyRejected,
-                    &reason,
-                ));
+            if !admit(&run.id, &run.config, outbox, shared) {
                 return;
             }
             let job = Job {
@@ -396,6 +336,29 @@ fn handle_line(line: &str, outbox: &Arc<Outbox>, shared: &ServeShared) {
             }
         }
     }
+}
+
+/// The admission gates every executing request passes, in order: the
+/// resource envelope, the benchmark lookup, and the memoized verification
+/// (per benchmark and scale) — so an ill-typed program is refused before
+/// it can consume a pool slot, and the refusal never touches quarantine.
+/// On refusal the error line is already queued and this returns `false`.
+fn admit(id: &str, config: &ExperimentConfig, outbox: &Outbox, shared: &ServeShared) -> bool {
+    let (code, msg) = if let Err(refusal) = shared.envelope.admit(config) {
+        shared.telemetry.count(CounterId::ServeRejectedLimits, 1);
+        refusal
+    } else if let Some(bench) = vmprobe_workloads::benchmark(&config.benchmark) {
+        let Err(reason) = shared.verify_benchmark(&bench, config.scale) else {
+            return true;
+        };
+        shared.telemetry.count(CounterId::ServeVerifyRejected, 1);
+        (ErrorCode::VerifyRejected, reason)
+    } else {
+        let msg = format!("unknown benchmark '{}'", config.benchmark);
+        (ErrorCode::BadRequest, msg)
+    };
+    outbox.push_must(protocol::error_line(Some(id), code, &msg));
+    false
 }
 
 #[cfg(test)]

@@ -375,3 +375,70 @@ fn boolean_flags_reject_inline_values() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("--verbose takes no value"), "stderr: {err}");
 }
+
+/// Every malformed argument, on every binary, fails at parse time with one
+/// `error:` line on stderr, nothing on stdout, and the binary's usage
+/// exit code (1 for run and serve, 2 for diff and analyze).
+#[test]
+fn malformed_arguments_yield_one_error_line_on_every_binary() {
+    let cases: [(&str, u8, &[&str]); 34] = [
+        ("vmprobe-run", 1, &["moldyn", "semispace", "0", "p6", "s10"]),
+        ("vmprobe-run", 1, &["moldyn", "gencopy", "4294967296"]),
+        ("vmprobe-run", 1, &["moldyn", "gencopy", "lots"]),
+        ("vmprobe-run", 1, &["moldyn", "concmark"]),
+        ("vmprobe-run", 1, &["moldyn", "gencopy", "64", "sparc"]),
+        (
+            "vmprobe-run",
+            1,
+            &["moldyn", "gencopy", "64", "p6", "s20", "x"],
+        ),
+        ("vmprobe-run", 1, &["_999_bogus"]),
+        ("vmprobe-run", 1, &["moldyn", "--jobs", "0"]),
+        ("vmprobe-run", 1, &["moldyn", "--retries", "lots"]),
+        ("vmprobe-run", 1, &["moldyn", "--seed", "-1"]),
+        ("vmprobe-run", 1, &["moldyn", "--faults", "zap=1"]),
+        ("vmprobe-run", 1, &["moldyn", "--faults"]),
+        ("vmprobe-run", 1, &["moldyn", "--verbose=yes"]),
+        ("vmprobe-run", 1, &["moldyn", "--bogus"]),
+        ("vmprobe-run", 1, &["fig6", "fig99"]),
+        (
+            "vmprobe-run",
+            1,
+            &["--observe-cost", "--probe-period", "0ns"],
+        ),
+        ("vmprobe-diff", 2, &["--json=false"]),
+        ("vmprobe-diff", 2, &["--jobs", "0"]),
+        ("vmprobe-diff", 2, &["--replicates", "0"]),
+        ("vmprobe-diff", 2, &["--resamples", "0"]),
+        ("vmprobe-diff", 2, &["--confidence", "1.5"]),
+        ("vmprobe-diff", 2, &["--noise", "-1"]),
+        ("vmprobe-diff", 2, &["--perturb", "warp=+5%"]),
+        ("vmprobe-diff", 2, &["--seed"]),
+        ("vmprobe-analyze", 2, &["--check-golden=no"]),
+        ("vmprobe-analyze", 2, &["--heap-mb", "0"]),
+        ("vmprobe-analyze", 2, &["--scale", "s20"]),
+        ("vmprobe-analyze", 2, &["--vm", "hotspot"]),
+        ("vmprobe-analyze", 2, &["--step-budget", "lots"]),
+        ("vmprobe-serve", 1, &["--jobs", "0"]),
+        ("vmprobe-serve", 1, &["--queue-cap", "0", "--socket", "s"]),
+        ("vmprobe-serve", 1, &["--verbose=1"]),
+        ("vmprobe-serve", 1, &["stray"]),
+        ("vmprobe-serve", 1, &[]),
+    ];
+    for (binary, code, args) in cases {
+        let path = match binary {
+            "vmprobe-run" => env!("CARGO_BIN_EXE_vmprobe-run"),
+            "vmprobe-diff" => env!("CARGO_BIN_EXE_vmprobe-diff"),
+            "vmprobe-analyze" => env!("CARGO_BIN_EXE_vmprobe-analyze"),
+            _ => env!("CARGO_BIN_EXE_vmprobe-serve"),
+        };
+        let out = Command::new(path).args(args).output().expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let case = format!("{binary} {args:?}: stderr {err:?}");
+        assert_eq!(out.status.code(), Some(i32::from(code)), "{case}");
+        assert_eq!(err.lines().count(), 1, "{case}");
+        assert!(err.starts_with("error: "), "{case}");
+        assert!(!err.contains("panicked"), "{case}");
+        assert!(out.stdout.is_empty(), "{case}");
+    }
+}

@@ -469,11 +469,6 @@ impl Daq {
         &self.model
     }
 
-    /// The fault ledger accumulated so far.
-    pub fn fault_stats(&self) -> &FaultStats {
-        &self.faults.stats
-    }
-
     /// Aggregate the run.
     pub fn report(&self) -> DaqReport {
         DaqReport {

@@ -107,11 +107,6 @@ impl ThermalSim {
         }
     }
 
-    /// Whether the emergency throttle is engaged.
-    pub fn is_throttled(&self) -> bool {
-        self.throttled
-    }
-
     /// Advance the model by `dt` under `chip_power` (the power the chip
     /// *wants* to draw; the model applies the duty cycle when throttled,
     /// with `idle_power` drawn during duty-off periods).

@@ -71,35 +71,27 @@ pub struct Meter {
 
 impl Meter {
     /// Build a cold machine with its measurement rig attached, at the
-    /// nominal operating point.
+    /// nominal operating point, with no faults and the classic free probes.
     pub fn new(kind: PlatformKind, trace_power: bool) -> Self {
-        Self::with_dvfs(kind, trace_power, DvfsPoint::NOMINAL)
+        Self::with_probe(
+            kind,
+            trace_power,
+            DvfsPoint::NOMINAL,
+            FaultPlan::none(),
+            ProbeSpec::default(),
+        )
     }
 
-    /// Build a machine running at a DVFS operating point: the clock, the
-    /// DRAM penalty (constant in nanoseconds, fewer cycles at lower clocks)
-    /// and the power-model coefficients all scale together.
-    pub fn with_dvfs(kind: PlatformKind, trace_power: bool, dvfs: DvfsPoint) -> Self {
-        Self::with_faults(kind, trace_power, dvfs, FaultPlan::none())
-    }
-
-    /// Build a machine whose measurement rig runs under a fault plan: the
-    /// DAQ injects drops/dups/noise/glitches/drift, and when `wrap32` is set
-    /// the performance monitor reads 32-bit wrapped counters and unwraps
-    /// them.
-    pub fn with_faults(
-        kind: PlatformKind,
-        trace_power: bool,
-        dvfs: DvfsPoint,
-        faults: FaultPlan,
-    ) -> Self {
-        Self::with_probe(kind, trace_power, dvfs, faults, ProbeSpec::default())
-    }
-
-    /// Build a machine whose measurement rig runs in an explicit probe mode:
-    /// a retargeted DAQ period, charged probes, or both. The default spec
-    /// takes exactly the [`Meter::with_faults`] construction path, so
-    /// classic runs stay bit-identical.
+    /// Build a machine with every knob explicit:
+    /// - `dvfs`: the operating point. The clock, the DRAM penalty (fixed in
+    ///   nanoseconds, so fewer cycles at lower clocks) and the power-model
+    ///   coefficients scale together.
+    /// - `faults`: the DAQ injects drops, dups, noise, glitches and drift,
+    ///   and `wrap32` makes the performance monitor read 32-bit wrapped
+    ///   counters and unwrap them.
+    /// - `probe`: a retargeted DAQ period, charged probes, or both. The
+    ///   default spec builds the rig exactly as [`Meter::new`] does, so
+    ///   classic runs stay bit-identical.
     pub fn with_probe(
         kind: PlatformKind,
         trace_power: bool,
@@ -181,11 +173,6 @@ impl Meter {
     /// Decompose into measurement components for offline analysis.
     pub fn into_parts(self) -> (Machine, Daq, PerfMonitor) {
         (self.machine, self.daq, self.perf)
-    }
-
-    /// The measurement mode in force.
-    pub fn probe_spec(&self) -> ProbeSpec {
-        self.probe
     }
 
     /// The probe-cost ledger: costs charged so far plus the DAQ's

@@ -161,9 +161,6 @@ fn attribution_error_is_monotone_as_the_period_shrinks() {
     }
 }
 
-const QUICK_BENCHMARKS: [&str; 4] = ["_213_javac", "_209_db", "fop", "moldyn"];
-const QUICK_HEAPS: [u32; 2] = [32, 64];
-
 /// Transparent mode is byte-invisible: a runner that explicitly opts into
 /// the transparent probe at the stock DAQ period regenerates the committed
 /// golden figure bit for bit. This is compared against the *existing*
@@ -178,7 +175,8 @@ fn transparent_probe_reproduces_the_committed_golden() {
         .jobs(vmprobe::default_jobs())
         .scale(InputScale::Reduced)
         .with_probe_override(ProbeSpec::transparent_at(40_000));
-    let fig = figures::fig6(&mut r, &QUICK_BENCHMARKS, &QUICK_HEAPS)
+    let grid = figures::Grid::quick();
+    let fig = figures::fig6(&mut r, &grid.p6_benchmarks, &grid.p6_heaps)
         .expect("sweep completes")
         .to_string();
     assert_eq!(

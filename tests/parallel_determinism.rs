@@ -8,18 +8,14 @@
 //! and the cell key), and all merging/accounting happens in submission
 //! order on the calling thread.
 //!
-//! The sweeps run the real figure grids at `Reduced` input scale over a
-//! benchmark subset, so the suite stays minutes-not-hours in debug builds
-//! without changing the grid *shape* the engine has to schedule.
+//! The sweeps render `figures::ARTIFACTS` entries over `Grid::quick()` at
+//! `Reduced` input scale, so the suite stays minutes-not-hours in debug
+//! builds without changing the grid *shape* the engine has to schedule.
 
-use vmprobe::{figures, FaultPlan, Runner};
+use vmprobe::figures::{self, Grid, ARTIFACTS};
+use vmprobe::{FaultPlan, Runner};
 use vmprobe_workloads::InputScale;
 
-/// Benchmark subset: one GC-heavy Spec benchmark (also the quarantine
-/// victim), one allocation-light one, and one per remaining suite.
-const BENCHMARKS: [&str; 4] = ["_213_javac", "_209_db", "fop", "moldyn"];
-const HEAPS: [u32; 2] = [32, 64];
-const PXA_HEAPS: [u32; 2] = [16, 32];
 const SEEDS: [u64; 3] = [11, 5150, 0xDEAD_BEEF];
 
 /// A full-bore fault plan touching every non-fatal injector.
@@ -33,33 +29,20 @@ fn plan(seed: u64) -> FaultPlan {
 /// Regenerate every tolerant figure sweep on one runner and render each
 /// table plus the final campaign report JSON.
 fn render_figures(jobs: usize, seed: u64) -> String {
-    // `moldyn` is persistently poisoned so quarantine, retry accounting and
-    // failed-cell rendering are part of what must replay identically.
+    // `moldyn` (in the quick grid) is persistently poisoned so quarantine,
+    // retry accounting and failed-cell rendering are part of what must
+    // replay identically.
     let mut runner = Runner::new()
         .jobs(jobs)
         .scale(InputScale::Reduced)
         .with_faults(plan(seed))
         .retries(1)
         .fault_override("moldyn", FaultPlan::parse("oom@1").unwrap());
+    let grid = Grid::quick();
     let mut out = String::new();
-    out += &figures::fig6(&mut runner, &BENCHMARKS, &HEAPS)
-        .expect("fig6")
-        .to_string();
-    out += &figures::fig7(&mut runner, &BENCHMARKS, &HEAPS)
-        .expect("fig7")
-        .to_string();
-    out += &figures::fig8(&mut runner, &BENCHMARKS, &HEAPS)
-        .expect("fig8")
-        .to_string();
-    out += &figures::fig9(&mut runner, &BENCHMARKS, &HEAPS)
-        .expect("fig9")
-        .to_string();
-    out += &figures::fig10(&mut runner, &BENCHMARKS, &HEAPS)
-        .expect("fig10")
-        .to_string();
-    out += &figures::fig11(&mut runner, &BENCHMARKS, &PXA_HEAPS)
-        .expect("fig11")
-        .to_string();
+    for a in ARTIFACTS.iter().filter(|a| a.sweeps_benchmarks) {
+        out += &(a.render)(&mut runner, &grid).expect(a.name);
+    }
     out += "\n";
     out += &runner.report().to_json();
     out
@@ -100,16 +83,12 @@ fn strict_table_sweeps_are_bit_identical_across_thread_counts() {
     // cell would abort them by design.
     let render = |jobs: usize| {
         let mut runner = Runner::new().jobs(jobs).scale(InputScale::Reduced);
+        let grid = Grid::quick();
         let mut out = String::new();
-        out += &figures::t1_collector_power(&mut runner, &HEAPS)
-            .expect("t1")
-            .to_string();
-        out += &figures::t3_memory_energy(&mut runner, &HEAPS)
-            .expect("t3")
-            .to_string();
-        out += &figures::t5_kaffe(&mut runner, &HEAPS, &PXA_HEAPS)
-            .expect("t5")
-            .to_string();
+        for name in ["t1", "t3", "t5"] {
+            let a = figures::artifact(name).expect("registered");
+            out += &(a.render)(&mut runner, &grid).expect(name);
+        }
         out += "\n";
         out += &runner.report().to_json();
         out
