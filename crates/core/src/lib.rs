@@ -60,7 +60,7 @@ pub use observe::{
     parse_period_grid, period_label, ObserveEngine, ObservePoint, ObserveReport, PeriodSummary,
     DEFAULT_PERIOD_GRID, MAX_OBSERVE_PERIODS,
 };
-pub use runner::{FailedCell, QuarantinedConfig, RunReport, Runner, SupervisedRunner};
+pub use runner::{FailedCell, MemoHandle, QuarantinedConfig, RunReport, Runner, SupervisedRunner};
 pub use scale::{heap_bytes, P6_HEAPS_MB, PXA_HEAPS_MB, SIM_SCALE};
 pub use sweep::{default_jobs, ShardedMemo, SweepError, WorkStealingPool};
 pub use table::Table;

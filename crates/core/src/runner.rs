@@ -239,16 +239,93 @@ impl RunReport {
     }
 }
 
+/// How a submitted cell becomes the cell actually executed and its
+/// memo/cache key: the runner's fault plans and overrides. The runner and
+/// every [`MemoHandle`] it hands out derive keys through this one rule.
+#[derive(Debug, Clone, Default)]
+struct CellRule {
+    default_faults: FaultPlan,
+    overrides: HashMap<String, FaultPlan>,
+    scale_override: Option<InputScale>,
+    probe_override: Option<ProbeSpec>,
+}
+
+impl CellRule {
+    /// One submitted cell as executed, with its master plan and its key.
+    ///
+    /// The scale and probe overrides apply, and span recording is switched
+    /// on when `spans` (the attached hub keeps span streams). `plan`, when
+    /// given, replaces the runner-level plan (the default, or the
+    /// benchmark's override). The key is the config key alone when the
+    /// plan injects nothing, else the config key suffixed with the
+    /// canonical plan spec: per-request plans (the serving daemon) and
+    /// runner-level plans share keys whenever the resulting master plan is
+    /// identical, so tenants hit each other's cache entries exactly when
+    /// their requests are equivalent.
+    fn resolve(
+        &self,
+        config: &ExperimentConfig,
+        plan: Option<FaultPlan>,
+        spans: bool,
+    ) -> (ExperimentConfig, FaultPlan, String) {
+        let mut c = config.clone();
+        if let Some(scale) = self.scale_override {
+            c.scale = scale;
+        }
+        if let Some(probe) = self.probe_override {
+            c.probe = probe;
+        }
+        c.record_spans |= spans;
+        let master = plan.unwrap_or_else(|| {
+            self.overrides
+                .get(&c.benchmark)
+                .copied()
+                .unwrap_or(self.default_faults)
+        });
+        let key = if master.is_none() {
+            c.key()
+        } else {
+            format!("{}|faults:{}", c.key(), master)
+        };
+        (c, master, key)
+    }
+}
+
+/// A cloneable, read-only handle to a runner's memo: answers whether a
+/// cell is already resolved without going through the runner. It derives
+/// keys by the runner's fault plans and overrides as they stood when the
+/// handle was taken, so take it once the runner is built.
+#[derive(Debug, Clone)]
+pub struct MemoHandle {
+    memo: Arc<ShardedMemo<CellResult>>,
+    rule: CellRule,
+    telemetry: Telemetry,
+}
+
+impl MemoHandle {
+    /// The memoized *successful* summary for `config` under `plan` (as in
+    /// [`SupervisedRunner::run_batch_with_plans`]), if one is published.
+    /// Quarantined failures and unresolved cells are `None`. Never blocks
+    /// on an in-flight cell and counts nothing.
+    pub fn summary(
+        &self,
+        config: &ExperimentConfig,
+        plan: Option<FaultPlan>,
+    ) -> Option<Arc<RunSummary>> {
+        let (_, _, key) = self
+            .rule
+            .resolve(config, plan, self.telemetry.spans_enabled());
+        self.memo.peek(&key)?.ok()
+    }
+}
+
 /// Supervised memoizing parallel experiment runner (see the module docs).
 #[derive(Debug, Default)]
 pub struct SupervisedRunner {
-    memo: ShardedMemo<CellResult>,
+    memo: Arc<ShardedMemo<CellResult>>,
     jobs: usize,
-    default_faults: FaultPlan,
-    overrides: HashMap<String, FaultPlan>,
+    rule: CellRule,
     max_retries: u32,
-    scale_override: Option<InputScale>,
-    probe_override: Option<ProbeSpec>,
     report: RunReport,
     seen_failed_cells: HashSet<(String, u32, String)>,
     verbose: bool,
@@ -288,10 +365,28 @@ impl SupervisedRunner {
     /// steal is counted, executed-cell span streams are collected (when
     /// the hub records spans), and verbose diagnostics route through the
     /// hub's sink.
+    ///
+    /// # Panics
+    ///
+    /// When a [`MemoHandle`] has already been taken: attach telemetry
+    /// while building the runner.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.memo.set_telemetry(telemetry.clone());
+        Arc::get_mut(&mut self.memo)
+            .expect("telemetry is attached before the memo is shared")
+            .set_telemetry(telemetry.clone());
         self.telemetry = telemetry;
         self
+    }
+
+    /// A handle to this runner's memo for lookups from other threads (the
+    /// serving daemon answers warm requests with it). Take it once the
+    /// runner is built.
+    pub fn memo_handle(&self) -> MemoHandle {
+        MemoHandle {
+            memo: Arc::clone(&self.memo),
+            rule: self.rule.clone(),
+            telemetry: self.telemetry.clone(),
+        }
     }
 
     /// The runner's telemetry handle (disabled unless
@@ -336,7 +431,7 @@ impl SupervisedRunner {
     /// the cell key, so results do not depend on sweep composition or
     /// execution order.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.default_faults = plan;
+        self.rule.default_faults = plan;
         self
     }
 
@@ -344,7 +439,7 @@ impl SupervisedRunner {
     /// single benchmark to model a persistently failing workload while the
     /// rest of the sweep stays on the default plan).
     pub fn fault_override(mut self, benchmark: &str, plan: FaultPlan) -> Self {
-        self.overrides.insert(benchmark.to_owned(), plan);
+        self.rule.overrides.insert(benchmark.to_owned(), plan);
         self
     }
 
@@ -372,7 +467,7 @@ impl SupervisedRunner {
     /// the determinism suite sweeps the full figure grids at `Reduced`
     /// scale to keep wall-clock sane without shrinking the grid shape.
     pub fn scale(mut self, scale: InputScale) -> Self {
-        self.scale_override = Some(scale);
+        self.rule.scale_override = Some(scale);
         self
     }
 
@@ -382,48 +477,8 @@ impl SupervisedRunner {
     /// and unprobed variants of the same cell keep distinct memo/cache
     /// keys, so an override never contaminates transparent results.
     pub fn with_probe_override(mut self, probe: ProbeSpec) -> Self {
-        self.probe_override = Some(probe);
+        self.rule.probe_override = Some(probe);
         self
-    }
-
-    /// The fault plan that would apply to `benchmark` (before per-cell
-    /// seed derivation).
-    pub fn effective_plan(&self, benchmark: &str) -> FaultPlan {
-        self.overrides
-            .get(benchmark)
-            .copied()
-            .unwrap_or(self.default_faults)
-    }
-
-    /// The configuration as actually executed (scale override applied;
-    /// span recording switched on when the attached telemetry hub keeps
-    /// span streams).
-    fn effective_config(&self, config: &ExperimentConfig) -> ExperimentConfig {
-        let mut c = config.clone();
-        if let Some(scale) = self.scale_override {
-            c.scale = scale;
-        }
-        if let Some(probe) = self.probe_override {
-            c.probe = probe;
-        }
-        if self.telemetry.spans_enabled() {
-            c.record_spans = true;
-        }
-        c
-    }
-
-    /// Memo/cache key for a configuration under a specific master plan:
-    /// the config key alone when the plan injects nothing, else the config
-    /// key suffixed with the canonical plan spec. Per-request plans (the
-    /// serving daemon) and runner-level plans share keys whenever the
-    /// resulting master plan is identical, so tenants hit each other's
-    /// cache entries exactly when their requests are equivalent.
-    fn key_for(config: &ExperimentConfig, plan: FaultPlan) -> String {
-        if plan.is_none() {
-            config.key()
-        } else {
-            format!("{}|faults:{}", config.key(), plan)
-        }
     }
 
     /// Run `config` (or return the cached result), retrying and
@@ -470,15 +525,10 @@ impl SupervisedRunner {
         &mut self,
         batch: &[(ExperimentConfig, Option<FaultPlan>)],
     ) -> Vec<Result<Arc<RunSummary>, ExperimentError>> {
+        let spans = self.telemetry.spans_enabled();
         let cells: Vec<(ExperimentConfig, FaultPlan, String)> = batch
             .iter()
-            .map(|(c, plan_override)| {
-                let effective = self.effective_config(c);
-                let master =
-                    plan_override.unwrap_or_else(|| self.effective_plan(&effective.benchmark));
-                let key = Self::key_for(&effective, master);
-                (effective, master, key)
-            })
+            .map(|(c, plan)| self.rule.resolve(c, *plan, spans))
             .collect();
 
         // First occurrence of each key; only unresolved first occurrences

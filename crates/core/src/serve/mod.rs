@@ -9,6 +9,14 @@
 //! live in [`scheduler`] and [`quarantine`]; per-connection backpressure
 //! in [`session`]; the resource envelope in [`limits`].
 //!
+//! # Request path
+//!
+//! The accept loop waits in `poll(2)` on the listener, so a connection is
+//! accepted as soon as it arrives. A connection's reader thread answers
+//! most requests itself, warm runs included ([`session`]); only runs whose
+//! cell is not yet memoized, or whose tenant has work outstanding, cross
+//! to the executor thread and its work-stealing pool.
+//!
 //! # Robustness envelope
 //!
 //! The daemon's contract mirrors a supervised-VM `spawn` boundary:
@@ -40,6 +48,7 @@ pub mod quarantine;
 pub mod scheduler;
 pub mod session;
 
+use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -50,14 +59,14 @@ use vmprobe_telemetry::{CounterId, Telemetry};
 
 use crate::json::JsonObj;
 use crate::sweep::lock_unpoisoned;
-use crate::{ExperimentCache, Runner};
+use crate::{ExperimentCache, MemoHandle, Runner};
 
 use limits::Envelope;
 use scheduler::{Job, Scheduler};
 use session::SessionHandle;
 
-/// How long the accept loop sleeps between polls of the listener and the
-/// shutdown flag.
+/// How long the accept loop waits for a connection before it checks the
+/// shutdown flags again.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// Signal-handler-set shutdown flag (SIGTERM/SIGINT): static because a
@@ -81,6 +90,33 @@ fn install_signal_handlers() {
     unsafe {
         signal(SIGTERM, handler);
         signal(SIGINT, handler);
+    }
+}
+
+/// Wait until `listener` has a connection to accept, `timeout` passes,
+/// or a signal arrives. Declares libc's `poll` directly, like `signal`.
+fn wait_for_connection(listener: &UnixListener, timeout: Duration) {
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    const POLLIN: i16 = 1;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: std::os::raw::c_ulong, timeout_ms: i32) -> i32;
+    }
+    let mut fd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    let timeout_ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+    // SAFETY: one valid `pollfd` for the duration of the call. Every
+    // outcome (ready, timed out, interrupted) sends the caller back round
+    // its accept loop, so the result is not needed.
+    unsafe {
+        poll(&mut fd, 1, timeout_ms);
     }
 }
 
@@ -146,6 +182,10 @@ pub struct ServeShared {
     pub outbox_cap: usize,
     /// Shared persistent cache, if configured.
     pub cache: Option<Arc<ExperimentCache>>,
+    /// The executor runner's memo, for answering warm runs inline.
+    memo: MemoHandle,
+    /// Narrate admissions and results on stderr.
+    verbose: bool,
     /// Memoized admission-time verification verdicts for resolved
     /// benchmark programs, keyed by `benchmark@scale`. Benchmarks are
     /// deterministic functions of that key, so one dataflow-verifier
@@ -242,24 +282,26 @@ impl ServeShared {
 
 /// The executor loop: drain round-robin batches from the scheduler,
 /// run them on the supervised pool, deliver one line per job.
-fn executor(shared: &ServeShared, runner: &mut Runner, batch_max: usize, verbose: bool) {
+fn executor(shared: &ServeShared, runner: &mut Runner, batch_max: usize) {
     while let Some(jobs) = shared.scheduler.next_batch(batch_max) {
         let batch: Vec<_> = jobs.iter().map(|j| (j.config.clone(), j.plan)).collect();
         let results = runner.run_batch_with_plans(&batch);
         for (job, result) in jobs.iter().zip(results) {
-            deliver(shared, job, result, verbose);
+            deliver(shared, job, result);
+            shared.scheduler.finish(&job.tenant);
         }
     }
 }
 
 /// Turn one runner result into one response line, with quarantine
-/// accounting.
+/// accounting. Both the executor and a reader answering a warm run
+/// inline deliver through here.
 fn deliver(
     shared: &ServeShared,
     job: &Job,
     result: Result<Arc<crate::RunSummary>, crate::ExperimentError>,
-    verbose: bool,
 ) {
+    let verbose = shared.verbose;
     let (line, ok) = match result {
         Ok(summary) => match shared.envelope.check_deadline(&summary) {
             Ok(()) => (protocol::result_line(&job.id, &summary), true),
@@ -313,6 +355,15 @@ pub fn serve(config: ServeConfig) -> Result<(), String> {
     // Counters only: span recording would flip `record_spans` on every
     // config and change summaries/cache keys away from batch mode.
     let telemetry = Telemetry::counters_only();
+    let jobs = config.jobs.max(1);
+    let mut runner = Runner::new()
+        .jobs(jobs)
+        .retries(config.retries)
+        .contain_panics(true)
+        .with_telemetry(telemetry.clone());
+    if let Some(cache) = &cache {
+        runner = runner.with_cache(Arc::clone(cache));
+    }
     let shared = Arc::new(ServeShared {
         scheduler: Scheduler::new(
             config.queue_cap,
@@ -323,7 +374,9 @@ pub fn serve(config: ServeConfig) -> Result<(), String> {
         telemetry: telemetry.clone(),
         envelope: config.envelope,
         outbox_cap: config.outbox_cap,
-        cache: cache.clone(),
+        cache,
+        memo: runner.memo_handle(),
+        verbose: config.verbose,
         verified: Mutex::new(std::collections::BTreeMap::new()),
         drain: AtomicBool::new(false),
     });
@@ -346,26 +399,14 @@ pub fn serve(config: ServeConfig) -> Result<(), String> {
         eprintln!(
             "vmprobe-serve: listening on {} ({} workers)",
             config.socket.display(),
-            config.jobs.max(1)
+            jobs
         );
     }
 
     let executor_handle = {
         let shared = Arc::clone(&shared);
-        let jobs = config.jobs.max(1);
-        let retries = config.retries;
-        let verbose = config.verbose;
-        let cache = cache.clone();
         std::thread::spawn(move || {
-            let mut runner = Runner::new()
-                .jobs(jobs)
-                .retries(retries)
-                .contain_panics(true)
-                .with_telemetry(shared.telemetry.clone());
-            if let Some(cache) = cache {
-                runner = runner.with_cache(cache);
-            }
-            executor(&shared, &mut runner, jobs, verbose);
+            executor(&shared, &mut runner, jobs);
             runner.report().to_json()
         })
     };
@@ -382,7 +423,7 @@ pub fn serve(config: ServeConfig) -> Result<(), String> {
                 Err(e) => eprintln!("vmprobe-serve: cannot start session: {e}"),
             },
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
+                wait_for_connection(&listener, ACCEPT_POLL);
             }
             Err(e) => return Err(format!("accept failed: {e}")),
         }

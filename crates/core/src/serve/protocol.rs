@@ -160,13 +160,31 @@ pub struct ObserveRequest {
     pub periods: Vec<u64>,
 }
 
+/// Parse one raw request line as read off the socket. An over-long line
+/// is `bad_request` whatever its bytes; a shorter one that is not UTF-8
+/// is `bad_json`.
+pub fn parse_line(line: &[u8]) -> Result<Request, (ErrorCode, String)> {
+    match std::str::from_utf8(line) {
+        Ok(text) => parse_request(text),
+        Err(_) if line.len() > MAX_LINE_BYTES => Err(line_too_long()),
+        Err(e) => Err((
+            ErrorCode::BadJson,
+            format!("request line is not UTF-8: {e}"),
+        )),
+    }
+}
+
+fn line_too_long() -> (ErrorCode, String) {
+    (
+        ErrorCode::BadRequest,
+        format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+    )
+}
+
 /// Parse one request line. Errors carry the taxonomy code to respond with.
 pub fn parse_request(line: &str) -> Result<Request, (ErrorCode, String)> {
     if line.len() > MAX_LINE_BYTES {
-        return Err((
-            ErrorCode::BadRequest,
-            format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-        ));
+        return Err(line_too_long());
     }
     let v = JsonValue::parse(line).map_err(|e| (ErrorCode::BadJson, e))?;
     let op = v
@@ -558,6 +576,18 @@ mod tests {
                 .collect();
             parse(&bytes);
         }
+    }
+
+    #[test]
+    fn raw_lines_check_length_before_encoding() {
+        let err = parse_line(b"\xff").expect_err("not UTF-8");
+        assert_eq!(err.0, ErrorCode::BadJson);
+        let mut long = vec![b'x'; MAX_LINE_BYTES];
+        long.push(0xff);
+        let err = parse_line(&long).expect_err("over-long");
+        assert_eq!(err.0, ErrorCode::BadRequest);
+        assert_eq!(err.1, "request line exceeds 65536 bytes");
+        assert!(parse_line(VALID_LINES[0].as_bytes()).is_ok());
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! Admission decisions (queue-full, quarantine, draining) are made under
 //! one lock on the reader thread of whichever connection submitted the
 //! request, so every rejection is immediate and carries an exact reason.
+//!
+//! A request whose cell is already memoized passes the same gates through
+//! [`Scheduler::admit_warm`], which hands it back to the reader thread to
+//! answer when its tenant has nothing queued or executing. A tenant with
+//! work outstanding queues as usual, so its results keep admission order.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
@@ -43,6 +48,10 @@ struct State {
     total: usize,
     /// Tenant served last; the next round starts strictly after it.
     rr_last: Option<String>,
+    /// Jobs per tenant that are queued or executing (tenants with none
+    /// are absent): a warm request is answered inline only when its
+    /// tenant is absent.
+    outstanding: BTreeMap<String, usize>,
     /// Admission clock: run-request admission attempts seen so far.
     seq: u64,
     /// Draining: admit nothing, executor exits once queues are empty.
@@ -63,6 +72,16 @@ pub struct SchedulerStatus {
     pub tenant_queues: Vec<(String, usize)>,
     /// Tenants with failures on record or under quarantine.
     pub standings: Vec<TenantStanding>,
+}
+
+/// How an admitted warm request proceeds.
+#[derive(Debug)]
+pub enum Admitted {
+    /// Queued for the executor; the total queue depth after admission.
+    Queued(usize),
+    /// Answer it on the calling thread; the depth it reports (queued jobs
+    /// plus itself).
+    Inline(Job, usize),
 }
 
 /// The daemon's admission queue (see module docs).
@@ -98,6 +117,29 @@ impl Scheduler {
     /// that quarantine cooldowns are measured in.
     pub fn admit(&self, job: Job) -> Result<usize, (ErrorCode, String)> {
         let mut s = lock_unpoisoned(&self.state);
+        let depth = self.gate(&mut s, &job.tenant)?;
+        self.enqueue(&mut s, job);
+        Ok(depth)
+    }
+
+    /// Admit a run request whose cell is already memoized: the same gates
+    /// as [`Scheduler::admit`], then [`Admitted::Inline`] when its tenant
+    /// has no job queued or executing, else queued like any other.
+    pub fn admit_warm(&self, job: Job) -> Result<Admitted, (ErrorCode, String)> {
+        let mut s = lock_unpoisoned(&self.state);
+        let depth = self.gate(&mut s, &job.tenant)?;
+        if s.outstanding.contains_key(&job.tenant) {
+            self.enqueue(&mut s, job);
+            Ok(Admitted::Queued(depth))
+        } else {
+            Ok(Admitted::Inline(job, depth))
+        }
+    }
+
+    /// The admission gates, in order: the clock tick, draining,
+    /// quarantine and the queue cap. A passing request is counted and its
+    /// queue depth (queued jobs plus itself) returned.
+    fn gate(&self, s: &mut State, tenant: &str) -> Result<usize, (ErrorCode, String)> {
         s.seq += 1;
         let now = s.seq;
         if s.draining {
@@ -107,14 +149,13 @@ impl Scheduler {
                 "daemon is draining for shutdown".into(),
             ));
         }
-        match s.book.gate(&job.tenant, now) {
+        match s.book.gate(tenant, now) {
             Gate::Refused { release_at } => {
                 self.telemetry.count(CounterId::ServeRejectedQuarantine, 1);
                 return Err((
                     ErrorCode::Quarantined,
                     format!(
-                        "tenant '{}' is quarantined until admission seq {release_at} (now {now})",
-                        job.tenant
+                        "tenant '{tenant}' is quarantined until admission seq {release_at} (now {now})"
                     ),
                 ));
             }
@@ -131,17 +172,21 @@ impl Scheduler {
                 format!("admission queue is full ({} jobs); retry later", s.total),
             ));
         }
+        let depth = s.total + 1;
+        self.telemetry.count(CounterId::ServeRequests, 1);
+        self.telemetry
+            .observe(HistId::ServeQueueDepth, depth as u64);
+        Ok(depth)
+    }
+
+    fn enqueue(&self, s: &mut State, job: Job) {
+        *s.outstanding.entry(job.tenant.clone()).or_default() += 1;
         s.queues
             .entry(job.tenant.clone())
             .or_default()
             .push_back(job);
         s.total += 1;
-        let depth = s.total;
-        self.telemetry.count(CounterId::ServeRequests, 1);
-        self.telemetry
-            .observe(HistId::ServeQueueDepth, depth as u64);
         self.ready.notify_all();
-        Ok(depth)
     }
 
     /// Block until work is available, then return up to `max` jobs —
@@ -209,6 +254,18 @@ impl Scheduler {
             }
         }
         batch
+    }
+
+    /// The executor delivered one of `tenant`'s jobs: it no longer holds
+    /// back that tenant's warm requests.
+    pub fn finish(&self, tenant: &str) {
+        let mut s = lock_unpoisoned(&self.state);
+        if let Some(n) = s.outstanding.get_mut(tenant) {
+            *n -= 1;
+            if *n == 0 {
+                s.outstanding.remove(tenant);
+            }
+        }
     }
 
     /// Record one delivered result for quarantine accounting. Bumps the
@@ -349,6 +406,41 @@ mod tests {
         // seq 5 == release_at → admitted, counted as a release.
         assert!(s.admit(job("p", "5")).is_ok());
         assert_eq!(s.telemetry.counter(CounterId::ServeQuarantineReleased), 1);
+    }
+
+    #[test]
+    fn warm_requests_run_inline_only_for_an_idle_tenant() {
+        let s = sched(16);
+        let inline = |a: Admitted| matches!(a, Admitted::Inline(_, 1));
+        assert!(inline(s.admit_warm(job("a", "1")).unwrap()), "idle tenant");
+        s.admit(job("a", "2")).unwrap();
+        // Work outstanding for `a`: its warm request queues behind it,
+        // while another tenant is still answered inline.
+        assert!(matches!(
+            s.admit_warm(job("a", "3")).unwrap(),
+            Admitted::Queued(2)
+        ));
+        assert!(matches!(
+            s.admit_warm(job("b", "4")).unwrap(),
+            Admitted::Inline(_, 3)
+        ));
+        let batch = s.next_batch(4).unwrap();
+        // Executing still counts as outstanding, until each job finishes.
+        assert!(matches!(
+            s.admit_warm(job("a", "5")).unwrap(),
+            Admitted::Queued(_)
+        ));
+        for j in &batch {
+            s.finish(&j.tenant);
+        }
+        let _ = s.next_batch(4).unwrap();
+        s.finish("a");
+        assert!(inline(s.admit_warm(job("a", "6")).unwrap()));
+        // Inline answers pass every gate and are counted as requests.
+        assert_eq!(s.telemetry.counter(CounterId::ServeRequests), 6);
+        s.drain();
+        let (code, _) = s.admit_warm(job("a", "7")).unwrap_err();
+        assert_eq!(code, ErrorCode::Draining);
     }
 
     #[test]

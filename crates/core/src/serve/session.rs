@@ -2,31 +2,63 @@
 //! thread pair.
 //!
 //! Each accepted connection gets two threads. The **reader** parses one
-//! request per line and answers admission-time decisions immediately; the
-//! **writer** drains the connection's [`Outbox`] to the socket. Results
-//! are produced by the shared executor thread and pushed into the outbox
-//! of whichever connection submitted the request, so a slow client never
-//! blocks the executor — backpressure is absorbed by the outbox's drop
-//! policy instead.
+//! request per line and answers what it can on the spot: admission
+//! decisions, `status`, `verify`, `diff`, `observe`, and a `run` whose
+//! cell is already memoized while its tenant has nothing queued or
+//! executing. Every other `run` goes to the shared executor thread, which
+//! pushes its result into the outbox of the connection that submitted it.
+//!
+//! A line pushed while nothing is queued goes straight to the socket with
+//! a non-blocking `send`; the **writer** thread only drains the backlog a
+//! full socket leaves behind. A slow client therefore never blocks the
+//! executor (the [`Outbox`]'s drop policy absorbs it), and the reader
+//! stops reading a client's requests while that client's outbox is full.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use vmprobe_telemetry::{CounterId, Telemetry};
 
-use super::protocol::{self, ErrorCode, Request};
-use super::scheduler::Job;
+use super::protocol::{self, ErrorCode, Request, MAX_LINE_BYTES};
+use super::scheduler::{Admitted, Job};
 use super::ServeShared;
 use crate::json::JsonObj;
 use crate::sweep::lock_unpoisoned;
 use crate::ExperimentConfig;
 
+/// `MSG_DONTWAIT | MSG_NOSIGNAL`: one send that never blocks, and a gone
+/// peer as `EPIPE` rather than a signal.
+#[cfg(target_os = "linux")]
+const SEND_FLAGS: i32 = 0x40 | 0x4000;
+/// `MSG_DONTWAIT` (BSD value); the Rust runtime already ignores SIGPIPE.
+#[cfg(not(target_os = "linux"))]
+const SEND_FLAGS: i32 = 0x80;
+
+/// Send what the socket takes of `bytes` without blocking. The socket
+/// stays blocking (`O_NONBLOCK` would be shared with the writer's cloned
+/// fd), so this passes `MSG_DONTWAIT` to libc's `send`, declared directly
+/// to keep the build dependency-free.
+fn send_now(socket: &UnixStream, bytes: &[u8]) -> std::io::Result<usize> {
+    extern "C" {
+        fn send(fd: i32, buf: *const u8, len: usize, flags: i32) -> isize;
+    }
+    // SAFETY: the fd is open for as long as `socket` is borrowed, and the
+    // buffer is valid for `bytes.len()` bytes.
+    let sent = unsafe { send(socket.as_raw_fd(), bytes.as_ptr(), bytes.len(), SEND_FLAGS) };
+    usize::try_from(sent).map_err(|_| std::io::Error::last_os_error())
+}
+
 #[derive(Debug, Default)]
 struct OutState {
-    lines: VecDeque<String>,
+    /// Bytes waiting for the writer, one `\n`-terminated line each; the
+    /// first may be the unsent tail of a line the socket took part of.
+    lines: VecDeque<Vec<u8>>,
+    /// The writer is writing bytes it popped: later lines must queue.
+    writing: bool,
     /// Chatter lines shed while the queue was full, not yet reported.
     dropped_pending: u64,
     /// No further pushes are accepted; the writer exits once drained.
@@ -43,29 +75,46 @@ struct OutState {
 ///   queue is full — counted, and confessed to the client with a
 ///   `{"kind":"dropped","count":N}` line once the queue has space again.
 ///
-/// This is slow-reader backpressure without executor stalls: the shared
-/// executor never blocks on one tenant's unread socket.
+/// With a socket attached ([`Outbox::with_socket`]), a line pushed while
+/// nothing is queued and the writer is idle is sent at once; only what
+/// the socket does not take is queued. This is slow-reader backpressure
+/// without executor stalls: the shared executor never blocks on one
+/// tenant's unread socket.
 #[derive(Debug)]
 pub struct Outbox {
     state: Mutex<OutState>,
+    /// Signalled when a line is queued or the outbox closes.
     ready: Condvar,
+    /// Signalled when the writer takes a line or the outbox closes.
+    room: Condvar,
     cap: usize,
     telemetry: Telemetry,
+    /// The connection, for write-through sends.
+    socket: Option<UnixStream>,
 }
 
 impl Outbox {
-    /// An outbox shedding chatter beyond `cap` queued lines.
+    /// A queue-only outbox shedding chatter beyond `cap` queued lines.
     pub fn new(cap: usize, telemetry: Telemetry) -> Self {
         Self {
             state: Mutex::new(OutState::default()),
             ready: Condvar::new(),
+            room: Condvar::new(),
             cap: cap.max(1),
             telemetry,
+            socket: None,
         }
     }
 
-    /// Queue a droppable line. Returns `false` (and counts the drop) when
-    /// the queue is full or the connection is gone.
+    /// Write lines through to `socket` whenever nothing is queued ahead
+    /// of them.
+    pub fn with_socket(mut self, socket: UnixStream) -> Self {
+        self.socket = Some(socket);
+        self
+    }
+
+    /// Send or queue a droppable line. Returns `false` (and counts the
+    /// drop) when the queue is full, or when the connection is gone.
     pub fn push(&self, line: String) -> bool {
         let mut s = lock_unpoisoned(&self.state);
         if s.closed {
@@ -77,23 +126,19 @@ impl Outbox {
             return false;
         }
         self.confess_drops(&mut s);
-        s.lines.push_back(line);
-        self.ready.notify_all();
-        true
+        self.enqueue(&mut s, line)
     }
 
-    /// Queue an essential line (results, errors): never shed, may
+    /// Send or queue an essential line (results, errors): never shed, may
     /// overshoot `cap` (bounded by the admission queue). Returns `false`
-    /// only when the connection is already gone.
+    /// only when the connection is gone.
     pub fn push_must(&self, line: String) -> bool {
         let mut s = lock_unpoisoned(&self.state);
         if s.closed {
             return false;
         }
         self.confess_drops(&mut s);
-        s.lines.push_back(line);
-        self.ready.notify_all();
-        true
+        self.enqueue(&mut s, line)
     }
 
     /// If drops are pending and there is room, own up to them in-band.
@@ -103,9 +148,35 @@ impl Outbox {
             o.bool("ok", true)
                 .str("kind", "dropped")
                 .u64("count", s.dropped_pending);
-            s.lines.push_back(o.finish());
             s.dropped_pending = 0;
+            self.enqueue(s, o.finish());
         }
+    }
+
+    /// Send `line` and its newline straight to the socket when nothing is
+    /// queued and the writer is idle; queue whatever the socket does not
+    /// take, a partial send's tail first in line. `false` when the peer
+    /// is gone (the outbox is then abandoned).
+    fn enqueue(&self, s: &mut OutState, line: String) -> bool {
+        let mut bytes = line.into_bytes();
+        bytes.push(b'\n');
+        let idle = s.lines.is_empty() && !s.writing;
+        if let Some(socket) = self.socket.as_ref().filter(|_| idle) {
+            match send_now(socket, &bytes) {
+                Ok(sent) if sent == bytes.len() => return true,
+                Ok(sent) => {
+                    bytes.drain(..sent);
+                }
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
+                Err(_) => {
+                    self.abandon(s);
+                    return false;
+                }
+            }
+        }
+        s.lines.push_back(bytes);
+        self.ready.notify_all();
+        true
     }
 
     /// Stop accepting lines; the writer exits once the backlog is flushed.
@@ -113,27 +184,46 @@ impl Outbox {
         let mut s = lock_unpoisoned(&self.state);
         s.closed = true;
         self.ready.notify_all();
+        self.room.notify_all();
     }
 
     /// Abandon everything (peer is gone): close and discard the backlog.
     fn abort(&self) {
-        let mut s = lock_unpoisoned(&self.state);
+        self.abandon(&mut lock_unpoisoned(&self.state));
+    }
+
+    fn abandon(&self, s: &mut OutState) {
         s.closed = true;
         s.lines.clear();
         self.ready.notify_all();
+        self.room.notify_all();
     }
 
-    /// Block for the next line; `None` once closed and drained.
-    fn pop_blocking(&self) -> Option<String> {
+    /// Block for the next bytes to write (a whole line with its newline,
+    /// or a tail); `None` once closed and drained. Calling again means the
+    /// previous bytes are written.
+    fn pop_blocking(&self) -> Option<Vec<u8>> {
         let mut s = lock_unpoisoned(&self.state);
+        s.writing = false;
         loop {
-            if let Some(line) = s.lines.pop_front() {
-                return Some(line);
+            if let Some(bytes) = s.lines.pop_front() {
+                s.writing = true;
+                self.room.notify_all();
+                return Some(bytes);
             }
             if s.closed {
                 return None;
             }
             s = self.ready.wait(s).unwrap_or_else(|p| p.into_inner());
+        }
+    }
+
+    /// Block while `cap` or more lines are queued: a client that stops
+    /// reading its replies stops being read.
+    fn wait_for_room(&self) {
+        let mut s = lock_unpoisoned(&self.state);
+        while s.lines.len() >= self.cap && !s.closed {
+            s = self.room.wait(s).unwrap_or_else(|p| p.into_inner());
         }
     }
 
@@ -156,19 +246,17 @@ pub(super) fn spawn(
     stream: UnixStream,
     shared: Arc<ServeShared>,
 ) -> std::io::Result<SessionHandle> {
-    let outbox = Arc::new(Outbox::new(shared.outbox_cap, shared.telemetry.clone()));
+    let outbox = Arc::new(
+        Outbox::new(shared.outbox_cap, shared.telemetry.clone()).with_socket(stream.try_clone()?),
+    );
 
     let write_half = stream.try_clone()?;
     let writer = {
         let outbox = Arc::clone(&outbox);
         std::thread::spawn(move || {
             let mut out = write_half;
-            while let Some(line) = outbox.pop_blocking() {
-                if out
-                    .write_all(line.as_bytes())
-                    .and_then(|()| out.write_all(b"\n"))
-                    .is_err()
-                {
+            while let Some(bytes) = outbox.pop_blocking() {
+                if out.write_all(&bytes).is_err() {
                     outbox.abort();
                     return;
                 }
@@ -181,11 +269,13 @@ pub(super) fn spawn(
     let reader = {
         let outbox = Arc::clone(&outbox);
         std::thread::spawn(move || {
-            for line in BufReader::new(read_half).lines() {
-                let Ok(line) = line else { break };
-                if line.trim().is_empty() {
+            let mut input = BufReader::new(read_half);
+            let mut line = Vec::new();
+            while let Ok(true) = read_line_capped(&mut input, &mut line) {
+                if std::str::from_utf8(&line).is_ok_and(|l| l.trim().is_empty()) {
                     continue;
                 }
+                outbox.wait_for_room();
                 handle_line(&line, &outbox, &shared);
             }
             // Peer hung up: nothing more can be delivered to it, but the
@@ -202,10 +292,35 @@ pub(super) fn spawn(
     })
 }
 
+/// Read one line into `line` without its `\n` (or `\r\n`), keeping at
+/// most `MAX_LINE_BYTES + 1` bytes of it: enough for the parser to see
+/// that it is over-long, while the rest is discarded through its newline.
+/// A last line without a newline still counts; `Ok(false)` at end of
+/// stream.
+fn read_line_capped(input: &mut impl BufRead, line: &mut Vec<u8>) -> std::io::Result<bool> {
+    line.clear();
+    let limit = MAX_LINE_BYTES as u64 + 1;
+    if input.by_ref().take(limit).read_until(b'\n', line)? == 0 {
+        return Ok(false);
+    }
+    let ended = if line.last() == Some(&b'\n') {
+        line.pop();
+        true
+    } else {
+        // Cut at the limit, or the stream ended: discard the rest of the
+        // line. A newline right after the limit still ends it whole.
+        input.skip_until(b'\n')? == 1
+    };
+    if ended && line.last() == Some(&b'\r') {
+        line.pop();
+    }
+    Ok(true)
+}
+
 /// Parse and answer one request line (runs on the connection's reader
-/// thread; admission decisions happen here, execution elsewhere).
-fn handle_line(line: &str, outbox: &Arc<Outbox>, shared: &ServeShared) {
-    let request = match protocol::parse_request(line) {
+/// thread; admission decisions happen here, cold runs execute elsewhere).
+fn handle_line(line: &[u8], outbox: &Arc<Outbox>, shared: &ServeShared) {
+    let request = match protocol::parse_line(line) {
         Ok(r) => r,
         Err((code, msg)) => {
             outbox.push_must(protocol::error_line(None, code, &msg));
@@ -326,7 +441,22 @@ fn handle_line(line: &str, outbox: &Arc<Outbox>, shared: &ServeShared) {
                 plan: shared.envelope.shape_plan(run.plan),
                 outbox: Arc::clone(outbox),
             };
-            match shared.scheduler.admit(job) {
+            let queued = match shared.memo.summary(&job.config, job.plan) {
+                Some(summary) => match shared.scheduler.admit_warm(job) {
+                    Ok(Admitted::Inline(job, depth)) => {
+                        // A memo hit, as in a batch, minus the batch.
+                        outbox.push(protocol::accepted_line(&job.id, depth));
+                        shared.telemetry.count(CounterId::CellsFromCache, 1);
+                        shared.telemetry.count(CounterId::ServeInlineHits, 1);
+                        super::deliver(shared, &job, Ok(summary));
+                        return;
+                    }
+                    Ok(Admitted::Queued(depth)) => Ok(depth),
+                    Err(refusal) => Err(refusal),
+                },
+                None => shared.scheduler.admit(job),
+            };
+            match queued {
                 Ok(depth) => {
                     outbox.push(protocol::accepted_line(&run.id, depth));
                 }
@@ -365,6 +495,17 @@ fn admit(id: &str, config: &ExperimentConfig, outbox: &Outbox, shared: &ServeSha
 mod tests {
     use super::*;
 
+    /// The next queued line, without its newline.
+    fn next_line(outbox: &Outbox) -> Option<String> {
+        let bytes = outbox.pop_blocking()?;
+        let line = String::from_utf8(bytes).expect("UTF-8 line");
+        Some(
+            line.strip_suffix('\n')
+                .expect("newline-terminated")
+                .to_owned(),
+        )
+    }
+
     #[test]
     fn chatter_is_shed_and_confessed() {
         let t = Telemetry::counters_only();
@@ -375,13 +516,13 @@ mod tests {
         assert!(!outbox.push("d".into()));
         assert_eq!(t.counter(CounterId::ServeDroppedLines), 2);
         // Drain one; the next push confesses the drops first.
-        assert_eq!(outbox.pop_blocking().as_deref(), Some("a"));
-        assert_eq!(outbox.pop_blocking().as_deref(), Some("b"));
+        assert_eq!(next_line(&outbox).as_deref(), Some("a"));
+        assert_eq!(next_line(&outbox).as_deref(), Some("b"));
         assert!(outbox.push("e".into()));
-        let confession = outbox.pop_blocking().unwrap();
+        let confession = next_line(&outbox).unwrap();
         assert!(confession.contains("\"kind\":\"dropped\""));
         assert!(confession.contains("\"count\":2"));
-        assert_eq!(outbox.pop_blocking().as_deref(), Some("e"));
+        assert_eq!(next_line(&outbox).as_deref(), Some("e"));
     }
 
     #[test]
@@ -400,7 +541,104 @@ mod tests {
         outbox.push_must("x".into());
         outbox.close();
         assert!(!outbox.push_must("late".into()), "closed refuses pushes");
-        assert_eq!(outbox.pop_blocking().as_deref(), Some("x"));
-        assert_eq!(outbox.pop_blocking(), None);
+        assert_eq!(next_line(&outbox).as_deref(), Some("x"));
+        assert_eq!(next_line(&outbox), None);
+    }
+
+    #[test]
+    fn write_through_queues_behind_a_full_socket_and_sends_the_tail_first() {
+        let (ours, mut peer) = UnixStream::pair().expect("socket pair");
+        let t = Telemetry::counters_only();
+        let outbox = Outbox::new(3, t.clone()).with_socket(ours.try_clone().unwrap());
+        assert!(outbox.push_must("first".into()));
+        assert_eq!(outbox.depth(), 0, "an idle socket takes a line at once");
+        // More than any socket buffer holds: the socket takes a part, and
+        // the tail waits at the head of the queue.
+        let big = "x".repeat(8 << 20);
+        assert!(outbox.push_must(big.clone()));
+        assert_eq!(outbox.depth(), 1, "the tail of a partial send is queued");
+        // Behind the tail, lines queue in push order; chatter past the
+        // cap is shed and counted.
+        assert!(outbox.push_must("e0".into()));
+        assert!(outbox.push("c0".into()));
+        assert!(!outbox.push("c1".into()), "over cap: shed");
+        assert!(!outbox.push("c2".into()));
+        assert_eq!(t.counter(CounterId::ServeDroppedLines), 2);
+
+        // The peer starts reading; this thread plays the writer.
+        let reader = std::thread::spawn(move || {
+            let mut text = String::new();
+            peer.read_to_string(&mut text).expect("read peer");
+            text
+        });
+        let mut out = ours;
+        for _ in 0..3 {
+            out.write_all(&outbox.pop_blocking().unwrap()).unwrap();
+        }
+        // The writer is mid-line until it asks for more, so this queues:
+        // first the confession, then the line.
+        assert!(outbox.push_must("e1".into()));
+        outbox.close();
+        while let Some(bytes) = outbox.pop_blocking() {
+            out.write_all(&bytes).unwrap();
+        }
+        drop(out);
+        drop(outbox);
+        let text = reader.join().unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 6, "every line arrives whole");
+        assert_eq!(lines[0], "first");
+        assert!(lines[1] == big, "the tail went out first");
+        assert_eq!(&lines[2..4], ["e0", "c0"]);
+        assert_eq!(lines[4], r#"{"ok":true,"kind":"dropped","count":2}"#);
+        assert_eq!(lines[5], "e1");
+    }
+
+    #[test]
+    fn reader_waits_while_the_outbox_is_full() {
+        let outbox = Arc::new(Outbox::new(2, Telemetry::disabled()));
+        outbox.push_must("a".into());
+        outbox.push_must("b".into());
+        let waiter = {
+            let outbox = Arc::clone(&outbox);
+            std::thread::spawn(move || {
+                outbox.wait_for_room();
+                outbox.depth()
+            })
+        };
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(!waiter.is_finished(), "a full outbox holds the reader");
+        assert_eq!(next_line(&outbox).as_deref(), Some("a"));
+        assert_eq!(waiter.join().unwrap(), 1, "one line out lets it go on");
+    }
+
+    #[test]
+    fn request_lines_are_capped_and_split_on_newlines() {
+        let long = vec![b'{'; MAX_LINE_BYTES + 10];
+        let mut at_cap = vec![b'{'; MAX_LINE_BYTES];
+        at_cap.push(b'\r');
+        let mut input = Vec::new();
+        for part in [&b"one\r"[..], &long, &at_cap, b"\xff", b""] {
+            input.extend_from_slice(part);
+            input.push(b'\n');
+        }
+        input.extend_from_slice(b"last");
+        let mut input = BufReader::with_capacity(4096, &input[..]);
+        let mut line = Vec::new();
+        let mut lines = Vec::new();
+        while read_line_capped(&mut input, &mut line).unwrap() {
+            lines.push(line.clone());
+        }
+        assert_eq!(lines.len(), 6);
+        assert_eq!(lines[0], b"one", "CRLF is stripped");
+        assert_eq!(lines[1], &long[..MAX_LINE_BYTES + 1], "kept one byte over");
+        assert_eq!(
+            lines[2],
+            &at_cap[..MAX_LINE_BYTES],
+            "a line at the cap, CRLF"
+        );
+        assert_eq!(lines[3], b"\xff");
+        assert_eq!(lines[4], b"");
+        assert_eq!(lines[5], b"last", "an unterminated last line counts");
     }
 }

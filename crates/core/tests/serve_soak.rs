@@ -11,7 +11,9 @@
 //! * SIGTERM (and the `shutdown` op) drain gracefully: every admitted
 //!   request's response is delivered, then `bye`, then exit code 0;
 //! * a mixed concurrent tenant population (size via `VMPROBE_SOAK_CLIENTS`)
-//!   soaks the admission path without cross-tenant interference.
+//!   soaks the admission path without cross-tenant interference;
+//! * one tenant's pipelined results keep request order, warm ones included;
+//! * every request line, however damaged, gets exactly one typed reply.
 
 #![cfg(unix)]
 
@@ -209,6 +211,178 @@ fn healthy_results_are_byte_identical_to_batch_mode_and_sigterm_drains() {
         metrics.contains("vmprobe_serve_results_total 3"),
         "metrics: {metrics}"
     );
+    // Bob's request was the one warm request: answered on his
+    // connection's reader thread, without an executor batch.
+    assert!(
+        metrics.contains("vmprobe_serve_inline_hits_total 1"),
+        "metrics: {metrics}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn one_tenants_pipelined_results_keep_request_order() {
+    let dir = temp_dir("order");
+    let socket = dir.join("daemon.sock");
+    let mut daemon = spawn_daemon(&socket, &["--jobs", "2", "--retries", "0"]);
+
+    let mut dave = Client::connect(&socket);
+    dave.send(&run_line("warm", "dave", "search", 32, None));
+    let (line, _) = dave.read_kind(&["result", "error"]);
+    assert_eq!(line, baseline_line("warm", "search", 32));
+
+    // A cold cell, that cell again, then the warm one: the warm request
+    // must not overtake the work its tenant has outstanding.
+    let order = [("o1", "moldyn"), ("o2", "moldyn"), ("o3", "search")];
+    for (id, bench) in order {
+        dave.send(&run_line(id, "dave", bench, 32, None));
+    }
+    for (id, bench) in order {
+        let (line, _) = dave.read_kind(&["result", "error"]);
+        assert_eq!(line, baseline_line(id, bench, 32), "result for {id}");
+    }
+
+    Command::new("kill")
+        .args(["-TERM", &daemon.id().to_string()])
+        .status()
+        .expect("kill runs");
+    dave.read_kind(&["bye"]);
+    let status = daemon.wait().expect("daemon exits");
+    assert_eq!(status.code(), Some(0));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The valid request lines `serve::protocol`'s unit tests parse.
+const VALID_LINES: [&str; 6] = [
+    r#"{"op":"status"}"#,
+    r#"{"op":"run","id":"r1","tenant":"alice","benchmark":"_209_db"}"#,
+    r#"{"op":"run","id":"r","tenant":"t","benchmark":"moldyn","collector":"semispace","heap_mb":32,"scale":"s10","faults":"oom@1","seed":9}"#,
+    r#"{"op":"diff","id":"d1","tenant":"alice","benchmark":"_209_db","scale":"s10","replicates":3,"resamples":64,"confidence":0.95,"seed":7,"perturb":"gc=+5%"}"#,
+    r#"{"op":"observe","id":"o1","tenant":"alice","benchmark":"_209_db","scale":"s10","periods":"4us,40us"}"#,
+    r#"{"op":"observe","id":"o2","tenant":"alice","benchmark":"m"}"#,
+];
+
+/// Damaged and hostile request lines: random bytes, every truncation and
+/// a seeded sample of single-byte mutations of each valid line, a
+/// non-UTF-8 byte, and lines just over the cap and far over it. Lines
+/// the daemon skips as blank are left out.
+fn hostile_lines() -> Vec<Vec<u8>> {
+    let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    // A newline inside a line would make it two.
+    let byte = |r: u64| match (r >> 24) as u8 {
+        b'\n' => b'?',
+        b => b,
+    };
+    let mut lines: Vec<Vec<u8>> = Vec::new();
+    for line in VALID_LINES {
+        let bytes = line.as_bytes();
+        lines.push(bytes.to_vec());
+        lines.extend((1..bytes.len()).map(|len| bytes[..len].to_vec()));
+        for i in 0..bytes.len() {
+            let mut mutated = bytes.to_vec();
+            mutated[i] = byte(next());
+            lines.push(mutated);
+        }
+    }
+    for _ in 0..200 {
+        let len = (next() % 96) as usize;
+        lines.push((0..len).map(|_| byte(next())).collect());
+    }
+    lines.push(vec![0xff]);
+    lines.push(vec![b'a'; 64 * 1024 + 1]);
+    lines.push(vec![b'{'; 1 << 20]);
+    lines.retain(|l| !std::str::from_utf8(l).is_ok_and(|t| t.trim().is_empty()));
+    lines
+}
+
+#[test]
+fn every_request_line_gets_exactly_one_typed_reply() {
+    let dir = temp_dir("hostile");
+    let socket = dir.join("daemon.sock");
+    // The heap cap refuses every cell over 32 MB at admission, so the
+    // mutants that still parse stay cheap: the only cells that reach the
+    // executor are s10 moldyn ones, and most of those fail at `oom@1`.
+    let mut daemon = spawn_daemon(
+        &socket,
+        &["--jobs", "2", "--retries", "0", "--max-heap-mb", "32"],
+    );
+    let lines = hostile_lines();
+    let mut client = Client::connect(&socket);
+    let mut writer = client.writer.try_clone().expect("clone");
+    let sender = std::thread::spawn({
+        let lines = lines.clone();
+        move || {
+            for line in &lines {
+                writer.write_all(line).expect("send");
+                writer.write_all(b"\n").expect("send newline");
+            }
+        }
+    });
+
+    // Pipelined: read while sending, counting final replies (everything
+    // but `accepted` acks and `dropped` confessions).
+    let mut finals = 0;
+    while finals < lines.len() {
+        let mut reply = String::new();
+        let n = client.reader.read_line(&mut reply).expect("read reply");
+        assert!(n > 0, "daemon hung up after {finals} replies");
+        let v = JsonValue::parse(reply.trim_end())
+            .unwrap_or_else(|e| panic!("reply is not JSON ({e}): {reply}"));
+        let kind = v.get("kind").and_then(JsonValue::as_str).unwrap_or("");
+        assert!(!kind.is_empty(), "untyped reply: {reply}");
+        if kind == "error" {
+            assert!(
+                v.get("code").and_then(JsonValue::as_str).is_some(),
+                "error without a code: {reply}"
+            );
+        }
+        if kind != "accepted" && kind != "dropped" {
+            finals += 1;
+        }
+    }
+    sender.join().expect("sender");
+
+    // No reply beyond one per line, and the daemon still answers.
+    client.send(r#"{"op":"status"}"#);
+    let (line, _) = client.read_kind(&["status", "result", "error", "verified"]);
+    assert!(line.contains(r#""kind":"status""#), "extra reply: {line}");
+
+    Command::new("kill")
+        .args(["-TERM", &daemon.id().to_string()])
+        .status()
+        .expect("kill runs");
+    client.read_kind(&["bye"]);
+    let status = daemon.wait().expect("daemon exits");
+    assert_eq!(status.code(), Some(0), "clean SIGTERM exit");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_non_utf8_line_gets_bad_json_and_the_session_carries_on() {
+    let dir = temp_dir("utf8");
+    let socket = dir.join("daemon.sock");
+    let mut daemon = spawn_daemon(&socket, &["--jobs", "1"]);
+    let mut client = Client::connect(&socket);
+    client.writer.write_all(b"\xff\n").expect("send");
+    let (line, v) = client.read_kind(&["error"]);
+    assert_eq!(
+        v.get("code").and_then(JsonValue::as_str),
+        Some("bad_json"),
+        "{line}"
+    );
+    client.send(r#"{"op":"status"}"#);
+    client.read_kind(&["status"]);
+    client.send(r#"{"op":"shutdown"}"#);
+    client.read_kind(&["draining"]);
+    client.read_kind(&["bye"]);
+    let status = daemon.wait().expect("daemon exits");
+    assert_eq!(status.code(), Some(0));
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -12,7 +12,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub enum CounterId {
     /// Distinct cells actually executed by the supervised runner.
     CellsExecuted,
-    /// Batch cells served from the cross-batch memo without executing.
+    /// Cells served from the cross-batch memo without executing: batch
+    /// occurrences, and the serving daemon's inline hits.
     CellsFromCache,
     /// Batch cells resolved to an earlier duplicate in the same batch.
     CellsDedupedInBatch,
@@ -95,6 +96,9 @@ pub enum CounterId {
     ProbeCyclesPaid,
     /// `op:"observe"` requests admitted by the serving daemon.
     ServeObserve,
+    /// Run requests the serving daemon answered on the connection's
+    /// reader thread from a memoized cell, without an executor batch.
+    ServeInlineHits,
     /// Total measured cell energy, in integer microjoules (deterministic;
     /// lets dashboards track energy throughput without parsing reports).
     CellEnergyUj,
@@ -108,7 +112,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// All counters, in export order.
-    pub const ALL: [CounterId; 42] = [
+    pub const ALL: [CounterId; 43] = [
         CounterId::CellsExecuted,
         CounterId::CellsFromCache,
         CounterId::CellsDedupedInBatch,
@@ -148,6 +152,7 @@ impl CounterId {
         CounterId::ProbeHpmReads,
         CounterId::ProbeCyclesPaid,
         CounterId::ServeObserve,
+        CounterId::ServeInlineHits,
         CounterId::CellEnergyUj,
         CounterId::HostTaxPpm,
         CounterId::ProbeTaxPpm,
@@ -195,6 +200,7 @@ impl CounterId {
             CounterId::ProbeHpmReads => "probe_hpm_reads",
             CounterId::ProbeCyclesPaid => "probe_cycles_paid",
             CounterId::ServeObserve => "serve_observe",
+            CounterId::ServeInlineHits => "serve_inline_hits",
             CounterId::CellEnergyUj => "cell_energy_uj",
             CounterId::HostTaxPpm => "host_tax_ppm",
             CounterId::ProbeTaxPpm => "probe_tax_ppm",
@@ -210,7 +216,9 @@ impl CounterId {
     /// comparisons, exactly like [`crate::HostSpan`]s.
     pub fn deterministic(self) -> bool {
         // Dropped response lines depend on how fast a client drains its
-        // socket, which is host scheduling, like steals and memo waits.
+        // socket, which is host scheduling, like steals and memo waits;
+        // whether a warm request is answered inline depends on whether
+        // its cell was published and its tenant idle when it arrived.
         // The host tax is a wall-clock ratio, so it moves with the host;
         // the probe tax is a simulated-cycle ratio and stays put.
         !matches!(
@@ -218,6 +226,7 @@ impl CounterId {
             CounterId::MemoInFlightWaits
                 | CounterId::WorkerSteals
                 | CounterId::ServeDroppedLines
+                | CounterId::ServeInlineHits
                 | CounterId::HostTaxPpm
         )
     }
