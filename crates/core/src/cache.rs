@@ -104,9 +104,11 @@ pub enum CacheLookup {
 }
 
 /// Monotonic counters describing cache traffic. Hits, misses and corrupt
-/// probes partition the probe count; every probe happens exactly once per
-/// unique cell key (inside the memo's in-flight window), so all of these
-/// are deterministic across `--jobs` settings.
+/// probes partition the probe count; every counted probe happens exactly
+/// once per unique cell key (inside the memo's in-flight window), so all
+/// of these are deterministic across `--jobs` settings. A hit-only probe
+/// ([`ExperimentCache::lookup_hit`]) is counted only when it hits, and is
+/// then the key's one probe; otherwise a counted probe follows it.
 #[derive(Debug, Default)]
 pub struct CacheStats {
     hits: AtomicU64,
@@ -264,8 +266,31 @@ impl ExperimentCache {
 
     /// Probe for `key`, checking the in-memory layer first, then disk.
     pub fn lookup(&self, key: &str) -> CacheLookup {
+        let outcome = self.probe(key);
+        let counter = match &outcome {
+            CacheLookup::Hit(_) => &self.stats.hits,
+            CacheLookup::Miss => &self.stats.misses,
+            CacheLookup::Corrupt => &self.stats.corrupt,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        outcome
+    }
+
+    /// The summary stored for `key` when it is a valid hit, counted like
+    /// a [`ExperimentCache::lookup`] hit. A miss or a damaged entry is
+    /// `None` and counts nothing, so the caller's later `lookup` stays the
+    /// key's one counted probe.
+    pub fn lookup_hit(&self, key: &str) -> Option<Arc<RunSummary>> {
+        let CacheLookup::Hit(summary) = self.probe(key) else {
+            return None;
+        };
+        self.stats.hits.fetch_add(1, Ordering::Relaxed);
+        Some(summary)
+    }
+
+    /// One uncounted probe; a disk hit is promoted to the in-memory layer.
+    fn probe(&self, key: &str) -> CacheLookup {
         if let Some(hit) = lock_unpoisoned(&self.mem).map.get(key) {
-            self.stats.hits.fetch_add(1, Ordering::Relaxed);
             return CacheLookup::Hit(Arc::clone(hit));
         }
         let outcome = match fs::read(self.entry_path(key)) {
@@ -277,16 +302,10 @@ impl ExperimentCache {
                 Err(_) => CacheLookup::Corrupt,
             },
         };
-        let counter = match &outcome {
-            CacheLookup::Hit(summary) => {
-                let ev = lock_unpoisoned(&self.mem).insert(key, Arc::clone(summary));
-                self.stats.evictions.fetch_add(ev, Ordering::Relaxed);
-                &self.stats.hits
-            }
-            CacheLookup::Miss => &self.stats.misses,
-            CacheLookup::Corrupt => &self.stats.corrupt,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+        if let CacheLookup::Hit(summary) = &outcome {
+            let ev = lock_unpoisoned(&self.mem).insert(key, Arc::clone(summary));
+            self.stats.evictions.fetch_add(ev, Ordering::Relaxed);
+        }
         outcome
     }
 
@@ -961,6 +980,43 @@ spans none
         cold.store(&key, &s);
         let fresh = ExperimentCache::open(&dir).unwrap();
         assert!(matches!(fresh.lookup(&key), CacheLookup::Hit(_)));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hit_only_probes_count_hits_alone() {
+        let dir = test_dir("hit-only");
+        let cache = ExperimentCache::open(&dir).unwrap();
+        let s = Arc::new(summary());
+        let key = s.config.key();
+        let counts = |c: &ExperimentCache| {
+            let st = c.stats();
+            (st.hits(), st.misses(), st.corrupt())
+        };
+        assert!(cache.lookup_hit(&key).is_none());
+        assert_eq!(counts(&cache), (0, 0, 0), "a miss counts nothing");
+        // The counted probe that follows is the key's one miss.
+        assert!(matches!(cache.lookup(&key), CacheLookup::Miss));
+        assert_eq!(counts(&cache), (0, 1, 0));
+
+        cache.store(&key, &s);
+        let path = cache.entry_path(&key);
+        let stored = fs::read(&path).unwrap();
+        let mut damaged = stored.clone();
+        let mid = damaged.len() / 2;
+        damaged[mid] ^= 0x01;
+        fs::write(&path, &damaged).unwrap();
+        let cold = ExperimentCache::open(&dir).unwrap();
+        assert!(cold.lookup_hit(&key).is_none());
+        assert_eq!(counts(&cold), (0, 0, 0), "a damaged entry counts nothing");
+        assert!(matches!(cold.lookup(&key), CacheLookup::Corrupt));
+        assert_eq!(counts(&cold), (0, 0, 1));
+
+        fs::write(&path, &stored).unwrap();
+        let warm = ExperimentCache::open(&dir).unwrap();
+        let hit = warm.lookup_hit(&key).expect("a valid entry hits");
+        assert_bit_identical(&s, &hit);
+        assert_eq!(counts(&warm), (1, 0, 0), "a hit counts once");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -36,7 +36,8 @@
 //! sweep completes.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use vmprobe_power::{FaultPlan, FaultStats, ProbeSpec};
 use vmprobe_telemetry::{CounterId, HistId, HostSpanGuard, StderrSink, Telemetry};
@@ -45,7 +46,7 @@ use vmprobe_workloads::InputScale;
 
 use crate::cache::{CacheLookup, ExperimentCache};
 use crate::json::JsonObj;
-use crate::sweep::{ShardedMemo, WorkStealingPool};
+use crate::sweep::{lock_unpoisoned, ShardedMemo, WorkStealingPool};
 use crate::{ExperimentConfig, ExperimentError, RunSummary};
 
 /// First retry waits this many virtual milliseconds.
@@ -291,23 +292,32 @@ impl CellRule {
     }
 }
 
-/// A cloneable, read-only handle to a runner's memo: answers whether a
-/// cell is already resolved without going through the runner. It derives
-/// keys by the runner's fault plans and overrides as they stood when the
-/// handle was taken, so take it once the runner is built.
+/// A cloneable handle to a runner's memo, persistent cache and report:
+/// resolves a cell that needs no simulation without going through the
+/// runner. It derives keys by the runner's fault plans and overrides, and
+/// probes the cache attached, as they stood when the handle was taken, so
+/// take it once the runner is built.
 #[derive(Debug, Clone)]
 pub struct MemoHandle {
     memo: Arc<ShardedMemo<CellResult>>,
     rule: CellRule,
     telemetry: Telemetry,
+    cache: Option<Arc<ExperimentCache>>,
+    report: Arc<Mutex<RunReport>>,
 }
 
 impl MemoHandle {
-    /// The memoized *successful* summary for `config` under `plan` (as in
-    /// [`SupervisedRunner::run_batch_with_plans`]), if one is published.
-    /// Quarantined failures and unresolved cells are `None`. Never blocks
-    /// on an in-flight cell and counts nothing.
-    pub fn summary(
+    /// The successful summary for `config` under `plan` (as in
+    /// [`SupervisedRunner::run_batch_with_plans`]) when it can be had
+    /// without simulating: a memo hit, counted as `cells_from_cache`, or
+    /// else a valid persistent-cache entry, published to the memo and
+    /// accounted exactly as a batch accounts a cell it restores.
+    ///
+    /// Never waits: `None` at once when the cell is in flight elsewhere,
+    /// memoized as a quarantined failure, or not restorable. Those cases
+    /// count nothing, and a cache miss or damaged entry leaves the key to
+    /// the runner's one counted probe.
+    pub fn restore(
         &self,
         config: &ExperimentConfig,
         plan: Option<FaultPlan>,
@@ -315,7 +325,22 @@ impl MemoHandle {
         let (_, _, key) = self
             .rule
             .resolve(config, plan, self.telemetry.spans_enabled());
-        self.memo.peek(&key)?.ok()
+        let mut restored = None;
+        let value = self.memo.try_get_or_compute(&key, || {
+            let cache = self.cache.as_ref()?;
+            let started = Instant::now();
+            let summary = cache.lookup_hit(&key)?;
+            restored = Some(hit_record(&summary, started));
+            Some(Ok(summary))
+        })?;
+        match restored {
+            // A restored hit quarantines nothing, so there is nothing for
+            // `verbose` to log.
+            Some(rec) => account_resolved(&self.telemetry, &self.report, false, &key, rec, &value),
+            None if value.is_ok() => self.telemetry.count(CounterId::CellsFromCache, 1),
+            None => {}
+        }
+        value.ok()
     }
 }
 
@@ -326,7 +351,9 @@ pub struct SupervisedRunner {
     jobs: usize,
     rule: CellRule,
     max_retries: u32,
-    report: RunReport,
+    /// Shared with every [`MemoHandle`], which folds the cells it
+    /// restores into it.
+    report: Arc<Mutex<RunReport>>,
     seen_failed_cells: HashSet<(String, u32, String)>,
     verbose: bool,
     contain_panics: bool,
@@ -380,12 +407,14 @@ impl SupervisedRunner {
 
     /// A handle to this runner's memo for lookups from other threads (the
     /// serving daemon answers warm requests with it). Take it once the
-    /// runner is built.
+    /// runner is built, its cache included.
     pub fn memo_handle(&self) -> MemoHandle {
         MemoHandle {
             memo: Arc::clone(&self.memo),
             rule: self.rule.clone(),
             telemetry: self.telemetry.clone(),
+            cache: self.cache.clone(),
+            report: Arc::clone(&self.report),
         }
     }
 
@@ -571,19 +600,10 @@ impl SupervisedRunner {
                         // counters are thread-count-independent.
                         let mut probe = CacheProbe::None;
                         if let Some(cache) = &cache {
-                            let started = std::time::Instant::now();
+                            let started = Instant::now();
                             match cache.lookup(key) {
                                 CacheLookup::Hit(summary) => {
-                                    record = Some(ExecutionRecord {
-                                        cache_probe: CacheProbe::Hit,
-                                        success_faults: Some(summary.report.faults),
-                                        host_us: started
-                                            .elapsed()
-                                            .as_micros()
-                                            .min(u128::from(u64::MAX))
-                                            as u64,
-                                        ..ExecutionRecord::default()
-                                    });
+                                    record = Some(hit_record(&summary, started));
                                     return Ok(summary);
                                 }
                                 CacheLookup::Miss => probe = CacheProbe::Miss,
@@ -614,114 +634,46 @@ impl SupervisedRunner {
         let mut out = Vec::with_capacity(cells.len());
         for (i, (config, _, key)) in cells.iter().enumerate() {
             let first_here = first.get(key.as_str()) == Some(&i);
-            let rec = if first_here { records.remove(&i) } else { None };
-            // This occurrence resolved the cell in this batch — by
-            // computing it or by restoring it from the persistent cache.
-            let resolved_here = rec.is_some();
-            if let Some(rec) = rec {
-                if rec.cache_probe == CacheProbe::Hit {
-                    self.telemetry.count(CounterId::CacheHits, 1);
-                } else {
-                    self.telemetry.count(CounterId::CellsExecuted, 1);
-                    match rec.cache_probe {
-                        CacheProbe::Miss => self.telemetry.count(CounterId::CacheMisses, 1),
-                        CacheProbe::Corrupt => self.telemetry.count(CounterId::CacheCorrupt, 1),
-                        CacheProbe::None | CacheProbe::Hit => {}
-                    }
-                    if rec.cache_stored {
-                        self.telemetry.count(CounterId::CacheStores, 1);
-                    }
-                }
-                self.apply_record(rec);
-            } else if first_here {
-                self.telemetry.count(CounterId::CellsFromCache, 1);
-            } else {
-                self.telemetry.count(CounterId::CellsDedupedInBatch, 1);
-            }
             let value = self
                 .memo
                 .peek(key)
                 .expect("every batch key resolves before merge");
-            match value {
-                Ok(summary) => {
-                    if resolved_here {
-                        // Virtual cell duration comes off the report, so
-                        // counters-only hubs (`--metrics-out` without
-                        // `--trace-out`) still fill this histogram.
-                        self.telemetry.observe(
-                            HistId::CellVirtualUs,
-                            (summary.report.duration.seconds() * 1e6) as u64,
-                        );
-                        self.telemetry.count(
-                            CounterId::CellEnergyUj,
-                            (summary.report.total_energy.joules() * 1e6) as u64,
-                        );
-                        let probe = &summary.report.probe;
-                        self.telemetry
-                            .count(CounterId::ProbePortStores, probe.port_stores);
-                        self.telemetry
-                            .count(CounterId::ProbeDaqSamples, probe.daq_samples_paid);
-                        self.telemetry
-                            .count(CounterId::ProbeHpmReads, probe.hpm_reads_paid);
-                        self.telemetry
-                            .count(CounterId::ProbeCyclesPaid, probe.cycles_paid);
-                        if let Some(trace) = &summary.spans {
-                            // Appended on the calling thread in submission
-                            // order: the virtual span stream is therefore
-                            // byte-identical for any worker count.
-                            self.telemetry.record_cell(key, trace);
-                            self.telemetry
-                                .observe(HistId::CellSpans, trace.len() as u64);
-                        }
-                    }
-                    out.push(Ok(summary));
-                }
-                Err(failure) => {
-                    if resolved_here {
-                        // The executing occurrence surfaces the underlying
-                        // error, exactly like the serial retry loop did.
-                        out.push(Err(failure.underlying.clone()));
-                    } else {
-                        self.report.quarantine_hits += 1;
-                        self.telemetry.count(CounterId::QuarantineHits, 1);
-                        out.push(Err(ExperimentError::Quarantined {
-                            config: Box::new(config.clone()),
-                            attempts: failure.attempts,
-                            last_error: failure.last_error.clone(),
-                        }));
-                    }
-                }
+            // This occurrence resolved the cell in this batch — by
+            // computing it or by restoring it from the persistent cache.
+            let rec = if first_here { records.remove(&i) } else { None };
+            if let Some(rec) = rec {
+                account_resolved(
+                    &self.telemetry,
+                    &self.report,
+                    self.verbose,
+                    key,
+                    rec,
+                    &value,
+                );
+                // The executing occurrence surfaces the underlying error,
+                // exactly like the serial retry loop did.
+                out.push(value.map_err(|failure| failure.underlying));
+                continue;
             }
+            self.telemetry.count(
+                if first_here {
+                    CounterId::CellsFromCache
+                } else {
+                    CounterId::CellsDedupedInBatch
+                },
+                1,
+            );
+            out.push(value.map_err(|failure| {
+                lock_unpoisoned(&self.report).quarantine_hits += 1;
+                self.telemetry.count(CounterId::QuarantineHits, 1);
+                ExperimentError::Quarantined {
+                    config: Box::new(config.clone()),
+                    attempts: failure.attempts,
+                    last_error: failure.last_error,
+                }
+            }));
         }
         out
-    }
-
-    fn apply_record(&mut self, rec: ExecutionRecord) {
-        self.report.attempts_failed += rec.attempts_failed;
-        self.report.retries += rec.retries;
-        self.report.backoff_virtual_ms += rec.backoff_ms;
-        self.telemetry
-            .count(CounterId::AttemptsFailed, rec.attempts_failed);
-        self.telemetry.count(CounterId::Retries, rec.retries);
-        self.telemetry
-            .count(CounterId::BackoffVirtualMs, rec.backoff_ms);
-        self.telemetry.observe(HistId::CellHostUs, rec.host_us);
-        self.report.faults.injected_oom += rec.injected_oom;
-        self.report.faults.budget_exhausted += rec.budget_exhausted;
-        if let Some(faults) = rec.success_faults {
-            self.report.runs_ok += 1;
-            self.report.faults.merge(&faults);
-        }
-        if let Some(q) = rec.quarantined {
-            self.telemetry.count(CounterId::CellsQuarantined, 1);
-            if self.verbose {
-                self.telemetry.log(&format!(
-                    "quarantined {} after {} attempts",
-                    q.config, q.attempts
-                ));
-            }
-            self.report.quarantined.push(q);
-        }
     }
 
     /// Tolerant cell execution for figure sweeps: a failure is recorded as
@@ -757,7 +709,9 @@ impl SupervisedRunner {
                     let cell = FailedCell::new(config, &e);
                     let sig = (cell.benchmark.clone(), cell.heap_mb, cell.vm.clone());
                     if self.seen_failed_cells.insert(sig) {
-                        self.report.failed_cells.push(cell.clone());
+                        lock_unpoisoned(&self.report)
+                            .failed_cells
+                            .push(cell.clone());
                     }
                     failed.push(cell);
                     None
@@ -771,10 +725,106 @@ impl SupervisedRunner {
         self.memo.count_matching(|v| v.is_ok())
     }
 
-    /// The campaign report accumulated so far.
-    pub fn report(&self) -> &RunReport {
-        &self.report
+    /// The campaign report accumulated so far, including the cells its
+    /// [`MemoHandle`]s restored.
+    pub fn report(&self) -> RunReport {
+        lock_unpoisoned(&self.report).clone()
     }
+}
+
+/// Account one cell a batch or a [`MemoHandle`] resolved, by computing it
+/// or restoring it from the persistent cache: the cache and execution
+/// counters, the record's attempts, retries and faults (`runs_ok` and the
+/// fault merge), any quarantine, and the histograms and counters of a
+/// successful cell. This is the one place that accounting lives.
+fn account_resolved(
+    telemetry: &Telemetry,
+    report: &Mutex<RunReport>,
+    verbose: bool,
+    key: &str,
+    rec: ExecutionRecord,
+    value: &CellResult,
+) {
+    if rec.cache_probe == CacheProbe::Hit {
+        telemetry.count(CounterId::CacheHits, 1);
+    } else {
+        telemetry.count(CounterId::CellsExecuted, 1);
+        match rec.cache_probe {
+            CacheProbe::Miss => telemetry.count(CounterId::CacheMisses, 1),
+            CacheProbe::Corrupt => telemetry.count(CounterId::CacheCorrupt, 1),
+            CacheProbe::None | CacheProbe::Hit => {}
+        }
+        if rec.cache_stored {
+            telemetry.count(CounterId::CacheStores, 1);
+        }
+    }
+    telemetry.count(CounterId::AttemptsFailed, rec.attempts_failed);
+    telemetry.count(CounterId::Retries, rec.retries);
+    telemetry.count(CounterId::BackoffVirtualMs, rec.backoff_ms);
+    telemetry.observe(HistId::CellHostUs, rec.host_us);
+    {
+        let mut report = lock_unpoisoned(report);
+        report.attempts_failed += rec.attempts_failed;
+        report.retries += rec.retries;
+        report.backoff_virtual_ms += rec.backoff_ms;
+        report.faults.injected_oom += rec.injected_oom;
+        report.faults.budget_exhausted += rec.budget_exhausted;
+        if let Some(faults) = rec.success_faults {
+            report.runs_ok += 1;
+            report.faults.merge(&faults);
+        }
+        if let Some(q) = rec.quarantined {
+            telemetry.count(CounterId::CellsQuarantined, 1);
+            if verbose {
+                telemetry.log(&format!(
+                    "quarantined {} after {} attempts",
+                    q.config, q.attempts
+                ));
+            }
+            report.quarantined.push(q);
+        }
+    }
+    let Ok(summary) = value else {
+        return;
+    };
+    // Virtual cell duration comes off the report, so counters-only hubs
+    // (`--metrics-out` without `--trace-out`) still fill this histogram.
+    telemetry.observe(
+        HistId::CellVirtualUs,
+        (summary.report.duration.seconds() * 1e6) as u64,
+    );
+    telemetry.count(
+        CounterId::CellEnergyUj,
+        (summary.report.total_energy.joules() * 1e6) as u64,
+    );
+    let probe = &summary.report.probe;
+    telemetry.count(CounterId::ProbePortStores, probe.port_stores);
+    telemetry.count(CounterId::ProbeDaqSamples, probe.daq_samples_paid);
+    telemetry.count(CounterId::ProbeHpmReads, probe.hpm_reads_paid);
+    telemetry.count(CounterId::ProbeCyclesPaid, probe.cycles_paid);
+    if let Some(trace) = &summary.spans {
+        // Appended in the caller's order: a batch merges in submission
+        // order, so its virtual span stream is byte-identical for any
+        // worker count.
+        telemetry.record_cell(key, trace);
+        telemetry.observe(HistId::CellSpans, trace.len() as u64);
+    }
+}
+
+/// What a persistent-cache hit probed at `started` contributes to the
+/// report: the restored run's fault ledger and the probe's host time.
+fn hit_record(summary: &RunSummary, started: Instant) -> ExecutionRecord {
+    ExecutionRecord {
+        cache_probe: CacheProbe::Hit,
+        success_faults: Some(summary.report.faults),
+        host_us: micros_since(started),
+        ..ExecutionRecord::default()
+    }
+}
+
+/// Host microseconds since `started`, saturating.
+pub(crate) fn micros_since(started: Instant) -> u64 {
+    u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
 /// Render a panic payload: the string it carried, or a placeholder.
@@ -801,7 +851,7 @@ fn execute_cell(
     contain: bool,
     telemetry: &Telemetry,
 ) -> (CellResult, ExecutionRecord) {
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let mut rec = ExecutionRecord::default();
     let mut attempts = 0u32;
     loop {
@@ -828,7 +878,7 @@ fn execute_cell(
         match outcome {
             Ok(summary) => {
                 rec.success_faults = Some(summary.report.faults);
-                rec.host_us = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+                rec.host_us = micros_since(started);
                 return (Ok(Arc::new(summary)), rec);
             }
             Err(e) => {
@@ -847,7 +897,7 @@ fn execute_cell(
                         attempts,
                         last_error: e.to_string(),
                     });
-                    rec.host_us = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+                    rec.host_us = micros_since(started);
                     return (
                         Err(StoredFailure {
                             attempts,

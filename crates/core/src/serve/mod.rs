@@ -13,9 +13,13 @@
 //!
 //! The accept loop waits in `poll(2)` on the listener, so a connection is
 //! accepted as soon as it arrives. A connection's reader thread answers
-//! most requests itself, warm runs included ([`session`]); only runs whose
-//! cell is not yet memoized, or whose tenant has work outstanding, cross
-//! to the executor thread and its work-stealing pool.
+//! most requests itself, warm runs included ([`session`]): a run is warm
+//! when its cell is memoized or restorable from the persistent cache, and
+//! the reader then sends its `accepted` line and its result in one write.
+//! Only runs that must simulate, whose cell is in flight, or whose tenant
+//! has work outstanding cross to the executor thread and its
+//! work-stealing pool. Either way [`HistId::ServeResultUs`] records the
+//! host time from admission to the result line.
 //!
 //! # Robustness envelope
 //!
@@ -55,7 +59,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use vmprobe_telemetry::{CounterId, Telemetry};
+use vmprobe_telemetry::{CounterId, HistId, Telemetry};
 
 use crate::json::JsonObj;
 use crate::sweep::lock_unpoisoned;
@@ -182,7 +186,8 @@ pub struct ServeShared {
     pub outbox_cap: usize,
     /// Shared persistent cache, if configured.
     pub cache: Option<Arc<ExperimentCache>>,
-    /// The executor runner's memo, for answering warm runs inline.
+    /// The executor runner's memo and cache, for answering warm runs
+    /// inline.
     memo: MemoHandle,
     /// Narrate admissions and results on stderr.
     verbose: bool,
@@ -287,7 +292,7 @@ fn executor(shared: &ServeShared, runner: &mut Runner, batch_max: usize) {
         let batch: Vec<_> = jobs.iter().map(|j| (j.config.clone(), j.plan)).collect();
         let results = runner.run_batch_with_plans(&batch);
         for (job, result) in jobs.iter().zip(results) {
-            deliver(shared, job, result);
+            deliver(shared, job, result, None);
             shared.scheduler.finish(&job.tenant);
         }
     }
@@ -295,11 +300,13 @@ fn executor(shared: &ServeShared, runner: &mut Runner, batch_max: usize) {
 
 /// Turn one runner result into one response line, with quarantine
 /// accounting. Both the executor and a reader answering a warm run
-/// inline deliver through here.
+/// inline deliver through here; the reader passes its `accepted` line as
+/// `ack`, to go out with the result in one write.
 fn deliver(
     shared: &ServeShared,
     job: &Job,
     result: Result<Arc<crate::RunSummary>, crate::ExperimentError>,
+    ack: Option<String>,
 ) {
     let verbose = shared.verbose;
     let (line, ok) = match result {
@@ -321,7 +328,14 @@ fn deliver(
         }
     }
     shared.telemetry.count(CounterId::ServeResults, 1);
-    job.outbox.push_must(line);
+    shared.telemetry.observe(
+        HistId::ServeResultUs,
+        crate::runner::micros_since(job.admitted),
+    );
+    match ack {
+        Some(ack) => job.outbox.push_with_ack(ack, line),
+        None => job.outbox.push_must(line),
+    };
     if verbose {
         eprintln!(
             "vmprobe-serve: {} '{}' for tenant '{}'",

@@ -7,13 +7,17 @@
 //! one lock on the reader thread of whichever connection submitted the
 //! request, so every rejection is immediate and carries an exact reason.
 //!
-//! A request whose cell is already memoized passes the same gates through
-//! [`Scheduler::admit_warm`], which hands it back to the reader thread to
-//! answer when its tenant has nothing queued or executing. A tenant with
-//! work outstanding queues as usual, so its results keep admission order.
+//! [`Scheduler::admit`] hands a run request back to the reader thread
+//! when its tenant has nothing queued or executing, so the reader can
+//! answer it if its cell needs no simulation. A tenant with work
+//! outstanding queues as usual, so its results keep admission order. A
+//! request handed back holds a queue slot until the reader answers it
+//! ([`Scheduler::answered`]) or queues it ([`Scheduler::decline`]), and
+//! a draining executor waits for it.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Instant;
 
 use vmprobe_power::FaultPlan;
 use vmprobe_telemetry::{CounterId, HistId, Telemetry};
@@ -37,6 +41,8 @@ pub struct Job {
     pub plan: Option<FaultPlan>,
     /// Where the result line goes.
     pub outbox: Arc<Outbox>,
+    /// When the daemon admitted it (for [`HistId::ServeResultUs`]).
+    pub admitted: Instant,
 }
 
 #[derive(Debug, Default)]
@@ -52,6 +58,10 @@ struct State {
     /// are absent): a warm request is answered inline only when its
     /// tenant is absent.
     outstanding: BTreeMap<String, usize>,
+    /// Requests handed back to a reader and not yet answered or queued.
+    /// Each holds a queue slot, and a draining executor waits for them,
+    /// so the daemon says `bye` only after their results.
+    inline: usize,
     /// Admission clock: run-request admission attempts seen so far.
     seq: u64,
     /// Draining: admit nothing, executor exits once queues are empty.
@@ -74,14 +84,15 @@ pub struct SchedulerStatus {
     pub standings: Vec<TenantStanding>,
 }
 
-/// How an admitted warm request proceeds.
+/// How an admitted run request proceeds.
 #[derive(Debug)]
 pub enum Admitted {
     /// Queued for the executor; the total queue depth after admission.
     Queued(usize),
-    /// Answer it on the calling thread; the depth it reports (queued jobs
-    /// plus itself).
-    Inline(Job, usize),
+    /// The calling thread may answer it, and then must call
+    /// [`Scheduler::answered`] or [`Scheduler::decline`]; the depth it
+    /// reports (queued jobs plus itself).
+    Inline(Box<Job>, usize),
 }
 
 /// The daemon's admission queue (see module docs).
@@ -109,31 +120,45 @@ impl Scheduler {
         }
     }
 
-    /// Admit one run request, or reject it with a taxonomy code. On
-    /// success returns the total queue depth *after* admission (reported
-    /// back to the client on its `accepted` line).
+    /// Admit one run request, or reject it with a taxonomy code. An
+    /// admitted request whose tenant has a job queued or executing is
+    /// queued behind it; otherwise it is handed back as
+    /// [`Admitted::Inline`] and holds a queue slot until the caller
+    /// settles it. The depth is the total queue depth *after* admission
+    /// (reported back to the client on its `accepted` line).
     ///
     /// Every call — admitted or refused — advances the admission clock
     /// that quarantine cooldowns are measured in.
-    pub fn admit(&self, job: Job) -> Result<usize, (ErrorCode, String)> {
-        let mut s = lock_unpoisoned(&self.state);
-        let depth = self.gate(&mut s, &job.tenant)?;
-        self.enqueue(&mut s, job);
-        Ok(depth)
-    }
-
-    /// Admit a run request whose cell is already memoized: the same gates
-    /// as [`Scheduler::admit`], then [`Admitted::Inline`] when its tenant
-    /// has no job queued or executing, else queued like any other.
-    pub fn admit_warm(&self, job: Job) -> Result<Admitted, (ErrorCode, String)> {
+    pub fn admit(&self, job: Job) -> Result<Admitted, (ErrorCode, String)> {
         let mut s = lock_unpoisoned(&self.state);
         let depth = self.gate(&mut s, &job.tenant)?;
         if s.outstanding.contains_key(&job.tenant) {
             self.enqueue(&mut s, job);
             Ok(Admitted::Queued(depth))
         } else {
-            Ok(Admitted::Inline(job, depth))
+            s.inline += 1;
+            Ok(Admitted::Inline(Box::new(job), depth))
         }
+    }
+
+    /// An inline admission was answered: release its queue slot. Only a
+    /// draining executor waiting for the last of them is woken.
+    pub fn answered(&self) {
+        let mut s = lock_unpoisoned(&self.state);
+        s.inline = s.inline.saturating_sub(1);
+        if s.draining && s.inline == 0 {
+            self.ready.notify_all();
+        }
+    }
+
+    /// An inline admission the caller could not answer joins the queue in
+    /// the slot it holds, even if the daemon began draining meanwhile.
+    /// Returns the total queue depth after it.
+    pub fn decline(&self, job: Job) -> usize {
+        let mut s = lock_unpoisoned(&self.state);
+        s.inline = s.inline.saturating_sub(1);
+        self.enqueue(&mut s, job);
+        s.total
     }
 
     /// The admission gates, in order: the clock tick, draining,
@@ -165,11 +190,12 @@ impl Scheduler {
                 }
             }
         }
-        if s.total >= self.cap {
+        let held = s.total + s.inline;
+        if held >= self.cap {
             self.telemetry.count(CounterId::ServeRejectedQueueFull, 1);
             return Err((
                 ErrorCode::QueueFull,
-                format!("admission queue is full ({} jobs); retry later", s.total),
+                format!("admission queue is full ({held} jobs); retry later"),
             ));
         }
         let depth = s.total + 1;
@@ -192,14 +218,15 @@ impl Scheduler {
     /// Block until work is available, then return up to `max` jobs —
     /// at most one per tenant per round-robin lap, laps starting strictly
     /// after the previously served tenant — or `None` once the daemon is
-    /// draining and every queue is empty (the executor's exit signal).
+    /// draining, every queue is empty and no inline admission can still
+    /// be declined into one (the executor's exit signal).
     pub fn next_batch(&self, max: usize) -> Option<Vec<Job>> {
         let mut s = lock_unpoisoned(&self.state);
         loop {
             if s.total > 0 {
                 return Some(Self::take_round_robin(&mut s, max.max(1)));
             }
-            if s.draining {
+            if s.draining && s.inline == 0 {
                 return None;
             }
             s = self.ready.wait(s).unwrap_or_else(|p| p.into_inner());
@@ -314,6 +341,7 @@ mod tests {
             config: ExperimentConfig::jikes("_209_db", CollectorKind::SemiSpace, 32),
             plan: None,
             outbox: Arc::new(Outbox::new(8, Telemetry::disabled())),
+            admitted: Instant::now(),
         }
     }
 
@@ -321,12 +349,20 @@ mod tests {
         Scheduler::new(cap, 0, 0, Telemetry::counters_only())
     }
 
+    /// Admit `job` into the queue, declining it when it is handed back.
+    fn queue(s: &Scheduler, job: Job) -> Result<usize, (ErrorCode, String)> {
+        match s.admit(job)? {
+            Admitted::Queued(depth) => Ok(depth),
+            Admitted::Inline(job, _) => Ok(s.decline(*job)),
+        }
+    }
+
     #[test]
     fn bounded_queue_rejects_with_queue_full() {
         let s = sched(2);
-        assert_eq!(s.admit(job("a", "1")).unwrap(), 1);
-        assert_eq!(s.admit(job("a", "2")).unwrap(), 2);
-        let (code, _) = s.admit(job("b", "3")).unwrap_err();
+        assert_eq!(queue(&s, job("a", "1")).unwrap(), 1);
+        assert_eq!(queue(&s, job("a", "2")).unwrap(), 2);
+        let (code, _) = queue(&s, job("b", "3")).unwrap_err();
         assert_eq!(code, ErrorCode::QueueFull);
         assert_eq!(s.telemetry.counter(CounterId::ServeRejectedQueueFull), 1);
     }
@@ -335,10 +371,10 @@ mod tests {
     fn round_robin_interleaves_tenants() {
         let s = sched(16);
         for i in 0..3 {
-            s.admit(job("alice", &format!("a{i}"))).unwrap();
+            queue(&s, job("alice", &format!("a{i}"))).unwrap();
         }
         for i in 0..3 {
-            s.admit(job("bob", &format!("b{i}"))).unwrap();
+            queue(&s, job("bob", &format!("b{i}"))).unwrap();
         }
         let ids: Vec<String> = s.next_batch(6).unwrap().into_iter().map(|j| j.id).collect();
         // Alternating laps, not alice's whole backlog first.
@@ -348,14 +384,14 @@ mod tests {
     #[test]
     fn round_robin_cursor_rotates_across_batches() {
         let s = sched(16);
-        s.admit(job("alice", "a0")).unwrap();
-        s.admit(job("bob", "b0")).unwrap();
-        s.admit(job("carol", "c0")).unwrap();
+        queue(&s, job("alice", "a0")).unwrap();
+        queue(&s, job("bob", "b0")).unwrap();
+        queue(&s, job("carol", "c0")).unwrap();
         let first = s.next_batch(1).unwrap();
         assert_eq!(first[0].id, "a0");
         // Next lap starts after alice even though alice-adjacent work
         // could be re-queued.
-        s.admit(job("alice", "a1")).unwrap();
+        queue(&s, job("alice", "a1")).unwrap();
         let second = s.next_batch(2).unwrap();
         let ids: Vec<&str> = second.iter().map(|j| j.id.as_str()).collect();
         assert_eq!(ids, ["b0", "c0"]);
@@ -364,9 +400,9 @@ mod tests {
     #[test]
     fn draining_rejects_and_terminates_the_feed() {
         let s = sched(4);
-        s.admit(job("a", "1")).unwrap();
+        queue(&s, job("a", "1")).unwrap();
         s.drain();
-        let (code, _) = s.admit(job("a", "2")).unwrap_err();
+        let (code, _) = queue(&s, job("a", "2")).unwrap_err();
         assert_eq!(code, ErrorCode::Draining);
         // Backlog still drains…
         assert_eq!(s.next_batch(4).unwrap().len(), 1);
@@ -378,17 +414,17 @@ mod tests {
     fn quarantined_tenant_is_rejected_then_auto_released() {
         let s = Scheduler::new(16, 2, 3, Telemetry::counters_only());
         // Two failures → quarantine (threshold 2).
-        s.admit(job("p", "1")).unwrap(); // seq 1
+        queue(&s, job("p", "1")).unwrap(); // seq 1
         s.record_outcome("p", false);
-        s.admit(job("p", "2")).unwrap(); // seq 2
+        queue(&s, job("p", "2")).unwrap(); // seq 2
         assert_eq!(s.record_outcome("p", false), Some(2 + 3));
-        let (code, msg) = s.admit(job("p", "3")).unwrap_err(); // seq 3
+        let (code, msg) = queue(&s, job("p", "3")).unwrap_err(); // seq 3
         assert_eq!(code, ErrorCode::Quarantined);
         assert!(msg.contains("seq 5"), "release seq is visible: {msg}");
         // Other tenants advance the admission clock and stay admitted.
-        s.admit(job("q", "4")).unwrap(); // seq 4
-                                         // seq 5 reaches release_at 5: the quarantine auto-releases.
-        assert!(s.admit(job("p", "5")).is_ok());
+        queue(&s, job("q", "4")).unwrap(); // seq 4
+                                           // seq 5 reaches release_at 5: the quarantine auto-releases.
+        assert!(queue(&s, job("p", "5")).is_ok());
         assert_eq!(s.telemetry.counter(CounterId::ServeQuarantineEntered), 1);
         assert_eq!(s.telemetry.counter(CounterId::ServeQuarantineReleased), 1);
     }
@@ -396,15 +432,15 @@ mod tests {
     #[test]
     fn quarantine_release_happens_exactly_at_the_release_seq() {
         let s = Scheduler::new(16, 1, 4, Telemetry::counters_only());
-        s.admit(job("p", "1")).unwrap(); // seq 1
+        queue(&s, job("p", "1")).unwrap(); // seq 1
         assert_eq!(s.record_outcome("p", false), Some(1 + 4));
         for i in 2..5 {
             // seqs 2, 3, 4 — all before release_at 5.
-            let (code, _) = s.admit(job("p", &i.to_string())).unwrap_err();
+            let (code, _) = queue(&s, job("p", &i.to_string())).unwrap_err();
             assert_eq!(code, ErrorCode::Quarantined, "seq {i}");
         }
         // seq 5 == release_at → admitted, counted as a release.
-        assert!(s.admit(job("p", "5")).is_ok());
+        assert!(queue(&s, job("p", "5")).is_ok());
         assert_eq!(s.telemetry.counter(CounterId::ServeQuarantineReleased), 1);
     }
 
@@ -412,22 +448,22 @@ mod tests {
     fn warm_requests_run_inline_only_for_an_idle_tenant() {
         let s = sched(16);
         let inline = |a: Admitted| matches!(a, Admitted::Inline(_, 1));
-        assert!(inline(s.admit_warm(job("a", "1")).unwrap()), "idle tenant");
-        s.admit(job("a", "2")).unwrap();
+        assert!(inline(s.admit(job("a", "1")).unwrap()), "idle tenant");
+        queue(&s, job("a", "2")).unwrap();
         // Work outstanding for `a`: its warm request queues behind it,
         // while another tenant is still answered inline.
         assert!(matches!(
-            s.admit_warm(job("a", "3")).unwrap(),
+            s.admit(job("a", "3")).unwrap(),
             Admitted::Queued(2)
         ));
         assert!(matches!(
-            s.admit_warm(job("b", "4")).unwrap(),
+            s.admit(job("b", "4")).unwrap(),
             Admitted::Inline(_, 3)
         ));
         let batch = s.next_batch(4).unwrap();
         // Executing still counts as outstanding, until each job finishes.
         assert!(matches!(
-            s.admit_warm(job("a", "5")).unwrap(),
+            s.admit(job("a", "5")).unwrap(),
             Admitted::Queued(_)
         ));
         for j in &batch {
@@ -435,19 +471,68 @@ mod tests {
         }
         let _ = s.next_batch(4).unwrap();
         s.finish("a");
-        assert!(inline(s.admit_warm(job("a", "6")).unwrap()));
+        assert!(inline(s.admit(job("a", "6")).unwrap()));
         // Inline answers pass every gate and are counted as requests.
         assert_eq!(s.telemetry.counter(CounterId::ServeRequests), 6);
         s.drain();
-        let (code, _) = s.admit_warm(job("a", "7")).unwrap_err();
+        let (code, _) = s.admit(job("a", "7")).unwrap_err();
         assert_eq!(code, ErrorCode::Draining);
+    }
+
+    #[test]
+    fn inline_admissions_hold_a_slot_until_settled() {
+        let s = sched(2);
+        let Ok(Admitted::Inline(a1, 1)) = s.admit(job("a", "a1")) else {
+            panic!("an idle tenant is handed back");
+        };
+        assert_eq!(queue(&s, job("b", "b1")).unwrap(), 1);
+        let (code, _) = queue(&s, job("c", "c1")).unwrap_err();
+        assert_eq!(
+            code,
+            ErrorCode::QueueFull,
+            "the inline request holds a slot"
+        );
+        s.drain();
+        assert_eq!(s.next_batch(4).unwrap()[0].id, "b1");
+        // Draining with an empty queue, but the inline request may still
+        // be declined into it: the executor waits for it.
+        std::thread::scope(|scope| {
+            let executor = scope.spawn(|| s.next_batch(4));
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert!(
+                !executor.is_finished(),
+                "the executor outlives the inline request"
+            );
+            assert_eq!(s.decline(*a1), 1);
+            let batch = executor.join().unwrap().expect("the declined job runs");
+            assert_eq!(batch[0].id, "a1");
+        });
+        assert!(s.next_batch(4).is_none());
+
+        let s = sched(1);
+        assert!(matches!(
+            s.admit(job("a", "a1")).unwrap(),
+            Admitted::Inline(..)
+        ));
+        assert!(queue(&s, job("b", "b1")).is_err());
+        s.drain();
+        std::thread::scope(|scope| {
+            let executor = scope.spawn(|| s.next_batch(4));
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert!(!executor.is_finished());
+            s.answered();
+            assert!(
+                executor.join().unwrap().is_none(),
+                "answered: the executor exits"
+            );
+        });
     }
 
     #[test]
     fn status_reports_queues_and_standings() {
         let s = Scheduler::new(16, 2, 3, Telemetry::counters_only());
-        s.admit(job("a", "1")).unwrap();
-        s.admit(job("a", "2")).unwrap();
+        queue(&s, job("a", "1")).unwrap();
+        queue(&s, job("a", "2")).unwrap();
         s.record_outcome("b", false);
         let status = s.status();
         assert_eq!(status.queued, 2);

@@ -4,15 +4,20 @@
 //! Each accepted connection gets two threads. The **reader** parses one
 //! request per line and answers what it can on the spot: admission
 //! decisions, `status`, `verify`, `diff`, `observe`, and a `run` whose
-//! cell is already memoized while its tenant has nothing queued or
-//! executing. Every other `run` goes to the shared executor thread, which
-//! pushes its result into the outbox of the connection that submitted it.
+//! tenant has nothing queued or executing and whose cell needs no
+//! simulation — memoized, or restorable from the persistent cache
+//! ([`MemoHandle::restore`](crate::MemoHandle::restore), which never
+//! waits on a cell in flight). Every other `run` goes to the shared
+//! executor thread, which pushes its result into the outbox of the
+//! connection that submitted it.
 //!
 //! A line pushed while nothing is queued goes straight to the socket with
-//! a non-blocking `send`; the **writer** thread only drains the backlog a
-//! full socket leaves behind. A slow client therefore never blocks the
-//! executor (the [`Outbox`]'s drop policy absorbs it), and the reader
-//! stops reading a client's requests while that client's outbox is full.
+//! a non-blocking `send`, and a run answered inline sends its `accepted`
+//! line and its result in that one `send`; the **writer** thread only
+//! drains the backlog a full socket leaves behind. A slow client
+//! therefore never blocks the executor (the [`Outbox`]'s drop policy
+//! absorbs it), and the reader stops reading a client's requests while
+//! that client's outbox is full.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
@@ -20,6 +25,7 @@ use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 use vmprobe_telemetry::{CounterId, Telemetry};
 
@@ -120,13 +126,19 @@ impl Outbox {
         if s.closed {
             return false;
         }
+        self.push_chatter(&mut s, line)
+    }
+
+    /// Shed and count `line` when `cap` lines are queued, else send or
+    /// queue it after any pending confession.
+    fn push_chatter(&self, s: &mut OutState, line: String) -> bool {
         if s.lines.len() >= self.cap {
             s.dropped_pending += 1;
             self.telemetry.count(CounterId::ServeDroppedLines, 1);
             return false;
         }
-        self.confess_drops(&mut s);
-        self.enqueue(&mut s, line)
+        self.confess_drops(s);
+        self.enqueue(s, line)
     }
 
     /// Send or queue an essential line (results, errors): never shed, may
@@ -137,6 +149,29 @@ impl Outbox {
         if s.closed {
             return false;
         }
+        self.confess_drops(&mut s);
+        self.enqueue(&mut s, line)
+    }
+
+    /// A droppable `ack` and then an essential `line`, as
+    /// [`Outbox::push`] then [`Outbox::push_must`] — except that when
+    /// nothing is queued and the writer is idle, both go out in one
+    /// `send`, and the ack is not shed. Returns `false` only when the
+    /// connection is gone.
+    pub fn push_with_ack(&self, ack: String, line: String) -> bool {
+        let mut s = lock_unpoisoned(&self.state);
+        if s.closed {
+            return false;
+        }
+        if s.lines.is_empty() && !s.writing {
+            self.confess_drops(&mut s);
+            let mut both = String::with_capacity(ack.len() + line.len() + 2);
+            both.push_str(&ack);
+            both.push('\n');
+            both.push_str(&line);
+            return self.enqueue(&mut s, both);
+        }
+        self.push_chatter(&mut s, ack);
         self.confess_drops(&mut s);
         self.enqueue(&mut s, line)
     }
@@ -158,6 +193,9 @@ impl Outbox {
     /// take, a partial send's tail first in line. `false` when the peer
     /// is gone (the outbox is then abandoned).
     fn enqueue(&self, s: &mut OutState, line: String) -> bool {
+        if s.closed {
+            return false;
+        }
         let mut bytes = line.into_bytes();
         bytes.push(b'\n');
         let idle = s.lines.is_empty() && !s.writing;
@@ -440,21 +478,27 @@ fn handle_line(line: &[u8], outbox: &Arc<Outbox>, shared: &ServeShared) {
                 config: run.config,
                 plan: shared.envelope.shape_plan(run.plan),
                 outbox: Arc::clone(outbox),
+                admitted: Instant::now(),
             };
-            let queued = match shared.memo.summary(&job.config, job.plan) {
-                Some(summary) => match shared.scheduler.admit_warm(job) {
-                    Ok(Admitted::Inline(job, depth)) => {
-                        // A memo hit, as in a batch, minus the batch.
-                        outbox.push(protocol::accepted_line(&job.id, depth));
-                        shared.telemetry.count(CounterId::CellsFromCache, 1);
-                        shared.telemetry.count(CounterId::ServeInlineHits, 1);
-                        super::deliver(shared, &job, Ok(summary));
-                        return;
+            let queued = match shared.scheduler.admit(job) {
+                Ok(Admitted::Inline(job, depth)) => {
+                    match shared.memo.restore(&job.config, job.plan) {
+                        Some(summary) => {
+                            // Resolved and accounted as in a batch, minus
+                            // the batch. The slot is released only once
+                            // the result is out, so a drain cannot say
+                            // `bye` ahead of it.
+                            shared.telemetry.count(CounterId::ServeInlineHits, 1);
+                            let ack = protocol::accepted_line(&job.id, depth);
+                            super::deliver(shared, &job, Ok(summary), Some(ack));
+                            shared.scheduler.answered();
+                            return;
+                        }
+                        None => Ok(shared.scheduler.decline(*job)),
                     }
-                    Ok(Admitted::Queued(depth)) => Ok(depth),
-                    Err(refusal) => Err(refusal),
-                },
-                None => shared.scheduler.admit(job),
+                }
+                Ok(Admitted::Queued(depth)) => Ok(depth),
+                Err(refusal) => Err(refusal),
             };
             match queued {
                 Ok(depth) => {
@@ -592,6 +636,46 @@ mod tests {
         assert_eq!(&lines[2..4], ["e0", "c0"]);
         assert_eq!(lines[4], r#"{"ok":true,"kind":"dropped","count":2}"#);
         assert_eq!(lines[5], "e1");
+    }
+
+    #[test]
+    fn an_inline_answer_leaves_in_one_send_when_the_outbox_is_idle() {
+        let (ours, mut peer) = UnixStream::pair().expect("socket pair");
+        let t = Telemetry::counters_only();
+        let outbox = Outbox::new(1, t.clone()).with_socket(ours);
+        let ack = protocol::accepted_line("r1", 1);
+        let result = r#"{"ok":true,"kind":"result","id":"r1"}"#;
+        assert!(outbox.push_with_ack(ack.clone(), result.into()));
+        assert_eq!(outbox.depth(), 0, "both lines were sent");
+        // One non-blocking read sees both lines, byte for byte as two
+        // separate pushes would have sent them.
+        peer.set_nonblocking(true).unwrap();
+        let mut buf = [0u8; 4096];
+        let n = peer.read(&mut buf).expect("one read");
+        assert_eq!(&buf[..n], format!("{ack}\n{result}\n").as_bytes());
+        assert!(peer.read(&mut buf).is_err(), "nothing more was sent");
+        assert_eq!(t.counter(CounterId::ServeDroppedLines), 0);
+    }
+
+    #[test]
+    fn a_busy_outbox_sheds_the_ack_but_never_the_result() {
+        let t = Telemetry::counters_only();
+        let outbox = Outbox::new(1, t.clone());
+        assert!(outbox.push_must("queued".into()));
+        assert!(outbox.push_with_ack("ack".into(), "result".into()));
+        assert_eq!(
+            t.counter(CounterId::ServeDroppedLines),
+            1,
+            "the ack is chatter"
+        );
+        assert_eq!(next_line(&outbox).as_deref(), Some("queued"));
+        assert_eq!(next_line(&outbox).as_deref(), Some("result"));
+        // With room, a queued ack keeps its place ahead of its result,
+        // after the confession of the earlier drop.
+        assert!(outbox.push_with_ack("ack".into(), "result".into()));
+        assert!(next_line(&outbox).unwrap().contains("\"kind\":\"dropped\""));
+        assert_eq!(next_line(&outbox).as_deref(), Some("ack"));
+        assert_eq!(next_line(&outbox).as_deref(), Some("result"));
     }
 
     #[test]

@@ -328,6 +328,16 @@ struct ClaimGuard<'a, V> {
     armed: bool,
 }
 
+impl<V> ClaimGuard<'_, V> {
+    /// Publish `value` under the claimed key and wake its waiters.
+    fn publish(mut self, value: V) {
+        self.armed = false;
+        let mut map = lock_unpoisoned(&self.shard.map);
+        map.insert(self.key.to_owned(), Slot::Ready(value));
+        self.shard.ready.notify_all();
+    }
+}
+
 impl<V> Drop for ClaimGuard<'_, V> {
     fn drop(&mut self) {
         if self.armed {
@@ -397,18 +407,45 @@ impl<V: Clone> ShardedMemo<V> {
                 }
             }
         }
-        let mut guard = ClaimGuard {
+        let guard = ClaimGuard {
             shard,
             key,
             armed: true,
         };
         let value = compute();
-        guard.armed = false;
-        drop(guard);
-        let mut map = lock_unpoisoned(&shard.map);
-        map.insert(key.to_owned(), Slot::Ready(value.clone()));
-        shard.ready.notify_all();
+        guard.publish(value.clone());
         (value, true)
+    }
+
+    /// [`ShardedMemo::get_or_compute`] that never waits: `None` at once
+    /// while another thread has `key` in flight (not counted as an
+    /// in-flight wait). A published value is returned as is; an absent
+    /// key is claimed and `compute` runs. When it declines (`None`), the
+    /// claim is released and nothing is published, so a later
+    /// `get_or_compute` still computes the key.
+    pub fn try_get_or_compute<F>(&self, key: &str, compute: F) -> Option<V>
+    where
+        F: FnOnce() -> Option<V>,
+    {
+        let shard = self.shard(key);
+        {
+            let mut map = lock_unpoisoned(&shard.map);
+            match map.get(key) {
+                Some(Slot::Ready(v)) => return Some(v.clone()),
+                Some(Slot::InFlight) => return None,
+                None => {
+                    map.insert(key.to_owned(), Slot::InFlight);
+                }
+            }
+        }
+        let guard = ClaimGuard {
+            shard,
+            key,
+            armed: true,
+        };
+        let value = compute()?;
+        guard.publish(value.clone());
+        Some(value)
     }
 
     /// Number of published values across all shards.
@@ -532,6 +569,65 @@ mod tests {
         }));
         assert!(attempt.is_err());
         // The key must be computable again, not deadlocked in flight.
+        let (v, computed) = memo.get_or_compute("k", || 5);
+        assert_eq!(v, 5);
+        assert!(computed);
+    }
+
+    #[test]
+    fn try_claim_returns_a_ready_value_without_computing() {
+        let memo: ShardedMemo<u64> = ShardedMemo::new();
+        memo.get_or_compute("k", || 7);
+        let v = memo.try_get_or_compute("k", || -> Option<u64> { panic!("must not run") });
+        assert_eq!(v, Some(7));
+        // An absent key is claimed, computed and published.
+        assert_eq!(memo.try_get_or_compute("fresh", || Some(3)), Some(3));
+        assert_eq!(memo.peek("fresh"), Some(3));
+    }
+
+    #[test]
+    fn try_claim_returns_at_once_on_an_in_flight_key() {
+        let mut memo: ShardedMemo<u64> = ShardedMemo::new();
+        let telemetry = Telemetry::counters_only();
+        memo.set_telemetry(telemetry.clone());
+        let claimed = std::sync::Barrier::new(2);
+        let probed = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                memo.get_or_compute("k", || {
+                    claimed.wait();
+                    // Held in flight until the other thread has probed.
+                    probed.wait();
+                    7
+                });
+            });
+            claimed.wait();
+            let v = memo.try_get_or_compute("k", || -> Option<u64> { panic!("must not run") });
+            assert_eq!(v, None, "an in-flight key is not waited for");
+            probed.wait();
+        });
+        assert_eq!(telemetry.counter(CounterId::MemoInFlightWaits), 0);
+        assert_eq!(memo.peek("k"), Some(7));
+    }
+
+    #[test]
+    fn declined_try_claim_releases_the_key() {
+        let memo: ShardedMemo<u64> = ShardedMemo::new();
+        assert_eq!(memo.try_get_or_compute("k", || None), None);
+        assert_eq!(memo.peek("k"), None, "nothing published");
+        assert!(memo.is_empty());
+        let (v, computed) = memo.get_or_compute("k", || 5);
+        assert_eq!(v, 5);
+        assert!(computed, "the declined claim left the key computable");
+    }
+
+    #[test]
+    fn panicking_try_claim_releases_the_key() {
+        let memo: ShardedMemo<u64> = ShardedMemo::new();
+        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            memo.try_get_or_compute("k", || -> Option<u64> { panic!("boom") });
+        }));
+        assert!(attempt.is_err());
         let (v, computed) = memo.get_or_compute("k", || 5);
         assert_eq!(v, 5);
         assert!(computed);

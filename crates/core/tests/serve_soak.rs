@@ -13,7 +13,10 @@
 //! * a mixed concurrent tenant population (size via `VMPROBE_SOAK_CLIENTS`)
 //!   soaks the admission path without cross-tenant interference;
 //! * one tenant's pipelined results keep request order, warm ones included;
-//! * every request line, however damaged, gets exactly one typed reply.
+//! * every request line, however damaged, gets exactly one typed reply;
+//! * a restarted daemon answers a stored cell inline from the persistent
+//!   cache, and a damaged entry falls back to the executor, which
+//!   recomputes and rewrites it.
 
 #![cfg(unix)]
 
@@ -140,6 +143,161 @@ fn baseline_line(id: &str, benchmark: &str, heap_mb: u32) -> String {
     };
     let summary = Runner::new().run(&cfg).expect("baseline runs");
     result_line(id, &summary)
+}
+
+/// The Prometheus text of a `metrics` reply.
+fn metrics_text(client: &mut Client) -> String {
+    client.send(r#"{"op":"metrics"}"#);
+    let (line, v) = client.read_kind(&["metrics"]);
+    v.get("text")
+        .and_then(JsonValue::as_str)
+        .unwrap_or_else(|| panic!("metrics text missing: {line}"))
+        .to_owned()
+}
+
+/// The value of one Prometheus sample, by its full name.
+fn sample(text: &str, name: &str) -> u64 {
+    text.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("{name} missing: {text}"))
+}
+
+/// A daemon that is killed if a failed assertion unwinds past it.
+struct Reaped(Child);
+
+impl Drop for Reaped {
+    fn drop(&mut self) {
+        if let Ok(None) = self.0.try_wait() {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+}
+
+/// Ask a client's daemon to shut down and wait for its clean exit.
+fn shut_down(mut client: Client, mut daemon: Reaped) {
+    client.send(r#"{"op":"shutdown"}"#);
+    client.read_kind(&["bye"]);
+    let status = daemon.0.wait().expect("daemon exits");
+    assert_eq!(status.code(), Some(0));
+}
+
+/// Have one daemon over `cache` compute and store `moldyn` GenCopy 32 MB
+/// at `s10`, then stop it; returns the stored entry's path and bytes.
+fn fill_cache(dir: &Path, cache: &Path) -> (PathBuf, Vec<u8>) {
+    let socket = dir.join("fill.sock");
+    let daemon = Reaped(spawn_daemon(
+        &socket,
+        &["--jobs", "1", "--cache-dir", cache.to_str().unwrap()],
+    ));
+    let mut client = Client::connect(&socket);
+    client.send(&run_line("fill", "filler", "moldyn", 32, None));
+    let (line, _) = client.read_kind(&["result", "error"]);
+    assert_eq!(line, baseline_line("fill", "moldyn", 32));
+    shut_down(client, daemon);
+    let entries: Vec<PathBuf> = std::fs::read_dir(cache)
+        .expect("cache dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "entry"))
+        .collect();
+    assert_eq!(entries.len(), 1, "one cell stored: {entries:?}");
+    let bytes = std::fs::read(&entries[0]).expect("entry readable");
+    (entries[0].clone(), bytes)
+}
+
+#[test]
+fn a_restarted_daemon_answers_a_stored_cell_inline() {
+    let dir = temp_dir("restore");
+    let cache = dir.join("cache");
+    fill_cache(&dir, &cache);
+
+    let socket = dir.join("warm.sock");
+    let report = dir.join("report.json");
+    let daemon = Reaped(spawn_daemon(
+        &socket,
+        &[
+            "--jobs",
+            "1",
+            "--cache-dir",
+            cache.to_str().unwrap(),
+            "--report-json",
+            report.to_str().unwrap(),
+        ],
+    ));
+    let mut erin = Client::connect(&socket);
+    erin.send(&run_line("r1", "erin", "moldyn", 32, None));
+    let (ack, v) = erin.read_kind(&["accepted", "result", "error"]);
+    assert_eq!(v.get("kind").unwrap().as_str(), Some("accepted"), "{ack}");
+    let (line, _) = erin.read_kind(&["result", "error"]);
+    assert_eq!(line, baseline_line("r1", "moldyn", 32));
+
+    // The first touch of the stored cell was restored on the reader
+    // thread and accounted as a batch restores a cell: no executor batch.
+    let text = metrics_text(&mut erin);
+    for (name, want) in [
+        ("vmprobe_serve_inline_hits_total", 1),
+        ("vmprobe_cache_hits_total", 1),
+        ("vmprobe_cells_executed_total", 0),
+        ("vmprobe_cells_from_cache_total", 0),
+        ("vmprobe_batches_submitted_total", 0),
+        ("vmprobe_serve_results_total", 1),
+        ("vmprobe_serve_result_us_count", 1),
+    ] {
+        assert_eq!(sample(&text, name), want, "{name}");
+    }
+    shut_down(erin, daemon);
+    let report = std::fs::read_to_string(&report).expect("report written");
+    assert!(report.contains("\"runs_ok\":1"), "report: {report}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_damaged_entry_goes_to_the_executor_and_is_rewritten() {
+    let dir = temp_dir("damaged");
+    let cache = dir.join("cache");
+    let (entry, stored) = fill_cache(&dir, &cache);
+    // Flip one bit in the middle of the body line, past the header.
+    let body = stored
+        .iter()
+        .position(|&b| b == b'\n')
+        .expect("header line")
+        + 1;
+    let mut damaged = stored.clone();
+    damaged[body + (stored.len() - body) / 2] ^= 0x01;
+    std::fs::write(&entry, &damaged).expect("damage the entry");
+
+    let socket = dir.join("warm.sock");
+    let daemon = Reaped(spawn_daemon(
+        &socket,
+        &["--jobs", "1", "--cache-dir", cache.to_str().unwrap()],
+    ));
+    let mut frank = Client::connect(&socket);
+    frank.send(&run_line("r1", "frank", "moldyn", 32, None));
+    let (line, _) = frank.read_kind(&["result", "error"]);
+    assert_eq!(line, baseline_line("r1", "moldyn", 32));
+
+    // The reader's probe counted nothing; the executor's counted one
+    // damaged entry, recomputed the cell and stored it again.
+    let text = metrics_text(&mut frank);
+    for (name, want) in [
+        ("vmprobe_serve_inline_hits_total", 0),
+        ("vmprobe_cache_corrupt_total", 1),
+        ("vmprobe_cache_hits_total", 0),
+        ("vmprobe_cache_misses_total", 0),
+        ("vmprobe_cells_executed_total", 1),
+        ("vmprobe_cache_stores_total", 1),
+        ("vmprobe_serve_results_total", 1),
+        ("vmprobe_serve_result_us_count", 1),
+    ] {
+        assert_eq!(sample(&text, name), want, "{name}");
+    }
+    shut_down(frank, daemon);
+    assert_eq!(
+        std::fs::read(&entry).expect("entry readable"),
+        stored,
+        "the entry is rewritten whole"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -19,6 +19,10 @@ pub enum HistId {
     /// Admission-queue depth observed by the serving daemon at each
     /// admission (traffic- and scheduling-dependent).
     ServeQueueDepth,
+    /// Host microseconds from a served `run`'s admission until its result
+    /// line is handed to the connection's outbox, one observation per
+    /// delivered run (wall-clock; excluded from golden comparisons).
+    ServeResultUs,
     /// Absolute relative energy shift per diff comparison, in parts per
     /// million (deterministic: one observation per (cell, component)).
     DiffShiftPpm,
@@ -29,11 +33,12 @@ pub enum HistId {
 
 impl HistId {
     /// All histograms, in export order.
-    pub const ALL: [HistId; 6] = [
+    pub const ALL: [HistId; 7] = [
         HistId::CellVirtualUs,
         HistId::CellHostUs,
         HistId::CellSpans,
         HistId::ServeQueueDepth,
+        HistId::ServeResultUs,
         HistId::DiffShiftPpm,
         HistId::ProbePeriodUs,
     ];
@@ -45,6 +50,7 @@ impl HistId {
             HistId::CellHostUs => "cell_host_us",
             HistId::CellSpans => "cell_spans",
             HistId::ServeQueueDepth => "serve_queue_depth",
+            HistId::ServeResultUs => "serve_result_us",
             HistId::DiffShiftPpm => "diff_shift_ppm",
             HistId::ProbePeriodUs => "probe_period_us",
         }
@@ -53,7 +59,10 @@ impl HistId {
     /// Whether the histogram's content is independent of thread count
     /// (see [`crate::CounterId::deterministic`]).
     pub fn deterministic(self) -> bool {
-        !matches!(self, HistId::CellHostUs | HistId::ServeQueueDepth)
+        !matches!(
+            self,
+            HistId::CellHostUs | HistId::ServeQueueDepth | HistId::ServeResultUs
+        )
     }
 
     pub(crate) fn index(self) -> usize {
