@@ -1,11 +1,24 @@
-//! Generational collectors: GenCopy and GenMS.
+//! The generational plan behind GenCopy and GenMS.
 //!
-//! Both allocate new objects into a bump-allocated *nursery*; when it fills,
-//! a **minor** collection traces only the nursery-reachable subgraph (roots
+//! New objects go into a bump-allocated *nursery*; when it fills, a
+//! **minor** collection traces only the nursery-reachable subgraph (roots
 //! plus the remembered set maintained by the mutator write barrier) and
-//! promotes survivors into the mature space. They differ in the mature
-//! space: a copying semispace pair (**GenCopy**) or a segregated free list
-//! with mark-sweep (**GenMS**) — the bottom half of the paper's Figure 3.
+//! promotes survivors into the mature space. The two collectors are one
+//! plan over two mature spaces — the bottom half of the paper's Figure 3:
+//!
+//! * **GenCopy**: a semispace pair whose major collection is SemiSpace's
+//!   `evacuate`;
+//! * **GenMS**: a segregated free list whose major collection is a full
+//!   breadth-first trace followed by MarkSweep's `sweep`.
+//!
+//! [`Mature`] decides only what differs: room for one object, free space
+//! and which major collection runs. The nursery, the allocation front end,
+//! the major trigger, the trace, the write barrier and `collect_full` exist
+//! once.
+//!
+//! A survivor whose promotion fails stays in the nursery, so a collection
+//! resets the nursery only when it left no survivor there; otherwise the
+//! nursery stays full and the next allocation forces a major collection.
 //!
 //! The generational hypothesis does the work: most objects die in the
 //! nursery, so minor collections are cheap (cost ∝ survivors), which is why
@@ -18,10 +31,11 @@ use std::collections::VecDeque;
 
 use vmprobe_platform::Exec;
 
-use crate::marksweep::SegregatedFreeList;
+use crate::marksweep::{sweep, SegregatedFreeList};
 use crate::plan::{
     align8, charge_alloc, charge_remember, charge_root_scan, charge_scan, heap_region, mark,
 };
+use crate::semispace::evacuate;
 use crate::{
     AllocError, AllocRequest, CollectionKind, CollectionStats, CollectorKind, CollectorPlan,
     GcStats, ObjId, Object, ObjectHeap, RootSet, Space,
@@ -37,6 +51,10 @@ pub const NURSERY_MAX_BYTES: u64 = 512 << 10;
 /// Objects at or above this size allocate directly into the mature space
 /// (a minimal large-object-space policy).
 pub(crate) const LOS_THRESHOLD: u32 = 32 << 10;
+
+/// A collection goes major when the mature space or the flexible nursery
+/// would leave less than this for the next nursery cycle.
+const MIN_CYCLE_BYTES: u64 = 16 << 10;
 
 fn nursery_bytes(heap_bytes: u64) -> u64 {
     let frac = (heap_bytes as f64 * NURSERY_FRACTION) as u64;
@@ -70,44 +88,83 @@ impl Nursery {
     }
 }
 
-/// Generational collector with a copying (semispace) mature space.
+/// The mature space: the one thing GenCopy and GenMS do not share.
 #[derive(Debug, Clone)]
-pub struct GenCopy {
+enum Mature {
+    /// GenCopy: two halves of `half` bytes from `base`, bump-allocated
+    /// through the `active` one.
+    Copying {
+        base: u64,
+        half: u64,
+        active: u8,
+        cursor: u64,
+    },
+    /// GenMS: free-list cells, reclaimed by sweeping.
+    Cells(SegregatedFreeList),
+}
+
+impl Mature {
+    fn free(&self) -> u64 {
+        match self {
+            Mature::Copying { half, cursor, .. } => half.saturating_sub(*cursor),
+            Mature::Cells(fl) => fl.capacity().saturating_sub(fl.used_bytes()),
+        }
+    }
+
+    /// Room for an object of `size` bytes: its address, the size it is
+    /// stored (and charged) with, and its space. `None` when full.
+    fn room(&mut self, size: u32, exec: &mut dyn Exec) -> Option<(u64, u32, Space)> {
+        match self {
+            Mature::Copying {
+                base,
+                half,
+                active,
+                cursor,
+            } => {
+                let stored = align8(u64::from(size));
+                if *cursor + stored > *half {
+                    return None;
+                }
+                let addr = *base + u64::from(*active) * *half + *cursor;
+                *cursor += stored;
+                Some((addr, stored as u32, Space::Half(*active)))
+            }
+            Mature::Cells(fl) => Some((fl.alloc(size, exec)?, size, Space::Cells)),
+        }
+    }
+}
+
+/// One generational plan: a nursery and remembered set over a [`Mature`]
+/// space.
+#[derive(Debug, Clone)]
+pub(crate) struct Generational {
     heap_bytes: u64,
     nursery: Nursery,
     remset: Vec<ObjId>,
-    mature_half: u64,
-    active: u8,
-    cursor: u64,
+    mature: Mature,
     epoch: u32,
     force_major: bool,
     stats: GcStats,
 }
 
-impl GenCopy {
-    /// Create a plan managing `heap_bytes` of simulated heap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `heap_bytes < 16384` (no room for nursery plus two mature
-    /// halves).
-    pub fn new(heap_bytes: u64) -> Self {
-        Self::with_nursery(heap_bytes, nursery_bytes(heap_bytes))
-    }
-
-    /// Create a plan with an explicit nursery size (ablation studies of
-    /// the nursery-sizing policy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `heap_bytes < 16384` or the nursery does not leave room
-    /// for two mature halves.
-    pub fn with_nursery(heap_bytes: u64, nursery: u64) -> Self {
-        assert!(
-            heap_bytes >= 16384,
-            "heap too small for a generational layout"
-        );
+impl Generational {
+    /// A GenCopy or GenMS plan over `heap_bytes`, with an optional nursery
+    /// size (ablation studies of the nursery-sizing policy). The caller
+    /// has checked `heap_bytes` against [`CollectorKind::min_heap_bytes`].
+    pub(crate) fn new(kind: CollectorKind, heap_bytes: u64, nursery: Option<u64>) -> Self {
+        let nursery = nursery.unwrap_or_else(|| nursery_bytes(heap_bytes));
         let nsz = align8(nursery.clamp(4096, heap_bytes / 2));
+        let base = heap_region(nsz);
+        let mature = match kind {
+            CollectorKind::GenCopy => Mature::Copying {
+                base,
+                half: (heap_bytes - nsz) / 2,
+                active: 0,
+                cursor: 0,
+            },
+            CollectorKind::GenMs => Mature::Cells(SegregatedFreeList::new(base, heap_bytes - nsz)),
+            other => unreachable!("{other} is not generational"),
+        };
         Self {
             heap_bytes,
             nursery: Nursery {
@@ -116,21 +173,11 @@ impl GenCopy {
                 cursor: 0,
             },
             remset: Vec::new(),
-            mature_half: (heap_bytes - nsz) / 2,
-            active: 0,
-            cursor: 0,
+            mature,
             epoch: 0,
             force_major: false,
             stats: GcStats::default(),
         }
-    }
-
-    fn mature_base(&self, half: u8) -> u64 {
-        heap_region(self.nursery.size + u64::from(half) * self.mature_half)
-    }
-
-    fn mature_free(&self) -> u64 {
-        self.mature_half.saturating_sub(self.cursor)
     }
 
     /// Appel-style flexible nursery: never let more accumulate in the
@@ -138,363 +185,37 @@ impl GenCopy {
     /// always succeed and majors only run when the mature space is truly
     /// full.
     fn effective_nursery_limit(&self) -> u64 {
-        self.nursery.size.min(self.mature_free())
+        self.nursery.size.min(self.mature.free())
     }
 
-    /// Nursery bytes currently allocated.
-    pub fn nursery_used(&self) -> u64 {
-        self.nursery.used()
+    /// Major only when the mature space cannot host another useful nursery
+    /// cycle (the flexible nursery guarantees promotions fit).
+    fn need_major(&self) -> bool {
+        self.force_major
+            || self.mature.free() < self.nursery.used().max(MIN_CYCLE_BYTES)
+            || self.effective_nursery_limit() < MIN_CYCLE_BYTES
     }
 
-    /// Remembered-set entries currently pending.
-    pub fn remset_len(&self) -> usize {
-        self.remset.len()
-    }
-
-    fn promote(&mut self, heap: &mut ObjectHeap, id: ObjId, exec: &mut dyn Exec) -> u64 {
-        let (old_addr, size) = {
-            let o = heap.get(id);
-            (o.addr, o.size)
-        };
-        if self.cursor + align8(u64::from(size)) > self.mature_half {
-            // Mature space utterly full: the object stays in the nursery
-            // this cycle and the next collection is forced major.
-            self.force_major = true;
-            return u64::from(size);
-        }
-        let new_addr = self.mature_base(self.active) + self.cursor;
-        self.cursor += align8(u64::from(size));
-        exec.memcpy(old_addr, new_addr, size);
-        let o = heap.get_mut(id);
-        o.addr = new_addr;
-        o.space = Space::Half(self.active);
-        u64::from(size)
-    }
-
-    fn minor(
-        &mut self,
-        heap: &mut ObjectHeap,
-        roots: &RootSet,
-        exec: &mut dyn Exec,
-    ) -> CollectionStats {
-        let start = exec.cycles();
-        self.epoch += 1;
-        let epoch = self.epoch;
-        charge_root_scan(exec, roots);
-
-        let mut queue: VecDeque<ObjId> = VecDeque::new();
-        for &r in &roots.refs {
-            if heap.get(r).space() == Space::Nursery && mark(heap, r, epoch) {
-                queue.push_back(r);
-            }
-        }
-        // Remembered set: scan each recorded mature object for nursery refs.
-        let remset = std::mem::take(&mut self.remset);
-        for src in remset {
-            if !heap.contains(src) {
-                continue;
-            }
-            charge_scan(exec, heap.get(src));
-            heap.get_mut(src).set_in_remset(false);
-            for i in 0..heap.get(src).ref_count() {
-                if let Some(t) = heap.get_ref(src, i) {
-                    if heap.get(t).space() == Space::Nursery && mark(heap, t, epoch) {
-                        queue.push_back(t);
-                    }
-                }
-            }
-        }
-
-        let mut live_objects = 0u64;
-        let mut live_bytes = 0u64;
-        while let Some(id) = queue.pop_front() {
-            live_bytes += self.promote(heap, id, exec);
-            live_objects += 1;
-            charge_scan(exec, heap.get(id));
-            for i in 0..heap.get(id).ref_count() {
-                if let Some(t) = heap.get_ref(id, i) {
-                    if heap.get(t).space() == Space::Nursery && mark(heap, t, epoch) {
-                        queue.push_back(t);
-                    }
-                }
-            }
-        }
-
-        let (freed_objects, freed_bytes) =
-            heap.free_matching(|o| o.space == Space::Nursery && o.mark_epoch != epoch);
-        self.nursery.reset();
-
-        let c = CollectionStats {
-            kind: CollectionKind::Minor,
-            live_objects,
-            live_bytes,
-            freed_objects,
-            freed_bytes,
-            copied_bytes: live_bytes,
-            pause_cycles: exec.cycles() - start,
-        };
-        self.stats.record(&c);
-        c
-    }
-
-    fn major(
-        &mut self,
-        heap: &mut ObjectHeap,
-        roots: &RootSet,
-        exec: &mut dyn Exec,
-    ) -> CollectionStats {
-        let start = exec.cycles();
-        self.epoch += 1;
-        let epoch = self.epoch;
-        charge_root_scan(exec, roots);
-
-        let to = 1 - self.active;
-        let to_base = self.mature_base(to);
-        let mut to_cursor = 0u64;
-
-        let mut queue: VecDeque<ObjId> = VecDeque::new();
-        for &r in &roots.refs {
-            if mark(heap, r, epoch) {
-                queue.push_back(r);
-            }
-        }
-        let mut live_objects = 0u64;
-        let mut live_bytes = 0u64;
-        while let Some(id) = queue.pop_front() {
-            let (old_addr, size) = {
-                let o = heap.get(id);
-                (o.addr, o.size)
-            };
-            let new_addr = to_base + to_cursor;
-            to_cursor += align8(u64::from(size));
-            exec.memcpy(old_addr, new_addr, size);
-            {
-                let o = heap.get_mut(id);
-                o.addr = new_addr;
-                o.space = Space::Half(to);
-                o.set_in_remset(false);
-            }
-            charge_scan(exec, heap.get(id));
-            for i in 0..heap.get(id).ref_count() {
-                if let Some(t) = heap.get_ref(id, i) {
-                    if mark(heap, t, epoch) {
-                        queue.push_back(t);
-                    }
-                }
-            }
-            live_objects += 1;
-            live_bytes += u64::from(size);
-        }
-
-        let (freed_objects, freed_bytes) = heap.free_matching(|o| o.mark_epoch != epoch);
-        self.active = to;
-        self.cursor = to_cursor;
-        self.nursery.reset();
-        self.remset.clear();
-
-        let c = CollectionStats {
-            kind: CollectionKind::Major,
-            live_objects,
-            live_bytes,
-            freed_objects,
-            freed_bytes,
-            copied_bytes: live_bytes,
-            pause_cycles: exec.cycles() - start,
-        };
-        self.stats.record(&c);
-        c
-    }
-}
-
-impl CollectorPlan for GenCopy {
-    fn kind(&self) -> CollectorKind {
-        CollectorKind::GenCopy
-    }
-
-    fn heap_bytes(&self) -> u64 {
-        self.heap_bytes
-    }
-
-    fn alloc(
-        &mut self,
-        heap: &mut ObjectHeap,
-        req: AllocRequest,
-        exec: &mut dyn Exec,
-    ) -> Result<ObjId, AllocError> {
-        let size = align8(u64::from(req.size_bytes()));
-        if req.size_bytes() >= LOS_THRESHOLD || size > self.nursery.size {
-            // Large object: straight into the mature space.
-            if self.cursor + size > self.mature_half {
-                self.force_major = true;
-                return Err(AllocError::NeedsGc);
-            }
-            let addr = self.mature_base(self.active) + self.cursor;
-            self.cursor += size;
-            charge_alloc(exec, addr, size as u32);
-            return Ok(heap.insert(Object::new(
-                addr,
-                size as u32,
-                req.kind,
-                Space::Half(self.active),
-                req.ref_len,
-                req.prim_len,
-            )));
-        }
-        if self.nursery.used() + size > self.effective_nursery_limit() {
-            return Err(AllocError::NeedsGc);
-        }
-        match self.nursery.alloc(size) {
-            Some(addr) => {
-                charge_alloc(exec, addr, size as u32);
-                Ok(heap.insert(Object::new(
-                    addr,
-                    size as u32,
-                    req.kind,
-                    Space::Nursery,
-                    req.ref_len,
-                    req.prim_len,
-                )))
-            }
-            None => Err(AllocError::NeedsGc),
-        }
-    }
-
-    fn collect(
-        &mut self,
-        heap: &mut ObjectHeap,
-        roots: &RootSet,
-        exec: &mut dyn Exec,
-    ) -> CollectionStats {
-        // Major only when the mature space cannot host another useful
-        // nursery cycle (the flexible nursery guarantees promotions fit).
-        let need_major = self.force_major
-            || self.mature_free() < self.nursery.used().max(16 << 10)
-            || self.effective_nursery_limit() < (16 << 10);
-        self.force_major = false;
-        if need_major {
-            self.major(heap, roots, exec)
-        } else {
-            self.minor(heap, roots, exec)
-        }
-    }
-
-    fn collect_full(
-        &mut self,
-        heap: &mut ObjectHeap,
-        roots: &RootSet,
-        exec: &mut dyn Exec,
-    ) -> CollectionStats {
-        self.force_major = true;
-        self.collect(heap, roots, exec)
-    }
-
-    fn write_barrier(
-        &mut self,
-        heap: &mut ObjectHeap,
-        src: ObjId,
-        target: Option<ObjId>,
-        exec: &mut dyn Exec,
-    ) {
-        self.stats.barrier_stores += 1;
-        exec.int_ops(2);
-        if let Some(t) = target {
-            if heap.get(src).space() != Space::Nursery
-                && heap.get(t).space() == Space::Nursery
-                && !heap.get(src).in_remset()
-            {
-                heap.get_mut(src).set_in_remset(true);
-                self.remset.push(src);
-                self.stats.barrier_remembers += 1;
-                charge_remember(exec, self.remset.len() as u64);
-            }
-        }
-    }
-
-    fn stats(&self) -> &GcStats {
-        &self.stats
-    }
-
-    fn name(&self) -> &'static str {
-        "GenCopy"
-    }
-}
-
-/// Generational collector with a mark-sweep (free-list) mature space.
-#[derive(Debug, Clone)]
-pub struct GenMs {
-    heap_bytes: u64,
-    nursery: Nursery,
-    remset: Vec<ObjId>,
-    fl: SegregatedFreeList,
-    epoch: u32,
-    force_major: bool,
-    stats: GcStats,
-}
-
-impl GenMs {
-    /// Create a plan managing `heap_bytes` of simulated heap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `heap_bytes < 16384`.
-    pub fn new(heap_bytes: u64) -> Self {
-        Self::with_nursery(heap_bytes, nursery_bytes(heap_bytes))
-    }
-
-    /// Create a plan with an explicit nursery size (ablation studies).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `heap_bytes < 16384`.
-    pub fn with_nursery(heap_bytes: u64, nursery: u64) -> Self {
-        assert!(
-            heap_bytes >= 16384,
-            "heap too small for a generational layout"
-        );
-        let nsz = align8(nursery.clamp(4096, heap_bytes / 2));
-        Self {
-            heap_bytes,
-            nursery: Nursery {
-                base: heap_region(0),
-                size: nsz,
-                cursor: 0,
-            },
-            remset: Vec::new(),
-            fl: SegregatedFreeList::new(heap_region(nsz), heap_bytes - nsz),
-            epoch: 0,
-            force_major: false,
-            stats: GcStats::default(),
-        }
-    }
-
-    fn mature_free(&self) -> u64 {
-        self.fl.capacity().saturating_sub(self.fl.used_bytes())
-    }
-
-    /// Appel-style flexible nursery (see [`GenCopy`]).
-    fn effective_nursery_limit(&self) -> u64 {
-        self.nursery.size.min(self.mature_free())
-    }
-
-    /// Nursery bytes currently allocated.
-    pub fn nursery_used(&self) -> u64 {
-        self.nursery.used()
-    }
-
+    /// Move nursery object `id` into the mature space; `None` when the
+    /// mature space has no room for it.
     fn promote(&mut self, heap: &mut ObjectHeap, id: ObjId, exec: &mut dyn Exec) -> Option<u64> {
         let (old_addr, size) = {
             let o = heap.get(id);
             (o.addr, o.size)
         };
-        let new_addr = self.fl.alloc(size, exec)?;
+        let (new_addr, _, space) = self.mature.room(size, exec)?;
         exec.memcpy(old_addr, new_addr, size);
         let o = heap.get_mut(id);
         o.addr = new_addr;
-        o.space = Space::Cells;
+        o.space = space;
         Some(u64::from(size))
     }
 
-    fn trace_and_promote(
+    /// Breadth-first trace from `roots` that promotes every nursery
+    /// survivor it reaches. A minor (`nursery_only`) trace stays inside
+    /// the nursery and also starts from the remembered set. Returns the
+    /// live objects, live bytes and promoted bytes.
+    fn trace(
         &mut self,
         heap: &mut ObjectHeap,
         roots: &RootSet,
@@ -511,8 +232,8 @@ impl GenMs {
             }
         }
         if nursery_only {
-            let remset = std::mem::take(&mut self.remset);
-            for src in remset {
+            // Remembered set: scan each recorded mature object for nursery refs.
+            for src in std::mem::take(&mut self.remset) {
                 if !heap.contains(src) {
                     continue;
                 }
@@ -533,9 +254,9 @@ impl GenMs {
         let mut copied = 0u64;
         while let Some(id) = queue.pop_front() {
             if heap.get(id).space() == Space::Nursery {
-                // Promotion can only fail when the mature space is utterly
-                // full; the object then stays in the nursery this cycle and
-                // the next allocation failure forces a major collection.
+                // Promotion fails only when the mature space is utterly
+                // full; the object then stays in the nursery and the next
+                // collection is forced major.
                 match self.promote(heap, id, exec) {
                     Some(b) => copied += b,
                     None => self.force_major = true,
@@ -554,11 +275,74 @@ impl GenMs {
         }
         (live_objects, live_bytes, copied)
     }
+
+    /// Collect the nursery alone, promoting its survivors.
+    fn minor(
+        &mut self,
+        heap: &mut ObjectHeap,
+        roots: &RootSet,
+        exec: &mut dyn Exec,
+        epoch: u32,
+    ) -> CollectionStats {
+        let (live_objects, live_bytes, copied_bytes) = self.trace(heap, roots, exec, epoch, true);
+        let (freed_objects, freed_bytes) =
+            heap.free_matching(|o| o.space == Space::Nursery && o.mark_epoch != epoch);
+        CollectionStats {
+            kind: CollectionKind::Minor,
+            live_objects,
+            live_bytes,
+            freed_objects,
+            freed_bytes,
+            copied_bytes,
+            pause_cycles: 0,
+        }
+    }
+
+    /// Collect the whole heap with the mature space's own major collection.
+    fn major(
+        &mut self,
+        heap: &mut ObjectHeap,
+        roots: &RootSet,
+        exec: &mut dyn Exec,
+        epoch: u32,
+    ) -> CollectionStats {
+        if let Mature::Copying {
+            base,
+            half,
+            active,
+            cursor,
+        } = &mut self.mature
+        {
+            let to = 1 - *active;
+            let (c, to_cursor) =
+                evacuate(heap, roots, exec, epoch, *base + u64::from(to) * *half, to);
+            *active = to;
+            *cursor = to_cursor;
+            return c;
+        }
+        let (live_objects, live_bytes, copied_bytes) = self.trace(heap, roots, exec, epoch, false);
+        let Mature::Cells(fl) = &mut self.mature else {
+            unreachable!("the copying major returned above")
+        };
+        let (freed_objects, freed_bytes) = sweep(heap, fl, exec, epoch, &mut self.stats);
+        CollectionStats {
+            kind: CollectionKind::Major,
+            live_objects,
+            live_bytes,
+            freed_objects,
+            freed_bytes,
+            copied_bytes,
+            pause_cycles: 0,
+        }
+    }
 }
 
-impl CollectorPlan for GenMs {
+impl CollectorPlan for Generational {
     fn kind(&self) -> CollectorKind {
-        CollectorKind::GenMs
+        match self.mature {
+            Mature::Copying { .. } => CollectorKind::GenCopy,
+            Mature::Cells(_) => CollectorKind::GenMs,
+        }
     }
 
     fn heap_bytes(&self) -> u64 {
@@ -572,38 +356,28 @@ impl CollectorPlan for GenMs {
         exec: &mut dyn Exec,
     ) -> Result<ObjId, AllocError> {
         let size = align8(u64::from(req.size_bytes()));
-        if req.size_bytes() >= LOS_THRESHOLD || size > self.nursery.size {
-            let addr = self.fl.alloc(req.size_bytes(), exec).ok_or_else(|| {
+        let (addr, stored, space) = if req.size_bytes() >= LOS_THRESHOLD || size > self.nursery.size
+        {
+            // Large object: straight into the mature space.
+            self.mature.room(req.size_bytes(), exec).ok_or_else(|| {
                 self.force_major = true;
                 AllocError::NeedsGc
-            })?;
-            charge_alloc(exec, addr, req.size_bytes());
-            return Ok(heap.insert(Object::new(
-                addr,
-                req.size_bytes(),
-                req.kind,
-                Space::Cells,
-                req.ref_len,
-                req.prim_len,
-            )));
-        }
-        if self.nursery.used() + size > self.effective_nursery_limit() {
+            })?
+        } else if self.nursery.used() + size > self.effective_nursery_limit() {
             return Err(AllocError::NeedsGc);
-        }
-        match self.nursery.alloc(size) {
-            Some(addr) => {
-                charge_alloc(exec, addr, size as u32);
-                Ok(heap.insert(Object::new(
-                    addr,
-                    size as u32,
-                    req.kind,
-                    Space::Nursery,
-                    req.ref_len,
-                    req.prim_len,
-                )))
-            }
-            None => Err(AllocError::NeedsGc),
-        }
+        } else {
+            let addr = self.nursery.alloc(size).ok_or(AllocError::NeedsGc)?;
+            (addr, size as u32, Space::Nursery)
+        };
+        charge_alloc(exec, addr, stored);
+        Ok(heap.insert(Object::new(
+            addr,
+            stored,
+            req.kind,
+            space,
+            req.ref_len,
+            req.prim_len,
+        )))
     }
 
     fn collect(
@@ -613,73 +387,36 @@ impl CollectorPlan for GenMs {
         exec: &mut dyn Exec,
     ) -> CollectionStats {
         let start = exec.cycles();
-        let need_major = self.force_major
-            || self.mature_free() < self.nursery.used().max(16 << 10)
-            || self.effective_nursery_limit() < (16 << 10);
+        let major = self.need_major();
         self.force_major = false;
         self.epoch += 1;
         let epoch = self.epoch;
         charge_root_scan(exec, roots);
-
-        if !need_major {
-            let (live_objects, live_bytes, copied) =
-                self.trace_and_promote(heap, roots, exec, epoch, true);
-            let (freed_objects, freed_bytes) =
-                heap.free_matching(|o| o.space == Space::Nursery && o.mark_epoch != epoch);
-            self.nursery.reset();
-            let c = CollectionStats {
-                kind: CollectionKind::Minor,
-                live_objects,
-                live_bytes,
-                freed_objects,
-                freed_bytes,
-                copied_bytes: copied,
-                pause_cycles: exec.cycles() - start,
-            };
-            self.stats.record(&c);
-            return c;
-        }
-
-        // Major: full trace (promoting any nursery survivors), then sweep
-        // the mature cells.
-        let (live_objects, live_bytes, copied) =
-            self.trace_and_promote(heap, roots, exec, epoch, false);
-        let ids: Vec<ObjId> = heap.iter_ids().collect();
-        let mut freed_objects = 0u64;
-        let mut freed_bytes = 0u64;
-        for id in ids {
-            let (addr, size, space, marked) = {
-                let o = heap.get(id);
-                (o.addr(), o.size(), o.space(), o.mark_epoch == epoch)
-            };
-            exec.load(addr);
-            exec.int_ops(3);
-            self.stats.total_swept_objects += 1;
-            if !marked {
-                if space == Space::Cells {
-                    self.fl.free(addr, size);
-                }
-                heap.remove(id);
-                freed_objects += 1;
-                freed_bytes += u64::from(size);
-            } else {
-                heap.get_mut(id).set_in_remset(false);
-            }
-        }
-        self.nursery.reset();
-        self.remset.clear();
-
-        let c = CollectionStats {
-            kind: CollectionKind::Major,
-            live_objects,
-            live_bytes,
-            freed_objects,
-            freed_bytes,
-            copied_bytes: copied,
-            pause_cycles: exec.cycles() - start,
+        let mut c = if major {
+            self.major(heap, roots, exec, epoch)
+        } else {
+            self.minor(heap, roots, exec, epoch)
         };
+        // A failed promotion set `force_major` and left its survivor in
+        // the nursery: keep the nursery full so no new object takes its
+        // address before the forced major collection.
+        if !self.force_major {
+            self.nursery.reset();
+        }
+        self.remset.clear();
+        c.pause_cycles = exec.cycles() - start;
         self.stats.record(&c);
         c
+    }
+
+    fn collect_full(
+        &mut self,
+        heap: &mut ObjectHeap,
+        roots: &RootSet,
+        exec: &mut dyn Exec,
+    ) -> CollectionStats {
+        self.force_major = true;
+        self.collect(heap, roots, exec)
     }
 
     fn write_barrier(
@@ -704,22 +441,8 @@ impl CollectorPlan for GenMs {
         }
     }
 
-    fn collect_full(
-        &mut self,
-        heap: &mut ObjectHeap,
-        roots: &RootSet,
-        exec: &mut dyn Exec,
-    ) -> CollectionStats {
-        self.force_major = true;
-        self.collect(heap, roots, exec)
-    }
-
     fn stats(&self) -> &GcStats {
         &self.stats
-    }
-
-    fn name(&self) -> &'static str {
-        "GenMS"
     }
 }
 
@@ -730,6 +453,24 @@ mod tests {
 
     const HEAP: u64 = 256 << 10;
 
+    fn gen_copy(heap_bytes: u64) -> Generational {
+        Generational::new(CollectorKind::GenCopy, heap_bytes, None)
+    }
+
+    fn gen_ms(heap_bytes: u64) -> Generational {
+        Generational::new(CollectorKind::GenMs, heap_bytes, None)
+    }
+
+    impl Generational {
+        fn nursery_used(&self) -> u64 {
+            self.nursery.used()
+        }
+
+        fn remset_len(&self) -> usize {
+            self.remset.len()
+        }
+    }
+
     fn small(plan: &mut dyn CollectorPlan, heap: &mut ObjectHeap, m: &mut Machine) -> ObjId {
         plan.alloc(heap, AllocRequest::instance(0, 2, 2), m)
             .unwrap()
@@ -738,7 +479,7 @@ mod tests {
     #[test]
     fn gencopy_allocates_in_nursery_first() {
         let mut heap = ObjectHeap::new();
-        let mut plan = GenCopy::new(HEAP);
+        let mut plan = gen_copy(HEAP);
         let mut m = Machine::new(PlatformKind::PentiumM);
         let a = small(&mut plan, &mut heap, &mut m);
         assert_eq!(heap.get(a).space(), Space::Nursery);
@@ -748,7 +489,7 @@ mod tests {
     #[test]
     fn gencopy_minor_promotes_survivors() {
         let mut heap = ObjectHeap::new();
-        let mut plan = GenCopy::new(HEAP);
+        let mut plan = gen_copy(HEAP);
         let mut m = Machine::new(PlatformKind::PentiumM);
         let a = small(&mut plan, &mut heap, &mut m);
         let stats = plan.collect(&mut heap, &RootSet::from_refs(vec![a]), &mut m);
@@ -761,7 +502,7 @@ mod tests {
     #[test]
     fn write_barrier_remembers_mature_to_nursery_edges() {
         let mut heap = ObjectHeap::new();
-        let mut plan = GenCopy::new(HEAP);
+        let mut plan = gen_copy(HEAP);
         let mut m = Machine::new(PlatformKind::PentiumM);
         let old = small(&mut plan, &mut heap, &mut m);
         plan.collect(&mut heap, &RootSet::from_refs(vec![old]), &mut m); // promote old
@@ -782,7 +523,7 @@ mod tests {
         // Demonstrates why the barrier is required: this is the unsafe
         // behaviour the barrier exists to prevent.
         let mut heap = ObjectHeap::new();
-        let mut plan = GenCopy::new(HEAP);
+        let mut plan = gen_copy(HEAP);
         let mut m = Machine::new(PlatformKind::PentiumM);
         let old = small(&mut plan, &mut heap, &mut m);
         plan.collect(&mut heap, &RootSet::from_refs(vec![old]), &mut m);
@@ -795,7 +536,7 @@ mod tests {
     #[test]
     fn gencopy_major_runs_when_mature_fills() {
         let mut heap = ObjectHeap::new();
-        let mut plan = GenCopy::new(64 << 10); // tiny heap
+        let mut plan = gen_copy(64 << 10); // tiny heap
         let mut m = Machine::new(PlatformKind::PentiumM);
         let mut roots = Vec::new();
         let mut minor_seen = false;
@@ -826,7 +567,7 @@ mod tests {
     #[test]
     fn genms_minor_promotes_into_cells() {
         let mut heap = ObjectHeap::new();
-        let mut plan = GenMs::new(HEAP);
+        let mut plan = gen_ms(HEAP);
         let mut m = Machine::new(PlatformKind::PentiumM);
         let a = small(&mut plan, &mut heap, &mut m);
         let stats = plan.collect(&mut heap, &RootSet::from_refs(vec![a]), &mut m);
@@ -837,7 +578,7 @@ mod tests {
     #[test]
     fn genms_major_sweeps_dead_mature_objects() {
         let mut heap = ObjectHeap::new();
-        let mut plan = GenMs::new(HEAP);
+        let mut plan = gen_ms(HEAP);
         let mut m = Machine::new(PlatformKind::PentiumM);
         let a = small(&mut plan, &mut heap, &mut m);
         let b = small(&mut plan, &mut heap, &mut m);
@@ -856,7 +597,7 @@ mod tests {
     #[test]
     fn large_objects_bypass_the_nursery() {
         let mut heap = ObjectHeap::new();
-        let mut plan = GenCopy::new(4 << 20);
+        let mut plan = gen_copy(4 << 20);
         let mut m = Machine::new(PlatformKind::PentiumM);
         let big = plan
             .alloc(
@@ -866,7 +607,7 @@ mod tests {
             )
             .unwrap();
         assert!(matches!(heap.get(big).space(), Space::Half(_)));
-        let mut plan2 = GenMs::new(4 << 20);
+        let mut plan2 = gen_ms(4 << 20);
         let big2 = plan2
             .alloc(
                 &mut heap,

@@ -58,8 +58,7 @@ impl KaffeIncremental {
     ///
     /// # Panics
     ///
-    /// Panics if `heap_bytes < 4096`. Use [`KaffeIncremental::try_new`]
-    /// for untrusted configurations.
+    /// Panics if `heap_bytes < 4096`.
     pub fn new(heap_bytes: u64) -> Self {
         assert!(heap_bytes >= 4096, "heap too small");
         Self {
@@ -71,20 +70,6 @@ impl KaffeIncremental {
             trigger_bytes: (heap_bytes as f64 * TRIGGER_FRACTION) as u64,
             stats: GcStats::default(),
         }
-    }
-
-    /// Fallible constructor: rejects undersized heaps with a typed error
-    /// instead of panicking.
-    pub fn try_new(heap_bytes: u64) -> Result<Self, crate::plan::HeapConfigError> {
-        let min = crate::CollectorKind::KaffeIncremental.min_heap_bytes();
-        if heap_bytes < min {
-            return Err(crate::plan::HeapConfigError {
-                collector: crate::CollectorKind::KaffeIncremental,
-                required_bytes: min,
-                actual_bytes: heap_bytes,
-            });
-        }
-        Ok(Self::new(heap_bytes))
     }
 
     /// Cell-granular occupancy.
@@ -324,10 +309,6 @@ impl CollectorPlan for KaffeIncremental {
 
     fn stats(&self) -> &GcStats {
         &self.stats
-    }
-
-    fn name(&self) -> &'static str {
-        "Kaffe incremental conservative mark-sweep"
     }
 }
 

@@ -54,7 +54,7 @@ mod roots;
 mod semispace;
 mod stats;
 
-pub use gen::{GenCopy, GenMs, NURSERY_FRACTION, NURSERY_MAX_BYTES};
+pub use gen::{NURSERY_FRACTION, NURSERY_MAX_BYTES};
 pub use kaffe::KaffeIncremental;
 pub use marksweep::{MarkSweep, SegregatedFreeList, SIZE_CLASSES};
 pub use object::{ObjId, ObjKind, Object, ObjectHeap, OBJECT_HEADER_BYTES};

@@ -8,6 +8,10 @@
 //! mutator locality fragmented, the behaviour behind MarkSweep's lower
 //! average power (11.7 W in the paper, Section VI-C: more stall time, lower
 //! IPC) but frequently higher energy.
+//!
+//! The sweep is `sweep`, which GenMS's major collection also runs over
+//! its mature cells. The mark loop stays here: it is depth first, while
+//! GenMS traces breadth first, and the order decides the cache charges.
 
 use vmprobe_platform::Exec;
 
@@ -134,8 +138,7 @@ impl MarkSweep {
     ///
     /// # Panics
     ///
-    /// Panics if `heap_bytes < 4096`. Use [`MarkSweep::try_new`] for
-    /// untrusted configurations.
+    /// Panics if `heap_bytes < 4096`.
     pub fn new(heap_bytes: u64) -> Self {
         assert!(heap_bytes >= 4096, "heap too small");
         Self {
@@ -144,20 +147,6 @@ impl MarkSweep {
             epoch: 0,
             stats: GcStats::default(),
         }
-    }
-
-    /// Fallible constructor: rejects undersized heaps with a typed error
-    /// instead of panicking.
-    pub fn try_new(heap_bytes: u64) -> Result<Self, crate::plan::HeapConfigError> {
-        let min = crate::CollectorKind::MarkSweep.min_heap_bytes();
-        if heap_bytes < min {
-            return Err(crate::plan::HeapConfigError {
-                collector: crate::CollectorKind::MarkSweep,
-                required_bytes: min,
-                actual_bytes: heap_bytes,
-            });
-        }
-        Ok(Self::new(heap_bytes))
     }
 
     /// Cell-granular occupancy.
@@ -227,25 +216,7 @@ impl CollectorPlan for MarkSweep {
             }
         }
 
-        // Sweep phase: touch every allocated cell.
-        let ids: Vec<ObjId> = heap.iter_ids().collect();
-        let mut freed_objects = 0u64;
-        let mut freed_bytes = 0u64;
-        for id in ids {
-            let (addr, size, marked) = {
-                let o = heap.get(id);
-                (o.addr(), o.size(), o.mark_epoch == epoch)
-            };
-            exec.load(addr);
-            exec.int_ops(3);
-            self.stats.total_swept_objects += 1;
-            if !marked {
-                self.fl.free(addr, size);
-                heap.remove(id);
-                freed_objects += 1;
-                freed_bytes += u64::from(size);
-            }
-        }
+        let (freed_objects, freed_bytes) = sweep(heap, &mut self.fl, exec, epoch, &mut self.stats);
 
         let c = CollectionStats {
             kind: CollectionKind::Major,
@@ -263,10 +234,43 @@ impl CollectorPlan for MarkSweep {
     fn stats(&self) -> &GcStats {
         &self.stats
     }
+}
 
-    fn name(&self) -> &'static str {
-        "MarkSweep"
+/// Visit every object in `heap`: free each one `epoch` left unmarked
+/// (returning its cell to `fl` when it holds one) and clear the
+/// remembered-set flag on each survivor. Shared by [`MarkSweep`] and the
+/// mark-sweep mature space of the generational plan, whose unmarked
+/// nursery objects hold no cell. Returns the objects and bytes freed.
+pub(crate) fn sweep(
+    heap: &mut ObjectHeap,
+    fl: &mut SegregatedFreeList,
+    exec: &mut dyn Exec,
+    epoch: u32,
+    stats: &mut GcStats,
+) -> (u64, u64) {
+    let ids: Vec<ObjId> = heap.iter_ids().collect();
+    let mut freed_objects = 0u64;
+    let mut freed_bytes = 0u64;
+    for id in ids {
+        let (addr, size, space, marked) = {
+            let o = heap.get(id);
+            (o.addr(), o.size(), o.space(), o.mark_epoch == epoch)
+        };
+        exec.load(addr);
+        exec.int_ops(3);
+        stats.total_swept_objects += 1;
+        if !marked {
+            if space == Space::Cells {
+                fl.free(addr, size);
+            }
+            heap.remove(id);
+            freed_objects += 1;
+            freed_bytes += u64::from(size);
+        } else {
+            heap.get_mut(id).set_in_remset(false);
+        }
     }
+    (freed_objects, freed_bytes)
 }
 
 #[cfg(test)]

@@ -178,9 +178,6 @@ pub trait CollectorPlan {
 
     /// Cumulative statistics.
     fn stats(&self) -> &GcStats;
-
-    /// Human-readable plan name.
-    fn name(&self) -> &'static str;
 }
 
 /// The collectors studied by the paper.
@@ -264,36 +261,16 @@ impl CollectorKind {
     ///
     /// # Panics
     ///
-    /// Panics on an undersized heap; use [`CollectorKind::try_new_plan`]
-    /// when the configuration is untrusted (experiment sweeps).
-    pub fn new_plan(self, heap_bytes: u64) -> Box<dyn CollectorPlan> {
-        self.new_plan_configured(heap_bytes, None)
-    }
-
-    /// Fallible form of [`CollectorKind::new_plan`].
-    pub fn try_new_plan(self, heap_bytes: u64) -> Result<Box<dyn CollectorPlan>, HeapConfigError> {
-        self.try_new_plan_configured(heap_bytes, None)
-    }
-
-    /// Instantiate a plan with an optional nursery-size override for the
-    /// generational plans (ignored by non-generational plans). Used by
-    /// nursery-sizing ablation studies.
-    ///
-    /// # Panics
-    ///
     /// Panics on an undersized heap; use
     /// [`CollectorKind::try_new_plan_configured`] when the configuration is
-    /// untrusted.
-    pub fn new_plan_configured(
-        self,
-        heap_bytes: u64,
-        nursery_override: Option<u64>,
-    ) -> Box<dyn CollectorPlan> {
-        self.try_new_plan_configured(heap_bytes, nursery_override)
+    /// untrusted (experiment sweeps).
+    pub fn new_plan(self, heap_bytes: u64) -> Box<dyn CollectorPlan> {
+        self.try_new_plan_configured(heap_bytes, None)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible form of [`CollectorKind::new_plan_configured`]: rejects
+    /// Instantiate a plan with an optional nursery-size override for the
+    /// generational plans (ignored by non-generational plans), rejecting
     /// heaps below [`CollectorKind::min_heap_bytes`] with a typed error
     /// instead of panicking.
     pub fn try_new_plan_configured(
@@ -308,18 +285,13 @@ impl CollectorKind {
                 actual_bytes: heap_bytes,
             });
         }
-        Ok(match (self, nursery_override) {
-            (CollectorKind::SemiSpace, _) => Box::new(crate::SemiSpace::new(heap_bytes)),
-            (CollectorKind::MarkSweep, _) => Box::new(crate::MarkSweep::new(heap_bytes)),
-            (CollectorKind::GenCopy, None) => Box::new(crate::GenCopy::new(heap_bytes)),
-            (CollectorKind::GenCopy, Some(n)) => {
-                Box::new(crate::GenCopy::with_nursery(heap_bytes, n))
-            }
-            (CollectorKind::GenMs, None) => Box::new(crate::GenMs::new(heap_bytes)),
-            (CollectorKind::GenMs, Some(n)) => Box::new(crate::GenMs::with_nursery(heap_bytes, n)),
-            (CollectorKind::KaffeIncremental, _) => {
-                Box::new(crate::KaffeIncremental::new(heap_bytes))
-            }
+        Ok(match self {
+            CollectorKind::SemiSpace => Box::new(crate::SemiSpace::new(heap_bytes)),
+            CollectorKind::MarkSweep => Box::new(crate::MarkSweep::new(heap_bytes)),
+            CollectorKind::GenCopy | CollectorKind::GenMs => Box::new(
+                crate::gen::Generational::new(self, heap_bytes, nursery_override),
+            ),
+            CollectorKind::KaffeIncremental => Box::new(crate::KaffeIncremental::new(heap_bytes)),
         })
     }
 }

@@ -161,7 +161,7 @@ impl std::fmt::Debug for Vm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Vm")
             .field("config", &self.config)
-            .field("plan", &self.plan.name())
+            .field("plan", &self.plan.kind())
             .field("frames", &self.frames.len())
             .field("bytecodes", &self.stats.bytecodes)
             .finish_non_exhaustive()
