@@ -231,6 +231,17 @@ impl ExperimentConfig {
     /// the plan's own forced faults (`InjectedOom`, `StepBudgetExhausted`)
     /// and typed heap-configuration rejections.
     pub fn run_with_faults(&self, faults: FaultPlan) -> Result<RunSummary, ExperimentError> {
+        self.run_bounded(faults).map(|(summary, _)| summary)
+    }
+
+    /// [`Self::run_with_faults`], also answering whether the run took a
+    /// heap-size-dependent branch ([`vmprobe_vm::RunOutcome::heap_bound`]).
+    /// When it did not, this summary, relabelled, is the summary of every
+    /// larger heap of the same cell.
+    pub(crate) fn run_bounded(
+        &self,
+        faults: FaultPlan,
+    ) -> Result<(RunSummary, bool), ExperimentError> {
         let bench = benchmark(&self.benchmark)
             .ok_or_else(|| ExperimentError::UnknownBenchmark(self.benchmark.clone()))?;
         let program = bench.build(self.scale);
@@ -240,7 +251,7 @@ impl ExperimentConfig {
         };
         let vm = Vm::try_new(program, self.vm_config().faults(faults)).map_err(vm_err)?;
         let out = vm.run().map_err(vm_err)?;
-        Ok(RunSummary {
+        let summary = RunSummary {
             config: self.clone(),
             result_checksum: out.result.map(|v| v.as_i()),
             report: out.report,
@@ -251,7 +262,8 @@ impl ExperimentConfig {
             total_alloc_bytes: out.total_alloc_bytes,
             live_bytes_end: out.live_bytes_end,
             spans: out.spans,
-        })
+        };
+        Ok((summary, out.heap_bound))
     }
 }
 

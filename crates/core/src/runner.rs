@@ -11,7 +11,9 @@
 //!   the same cell;
 //! * **parallelize** — figure sweeps submit their whole grid as one batch
 //!   and a work-stealing pool ([`crate::sweep::WorkStealingPool`]) spreads
-//!   the independent cells over [`SupervisedRunner::jobs`] workers;
+//!   the independent heap ladders over [`SupervisedRunner::jobs`] workers;
+//! * **share** — a fault-free run that never took a heap-size-dependent
+//!   branch answers every larger heap of its ladder (DESIGN.md §18);
 //! * **supervise** — a failing configuration is retried up to a configured
 //!   budget with capped, deterministic exponential backoff (recorded as
 //!   *virtual* milliseconds, never slept), then **quarantined**: the
@@ -35,6 +37,7 @@
 //! persistently (the paper-sweep robustness scenario) while the rest of the
 //! sweep completes.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -115,6 +118,8 @@ struct ExecutionRecord {
     cache_probe: CacheProbe,
     /// A freshly computed summary was written through to the cache.
     cache_stored: bool,
+    /// The summary is a smaller heap's run, relabelled (not simulated).
+    shared: bool,
 }
 
 /// One cell a tolerant figure sweep could not fill.
@@ -354,7 +359,8 @@ pub struct SupervisedRunner {
     /// Shared with every [`MemoHandle`], which folds the cells it
     /// restores into it.
     report: Arc<Mutex<RunReport>>,
-    seen_failed_cells: HashSet<(String, u32, String)>,
+    /// [`ExperimentConfig::key`]s already listed in `failed_cells`.
+    seen_failed_cells: HashSet<String>,
     verbose: bool,
     contain_panics: bool,
     telemetry: Telemetry,
@@ -561,16 +567,38 @@ impl SupervisedRunner {
             .collect();
 
         // First occurrence of each key; only unresolved first occurrences
-        // are dispatched to the pool.
+        // are dispatched to the pool, one task per heap ladder.
         let mut first: HashMap<&str, usize> = HashMap::new();
-        let mut tasks: Vec<usize> = Vec::new();
-        for (i, (_, _, key)) in cells.iter().enumerate() {
-            if !first.contains_key(key.as_str()) {
-                first.insert(key, i);
-                if self.memo.peek(key).is_none() {
-                    tasks.push(i);
+        let mut ladders: Vec<Vec<usize>> = Vec::new();
+        let mut ladder_of: HashMap<String, usize> = HashMap::new();
+        for (i, (config, master, key)) in cells.iter().enumerate() {
+            if first.contains_key(key.as_str()) {
+                continue;
+            }
+            first.insert(key, i);
+            if self.memo.peek(key).is_some() {
+                continue;
+            }
+            // Derived fault streams hash the heap (`fault_key`), so only
+            // fault-free cells can share a run.
+            if !master.is_none() {
+                ladders.push(vec![i]);
+                continue;
+            }
+            let rungless = ExperimentConfig {
+                heap_mb: 0,
+                ..config.clone()
+            };
+            match ladder_of.entry(rungless.key()) {
+                Entry::Occupied(e) => ladders[*e.get()].push(i),
+                Entry::Vacant(e) => {
+                    e.insert(ladders.len());
+                    ladders.push(vec![i]);
                 }
             }
+        }
+        for ladder in &mut ladders {
+            ladder.sort_by_key(|&i| cells[i].0.heap_mb);
         }
 
         self.telemetry.count(CounterId::BatchesSubmitted, 1);
@@ -582,53 +610,76 @@ impl SupervisedRunner {
         let contain = self.contain_panics;
         let telemetry = self.telemetry.clone();
         let cache = self.cache.clone();
-        // A panicking cell aborts the batch with the cell's key in the
+        // A panicking cell aborts the batch with its ladder's keys in the
         // message rather than poisoning pool/memo locks (`SweepError`) —
         // unless `contain_panics` is on, in which case `execute_cell`
         // catches it first and the pool never sees a panic.
-        let executed: Vec<(usize, Option<ExecutionRecord>)> = pool
+        let executed: Vec<Vec<(usize, ExecutionRecord)>> = pool
             .try_run(
-                tasks.iter().map(|&i| (i, &cells[i])).collect(),
-                |_, item| item.1 .2.clone(),
-                |_, (i, (config, master, key))| {
-                    let plan = config.derive_plan(*master);
-                    let mut record = None;
-                    let (_, _) = memo.get_or_compute(key, || {
-                        // Probe the persistent layer first: exactly one
-                        // probe per unique key (concurrent duplicates are
-                        // held by the memo's in-flight window), so cache
-                        // counters are thread-count-independent.
-                        let mut probe = CacheProbe::None;
-                        if let Some(cache) = &cache {
-                            let started = Instant::now();
-                            match cache.lookup(key) {
-                                CacheLookup::Hit(summary) => {
-                                    record = Some(hit_record(&summary, started));
-                                    return Ok(summary);
+                ladders,
+                |_, ladder| {
+                    let keys: Vec<&str> = ladder.iter().map(|&i| cells[i].2.as_str()).collect();
+                    keys.join(", ")
+                },
+                |_, ladder| {
+                    // The latest fault-free run that took no heap-size-
+                    // dependent branch: every larger member is that run.
+                    let mut trunk: Option<Arc<RunSummary>> = None;
+                    let mut records = Vec::new();
+                    for i in ladder {
+                        let (config, master, key) = &cells[i];
+                        let mut record = None;
+                        let (_, _) = memo.get_or_compute(key, || {
+                            // Probe the persistent layer first: exactly one
+                            // probe per unique key (concurrent duplicates
+                            // are held by the memo's in-flight window), so
+                            // cache counters are thread-count-independent.
+                            let mut probe = CacheProbe::None;
+                            if let Some(cache) = &cache {
+                                let started = Instant::now();
+                                match cache.lookup(key) {
+                                    CacheLookup::Hit(summary) => {
+                                        record = Some(hit_record(&summary, started));
+                                        return Ok(summary);
+                                    }
+                                    CacheLookup::Miss => probe = CacheProbe::Miss,
+                                    CacheLookup::Corrupt => probe = CacheProbe::Corrupt,
                                 }
-                                CacheLookup::Miss => probe = CacheProbe::Miss,
-                                CacheLookup::Corrupt => probe = CacheProbe::Corrupt,
                             }
-                        }
-                        let (result, mut rec) =
-                            execute_cell(config, plan, max_retries, verbose, contain, &telemetry);
-                        rec.cache_probe = probe;
-                        if let (Some(cache), Ok(summary)) = (&cache, &result) {
-                            cache.store(key, summary);
-                            rec.cache_stored = true;
-                        }
-                        record = Some(rec);
-                        result
-                    });
-                    (i, record)
+                            let (result, mut rec) = match &trunk {
+                                Some(t) => share(t, config, verbose, &telemetry),
+                                None => {
+                                    let plan = config.derive_plan(*master);
+                                    let (result, rec, shareable) = execute_cell(
+                                        config,
+                                        plan,
+                                        max_retries,
+                                        verbose,
+                                        contain,
+                                        &telemetry,
+                                    );
+                                    if let (Ok(summary), true) = (&result, shareable) {
+                                        trunk = Some(Arc::clone(summary));
+                                    }
+                                    (result, rec)
+                                }
+                            };
+                            rec.cache_probe = probe;
+                            if let (Some(cache), Ok(summary)) = (&cache, &result) {
+                                cache.store(key, summary);
+                                rec.cache_stored = true;
+                            }
+                            record = Some(rec);
+                            result
+                        });
+                        records.extend(record.map(|r| (i, r)));
+                    }
+                    records
                 },
             )
             .unwrap_or_else(|e| panic!("{e}"));
 
-        let mut records: HashMap<usize, ExecutionRecord> = executed
-            .into_iter()
-            .filter_map(|(i, rec)| rec.map(|r| (i, r)))
-            .collect();
+        let mut records: HashMap<usize, ExecutionRecord> = executed.into_iter().flatten().collect();
 
         // Merge in submission order — the determinism contract.
         let mut out = Vec::with_capacity(cells.len());
@@ -707,8 +758,7 @@ impl SupervisedRunner {
                 Err(e) => {
                     self.telemetry.count(CounterId::CellsFailed, 1);
                     let cell = FailedCell::new(config, &e);
-                    let sig = (cell.benchmark.clone(), cell.heap_mb, cell.vm.clone());
-                    if self.seen_failed_cells.insert(sig) {
+                    if self.seen_failed_cells.insert(config.key()) {
                         lock_unpoisoned(&self.report)
                             .failed_cells
                             .push(cell.clone());
@@ -749,6 +799,9 @@ fn account_resolved(
         telemetry.count(CounterId::CacheHits, 1);
     } else {
         telemetry.count(CounterId::CellsExecuted, 1);
+        if rec.shared {
+            telemetry.count(CounterId::CellsShared, 1);
+        }
         match rec.cache_probe {
             CacheProbe::Miss => telemetry.count(CounterId::CacheMisses, 1),
             CacheProbe::Corrupt => telemetry.count(CounterId::CacheCorrupt, 1),
@@ -838,11 +891,40 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// A ladder member answered by `trunk`, a smaller heap's run that took no
+/// heap-size-dependent branch: that summary, relabelled to `config`.
+fn share(
+    trunk: &RunSummary,
+    config: &ExperimentConfig,
+    verbose: bool,
+    telemetry: &Telemetry,
+) -> (CellResult, ExecutionRecord) {
+    let started = Instant::now();
+    if verbose {
+        telemetry.log(&format!(
+            "running {config} (shared with {} MB)",
+            trunk.config.heap_mb
+        ));
+    }
+    let summary = RunSummary {
+        config: config.clone(),
+        ..trunk.clone()
+    };
+    let rec = ExecutionRecord {
+        success_faults: Some(summary.report.faults),
+        shared: true,
+        host_us: micros_since(started),
+        ..ExecutionRecord::default()
+    };
+    (Ok(Arc::new(summary)), rec)
+}
+
 /// The per-cell retry loop: runs on a pool worker, touches no shared
-/// state, and reports everything it did through the returned record.
-/// With `contain` set, a panicking run is caught and mapped to
-/// [`ExperimentError::Panicked`], entering the same retry/quarantine path
-/// as any other failure.
+/// state, and reports everything it did through the returned record, and
+/// whether a successful run took no heap-size-dependent branch (so it may
+/// answer the larger heaps of its ladder). With `contain` set, a panicking
+/// run is caught and mapped to [`ExperimentError::Panicked`], entering the
+/// same retry/quarantine path as any other failure.
 fn execute_cell(
     config: &ExperimentConfig,
     plan: FaultPlan,
@@ -850,7 +932,7 @@ fn execute_cell(
     verbose: bool,
     contain: bool,
     telemetry: &Telemetry,
-) -> (CellResult, ExecutionRecord) {
+) -> (CellResult, ExecutionRecord, bool) {
     let started = Instant::now();
     let mut rec = ExecutionRecord::default();
     let mut attempts = 0u32;
@@ -861,25 +943,23 @@ fn execute_cell(
         }
         let outcome = if contain {
             // AssertUnwindSafe: the closure only touches `config` and the
-            // Copy `plan`; `run_with_faults` builds all VM state afresh, so
-            // no shared state can be observed half-mutated after a panic.
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                config.run_with_faults(plan)
-            }))
-            .unwrap_or_else(|payload| {
-                Err(ExperimentError::Panicked {
-                    config: Box::new(config.clone()),
-                    message: panic_message(payload.as_ref()),
+            // Copy `plan`; `run_bounded` builds all VM state afresh, so no
+            // shared state can be observed half-mutated after a panic.
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| config.run_bounded(plan)))
+                .unwrap_or_else(|payload| {
+                    Err(ExperimentError::Panicked {
+                        config: Box::new(config.clone()),
+                        message: panic_message(payload.as_ref()),
+                    })
                 })
-            })
         } else {
-            config.run_with_faults(plan)
+            config.run_bounded(plan)
         };
         match outcome {
-            Ok(summary) => {
+            Ok((summary, heap_bound)) => {
                 rec.success_faults = Some(summary.report.faults);
                 rec.host_us = micros_since(started);
-                return (Ok(Arc::new(summary)), rec);
+                return (Ok(Arc::new(summary)), rec, !heap_bound);
             }
             Err(e) => {
                 rec.attempts_failed += 1;
@@ -905,6 +985,7 @@ fn execute_cell(
                             underlying: e,
                         }),
                         rec,
+                        false,
                     );
                 }
                 rec.retries += 1;
@@ -991,6 +1072,19 @@ mod tests {
         let mut more = Vec::new();
         assert!(r.cell(&quick("moldyn"), &mut more).is_none());
         assert_eq!(r.report().failed_cells.len(), 1);
+    }
+
+    #[test]
+    fn failed_cells_that_differ_only_in_platform_are_both_reported() {
+        let oom = FaultPlan::parse("oom@1").unwrap();
+        let mut r = Runner::new().retries(0).with_faults(oom);
+        let mut p6 = ExperimentConfig::kaffe("search", 32);
+        p6.scale = InputScale::Reduced;
+        let pxa = ExperimentConfig::kaffe_pxa("search", 32);
+        let mut failed = Vec::new();
+        assert!(r.cells(&[p6, pxa], &mut failed).iter().all(Option::is_none));
+        assert_eq!(failed.len(), 2);
+        assert_eq!(r.report().failed_cells, failed, "one entry per cell");
     }
 
     #[test]

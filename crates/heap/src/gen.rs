@@ -144,6 +144,9 @@ pub(crate) struct Generational {
     mature: Mature,
     epoch: u32,
     force_major: bool,
+    /// The run took a heap-size-dependent branch (see
+    /// [`CollectorPlan::heap_bound`]).
+    heap_bound: bool,
     stats: GcStats,
 }
 
@@ -152,6 +155,9 @@ impl Generational {
     /// size (ablation studies of the nursery-sizing policy). The caller
     /// has checked `heap_bytes` against [`CollectorKind::min_heap_bytes`].
     pub(crate) fn new(kind: CollectorKind, heap_bytes: u64, nursery: Option<u64>) -> Self {
+        // The nursery any large enough heap would get; a smaller one means
+        // the fraction or the half-heap clamp bound.
+        let unclamped = align8(nursery.unwrap_or(NURSERY_MAX_BYTES).max(4096));
         let nursery = nursery.unwrap_or_else(|| nursery_bytes(heap_bytes));
         let nsz = align8(nursery.clamp(4096, heap_bytes / 2));
         let base = heap_region(nsz);
@@ -176,6 +182,7 @@ impl Generational {
             mature,
             epoch: 0,
             force_major: false,
+            heap_bound: nsz != unclamped,
             stats: GcStats::default(),
         }
     }
@@ -183,17 +190,36 @@ impl Generational {
     /// Appel-style flexible nursery: never let more accumulate in the
     /// nursery than the mature space could absorb, so minor collections
     /// always succeed and majors only run when the mature space is truly
-    /// full.
-    fn effective_nursery_limit(&self) -> u64 {
-        self.nursery.size.min(self.mature.free())
+    /// full. A limit the mature space caps depends on the heap.
+    fn effective_nursery_limit(&mut self) -> u64 {
+        let free = self.mature.free();
+        if free < self.nursery.size {
+            self.heap_bound = true;
+            return free;
+        }
+        self.nursery.size
     }
 
     /// Major only when the mature space cannot host another useful nursery
-    /// cycle (the flexible nursery guarantees promotions fit).
-    fn need_major(&self) -> bool {
-        self.force_major
+    /// cycle (the flexible nursery guarantees promotions fit). A `true`
+    /// answer could be `false` at a larger heap.
+    fn need_major(&mut self) -> bool {
+        let major = self.force_major
             || self.mature.free() < self.nursery.used().max(MIN_CYCLE_BYTES)
-            || self.effective_nursery_limit() < MIN_CYCLE_BYTES
+            || self.effective_nursery_limit() < MIN_CYCLE_BYTES;
+        self.heap_bound |= major;
+        major
+    }
+
+    /// Room for `size` bytes in the mature space. When it is full, the
+    /// next collection is forced major.
+    fn room(&mut self, size: u32, exec: &mut dyn Exec) -> Option<(u64, u32, Space)> {
+        let room = self.mature.room(size, exec);
+        if room.is_none() {
+            self.force_major = true;
+            self.heap_bound = true;
+        }
+        room
     }
 
     /// Move nursery object `id` into the mature space; `None` when the
@@ -203,7 +229,7 @@ impl Generational {
             let o = heap.get(id);
             (o.addr, o.size)
         };
-        let (new_addr, _, space) = self.mature.room(size, exec)?;
+        let (new_addr, _, space) = self.room(size, exec)?;
         exec.memcpy(old_addr, new_addr, size);
         let o = heap.get_mut(id);
         o.addr = new_addr;
@@ -257,10 +283,7 @@ impl Generational {
                 // Promotion fails only when the mature space is utterly
                 // full; the object then stays in the nursery and the next
                 // collection is forced major.
-                match self.promote(heap, id, exec) {
-                    Some(b) => copied += b,
-                    None => self.force_major = true,
-                }
+                copied += self.promote(heap, id, exec).unwrap_or(0);
             }
             live_objects += 1;
             live_bytes += u64::from(heap.get(id).size());
@@ -324,15 +347,11 @@ impl Generational {
         let Mature::Cells(fl) = &mut self.mature else {
             unreachable!("the copying major returned above")
         };
-        let (freed_objects, freed_bytes) = sweep(heap, fl, exec, epoch, &mut self.stats);
         CollectionStats {
-            kind: CollectionKind::Major,
             live_objects,
             live_bytes,
-            freed_objects,
-            freed_bytes,
             copied_bytes,
-            pause_cycles: 0,
+            ..sweep(heap, fl, exec, epoch, &mut self.stats, |_| {})
         }
     }
 }
@@ -359,10 +378,8 @@ impl CollectorPlan for Generational {
         let (addr, stored, space) = if req.size_bytes() >= LOS_THRESHOLD || size > self.nursery.size
         {
             // Large object: straight into the mature space.
-            self.mature.room(req.size_bytes(), exec).ok_or_else(|| {
-                self.force_major = true;
-                AllocError::NeedsGc
-            })?
+            self.room(req.size_bytes(), exec)
+                .ok_or(AllocError::NeedsGc)?
         } else if self.nursery.used() + size > self.effective_nursery_limit() {
             return Err(AllocError::NeedsGc);
         } else {
@@ -443,6 +460,10 @@ impl CollectorPlan for Generational {
 
     fn stats(&self) -> &GcStats {
         &self.stats
+    }
+
+    fn heap_bound(&self) -> bool {
+        self.heap_bound
     }
 }
 

@@ -21,11 +21,11 @@ use std::collections::{BTreeMap, VecDeque};
 
 use vmprobe_platform::Exec;
 
-use crate::marksweep::SegregatedFreeList;
+use crate::marksweep::{sweep, SegregatedFreeList};
 use crate::plan::{charge_alloc, charge_root_scan, charge_scan, heap_region, mark};
 use crate::{
-    AllocError, AllocRequest, CollectionKind, CollectionStats, CollectorKind, CollectorPlan,
-    GcStats, ObjId, Object, ObjectHeap, RootSet, Space,
+    AllocError, AllocRequest, CollectionStats, CollectorKind, CollectorPlan, GcStats, ObjId,
+    Object, ObjectHeap, RootSet, Space,
 };
 
 /// Heap-occupancy fraction at which incremental marking begins.
@@ -50,6 +50,8 @@ pub struct KaffeIncremental {
     /// Start-address index for conservative pointer identification.
     addr_index: BTreeMap<u64, (ObjId, u32)>,
     trigger_bytes: u64,
+    /// Occupancy crossed the trigger (see [`CollectorPlan::heap_bound`]).
+    heap_bound: bool,
     stats: GcStats,
 }
 
@@ -68,6 +70,7 @@ impl KaffeIncremental {
             phase: Phase::Idle,
             addr_index: BTreeMap::new(),
             trigger_bytes: (heap_bytes as f64 * TRIGGER_FRACTION) as u64,
+            heap_bound: false,
             stats: GcStats::default(),
         }
     }
@@ -80,6 +83,14 @@ impl KaffeIncremental {
     /// Whether a marking cycle is in progress.
     pub fn is_marking(&self) -> bool {
         matches!(self.phase, Phase::Marking { .. })
+    }
+
+    /// Whether occupancy is past the heap-relative trigger; a `true`
+    /// answer could be `false` at a larger heap, so it binds the run.
+    fn over_trigger(&mut self) -> bool {
+        let over = self.fl.used_bytes() > self.trigger_bytes;
+        self.heap_bound |= over;
+        over
     }
 
     /// Resolve an ambiguous word to the object whose cell contains it.
@@ -140,53 +151,6 @@ impl KaffeIncremental {
         scanned
     }
 
-    /// Sweep every cell, freeing objects not marked in the current epoch.
-    fn sweep(
-        &mut self,
-        heap: &mut ObjectHeap,
-        exec: &mut dyn Exec,
-        start_cycles: u64,
-        live_hint: u64,
-    ) -> CollectionStats {
-        let epoch = self.epoch;
-        let ids: Vec<ObjId> = heap.iter_ids().collect();
-        let mut freed_objects = 0u64;
-        let mut freed_bytes = 0u64;
-        let mut live_objects = 0u64;
-        let mut live_bytes = 0u64;
-        for id in ids {
-            let (addr, size, marked) = {
-                let o = heap.get(id);
-                (o.addr(), o.size(), o.mark_epoch == epoch)
-            };
-            exec.load(addr);
-            exec.int_ops(3);
-            self.stats.total_swept_objects += 1;
-            if marked {
-                live_objects += 1;
-                live_bytes += u64::from(size);
-            } else {
-                self.fl.free(addr, size);
-                self.addr_index.remove(&addr);
-                heap.remove(id);
-                freed_objects += 1;
-                freed_bytes += u64::from(size);
-            }
-        }
-        self.phase = Phase::Idle;
-        let c = CollectionStats {
-            kind: CollectionKind::Major,
-            live_objects: live_objects.max(live_hint),
-            live_bytes,
-            freed_objects,
-            freed_bytes,
-            copied_bytes: 0,
-            pause_cycles: exec.cycles() - start_cycles,
-        };
-        self.stats.record(&c);
-        c
-    }
-
     /// Run marking to completion from the current phase and sweep.
     fn finish_cycle(
         &mut self,
@@ -213,7 +177,24 @@ impl KaffeIncremental {
                 break;
             }
         }
-        self.sweep(heap, exec, start, marked)
+        let addr_index = &mut self.addr_index;
+        let swept = sweep(
+            heap,
+            &mut self.fl,
+            exec,
+            self.epoch,
+            &mut self.stats,
+            |addr| {
+                addr_index.remove(&addr);
+            },
+        );
+        let c = CollectionStats {
+            live_objects: swept.live_objects.max(marked),
+            pause_cycles: exec.cycles() - start,
+            ..swept
+        };
+        self.stats.record(&c);
+        c
     }
 }
 
@@ -260,8 +241,8 @@ impl CollectorPlan for KaffeIncremental {
         self.finish_cycle(heap, roots, exec)
     }
 
-    fn wants_increment(&self) -> bool {
-        self.is_marking() || self.fl.used_bytes() > self.trigger_bytes
+    fn wants_increment(&mut self) -> bool {
+        self.is_marking() || self.over_trigger()
     }
 
     fn increment(
@@ -273,7 +254,7 @@ impl CollectorPlan for KaffeIncremental {
         let start = exec.cycles();
         match std::mem::replace(&mut self.phase, Phase::Idle) {
             Phase::Idle => {
-                if self.fl.used_bytes() <= self.trigger_bytes {
+                if !self.over_trigger() {
                     return None;
                 }
                 // Start a new cycle: bump epoch, seed roots, scan a slice.
@@ -309,6 +290,10 @@ impl CollectorPlan for KaffeIncremental {
 
     fn stats(&self) -> &GcStats {
         &self.stats
+    }
+
+    fn heap_bound(&self) -> bool {
+        self.heap_bound || self.fl.heap_bound()
     }
 }
 

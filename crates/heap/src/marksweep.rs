@@ -9,9 +9,10 @@
 //! average power (11.7 W in the paper, Section VI-C: more stall time, lower
 //! IPC) but frequently higher energy.
 //!
-//! The sweep is `sweep`, which GenMS's major collection also runs over
-//! its mature cells. The mark loop stays here: it is depth first, while
-//! GenMS traces breadth first, and the order decides the cache charges.
+//! The sweep is `sweep`, which GenMS's major collection and Kaffe's
+//! collector also run. The mark loop stays here: it is depth first, while
+//! GenMS traces breadth first and Kaffe marks in slices, and the order
+//! decides the cache charges.
 
 use vmprobe_platform::Exec;
 
@@ -40,6 +41,8 @@ pub struct SegregatedFreeList {
     free: Vec<Vec<u64>>,
     large_free: Vec<(u64, u64)>,
     used_bytes: u64,
+    /// A wilderness carve failed (see [`CollectorPlan::heap_bound`]).
+    heap_bound: bool,
 }
 
 impl SegregatedFreeList {
@@ -52,6 +55,7 @@ impl SegregatedFreeList {
             free: vec![Vec::new(); SIZE_CLASSES.len()],
             large_free: Vec::new(),
             used_bytes: 0,
+            heap_bound: false,
         }
     }
 
@@ -75,6 +79,12 @@ impl SegregatedFreeList {
     /// Total capacity in bytes.
     pub fn capacity(&self) -> u64 {
         self.limit - self.base
+    }
+
+    /// Whether a wilderness carve has failed: the one outcome of
+    /// [`SegregatedFreeList::alloc`] that a larger region could change.
+    pub fn heap_bound(&self) -> bool {
+        self.heap_bound
     }
 
     /// Allocate a cell for `size` bytes; `None` when the region is
@@ -105,6 +115,7 @@ impl SegregatedFreeList {
         }
         // Carve from the wilderness.
         if self.bump + cell > self.limit {
+            self.heap_bound = true;
             return None;
         }
         let addr = self.bump;
@@ -201,12 +212,8 @@ impl CollectorPlan for MarkSweep {
                 queue.push(r);
             }
         }
-        let mut live_objects = 0u64;
-        let mut live_bytes = 0u64;
         while let Some(id) = queue.pop() {
             charge_scan(exec, heap.get(id));
-            live_objects += 1;
-            live_bytes += u64::from(heap.get(id).size());
             for i in 0..heap.get(id).ref_count() {
                 if let Some(t) = heap.get_ref(id, i) {
                     if mark(heap, t, epoch) {
@@ -216,16 +223,10 @@ impl CollectorPlan for MarkSweep {
             }
         }
 
-        let (freed_objects, freed_bytes) = sweep(heap, &mut self.fl, exec, epoch, &mut self.stats);
-
+        let swept = sweep(heap, &mut self.fl, exec, epoch, &mut self.stats, |_| {});
         let c = CollectionStats {
-            kind: CollectionKind::Major,
-            live_objects,
-            live_bytes,
-            freed_objects,
-            freed_bytes,
-            copied_bytes: 0,
             pause_cycles: exec.cycles() - start,
+            ..swept
         };
         self.stats.record(&c);
         c
@@ -234,23 +235,38 @@ impl CollectorPlan for MarkSweep {
     fn stats(&self) -> &GcStats {
         &self.stats
     }
+
+    fn heap_bound(&self) -> bool {
+        self.fl.heap_bound()
+    }
 }
 
 /// Visit every object in `heap`: free each one `epoch` left unmarked
-/// (returning its cell to `fl` when it holds one) and clear the
-/// remembered-set flag on each survivor. Shared by [`MarkSweep`] and the
-/// mark-sweep mature space of the generational plan, whose unmarked
-/// nursery objects hold no cell. Returns the objects and bytes freed.
+/// (returning its cell to `fl` when it holds one, then handing its address
+/// to `on_free`) and clear the remembered-set flag on each survivor.
+/// Shared by [`MarkSweep`], Kaffe's collector (whose `on_free` drops the
+/// conservative address index entry) and the mark-sweep mature space of
+/// the generational plan, whose unmarked nursery objects hold no cell.
+/// Returns a major collection's stats over the objects kept and freed,
+/// pause left at zero for the caller.
 pub(crate) fn sweep(
     heap: &mut ObjectHeap,
     fl: &mut SegregatedFreeList,
     exec: &mut dyn Exec,
     epoch: u32,
     stats: &mut GcStats,
-) -> (u64, u64) {
+    mut on_free: impl FnMut(u64),
+) -> CollectionStats {
     let ids: Vec<ObjId> = heap.iter_ids().collect();
-    let mut freed_objects = 0u64;
-    let mut freed_bytes = 0u64;
+    let mut swept = CollectionStats {
+        kind: CollectionKind::Major,
+        live_objects: 0,
+        live_bytes: 0,
+        freed_objects: 0,
+        freed_bytes: 0,
+        copied_bytes: 0,
+        pause_cycles: 0,
+    };
     for id in ids {
         let (addr, size, space, marked) = {
             let o = heap.get(id);
@@ -259,18 +275,21 @@ pub(crate) fn sweep(
         exec.load(addr);
         exec.int_ops(3);
         stats.total_swept_objects += 1;
-        if !marked {
+        if marked {
+            heap.get_mut(id).set_in_remset(false);
+            swept.live_objects += 1;
+            swept.live_bytes += u64::from(size);
+        } else {
             if space == Space::Cells {
                 fl.free(addr, size);
+                on_free(addr);
             }
             heap.remove(id);
-            freed_objects += 1;
-            freed_bytes += u64::from(size);
-        } else {
-            heap.get_mut(id).set_in_remset(false);
+            swept.freed_objects += 1;
+            swept.freed_bytes += u64::from(size);
         }
     }
-    (freed_objects, freed_bytes)
+    swept
 }
 
 #[cfg(test)]

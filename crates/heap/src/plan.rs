@@ -159,8 +159,10 @@ pub trait CollectorPlan {
     }
 
     /// Whether the plan wants an incremental step soon (Kaffe's tri-color
-    /// collector marks in bounded slices near heap pressure).
-    fn wants_increment(&self) -> bool {
+    /// collector marks in bounded slices near heap pressure). Takes
+    /// `&mut self` because a `true` answer depends on the heap size and
+    /// is recorded in [`CollectorPlan::heap_bound`].
+    fn wants_increment(&mut self) -> bool {
         false
     }
 
@@ -178,6 +180,16 @@ pub trait CollectorPlan {
 
     /// Cumulative statistics.
     fn stats(&self) -> &GcStats;
+
+    /// Whether the plan has taken a branch whose outcome could differ at a
+    /// larger heap: a failed fit, a heap-relative trigger, a heap-clamped
+    /// layout or a collection whose target depends on the heap. Sticky.
+    ///
+    /// While it is `false`, the plan has behaved — charge for charge and
+    /// address for address — exactly as the same plan over any larger
+    /// heap would have, so a run that ends with it `false` answers every
+    /// larger heap of its ladder (DESIGN.md §18).
+    fn heap_bound(&self) -> bool;
 }
 
 /// The collectors studied by the paper.

@@ -29,6 +29,8 @@ pub struct SemiSpace {
     active: u8,
     cursor: u64,
     epoch: u32,
+    /// A fit failed or a collection ran (see [`CollectorPlan::heap_bound`]).
+    heap_bound: bool,
     stats: GcStats,
 }
 
@@ -48,6 +50,7 @@ impl SemiSpace {
             active: 0,
             cursor: 0,
             epoch: 0,
+            heap_bound: false,
             stats: GcStats::default(),
         }
     }
@@ -79,6 +82,7 @@ impl CollectorPlan for SemiSpace {
     ) -> Result<ObjId, AllocError> {
         let size = align8(u64::from(req.size_bytes()));
         if self.cursor + size > self.half_bytes {
+            self.heap_bound = true;
             return Err(AllocError::NeedsGc);
         }
         let addr = self.half_base(self.active) + self.cursor;
@@ -102,6 +106,8 @@ impl CollectorPlan for SemiSpace {
         exec: &mut dyn Exec,
     ) -> CollectionStats {
         let start = exec.cycles();
+        // To-space starts half a heap up.
+        self.heap_bound = true;
         self.epoch += 1;
         charge_root_scan(exec, roots);
         let to = 1 - self.active;
@@ -115,6 +121,10 @@ impl CollectorPlan for SemiSpace {
 
     fn stats(&self) -> &GcStats {
         &self.stats
+    }
+
+    fn heap_bound(&self) -> bool {
+        self.heap_bound
     }
 }
 

@@ -10,8 +10,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Every counter the stack can bump, in export order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CounterId {
-    /// Distinct cells actually executed by the supervised runner.
+    /// Distinct cells the supervised runner resolved without a cache hit
+    /// (simulated, or shared along a heap ladder).
     CellsExecuted,
+    /// Executed cells answered by a smaller heap of their ladder whose run
+    /// never depended on the heap size, instead of being simulated.
+    CellsShared,
     /// Cells served from the cross-batch memo without executing: batch
     /// occurrences, and the serving daemon's inline hits.
     CellsFromCache,
@@ -112,8 +116,9 @@ pub enum CounterId {
 
 impl CounterId {
     /// All counters, in export order.
-    pub const ALL: [CounterId; 43] = [
+    pub const ALL: [CounterId; 44] = [
         CounterId::CellsExecuted,
+        CounterId::CellsShared,
         CounterId::CellsFromCache,
         CounterId::CellsDedupedInBatch,
         CounterId::CellsFailed,
@@ -162,6 +167,7 @@ impl CounterId {
     pub fn name(self) -> &'static str {
         match self {
             CounterId::CellsExecuted => "cells_executed",
+            CounterId::CellsShared => "cells_shared",
             CounterId::CellsFromCache => "cells_from_cache",
             CounterId::CellsDedupedInBatch => "cells_deduped_in_batch",
             CounterId::CellsFailed => "cells_failed",

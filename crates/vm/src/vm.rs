@@ -103,6 +103,11 @@ pub struct RunOutcome {
     /// callers reporting register-engine coverage (the benchmark's
     /// `vm.rir_share`) keep building.
     pub rir_bytecodes: u64,
+    /// Whether the collector took a heap-size-dependent branch
+    /// ([`vmprobe_heap::CollectorPlan::heap_bound`]). When `false`, the
+    /// same program under the same configuration with any larger heap
+    /// yields this outcome exactly, so heap sweeps can share it.
+    pub heap_bound: bool,
 }
 
 /// A configured virtual machine ready to execute one program.
@@ -263,6 +268,7 @@ impl Vm {
         self.stats.classfile_bytes_loaded = self.loader.bytes_loaded;
         self.stats.controller_activations = self.controller.activations;
         let gc = *self.plan.stats();
+        let heap_bound = self.plan.heap_bound();
         let compiler = self.compilers.stats;
         let live_bytes_end = self.heap.live_bytes();
         let total_alloc_bytes = self.heap.total_alloc_bytes();
@@ -286,6 +292,7 @@ impl Vm {
             total_alloc_bytes,
             spans,
             rir_bytecodes: self.stats.bytecodes,
+            heap_bound,
         })
     }
 
