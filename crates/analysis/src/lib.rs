@@ -2,7 +2,7 @@
 //!
 //! Three pieces, all dependency-free (only sibling vmprobe crates):
 //!
-//! * [`cfg`] — per-method control-flow graphs (basic blocks, successor
+//! * [`mod@cfg`] — per-method control-flow graphs (basic blocks, successor
 //!   edges, reachability, cycle detection with a topological order).
 //! * [`verify`] — an abstract interpreter over the CFG: a worklist
 //!   dataflow pass with a small type lattice per stack slot and local.

@@ -4,9 +4,9 @@
 //! stack depths and signature consistency with a worklist over `(pc,
 //! depth)` pairs; it knows nothing about *types*. This module runs a
 //! second, stricter tier: a worklist dataflow pass over each method's
-//! [`Cfg`](crate::Cfg) with an abstract type per stack slot and per
-//! local, so two branches that reach one merge point with the same depth
-//! but *incompatible* types are caught before the program runs.
+//! [`Cfg`] with an abstract type per stack slot and per local, so two
+//! branches that reach one merge point with the same depth but
+//! *incompatible* types are caught before the program runs.
 //!
 //! # The lattice
 //!

@@ -131,6 +131,8 @@ pub struct FailedCell {
     pub heap_mb: u32,
     /// VM / collector label.
     pub vm: String,
+    /// Platform short name (`p6` or `pxa255`).
+    pub platform: String,
     /// Rendered error.
     pub error: String,
 }
@@ -141,6 +143,7 @@ impl FailedCell {
             benchmark: config.benchmark.clone(),
             heap_mb: config.heap_mb,
             vm: config.vm.to_string(),
+            platform: config.platform.name().to_string(),
             error: error.to_string(),
         }
     }
@@ -150,8 +153,8 @@ impl std::fmt::Display for FailedCell {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "[failed] {} on {} @ {} MB: {}",
-            self.benchmark, self.vm, self.heap_mb, self.error
+            "[failed] {} on {} @ {} MB ({}): {}",
+            self.benchmark, self.vm, self.heap_mb, self.platform, self.error
         )
     }
 }
@@ -227,6 +230,7 @@ impl RunReport {
             o.str("benchmark", &c.benchmark)
                 .u64("heap_mb", u64::from(c.heap_mb))
                 .str("vm", &c.vm)
+                .str("platform", &c.platform)
                 .str("error", &c.error);
             o.finish()
         });

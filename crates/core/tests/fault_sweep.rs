@@ -1,9 +1,11 @@
 //! Acceptance tests: figure sweeps degrade gracefully under injected
 //! measurement faults and persistent per-benchmark failures.
 
+use std::collections::HashSet;
+
 use vmprobe::{figures, ExperimentConfig, FaultPlan, Runner};
 use vmprobe_heap::CollectorKind;
-use vmprobe_workloads::all_benchmarks;
+use vmprobe_workloads::{all_benchmarks, InputScale};
 
 const HEAPS: [u32; 2] = [32, 64];
 
@@ -79,4 +81,42 @@ fn persistent_failure_is_quarantined_and_other_cells_still_fill() {
     assert!(json.contains("\"quarantined\":[{"), "json: {json}");
     assert!(json.contains("_213_javac"), "json: {json}");
     assert!(json.contains("\"injected_oom\":2"), "json: {json}");
+}
+
+#[test]
+fn failed_cells_of_both_platforms_are_told_apart() {
+    // The quick fig9 (P6) and fig11 (PXA255) grids share the 32 MB Kaffe
+    // cells, which fail alike under `oom@1`; only the platform differs.
+    let grid = figures::Grid::quick();
+    let mut runner = Runner::new()
+        .retries(0)
+        .scale(InputScale::Reduced)
+        .with_faults(FaultPlan::parse("oom@1").unwrap());
+    let fig9 = figures::fig9(&mut runner, &grid.p6_benchmarks, &grid.p6_heaps).unwrap();
+    let fig11 = figures::fig11(&mut runner, &grid.pxa_benchmarks, &grid.pxa_heaps).unwrap();
+
+    // Each line names its cell before the error text, which a reader
+    // should not have to parse to tell two cells apart.
+    let names: Vec<String> = fig9
+        .failed
+        .iter()
+        .chain(&fig11.failed)
+        .map(|c| c.to_string().split(": ").next().unwrap().to_string())
+        .collect();
+    for platform in ["p6", "pxa255"] {
+        let want = format!("[failed] fop on Kaffe @ 32 MB ({platform})");
+        assert!(names.contains(&want), "no `{want}` in {names:#?}");
+    }
+    let distinct: HashSet<&String> = names.iter().collect();
+    assert_eq!(distinct.len(), names.len(), "repeated cells: {names:#?}");
+
+    let report = runner.report();
+    let cells: HashSet<_> = report
+        .failed_cells
+        .iter()
+        .map(|c| (&c.benchmark, c.heap_mb, &c.vm, &c.platform))
+        .collect();
+    assert_eq!(cells.len(), names.len());
+    let json = report.to_json();
+    assert!(json.contains("\"platform\":\"pxa255\""), "json: {json}");
 }

@@ -3,29 +3,15 @@
 
 use serde::{Deserialize, Serialize};
 use vmprobe_faults::{DetRng, FaultPlan, FaultStats};
-use vmprobe_platform::{HpmSnapshot, HpmUnwrapper, PlatformKind};
+use vmprobe_platform::{HpmSnapshot, PlatformKind};
 
+use crate::sampler::Sampler;
 use crate::{ComponentId, Joules, PowerModel, Seconds, Watts};
 
 /// The paper's DAQ sampling period: 40 µs, "the fastest sampling rate of
 /// our digital acquisition system based on the number of sampling channels
 /// used" (Section IV-D).
 pub const DAQ_PERIOD_S: f64 = 40e-6;
-
-/// Convert a wall-clock sampling period to whole cycles at `freq_hz`,
-/// rounded to nearest and clamped to at least one cycle.
-///
-/// Truncation here is not harmless: at non-integral DVFS clocks the lost
-/// fraction accumulates as sampling-rate drift, and at very low clocks
-/// `period_s * freq_hz < 1` truncates to a zero-period busy-sample loop.
-pub(crate) fn period_cycles_at(period_s: f64, freq_hz: f64) -> u64 {
-    let cycles = (period_s * freq_hz).round();
-    if cycles < 1.0 {
-        1
-    } else {
-        cycles as u64
-    }
-}
 
 /// One recorded sample (kept only when tracing is enabled).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -49,7 +35,8 @@ pub struct ComponentPower {
     pub mem_energy: Joules,
     /// Wall-clock time attributed to the component.
     pub time: Seconds,
-    /// Number of 40 µs samples attributed.
+    /// DAQ sampling periods attributed: the whole periods in each
+    /// committed window, at least one per window.
     pub samples: u64,
     /// Highest single-window CPU power observed.
     pub peak: Watts,
@@ -124,27 +111,7 @@ impl DaqReport {
 #[derive(Debug, Clone)]
 pub struct Daq {
     model: PowerModel,
-    freq_hz: f64,
-    /// Sampling period in wall-clock seconds (the paper's 40 µs unless an
-    /// observer-effect sweep retargets it).
-    period_s: f64,
-    period_cycles: u64,
-    /// Exact (fractional) cycles per 40 µs window at the current clock.
-    period_cycles_f: f64,
-    /// Fractional cycles owed to the schedule: each window steps by a whole
-    /// number of cycles, and the rounding remainder is carried forward so
-    /// the boundaries track the 40 µs wall-clock grid without cumulative
-    /// drift at non-integral clocks.
-    carry: f64,
-    next_due: u64,
-    last: HpmSnapshot,
-    /// Wall-clock time of the previous sample (spans clock changes, where
-    /// a raw cycle delta no longer converts at a single frequency).
-    last_t_s: f64,
-    /// Wall-clock seconds accumulated before the most recent clock change.
-    time_base_s: f64,
-    /// Cycle count at the most recent clock change.
-    cycle_base: u64,
+    sampler: Sampler,
     acc: Vec<ComponentPower>,
     trace: Option<Vec<PowerSample>>,
     faults: FaultInjector,
@@ -158,8 +125,8 @@ pub struct Daq {
 }
 
 /// Per-DAQ fault-injection state: the plan, the derived RNG streams, the
-/// unwrapper for 32-bit counter reads, the clean-energy ground truth, and
-/// the ledger that makes the degradation contract checkable.
+/// clean-energy ground truth, and the ledger that makes the degradation
+/// contract checkable.
 #[derive(Debug, Clone)]
 struct FaultInjector {
     plan: FaultPlan,
@@ -168,7 +135,6 @@ struct FaultInjector {
     /// Independent stream for port-read corruption, so enabling one fault
     /// class never shifts another class's sequence.
     port_rng: DetRng,
-    unwrapper: HpmUnwrapper,
     stats: FaultStats,
     clean_cpu_energy: Joules,
     clean_mem_energy: Joules,
@@ -181,7 +147,6 @@ impl FaultInjector {
             plan,
             rng: root.derive("daq"),
             port_rng: root.derive("port"),
-            unwrapper: HpmUnwrapper::new(),
             stats: FaultStats::default(),
             clean_cpu_energy: Joules::ZERO,
             clean_mem_energy: Joules::ZERO,
@@ -203,24 +168,16 @@ impl Daq {
 
     fn build(kind: PlatformKind, trace: bool) -> Self {
         let freq_hz = vmprobe_platform::CpuSpec::of(kind).freq_hz;
-        Self::with_model(PowerModel::new(kind), freq_hz, trace)
+        Self::with_model(PowerModel::new(kind), freq_hz, DAQ_PERIOD_S, trace)
     }
 
-    /// DAQ with an explicit power model and clock (DVFS-scaled operation).
-    pub fn with_model(model: PowerModel, freq_hz: f64, trace: bool) -> Self {
-        let period_cycles = period_cycles_at(DAQ_PERIOD_S, freq_hz);
+    /// DAQ with an explicit power model, clock (DVFS-scaled operation) and
+    /// sampling period in wall-clock seconds (an observer-effect sweep
+    /// point; the classic rig passes [`DAQ_PERIOD_S`]).
+    pub fn with_model(model: PowerModel, freq_hz: f64, period_s: f64, trace: bool) -> Self {
         Self {
             model,
-            freq_hz,
-            period_s: DAQ_PERIOD_S,
-            period_cycles,
-            period_cycles_f: DAQ_PERIOD_S * freq_hz,
-            carry: 0.0,
-            next_due: period_cycles,
-            last: HpmSnapshot::default(),
-            last_t_s: 0.0,
-            time_base_s: 0.0,
-            cycle_base: 0,
+            sampler: Sampler::new(period_s, freq_hz),
             acc: vec![ComponentPower::default(); ComponentId::ALL.len()],
             trace: trace.then(Vec::new),
             faults: FaultInjector::new(FaultPlan::none()),
@@ -230,72 +187,17 @@ impl Daq {
         }
     }
 
-    /// Retarget the sampler to an explicit wall-clock period (an
-    /// observer-effect sweep point). Must be called before any work is
-    /// charged; the schedule restarts from cycle zero at the new period.
-    /// The classic rig never calls this, so 40 µs runs keep the exact
-    /// constructor-built schedule bit-for-bit.
-    #[must_use]
-    pub fn with_period(mut self, period_s: f64) -> Self {
-        debug_assert!(period_s > 0.0, "sampling period must be positive");
-        self.period_s = period_s;
-        self.period_cycles = period_cycles_at(period_s, self.freq_hz);
-        self.period_cycles_f = period_s * self.freq_hz;
-        self.carry = 0.0;
-        self.next_due = self.period_cycles;
-        self
-    }
-
-    /// The sampling period in wall-clock seconds.
-    pub fn period_s(&self) -> f64 {
-        self.period_s
-    }
-
-    /// Retarget the sampler to a new clock, effective at `now_cycles`.
-    ///
-    /// The DAQ is wall-clock hardware: it fires every 40 µs of real time no
-    /// matter what the CPU clock does. A DVFS transition or a thermal
-    /// 50 %-duty throttle changes how many *cycles* fit in 40 µs, so the
-    /// cycle period is recomputed and the already-scheduled next sample is
-    /// rescheduled to fire after the same remaining *wall-clock* time at
-    /// the new rate. Without this, a throttled run silently samples at
-    /// 80 µs of wall time — the bug behind the Fig-1 regression test.
-    pub fn set_clock(&mut self, now_cycles: u64, freq_hz: f64) {
-        debug_assert!(freq_hz > 0.0, "clock must be positive");
-        let remaining_s = self.next_due.saturating_sub(now_cycles) as f64 / self.freq_hz;
-        self.time_base_s = self.wall_time_s(now_cycles);
-        self.cycle_base = now_cycles;
-        self.freq_hz = freq_hz;
-        self.period_cycles = period_cycles_at(self.period_s, freq_hz);
-        self.period_cycles_f = self.period_s * freq_hz;
-        self.carry = 0.0;
-        let remaining_cycles = (remaining_s * freq_hz).round() as u64;
-        self.next_due = now_cycles + remaining_cycles;
-    }
-
-    /// The clock the sampler currently converts cycles with.
-    pub fn freq_hz(&self) -> f64 {
-        self.freq_hz
-    }
-
-    /// Wall-clock seconds for a cycle count, piecewise across clock
-    /// changes. With no change this reduces to `cycles / freq_hz` exactly
-    /// (`0.0 + x == x`), so fixed-clock runs are bit-identical to the
-    /// single-segment conversion.
-    fn wall_time_s(&self, cycles: u64) -> f64 {
-        self.time_base_s + (cycles - self.cycle_base) as f64 / self.freq_hz
-    }
-
     /// Attach a fault plan. The injected sequence is fully determined by
     /// `plan.seed`, so faulted runs replay bit-identically.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
+        self.sampler.set_wrap32(plan.wrap32);
         self.faults = FaultInjector::new(plan);
         self
     }
 
     /// Cycle count at which the next sample is due (for cheap polling).
     pub fn next_due_cycles(&self) -> u64 {
-        self.next_due
+        self.sampler.next_due()
     }
 
     /// Record that the component port was written. Called on *every* port
@@ -316,8 +218,8 @@ impl Daq {
         self.transition_energy_j
     }
 
-    /// Take a sample if one is due. `snap` must be monotonically
-    /// non-decreasing across calls.
+    /// Take a sample if one is due, and say whether one was. `snap` must be
+    /// monotonically non-decreasing across calls.
     ///
     /// With a [`FaultPlan`] attached, this is where the measurement-path
     /// faults land, in hardware order: the counter file is read (possibly
@@ -328,52 +230,15 @@ impl Daq {
     /// double-clocked). Every perturbation's absolute energy effect is
     /// logged in [`FaultStats`], so the report's measured totals deviate
     /// from its clean totals by at most `faults.energy_error_bound_j()`.
-    pub fn observe(&mut self, snap: &HpmSnapshot, component: ComponentId) {
-        if snap.cycles < self.next_due {
-            return;
-        }
-        let f = &mut self.faults;
-        // 32-bit counter-file read + offline unwrap (exact at 40 µs windows).
-        let snap = &if f.plan.wrap32 {
-            let rebuilt = f.unwrapper.unwrap_snapshot(&snap.wrapped32());
-            f.stats.wraps_unwrapped = f.unwrapper.wraps_detected();
-            rebuilt
-        } else {
-            *snap
+    pub fn observe(&mut self, snap: &HpmSnapshot, component: ComponentId) -> bool {
+        let Some((delta, t_now)) = self.sampler.take(snap) else {
+            return false;
         };
-        let delta = snap.delta_since(&self.last);
-        // Field-level form of `wall_time_s` (a method call would conflict
-        // with the live borrow of `self.faults`).
-        let t_now = self.time_base_s + (snap.cycles - self.cycle_base) as f64 / self.freq_hz;
-        // A single cycle delta converts at one frequency only while no
-        // clock change landed inside the window; otherwise the wall-clock
-        // anchors carry the piecewise conversion.
-        let dt = if self.last.cycles >= self.cycle_base {
-            delta.cycles as f64 / self.freq_hz
-        } else {
-            t_now - self.last_t_s
-        };
+        let dt = self.sampler.seconds(delta.cycles);
         let cpu = self.model.cpu_power(&delta, dt);
         let mem = self.model.dram_power(&delta, dt);
         let dt_s = Seconds::new(dt);
-        // Window consumed regardless of the sample's fate below. The next
-        // boundary steps by the exact fractional period plus the carried
-        // remainder, so the schedule tracks the 40 µs wall-clock grid with
-        // no cumulative drift at non-integral clocks.
-        self.last = *snap;
-        self.last_t_s = t_now;
-        let step_f = self.period_cycles_f + self.carry;
-        if step_f < 1.0 {
-            // Degenerate clock: one sample per cycle is the densest the
-            // schedule can get; owing fractional debt would wind the carry
-            // toward -inf, so it resets.
-            self.carry = 0.0;
-            self.next_due = snap.cycles + 1;
-        } else {
-            let step = step_f.round();
-            self.carry = step_f - step;
-            self.next_due = snap.cycles + step as u64;
-        }
+        let f = &mut self.faults;
 
         // Fault-free ground truth for this due window.
         let clean_cpu_j = cpu.watts() * dt;
@@ -395,7 +260,7 @@ impl Daq {
         if f.rng.chance(f.plan.drop_sample) {
             f.stats.samples_dropped += 1;
             f.stats.dropped_energy_j += clean_cpu_j + clean_mem_j;
-            return;
+            return true;
         }
 
         // Component-register read: may glitch to a stale or invalid ID.
@@ -444,7 +309,7 @@ impl Daq {
             a.energy += meas_cpu * dt_s;
             a.mem_energy += meas_mem * dt_s;
             a.time += dt_s;
-            a.samples += (delta.cycles / self.period_cycles).max(1);
+            a.samples += (delta.cycles / self.sampler.period_cycles()).max(1);
         }
         a.peak = a.peak.max(meas_cpu);
         a.peak_mem = a.peak_mem.max(meas_mem);
@@ -457,6 +322,7 @@ impl Daq {
                 component: target,
             });
         }
+        true
     }
 
     /// The recorded trace, when enabled.
@@ -471,6 +337,8 @@ impl Daq {
 
     /// Aggregate the run.
     pub fn report(&self) -> DaqReport {
+        let mut faults = self.faults.stats;
+        faults.wraps_unwrapped = self.sampler.wraps_detected();
         DaqReport {
             per_component: self.acc.clone(),
             cpu_energy: self.acc.iter().map(|a| a.energy).sum(),
@@ -478,7 +346,7 @@ impl Daq {
             sampled_time: self.acc.iter().map(|a| a.time).sum(),
             clean_cpu_energy: self.faults.clean_cpu_energy,
             clean_mem_energy: self.faults.clean_mem_energy,
-            faults: self.faults.stats,
+            faults,
             transition_windows: self.transition_windows,
             transition_energy_j: self.transition_energy_j,
         }
@@ -546,79 +414,10 @@ mod tests {
     }
 
     #[test]
-    fn period_rounds_to_nearest_and_never_reaches_zero() {
-        // Exact at the nominal platform clocks (truncation and rounding
-        // agree here, which is what keeps the golden figures stable).
-        assert_eq!(period_cycles_at(DAQ_PERIOD_S, 1.6e9), 64_000);
-        assert_eq!(period_cycles_at(DAQ_PERIOD_S, 4e8), 16_000);
-        // Non-integral products round to nearest instead of truncating:
-        // 40 us at 1.23456789 GHz is 49 382.7156 cycles.
-        assert_eq!(period_cycles_at(DAQ_PERIOD_S, 1.234_567_89e9), 49_383);
-        // Sub-cycle periods clamp to one cycle instead of degenerating to
-        // a zero-period busy-sample loop.
-        assert_eq!(period_cycles_at(DAQ_PERIOD_S, 10_000.0), 1);
-    }
-
-    #[test]
-    fn set_clock_preserves_remaining_wall_time_to_next_sample() {
-        let mut daq = Daq::with_model(PowerModel::new(PlatformKind::PentiumM), 1.6e9, false);
-        assert_eq!(daq.next_due_cycles(), 64_000);
-        // Halve the clock 20 us before the pending sample: the same 20 us
-        // of wall time is 16 000 cycles at the new rate.
-        daq.set_clock(32_000, 0.8e9);
-        assert_eq!(daq.next_due_cycles(), 48_000);
-        assert_eq!(daq.freq_hz(), 0.8e9);
-    }
-
-    #[test]
-    fn throttled_run_still_samples_every_40_us_of_wall_time() {
-        // Fig-1 scenario: the thermal controller halves the effective clock
-        // (50 % duty) mid-run. The DAQ is wall-clock hardware, so it must
-        // keep sampling every 40 us of wall time; before the fix the period
-        // silently stretched to 80 us after the throttle.
-        let mut m = Machine::new(PlatformKind::PentiumM);
-        let mut daq = Daq::with_trace(PlatformKind::PentiumM);
-        // 0.1 s of wall time at the full 1.6 GHz clock...
-        let t1_cycles = (1.6e9 * 0.1) as u64;
-        while m.cycles() < t1_cycles {
-            let due = daq.next_due_cycles().min(t1_cycles);
-            m.stall((due - m.cycles()) as f64);
-            daq.observe(&m.snapshot(), ComponentId::Application);
-        }
-        // ...then the throttle lands and another 0.1 s of wall time passes
-        // at half frequency.
-        daq.set_clock(m.cycles(), 0.8e9);
-        let t2_cycles = t1_cycles + (0.8e9 * 0.1) as u64;
-        while m.cycles() < t2_cycles {
-            let due = daq.next_due_cycles().min(t2_cycles);
-            m.stall((due - m.cycles()) as f64);
-            daq.observe(&m.snapshot(), ComponentId::Application);
-        }
-        let trace = daq.trace().unwrap();
-        let expect = (0.2 / DAQ_PERIOD_S) as i64;
-        assert!(
-            (trace.len() as i64 - expect).abs() <= 1,
-            "expected ~{expect} samples over 0.2 s, got {}",
-            trace.len()
-        );
-        // Every consecutive pair is 40 us of wall time apart, including
-        // across the clock change (boundary rounding is at most half a
-        // cycle, 0.625 ns at 0.8 GHz).
-        for w in trace.windows(2) {
-            let dt = w[1].t - w[0].t;
-            assert!(
-                (dt - DAQ_PERIOD_S).abs() < 2e-9,
-                "inter-sample gap {dt} s at t={}",
-                w[1].t
-            );
-        }
-    }
-
-    #[test]
     fn custom_period_scales_sample_count() {
         let model = PowerModel::new(PlatformKind::PentiumM);
         let mut m = Machine::new(PlatformKind::PentiumM);
-        let mut daq = Daq::with_model(model, 1.6e9, true).with_period(4e-6);
+        let mut daq = Daq::with_model(model, 1.6e9, 4e-6, true);
         // 1 ms of work → ~250 samples at a 4 µs period.
         while m.now() < 1e-3 {
             let due = daq.next_due_cycles();

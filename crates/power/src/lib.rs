@@ -59,6 +59,7 @@ mod perfmon;
 mod perturb;
 mod port;
 mod probe;
+mod sampler;
 mod thermal;
 mod units;
 

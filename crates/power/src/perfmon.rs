@@ -8,8 +8,9 @@
 //! in the paper's Section VI-C.
 
 use serde::{Deserialize, Serialize};
-use vmprobe_platform::{HpmDelta, HpmSnapshot, HpmUnwrapper, PlatformKind};
+use vmprobe_platform::{HpmDelta, HpmSnapshot, PlatformKind};
 
+use crate::sampler::Sampler;
 use crate::ComponentId;
 
 /// One OS-timer performance sample.
@@ -26,20 +27,8 @@ pub struct PerfRecord {
 /// The periodic HPM sampler.
 #[derive(Debug, Clone)]
 pub struct PerfMonitor {
-    freq_hz: f64,
-    /// OS-timer period in wall-clock seconds (platform-specific).
-    period_s: f64,
-    period_cycles: u64,
-    next_due: u64,
-    last: HpmSnapshot,
-    /// Wall-clock seconds accumulated before the most recent clock change.
-    time_base_s: f64,
-    /// Cycle count at the most recent clock change.
-    cycle_base: u64,
+    sampler: Sampler,
     records: Vec<PerfRecord>,
-    /// When set, reads see a 32-bit counter file and are unwrapped.
-    wrap32: bool,
-    unwrapper: HpmUnwrapper,
 }
 
 impl PerfMonitor {
@@ -55,82 +44,42 @@ impl PerfMonitor {
             PlatformKind::PentiumM => 1e-3,
             PlatformKind::Pxa255 => 10e-3,
         };
-        let period_cycles = crate::daq::period_cycles_at(period_s, freq_hz);
         Self {
-            freq_hz,
-            period_s,
-            period_cycles,
-            next_due: period_cycles,
-            last: HpmSnapshot::default(),
-            time_base_s: 0.0,
-            cycle_base: 0,
+            sampler: Sampler::new(period_s, freq_hz),
             records: Vec::new(),
-            wrap32: false,
-            unwrapper: HpmUnwrapper::new(),
         }
     }
 
-    /// Retarget the sampler to a new clock, effective at `now_cycles`: the
-    /// OS timer keeps firing on wall-clock time, so the period in cycles is
-    /// recomputed and the pending tick is rescheduled to fire after the
-    /// same remaining wall-clock time at the new rate.
-    pub fn set_clock(&mut self, now_cycles: u64, freq_hz: f64) {
-        debug_assert!(freq_hz > 0.0, "clock must be positive");
-        let remaining_s = self.next_due.saturating_sub(now_cycles) as f64 / self.freq_hz;
-        self.time_base_s = self.wall_time_s(now_cycles);
-        self.cycle_base = now_cycles;
-        self.freq_hz = freq_hz;
-        self.period_cycles = crate::daq::period_cycles_at(self.period_s, freq_hz);
-        self.next_due = now_cycles + (remaining_s * freq_hz).round() as u64;
-    }
-
-    /// Wall-clock seconds for a cycle count, piecewise across clock
-    /// changes; reduces to `cycles / freq_hz` exactly while the clock has
-    /// never changed.
-    fn wall_time_s(&self, cycles: u64) -> f64 {
-        self.time_base_s + (cycles - self.cycle_base) as f64 / self.freq_hz
-    }
-
     /// Simulate the physical 32-bit counter file: every observed snapshot is
-    /// truncated to 32 bits and reconstructed with an [`HpmUnwrapper`], as
-    /// the paper's offline accumulation must. Exact while each counter moves
-    /// by < 2^32 per period (always true at 1–10 ms sampling).
+    /// truncated to 32 bits and unwrapped, as the paper's offline
+    /// accumulation must. Exact while each counter moves by < 2^32 per
+    /// period (always true at 1–10 ms sampling).
     pub fn with_wrap32(mut self) -> Self {
-        self.wrap32 = true;
+        self.sampler.set_wrap32(true);
         self
     }
 
     /// Counter wraps detected and unwrapped so far.
     pub fn wraps_detected(&self) -> u64 {
-        self.unwrapper.wraps_detected()
+        self.sampler.wraps_detected()
     }
 
     /// Cycle count at which the next sample is due.
     pub fn next_due_cycles(&self) -> u64 {
-        self.next_due
+        self.sampler.next_due()
     }
 
-    /// Take a sample if one is due.
-    pub fn observe(&mut self, snap: &HpmSnapshot, component: ComponentId) {
-        if snap.cycles < self.next_due {
-            return;
-        }
-        // The cycle counter is the timebase (not wrapped); only the counter
-        // file goes through the 32-bit read + unwrap path, and only at due
-        // instants so the hot-path early return stays one compare.
-        let snap = &if self.wrap32 {
-            self.unwrapper.unwrap_snapshot(&snap.wrapped32())
-        } else {
-            *snap
+    /// Take a sample if one is due, and say whether one was.
+    pub fn observe(&mut self, snap: &HpmSnapshot, component: ComponentId) -> bool {
+        let Some((delta, t)) = self.sampler.take(snap) else {
+            return false;
         };
-        let delta = snap.delta_since(&self.last);
         self.records.push(PerfRecord {
-            t: self.wall_time_s(snap.cycles),
+            t,
             component,
             delta,
         });
-        self.last = *snap;
-        self.next_due = snap.cycles + self.period_cycles;
+        true
     }
 
     /// All records, in time order.

@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 use vmprobe_platform::{HpmDelta, Machine, PlatformKind};
 use vmprobe_power::{
-    ComponentId, Daq, DvfsPoint, FaultPlan, PowerModel, Seconds, ThermalConfig, ThermalSim, Watts,
-    DAQ_PERIOD_S,
+    ComponentId, Daq, DvfsPoint, FaultPlan, PerfMonitor, PowerModel, Seconds, ThermalConfig,
+    ThermalSim, Watts, DAQ_PERIOD_S,
 };
 
 fn component(i: u8) -> ComponentId {
@@ -98,14 +98,26 @@ proptest! {
         // Over T simulated seconds the DAQ takes floor(T / 40 us) samples
         // (within one boundary) for arbitrary clocks, including the
         // non-integral cycle periods where a truncating schedule drifts.
+        // The HPM monitor shares the schedule, so its records stay on the
+        // 1 ms grid at the same clock.
         let freq_hz = freq_mhz * 1e6;
-        let mut daq = Daq::with_model(PowerModel::new(PlatformKind::PentiumM), freq_hz, true);
+        let mut daq = Daq::with_model(
+            PowerModel::new(PlatformKind::PentiumM),
+            freq_hz,
+            DAQ_PERIOD_S,
+            true,
+        );
+        let mut perf = PerfMonitor::with_clock(PlatformKind::PentiumM, freq_hz);
         let mut m = Machine::new(PlatformKind::PentiumM);
         let total_cycles = (t_ms * 1e-3 * freq_hz) as u64;
         while m.cycles() < total_cycles {
-            let due = daq.next_due_cycles().min(total_cycles);
+            let due = daq
+                .next_due_cycles()
+                .min(perf.next_due_cycles())
+                .min(total_cycles);
             m.stall((due - m.cycles()) as f64);
             daq.observe(&m.snapshot(), ComponentId::Application);
+            perf.observe(&m.snapshot(), ComponentId::Application);
         }
         // Judge against the wall time actually simulated (total_cycles
         // truncates the requested T by under one cycle).
@@ -116,6 +128,17 @@ proptest! {
             (got - expect).abs() <= 1,
             "{got} samples over {t_sim} s at {freq_hz} Hz, want {expect}±1"
         );
+        // Record k lands within one cycle of k periods: the first deadline
+        // and the carried remainder are each off by at most half a cycle.
+        let hpm_period_cycles = 1e-3 * freq_hz;
+        for (i, r) in perf.records().iter().enumerate() {
+            let k = (i + 1) as f64;
+            let off = (r.t * freq_hz - k * hpm_period_cycles).abs();
+            prop_assert!(
+                off <= 1.0 + 1e-6,
+                "record {k} is {off} cycles off the 1 ms grid at {freq_hz} Hz"
+            );
+        }
     }
 
     #[test]

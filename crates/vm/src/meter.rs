@@ -10,7 +10,7 @@
 use vmprobe_platform::{Addr, CpuSpec, Exec, Machine, PlatformKind, HPM_COUNTER_COUNT, PROBE_BASE};
 use vmprobe_power::{
     hpm_read_stall_cycles, ComponentId, ComponentPort, Daq, DvfsPoint, FaultPlan, PerfMonitor,
-    PowerCoeffs, PowerModel, ProbeSpec, ProbeStats, DAQ_ISR_LINES, DEFAULT_DAQ_PERIOD_NS,
+    PowerCoeffs, PowerModel, ProbeSpec, ProbeStats, DAQ_ISR_LINES,
 };
 use vmprobe_telemetry::SpanTrace;
 
@@ -83,9 +83,9 @@ impl Meter {
     }
 
     /// Build a machine with every knob explicit:
-    /// - `dvfs`: the operating point. The clock, the DRAM penalty (fixed in
-    ///   nanoseconds, so fewer cycles at lower clocks) and the power-model
-    ///   coefficients scale together.
+    /// - `dvfs`: the operating point, fixed for the whole run. The clock,
+    ///   the DRAM penalty (fixed in nanoseconds, so fewer cycles at lower
+    ///   clocks) and the power-model coefficients scale together.
     /// - `faults`: the DAQ injects drops, dups, noise, glitches and drift,
     ///   and `wrap32` makes the performance monitor read 32-bit wrapped
     ///   counters and unwrap them.
@@ -101,10 +101,8 @@ impl Meter {
     ) -> Self {
         let spec = CpuSpec::of(kind).scaled(dvfs.freq_factor);
         let model = PowerModel::with_coeffs(dvfs.scale_coeffs(PowerCoeffs::of(kind)));
-        let mut daq = Daq::with_model(model, spec.freq_hz, trace_power).with_faults(faults);
-        if probe.daq_period_ns != DEFAULT_DAQ_PERIOD_NS {
-            daq = daq.with_period(probe.daq_period_s());
-        }
+        let daq = Daq::with_model(model, spec.freq_hz, probe.daq_period_s(), trace_power)
+            .with_faults(faults);
         let perf = PerfMonitor::with_clock(kind, spec.freq_hz);
         let perf = if faults.wrap32 {
             perf.with_wrap32()
@@ -273,12 +271,8 @@ impl Meter {
     fn sample(&mut self) {
         let snap = self.machine.snapshot();
         let c = self.port.current();
-        // Which monitors actually fire at this snapshot (observe() is a
-        // no-op for the one whose deadline has not arrived).
-        let daq_fired = snap.cycles >= self.daq.next_due_cycles();
-        let perf_fired = snap.cycles >= self.perf.next_due_cycles();
-        self.daq.observe(&snap, c);
-        self.perf.observe(&snap, c);
+        let daq_fired = self.daq.observe(&snap, c);
+        let perf_fired = self.perf.observe(&snap, c);
         if self.probe.nontransparent {
             // Probe costs are charged *after* the sample commits — the
             // handler's own work lands in the next window, exactly like
@@ -377,6 +371,7 @@ impl Exec for Meter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vmprobe_power::DEFAULT_DAQ_PERIOD_NS;
 
     #[test]
     fn samples_fire_during_long_work() {
