@@ -35,7 +35,9 @@
 //! bound is deliberately loose (documented term by term in DESIGN.md);
 //! the `analyze-gate` CI job cross-checks domination against measured
 //! energy on every golden workload, which also catches drift between
-//! these mirrored constants and the VM's real cost model.
+//! this module's per-op cycle terms and the VM's real cost model. The
+//! power clips and the VM's per-byte work counts cannot drift: the bound
+//! reads the very constants the meter and the VM charge.
 //!
 //! Per-method bounds report the longest weighted acyclic path through the
 //! method's own CFG (callee cost excluded); methods with loops carry no
@@ -43,29 +45,13 @@
 //! program bound instead.
 
 use vmprobe_bytecode::{MethodId, Op, Program};
-use vmprobe_platform::{CpuSpec, PlatformKind};
-use vmprobe_power::PowerCoeffs;
+use vmprobe_platform::{
+    CpuSpec, PlatformKind, BASE_OPS_PER_BYTE, JIT_OPS_PER_BYTE, OPT_OPS_PER_BYTE,
+    PARSE_OPS_PER_BYTE, UNCOMPILED_DISPATCH_OPS, VERIFY_OPS_PER_BYTE,
+};
+use vmprobe_power::{PowerCoeffs, FP_SATURATION, IPC_SATURATION};
 
 use crate::cfg::Cfg;
-
-/// Mirror of `PowerModel::IPC_SATURATION` (private to the power crate).
-/// Drift is caught by the `analyze-gate` CI job: a lower clip there would
-/// let measured power exceed our `P_max`.
-const IPC_SATURATION: f64 = 1.15;
-/// Mirror of the FP-rate clip in `PowerModel::cpu_power`.
-const FP_SATURATION: f64 = 0.5;
-
-// Mirrors of the VM's compilation cost model (`crates/vm/src/compiler.rs`,
-// private constants). Integer ops per bytecode byte, per tier.
-const BASE_OPS_PER_BYTE: f64 = 80.0;
-const JIT_OPS_PER_BYTE: f64 = 140.0;
-const OPT_OPS_PER_BYTE: f64 = 2_200.0;
-/// Mirror of the interpreter's worst dispatch cost (`Tier::Uncompiled`).
-const DISPATCH_OPS: f64 = 8.0;
-/// Mirror of the class loader's parse + verify work per byte
-/// (`crates/vm/src/classloader.rs`: `PARSE_OPS_PER_BYTE` +
-/// `VERIFY_OPS_PER_BYTE`).
-const LOADER_OPS_PER_BYTE: f64 = 5.0;
 
 /// Which personality's compilation tiers to account for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -228,7 +214,7 @@ impl CostModel {
     /// the slowest tier, an instruction fetch (charged every step here,
     /// though the VM fetches every eighth), and the op itself.
     fn step_cycles(&self, op: Op, max_args: f64) -> f64 {
-        DISPATCH_OPS * self.int + self.mem + self.op_cycles(op, max_args)
+        f64::from(UNCOMPILED_DISPATCH_OPS) * self.int + self.mem + self.op_cycles(op, max_args)
     }
 }
 
@@ -265,8 +251,9 @@ pub fn bound_program(program: &Program, params: &BoundParams) -> ProgramBound {
     // ifetch per 48-op chunk), write metadata. Charging one worst-case
     // memory access per byte dominates the line-granular streaming.
     let total_file_bytes = program.total_classfile_bytes() as f64;
+    let loader_ops_per_byte = f64::from(PARSE_OPS_PER_BYTE + VERIFY_OPS_PER_BYTE);
     let classload_cycles = total_file_bytes
-        * (cost.mem + LOADER_OPS_PER_BYTE * (cost.int + cost.mem / 48.0))
+        * (cost.mem + loader_ops_per_byte * (cost.int + cost.mem / 48.0))
         + program.class_count() as f64 * (384.0 * cost.mem + 64.0 * cost.int);
 
     // Compilation: every method, once per tier its personality can
@@ -275,8 +262,8 @@ pub fn bound_program(program: &Program, params: &BoundParams) -> ProgramBound {
     // a full memory access per op dominates. Code installation streams
     // `bytes × expansion ≤ 8` into the code region.
     let ops_per_byte = match params.vm {
-        VmTier::Jikes => BASE_OPS_PER_BYTE + OPT_OPS_PER_BYTE,
-        VmTier::Kaffe => JIT_OPS_PER_BYTE,
+        VmTier::Jikes => f64::from(BASE_OPS_PER_BYTE + OPT_OPS_PER_BYTE),
+        VmTier::Kaffe => f64::from(JIT_OPS_PER_BYTE),
     };
     let total_code_bytes: f64 = program
         .methods()

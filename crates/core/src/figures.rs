@@ -10,7 +10,6 @@
 //! records paper-vs-measured for each.
 
 use std::fmt;
-use std::sync::Arc;
 
 use serde::Serialize;
 use vmprobe_heap::CollectorKind;
@@ -162,17 +161,44 @@ pub fn artifact(name: &str) -> Option<&'static Artifact> {
     ARTIFACTS.iter().find(|a| a.name == name)
 }
 
-/// Propagate the first failure (in submission order) of a strict sweep.
-///
-/// Unlike the serial loops these replaced, the whole grid has already run
-/// in parallel by the time the first error surfaces — later cells are
-/// executed (and cached, and accounted) rather than skipped. The surfaced
-/// error is deterministic: always the earliest failing cell in submission
-/// order, regardless of thread count.
-fn strict(
-    results: Vec<Result<Arc<RunSummary>, ExperimentError>>,
-) -> Result<Vec<Arc<RunSummary>>, ExperimentError> {
-    results.into_iter().collect()
+/// A sweep's configurations, row-major: `cell(row, heap)` for every heap
+/// of each row in turn.
+fn cells<R: Copy>(
+    rows: impl IntoIterator<Item = R>,
+    heaps: &[u32],
+    cell: impl Fn(R, u32) -> ExperimentConfig,
+) -> Vec<ExperimentConfig> {
+    let mut configs = Vec::new();
+    for row in rows {
+        configs.extend(heaps.iter().map(|&h| cell(row, h)));
+    }
+    configs
+}
+
+/// Energy and time summed over runs, for one component's average power.
+#[derive(Debug, Clone, Copy, Default)]
+struct PowerSum {
+    energy_j: f64,
+    time_s: f64,
+}
+
+impl PowerSum {
+    /// Add `run`'s profile of `component`, if it has one.
+    fn add(&mut self, run: &RunSummary, component: ComponentId) {
+        if let Some(p) = run.report.component(component) {
+            self.energy_j += p.energy.joules();
+            self.time_s += p.time.seconds();
+        }
+    }
+
+    /// Average power, or 0 W if no time was attributed.
+    fn watts(self) -> f64 {
+        if self.time_s > 0.0 {
+            self.energy_j / self.time_s
+        } else {
+            0.0
+        }
+    }
 }
 
 fn write_failed(f: &mut fmt::Formatter<'_>, failed: &[FailedCell]) -> fmt::Result {
@@ -370,7 +396,7 @@ impl fmt::Display for Fig5 {
     }
 }
 
-// ---------------------------------------------------------------- Figure 6
+// ------------------------------------------------------ Figures 6, 9 and 11
 
 /// One energy-decomposition bar.
 #[derive(Debug, Clone, Serialize)]
@@ -387,23 +413,28 @@ pub struct BreakdownRow {
     pub app_fraction: f64,
 }
 
-/// Figure 6: per-component energy decomposition under Jikes + SemiSpace.
+/// An energy-decomposition figure: Figure 6 (Jikes RVM + SemiSpace),
+/// Figure 9 (Kaffe on the P6) and Figure 11 (Kaffe on the PXA255).
 #[derive(Debug, Clone, Serialize)]
-pub struct Fig6 {
+pub struct Breakdown {
+    /// The figure's title line.
+    pub title: &'static str,
+    /// The monitored VM components, in the paper's legend order.
+    pub components: Vec<ComponentId>,
     /// All bars, benchmark-major then heap order.
     pub rows: Vec<BreakdownRow>,
     /// Cells that could not be filled (failed or quarantined runs).
     pub failed: Vec<FailedCell>,
 }
 
-/// Regenerate Figure 6 for the given benchmarks (paper scope:
-/// [`all_benchmark_names`]) across the given heap labels (defaults:
-/// [`P6_HEAPS_MB`]). The whole grid executes as one parallel batch on the
-/// runner's configured workers.
+/// Regenerate Figure 6 (Jikes RVM + SemiSpace) for the given benchmarks
+/// (paper scope: [`all_benchmark_names`]) across the given heap labels
+/// (defaults: [`P6_HEAPS_MB`]). The whole grid executes as one parallel
+/// batch on the runner's configured workers.
 ///
 /// Degrades gracefully: a failing or quarantined cell is recorded in
-/// [`Fig6::failed`] (and the runner's [`crate::RunReport`]) and the sweep
-/// continues.
+/// [`Breakdown::failed`] (and the runner's [`crate::RunReport`]) and the
+/// sweep continues.
 ///
 /// # Errors
 ///
@@ -413,58 +444,101 @@ pub fn fig6(
     runner: &mut Runner,
     benchmarks: &[&str],
     heaps: &[u32],
-) -> Result<Fig6, ExperimentError> {
+) -> Result<Breakdown, ExperimentError> {
     let _phase = runner.phase("fig6");
-    let configs: Vec<ExperimentConfig> = benchmarks
-        .iter()
-        .flat_map(|&b| {
-            heaps
-                .iter()
-                .map(move |&h| ExperimentConfig::jikes(b, CollectorKind::SemiSpace, h))
-        })
-        .collect();
+    Ok(breakdown(
+        runner,
+        "Figure 6: energy decomposition, Jikes RVM + SemiSpace",
+        &JIKES_COMPONENTS,
+        cells(benchmarks.iter().copied(), heaps, |b, h| {
+            ExperimentConfig::jikes(b, CollectorKind::SemiSpace, h)
+        }),
+    ))
+}
+
+/// Regenerate Figure 9 (Kaffe on the P6) for the given benchmarks (paper
+/// scope: [`all_benchmark_names`]), as [`fig6`] does, with its errors.
+pub fn fig9(
+    runner: &mut Runner,
+    benchmarks: &[&str],
+    heaps: &[u32],
+) -> Result<Breakdown, ExperimentError> {
+    let _phase = runner.phase("fig9");
+    Ok(breakdown(
+        runner,
+        "Figure 9: energy distribution, Kaffe on Pentium M",
+        &KAFFE_COMPONENTS,
+        cells(benchmarks.iter().copied(), heaps, ExperimentConfig::kaffe),
+    ))
+}
+
+/// Regenerate Figure 11 (Kaffe on the PXA255, SpecJVM98 `-s10`) for the
+/// given benchmarks (paper scope: [`pxa_benchmark_names`]) across the
+/// PXA255 heap sweep (defaults: [`crate::PXA_HEAPS_MB`]), as [`fig6`]
+/// does, with its errors.
+pub fn fig11(
+    runner: &mut Runner,
+    benchmarks: &[&str],
+    heaps: &[u32],
+) -> Result<Breakdown, ExperimentError> {
+    let _phase = runner.phase("fig11");
+    Ok(breakdown(
+        runner,
+        "Figure 11: energy decomposition, Kaffe on Intel PXA255 (s10)",
+        &KAFFE_COMPONENTS,
+        cells(
+            benchmarks.iter().copied(),
+            heaps,
+            ExperimentConfig::kaffe_pxa,
+        ),
+    ))
+}
+
+/// Run `configs` as one tolerant batch and decompose each filled cell's
+/// energy over `components`.
+fn breakdown(
+    runner: &mut Runner,
+    title: &'static str,
+    components: &[ComponentId],
+    configs: Vec<ExperimentConfig>,
+) -> Breakdown {
     let mut failed = Vec::new();
     let runs = runner.cells(&configs, &mut failed);
     let rows = configs
         .iter()
         .zip(&runs)
         .filter_map(|(cfg, run)| {
-            run.as_ref()
-                .map(|r| breakdown_row(&cfg.benchmark, cfg.heap_mb, r, &JIKES_COMPONENTS))
+            let run = run.as_ref()?;
+            let fractions: Vec<(ComponentId, f64)> =
+                components.iter().map(|&c| (c, run.fraction(c))).collect();
+            let monitored: f64 = fractions.iter().map(|(_, v)| v).sum();
+            Some(BreakdownRow {
+                benchmark: cfg.benchmark.clone(),
+                heap_mb: cfg.heap_mb,
+                fractions,
+                app_fraction: (1.0 - monitored).max(0.0),
+            })
         })
         .collect();
-    Ok(Fig6 { rows, failed })
-}
-
-fn breakdown_row(
-    name: &str,
-    heap_mb: u32,
-    run: &crate::RunSummary,
-    components: &[ComponentId],
-) -> BreakdownRow {
-    let fractions: Vec<(ComponentId, f64)> =
-        components.iter().map(|&c| (c, run.fraction(c))).collect();
-    let monitored: f64 = fractions.iter().map(|(_, v)| v).sum();
-    BreakdownRow {
-        benchmark: name.to_owned(),
-        heap_mb,
-        fractions,
-        app_fraction: (1.0 - monitored).max(0.0),
+    Breakdown {
+        title,
+        components: components.to_vec(),
+        rows,
+        failed,
     }
 }
 
-impl fmt::Display for Fig6 {
+impl fmt::Display for Breakdown {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Figure 6: energy decomposition, Jikes RVM + SemiSpace")?;
-        let mut t = Table::new(vec![
-            "benchmark".into(),
-            "heap".into(),
-            "opt_comp".into(),
-            "base_comp".into(),
-            "CL".into(),
-            "GC".into(),
-            "App".into(),
-        ]);
+        writeln!(f, "{}", self.title)?;
+        let mut header = vec!["benchmark".to_owned(), "heap".to_owned()];
+        header.extend(
+            self.components
+                .iter()
+                .chain([&ComponentId::Application])
+                .map(|c| c.label().to_owned()),
+        );
+        let mut t = Table::new(header);
         for r in &self.rows {
             let mut cells = vec![r.benchmark.clone(), format!("{}MB", r.heap_mb)];
             cells.extend(r.fractions.iter().map(|(_, v)| pct(*v)));
@@ -476,7 +550,7 @@ impl fmt::Display for Fig6 {
     }
 }
 
-// ---------------------------------------------------------------- Figure 7
+// ------------------------------------------------------ Figures 7 and 10
 
 /// EDP of one benchmark under one collector across heaps.
 #[derive(Debug, Clone, Serialize)]
@@ -485,28 +559,8 @@ pub struct EdpCurve {
     pub benchmark: String,
     /// Collector.
     pub collector: CollectorKind,
-    /// `(heap MB, EDP J·s)` points.
+    /// `(heap MB, EDP J·s)` points; a failed cell's point is absent.
     pub points: Vec<(u32, f64)>,
-}
-
-/// Figure 7: energy-delay product vs heap size for the four Jikes
-/// collectors.
-#[derive(Debug, Clone, Serialize)]
-pub struct Fig7 {
-    /// One curve per (benchmark, collector).
-    pub curves: Vec<EdpCurve>,
-    /// Cells that could not be filled; their `(heap, EDP)` points are
-    /// simply absent from the affected curves.
-    pub failed: Vec<FailedCell>,
-}
-
-impl Fig7 {
-    /// The curve for (benchmark, collector), if present.
-    pub fn curve(&self, benchmark: &str, collector: CollectorKind) -> Option<&EdpCurve> {
-        self.curves
-            .iter()
-            .find(|c| c.benchmark == benchmark && c.collector == collector)
-    }
 }
 
 impl EdpCurve {
@@ -519,12 +573,36 @@ impl EdpCurve {
     }
 }
 
-/// Regenerate Figure 7 for the given benchmarks and heaps (defaults: all
-/// benchmarks, [`P6_HEAPS_MB`]). The full benchmark × collector × heap
-/// grid executes as one parallel batch.
+/// An energy-delay-product-vs-heap figure: Figure 7 (the four Jikes RVM
+/// collectors) and Figure 10 (Kaffe on the P6).
+#[derive(Debug, Clone, Serialize)]
+pub struct EdpFigure {
+    /// The figure's title line.
+    pub title: &'static str,
+    /// The swept heap labels (MB), one table column each.
+    pub heaps: Vec<u32>,
+    /// One curve per (benchmark, collector).
+    pub curves: Vec<EdpCurve>,
+    /// Cells that could not be filled; their `(heap, EDP)` points are
+    /// absent from the affected curves and print as `--`.
+    pub failed: Vec<FailedCell>,
+}
+
+impl EdpFigure {
+    /// The curve for (benchmark, collector), if present.
+    pub fn curve(&self, benchmark: &str, collector: CollectorKind) -> Option<&EdpCurve> {
+        self.curves
+            .iter()
+            .find(|c| c.benchmark == benchmark && c.collector == collector)
+    }
+}
+
+/// Regenerate Figure 7 (Jikes RVM, all four collectors) for the given
+/// benchmarks and heaps (defaults: all benchmarks, [`P6_HEAPS_MB`]). The
+/// full benchmark × collector × heap grid executes as one parallel batch.
 ///
 /// Degrades gracefully: failing cells leave gaps in the affected curves
-/// and are listed in [`Fig7::failed`].
+/// and are listed in [`EdpFigure::failed`].
 ///
 /// # Errors
 ///
@@ -534,55 +612,95 @@ pub fn fig7(
     runner: &mut Runner,
     benchmarks: &[&str],
     heaps: &[u32],
-) -> Result<Fig7, ExperimentError> {
+) -> Result<EdpFigure, ExperimentError> {
     let _phase = runner.phase("fig7");
-    let mut configs = Vec::new();
-    for &name in benchmarks {
-        for collector in CollectorKind::jikes_collectors() {
-            for &h in heaps {
-                configs.push(ExperimentConfig::jikes(name, collector, h));
-            }
-        }
-    }
-    let mut failed = Vec::new();
-    let mut runs = runner.cells(&configs, &mut failed).into_iter();
-    let mut curves = Vec::new();
-    for &name in benchmarks {
-        for collector in CollectorKind::jikes_collectors() {
-            let mut points = Vec::new();
-            for &h in heaps {
-                if let Some(run) = runs.next().expect("one result per cell") {
-                    points.push((h, run.edp()));
-                }
-            }
-            curves.push(EdpCurve {
-                benchmark: name.to_owned(),
-                collector,
-                points,
-            });
-        }
-    }
-    Ok(Fig7 { curves, failed })
+    let curves = benchmarks
+        .iter()
+        .flat_map(|&b| CollectorKind::jikes_collectors().map(|c| (b, c)));
+    Ok(edp_figure(
+        runner,
+        "Figure 7: energy-delay product (J*s) vs heap size, Jikes RVM",
+        curves.collect(),
+        heaps,
+        ExperimentConfig::jikes,
+    ))
 }
 
-impl fmt::Display for Fig7 {
+/// Regenerate Figure 10 (Kaffe on the P6) for the given benchmarks (paper
+/// scope: [`all_benchmark_names`]), as [`fig7`] does, with its errors —
+/// entirely from cache when Figure 9 already ran on the same runner.
+pub fn fig10(
+    runner: &mut Runner,
+    benchmarks: &[&str],
+    heaps: &[u32],
+) -> Result<EdpFigure, ExperimentError> {
+    let _phase = runner.phase("fig10");
+    let curves = benchmarks
+        .iter()
+        .map(|&b| (b, CollectorKind::KaffeIncremental));
+    Ok(edp_figure(
+        runner,
+        "Figure 10: energy-delay product (J*s) vs heap, Kaffe on Pentium M",
+        curves.collect(),
+        heaps,
+        |b, _, h| ExperimentConfig::kaffe(b, h),
+    ))
+}
+
+/// Run every `(benchmark, collector)` curve at every heap as one tolerant
+/// batch.
+fn edp_figure(
+    runner: &mut Runner,
+    title: &'static str,
+    curves: Vec<(&str, CollectorKind)>,
+    heaps: &[u32],
+    cell: fn(&str, CollectorKind, u32) -> ExperimentConfig,
+) -> EdpFigure {
+    let configs = cells(curves.iter().copied(), heaps, |(b, c), h| cell(b, c, h));
+    let mut failed = Vec::new();
+    let mut runs = runner.cells(&configs, &mut failed).into_iter();
+    let curves = curves
+        .into_iter()
+        .map(|(benchmark, collector)| EdpCurve {
+            benchmark: benchmark.to_owned(),
+            collector,
+            points: heaps
+                .iter()
+                .filter_map(|&h| {
+                    let run = runs.next().expect("one result per cell")?;
+                    Some((h, run.edp()))
+                })
+                .collect(),
+        })
+        .collect();
+    EdpFigure {
+        title,
+        heaps: heaps.to_vec(),
+        curves,
+        failed,
+    }
+}
+
+impl fmt::Display for EdpFigure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "Figure 7: energy-delay product (J*s) vs heap size, Jikes RVM"
-        )?;
-        let heaps: Vec<u32> = self
+        writeln!(f, "{}", self.title)?;
+        let several_collectors = self
             .curves
-            .first()
-            .map(|c| c.points.iter().map(|(h, _)| *h).collect())
-            .unwrap_or_default();
-        let mut header = vec!["benchmark".into(), "collector".into()];
-        header.extend(heaps.iter().map(|h| format!("{h}MB")));
+            .iter()
+            .any(|c| c.collector != self.curves[0].collector);
+        let mut header = vec!["benchmark".to_owned()];
+        if several_collectors {
+            header.push("collector".to_owned());
+        }
+        header.extend(self.heaps.iter().map(|h| format!("{h}MB")));
         let mut t = Table::new(header);
         for c in &self.curves {
-            let mut cells = vec![c.benchmark.clone(), c.collector.to_string()];
+            let mut cells = vec![c.benchmark.clone()];
+            if several_collectors {
+                cells.push(c.collector.to_string());
+            }
             cells.extend(
-                heaps
+                self.heaps
                     .iter()
                     .map(|&h| c.at(h).map_or_else(|| "--".into(), |e| format!("{e:.4}"))),
             );
@@ -636,37 +754,30 @@ pub fn fig8(
         ComponentId::Gc,
         ComponentId::ClassLoader,
     ];
-    let configs: Vec<ExperimentConfig> = benchmarks
-        .iter()
-        .flat_map(|&b| {
-            heaps
-                .iter()
-                .map(move |&h| ExperimentConfig::jikes(b, CollectorKind::GenCopy, h))
-        })
-        .collect();
+    let configs = cells(benchmarks.iter().copied(), heaps, |b, h| {
+        ExperimentConfig::jikes(b, CollectorKind::GenCopy, h)
+    });
     let mut failed = Vec::new();
     let mut runs = runner.cells(&configs, &mut failed).into_iter();
     let mut rows = Vec::new();
     for &name in benchmarks {
-        let mut acc: Vec<(f64, f64, f64)> = vec![(0.0, 0.0, 0.0); comps.len()]; // (energy, time, peak)
+        let mut power = [PowerSum::default(); 3];
+        let mut peak = [0.0f64; 3];
         for _ in heaps {
             let Some(run) = runs.next().expect("one result per cell") else {
                 continue;
             };
             for (i, &c) in comps.iter().enumerate() {
+                power[i].add(&run, c);
                 if let Some(p) = run.report.component(c) {
-                    acc[i].0 += p.energy.joules();
-                    acc[i].1 += p.time.seconds();
-                    acc[i].2 = acc[i].2.max(p.peak_power.watts());
+                    peak[i] = peak[i].max(p.peak_power.watts());
                 }
             }
         }
         rows.push(PowerRow {
             benchmark: name.to_owned(),
-            components: comps
-                .iter()
-                .zip(&acc)
-                .map(|(&c, &(e, t, pk))| (c, if t > 0.0 { e / t } else { 0.0 }, pk))
+            components: (0..comps.len())
+                .map(|i| (comps[i], power[i].watts(), peak[i]))
                 .collect(),
         });
     }
@@ -701,224 +812,6 @@ impl fmt::Display for Fig8 {
     }
 }
 
-// ------------------------------------------------------- Figures 9 and 10
-
-/// Figure 9: Kaffe energy distribution on the P6 platform.
-#[derive(Debug, Clone, Serialize)]
-pub struct Fig9 {
-    /// One bar per (benchmark, heap).
-    pub rows: Vec<BreakdownRow>,
-    /// Cells that could not be filled (failed or quarantined runs).
-    pub failed: Vec<FailedCell>,
-}
-
-/// Regenerate Figure 9 for the given benchmarks (paper scope:
-/// [`all_benchmark_names`]). The grid executes as one parallel batch.
-///
-/// Degrades gracefully: failing cells are listed in [`Fig9::failed`] and
-/// the sweep continues.
-///
-/// # Errors
-///
-/// Reserved for sweep-level failures; per-cell failures no longer
-/// propagate.
-pub fn fig9(
-    runner: &mut Runner,
-    benchmarks: &[&str],
-    heaps: &[u32],
-) -> Result<Fig9, ExperimentError> {
-    let _phase = runner.phase("fig9");
-    let configs: Vec<ExperimentConfig> = benchmarks
-        .iter()
-        .flat_map(|&b| heaps.iter().map(move |&h| ExperimentConfig::kaffe(b, h)))
-        .collect();
-    let mut failed = Vec::new();
-    let runs = runner.cells(&configs, &mut failed);
-    let rows = configs
-        .iter()
-        .zip(&runs)
-        .filter_map(|(cfg, run)| {
-            run.as_ref()
-                .map(|r| breakdown_row(&cfg.benchmark, cfg.heap_mb, r, &KAFFE_COMPONENTS))
-        })
-        .collect();
-    Ok(Fig9 { rows, failed })
-}
-
-impl fmt::Display for Fig9 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Figure 9: energy distribution, Kaffe on Pentium M")?;
-        let mut t = Table::new(vec![
-            "benchmark".into(),
-            "heap".into(),
-            "GC".into(),
-            "CL".into(),
-            "JIT".into(),
-            "App".into(),
-        ]);
-        for r in &self.rows {
-            let mut cells = vec![r.benchmark.clone(), format!("{}MB", r.heap_mb)];
-            cells.extend(r.fractions.iter().map(|(_, v)| pct(*v)));
-            cells.push(pct(r.app_fraction));
-            t.row(cells);
-        }
-        write!(f, "{t}")?;
-        write_failed(f, &self.failed)
-    }
-}
-
-/// Figure 10: Kaffe energy-delay product vs heap on the P6.
-#[derive(Debug, Clone, Serialize)]
-pub struct Fig10 {
-    /// One curve per benchmark.
-    pub curves: Vec<EdpCurve>,
-    /// Cells that could not be filled; their points are absent from the
-    /// affected curves.
-    pub failed: Vec<FailedCell>,
-}
-
-/// Regenerate Figure 10 for the given benchmarks (paper scope:
-/// [`all_benchmark_names`]). The grid executes as one parallel batch —
-/// and entirely from cache when Figure 9 already ran on the same runner.
-///
-/// Degrades gracefully: failing cells leave gaps in the affected curves
-/// and are listed in [`Fig10::failed`].
-///
-/// # Errors
-///
-/// Reserved for sweep-level failures; per-cell failures no longer
-/// propagate.
-pub fn fig10(
-    runner: &mut Runner,
-    benchmarks: &[&str],
-    heaps: &[u32],
-) -> Result<Fig10, ExperimentError> {
-    let _phase = runner.phase("fig10");
-    let configs: Vec<ExperimentConfig> = benchmarks
-        .iter()
-        .flat_map(|&b| heaps.iter().map(move |&h| ExperimentConfig::kaffe(b, h)))
-        .collect();
-    let mut failed = Vec::new();
-    let mut runs = runner.cells(&configs, &mut failed).into_iter();
-    let mut curves = Vec::new();
-    for &name in benchmarks {
-        let mut points = Vec::new();
-        for &h in heaps {
-            if let Some(run) = runs.next().expect("one result per cell") {
-                points.push((h, run.edp()));
-            }
-        }
-        curves.push(EdpCurve {
-            benchmark: name.to_owned(),
-            collector: CollectorKind::KaffeIncremental,
-            points,
-        });
-    }
-    Ok(Fig10 { curves, failed })
-}
-
-impl fmt::Display for Fig10 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "Figure 10: energy-delay product (J*s) vs heap, Kaffe on Pentium M"
-        )?;
-        let heaps: Vec<u32> = self
-            .curves
-            .first()
-            .map(|c| c.points.iter().map(|(h, _)| *h).collect())
-            .unwrap_or_default();
-        let mut header = vec!["benchmark".into()];
-        header.extend(heaps.iter().map(|h| format!("{h}MB")));
-        let mut t = Table::new(header);
-        for c in &self.curves {
-            let mut cells = vec![c.benchmark.clone()];
-            cells.extend(
-                heaps
-                    .iter()
-                    .map(|&h| c.at(h).map_or_else(|| "--".into(), |e| format!("{e:.4}"))),
-            );
-            t.row(cells);
-        }
-        write!(f, "{t}")?;
-        write_failed(f, &self.failed)
-    }
-}
-
-// --------------------------------------------------------------- Figure 11
-
-/// Figure 11: Kaffe on the PXA255 (five SpecJVM98 benchmarks, `-s10`).
-#[derive(Debug, Clone, Serialize)]
-pub struct Fig11 {
-    /// One bar per (benchmark, heap).
-    pub rows: Vec<BreakdownRow>,
-    /// Cells that could not be filled (failed or quarantined runs).
-    pub failed: Vec<FailedCell>,
-}
-
-/// Regenerate Figure 11 for the given benchmarks (paper scope:
-/// [`pxa_benchmark_names`]) across the PXA255 heap sweep (defaults:
-/// [`crate::PXA_HEAPS_MB`]). The grid executes as one parallel batch.
-///
-/// Degrades gracefully: failing cells are listed in [`Fig11::failed`] and
-/// the sweep continues.
-///
-/// # Errors
-///
-/// Reserved for sweep-level failures; per-cell failures no longer
-/// propagate.
-pub fn fig11(
-    runner: &mut Runner,
-    benchmarks: &[&str],
-    heaps: &[u32],
-) -> Result<Fig11, ExperimentError> {
-    let _phase = runner.phase("fig11");
-    let configs: Vec<ExperimentConfig> = benchmarks
-        .iter()
-        .flat_map(|&b| {
-            heaps
-                .iter()
-                .map(move |&h| ExperimentConfig::kaffe_pxa(b, h))
-        })
-        .collect();
-    let mut failed = Vec::new();
-    let runs = runner.cells(&configs, &mut failed);
-    let rows = configs
-        .iter()
-        .zip(&runs)
-        .filter_map(|(cfg, run)| {
-            run.as_ref()
-                .map(|r| breakdown_row(&cfg.benchmark, cfg.heap_mb, r, &KAFFE_COMPONENTS))
-        })
-        .collect();
-    Ok(Fig11 { rows, failed })
-}
-
-impl fmt::Display for Fig11 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "Figure 11: energy decomposition, Kaffe on Intel PXA255 (s10)"
-        )?;
-        let mut t = Table::new(vec![
-            "benchmark".into(),
-            "heap".into(),
-            "GC".into(),
-            "CL".into(),
-            "JIT".into(),
-            "App".into(),
-        ]);
-        for r in &self.rows {
-            let mut cells = vec![r.benchmark.clone(), format!("{}MB", r.heap_mb)];
-            cells.extend(r.fractions.iter().map(|(_, v)| pct(*v)));
-            cells.push(pct(r.app_fraction));
-            t.row(cells);
-        }
-        write!(f, "{t}")?;
-        write_failed(f, &self.failed)
-    }
-}
-
 // ------------------------------------------------------------ Tables T1-T5
 
 /// T1 (§VI-C in-text): average GC power per collector over SpecJVM98.
@@ -941,30 +834,31 @@ pub fn t1_collector_power(
 ) -> Result<T1CollectorPower, ExperimentError> {
     let _phase = runner.phase("t1");
     let benches = suite_benchmarks(Suite::SpecJvm98);
-    let mut configs = Vec::new();
-    for collector in CollectorKind::jikes_collectors() {
-        for b in &benches {
-            for &h in heaps {
-                configs.push(ExperimentConfig::jikes(b.name, collector, h));
+    let collectors = CollectorKind::jikes_collectors();
+    let configs = cells(
+        collectors
+            .into_iter()
+            .flat_map(|c| benches.iter().map(move |b| (c, b.name))),
+        heaps,
+        |(c, b), h| ExperimentConfig::jikes(b, c, h),
+    );
+    // The whole grid has run by now; collecting surfaces the first error
+    // in submission order, so the error does not depend on `--jobs`.
+    let mut runs = runner
+        .run_batch(&configs)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter();
+    let rows = collectors
+        .into_iter()
+        .map(|collector| {
+            let mut gc = PowerSum::default();
+            for run in runs.by_ref().take(benches.len() * heaps.len()) {
+                gc.add(&run, ComponentId::Gc);
             }
-        }
-    }
-    let mut runs = strict(runner.run_batch(&configs))?.into_iter();
-    let mut rows = Vec::new();
-    for collector in CollectorKind::jikes_collectors() {
-        let mut energy = 0.0;
-        let mut time = 0.0;
-        for _ in &benches {
-            for _ in heaps {
-                let run = runs.next().expect("one result per cell");
-                if let Some(gc) = run.report.component(ComponentId::Gc) {
-                    energy += gc.energy.joules();
-                    time += gc.time.seconds();
-                }
-            }
-        }
-        rows.push((collector, if time > 0.0 { energy / time } else { 0.0 }));
-    }
+            (collector, gc.watts())
+        })
+        .collect();
     Ok(T1CollectorPower { rows })
 }
 
@@ -1001,14 +895,16 @@ pub fn t2_l2_ipc(runner: &mut Runner, heaps: &[u32]) -> Result<T2L2Ipc, Experime
     let _phase = runner.phase("t2");
     let mut rows = Vec::new();
     for suite in [Suite::SpecJvm98, Suite::DaCapo] {
-        let benches = suite_benchmarks(suite);
-        let mut configs = Vec::new();
-        for b in &benches {
-            for &h in heaps {
-                configs.push(ExperimentConfig::jikes(b.name, CollectorKind::GenCopy, h));
-            }
-        }
-        let runs = strict(runner.run_batch(&configs))?;
+        let configs = cells(
+            suite_benchmarks(suite).iter().map(|b| b.name),
+            heaps,
+            |b, h| ExperimentConfig::jikes(b, CollectorKind::GenCopy, h),
+        );
+        // First error in submission order, whatever `--jobs` is (as in T1).
+        let runs: Vec<_> = runner
+            .run_batch(&configs)
+            .into_iter()
+            .collect::<Result<_, _>>()?;
         for comp in [
             ComponentId::Gc,
             ComponentId::ClassLoader,
@@ -1018,22 +914,18 @@ pub fn t2_l2_ipc(runner: &mut Runner, heaps: &[u32]) -> Result<T2L2Ipc, Experime
             let mut cycles = 0.0;
             let mut l2m = 0.0;
             let mut l2a = 0.0;
-            for run in &runs {
-                {
-                    if let Some(p) = run.report.component(comp) {
-                        // Reconstruct sums from the profile's ratios and
-                        // instruction counts.
-                        if p.ipc > 0.0 {
-                            let cyc = p.instructions as f64 / p.ipc;
-                            ipc_num += p.instructions as f64;
-                            cycles += cyc;
-                        }
-                        // Weight miss rate by instructions as a proxy for
-                        // access volume.
-                        l2m += p.l2_miss_rate * p.instructions as f64;
-                        l2a += p.instructions as f64;
-                    }
+            for p in runs.iter().filter_map(|run| run.report.component(comp)) {
+                // Reconstruct sums from the profile's ratios and
+                // instruction counts.
+                if p.ipc > 0.0 {
+                    let cyc = p.instructions as f64 / p.ipc;
+                    ipc_num += p.instructions as f64;
+                    cycles += cyc;
                 }
+                // Weight miss rate by instructions as a proxy for access
+                // volume.
+                l2m += p.l2_miss_rate * p.instructions as f64;
+                l2a += p.instructions as f64;
             }
             rows.push((
                 comp,
@@ -1096,15 +988,19 @@ pub fn t3_memory_energy(
     let _phase = runner.phase("t3");
     let mut rows = Vec::new();
     for suite in [Suite::SpecJvm98, Suite::DaCapo, Suite::JavaGrande] {
-        let mut configs = Vec::new();
-        for b in suite_benchmarks(suite) {
-            for &h in heaps {
-                configs.push(ExperimentConfig::jikes(b.name, CollectorKind::SemiSpace, h));
-            }
-        }
+        let configs = cells(
+            suite_benchmarks(suite).iter().map(|b| b.name),
+            heaps,
+            |b, h| ExperimentConfig::jikes(b, CollectorKind::SemiSpace, h),
+        );
         let mut mem = 0.0;
         let mut total = 0.0;
-        for run in strict(runner.run_batch(&configs))? {
+        // First error in submission order, whatever `--jobs` is (as in T1).
+        for run in runner
+            .run_batch(&configs)
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?
+        {
             mem += run.report.mem_energy.joules();
             total += run.report.total_energy.joules();
         }
@@ -1328,79 +1224,58 @@ pub fn t5_kaffe(
     pxa_heaps: &[u32],
 ) -> Result<T5Kaffe, ExperimentError> {
     let _phase = runner.phase("t5");
-    let mut p6_configs = Vec::new();
-    for b in all_benchmarks() {
-        for &h in p6_heaps {
-            p6_configs.push(ExperimentConfig::kaffe(b.name, h));
-        }
-    }
-    let mut pxa_configs = Vec::new();
-    for b in pxa255_benchmarks() {
-        for &h in pxa_heaps {
-            pxa_configs.push(ExperimentConfig::kaffe_pxa(b.name, h));
-        }
-    }
+    let p6_configs = cells(
+        all_benchmarks().iter().map(|b| b.name),
+        p6_heaps,
+        ExperimentConfig::kaffe,
+    );
+    let pxa_configs = cells(
+        pxa255_benchmarks().iter().map(|b| b.name),
+        pxa_heaps,
+        ExperimentConfig::kaffe_pxa,
+    );
 
+    // First error in submission order, whatever `--jobs` is (as in T1).
+    let p6_runs: Vec<_> = runner
+        .run_batch(&p6_configs)
+        .into_iter()
+        .collect::<Result<_, _>>()?;
     let mut p6 = [0.0f64; 3];
-    let mut n = 0usize;
-    let mut gc_energy = 0.0;
-    let mut gc_time = 0.0;
-    {
-        for run in strict(runner.run_batch(&p6_configs))? {
-            p6[0] += run.fraction(ComponentId::Gc);
-            p6[1] += run.fraction(ComponentId::ClassLoader);
-            p6[2] += run.fraction(ComponentId::JitCompiler);
-            if let Some(gc) = run.report.component(ComponentId::Gc) {
-                gc_energy += gc.energy.joules();
-                gc_time += gc.time.seconds();
-            }
-            n += 1;
+    let mut p6_gc = PowerSum::default();
+    for run in &p6_runs {
+        for (sum, c) in p6.iter_mut().zip(KAFFE_COMPONENTS) {
+            *sum += run.fraction(c);
         }
+        p6_gc.add(run, ComponentId::Gc);
     }
-    let nf = n.max(1) as f64;
+    let nf = p6_runs.len().max(1) as f64;
 
+    let pxa_runs: Vec<_> = runner
+        .run_batch(&pxa_configs)
+        .into_iter()
+        .collect::<Result<_, _>>()?;
     let mut pxa = [0.0f64; 3];
-    let mut powers = [(0.0f64, 0.0f64); 3]; // (energy, time) for GC, App, CL
-    let mut m = 0usize;
-    {
-        for run in strict(runner.run_batch(&pxa_configs))? {
-            pxa[0] += run.fraction(ComponentId::Gc);
-            pxa[1] += run.fraction(ComponentId::ClassLoader);
-            pxa[2] += run.fraction(ComponentId::JitCompiler);
-            for (i, c) in [
-                ComponentId::Gc,
-                ComponentId::Application,
-                ComponentId::ClassLoader,
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                if let Some(p) = run.report.component(c) {
-                    powers[i].0 += p.energy.joules();
-                    powers[i].1 += p.time.seconds();
-                }
-            }
-            m += 1;
+    let power_components = [
+        ComponentId::Gc,
+        ComponentId::Application,
+        ComponentId::ClassLoader,
+    ];
+    let mut powers = [PowerSum::default(); 3];
+    for run in &pxa_runs {
+        for (sum, c) in pxa.iter_mut().zip(KAFFE_COMPONENTS) {
+            *sum += run.fraction(c);
+        }
+        for (sum, c) in powers.iter_mut().zip(power_components) {
+            sum.add(run, c);
         }
     }
-    let mf = m.max(1) as f64;
-    let p = |i: usize| {
-        if powers[i].1 > 0.0 {
-            powers[i].0 / powers[i].1
-        } else {
-            0.0
-        }
-    };
+    let mf = pxa_runs.len().max(1) as f64;
 
     Ok(T5Kaffe {
         p6_fractions: (p6[0] / nf, p6[1] / nf, p6[2] / nf),
-        p6_gc_power_w: if gc_time > 0.0 {
-            gc_energy / gc_time
-        } else {
-            0.0
-        },
+        p6_gc_power_w: p6_gc.watts(),
         pxa_fractions: (pxa[0] / mf, pxa[1] / mf, pxa[2] / mf),
-        pxa_powers_w: (p(0), p(1), p(2)),
+        pxa_powers_w: (powers[0].watts(), powers[1].watts(), powers[2].watts()),
     })
 }
 
@@ -1464,7 +1339,9 @@ mod tests {
         };
         assert_eq!(curve.at(32), Some(1.5));
         assert_eq!(curve.at(64), None);
-        let fig = Fig7 {
+        let fig = EdpFigure {
+            title: "EDP",
+            heaps: vec![32, 48],
             curves: vec![curve],
             failed: Vec::new(),
         };

@@ -3,7 +3,7 @@
 //! Several of the paper's figures draw on the same underlying runs (the
 //! SemiSpace sweep feeds both the Figure 6 decomposition and the Figure 7
 //! EDP curves), and real measurement campaigns lose cells to rig faults.
-//! The [`SupervisedRunner`] therefore does four jobs:
+//! The [`SupervisedRunner`] therefore does five jobs:
 //!
 //! * **memoize** — runs are fully deterministic, so each configuration is
 //!   paid for exactly once per process, enforced by a sharded concurrent
@@ -885,7 +885,7 @@ pub(crate) fn micros_since(started: Instant) -> u64 {
 }
 
 /// Render a panic payload: the string it carried, or a placeholder.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -33,6 +33,8 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 
 use vmprobe_telemetry::{CounterId, Telemetry};
 
+use crate::runner::panic_message;
+
 /// Default worker count: the machine's available parallelism.
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
@@ -81,16 +83,6 @@ impl std::fmt::Display for SweepError {
 }
 
 impl std::error::Error for SweepError {}
-
-fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
 
 // ------------------------------------------------------- work-stealing pool
 

@@ -120,3 +120,29 @@ fn failed_cells_of_both_platforms_are_told_apart() {
     let json = report.to_json();
     assert!(json.contains("\"platform\":\"pxa255\""), "json: {json}");
 }
+
+#[test]
+fn edp_tables_keep_every_heap_column_when_the_first_curve_has_gaps() {
+    // Every `_213_javac` cell fails, so the first curve of both figures
+    // has no points; `_209_db`'s EDPs must still print under their heaps.
+    let mut runner = Runner::new()
+        .scale(InputScale::Reduced)
+        .retries(0)
+        .fault_override("_213_javac", FaultPlan::parse("oom@1").unwrap());
+    let benchmarks = ["_213_javac", "_209_db"];
+    let fig7 = figures::fig7(&mut runner, &benchmarks, &HEAPS).unwrap();
+    let fig10 = figures::fig10(&mut runner, &benchmarks, &HEAPS).unwrap();
+    for text in [fig7.to_string(), fig10.to_string()] {
+        let header: Vec<&str> = text.lines().nth(1).unwrap().split_whitespace().collect();
+        assert!(header.ends_with(&["32MB", "64MB"]), "{text}");
+        let row = |name: &str| text.lines().find(|l| l.starts_with(name)).unwrap();
+        assert_eq!(
+            row("_213_javac").matches("--").count(),
+            HEAPS.len(),
+            "{text}"
+        );
+        let db: Vec<&str> = row("_209_db").split_whitespace().collect();
+        let edps = &db[db.len() - HEAPS.len()..];
+        assert!(edps.iter().all(|e| e.parse::<f64>().is_ok()), "{text}");
+    }
+}

@@ -35,6 +35,7 @@ mod cpu;
 mod exec;
 mod hpm;
 mod machine;
+mod vm_cost;
 
 pub use addr::{Addr, CLASSFILE_BASE, CODE_BASE, HEAP_BASE, PROBE_BASE, STACK_BASE, VM_BASE};
 pub use cache::{Cache, CacheConfig, CacheStats};
@@ -42,3 +43,7 @@ pub use cpu::{CpuSpec, PlatformKind};
 pub use exec::Exec;
 pub use hpm::{Hpm, HpmDelta, HpmSnapshot, HpmUnwrapper, COUNTER_MASK_32, HPM_COUNTER_COUNT};
 pub use machine::Machine;
+pub use vm_cost::{
+    BASE_OPS_PER_BYTE, JIT_OPS_PER_BYTE, OPT_OPS_PER_BYTE, PARSE_OPS_PER_BYTE,
+    UNCOMPILED_DISPATCH_OPS, VERIFY_OPS_PER_BYTE,
+};

@@ -4,6 +4,16 @@ use vmprobe_platform::{HpmDelta, PlatformKind};
 
 use crate::{PowerCoeffs, Watts};
 
+/// Retirement-rate saturation: issue width bounds how much of the core a
+/// window can light up, so the IPC term clips here (this is also what
+/// keeps modeled peaks inside the parts' thermal design power). The static
+/// energy bound's `P_max` reads the same clip.
+pub const IPC_SATURATION: f64 = 1.15;
+
+/// Clip of the FP-ops-per-cycle term, read by the static bound's `P_max`
+/// as well.
+pub const FP_SATURATION: f64 = 0.5;
+
 /// Converts HPM counter movement over a sampling window into CPU and DRAM
 /// power, playing the role of the paper's sense resistors + V·I
 /// multiplication.
@@ -30,18 +40,13 @@ impl PowerModel {
         &self.coeffs
     }
 
-    /// Retirement-rate saturation: issue width bounds how much of the core
-    /// a window can light up, so the IPC term clips here (this is also what
-    /// keeps modeled peaks inside the parts' thermal design power).
-    const IPC_SATURATION: f64 = 1.15;
-
     /// CPU power over a window of `dt_s` seconds in which the counters
     /// moved by `d`. An empty window draws idle power.
     pub fn cpu_power(&self, d: &HpmDelta, dt_s: f64) -> Watts {
         if dt_s <= 0.0 {
             return Watts::new(self.coeffs.cpu_idle_w);
         }
-        let ipc = d.ipc().min(Self::IPC_SATURATION);
+        let ipc = d.ipc().min(IPC_SATURATION);
         let fp_per_cycle = if d.cycles == 0 {
             0.0
         } else {
@@ -51,7 +56,7 @@ impl PowerModel {
         Watts::new(
             self.coeffs.cpu_idle_w
                 + self.coeffs.c_ipc * ipc
-                + self.coeffs.c_fp * fp_per_cycle.min(0.5)
+                + self.coeffs.c_fp * fp_per_cycle.min(FP_SATURATION)
                 + self.coeffs.c_mem * mem_per_us,
         )
     }

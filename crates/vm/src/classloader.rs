@@ -16,14 +16,12 @@
 //! on the XScale).
 
 use vmprobe_bytecode::{ClassId, Program, Ty};
-use vmprobe_platform::{Exec, CLASSFILE_BASE, CODE_BASE, VM_BASE};
+use vmprobe_platform::{
+    Exec, CLASSFILE_BASE, CODE_BASE, PARSE_OPS_PER_BYTE, VERIFY_OPS_PER_BYTE, VM_BASE,
+};
 
 use crate::{Meter, VmError};
 
-/// Parse work per class-file byte (integer ops).
-const PARSE_OPS_PER_BYTE: u32 = 2;
-/// Verification work per bytecode byte (abstract interpretation).
-const VERIFY_OPS_PER_BYTE: u32 = 3;
 /// Modeled size of the loader's own code, fetched while parsing. Larger
 /// than either platform's 32 KB L1I, so loading produces fetch misses.
 const LOADER_CODE_FOOTPRINT: u64 = 48 << 10;

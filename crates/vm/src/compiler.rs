@@ -19,7 +19,10 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use vmprobe_bytecode::{MethodId, Program, VerifyError};
-use vmprobe_platform::{Exec, CODE_BASE, VM_BASE};
+use vmprobe_platform::{
+    Exec, BASE_OPS_PER_BYTE, CODE_BASE, JIT_OPS_PER_BYTE, OPT_OPS_PER_BYTE,
+    UNCOMPILED_DISPATCH_OPS, VM_BASE,
+};
 
 use crate::rir::{lower, RirBody};
 use crate::Meter;
@@ -51,7 +54,7 @@ impl Tier {
     /// `promotion_mid_activation_keeps_the_old_tier` test.
     pub const fn dispatch_ops(self) -> u32 {
         match self {
-            Tier::Uncompiled => 8, // interpreted fallback
+            Tier::Uncompiled => UNCOMPILED_DISPATCH_OPS, // interpreted fallback
             Tier::Baseline | Tier::Jit => 2,
             Tier::Opt => 0,
         }
@@ -73,11 +76,6 @@ impl Tier {
         }
     }
 }
-
-/// Compilation work per bytecode byte, in integer µops.
-const BASE_OPS_PER_BYTE: u32 = 80;
-const JIT_OPS_PER_BYTE: u32 = 140;
-const OPT_OPS_PER_BYTE: u32 = 2_200;
 
 /// Compiler working-set base (IR, tables) — fits L2, misses L1.
 const COMPILER_WORK_BASE: u64 = VM_BASE + 0x0080_0000;
