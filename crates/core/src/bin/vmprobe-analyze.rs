@@ -359,7 +359,6 @@ mod tests {
                     scale: InputScale::Reduced,
                     trace_power: false,
                     record_spans: false,
-                    verify: true,
                     probe: vmprobe::ProbeSpec::default(),
                 });
             }

@@ -23,10 +23,6 @@
 //!                       written through, so an interrupted or repeated sweep
 //!                       only pays for what is missing
 //!   --no-cache          ignore --cache-dir (compute everything, write nothing)
-//!   --no-verify         skip load-time dataflow verification (escape hatch;
-//!                       the structural pass still runs at first compile;
-//!                       verification is host-side and costs zero simulated
-//!                       cycles, so results are identical either way)
 //!   --resume            with --cache-dir: report on stderr how many cells the
 //!                       cache restored vs. recomputed (stdout is unchanged)
 //!   --telemetry-overhead  run uninstrumented first, then instrumented, and
@@ -60,12 +56,11 @@ use vmprobe::{
 use vmprobe_power::ComponentId;
 
 /// Flags that never take a value.
-const SWITCHES: [&str; 6] = [
+const SWITCHES: [&str; 5] = [
     "telemetry-overhead",
     "observe-cost",
     "verbose",
     "no-cache",
-    "no-verify",
     "resume",
 ];
 
@@ -90,7 +85,7 @@ fn usage() -> ExitCode {
          [--report-json <path>]\n\
          \x20      [--trace-out <path>] [--metrics-out <path>] [--telemetry-overhead] \
          [--verbose]\n\
-         \x20      [--cache-dir <path>] [--no-cache] [--no-verify] [--resume]\n\
+         \x20      [--cache-dir <path>] [--no-cache] [--resume]\n\
          \x20  or: vmprobe-run <{}|all> [flags]\n\
          \x20  or: vmprobe-run --observe-cost [--probe-period <grid>] [flags]",
         ARTIFACTS.map(|a| a.name).join("|")
@@ -528,8 +523,7 @@ fn run_cell(cli: &Cli, plan: FaultPlan) -> Result<(), String> {
             "unknown benchmark '{bench}' (run with no arguments to list benchmarks)"
         ));
     }
-    let mut cfg = request::cell(&cli.args)?;
-    cfg.verify = !cli.args.has("no-verify");
+    let cfg = request::cell(&cli.args)?;
 
     let Execution {
         runner,

@@ -1,7 +1,7 @@
 //! Persistent, content-addressed experiment result store.
 //!
-//! The PR-2 [`ShardedMemo`](crate::ShardedMemo) deduplicates work *within*
-//! one process; this layer persists finished cells *across* processes, so a
+//! The in-process [`Memo`](crate::Memo) deduplicates work *within* one
+//! process; this layer persists finished cells *across* processes, so a
 //! figure campaign re-run after a code-free restart (or an interrupted
 //! sweep resumed with `--cache-dir`) recomputes only what is missing.
 //!
@@ -531,10 +531,6 @@ fn decode_body(b: &JsonValue) -> Option<RunSummary> {
         scale: InputScale::from_name(text("scale")?)?,
         trace_power: c.get("trace_power")?.as_bool()?,
         record_spans: c.get("record_spans")?.as_bool()?,
-        // Not persisted: verification is host-side observation that
-        // cannot change an accepted run's summary, so restored configs
-        // always read the default.
-        verify: true,
         probe: ProbeSpec {
             daq_period_ns: c.get("daq_period_ns")?.as_u64()?,
             nontransparent: c.get("nontransparent")?.as_bool()?,

@@ -66,13 +66,6 @@ pub struct ExperimentConfig {
     /// with this on or off, and derived fault streams ignore it
     /// ([`Self::fault_key`]).
     pub record_spans: bool,
-    /// Run the load-time verification tier (`--no-verify` clears it).
-    /// Verification is host-side and charges zero simulated cycles, so
-    /// accepted runs are bit-identical either way; like
-    /// [`Self::record_spans`] it is excluded from [`Self::key`] and
-    /// [`Self::fault_key`], and it is not persisted in cache entries
-    /// (restored configurations always read `true`).
-    pub verify: bool,
     /// Measurement mode: DAQ sampling period and probe transparency
     /// (`--observe-cost`). The default is the classic free-probes rig;
     /// any other value re-times or perturbs the measurement, so non-default
@@ -93,7 +86,6 @@ impl ExperimentConfig {
             scale: InputScale::Full,
             trace_power: false,
             record_spans: false,
-            verify: true,
             probe: ProbeSpec::default(),
         }
     }
@@ -108,7 +100,6 @@ impl ExperimentConfig {
             scale: InputScale::Full,
             trace_power: false,
             record_spans: false,
-            verify: true,
             probe: ProbeSpec::default(),
         }
     }
@@ -124,7 +115,6 @@ impl ExperimentConfig {
             scale: InputScale::Reduced,
             trace_power: false,
             record_spans: false,
-            verify: true,
             probe: ProbeSpec::default(),
         }
     }
@@ -206,7 +196,6 @@ impl ExperimentConfig {
         base.platform(self.platform)
             .trace_power(self.trace_power)
             .record_spans(self.record_spans)
-            .verify(self.verify)
             .probe(self.probe)
     }
 

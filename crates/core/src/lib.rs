@@ -62,7 +62,7 @@ pub use observe::{
 };
 pub use runner::{FailedCell, MemoHandle, QuarantinedConfig, RunReport, Runner, SupervisedRunner};
 pub use scale::{heap_bytes, P6_HEAPS_MB, PXA_HEAPS_MB, SIM_SCALE};
-pub use sweep::{default_jobs, ShardedMemo, SweepError, WorkStealingPool};
+pub use sweep::{default_jobs, Memo, SweepError, SweepPool};
 pub use table::Table;
 pub use vmprobe_power::{FaultPlan, FaultSpecError, FaultStats, ProbeSpec, ProbeStats};
 pub use vmprobe_telemetry::{

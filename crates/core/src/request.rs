@@ -235,7 +235,6 @@ pub fn cell(src: &impl Source) -> Result<ExperimentConfig, String> {
         scale: scale(src.str("scale")?.unwrap_or("full"))?,
         trace_power: false,
         record_spans: false,
-        verify: true,
         probe: ProbeSpec::default(),
     })
 }

@@ -6,12 +6,12 @@
 //! The [`SupervisedRunner`] therefore does five jobs:
 //!
 //! * **memoize** — runs are fully deterministic, so each configuration is
-//!   paid for exactly once per process, enforced by a sharded concurrent
-//!   memo ([`crate::sweep::ShardedMemo`]) even when many workers race for
-//!   the same cell;
+//!   paid for exactly once per process, enforced by a concurrent memo
+//!   ([`crate::sweep::Memo`]) even when many workers race for the same
+//!   cell;
 //! * **parallelize** — figure sweeps submit their whole grid as one batch
-//!   and a work-stealing pool ([`crate::sweep::WorkStealingPool`]) spreads
-//!   the independent heap ladders over [`SupervisedRunner::jobs`] workers;
+//!   and a one-queue pool ([`crate::sweep::SweepPool`]) hands the
+//!   independent heap ladders to [`SupervisedRunner::jobs`] workers;
 //! * **share** — a fault-free run that never took a heap-size-dependent
 //!   branch answers every larger heap of its ladder (DESIGN.md §18);
 //! * **supervise** — a failing configuration is retried up to a configured
@@ -49,7 +49,7 @@ use vmprobe_workloads::InputScale;
 
 use crate::cache::{CacheLookup, ExperimentCache};
 use crate::json::JsonObj;
-use crate::sweep::{lock_unpoisoned, ShardedMemo, WorkStealingPool};
+use crate::sweep::{lock_unpoisoned, Memo, SweepPool};
 use crate::{ExperimentConfig, ExperimentError, RunSummary};
 
 /// First retry waits this many virtual milliseconds.
@@ -308,7 +308,7 @@ impl CellRule {
 /// take it once the runner is built.
 #[derive(Debug, Clone)]
 pub struct MemoHandle {
-    memo: Arc<ShardedMemo<CellResult>>,
+    memo: Arc<Memo<CellResult>>,
     rule: CellRule,
     telemetry: Telemetry,
     cache: Option<Arc<ExperimentCache>>,
@@ -356,7 +356,7 @@ impl MemoHandle {
 /// Supervised memoizing parallel experiment runner (see the module docs).
 #[derive(Debug, Default)]
 pub struct SupervisedRunner {
-    memo: Arc<ShardedMemo<CellResult>>,
+    memo: Arc<Memo<CellResult>>,
     jobs: usize,
     rule: CellRule,
     max_retries: u32,
@@ -399,9 +399,9 @@ impl SupervisedRunner {
     }
 
     /// Attach a telemetry hub: every batch, cell, retry, quarantine and
-    /// steal is counted, executed-cell span streams are collected (when
-    /// the hub records spans), and verbose diagnostics route through the
-    /// hub's sink.
+    /// in-flight memo wait is counted, executed-cell span streams are
+    /// collected (when the hub records spans), and verbose diagnostics
+    /// route through the hub's sink.
     ///
     /// # Panics
     ///
@@ -607,7 +607,7 @@ impl SupervisedRunner {
 
         self.telemetry.count(CounterId::BatchesSubmitted, 1);
         let _batch_span = self.telemetry.host_span("runner", "batch");
-        let pool = WorkStealingPool::new(self.jobs).with_telemetry(self.telemetry.clone());
+        let pool = SweepPool::new(self.jobs).with_telemetry(self.telemetry.clone());
         let memo = &self.memo;
         let max_retries = self.max_retries;
         let verbose = self.verbose;

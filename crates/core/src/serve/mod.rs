@@ -3,7 +3,7 @@
 //! Batch mode (`vmprobe-run`) pays for a sweep once and exits; the serving
 //! daemon keeps the engine resident so many clients — CI shards, notebook
 //! sessions, parameter-scan scripts — can share one warm process, one
-//! work-stealing pool and one content-addressed result cache. Requests
+//! sweep pool and one content-addressed result cache. Requests
 //! arrive as line-delimited JSON over a local Unix socket
 //! ([`protocol`]); admission control, per-tenant fairness and quarantine
 //! live in [`scheduler`] and [`quarantine`]; per-connection backpressure
@@ -18,7 +18,7 @@
 //! the reader then sends its `accepted` line and its result in one write.
 //! Only runs that must simulate, whose cell is in flight, or whose tenant
 //! has work outstanding cross to the executor thread and its
-//! work-stealing pool. Either way [`HistId::ServeResultUs`] records the
+//! sweep pool. Either way [`HistId::ServeResultUs`] records the
 //! host time from admission to the result line.
 //!
 //! # Robustness envelope

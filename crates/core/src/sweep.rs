@@ -1,14 +1,14 @@
-//! The parallel sweep engine: a work-stealing thread pool plus a sharded
-//! concurrent memo cache.
+//! The parallel sweep engine: a one-queue thread pool plus a concurrent
+//! memo cache.
 //!
 //! The paper's evaluation is a large cross-product of configurations —
 //! {Jikes, Kaffe} × four collectors × heap sizes × sixteen benchmarks —
 //! and every cell is an independent, fully deterministic simulation. The
 //! engine exploits that: a figure sweep submits its whole grid as one
-//! batch, the [`WorkStealingPool`] executes the cells on however many
-//! worker threads were requested, and the [`ShardedMemo`] guarantees each
-//! distinct configuration is computed **at most once** no matter how many
-//! sweeps or threads ask for it.
+//! batch, the [`SweepPool`] executes its tasks on however many worker
+//! threads were requested, and the [`Memo`] guarantees each distinct
+//! configuration is computed **at most once** no matter how many sweeps
+//! or threads ask for it.
 //!
 //! # Determinism contract
 //!
@@ -27,7 +27,7 @@
 //! fault ledgers bit-identical for `--jobs 1` and `--jobs N`
 //! (`tests/parallel_determinism.rs` enforces this).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
@@ -42,12 +42,12 @@ pub fn default_jobs() -> usize {
 
 /// Lock a mutex, recovering from poisoning.
 ///
-/// Every guarded section in this module is short push/pop/fold-only code
-/// that cannot panic mid-invariant — tasks always run *outside* the locks
-/// — so a poisoned mutex only means some worker panicked in its *task*.
-/// That failure is surfaced separately (and with its cell key) as
+/// Every guarded section in this module is short take/insert/fold-only
+/// code that cannot panic mid-invariant — tasks always run *outside* the
+/// locks — so a poisoned mutex only means some worker panicked in its
+/// *task*. That failure is surfaced separately (and with its cell key) as
 /// [`SweepError::WorkerPanicked`]; recovering here lets the remaining
-/// workers drain cleanly instead of cascading secondary panics.
+/// workers finish cleanly instead of cascading secondary panics.
 pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
@@ -56,8 +56,8 @@ pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SweepError {
-    /// A task panicked on a pool worker. The batch drains to completion
-    /// (sibling results are discarded) and the panic with the *smallest
+    /// A task panicked on a pool worker. No further task is handed out,
+    /// sibling results are discarded, and the panic with the *smallest
     /// submission index* is reported — the same cell the serial path
     /// would name — so the error is identical for every worker count.
     WorkerPanicked {
@@ -84,23 +84,21 @@ impl std::fmt::Display for SweepError {
 
 impl std::error::Error for SweepError {}
 
-// ------------------------------------------------------- work-stealing pool
+// ---------------------------------------------------------------- sweep pool
 
-/// A batch-oriented work-stealing scheduler.
+/// A batch scheduler with one queue.
 ///
-/// Each worker owns a deque seeded round-robin with the batch's tasks;
-/// a worker pops its own deque from the back (LIFO, cache-warm) and, when
-/// empty, steals from the front of a sibling's deque (FIFO, oldest work
-/// first). Because batches are closed — no task spawns further tasks —
-/// an empty scan over every deque is a correct termination condition and
-/// no idle-worker parking is needed.
+/// Every worker runs the same loop: take the next task from the batch's
+/// one locked iterator, in submission order, and run it outside the lock.
+/// A task is a whole heap ladder (milliseconds to seconds of simulation),
+/// so a lock taken once per task is never a bottleneck.
 #[derive(Debug, Clone)]
-pub struct WorkStealingPool {
+pub struct SweepPool {
     jobs: usize,
     telemetry: Telemetry,
 }
 
-impl WorkStealingPool {
+impl SweepPool {
     /// A pool that runs batches on `jobs` workers (clamped to at least 1).
     pub fn new(jobs: usize) -> Self {
         Self {
@@ -109,8 +107,7 @@ impl WorkStealingPool {
         }
     }
 
-    /// Attach a telemetry handle: successful steals bump
-    /// [`CounterId::WorkerSteals`] and each worker's drain is recorded as
+    /// Attach a telemetry handle: each worker thread's run is recorded as
     /// a host span on its own `worker-N` track.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
@@ -119,20 +116,16 @@ impl WorkStealingPool {
 
     /// Configured worker count.
     pub fn jobs(&self) -> usize {
-        self.jobs.max(1)
+        self.jobs
     }
 
     /// Run `task` over every item and return the results **in item
     /// order**, regardless of which worker executed what when.
     ///
-    /// With one worker (or one item) the batch runs inline on the calling
-    /// thread — the serial path and the parallel path share every line of
-    /// per-cell code.
-    ///
     /// # Panics
     ///
     /// Panics (with the formatted [`SweepError`]) when any task panics;
-    /// use [`WorkStealingPool::try_run`] to get the typed error instead.
+    /// use [`SweepPool::try_run`] to get the typed error instead.
     pub fn run<I, T, F>(&self, items: Vec<I>, task: F) -> Vec<T>
     where
         I: Send,
@@ -143,16 +136,19 @@ impl WorkStealingPool {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Like [`WorkStealingPool::run`], but a panicking task surfaces
+    /// Like [`SweepPool::run`], but a panicking task surfaces
     /// [`SweepError::WorkerPanicked`] naming the cell — via `key_of`,
     /// which is evaluated *before* the task runs — instead of poisoning
     /// the pool or tearing the process down mid-sweep.
     ///
-    /// The batch still drains every cell (steal order is timing-dependent,
-    /// so an early abort would make the winning panic racy); when several
-    /// tasks panic, the one with the smallest submission index wins. That
-    /// is exactly the cell the inline serial path stops at, so the
-    /// reported error is bit-identical for any `--jobs N`.
+    /// With one worker (or one item) the loop runs inline on the calling
+    /// thread; otherwise `min(jobs, items)` scoped threads run it and the
+    /// caller only joins. After a task panics no further task is handed
+    /// out (tasks already running finish), and the panic with the smallest
+    /// submission index is reported. Tasks are handed out in submission
+    /// order, so every task before the first panicking one has run: the
+    /// reported cell, and how far the batch got, match the serial path
+    /// for any `--jobs N`.
     pub fn try_run<I, T, K, F>(
         &self,
         items: Vec<I>,
@@ -167,155 +163,108 @@ impl WorkStealingPool {
     {
         let n = items.len();
         let workers = self.jobs.min(n);
-        if workers <= 1 {
+        // `None` once a task has panicked: nothing more is handed out.
+        let queue = Mutex::new(Some(items.into_iter().enumerate()));
+        let failure: Mutex<Option<(usize, SweepError)>> = Mutex::new(None);
+        let work = || {
+            // Reserved up front: growing it between tasks puts a fresh
+            // allocation between two cells' VMs, which raised the peak
+            // RSS of `vmprobe-run fig9 --jobs 1` from 56 to 62 MB under
+            // glibc malloc on x86-64 Linux.
             let mut out = Vec::with_capacity(n);
-            for (i, item) in items.into_iter().enumerate() {
+            loop {
+                let Some((i, item)) = lock_unpoisoned(&queue).as_mut().and_then(Iterator::next)
+                else {
+                    return out;
+                };
                 let key = key_of(i, &item);
                 match catch_unwind(AssertUnwindSafe(|| task(i, item))) {
-                    Ok(t) => out.push(t),
+                    Ok(t) => out.push((i, t)),
                     Err(p) => {
-                        return Err(SweepError::WorkerPanicked {
-                            key,
-                            message: panic_message(p.as_ref()),
-                        })
+                        *lock_unpoisoned(&queue) = None;
+                        let mut slot = lock_unpoisoned(&failure);
+                        if slot.as_ref().is_none_or(|(j, _)| i < *j) {
+                            *slot = Some((
+                                i,
+                                SweepError::WorkerPanicked {
+                                    key,
+                                    message: panic_message(p.as_ref()),
+                                },
+                            ));
+                        }
                     }
                 }
             }
-            return Ok(out);
-        }
-
-        let deques: Vec<Mutex<VecDeque<(usize, I)>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (i, item) in items.into_iter().enumerate() {
-            lock_unpoisoned(&deques[i % workers]).push_back((i, item));
-        }
-
-        let failure: Mutex<Option<(usize, SweepError)>> = Mutex::new(None);
-        let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let deques = &deques;
-                    let task = &task;
-                    let key_of = &key_of;
-                    let failure = &failure;
-                    let telemetry = &self.telemetry;
-                    scope.spawn(move || {
-                        let _drain = telemetry.host_span(&format!("worker-{w}"), "drain");
-                        let mut out = Vec::new();
-                        loop {
-                            // Pop-then-steal as two statements: chaining
-                            // them keeps the guard on our own deque alive
-                            // through the steal scan (temporaries live to
-                            // the end of the statement), and two workers
-                            // scanning each other's deques while holding
-                            // their own would deadlock.
-                            let own = lock_unpoisoned(&deques[w]).pop_back();
-                            let job = own.or_else(|| {
-                                (1..workers).find_map(|k| {
-                                    let stolen =
-                                        lock_unpoisoned(&deques[(w + k) % workers]).pop_front();
-                                    if stolen.is_some() {
-                                        telemetry.count(CounterId::WorkerSteals, 1);
-                                    }
-                                    stolen
-                                })
-                            });
-                            match job {
-                                Some((i, item)) => {
-                                    let key = key_of(i, &item);
-                                    match catch_unwind(AssertUnwindSafe(|| task(i, item))) {
-                                        Ok(t) => out.push((i, t)),
-                                        Err(p) => {
-                                            let mut slot = lock_unpoisoned(failure);
-                                            if slot.as_ref().is_none_or(|(j, _)| i < *j) {
-                                                *slot = Some((
-                                                    i,
-                                                    SweepError::WorkerPanicked {
-                                                        key,
-                                                        message: panic_message(p.as_ref()),
-                                                    },
-                                                ));
-                                            }
-                                        }
-                                    }
-                                }
-                                None => break,
-                            }
-                        }
-                        out
+        };
+        let mut done = if workers <= 1 {
+            work()
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|w| {
+                        let (work, telemetry) = (&work, &self.telemetry);
+                        scope.spawn(move || {
+                            let _drain = telemetry.host_span(&format!("worker-{w}"), "drain");
+                            work()
+                        })
                     })
-                })
-                .collect();
-            for h in handles {
+                    .collect();
                 // Workers catch task panics themselves, so a join failure
                 // would be a bug in the pool, not in a task.
-                for (i, t) in h.join().expect("pool worker infrastructure panicked") {
-                    results[i] = Some(t);
-                }
-            }
-        });
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("pool worker infrastructure panicked"))
+                    .collect::<Vec<_>>()
+            })
+        };
         if let Some((_, e)) = lock_unpoisoned(&failure).take() {
             return Err(e);
         }
-        Ok(results
-            .into_iter()
-            .map(|t| t.expect("every cell completed"))
-            .collect())
+        done.sort_unstable_by_key(|&(i, _)| i);
+        Ok(done.into_iter().map(|(_, t)| t).collect())
     }
 }
 
-// ------------------------------------------------------------ sharded memo
-
-/// How many independently locked shards the memo spreads keys over.
-const SHARD_COUNT: usize = 16;
+// ---------------------------------------------------------------------- memo
 
 #[derive(Debug)]
 enum Slot<V> {
     /// Some thread claimed the key and is computing; waiters block on the
-    /// shard condvar.
+    /// memo's condvar.
     InFlight,
     /// The computed value.
     Ready(V),
 }
 
+/// A concurrent memo: at most one computation per key, ever.
+///
+/// `get_or_compute` claims a key under the one lock, computes **outside**
+/// it, then publishes and wakes waiters — so two cells never serialize
+/// their (multi-second) simulations, only their map accesses. This
+/// replaces the supervised runner's former single-threaded
+/// positive/negative `HashMap` caches.
 #[derive(Debug)]
-struct Shard<V> {
+pub struct Memo<V> {
     map: Mutex<HashMap<String, Slot<V>>>,
     ready: Condvar,
-}
-
-/// A sharded concurrent memo: at most one computation per key, ever.
-///
-/// `get_or_compute` claims a key under the shard lock, computes **outside**
-/// the lock, then publishes and wakes waiters — so two cells hashing to
-/// the same shard never serialize their (multi-second) simulations, only
-/// their map accesses. This replaces the supervised runner's former
-/// single-threaded positive/negative `HashMap` caches.
-#[derive(Debug)]
-pub struct ShardedMemo<V> {
-    shards: Vec<Shard<V>>,
     telemetry: Telemetry,
 }
 
-impl<V> Default for ShardedMemo<V> {
+impl<V> Default for Memo<V> {
     fn default() -> Self {
         Self {
-            shards: (0..SHARD_COUNT)
-                .map(|_| Shard {
-                    map: Mutex::new(HashMap::new()),
-                    ready: Condvar::new(),
-                })
-                .collect(),
+            map: Mutex::default(),
+            ready: Condvar::new(),
             telemetry: Telemetry::disabled(),
         }
     }
 }
 
-/// Removes an in-flight claim if the computing closure panics, so waiters
-/// wake and retry instead of deadlocking on a slot no one will fill.
+/// Removes an in-flight claim if the computing closure panics or
+/// declines, so waiters wake and retry instead of deadlocking on a slot
+/// no one will fill.
 struct ClaimGuard<'a, V> {
-    shard: &'a Shard<V>,
+    memo: &'a Memo<V>,
     key: &'a str,
     armed: bool,
 }
@@ -324,23 +273,21 @@ impl<V> ClaimGuard<'_, V> {
     /// Publish `value` under the claimed key and wake its waiters.
     fn publish(mut self, value: V) {
         self.armed = false;
-        let mut map = lock_unpoisoned(&self.shard.map);
-        map.insert(self.key.to_owned(), Slot::Ready(value));
-        self.shard.ready.notify_all();
+        lock_unpoisoned(&self.memo.map).insert(self.key.to_owned(), Slot::Ready(value));
+        self.memo.ready.notify_all();
     }
 }
 
 impl<V> Drop for ClaimGuard<'_, V> {
     fn drop(&mut self) {
         if self.armed {
-            let mut map = lock_unpoisoned(&self.shard.map);
-            map.remove(self.key);
-            self.shard.ready.notify_all();
+            lock_unpoisoned(&self.memo.map).remove(self.key);
+            self.memo.ready.notify_all();
         }
     }
 }
 
-impl<V: Clone> ShardedMemo<V> {
+impl<V: Clone> Memo<V> {
     /// An empty memo.
     pub fn new() -> Self {
         Self::default()
@@ -352,20 +299,10 @@ impl<V: Clone> ShardedMemo<V> {
         self.telemetry = telemetry;
     }
 
-    fn shard(&self, key: &str) -> &Shard<V> {
-        // FNV-1a; only shard balance matters here.
-        let mut h = 0xCBF2_9CE4_8422_2325u64;
-        for &b in key.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        &self.shards[(h % SHARD_COUNT as u64) as usize]
-    }
-
     /// The value for `key` if it is already published (`None` while absent
     /// or still in flight — never blocks).
     pub fn peek(&self, key: &str) -> Option<V> {
-        match lock_unpoisoned(&self.shard(key).map).get(key) {
+        match lock_unpoisoned(&self.map).get(key) {
             Some(Slot::Ready(v)) => Some(v.clone()),
             Some(Slot::InFlight) | None => None,
         }
@@ -382,15 +319,14 @@ impl<V: Clone> ShardedMemo<V> {
     where
         F: FnOnce() -> V,
     {
-        let shard = self.shard(key);
         {
-            let mut map = lock_unpoisoned(&shard.map);
+            let mut map = lock_unpoisoned(&self.map);
             loop {
                 match map.get(key) {
                     Some(Slot::Ready(v)) => return (v.clone(), false),
                     Some(Slot::InFlight) => {
                         self.telemetry.count(CounterId::MemoInFlightWaits, 1);
-                        map = shard.ready.wait(map).unwrap_or_else(|p| p.into_inner());
+                        map = self.ready.wait(map).unwrap_or_else(|p| p.into_inner());
                     }
                     None => {
                         map.insert(key.to_owned(), Slot::InFlight);
@@ -400,7 +336,7 @@ impl<V: Clone> ShardedMemo<V> {
             }
         }
         let guard = ClaimGuard {
-            shard,
+            memo: self,
             key,
             armed: true,
         };
@@ -409,19 +345,18 @@ impl<V: Clone> ShardedMemo<V> {
         (value, true)
     }
 
-    /// [`ShardedMemo::get_or_compute`] that never waits: `None` at once
-    /// while another thread has `key` in flight (not counted as an
-    /// in-flight wait). A published value is returned as is; an absent
-    /// key is claimed and `compute` runs. When it declines (`None`), the
-    /// claim is released and nothing is published, so a later
-    /// `get_or_compute` still computes the key.
+    /// [`Memo::get_or_compute`] that never waits: `None` at once while
+    /// another thread has `key` in flight (not counted as an in-flight
+    /// wait). A published value is returned as is; an absent key is
+    /// claimed and `compute` runs. When it declines (`None`), the claim is
+    /// released and nothing is published, so a later `get_or_compute`
+    /// still computes the key.
     pub fn try_get_or_compute<F>(&self, key: &str, compute: F) -> Option<V>
     where
         F: FnOnce() -> Option<V>,
     {
-        let shard = self.shard(key);
         {
-            let mut map = lock_unpoisoned(&shard.map);
+            let mut map = lock_unpoisoned(&self.map);
             match map.get(key) {
                 Some(Slot::Ready(v)) => return Some(v.clone()),
                 Some(Slot::InFlight) => return None,
@@ -431,7 +366,7 @@ impl<V: Clone> ShardedMemo<V> {
             }
         }
         let guard = ClaimGuard {
-            shard,
+            memo: self,
             key,
             armed: true,
         };
@@ -440,17 +375,9 @@ impl<V: Clone> ShardedMemo<V> {
         Some(value)
     }
 
-    /// Number of published values across all shards.
+    /// Number of published values.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                lock_unpoisoned(&s.map)
-                    .values()
-                    .filter(|v| matches!(v, Slot::Ready(_)))
-                    .count()
-            })
-            .sum()
+        self.count_matching(|_| true)
     }
 
     /// True when nothing is published yet.
@@ -464,18 +391,10 @@ impl<V: Clone> ShardedMemo<V> {
     where
         F: FnMut(&V) -> bool,
     {
-        self.shards
-            .iter()
-            .map(|s| {
-                lock_unpoisoned(&s.map)
-                    .values()
-                    .filter(|v| match v {
-                        Slot::Ready(v) => pred(v),
-                        Slot::InFlight => false,
-                    })
-                    .count()
-            })
-            .sum()
+        lock_unpoisoned(&self.map)
+            .values()
+            .filter(|v| matches!(v, Slot::Ready(v) if pred(v)))
+            .count()
     }
 }
 
@@ -487,7 +406,7 @@ mod tests {
     #[test]
     fn pool_preserves_item_order_in_results() {
         for jobs in [1, 2, 8] {
-            let pool = WorkStealingPool::new(jobs);
+            let pool = SweepPool::new(jobs);
             let out = pool.run((0..100).collect(), |_, x: u64| x * 2);
             assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
         }
@@ -495,13 +414,13 @@ mod tests {
 
     #[test]
     fn pool_clamps_zero_jobs_to_one() {
-        assert_eq!(WorkStealingPool::new(0).jobs(), 1);
+        assert_eq!(SweepPool::new(0).jobs(), 1);
     }
 
     #[test]
     fn pool_runs_every_task_exactly_once() {
         let counter = AtomicUsize::new(0);
-        let pool = WorkStealingPool::new(4);
+        let pool = SweepPool::new(4);
         let out = pool.run((0..257).collect::<Vec<u32>>(), |i, x| {
             counter.fetch_add(1, Ordering::Relaxed);
             assert_eq!(i as u32, x);
@@ -513,7 +432,7 @@ mod tests {
 
     #[test]
     fn memo_computes_once_per_key() {
-        let memo: ShardedMemo<u64> = ShardedMemo::new();
+        let memo: Memo<u64> = Memo::new();
         let calls = AtomicUsize::new(0);
         let (a, computed_a) = memo.get_or_compute("k", || {
             calls.fetch_add(1, Ordering::Relaxed);
@@ -533,7 +452,7 @@ mod tests {
 
     #[test]
     fn memo_is_once_per_key_under_contention() {
-        let memo: ShardedMemo<usize> = ShardedMemo::new();
+        let memo: Memo<usize> = Memo::new();
         let calls = AtomicUsize::new(0);
         std::thread::scope(|s| {
             for _ in 0..8 {
@@ -555,7 +474,7 @@ mod tests {
 
     #[test]
     fn memo_claim_is_released_when_compute_panics() {
-        let memo: ShardedMemo<u64> = ShardedMemo::new();
+        let memo: Memo<u64> = Memo::new();
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             memo.get_or_compute("k", || panic!("boom"));
         }));
@@ -568,7 +487,7 @@ mod tests {
 
     #[test]
     fn try_claim_returns_a_ready_value_without_computing() {
-        let memo: ShardedMemo<u64> = ShardedMemo::new();
+        let memo: Memo<u64> = Memo::new();
         memo.get_or_compute("k", || 7);
         let v = memo.try_get_or_compute("k", || -> Option<u64> { panic!("must not run") });
         assert_eq!(v, Some(7));
@@ -579,7 +498,7 @@ mod tests {
 
     #[test]
     fn try_claim_returns_at_once_on_an_in_flight_key() {
-        let mut memo: ShardedMemo<u64> = ShardedMemo::new();
+        let mut memo: Memo<u64> = Memo::new();
         let telemetry = Telemetry::counters_only();
         memo.set_telemetry(telemetry.clone());
         let claimed = std::sync::Barrier::new(2);
@@ -604,7 +523,7 @@ mod tests {
 
     #[test]
     fn declined_try_claim_releases_the_key() {
-        let memo: ShardedMemo<u64> = ShardedMemo::new();
+        let memo: Memo<u64> = Memo::new();
         assert_eq!(memo.try_get_or_compute("k", || None), None);
         assert_eq!(memo.peek("k"), None, "nothing published");
         assert!(memo.is_empty());
@@ -615,7 +534,7 @@ mod tests {
 
     #[test]
     fn panicking_try_claim_releases_the_key() {
-        let memo: ShardedMemo<u64> = ShardedMemo::new();
+        let memo: Memo<u64> = Memo::new();
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             memo.try_get_or_compute("k", || -> Option<u64> { panic!("boom") });
         }));
@@ -628,7 +547,7 @@ mod tests {
     #[test]
     fn try_run_surfaces_panicking_cell_key() {
         for jobs in [1, 4] {
-            let pool = WorkStealingPool::new(jobs);
+            let pool = SweepPool::new(jobs);
             let err = pool
                 .try_run(
                     (0..16).collect::<Vec<u32>>(),
@@ -649,7 +568,7 @@ mod tests {
 
     #[test]
     fn pool_is_usable_after_a_panicked_batch() {
-        let pool = WorkStealingPool::new(4);
+        let pool = SweepPool::new(4);
         let first = pool.try_run(
             vec![1u32],
             |_, _| "k".into(),
@@ -665,7 +584,7 @@ mod tests {
         // Every task panics; whichever workers hit them, the reported cell
         // must always be the first submitted one.
         for _ in 0..8 {
-            let pool = WorkStealingPool::new(8);
+            let pool = SweepPool::new(8);
             let err = pool
                 .try_run(
                     (0..64).collect::<Vec<u32>>(),
@@ -679,25 +598,35 @@ mod tests {
     }
 
     #[test]
-    fn steals_are_counted_when_telemetry_attached() {
-        let telemetry = Telemetry::counters_only();
-        let pool = WorkStealingPool::new(4).with_telemetry(telemetry.clone());
-        // Skewed work: worker 0's own deque drains last, so siblings steal.
-        pool.run((0..64).collect::<Vec<u64>>(), |_, x| {
-            if x % 4 == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-            x
-        });
-        // Steals are timing-dependent; the counter existing and not
-        // panicking is the contract, a non-zero value is likely but not
-        // guaranteed.
-        let _ = telemetry.counter(CounterId::WorkerSteals);
+    fn a_panic_stops_the_hand_out_at_every_worker_count() {
+        for jobs in [1, 2, 4] {
+            let ran = AtomicUsize::new(0);
+            let err = SweepPool::new(jobs)
+                .try_run(
+                    (0..200).collect::<Vec<u32>>(),
+                    |i, _| format!("cell-{i}"),
+                    |_, x| {
+                        if x == 0 {
+                            // `resume_unwind` skips the panic hook, so the
+                            // stop is not delayed by printing a message.
+                            std::panic::resume_unwind(Box::new("task 0 failed"));
+                        }
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                        ran.fetch_add(1, Ordering::Relaxed);
+                    },
+                )
+                .unwrap_err();
+            let SweepError::WorkerPanicked { key, message } = err;
+            assert_eq!(key, "cell-0", "jobs={jobs}");
+            assert_eq!(message, "task 0 failed");
+            let ran = ran.load(Ordering::Relaxed);
+            assert!(ran < 10, "jobs={jobs}: {ran} tasks ran after the panic");
+        }
     }
 
     #[test]
     fn memo_counts_in_flight_waits() {
-        let mut memo: ShardedMemo<u64> = ShardedMemo::new();
+        let mut memo: Memo<u64> = Memo::new();
         let telemetry = Telemetry::counters_only();
         memo.set_telemetry(telemetry.clone());
         let started = std::sync::atomic::AtomicBool::new(false);
@@ -721,7 +650,7 @@ mod tests {
 
     #[test]
     fn count_matching_filters_values() {
-        let memo: ShardedMemo<u64> = ShardedMemo::new();
+        let memo: Memo<u64> = Memo::new();
         for i in 0..10u64 {
             memo.get_or_compute(&format!("k{i}"), || i);
         }

@@ -138,7 +138,6 @@ fn baseline_line(id: &str, benchmark: &str, heap_mb: u32) -> String {
         scale: InputScale::Reduced,
         trace_power: false,
         record_spans: false,
-        verify: true,
         probe: vmprobe::ProbeSpec::default(),
     };
     let summary = Runner::new().run(&cfg).expect("baseline runs");
@@ -578,7 +577,6 @@ fn observe_requests_run_inline_and_match_the_batch_engine() {
         scale: InputScale::Reduced,
         trace_power: false,
         record_spans: false,
-        verify: true,
         probe: vmprobe::ProbeSpec::default(),
     };
     let report = ObserveEngine::new(vec![40_000, 400_000])

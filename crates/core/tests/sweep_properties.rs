@@ -4,15 +4,13 @@
 //!
 //! The build is offline (no `loom`), so interleavings are explored the
 //! pragmatic way: many worker threads, many repetitions, tiny tasks that
-//! maximize contention on the memo shards, and atomic execution counters
+//! maximize contention on the memo's lock, and atomic execution counters
 //! asserted exactly.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
-use vmprobe::{
-    ExperimentConfig, ExperimentError, FaultPlan, Runner, ShardedMemo, WorkStealingPool,
-};
+use vmprobe::{ExperimentConfig, ExperimentError, FaultPlan, Memo, Runner, SweepPool};
 use vmprobe_heap::CollectorKind;
 use vmprobe_workloads::InputScale;
 
@@ -27,7 +25,7 @@ fn memo_computes_each_key_exactly_once_under_contention() {
     // 8 threads race get_or_compute over 32 keys, every thread requesting
     // every key; repeated to vary the interleaving.
     for round in 0..20 {
-        let memo: ShardedMemo<usize> = ShardedMemo::new();
+        let memo: Memo<usize> = Memo::new();
         let computes = AtomicUsize::new(0);
         let barrier = Barrier::new(8);
         std::thread::scope(|s| {
@@ -63,7 +61,7 @@ fn memo_computes_each_key_exactly_once_under_contention() {
 #[test]
 fn pool_runs_every_item_exactly_once_and_preserves_order() {
     for &jobs in &[1usize, 2, 3, 8, 17] {
-        let pool = WorkStealingPool::new(jobs);
+        let pool = SweepPool::new(jobs);
         let executions = AtomicUsize::new(0);
         let items: Vec<usize> = (0..203).collect();
         let out = pool.run(items, |_, i| {

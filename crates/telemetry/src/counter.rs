@@ -35,9 +35,7 @@ pub enum CounterId {
     BackoffVirtualMs,
     /// Times a memo caller blocked on another thread's in-flight compute.
     MemoInFlightWaits,
-    /// Jobs a pool worker stole from a sibling's deque.
-    WorkerSteals,
-    /// Batches submitted to the work-stealing pool.
+    /// Batches submitted to the sweep pool.
     BatchesSubmitted,
     /// Figure/table sweep phases started.
     PhasesStarted,
@@ -116,7 +114,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// All counters, in export order.
-    pub const ALL: [CounterId; 44] = [
+    pub const ALL: [CounterId; 43] = [
         CounterId::CellsExecuted,
         CounterId::CellsShared,
         CounterId::CellsFromCache,
@@ -128,7 +126,6 @@ impl CounterId {
         CounterId::Retries,
         CounterId::BackoffVirtualMs,
         CounterId::MemoInFlightWaits,
-        CounterId::WorkerSteals,
         CounterId::BatchesSubmitted,
         CounterId::PhasesStarted,
         CounterId::LogLines,
@@ -177,7 +174,6 @@ impl CounterId {
             CounterId::Retries => "retries",
             CounterId::BackoffVirtualMs => "backoff_virtual_ms",
             CounterId::MemoInFlightWaits => "memo_inflight_waits",
-            CounterId::WorkerSteals => "worker_steals",
             CounterId::BatchesSubmitted => "batches_submitted",
             CounterId::PhasesStarted => "phases_started",
             CounterId::LogLines => "log_lines",
@@ -216,13 +212,12 @@ impl CounterId {
     /// Whether the counter's value is independent of worker-thread count.
     ///
     /// Deterministic counters are merged on the calling thread in batch
-    /// submission order; the two scheduling-dependent ones
-    /// ([`CounterId::MemoInFlightWaits`], [`CounterId::WorkerSteals`])
-    /// are host-side observations and are excluded from golden
-    /// comparisons, exactly like [`crate::HostSpan`]s.
+    /// submission order; the scheduling-dependent
+    /// [`CounterId::MemoInFlightWaits`] is a host-side observation and is
+    /// excluded from golden comparisons, exactly like [`crate::HostSpan`]s.
     pub fn deterministic(self) -> bool {
         // Dropped response lines depend on how fast a client drains its
-        // socket, which is host scheduling, like steals and memo waits;
+        // socket, which is host scheduling, like memo waits;
         // whether a warm request is answered inline depends on whether
         // its cell was published and its tenant idle when it arrived.
         // The host tax is a wall-clock ratio, so it moves with the host;
@@ -230,7 +225,6 @@ impl CounterId {
         !matches!(
             self,
             CounterId::MemoInFlightWaits
-                | CounterId::WorkerSteals
                 | CounterId::ServeDroppedLines
                 | CounterId::ServeInlineHits
                 | CounterId::HostTaxPpm
@@ -304,13 +298,13 @@ mod tests {
             for _ in 0..8 {
                 s.spawn(|| {
                     for _ in 0..1000 {
-                        set.add(CounterId::WorkerSteals, 1);
+                        set.add(CounterId::MemoInFlightWaits, 1);
                         set.add(CounterId::CellsExecuted, 2);
                     }
                 });
             }
         });
-        assert_eq!(set.get(CounterId::WorkerSteals), 8 * 1000);
+        assert_eq!(set.get(CounterId::MemoInFlightWaits), 8 * 1000);
         assert_eq!(set.get(CounterId::CellsExecuted), 2 * 8 * 1000);
         assert_eq!(set.get(CounterId::Retries), 0);
     }

@@ -2,11 +2,9 @@
 //!
 //! A [`Telemetry`] handle is what every layer of the stack holds. Disabled
 //! (the default) it contains no hub at all, and every probe site is a
-//! `None` branch; enabled, each site is additionally gated by one relaxed
-//! [`AtomicBool`] load so the `--telemetry-overhead` mode can switch
-//! recording off without rebuilding the runner.
+//! `None` branch; enabled means holding a hub, and each site records into
+//! it.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -33,7 +31,6 @@ struct HubState {
 }
 
 struct Hub {
-    enabled: AtomicBool,
     record_spans: bool,
     counters: CounterSet,
     state: Mutex<HubState>,
@@ -44,7 +41,6 @@ struct Hub {
 impl std::fmt::Debug for Hub {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Hub")
-            .field("enabled", &self.enabled.load(Ordering::Relaxed))
             .field("record_spans", &self.record_spans)
             .finish_non_exhaustive()
     }
@@ -62,8 +58,7 @@ impl Hub {
 /// Cheap cloneable handle to a telemetry hub (or to nothing).
 ///
 /// Everything on this type is a no-op when the handle is
-/// [`Telemetry::disabled`] or the hub's enable flag is off, so probe
-/// sites never need their own gating.
+/// [`Telemetry::disabled`], so probe sites never need their own gating.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
     hub: Option<Arc<Hub>>,
@@ -92,7 +87,6 @@ impl Telemetry {
     pub fn with_sink(record_spans: bool, sink: Box<dyn Sink>) -> Self {
         Self {
             hub: Some(Arc::new(Hub {
-                enabled: AtomicBool::new(true),
                 record_spans,
                 counters: CounterSet::default(),
                 state: Mutex::new(HubState {
@@ -106,33 +100,19 @@ impl Telemetry {
         }
     }
 
-    fn on(&self) -> Option<&Arc<Hub>> {
-        self.hub
-            .as_ref()
-            .filter(|h| h.enabled.load(Ordering::Relaxed))
-    }
-
-    /// True when a hub is attached and currently enabled.
+    /// True when a hub is attached.
     pub fn is_enabled(&self) -> bool {
-        self.on().is_some()
+        self.hub.is_some()
     }
 
     /// True when span streams are being recorded.
     pub fn spans_enabled(&self) -> bool {
-        self.on().is_some_and(|h| h.record_spans)
-    }
-
-    /// Flip recording on or off without dropping accumulated data
-    /// (no-op on a disabled handle).
-    pub fn set_enabled(&self, on: bool) {
-        if let Some(h) = &self.hub {
-            h.enabled.store(on, Ordering::Relaxed);
-        }
+        self.hub.as_ref().is_some_and(|h| h.record_spans)
     }
 
     /// Add `n` to a counter.
     pub fn count(&self, id: CounterId, n: u64) {
-        if let Some(h) = self.on() {
+        if let Some(h) = &self.hub {
             h.counters.add(id, n);
         }
     }
@@ -144,14 +124,14 @@ impl Telemetry {
 
     /// Record one histogram observation.
     pub fn observe(&self, id: HistId, v: u64) {
-        if let Some(h) = self.on() {
+        if let Some(h) = &self.hub {
             h.state().hists[id.index()].observe(v);
         }
     }
 
     /// Route one log line through the sink.
     pub fn log(&self, line: &str) {
-        if let Some(h) = self.on() {
+        if let Some(h) = &self.hub {
             h.counters.add(CounterId::LogLines, 1);
             h.sink.log(line);
         }
@@ -163,7 +143,7 @@ impl Telemetry {
     /// submission order, which is what makes the virtual stream
     /// byte-identical across worker counts.
     pub fn record_cell(&self, key: &str, trace: &SpanTrace) {
-        if let Some(h) = self.on() {
+        if let Some(h) = &self.hub {
             if h.record_spans {
                 h.state().cells.push(CellStream {
                     key: key.to_owned(),
@@ -177,7 +157,7 @@ impl Telemetry {
     /// returned guard drops.
     pub fn host_span(&self, track: &str, name: &str) -> HostSpanGuard {
         HostSpanGuard {
-            hub: self.on().filter(|h| h.record_spans).map(Arc::clone),
+            hub: self.hub.as_ref().filter(|h| h.record_spans).map(Arc::clone),
             track: track.to_owned(),
             name: name.to_owned(),
             start: Instant::now(),
@@ -269,19 +249,6 @@ mod tests {
         let snap = t.snapshot();
         assert_eq!(snap.schema_version, crate::SCHEMA_VERSION);
         assert!(snap.cells.is_empty() && snap.host.is_empty());
-    }
-
-    #[test]
-    fn enable_flag_gates_recording() {
-        let t = Telemetry::recording();
-        t.count(CounterId::Retries, 1);
-        t.set_enabled(false);
-        t.count(CounterId::Retries, 10);
-        t.record_cell("k", &SpanTrace::new(1e9));
-        t.set_enabled(true);
-        t.count(CounterId::Retries, 1);
-        assert_eq!(t.counter(CounterId::Retries), 2);
-        assert!(t.snapshot().cells.is_empty());
     }
 
     #[test]

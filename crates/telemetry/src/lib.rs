@@ -12,9 +12,9 @@
 //!   how many worker threads executed the sweep. Host-side runner spans
 //!   ([`HostSpan`]) carry wall-clock timestamps and are recorded but
 //!   **excluded** from every golden/determinism comparison.
-//! * **Measured cost.** The disabled path is one relaxed atomic load per
-//!   probe site (see [`Telemetry`]); the enabled path is a counter add or
-//!   a `Vec` push on the owning thread. The runner's
+//! * **Measured cost.** The disabled path is one `None` branch per probe
+//!   site (see [`Telemetry`]); the enabled path is a counter add or a
+//!   `Vec` push on the owning thread. The runner's
 //!   `--telemetry-overhead` mode measures the residual tax empirically.
 //! * **Standard exports.** A [`Snapshot`] renders as Chrome trace-event
 //!   JSON (loadable in Perfetto, one virtual track per VM component plus

@@ -136,7 +136,8 @@ impl ClassLoader {
         }
     }
 
-    /// Enable/disable the load-time verification tier (`--no-verify`).
+    /// Enable/disable the load-time verification tier
+    /// ([`crate::VmConfig::verify`]).
     pub fn set_verify(&mut self, on: bool) {
         self.verify = on;
     }
@@ -371,7 +372,7 @@ mod tests {
         assert!(!loader.class(vmprobe_bytecode::ClassId(1)).is_loaded());
         assert_eq!(loader.classes_loaded, 0);
 
-        // The --no-verify escape hatch loads it anyway.
+        // With the verification tier off it loads anyway.
         let mut loader = ClassLoader::new(&corrupt);
         loader.set_verify(false);
         assert!(loader

@@ -83,7 +83,7 @@ pub struct VmConfig {
     pub record_spans: bool,
     /// Run the dataflow verification tier when a class is first loaded
     /// (rejecting the run with [`VmError::VerifyRejected`] on failure).
-    /// On by default; the `--no-verify` escape hatch clears it. The
+    /// On by default; `verify(false)` clears it. The
     /// structural pass runs regardless, at each method's first compile.
     /// Verification happens host-side and charges zero simulated cycles,
     /// so results are bit-identical with this on or off.

@@ -87,7 +87,7 @@ pub enum VmError {
     /// The verifier rejected a class: some method failed the load-time
     /// dataflow tier (merge-point type conflict, uninitialized local,
     /// structural defect), or failed the structural pass at its first
-    /// compile. The `--no-verify` escape hatch ([`VmConfig::verify`])
+    /// compile. Turning verification off ([`VmConfig::verify`]`(false)`)
     /// skips only the dataflow tier.
     ///
     /// [`VmConfig::verify`]: crate::VmConfig::verify

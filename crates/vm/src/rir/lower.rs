@@ -10,8 +10,8 @@
 //! Unreachable pcs lower to `Nop` placeholders that can never execute.
 //!
 //! The structural pass runs here even when the program was verified
-//! before: `vmprobe_bytecode::assemble` does not verify, and the
-//! `--no-verify` escape hatch skips only the dataflow tier, so the
+//! before: `vmprobe_bytecode::assemble` does not verify, and
+//! `VmConfig::verify(false)` skips only the dataflow tier, so the
 //! compiler subsystem may be handed a structurally broken method. Its
 //! [`VerifyError`] then rejects the method at its first compile.
 //!

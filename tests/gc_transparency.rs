@@ -17,7 +17,6 @@ fn checksum(benchmark: &str, vm: VmChoice, heap_mb: u32, platform: PlatformKind)
         scale: InputScale::Reduced,
         trace_power: false,
         record_spans: false,
-        verify: true,
         probe: vmprobe::ProbeSpec::default(),
     };
     let run = cfg

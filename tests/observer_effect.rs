@@ -51,7 +51,6 @@ fn cell(benchmark: &str, vm: VmChoice, heap_mb: u32, platform: PlatformKind) -> 
         scale: InputScale::Reduced,
         trace_power: false,
         record_spans: false,
-        verify: true,
         probe: ProbeSpec::default(),
     }
 }

@@ -16,7 +16,6 @@ fn quick(benchmark: &str, vm: VmChoice, heap_mb: u32, platform: PlatformKind) ->
         scale: InputScale::Reduced,
         trace_power: false,
         record_spans: false,
-        verify: true,
         probe: vmprobe::ProbeSpec::default(),
     }
 }
