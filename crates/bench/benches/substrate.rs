@@ -135,6 +135,31 @@ fn bench(c: &mut Criterion) {
         });
     });
 
+    // 50 000 allocations through Kaffe's plan: small instances with an
+    // int array every 16th, in a 1 MB heap collected with no roots each
+    // time it fills (a few times per iteration). Allocation dominates, so
+    // this shows the per-allocation host cost, which must not grow with
+    // an index that only a collection reads.
+    c.bench_function("kaffe_alloc_churn", |b| {
+        b.iter(|| {
+            let mut heap = ObjectHeap::new();
+            let mut plan = CollectorKind::KaffeIncremental.new_plan(1 << 20);
+            let mut m = Machine::new(PlatformKind::PentiumM);
+            for i in 0..50_000u32 {
+                let req = match i % 16 {
+                    0 => AllocRequest::int_array(64),
+                    _ => AllocRequest::instance(0, i % 3, 1 + i % 4),
+                };
+                if plan.alloc(&mut heap, req, &mut m).is_err() {
+                    plan.collect(&mut heap, &RootSet::new(), &mut m);
+                    plan.alloc(&mut heap, req, &mut m)
+                        .expect("fits after a collection");
+                }
+            }
+            black_box(plan.stats().collections)
+        });
+    });
+
     // A typical serve `run` request line.
     c.bench_function("json_parse_run_line", |b| {
         let line = r#"{"op":"run","id":"r-17","tenant":"t0","benchmark":"_209_db","collector":"gencopy","heap_mb":64,"platform":"p6","scale":"s10"}"#;

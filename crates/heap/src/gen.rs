@@ -351,7 +351,7 @@ impl Generational {
             live_objects,
             live_bytes,
             copied_bytes,
-            ..sweep(heap, fl, exec, epoch, &mut self.stats, |_| {})
+            ..sweep(heap, fl, exec, epoch, &mut self.stats)
         }
     }
 }

@@ -10,14 +10,16 @@
 //!   component activations in the paper's traces;
 //! * **conservative**: in addition to precise roots, every raw word in the
 //!   mutator stacks ([`RootSet::ambiguous`]) that *looks like* a heap
-//!   address pins the object it points into, retaining extra floating
-//!   garbage;
+//!   address pins the object whose cell it points into, retaining extra
+//!   floating garbage. The words are resolved when a collection seeds its
+//!   roots, in one pass over the object table, so allocation keeps no
+//!   address index;
 //! * **tri-color safety**: objects allocated during a marking cycle are
 //!   allocated *black* (marked), and the final slice re-seeds from the
 //!   current roots and completes the trace before sweeping, so no object
 //!   reachable at sweep time is ever reclaimed.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use vmprobe_platform::Exec;
 
@@ -47,8 +49,6 @@ pub struct KaffeIncremental {
     fl: SegregatedFreeList,
     epoch: u32,
     phase: Phase,
-    /// Start-address index for conservative pointer identification.
-    addr_index: BTreeMap<u64, (ObjId, u32)>,
     trigger_bytes: u64,
     /// Occupancy crossed the trigger (see [`CollectorPlan::heap_bound`]).
     heap_bound: bool,
@@ -68,7 +68,6 @@ impl KaffeIncremental {
             fl: SegregatedFreeList::new(heap_region(0), heap_bytes),
             epoch: 0,
             phase: Phase::Idle,
-            addr_index: BTreeMap::new(),
             trigger_bytes: (heap_bytes as f64 * TRIGGER_FRACTION) as u64,
             heap_bound: false,
             stats: GcStats::default(),
@@ -93,14 +92,11 @@ impl KaffeIncremental {
         over
     }
 
-    /// Resolve an ambiguous word to the object whose cell contains it.
-    fn conservative_target(&self, word: u64) -> Option<ObjId> {
-        let (&addr, &(id, size)) = self.addr_index.range(..=word).next_back()?;
-        let cell = SegregatedFreeList::cell_size(size);
-        (word < addr + cell).then_some(id)
-    }
-
     /// Seed the mark queue from precise and ambiguous roots.
+    ///
+    /// Precise roots are marked first, then the ambiguous words in their
+    /// original order; each word is charged as one range lookup whether
+    /// or not it resolves (see [`conservative_targets`]).
     fn seed_roots(
         &mut self,
         heap: &mut ObjectHeap,
@@ -116,9 +112,9 @@ impl KaffeIncremental {
             }
         }
         // Conservative scan: each raw word costs a range lookup.
-        for &w in &roots.ambiguous {
+        for target in conservative_targets(heap, &roots.ambiguous) {
             exec.int_ops(4);
-            if let Some(id) = self.conservative_target(w) {
+            if let Some(id) = target {
                 if mark(heap, id, epoch) {
                     queue.push_back(id);
                 }
@@ -177,17 +173,7 @@ impl KaffeIncremental {
                 break;
             }
         }
-        let addr_index = &mut self.addr_index;
-        let swept = sweep(
-            heap,
-            &mut self.fl,
-            exec,
-            self.epoch,
-            &mut self.stats,
-            |addr| {
-                addr_index.remove(&addr);
-            },
-        );
+        let swept = sweep(heap, &mut self.fl, exec, self.epoch, &mut self.stats);
         let c = CollectionStats {
             live_objects: swept.live_objects.max(marked),
             pause_cycles: exec.cycles() - start,
@@ -196,6 +182,32 @@ impl KaffeIncremental {
         self.stats.record(&c);
         c
     }
+}
+
+/// Resolve each ambiguous word to the live object whose cell contains it
+/// (start, interior, or the slack between the object's size and its cell
+/// end), or to `None`; the result is in the words' order.
+///
+/// Cells never overlap, so this is the answer of a predecessor lookup in a
+/// start-address index. It is computed in one pass over the object table,
+/// binary-searching the sorted words for each cell, so allocation pays
+/// nothing for the conservative scan.
+fn conservative_targets(heap: &ObjectHeap, words: &[u64]) -> Vec<Option<ObjId>> {
+    let mut targets = vec![None; words.len()];
+    if words.is_empty() {
+        return targets;
+    }
+    let mut sorted: Vec<(u64, usize)> = words.iter().copied().zip(0..).collect();
+    sorted.sort_unstable();
+    for id in heap.iter_ids() {
+        let o = heap.get(id);
+        let end = o.addr() + SegregatedFreeList::cell_size(o.size());
+        let first = sorted.partition_point(|&(w, _)| w < o.addr());
+        for &(_, i) in sorted[first..].iter().take_while(|&&(w, _)| w < end) {
+            targets[i] = Some(id);
+        }
+    }
+    targets
 }
 
 impl CollectorPlan for KaffeIncremental {
@@ -224,7 +236,6 @@ impl CollectorPlan for KaffeIncremental {
             req.ref_len,
             req.prim_len,
         ));
-        self.addr_index.insert(addr, (id, size));
         // Allocate black during a marking cycle.
         if self.is_marking() {
             heap.get_mut(id).mark_epoch = self.epoch;
@@ -299,8 +310,13 @@ impl CollectorPlan for KaffeIncremental {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
     use vmprobe_platform::{Machine, PlatformKind};
+
+    use super::*;
 
     fn setup(bytes: u64) -> (ObjectHeap, KaffeIncremental, Machine) {
         (
@@ -440,5 +456,159 @@ mod tests {
             .alloc(&mut heap, AllocRequest::instance(0, 0, 4), &mut m)
             .unwrap();
         assert_eq!(heap.get(b).addr(), addr);
+    }
+
+    /// The start-address index Kaffe's plan once kept for conservative
+    /// roots: every live cell by start address, resolved by predecessor
+    /// lookup.
+    #[derive(Default)]
+    struct PredecessorIndex(BTreeMap<u64, (ObjId, u32)>);
+
+    impl PredecessorIndex {
+        fn target(&self, word: u64) -> Option<ObjId> {
+            let (&addr, &(id, size)) = self.0.range(..=word).next_back()?;
+            (word < addr + SegregatedFreeList::cell_size(size)).then_some(id)
+        }
+
+        /// Drop every entry whose object a sweep freed, returning their
+        /// addresses.
+        fn prune(&mut self, heap: &ObjectHeap) -> Vec<u64> {
+            let freed: Vec<u64> = self
+                .0
+                .iter()
+                .filter(|(_, &(id, _))| !heap.contains(id))
+                .map(|(&addr, _)| addr)
+                .collect();
+            for addr in &freed {
+                self.0.remove(addr);
+            }
+            freed
+        }
+    }
+
+    /// SplitMix64, for the words of one root set.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A root set drawn from `seed`: about a third of the live objects as
+    /// precise roots, and ambiguous words at object starts, interiors,
+    /// cell slack, exact cell ends, freed cells and outside the heap.
+    fn draw_roots(seed: u64, heap: &ObjectHeap, freed: &[u64]) -> RootSet {
+        let mut rng = seed;
+        let live: Vec<ObjId> = heap.iter_ids().collect();
+        let mut roots = RootSet::new();
+        for &id in &live {
+            if next(&mut rng).is_multiple_of(3) {
+                roots.refs.push(id);
+            }
+        }
+        for _ in 0..next(&mut rng) % 48 {
+            let pick = next(&mut rng);
+            let word = match (pick % 6, live.is_empty(), freed.is_empty()) {
+                (0..=3, false, _) => {
+                    let o = heap.get(live[(pick >> 8) as usize % live.len()]);
+                    let cell = SegregatedFreeList::cell_size(o.size());
+                    match pick % 4 {
+                        0 => o.addr(),
+                        1 => o.addr() + (pick >> 40) % u64::from(o.size()),
+                        2 => o.addr() + u64::from(o.size()) + (pick >> 40) % 8,
+                        _ => o.addr() + cell,
+                    }
+                }
+                (4, _, false) => freed[(pick >> 8) as usize % freed.len()] + (pick >> 40) % 16,
+                _ => [0, 7, heap_region(0) - 8, heap_region(1 << 30), u64::MAX]
+                    [(pick >> 8) as usize % 5],
+            };
+            roots.ambiguous.push(word);
+        }
+        roots
+    }
+
+    /// Seed the roots of the collection `plan` would run next, on copies,
+    /// and check the appended mark-queue order and the marked set against
+    /// the predecessor index.
+    fn check_seeding(
+        plan: &KaffeIncremental,
+        heap: &ObjectHeap,
+        index: &PredecessorIndex,
+        roots: &RootSet,
+    ) -> Result<(), TestCaseError> {
+        let (mut plan, mut heap) = (plan.clone(), heap.clone());
+        let mut queue = match std::mem::replace(&mut plan.phase, Phase::Idle) {
+            Phase::Marking { queue } => queue,
+            Phase::Idle => {
+                plan.epoch += 1;
+                VecDeque::new()
+            }
+        };
+        let epoch = plan.epoch;
+        let marked_set = |heap: &ObjectHeap| -> BTreeSet<ObjId> {
+            heap.iter_ids()
+                .filter(|&id| heap.get(id).mark_epoch == epoch)
+                .collect()
+        };
+        let mut want_marked = marked_set(&heap);
+        let mut want_queue = Vec::new();
+        let ambiguous = roots.ambiguous.iter().filter_map(|&w| index.target(w));
+        for id in roots.refs.iter().copied().chain(ambiguous) {
+            if want_marked.insert(id) {
+                want_queue.push(id);
+            }
+        }
+        let before = queue.len();
+        let mut m = Machine::new(PlatformKind::PentiumM);
+        plan.seed_roots(&mut heap, roots, &mut m, &mut queue);
+        let got_queue: Vec<ObjId> = queue.iter().skip(before).copied().collect();
+        prop_assert_eq!(got_queue, want_queue);
+        prop_assert_eq!(marked_set(&heap), want_marked);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn conservative_roots_match_a_predecessor_index(
+            ops in prop::collection::vec((0u8..10, any::<u64>()), 1..160),
+        ) {
+            let (mut heap, mut plan, mut m) = setup(24 << 10);
+            let mut index = PredecessorIndex::default();
+            let mut freed = Vec::new();
+            for &(op, seed) in &ops {
+                let roots = draw_roots(seed, &heap, &freed);
+                let req = match seed % 8 {
+                    // 16 + 3 * 8 = 40 bytes in a 48-byte cell.
+                    0 => AllocRequest::instance(0, 1, 2),
+                    // 8816 bytes, past the largest size class.
+                    1 => AllocRequest::int_array(1100),
+                    n => AllocRequest::instance(0, (seed >> 8) as u32 % 3, n as u32 * 3),
+                };
+                let allocated = op < 7 && {
+                    match plan.alloc(&mut heap, req, &mut m) {
+                        Ok(id) => {
+                            let o = heap.get(id);
+                            index.0.insert(o.addr(), (id, o.size()));
+                            true
+                        }
+                        Err(_) => false,
+                    }
+                };
+                if allocated {
+                    continue;
+                }
+                if op == 7 && plan.wants_increment() {
+                    plan.increment(&mut heap, &roots, &mut m);
+                } else {
+                    check_seeding(&plan, &heap, &index, &roots)?;
+                    plan.collect(&mut heap, &roots, &mut m);
+                }
+                freed.extend(index.prune(&heap));
+            }
+        }
     }
 }

@@ -223,7 +223,7 @@ impl CollectorPlan for MarkSweep {
             }
         }
 
-        let swept = sweep(heap, &mut self.fl, exec, epoch, &mut self.stats, |_| {});
+        let swept = sweep(heap, &mut self.fl, exec, epoch, &mut self.stats);
         let c = CollectionStats {
             pause_cycles: exec.cycles() - start,
             ..swept
@@ -242,11 +242,10 @@ impl CollectorPlan for MarkSweep {
 }
 
 /// Visit every object in `heap`: free each one `epoch` left unmarked
-/// (returning its cell to `fl` when it holds one, then handing its address
-/// to `on_free`) and clear the remembered-set flag on each survivor.
-/// Shared by [`MarkSweep`], Kaffe's collector (whose `on_free` drops the
-/// conservative address index entry) and the mark-sweep mature space of
-/// the generational plan, whose unmarked nursery objects hold no cell.
+/// (returning its cell to `fl` when it holds one) and clear the
+/// remembered-set flag on each survivor. Shared by [`MarkSweep`], Kaffe's
+/// collector and the mark-sweep mature space of the generational plan,
+/// whose unmarked nursery objects hold no cell.
 /// Returns a major collection's stats over the objects kept and freed,
 /// pause left at zero for the caller.
 pub(crate) fn sweep(
@@ -255,7 +254,6 @@ pub(crate) fn sweep(
     exec: &mut dyn Exec,
     epoch: u32,
     stats: &mut GcStats,
-    mut on_free: impl FnMut(u64),
 ) -> CollectionStats {
     let ids: Vec<ObjId> = heap.iter_ids().collect();
     let mut swept = CollectionStats {
@@ -282,7 +280,6 @@ pub(crate) fn sweep(
         } else {
             if space == Space::Cells {
                 fl.free(addr, size);
-                on_free(addr);
             }
             heap.remove(id);
             swept.freed_objects += 1;

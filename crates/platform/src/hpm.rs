@@ -8,10 +8,16 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Live counter file incremented by the [`Machine`](crate::Machine).
+/// The counter file as [`Machine::hpm`](crate::Machine::hpm) reports it.
+///
+/// The machine counts each simulated event once. It stores the op counts
+/// (`int_ops`, `fp_ops`, `branches`, `loads`, `stores`), `mem_accesses`
+/// and `stall_cycles`; `instructions` and the cache counters are derived
+/// when the file is read.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Hpm {
-    /// Retired instructions (all µops charged by the runtime).
+    /// Retired instructions (all µops charged by the runtime). Derived:
+    /// the sum of the five op counts below.
     pub instructions: u64,
     /// Integer ALU operations.
     pub int_ops: u64,
@@ -23,17 +29,18 @@ pub struct Hpm {
     pub loads: u64,
     /// Data stores.
     pub stores: u64,
-    /// L1I accesses.
+    /// L1I accesses. Derived: the L1I cache's own access count.
     pub l1i_accesses: u64,
-    /// L1I misses.
+    /// L1I misses. Derived: the L1I cache's own miss count.
     pub l1i_misses: u64,
-    /// L1D accesses.
+    /// L1D accesses. Derived: the L1D cache's own access count.
     pub l1d_accesses: u64,
-    /// L1D misses.
+    /// L1D misses. Derived: the L1D cache's own miss count.
     pub l1d_misses: u64,
-    /// L2 accesses (zero on platforms without L2).
+    /// L2 accesses (zero on platforms without L2). Derived: the L2
+    /// cache's own access count.
     pub l2_accesses: u64,
-    /// L2 misses.
+    /// L2 misses. Derived: the L2 cache's own miss count.
     pub l2_misses: u64,
     /// Accesses that reached DRAM.
     pub mem_accesses: u64,

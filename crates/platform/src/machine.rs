@@ -1,13 +1,16 @@
 //! The machine: a CPU model plus cache hierarchy with cycle accounting.
 
-use crate::{Addr, Cache, CpuSpec, Hpm, HpmSnapshot, PlatformKind};
+use crate::{Addr, Cache, CacheStats, CpuSpec, Hpm, HpmSnapshot, PlatformKind};
 
 /// A simulated processor + memory hierarchy.
 ///
 /// Every instruction and memory access the runtime performs is *charged*
 /// into the machine through the methods below; the machine advances its
-/// cycle counter, walks the cache hierarchy and updates the HPM counter
-/// file. Simulated wall-clock time is `cycles / freq`.
+/// cycle counter, walks the cache hierarchy and counts the event. Each
+/// event is counted once: the machine keeps seven totals of its own, the
+/// caches keep their access and miss counts, and [`Machine::hpm`] derives
+/// the rest of the HPM counter file from both. Simulated wall-clock time
+/// is `cycles / freq`.
 ///
 /// Cycle accounting uses an `f64` accumulator (effective per-op costs are
 /// sub-cycle on the superscalar Pentium M); the public [`Machine::cycles`]
@@ -23,10 +26,23 @@ pub struct Machine {
     l1i: Cache,
     l1d: Cache,
     l2: Option<Cache>,
-    hpm: Hpm,
+    counted: Counted,
     cycles: f64,
     /// Last DRAM row touched (open-row tracking).
     dram_row: u64,
+}
+
+/// The HPM counters no cache keeps: retired operations by class, DRAM
+/// accesses and stall cycles. Retired instructions are their op sum.
+#[derive(Debug, Clone, Copy, Default)]
+struct Counted {
+    int_ops: u64,
+    fp_ops: u64,
+    branches: u64,
+    loads: u64,
+    stores: u64,
+    mem_accesses: u64,
+    stall_cycles: u64,
 }
 
 /// DRAM row size in bytes (open-page SDRAM row buffer).
@@ -51,7 +67,7 @@ impl Machine {
             l1i: Cache::new(spec.l1i),
             l1d: Cache::new(spec.l1d),
             l2: spec.l2.map(Cache::new),
-            hpm: Hpm::default(),
+            counted: Counted::default(),
             cycles: 0.0,
             dram_row: u64::MAX,
             spec,
@@ -99,9 +115,31 @@ impl Machine {
         self.cycles / self.spec.freq_hz
     }
 
-    /// Live HPM counter file.
-    pub fn hpm(&self) -> &Hpm {
-        &self.hpm
+    /// The HPM counter file as of now. Retired instructions are the sum
+    /// of the five op counts, and the L1I, L1D and L2 accesses and misses
+    /// are the caches' own [`Cache::stats`] (zero L2 traffic on a platform
+    /// without an L2).
+    pub fn hpm(&self) -> Hpm {
+        let c = self.counted;
+        let l1i = self.l1i.stats();
+        let l1d = self.l1d.stats();
+        let l2 = self.l2_stats().unwrap_or_default();
+        Hpm {
+            instructions: c.int_ops + c.fp_ops + c.branches + c.loads + c.stores,
+            int_ops: c.int_ops,
+            fp_ops: c.fp_ops,
+            branches: c.branches,
+            loads: c.loads,
+            stores: c.stores,
+            l1i_accesses: l1i.accesses,
+            l1i_misses: l1i.misses,
+            l1d_accesses: l1d.accesses,
+            l1d_misses: l1d.misses,
+            l2_accesses: l2.accesses,
+            l2_misses: l2.misses,
+            mem_accesses: c.mem_accesses,
+            stall_cycles: c.stall_cycles,
+        }
     }
 
     /// Copy the counters and cycle counter (what the OS-timer sampler and
@@ -109,12 +147,12 @@ impl Machine {
     pub fn snapshot(&self) -> HpmSnapshot {
         HpmSnapshot {
             cycles: self.cycles(),
-            counters: self.hpm,
+            counters: self.hpm(),
         }
     }
 
     /// L2 statistics, if the platform has an L2.
-    pub fn l2_stats(&self) -> Option<crate::CacheStats> {
+    pub fn l2_stats(&self) -> Option<CacheStats> {
         self.l2.as_ref().map(Cache::stats)
     }
 
@@ -123,40 +161,35 @@ impl Machine {
     /// Retire `n` integer ALU operations.
     #[inline]
     pub fn int_ops(&mut self, n: u32) {
-        self.hpm.instructions += u64::from(n);
-        self.hpm.int_ops += u64::from(n);
+        self.counted.int_ops += u64::from(n);
         self.cycles += f64::from(n) * self.spec.int_cost;
     }
 
     /// Retire `n` floating point operations.
     #[inline]
     pub fn fp_ops(&mut self, n: u32) {
-        self.hpm.instructions += u64::from(n);
-        self.hpm.fp_ops += u64::from(n);
+        self.counted.fp_ops += u64::from(n);
         self.cycles += f64::from(n) * self.spec.fp_cost;
     }
 
     /// Retire one transcendental math intrinsic (sqrt/sin/...).
     #[inline]
     pub fn math_op(&mut self) {
-        self.hpm.instructions += 1;
-        self.hpm.fp_ops += 1;
+        self.counted.fp_ops += 1;
         self.cycles += self.spec.math_cost;
     }
 
     /// Retire one branch.
     #[inline]
     pub fn branch(&mut self) {
-        self.hpm.instructions += 1;
-        self.hpm.branches += 1;
+        self.counted.branches += 1;
         self.cycles += self.spec.branch_cost;
     }
 
     /// Retire a data load from `addr`, walking the cache hierarchy.
     #[inline]
     pub fn load(&mut self, addr: Addr) {
-        self.hpm.instructions += 1;
-        self.hpm.loads += 1;
+        self.counted.loads += 1;
         self.cycles += self.spec.mem_base_cost;
         self.data_access(addr);
     }
@@ -164,8 +197,7 @@ impl Machine {
     /// Retire a data store to `addr` (write-allocate, charged like a load).
     #[inline]
     pub fn store(&mut self, addr: Addr) {
-        self.hpm.instructions += 1;
-        self.hpm.stores += 1;
+        self.counted.stores += 1;
         self.cycles += self.spec.mem_base_cost;
         self.data_access(addr);
     }
@@ -173,25 +205,17 @@ impl Machine {
     /// Fetch one instruction-cache line at `addr` (the runtime calls this
     /// per basic block / dispatch step, not per µop).
     pub fn ifetch(&mut self, addr: Addr) {
-        self.hpm.l1i_accesses += 1;
         if !self.l1i.access(addr) {
-            self.hpm.l1i_misses += 1;
             let mut stall = self.spec.ifetch_miss_penalty;
-            let mut to_dram = false;
-            if let Some(l2) = &mut self.l2 {
-                self.hpm.l2_accesses += 1;
-                if !l2.access(addr) {
-                    self.hpm.l2_misses += 1;
-                    to_dram = true;
-                }
-            } else {
-                to_dram = true;
-            }
+            let to_dram = match &mut self.l2 {
+                Some(l2) => !l2.access(addr),
+                None => true,
+            };
             if to_dram {
-                self.hpm.mem_accesses += 1;
+                self.counted.mem_accesses += 1;
                 stall += self.dram_penalty(addr);
             }
-            self.hpm.stall_cycles += stall as u64;
+            self.counted.stall_cycles += stall as u64;
             self.cycles += stall;
         }
     }
@@ -199,7 +223,7 @@ impl Machine {
     /// Stall for raw `cycles` without retiring instructions (idle loops,
     /// throttling duty-off periods, bulk modeled work).
     pub fn stall(&mut self, cycles: f64) {
-        self.hpm.stall_cycles += cycles as u64;
+        self.counted.stall_cycles += cycles as u64;
         self.cycles += cycles;
     }
 
@@ -237,26 +261,20 @@ impl Machine {
     }
 
     fn data_access(&mut self, addr: Addr) {
-        self.hpm.l1d_accesses += 1;
         if !self.l1d.access(addr) {
-            self.hpm.l1d_misses += 1;
             let mut stall = 0.0;
-            let mut to_dram = false;
-            if let Some(l2) = &mut self.l2 {
-                self.hpm.l2_accesses += 1;
-                stall += self.spec.l1_miss_penalty;
-                if !l2.access(addr) {
-                    self.hpm.l2_misses += 1;
-                    to_dram = true;
+            let to_dram = match &mut self.l2 {
+                Some(l2) => {
+                    stall += self.spec.l1_miss_penalty;
+                    !l2.access(addr)
                 }
-            } else {
-                to_dram = true;
-            }
+                None => true,
+            };
             if to_dram {
-                self.hpm.mem_accesses += 1;
+                self.counted.mem_accesses += 1;
                 stall += self.dram_penalty(addr);
             }
-            self.hpm.stall_cycles += stall as u64;
+            self.counted.stall_cycles += stall as u64;
             self.cycles += stall;
         }
     }

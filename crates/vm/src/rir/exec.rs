@@ -9,6 +9,14 @@
 //! raised at the instruction's `pc`. The frame's tier, snapshotted at
 //! invocation, is the only input that distinguishes baseline, JIT and
 //! optimized code.
+//!
+//! **Loop state.** `step` keeps the next pc, the bytecode count, the step
+//! budget, the quantum deadline and the ops slice in locals, so the hot
+//! loop does not reload them through `self` or `frame` after every
+//! charge. Nothing the loop calls reads the frame's pc or
+//! `stats.bytecodes`; the deadline is reloaded after each quantum, the
+//! one call that moves it. The pc and the bytecode count are written back
+//! at each exit: a call, a return, and every fault.
 
 use vmprobe_heap::{AllocRequest, ObjKind};
 use vmprobe_platform::Exec;
@@ -22,38 +30,50 @@ impl Vm {
     /// returns, or faults.
     pub(crate) fn step(&mut self, mut frame: Frame) -> Result<(), VmError> {
         let body = &*frame.body;
+        let ops = &*body.ops;
         let n_locals = body.n_locals as usize;
         let dispatch = frame.tier.dispatch_ops();
         let locals_in_memory = frame.tier.locals_in_memory();
         let expansion = u64::from(frame.tier.code_expansion());
+        let budget = self.step_budget;
+        let mut deadline = self.next_quantum;
+        let mut next = frame.pc as usize;
+        let mut bytecodes = self.stats.bytecodes;
 
+        // Write the loop state back before the frame leaves `step`.
+        macro_rules! exit {
+            () => {{
+                frame.pc = next as u32;
+                self.stats.bytecodes = bytecodes;
+            }};
+        }
         macro_rules! fault {
             ($e:expr) => {{
                 let e = $e;
+                exit!();
                 self.frames.push(frame);
                 return Err(e);
             }};
         }
 
         loop {
-            if self.meter.machine().cycles_f64() >= self.next_quantum {
+            if self.meter.machine().cycles_f64() >= deadline {
                 self.quantum();
+                deadline = self.next_quantum;
             }
-            let pc = frame.pc as usize;
+            let pc = next;
             if pc & 7 == 0 {
                 self.meter.ifetch(frame.code_addr + (pc as u64) * expansion);
             }
             if dispatch > 0 {
                 self.meter.int_ops(dispatch);
             }
-            self.stats.bytecodes += 1;
-            if self.stats.bytecodes >= self.step_budget {
-                fault!(VmError::StepBudgetExhausted {
-                    budget: self.step_budget,
-                });
+            bytecodes += 1;
+            if bytecodes >= budget {
+                fault!(VmError::StepBudgetExhausted { budget });
             }
-            let op = body.ops[pc];
-            frame.pc += 1;
+            let op = ops[pc];
+            next = pc + 1;
             match op {
                 // ---- constants & moves ----
                 RirOp::ConstI { dst, lit } => {
@@ -155,7 +175,7 @@ impl Vm {
                     if back_edge {
                         self.compilers.method_mut(frame.method).hotness += 1;
                     }
-                    frame.pc = target;
+                    next = target as usize;
                 }
                 RirOp::Br {
                     cond,
@@ -169,22 +189,25 @@ impl Vm {
                         if back_edge {
                             self.compilers.method_mut(frame.method).hotness += 1;
                         }
-                        frame.pc = target;
+                        next = target as usize;
                     }
                 }
                 RirOp::Call { m, save_sp } => {
                     self.meter.int_ops(4);
+                    exit!();
                     frame.live_sp = save_sp;
                     self.frames.push(frame);
                     return self.invoke(m);
                 }
                 RirOp::Ret => {
                     self.meter.int_ops(3);
+                    exit!();
                     self.windows.release(frame.window);
                     return Ok(());
                 }
                 RirOp::RetV { src } => {
                     self.meter.int_ops(3);
+                    exit!();
                     let v = frame.window[src as usize];
                     match self.frames.last_mut() {
                         Some(caller) => caller.push_return(v),
