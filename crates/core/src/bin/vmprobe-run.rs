@@ -13,7 +13,6 @@
 //!   --jobs <n>          worker threads for parallel sweeps (default: available
 //!                       parallelism); output is bit-identical for every value
 //!   --faults <spec>     inject faults, e.g. drop=0.05,dup=0.01,wrap32,oom@1000
-//!   --retries <n>       attempts beyond the first before quarantine (default 2)
 //!   --seed <n>          override the fault plan's seed
 //!   --report-json <p>   write the supervised-run report JSON to a path ('-' = stdout)
 //!   --trace-out <p>     write a Chrome trace-event JSON of the run ('-' = stdout)
@@ -65,10 +64,9 @@ const SWITCHES: [&str; 5] = [
 ];
 
 /// Flags that take one.
-const VALUED: [&str; 9] = [
+const VALUED: [&str; 8] = [
     "jobs",
     "faults",
-    "retries",
     "seed",
     "report-json",
     "trace-out",
@@ -81,8 +79,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: vmprobe-run <benchmark> [semispace|marksweep|gencopy|genms|kaffe] \
          [heap_mb] [p6|pxa255] [full|s10]\n\
-         \x20      [--jobs <n>] [--faults <spec>] [--retries <n>] [--seed <n>] \
-         [--report-json <path>]\n\
+         \x20      [--jobs <n>] [--faults <spec>] [--seed <n>] [--report-json <path>]\n\
          \x20      [--trace-out <path>] [--metrics-out <path>] [--telemetry-overhead] \
          [--verbose]\n\
          \x20      [--cache-dir <path>] [--no-cache] [--resume]\n\
@@ -108,7 +105,6 @@ fn fail(msg: &str) -> ExitCode {
 struct Cli {
     args: Args,
     jobs: usize,
-    retries: Option<u32>,
 }
 
 impl Cli {
@@ -121,9 +117,6 @@ impl Cli {
             jobs: args
                 .u64_in("jobs", 1, usize::MAX as u64)?
                 .map_or_else(default_jobs, |j| j as usize),
-            retries: args
-                .u64_in("retries", 0, u32::MAX.into())?
-                .map(|r| r as u32),
             args,
         }))
     }
@@ -177,9 +170,6 @@ impl Cli {
             .with_faults(plan)
             .with_telemetry(telemetry)
             .verbose(verbose);
-        if let Some(r) = self.retries {
-            runner = runner.retries(r);
-        }
         if let Some(cache) = cache {
             runner = runner.with_cache(cache);
         }
@@ -534,16 +524,7 @@ fn run_cell(cli: &Cli, plan: FaultPlan) -> Result<(), String> {
     } = execute(cli, plan, |r| r.run(&cfg))?;
     let report = || runner.report().to_json();
     cli.finish(runner.cache().map(Arc::as_ref), report, &telemetry)?;
-    let run = output.map_err(|e| {
-        let report = runner.report();
-        match report.retries {
-            0 => e.to_string(),
-            _ => format!(
-                "{e} ({} attempts, {} virtual backoff ms)",
-                report.attempts_failed, report.backoff_virtual_ms
-            ),
-        }
-    })?;
+    let run = output.map_err(|e| e.to_string())?;
 
     println!("experiment : {cfg}");
     println!(

@@ -18,7 +18,6 @@
 //!   --max-heap-mb <n>           reject requests over this heap label (0 = off)
 //!   --step-budget-cap <n>       clamp per-request step budgets (0 = off)
 //!   --deadline-virtual-ms <n>   fail results over this simulated time (0 = off)
-//!   --retries <n>               per-cell retry budget (default 2)
 //!   --report-json <p>           write the final RunReport JSON here on shutdown
 //!   --metrics-out <p>           write the final Prometheus dump here on shutdown
 //!   --verbose                   narrate admissions/results on stderr
@@ -46,7 +45,7 @@ fn run() -> ExitCode {
     const SWITCHES: [&str; 1] = ["verbose"];
 
     /// Flags that take one.
-    const VALUED: [&str; 13] = [
+    const VALUED: [&str; 12] = [
         "socket",
         "jobs",
         "cache-dir",
@@ -57,7 +56,6 @@ fn run() -> ExitCode {
         "max-heap-mb",
         "step-budget-cap",
         "deadline-virtual-ms",
-        "retries",
         "report-json",
         "metrics-out",
     ];
@@ -92,7 +90,6 @@ fn run() -> ExitCode {
             u64_flag("step_budget_cap", config.envelope.step_budget_cap)?;
         config.envelope.deadline_virtual_ms =
             u64_flag("deadline_virtual_ms", config.envelope.deadline_virtual_ms)?;
-        config.retries = u32_flag("retries", config.retries)?;
         config.socket = path("socket").ok_or("--socket is required (run with --help for usage)")?;
         Ok(config)
     }
@@ -104,8 +101,8 @@ fn run() -> ExitCode {
                 "usage: vmprobe-serve --socket <path> [--jobs <n>] [--cache-dir <p>]\n\
                  \x20      [--queue-cap <n>] [--outbox-cap <n>] [--quarantine-threshold <n>]\n\
                  \x20      [--quarantine-cooldown <n>] [--max-heap-mb <n>] [--step-budget-cap <n>]\n\
-                 \x20      [--deadline-virtual-ms <n>] [--retries <n>] [--report-json <p>]\n\
-                 \x20      [--metrics-out <p>] [--verbose]"
+                 \x20      [--deadline-virtual-ms <n>] [--report-json <p>] [--metrics-out <p>]\n\
+                 \x20      [--verbose]"
             );
             return ExitCode::FAILURE;
         }

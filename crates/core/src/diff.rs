@@ -36,7 +36,7 @@ use vmprobe_workloads::{all_benchmarks, InputScale};
 use crate::cache::ExperimentCache;
 use crate::experiment::{ExperimentConfig, RunSummary};
 use crate::json::{self, JsonObj};
-use crate::runner::SupervisedRunner;
+use crate::runner::Runner;
 
 /// The golden sweep grid shared by `vmprobe-analyze --check-golden` and the
 /// diff gate: every benchmark in the registry on both VM personalities —
@@ -363,7 +363,7 @@ impl DiffEngine {
         // Panics are contained so a crashing cell surfaces as a typed
         // error to the gate (or the daemon's reader thread) instead of
         // unwinding through it.
-        let mut runner = SupervisedRunner::new()
+        let mut runner = Runner::new()
             .jobs(self.jobs)
             .contain_panics(true)
             .with_telemetry(self.telemetry.clone());

@@ -281,14 +281,12 @@ pub enum ExperimentError {
         /// The underlying fault.
         source: VmError,
     },
-    /// The configuration exceeded its retry budget and was quarantined; the
-    /// runner refuses to execute it again.
+    /// The configuration failed once and was quarantined; the runner
+    /// refuses to execute it again.
     Quarantined {
         /// The quarantined configuration.
         config: Box<ExperimentConfig>,
-        /// How many attempts were made before quarantine.
-        attempts: u32,
-        /// Rendered form of the last underlying error.
+        /// Rendered form of the underlying error.
         last_error: String,
     },
     /// The run panicked and the runner contained it (serving mode): the
@@ -309,14 +307,12 @@ impl fmt::Display for ExperimentError {
             ExperimentError::Vm { config, source } => {
                 write!(f, "experiment {config} failed: {source}")
             }
-            ExperimentError::Quarantined {
-                config,
-                attempts,
-                last_error,
-            } => write!(
-                f,
-                "experiment {config} quarantined after {attempts} attempts (last error: {last_error})"
-            ),
+            ExperimentError::Quarantined { config, last_error } => {
+                write!(
+                    f,
+                    "experiment {config} quarantined (last error: {last_error})"
+                )
+            }
             ExperimentError::Panicked { config, message } => {
                 write!(f, "experiment {config} panicked: {message}")
             }

@@ -60,7 +60,7 @@ pub use observe::{
     parse_period_grid, period_label, ObserveEngine, ObservePoint, ObserveReport, PeriodSummary,
     DEFAULT_PERIOD_GRID, MAX_OBSERVE_PERIODS,
 };
-pub use runner::{FailedCell, MemoHandle, QuarantinedConfig, RunReport, Runner, SupervisedRunner};
+pub use runner::{FailedCell, MemoHandle, QuarantinedConfig, RunReport, Runner};
 pub use scale::{heap_bytes, P6_HEAPS_MB, PXA_HEAPS_MB, SIM_SCALE};
 pub use sweep::{default_jobs, Memo, SweepError, SweepPool};
 pub use table::Table;

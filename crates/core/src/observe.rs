@@ -35,7 +35,7 @@ use vmprobe_telemetry::{CounterId, HistId, Telemetry};
 use crate::cache::ExperimentCache;
 use crate::experiment::{ExperimentConfig, RunSummary};
 use crate::json::JsonObj;
-use crate::runner::SupervisedRunner;
+use crate::runner::Runner;
 use crate::table::Table;
 
 /// Hard cap on the probe-period grid: bounds every sweep (CLI and the
@@ -398,7 +398,7 @@ impl ObserveEngine {
     /// any run fails — partial sweeps would bias the aggregates.
     pub fn run(&self, cells: &[ExperimentConfig]) -> Result<ObserveReport, String> {
         self.telemetry.count(CounterId::ObserveSweeps, 1);
-        let mut runner = SupervisedRunner::new()
+        let mut runner = Runner::new()
             .jobs(self.jobs)
             .contain_panics(true)
             .with_telemetry(self.telemetry.clone());

@@ -3,7 +3,7 @@
 //! Several of the paper's figures draw on the same underlying runs (the
 //! SemiSpace sweep feeds both the Figure 6 decomposition and the Figure 7
 //! EDP curves), and real measurement campaigns lose cells to rig faults.
-//! The [`SupervisedRunner`] therefore does five jobs:
+//! The [`Runner`] therefore does five jobs:
 //!
 //! * **memoize** — runs are fully deterministic, so each configuration is
 //!   paid for exactly once per process, enforced by a concurrent memo
@@ -11,16 +11,15 @@
 //!   cell;
 //! * **parallelize** — figure sweeps submit their whole grid as one batch
 //!   and a one-queue pool ([`crate::sweep::SweepPool`]) hands the
-//!   independent heap ladders to [`SupervisedRunner::jobs`] workers;
+//!   independent heap ladders to [`Runner::jobs`] workers;
 //! * **share** — a fault-free run that never took a heap-size-dependent
 //!   branch answers every larger heap of its ladder (DESIGN.md §18);
-//! * **supervise** — a failing configuration is retried up to a configured
-//!   budget with capped, deterministic exponential backoff (recorded as
-//!   *virtual* milliseconds, never slept), then **quarantined**: the
+//! * **supervise** — a failing configuration runs once and is then
+//!   **quarantined**: its cell is a pure function of the configuration and
+//!   its derived fault plan, so a rerun would fail the same way; the
 //!   failure is cached negatively and the config is never executed again;
-//! * **account** — every run's injected-fault ledger, every retry, and
-//!   every quarantined or failed cell is aggregated into a machine-readable
-//!   [`RunReport`].
+//! * **account** — every run's injected-fault ledger and every quarantined
+//!   or failed cell is aggregated into a machine-readable [`RunReport`].
 //!
 //! # Determinism contract
 //!
@@ -52,34 +51,10 @@ use crate::json::JsonObj;
 use crate::sweep::{lock_unpoisoned, Memo, SweepPool};
 use crate::{ExperimentConfig, ExperimentError, RunSummary};
 
-/// First retry waits this many virtual milliseconds.
-const BACKOFF_BASE_MS: u64 = 100;
-/// Backoff ceiling (the exponential doubling stops here).
-const BACKOFF_CAP_MS: u64 = 10_000;
-/// Default retry budget: attempts beyond the first before quarantine.
-const DEFAULT_RETRIES: u32 = 2;
-
-/// Deterministic capped exponential backoff for the `n`th retry (1-based),
-/// in virtual milliseconds. Never slept — recorded in the [`RunReport`] so
-/// a real deployment could replay the schedule.
-fn backoff_ms(retry: u32) -> u64 {
-    BACKOFF_BASE_MS
-        .saturating_mul(1u64 << retry.saturating_sub(1).min(20))
-        .min(BACKOFF_CAP_MS)
-}
-
-/// Terminal negative memo entry: the configuration exhausted its retry
-/// budget and is quarantined.
-#[derive(Debug, Clone)]
-struct StoredFailure {
-    attempts: u32,
-    last_error: String,
-    underlying: ExperimentError,
-}
-
-/// What the memo publishes per cell: the shared summary, or the quarantined
-/// failure every later request replays without executing anything.
-type CellResult = Result<Arc<RunSummary>, StoredFailure>;
+/// What the memo publishes per cell: the shared summary, or the failure
+/// that quarantined it, which every later request replays as
+/// [`ExperimentError::Quarantined`] without executing anything.
+type CellResult = Result<Arc<RunSummary>, ExperimentError>;
 
 /// How the persistent cache participated in resolving one cell.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -101,10 +76,7 @@ enum CacheProbe {
 /// submission order.
 #[derive(Debug, Default)]
 struct ExecutionRecord {
-    attempts_failed: u64,
-    retries: u64,
-    backoff_ms: u64,
-    /// Host wall-clock time the cell's retry loop took (telemetry
+    /// Host wall-clock time the cell's run took (telemetry
     /// [`HistId::CellHostUs`]; excluded from golden comparisons).
     host_us: u64,
     injected_oom: u64,
@@ -166,25 +138,16 @@ pub struct QuarantinedConfig {
     pub config: String,
     /// Benchmark name (for grouping).
     pub benchmark: String,
-    /// Attempts made before quarantine.
-    pub attempts: u32,
     /// Rendered form of the last error.
     pub last_error: String,
 }
 
 /// Machine-readable account of a measurement campaign: what ran, what was
-/// retried, what was quarantined, and every injected fault.
+/// quarantined, and every injected fault.
 #[derive(Debug, Clone, Default, serde::Serialize)]
 pub struct RunReport {
     /// Distinct configurations that completed successfully.
     pub runs_ok: u64,
-    /// Individual attempts that failed (including retries of the same
-    /// configuration).
-    pub attempts_failed: u64,
-    /// Retries performed (attempts beyond each configuration's first).
-    pub retries: u64,
-    /// Total virtual backoff the retry schedule accumulated, in ms.
-    pub backoff_virtual_ms: u64,
     /// Times a quarantined configuration was requested again (and refused).
     pub quarantine_hits: u64,
     /// Configurations under quarantine.
@@ -193,7 +156,7 @@ pub struct RunReport {
     pub failed_cells: Vec<FailedCell>,
     /// Injected-fault ledger merged across every successful run, plus
     /// forced-fault counts (`injected_oom`, `budget_exhausted`) from failed
-    /// attempts.
+    /// runs.
     pub faults: FaultStats,
 }
 
@@ -221,7 +184,6 @@ impl RunReport {
             let mut o = JsonObj::new();
             o.str("config", &q.config)
                 .str("benchmark", &q.benchmark)
-                .u64("attempts", u64::from(q.attempts))
                 .str("last_error", &q.last_error);
             o.finish()
         });
@@ -238,9 +200,6 @@ impl RunReport {
         let mut o = JsonObj::new();
         o.schema_version()
             .u64("runs_ok", self.runs_ok)
-            .u64("attempts_failed", self.attempts_failed)
-            .u64("retries", self.retries)
-            .u64("backoff_virtual_ms", self.backoff_virtual_ms)
             .u64("quarantine_hits", self.quarantine_hits)
             .array("quarantined", quarantined)
             .array("failed_cells", failed)
@@ -317,7 +276,7 @@ pub struct MemoHandle {
 
 impl MemoHandle {
     /// The successful summary for `config` under `plan` (as in
-    /// [`SupervisedRunner::run_batch_with_plans`]) when it can be had
+    /// [`Runner::run_batch_with_plans`]) when it can be had
     /// without simulating: a memo hit, counted as `cells_from_cache`, or
     /// else a valid persistent-cache entry, published to the memo and
     /// accounted exactly as a batch accounts a cell it restores.
@@ -353,13 +312,13 @@ impl MemoHandle {
     }
 }
 
-/// Supervised memoizing parallel experiment runner (see the module docs).
+/// Supervised memoizing parallel experiment runner (see the module docs);
+/// every figure entry point takes `&mut Runner`.
 #[derive(Debug, Default)]
-pub struct SupervisedRunner {
+pub struct Runner {
     memo: Arc<Memo<CellResult>>,
     jobs: usize,
     rule: CellRule,
-    max_retries: u32,
     /// Shared with every [`MemoHandle`], which folds the cells it
     /// restores into it.
     report: Arc<Mutex<RunReport>>,
@@ -371,16 +330,11 @@ pub struct SupervisedRunner {
     cache: Option<Arc<ExperimentCache>>,
 }
 
-/// The historical name: every figure entry point takes `&mut Runner`.
-pub type Runner = SupervisedRunner;
-
-impl SupervisedRunner {
-    /// A fresh runner: empty cache, no fault plan, default retry budget,
-    /// one worker.
+impl Runner {
+    /// A fresh runner: empty cache, no fault plan, one worker.
     pub fn new() -> Self {
         Self {
             jobs: 1,
-            max_retries: DEFAULT_RETRIES,
             ..Self::default()
         }
     }
@@ -398,7 +352,7 @@ impl SupervisedRunner {
         self
     }
 
-    /// Attach a telemetry hub: every batch, cell, retry, quarantine and
+    /// Attach a telemetry hub: every batch, cell, quarantine and
     /// in-flight memo wait is counted, executed-cell span streams are
     /// collected (when the hub records spans), and verbose diagnostics
     /// route through the hub's sink.
@@ -429,7 +383,7 @@ impl SupervisedRunner {
     }
 
     /// The runner's telemetry handle (disabled unless
-    /// [`SupervisedRunner::with_telemetry`] was called).
+    /// [`Runner::with_telemetry`] was called).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
@@ -482,16 +436,9 @@ impl SupervisedRunner {
         self
     }
 
-    /// Set the retry budget: a configuration is attempted `1 + retries`
-    /// times before quarantine.
-    pub fn retries(mut self, retries: u32) -> Self {
-        self.max_retries = retries;
-        self
-    }
-
     /// Catch panics from individual cell runs and convert them into
-    /// [`ExperimentError::Panicked`], which then flows through the normal
-    /// retry/quarantine machinery instead of aborting the whole batch.
+    /// [`ExperimentError::Panicked`], which then quarantines the cell like
+    /// any other failure instead of aborting the whole batch.
     ///
     /// Off by default: batch sweeps *want* a panicking cell to abort the
     /// figure loudly. The serving daemon turns this on so one tenant's
@@ -520,14 +467,14 @@ impl SupervisedRunner {
         self
     }
 
-    /// Run `config` (or return the cached result), retrying and
-    /// quarantining per the runner's policy.
+    /// Run `config` (or return the cached result), quarantining it if it
+    /// fails.
     ///
     /// # Errors
     ///
-    /// The last underlying [`ExperimentError`] once the retry budget is
-    /// exhausted; [`ExperimentError::Quarantined`] (without executing
-    /// anything) on every subsequent request for that configuration.
+    /// The underlying [`ExperimentError`] when the run fails;
+    /// [`ExperimentError::Quarantined`] (without executing anything) on
+    /// every subsequent request for that configuration.
     pub fn run(&mut self, config: &ExperimentConfig) -> Result<Arc<RunSummary>, ExperimentError> {
         self.run_batch(std::slice::from_ref(config))
             .pop()
@@ -552,7 +499,7 @@ impl SupervisedRunner {
         self.run_batch_with_plans(&batch)
     }
 
-    /// [`SupervisedRunner::run_batch`] with an explicit master fault plan
+    /// [`Runner::run_batch`] with an explicit master fault plan
     /// per cell: `Some(plan)` replaces the runner-level default/override
     /// resolution for that cell only (per-cell seed derivation still
     /// applies), `None` behaves exactly like `run_batch`.
@@ -609,7 +556,6 @@ impl SupervisedRunner {
         let _batch_span = self.telemetry.host_span("runner", "batch");
         let pool = SweepPool::new(self.jobs).with_telemetry(self.telemetry.clone());
         let memo = &self.memo;
-        let max_retries = self.max_retries;
         let verbose = self.verbose;
         let contain = self.contain_panics;
         let telemetry = self.telemetry.clone();
@@ -654,14 +600,8 @@ impl SupervisedRunner {
                                 Some(t) => share(t, config, verbose, &telemetry),
                                 None => {
                                     let plan = config.derive_plan(*master);
-                                    let (result, rec, shareable) = execute_cell(
-                                        config,
-                                        plan,
-                                        max_retries,
-                                        verbose,
-                                        contain,
-                                        &telemetry,
-                                    );
+                                    let (result, rec, shareable) =
+                                        execute_cell(config, plan, verbose, contain, &telemetry);
                                     if let (Ok(summary), true) = (&result, shareable) {
                                         trunk = Some(Arc::clone(summary));
                                     }
@@ -705,9 +645,8 @@ impl SupervisedRunner {
                     rec,
                     &value,
                 );
-                // The executing occurrence surfaces the underlying error,
-                // exactly like the serial retry loop did.
-                out.push(value.map_err(|failure| failure.underlying));
+                // The executing occurrence surfaces the underlying error.
+                out.push(value);
                 continue;
             }
             self.telemetry.count(
@@ -723,25 +662,11 @@ impl SupervisedRunner {
                 self.telemetry.count(CounterId::QuarantineHits, 1);
                 ExperimentError::Quarantined {
                     config: Box::new(config.clone()),
-                    attempts: failure.attempts,
-                    last_error: failure.last_error,
+                    last_error: failure.to_string(),
                 }
             }));
         }
         out
-    }
-
-    /// Tolerant cell execution for figure sweeps: a failure is recorded as
-    /// a [`FailedCell`] (in the returned value and the [`RunReport`]) and
-    /// the sweep continues with the cell empty.
-    pub fn cell(
-        &mut self,
-        config: &ExperimentConfig,
-        failed: &mut Vec<FailedCell>,
-    ) -> Option<Arc<RunSummary>> {
-        self.cells(std::slice::from_ref(config), failed)
-            .pop()
-            .expect("one result per submitted config")
     }
 
     /// Tolerant **batch** execution for figure sweeps: the whole grid runs
@@ -788,7 +713,7 @@ impl SupervisedRunner {
 
 /// Account one cell a batch or a [`MemoHandle`] resolved, by computing it
 /// or restoring it from the persistent cache: the cache and execution
-/// counters, the record's attempts, retries and faults (`runs_ok` and the
+/// counters, the record's faults (`runs_ok` and the
 /// fault merge), any quarantine, and the histograms and counters of a
 /// successful cell. This is the one place that accounting lives.
 fn account_resolved(
@@ -815,15 +740,9 @@ fn account_resolved(
             telemetry.count(CounterId::CacheStores, 1);
         }
     }
-    telemetry.count(CounterId::AttemptsFailed, rec.attempts_failed);
-    telemetry.count(CounterId::Retries, rec.retries);
-    telemetry.count(CounterId::BackoffVirtualMs, rec.backoff_ms);
     telemetry.observe(HistId::CellHostUs, rec.host_us);
     {
         let mut report = lock_unpoisoned(report);
-        report.attempts_failed += rec.attempts_failed;
-        report.retries += rec.retries;
-        report.backoff_virtual_ms += rec.backoff_ms;
         report.faults.injected_oom += rec.injected_oom;
         report.faults.budget_exhausted += rec.budget_exhausted;
         if let Some(faults) = rec.success_faults {
@@ -833,10 +752,7 @@ fn account_resolved(
         if let Some(q) = rec.quarantined {
             telemetry.count(CounterId::CellsQuarantined, 1);
             if verbose {
-                telemetry.log(&format!(
-                    "quarantined {} after {} attempts",
-                    q.config, q.attempts
-                ));
+                telemetry.log(&format!("quarantined {}", q.config));
             }
             report.quarantined.push(q);
         }
@@ -923,80 +839,62 @@ fn share(
     (Ok(Arc::new(summary)), rec)
 }
 
-/// The per-cell retry loop: runs on a pool worker, touches no shared
-/// state, and reports everything it did through the returned record, and
-/// whether a successful run took no heap-size-dependent branch (so it may
-/// answer the larger heaps of its ladder). With `contain` set, a panicking
-/// run is caught and mapped to [`ExperimentError::Panicked`], entering the
-/// same retry/quarantine path as any other failure.
+/// Run one cell: runs on a pool worker, touches no shared state, and
+/// reports everything it did through the returned record, and whether a
+/// successful run took no heap-size-dependent branch (so it may answer the
+/// larger heaps of its ladder). A failed run is quarantined at once: the
+/// cell is a pure function of `config` and `plan`, so a rerun would fail
+/// the same way. With `contain` set, a panicking run is caught and mapped
+/// to [`ExperimentError::Panicked`], quarantined like any other failure.
 fn execute_cell(
     config: &ExperimentConfig,
     plan: FaultPlan,
-    max_retries: u32,
     verbose: bool,
     contain: bool,
     telemetry: &Telemetry,
 ) -> (CellResult, ExecutionRecord, bool) {
     let started = Instant::now();
-    let mut rec = ExecutionRecord::default();
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        if verbose {
-            telemetry.log(&format!("running {config} (attempt {attempts})"));
-        }
-        let outcome = if contain {
-            // AssertUnwindSafe: the closure only touches `config` and the
-            // Copy `plan`; `run_bounded` builds all VM state afresh, so no
-            // shared state can be observed half-mutated after a panic.
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| config.run_bounded(plan)))
-                .unwrap_or_else(|payload| {
-                    Err(ExperimentError::Panicked {
-                        config: Box::new(config.clone()),
-                        message: panic_message(payload.as_ref()),
-                    })
-                })
-        } else {
-            config.run_bounded(plan)
-        };
-        match outcome {
-            Ok((summary, heap_bound)) => {
-                rec.success_faults = Some(summary.report.faults);
-                rec.host_us = micros_since(started);
-                return (Ok(Arc::new(summary)), rec, !heap_bound);
-            }
-            Err(e) => {
-                rec.attempts_failed += 1;
-                if let ExperimentError::Vm { source, .. } = &e {
-                    match source {
-                        VmError::InjectedOom { .. } => rec.injected_oom += 1,
-                        VmError::StepBudgetExhausted { .. } => rec.budget_exhausted += 1,
-                        _ => {}
-                    }
-                }
-                if attempts > max_retries {
-                    rec.quarantined = Some(QuarantinedConfig {
-                        config: config.to_string(),
-                        benchmark: config.benchmark.clone(),
-                        attempts,
-                        last_error: e.to_string(),
-                    });
-                    rec.host_us = micros_since(started);
-                    return (
-                        Err(StoredFailure {
-                            attempts,
-                            last_error: e.to_string(),
-                            underlying: e,
-                        }),
-                        rec,
-                        false,
-                    );
-                }
-                rec.retries += 1;
-                rec.backoff_ms += backoff_ms(attempts);
-            }
-        }
+    if verbose {
+        telemetry.log(&format!("running {config}"));
     }
+    let outcome = if contain {
+        // AssertUnwindSafe: the closure only touches `config` and the Copy
+        // `plan`; `run_bounded` builds all VM state afresh, so no shared
+        // state can be observed half-mutated after a panic.
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| config.run_bounded(plan)))
+            .unwrap_or_else(|payload| {
+                Err(ExperimentError::Panicked {
+                    config: Box::new(config.clone()),
+                    message: panic_message(payload.as_ref()),
+                })
+            })
+    } else {
+        config.run_bounded(plan)
+    };
+    let mut rec = ExecutionRecord::default();
+    let (result, shareable) = match outcome {
+        Ok((summary, heap_bound)) => {
+            rec.success_faults = Some(summary.report.faults);
+            (Ok(Arc::new(summary)), !heap_bound)
+        }
+        Err(e) => {
+            if let ExperimentError::Vm { source, .. } = &e {
+                match source {
+                    VmError::InjectedOom { .. } => rec.injected_oom = 1,
+                    VmError::StepBudgetExhausted { .. } => rec.budget_exhausted = 1,
+                    _ => {}
+                }
+            }
+            rec.quarantined = Some(QuarantinedConfig {
+                config: config.to_string(),
+                benchmark: config.benchmark.clone(),
+                last_error: e.to_string(),
+            });
+            (Err(e), false)
+        }
+    };
+    rec.host_us = micros_since(started);
+    (result, rec, shareable)
 }
 
 #[cfg(test)]
@@ -1023,39 +921,27 @@ mod tests {
     }
 
     #[test]
-    fn backoff_is_capped_exponential() {
-        assert_eq!(backoff_ms(1), 100);
-        assert_eq!(backoff_ms(2), 200);
-        assert_eq!(backoff_ms(3), 400);
-        assert_eq!(backoff_ms(8), 10_000);
-        assert_eq!(backoff_ms(u32::MAX), 10_000);
-    }
-
-    #[test]
-    fn persistent_failure_is_retried_then_quarantined() {
+    fn persistent_failure_runs_once_then_is_quarantined() {
         let oom = FaultPlan::parse("oom@1").unwrap();
-        let mut r = Runner::new().retries(2).fault_override("moldyn", oom);
+        let mut r = Runner::new().fault_override("moldyn", oom);
         let cfg = quick("moldyn");
 
         let err = r.run(&cfg).expect_err("oom@1 always fails");
         assert!(matches!(err, ExperimentError::Vm { .. }));
-        assert_eq!(r.report().retries, 2, "retried to budget");
-        assert_eq!(r.report().attempts_failed, 3, "1 + 2 retries");
-        assert_eq!(r.report().backoff_virtual_ms, 100 + 200);
         assert_eq!(r.report().quarantined.len(), 1);
-        assert_eq!(r.report().faults.injected_oom, 3);
+        assert_eq!(r.report().faults.injected_oom, 1, "one run");
 
         // Subsequent requests are refused without executing anything.
         let err = r.run(&cfg).expect_err("quarantined");
         assert!(matches!(err, ExperimentError::Quarantined { .. }));
-        assert_eq!(r.report().attempts_failed, 3, "no new attempts");
+        assert_eq!(r.report().faults.injected_oom, 1, "no new runs");
         assert_eq!(r.report().quarantine_hits, 1);
     }
 
     #[test]
     fn override_only_hits_its_benchmark() {
         let oom = FaultPlan::parse("oom@1").unwrap();
-        let mut r = Runner::new().retries(0).fault_override("moldyn", oom);
+        let mut r = Runner::new().fault_override("moldyn", oom);
         assert!(r.run(&quick("moldyn")).is_err());
         assert!(r.run(&quick("search")).is_ok());
         assert!(r.report().faults.is_clean() || r.report().faults.injected_oom > 0);
@@ -1064,24 +950,25 @@ mod tests {
     #[test]
     fn tolerant_cell_records_failures_and_continues() {
         let oom = FaultPlan::parse("oom@1").unwrap();
-        let mut r = Runner::new().retries(0).fault_override("moldyn", oom);
+        let mut r = Runner::new().fault_override("moldyn", oom);
         let mut failed = Vec::new();
-        assert!(r.cell(&quick("moldyn"), &mut failed).is_none());
-        assert!(r.cell(&quick("search"), &mut failed).is_some());
+        let moldyn = quick("moldyn");
+        assert!(r.cells(std::slice::from_ref(&moldyn), &mut failed)[0].is_none());
+        assert!(r.cells(&[quick("search")], &mut failed)[0].is_some());
         assert_eq!(failed.len(), 1);
         assert_eq!(failed[0].benchmark, "moldyn");
         assert_eq!(r.report().failed_cells.len(), 1);
         // Re-requesting the same dead cell does not duplicate the report
         // entry.
         let mut more = Vec::new();
-        assert!(r.cell(&quick("moldyn"), &mut more).is_none());
+        assert!(r.cells(std::slice::from_ref(&moldyn), &mut more)[0].is_none());
         assert_eq!(r.report().failed_cells.len(), 1);
     }
 
     #[test]
     fn failed_cells_that_differ_only_in_platform_are_both_reported() {
         let oom = FaultPlan::parse("oom@1").unwrap();
-        let mut r = Runner::new().retries(0).with_faults(oom);
+        let mut r = Runner::new().with_faults(oom);
         let mut p6 = ExperimentConfig::kaffe("search", 32);
         p6.scale = InputScale::Reduced;
         let pxa = ExperimentConfig::kaffe_pxa("search", 32);
@@ -1094,14 +981,13 @@ mod tests {
     #[test]
     fn report_serializes_to_json() {
         let oom = FaultPlan::parse("oom@1").unwrap();
-        let mut r = Runner::new().retries(1).fault_override("moldyn", oom);
+        let mut r = Runner::new().fault_override("moldyn", oom);
         let _ = r.run(&quick("moldyn"));
         let _ = r.run(&quick("search"));
         let json = r.report().to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"runs_ok\":1"));
-        assert!(json.contains("\"retries\":1"));
-        assert!(json.contains("\"injected_oom\":2"));
+        assert!(json.contains("\"injected_oom\":1"));
         assert!(json.contains("\"quarantined\":[{"));
         assert!(json.contains("moldyn"));
     }
@@ -1135,7 +1021,7 @@ mod tests {
     #[test]
     fn batch_duplicate_of_quarantined_cell_counts_a_hit() {
         let oom = FaultPlan::parse("oom@1").unwrap();
-        let mut r = Runner::new().retries(1).fault_override("moldyn", oom);
+        let mut r = Runner::new().fault_override("moldyn", oom);
         let cfg = quick("moldyn");
         let results = r.run_batch(&[cfg.clone(), cfg.clone()]);
         // First occurrence surfaces the underlying error, the duplicate is
@@ -1145,7 +1031,7 @@ mod tests {
             results[1],
             Err(ExperimentError::Quarantined { .. })
         ));
-        assert_eq!(r.report().attempts_failed, 2, "1 + 1 retry, once");
+        assert_eq!(r.report().faults.injected_oom, 1, "executed once");
         assert_eq!(r.report().quarantine_hits, 1);
         assert_eq!(r.report().quarantined.len(), 1);
     }
@@ -1153,7 +1039,7 @@ mod tests {
     #[test]
     fn per_request_plans_override_runner_policy() {
         let oom = FaultPlan::parse("oom@1").unwrap();
-        let mut r = Runner::new().retries(0).jobs(2);
+        let mut r = Runner::new().jobs(2);
         let cfg = quick("moldyn");
         let results = r.run_batch_with_plans(&[(cfg.clone(), Some(oom)), (cfg.clone(), None)]);
         // Same benchmark, different plans: distinct cells, the poisoned

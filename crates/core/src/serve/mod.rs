@@ -29,7 +29,7 @@
 //!   injected OOM, even a panic inside the experiment — becomes a typed
 //!   error *line* for that request, never a dead worker or a dead daemon
 //!   (the runner executes with
-//!   [`SupervisedRunner::contain_panics`](crate::SupervisedRunner::contain_panics));
+//!   [`Runner::contain_panics`](crate::Runner::contain_panics));
 //! * admission is bounded: a full queue answers `queue_full` (the HTTP
 //!   429 analogue) immediately instead of queueing unboundedly;
 //! * slow readers shed chatter, with counts, never results
@@ -143,8 +143,6 @@ pub struct ServeConfig {
     pub quarantine_cooldown: u64,
     /// Per-request resource envelope.
     pub envelope: Envelope,
-    /// Runner retry budget per cell.
-    pub retries: u32,
     /// Write the final Prometheus dump here on shutdown.
     pub metrics_out: Option<PathBuf>,
     /// Write the final `RunReport` JSON here on shutdown.
@@ -164,7 +162,6 @@ impl Default for ServeConfig {
             quarantine_threshold: 3,
             quarantine_cooldown: 16,
             envelope: Envelope::default(),
-            retries: 2,
             metrics_out: None,
             report_json: None,
             verbose: false,
@@ -372,7 +369,6 @@ pub fn serve(config: ServeConfig) -> Result<(), String> {
     let jobs = config.jobs.max(1);
     let mut runner = Runner::new()
         .jobs(jobs)
-        .retries(config.retries)
         .contain_panics(true)
         .with_telemetry(telemetry.clone());
     if let Some(cache) = &cache {

@@ -2,7 +2,7 @@
 //!
 //! One bounded admission queue feeds one executor thread, which drains it
 //! in tenant round-robin order and submits each round as a batch to the
-//! [`SupervisedRunner`](crate::SupervisedRunner)'s sweep pool.
+//! [`Runner`](crate::Runner)'s sweep pool.
 //! Admission decisions (queue-full, quarantine, draining) are made under
 //! one lock on the reader thread of whichever connection submitted the
 //! request, so every rejection is immediate and carries an exact reason.

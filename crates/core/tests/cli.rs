@@ -114,7 +114,7 @@ fn fault_flags_inject_and_report() {
 }
 
 #[test]
-fn injected_oom_is_retried_then_surfaces_with_attempt_count() {
+fn injected_oom_runs_once_and_surfaces_the_typed_error() {
     let out = bin()
         .args([
             "moldyn",
@@ -124,26 +124,58 @@ fn injected_oom_is_retried_then_surfaces_with_attempt_count() {
             "s10",
             "--faults",
             "oom@100",
-            "--retries",
-            "1",
+            "--verbose",
         ])
         .output()
         .expect("binary runs");
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("injected heap exhaustion"), "stderr: {err}");
-    assert!(err.contains("2 attempts"), "stderr: {err}");
+    // The last line is the cell's own `ExperimentError::Vm`, not a
+    // replayed quarantine.
+    let last = err.lines().last().unwrap_or_default();
+    assert!(
+        last.starts_with("error: experiment moldyn on Jikes/GenCopy @ 32 MB"),
+        "stderr: {err}"
+    );
+    assert!(
+        last.contains(") failed: injected heap exhaustion"),
+        "stderr: {err}"
+    );
+    // One run, then quarantine.
+    let logged = |what: &str| err.lines().filter(|l| l.contains(what)).count();
+    assert_eq!(logged("running moldyn"), 1, "stderr: {err}");
+    assert_eq!(logged("quarantined moldyn"), 1, "stderr: {err}");
+}
+
+#[test]
+fn the_retry_budget_flag_is_gone_from_both_binaries() {
+    let cases: [(&str, &[&str]); 2] = [
+        (
+            env!("CARGO_BIN_EXE_vmprobe-run"),
+            &["moldyn", "--retries", "1"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_vmprobe-serve"),
+            &["--socket", "s", "--retries", "1"],
+        ),
+    ];
+    for (path, args) in cases {
+        let out = Command::new(path).args(args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "{path}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err, "error: unknown flag --retries\n", "{path}");
+    }
 }
 
 #[test]
 fn bad_flag_values_fail_clearly() {
     let out = bin()
-        .args(["moldyn", "--retries", "lots"])
+        .args(["moldyn", "--jobs", "lots"])
         .output()
         .expect("binary runs");
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--retries"), "stderr: {err}");
+    assert!(err.contains("--jobs"), "stderr: {err}");
 
     let out = bin()
         .args(["moldyn", "--faults", "zap=1"])
@@ -381,7 +413,7 @@ fn boolean_flags_reject_inline_values() {
 /// exit code (1 for run and serve, 2 for diff and analyze).
 #[test]
 fn malformed_arguments_yield_one_error_line_on_every_binary() {
-    let cases: [(&str, u8, &[&str]); 34] = [
+    let cases: [(&str, u8, &[&str]); 33] = [
         ("vmprobe-run", 1, &["moldyn", "semispace", "0", "p6", "s10"]),
         ("vmprobe-run", 1, &["moldyn", "gencopy", "4294967296"]),
         ("vmprobe-run", 1, &["moldyn", "gencopy", "lots"]),
@@ -394,7 +426,6 @@ fn malformed_arguments_yield_one_error_line_on_every_binary() {
         ),
         ("vmprobe-run", 1, &["_999_bogus"]),
         ("vmprobe-run", 1, &["moldyn", "--jobs", "0"]),
-        ("vmprobe-run", 1, &["moldyn", "--retries", "lots"]),
         ("vmprobe-run", 1, &["moldyn", "--seed", "-1"]),
         ("vmprobe-run", 1, &["moldyn", "--faults", "zap=1"]),
         ("vmprobe-run", 1, &["moldyn", "--faults"]),

@@ -54,9 +54,7 @@ fn fig6_sweep_completes_under_five_percent_sample_drop() {
 
 #[test]
 fn persistent_failure_is_quarantined_and_other_cells_still_fill() {
-    let mut runner = Runner::new()
-        .retries(1)
-        .fault_override("_213_javac", FaultPlan::parse("oom@1").unwrap());
+    let mut runner = Runner::new().fault_override("_213_javac", FaultPlan::parse("oom@1").unwrap());
     let fig = figures::fig6(&mut runner, &figures::all_benchmark_names(), &[32])
         .expect("sweep completes");
 
@@ -65,22 +63,19 @@ fn persistent_failure_is_quarantined_and_other_cells_still_fill() {
     let expected_ok = all_benchmarks().len() - 1;
     assert_eq!(fig.rows.len(), expected_ok);
 
-    // Its cell is reported as failed and quarantined after the configured
-    // retry budget (1 initial attempt + 1 retry).
+    // Its cell is reported as failed and quarantined after its one run.
     assert_eq!(fig.failed.len(), 1);
     assert_eq!(fig.failed[0].benchmark, "_213_javac");
 
     let report = runner.report();
     assert_eq!(report.quarantined.len(), 1);
     assert_eq!(report.quarantined[0].benchmark, "_213_javac");
-    assert_eq!(report.quarantined[0].attempts, 2);
     assert_eq!(report.runs_ok, expected_ok as u64);
-    assert_eq!(report.attempts_failed, 2);
 
     let json = report.to_json();
     assert!(json.contains("\"quarantined\":[{"), "json: {json}");
     assert!(json.contains("_213_javac"), "json: {json}");
-    assert!(json.contains("\"injected_oom\":2"), "json: {json}");
+    assert!(json.contains("\"injected_oom\":1"), "json: {json}");
 }
 
 #[test]
@@ -89,7 +84,6 @@ fn failed_cells_of_both_platforms_are_told_apart() {
     // cells, which fail alike under `oom@1`; only the platform differs.
     let grid = figures::Grid::quick();
     let mut runner = Runner::new()
-        .retries(0)
         .scale(InputScale::Reduced)
         .with_faults(FaultPlan::parse("oom@1").unwrap());
     let fig9 = figures::fig9(&mut runner, &grid.p6_benchmarks, &grid.p6_heaps).unwrap();
@@ -127,7 +121,6 @@ fn edp_tables_keep_every_heap_column_when_the_first_curve_has_gaps() {
     // has no points; `_209_db`'s EDPs must still print under their heaps.
     let mut runner = Runner::new()
         .scale(InputScale::Reduced)
-        .retries(0)
         .fault_override("_213_javac", FaultPlan::parse("oom@1").unwrap());
     let benchmarks = ["_213_javac", "_209_db"];
     let fig7 = figures::fig7(&mut runner, &benchmarks, &HEAPS).unwrap();

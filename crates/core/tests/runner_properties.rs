@@ -1,4 +1,4 @@
-//! Property tests for the supervised runner's retry/quarantine discipline.
+//! Property tests for the supervised runner's quarantine discipline.
 
 use proptest::prelude::*;
 use vmprobe::{ExperimentConfig, ExperimentError, FaultPlan, Runner};
@@ -8,115 +8,41 @@ use vmprobe_workloads::InputScale;
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12 })]
 
+    /// A failing cell runs exactly once: its fault plan is derived from
+    /// the master seed and the cell key, so a rerun could only fail the
+    /// same way. Every later request replays the quarantined failure from
+    /// the negative memo entry without executing anything.
     #[test]
     fn a_quarantined_config_is_never_retried(
-        retries in 0u32..4,
         oom_at in 1u64..50,
         extra_runs in 1u64..4,
     ) {
         let plan = FaultPlan::parse(&format!("oom@{oom_at}")).unwrap();
-        let mut runner = Runner::new().retries(retries).with_faults(plan);
+        let mut runner = Runner::new().with_faults(plan);
         let mut cfg = ExperimentConfig::jikes("moldyn", CollectorKind::GenCopy, 32);
         cfg.scale = InputScale::Reduced;
 
-        // First request: one initial attempt plus `retries` retries, then
-        // quarantine. The underlying error surfaces on this exhaustion.
-        let first = runner.run(&cfg);
-        prop_assert!(first.is_err());
-        let exhausted = u64::from(retries) + 1;
-        prop_assert_eq!(runner.report().attempts_failed, exhausted);
-        prop_assert_eq!(runner.report().retries, u64::from(retries));
+        // First request: one run, then quarantine. The underlying error
+        // surfaces on this request.
+        let first = runner.run(&cfg).expect_err("oom fails");
+        prop_assert!(matches!(first, ExperimentError::Vm { .. }), "expected Vm, got {first:?}");
+        let first = first.to_string();
+        prop_assert_eq!(runner.report().faults.injected_oom, 1, "one run");
         prop_assert_eq!(runner.report().quarantined.len(), 1);
+        prop_assert_eq!(&runner.report().quarantined[0].last_error, &first);
 
-        // Every later request must be refused from the negative cache
-        // without executing: attempt counters stay frozen.
+        // Every later request is refused from the negative cache without
+        // executing: the injected-OOM count stays frozen.
         for i in 0..extra_runs {
             match runner.run(&cfg) {
-                Err(ExperimentError::Quarantined { attempts, .. }) => {
-                    prop_assert_eq!(u64::from(attempts), exhausted);
+                Err(ExperimentError::Quarantined { last_error, .. }) => {
+                    prop_assert_eq!(&last_error, &first);
                 }
                 other => prop_assert!(false, "expected Quarantined, got {other:?}"),
             }
-            prop_assert_eq!(runner.report().attempts_failed, exhausted);
-            prop_assert_eq!(runner.report().retries, u64::from(retries));
+            prop_assert_eq!(runner.report().faults.injected_oom, 1);
             prop_assert_eq!(runner.report().quarantine_hits, i + 1);
         }
         prop_assert_eq!(runner.report().quarantined.len(), 1);
-    }
-
-    /// Exhaustion edge: a retry budget of zero means exactly one attempt,
-    /// zero retries, zero virtual backoff — quarantine happens on the very
-    /// first failure, never a second execution.
-    #[test]
-    fn retry_budget_zero_quarantines_on_the_first_failure(
-        oom_at in 1u64..50,
-    ) {
-        let plan = FaultPlan::parse(&format!("oom@{oom_at}")).unwrap();
-        let mut runner = Runner::new().retries(0).with_faults(plan);
-        let mut cfg = ExperimentConfig::jikes("moldyn", CollectorKind::GenCopy, 32);
-        cfg.scale = InputScale::Reduced;
-
-        let first = runner.run(&cfg);
-        prop_assert!(matches!(first, Err(ExperimentError::Vm { .. })));
-        prop_assert_eq!(runner.report().attempts_failed, 1);
-        prop_assert_eq!(runner.report().retries, 0);
-        prop_assert_eq!(runner.report().backoff_virtual_ms, 0, "no retry, no backoff");
-        prop_assert_eq!(runner.report().quarantined.len(), 1);
-        prop_assert_eq!(runner.report().quarantined[0].attempts, 1);
-    }
-
-    /// Exhaustion edge: quarantine fires at exactly `1 + retries`
-    /// attempts — never one early, never one late — and the quarantine
-    /// record agrees with the attempt ledger.
-    #[test]
-    fn quarantine_triggers_on_the_exact_attempt_threshold(
-        retries in 0u32..5,
-    ) {
-        let plan = FaultPlan::parse("oom@1").unwrap();
-        let mut runner = Runner::new().retries(retries).with_faults(plan);
-        let mut cfg = ExperimentConfig::jikes("search", CollectorKind::GenCopy, 32);
-        cfg.scale = InputScale::Reduced;
-
-        prop_assert!(runner.run(&cfg).is_err());
-        let threshold = u64::from(retries) + 1;
-        prop_assert_eq!(runner.report().attempts_failed, threshold);
-        prop_assert_eq!(runner.report().quarantined.len(), 1);
-        prop_assert_eq!(u64::from(runner.report().quarantined[0].attempts), threshold);
-        // One more request must not add a single attempt past the
-        // threshold.
-        prop_assert!(matches!(
-            runner.run(&cfg),
-            Err(ExperimentError::Quarantined { .. })
-        ));
-        prop_assert_eq!(runner.report().attempts_failed, threshold);
-    }
-
-    /// Exhaustion edge: the virtual backoff schedule is the capped
-    /// geometric series 100, 200, 400, … ms, clamped at 10 000 ms — once
-    /// the cap is reached every further retry charges exactly the cap.
-    #[test]
-    fn backoff_accumulates_the_capped_geometric_series(
-        retries in 0u32..14,
-    ) {
-        let plan = FaultPlan::parse("oom@1").unwrap();
-        let mut runner = Runner::new().retries(retries).with_faults(plan);
-        let mut cfg = ExperimentConfig::jikes("moldyn", CollectorKind::GenCopy, 32);
-        cfg.scale = InputScale::Reduced;
-        prop_assert!(runner.run(&cfg).is_err());
-
-        let expected: u64 = (1..=u64::from(retries))
-            .map(|n| (100u64 << (n - 1).min(20)).min(10_000))
-            .sum();
-        prop_assert_eq!(runner.report().backoff_virtual_ms, expected);
-        // Past the eighth retry the cap dominates: totals grow linearly,
-        // not geometrically (the cap actually engaged for high budgets).
-        if retries >= 8 {
-            let below_cap: u64 = (1..8).map(|n| 100u64 << (n - 1)).sum();
-            let capped = u64::from(retries) - 7;
-            prop_assert_eq!(
-                runner.report().backoff_virtual_ms,
-                below_cap + capped * 10_000
-            );
-        }
     }
 }

@@ -310,8 +310,6 @@ fn healthy_results_are_byte_identical_to_batch_mode_and_sigterm_drains() {
         &[
             "--jobs",
             "2",
-            "--retries",
-            "0",
             "--report-json",
             report.to_str().unwrap(),
             "--metrics-out",
@@ -381,7 +379,7 @@ fn healthy_results_are_byte_identical_to_batch_mode_and_sigterm_drains() {
 fn one_tenants_pipelined_results_keep_request_order() {
     let dir = temp_dir("order");
     let socket = dir.join("daemon.sock");
-    let mut daemon = spawn_daemon(&socket, &["--jobs", "2", "--retries", "0"]);
+    let mut daemon = spawn_daemon(&socket, &["--jobs", "2"]);
 
     let mut dave = Client::connect(&socket);
     dave.send(&run_line("warm", "dave", "search", 32, None));
@@ -465,10 +463,7 @@ fn every_request_line_gets_exactly_one_typed_reply() {
     // The heap cap refuses every cell over 32 MB at admission, so the
     // mutants that still parse stay cheap: the only cells that reach the
     // executor are s10 moldyn ones, and most of those fail at `oom@1`.
-    let mut daemon = spawn_daemon(
-        &socket,
-        &["--jobs", "2", "--retries", "0", "--max-heap-mb", "32"],
-    );
+    let mut daemon = spawn_daemon(&socket, &["--jobs", "2", "--max-heap-mb", "32"]);
     let lines = hostile_lines();
     let mut client = Client::connect(&socket);
     let mut writer = client.writer.try_clone().expect("clone");
@@ -550,14 +545,7 @@ fn observe_requests_run_inline_and_match_the_batch_engine() {
     let metrics = dir.join("metrics.prom");
     let mut daemon = spawn_daemon(
         &socket,
-        &[
-            "--jobs",
-            "2",
-            "--retries",
-            "0",
-            "--metrics-out",
-            metrics.to_str().unwrap(),
-        ],
+        &["--jobs", "2", "--metrics-out", metrics.to_str().unwrap()],
     );
 
     let mut alice = Client::connect(&socket);
@@ -619,8 +607,6 @@ fn poisoned_tenant_is_quarantined_released_and_isolated() {
         &[
             "--jobs",
             "2",
-            "--retries",
-            "0",
             "--quarantine-threshold",
             "2",
             "--quarantine-cooldown",
@@ -733,8 +719,6 @@ fn malformed_programs_are_rejected_at_admission_without_touching_quarantine() {
         &[
             "--jobs",
             "2",
-            "--retries",
-            "0",
             "--quarantine-threshold",
             "2",
             "--quarantine-cooldown",
@@ -825,8 +809,6 @@ fn concurrent_mixed_tenants_soak_without_interference() {
         &[
             "--jobs",
             "4",
-            "--retries",
-            "0",
             "--quarantine-threshold",
             "2",
             "--quarantine-cooldown",

@@ -113,24 +113,20 @@ fn batch_with_duplicates_executes_each_distinct_config_once() {
 fn quarantined_configs_are_never_rerun_even_under_parallel_resubmission() {
     let mut runner = Runner::new()
         .jobs(8)
-        .retries(2)
         .fault_override("moldyn", FaultPlan::parse("oom@1").unwrap());
     let cfg = quick("moldyn", 32);
 
     // Eight parallel requests for the same doomed cell: exactly one
-    // execution (1 attempt + 2 retries), seven quarantine hits.
+    // execution, seven quarantine hits.
     let results = runner.run_batch(&vec![cfg.clone(); 8]);
     assert!(matches!(results[0], Err(ExperimentError::Vm { .. })));
     for r in &results[1..] {
         assert!(matches!(r, Err(ExperimentError::Quarantined { .. })));
     }
     let report = runner.report();
-    assert_eq!(report.attempts_failed, 3, "1 attempt + 2 retries, once");
-    assert_eq!(report.retries, 2);
-    assert_eq!(report.backoff_virtual_ms, 100 + 200);
+    assert_eq!(report.faults.injected_oom, 1, "executed once");
     assert_eq!(report.quarantine_hits, 7);
     assert_eq!(report.quarantined.len(), 1);
-    assert_eq!(report.faults.injected_oom, 3);
 
     // Later batches (mixed with healthy cells) still refuse to execute it.
     let mixed = vec![quick("search", 32), cfg.clone(), quick("fop", 32), cfg];
@@ -145,19 +141,18 @@ fn quarantined_configs_are_never_rerun_even_under_parallel_resubmission() {
         Err(ExperimentError::Quarantined { .. })
     ));
     let report = runner.report();
-    assert_eq!(report.attempts_failed, 3, "quarantine was re-executed");
+    assert_eq!(report.faults.injected_oom, 1, "quarantine was re-executed");
     assert_eq!(report.quarantine_hits, 9);
     assert_eq!(report.quarantined.len(), 1, "duplicate quarantine entry");
 }
 
 #[test]
-fn retry_accounting_is_exact_for_concurrent_failing_cells() {
-    // Three benchmarks fail persistently with different budgets consumed
-    // concurrently; totals must still be the exact sums.
+fn quarantine_accounting_is_exact_for_concurrent_failing_cells() {
+    // Three benchmarks fail persistently on concurrent workers; totals
+    // must still be the exact sums.
     let oom = FaultPlan::parse("oom@1").unwrap();
     let mut runner = Runner::new()
         .jobs(8)
-        .retries(1)
         .fault_override("moldyn", oom)
         .fault_override("search", oom)
         .fault_override("euler", oom);
@@ -168,13 +163,10 @@ fn retry_accounting_is_exact_for_concurrent_failing_cells() {
     let results = runner.run_batch(&batch);
     assert!(results.iter().all(Result::is_err));
     let report = runner.report();
-    // 6 cells × (1 attempt + 1 retry) each, no cross-talk.
-    assert_eq!(report.attempts_failed, 12);
-    assert_eq!(report.retries, 6);
-    assert_eq!(report.backoff_virtual_ms, 6 * 100);
+    // 6 cells × one run each, no cross-talk.
     assert_eq!(report.quarantined.len(), 6);
     assert_eq!(report.quarantine_hits, 0);
-    assert_eq!(report.faults.injected_oom, 12);
+    assert_eq!(report.faults.injected_oom, 6);
     assert_eq!(report.runs_ok, 0);
 }
 
@@ -183,7 +175,6 @@ fn report_json_is_stable_across_thread_counts_for_mixed_outcomes() {
     let render = |jobs: usize| {
         let mut runner = Runner::new()
             .jobs(jobs)
-            .retries(1)
             .with_faults(FaultPlan::parse("drop=0.1,seed=9").unwrap())
             .fault_override("moldyn", FaultPlan::parse("oom@1").unwrap());
         let batch: Vec<ExperimentConfig> = ["_209_db", "moldyn", "search", "fop"]

@@ -23,16 +23,10 @@ pub enum CounterId {
     CellsDedupedInBatch,
     /// Cells a tolerant figure sweep could not fill (first sighting only).
     CellsFailed,
-    /// Configurations quarantined after exhausting their retry budget.
+    /// Configurations quarantined after their one failed run.
     CellsQuarantined,
     /// Requests refused because the configuration was already quarantined.
     QuarantineHits,
-    /// Individual attempts that failed (including retries).
-    AttemptsFailed,
-    /// Retries performed (attempts beyond each configuration's first).
-    Retries,
-    /// Virtual backoff milliseconds accumulated by the retry schedule.
-    BackoffVirtualMs,
     /// Times a memo caller blocked on another thread's in-flight compute.
     MemoInFlightWaits,
     /// Batches submitted to the sweep pool.
@@ -114,7 +108,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// All counters, in export order.
-    pub const ALL: [CounterId; 43] = [
+    pub const ALL: [CounterId; 40] = [
         CounterId::CellsExecuted,
         CounterId::CellsShared,
         CounterId::CellsFromCache,
@@ -122,9 +116,6 @@ impl CounterId {
         CounterId::CellsFailed,
         CounterId::CellsQuarantined,
         CounterId::QuarantineHits,
-        CounterId::AttemptsFailed,
-        CounterId::Retries,
-        CounterId::BackoffVirtualMs,
         CounterId::MemoInFlightWaits,
         CounterId::BatchesSubmitted,
         CounterId::PhasesStarted,
@@ -170,9 +161,6 @@ impl CounterId {
             CounterId::CellsFailed => "cells_failed",
             CounterId::CellsQuarantined => "cells_quarantined",
             CounterId::QuarantineHits => "quarantine_hits",
-            CounterId::AttemptsFailed => "attempts_failed",
-            CounterId::Retries => "retries",
-            CounterId::BackoffVirtualMs => "backoff_virtual_ms",
             CounterId::MemoInFlightWaits => "memo_inflight_waits",
             CounterId::BatchesSubmitted => "batches_submitted",
             CounterId::PhasesStarted => "phases_started",
@@ -306,6 +294,5 @@ mod tests {
         });
         assert_eq!(set.get(CounterId::MemoInFlightWaits), 8 * 1000);
         assert_eq!(set.get(CounterId::CellsExecuted), 2 * 8 * 1000);
-        assert_eq!(set.get(CounterId::Retries), 0);
     }
 }

@@ -286,7 +286,7 @@ mod tests {
     #[test]
     fn prometheus_dump_has_counters_and_histograms() {
         let prom = sample_snapshot().prometheus();
-        assert!(prom.contains("vmprobe_schema_version 1"));
+        assert!(prom.contains(&format!("vmprobe_schema_version {}", crate::SCHEMA_VERSION)));
         assert!(prom.contains("vmprobe_cells_executed_total 2"));
         assert!(prom.contains("vmprobe_cell_spans_count 2"));
         assert!(prom.contains("vmprobe_cell_spans_bucket{le=\"+Inf\"} 2"));

@@ -239,13 +239,13 @@ mod tests {
     #[test]
     fn disabled_handle_is_inert() {
         let t = Telemetry::disabled();
-        t.count(CounterId::Retries, 3);
+        t.count(CounterId::QuarantineHits, 3);
         t.observe(HistId::CellSpans, 9);
         t.log("nothing");
         t.record_cell("k", &SpanTrace::new(1e9));
         drop(t.host_span("runner", "phase"));
         assert!(!t.is_enabled());
-        assert_eq!(t.counter(CounterId::Retries), 0);
+        assert_eq!(t.counter(CounterId::QuarantineHits), 0);
         let snap = t.snapshot();
         assert_eq!(snap.schema_version, crate::SCHEMA_VERSION);
         assert!(snap.cells.is_empty() && snap.host.is_empty());

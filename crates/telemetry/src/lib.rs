@@ -49,4 +49,4 @@ pub use span::{HostSpan, SpanTrace, VirtualSpan};
 /// Bump it whenever any of those formats changes shape; all three move in
 /// lockstep by construction because they all read this constant
 /// (`tests/telemetry_determinism.rs` asserts it).
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;

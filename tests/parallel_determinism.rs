@@ -29,14 +29,13 @@ fn plan(seed: u64) -> FaultPlan {
 /// Regenerate every tolerant figure sweep on one runner and render each
 /// table plus the final campaign report JSON.
 fn render_figures(jobs: usize, seed: u64) -> String {
-    // `moldyn` (in the quick grid) is persistently poisoned so quarantine,
-    // retry accounting and failed-cell rendering are part of what must
-    // replay identically.
+    // `moldyn` (in the quick grid) is persistently poisoned so quarantine
+    // accounting and failed-cell rendering are part of what must replay
+    // identically.
     let mut runner = Runner::new()
         .jobs(jobs)
         .scale(InputScale::Reduced)
         .with_faults(plan(seed))
-        .retries(1)
         .fault_override("moldyn", FaultPlan::parse("oom@1").unwrap());
     let grid = Grid::quick();
     let mut out = String::new();

@@ -120,7 +120,7 @@ fn fault_injection_is_unchanged_by_span_recording() {
     // faulted sweep injects byte-identical faults whether a span-recording
     // hub is attached or not. Before this held, `--trace-out` or
     // `--telemetry-overhead` combined with `--faults` silently reseeded
-    // every cell's fault stream (different drops, retries, quarantines)
+    // every cell's fault stream (different drops and quarantines)
     // and the overhead mode compared two different workloads.
     let plan = FaultPlan::parse("drop=0.1,dup=0.02,seed=11").expect("plan parses");
     let sweep = |telemetry: Telemetry| {
