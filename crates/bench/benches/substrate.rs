@@ -186,9 +186,7 @@ fn bench(c: &mut Criterion) {
         let mut cfg = ExperimentConfig::jikes("_209_db", CollectorKind::GenCopy, 32);
         cfg.scale = vmprobe_workloads::InputScale::Reduced;
         let summary = Arc::new(cfg.run().expect("cell runs"));
-        let cache = ExperimentCache::open(&dir)
-            .expect("temp dir")
-            .with_mem_capacity(0);
+        let cache = ExperimentCache::open(&dir).expect("temp dir");
         cache.store(&cfg.key(), &summary);
         b.iter(|| black_box(matches!(cache.lookup(&cfg.key()), CacheLookup::Hit(_))));
         let _ = std::fs::remove_dir_all(&dir);

@@ -133,11 +133,15 @@ impl Cli {
     }
 
     /// Build the telemetry handle the flags ask for (disabled if none do).
+    /// `--resume` reads its line off the cache counters, so it needs a
+    /// counters-only hub at least.
     fn make_telemetry(&self) -> Telemetry {
         if self.args.has("verbose") {
             Telemetry::with_sink(self.spans_wanted(), Box::new(StderrSink::new()))
         } else if self.spans_wanted() {
             Telemetry::with_sink(true, Box::new(NoopSink))
+        } else if self.args.has("resume") {
+            Telemetry::counters_only()
         } else {
             Telemetry::disabled()
         }
@@ -178,8 +182,8 @@ impl Cli {
 
     /// The outputs every mode ends with: the `--resume` accounting line
     /// (stderr only: cached and cold runs must produce byte-identical
-    /// stdout), the `--report-json` document, and the telemetry exports
-    /// from one snapshot.
+    /// stdout) from the run's cache counters, the `--report-json`
+    /// document, and the telemetry exports from one snapshot.
     fn finish(
         &self,
         cache: Option<&ExperimentCache>,
@@ -187,14 +191,14 @@ impl Cli {
         telemetry: &Telemetry,
     ) -> Result<(), String> {
         if let Some(cache) = cache.filter(|_| self.args.has("resume")) {
-            let s = cache.stats();
+            let corrupt = telemetry.counter(CounterId::CacheCorrupt);
             eprintln!(
                 "resume: {} cells restored from {}, {} recomputed ({} stored, {} corrupt entries replaced)",
-                s.hits(),
+                telemetry.counter(CounterId::CacheHits),
                 cache.dir().display(),
-                s.misses() + s.corrupt(),
-                s.stores(),
-                s.corrupt(),
+                telemetry.counter(CounterId::CacheMisses) + corrupt,
+                telemetry.counter(CounterId::CacheStores),
+                corrupt,
             );
         }
         if let Some(dest) = self.args.string("report-json") {

@@ -4,6 +4,9 @@
 //! process; this layer persists finished cells *across* processes, so a
 //! figure campaign re-run after a code-free restart (or an interrupted
 //! sweep resumed with `--cache-dir`) recomputes only what is missing.
+//! The cache keeps nothing in memory and counts nothing: every probe reads
+//! the disk, and the runner's telemetry (`cache_hits`, `cache_misses`,
+//! `cache_corrupt`, `cache_stores`) is the one ledger of its traffic.
 //!
 //! # Entry format
 //!
@@ -35,12 +38,12 @@
 //! (unique temp file in the cache directory, then `rename`), so a killed
 //! sweep never leaves a truncated entry a later resume would trust.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use vmprobe_heap::{CollectorKind, GcStats};
 use vmprobe_platform::PlatformKind;
@@ -54,17 +57,11 @@ use vmprobe_workloads::InputScale;
 
 use crate::experiment::{ExperimentConfig, RunSummary, VmChoice};
 use crate::json::{self, JsonObj, JsonValue};
-use crate::sweep::lock_unpoisoned;
 
 /// On-disk format version; bumping it invalidates every existing entry.
 /// v2 added the measurement-mode config fields and the probe ledger; v3
 /// replaced the line format with two JSON lines.
 const FORMAT_VERSION: u32 = 3;
-
-/// Default bound on the in-memory layer (entries, not bytes), sized so a
-/// full figure campaign fits while a multi-day soak cannot grow without
-/// limit.
-const DEFAULT_MEM_CAPACITY: usize = 4096;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -103,81 +100,6 @@ pub enum CacheLookup {
     Corrupt,
 }
 
-/// Monotonic counters describing cache traffic. Hits, misses and corrupt
-/// probes partition the probe count; every counted probe happens exactly
-/// once per unique cell key (inside the memo's in-flight window), so all
-/// of these are deterministic across `--jobs` settings. A hit-only probe
-/// ([`ExperimentCache::lookup_hit`]) is counted only when it hits, and is
-/// then the key's one probe; otherwise a counted probe follows it.
-#[derive(Debug, Default)]
-pub struct CacheStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    corrupt: AtomicU64,
-    stores: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl CacheStats {
-    /// Probes served from a valid entry.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Probes that found nothing usable (absent or stale).
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Probes that found a damaged entry (recomputed, never fatal).
-    pub fn corrupt(&self) -> u64 {
-        self.corrupt.load(Ordering::Relaxed)
-    }
-
-    /// Entries written (or overwritten) on disk.
-    pub fn stores(&self) -> u64 {
-        self.stores.load(Ordering::Relaxed)
-    }
-
-    /// Entries dropped from the bounded in-memory layer.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-}
-
-/// Bounded in-memory layer: FIFO by first insertion, so a long campaign's
-/// resident set stops growing at the capacity bound while the disk layer
-/// keeps everything.
-#[derive(Debug, Default)]
-struct MemLayer {
-    map: HashMap<String, Arc<RunSummary>>,
-    order: VecDeque<String>,
-    capacity: usize,
-}
-
-impl MemLayer {
-    /// Insert and evict down to capacity; returns how many entries fell out.
-    fn insert(&mut self, key: &str, value: Arc<RunSummary>) -> u64 {
-        if self.capacity == 0 {
-            return 0;
-        }
-        if self.map.insert(key.to_owned(), value).is_none() {
-            self.order.push_back(key.to_owned());
-        }
-        let mut evicted = 0;
-        while self.map.len() > self.capacity {
-            match self.order.pop_front() {
-                Some(old) => {
-                    self.map.remove(&old);
-                    evicted += 1;
-                }
-                None => break,
-            }
-        }
-        evicted
-    }
-}
-
 /// Process-wide temp-file sequence. Shared across *every*
 /// [`ExperimentCache`] instance, because the serving daemon (and tests)
 /// may open several handles onto the same directory: with a per-instance
@@ -185,18 +107,18 @@ impl MemLayer {
 /// and one handle's rename could publish the other's half-written bytes.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Disk-backed, content-addressed store for finished experiment cells.
+/// Disk-backed, content-addressed store for finished experiment cells: a
+/// directory and the fingerprint its entries must carry, nothing more.
 ///
-/// Layered *under* the in-process memo by the runner: the memo still
-/// deduplicates concurrent duplicates, the cache persists results across
-/// processes. Lookups and stores never fail the sweep — I/O problems and
-/// damaged entries degrade to recomputation.
+/// Layered *under* the in-process memo by the runner: the memo answers
+/// every repeat within a process, the cache persists results across
+/// processes, and the runner's telemetry counts every probe and store.
+/// Lookups and stores never fail the sweep — I/O problems and damaged
+/// entries degrade to recomputation.
 #[derive(Debug)]
 pub struct ExperimentCache {
     dir: PathBuf,
     fingerprint: String,
-    mem: Mutex<MemLayer>,
-    stats: CacheStats,
 }
 
 impl ExperimentCache {
@@ -213,20 +135,7 @@ impl ExperimentCache {
         Ok(Self {
             dir,
             fingerprint: build_fingerprint(),
-            mem: Mutex::new(MemLayer {
-                capacity: DEFAULT_MEM_CAPACITY,
-                ..MemLayer::default()
-            }),
-            stats: CacheStats::default(),
         })
-    }
-
-    /// Bound the in-memory layer to `capacity` entries (0 disables it;
-    /// the disk layer is unaffected).
-    #[must_use]
-    pub fn with_mem_capacity(self, capacity: usize) -> Self {
-        lock_unpoisoned(&self.mem).capacity = capacity;
-        self
     }
 
     /// Replace the entry fingerprint with an explicit `label`.
@@ -252,11 +161,6 @@ impl ExperimentCache {
         &self.dir
     }
 
-    /// Traffic counters.
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
-    }
-
     /// File an entry for `key` lives in.
     pub fn entry_path(&self, key: &str) -> PathBuf {
         let lo = fnv1a(key.as_bytes(), FNV_OFFSET);
@@ -264,36 +168,9 @@ impl ExperimentCache {
         self.dir.join(format!("{hi:016x}{lo:016x}.entry"))
     }
 
-    /// Probe for `key`, checking the in-memory layer first, then disk.
+    /// Read and check the entry for `key`.
     pub fn lookup(&self, key: &str) -> CacheLookup {
-        let outcome = self.probe(key);
-        let counter = match &outcome {
-            CacheLookup::Hit(_) => &self.stats.hits,
-            CacheLookup::Miss => &self.stats.misses,
-            CacheLookup::Corrupt => &self.stats.corrupt,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        outcome
-    }
-
-    /// The summary stored for `key` when it is a valid hit, counted like
-    /// a [`ExperimentCache::lookup`] hit. A miss or a damaged entry is
-    /// `None` and counts nothing, so the caller's later `lookup` stays the
-    /// key's one counted probe.
-    pub fn lookup_hit(&self, key: &str) -> Option<Arc<RunSummary>> {
-        let CacheLookup::Hit(summary) = self.probe(key) else {
-            return None;
-        };
-        self.stats.hits.fetch_add(1, Ordering::Relaxed);
-        Some(summary)
-    }
-
-    /// One uncounted probe; a disk hit is promoted to the in-memory layer.
-    fn probe(&self, key: &str) -> CacheLookup {
-        if let Some(hit) = lock_unpoisoned(&self.mem).map.get(key) {
-            return CacheLookup::Hit(Arc::clone(hit));
-        }
-        let outcome = match fs::read(self.entry_path(key)) {
+        match fs::read(self.entry_path(key)) {
             Err(_) => CacheLookup::Miss,
             // The file exists, so anything unreadable from here on is
             // damage, including bit flips that break the UTF-8 encoding.
@@ -301,40 +178,32 @@ impl ExperimentCache {
                 Ok(text) => parse_entry(&text, key, &self.fingerprint),
                 Err(_) => CacheLookup::Corrupt,
             },
-        };
-        if let CacheLookup::Hit(summary) = &outcome {
-            let ev = lock_unpoisoned(&self.mem).insert(key, Arc::clone(summary));
-            self.stats.evictions.fetch_add(ev, Ordering::Relaxed);
         }
-        outcome
     }
 
     /// Persist a freshly computed summary under `key` (atomic write:
-    /// unique temp file, then rename). I/O failure is swallowed — the
-    /// sweep's results are already in memory and must not be lost to a
-    /// full disk.
+    /// unique temp file, then rename) and say whether the entry was
+    /// published. I/O failure is not an error — the sweep's results are
+    /// already in memory and must not be lost to a full disk.
     ///
     /// Safe under a *shared* cache directory: the temp name is unique per
     /// (process, process-wide sequence), and `rename` atomically replaces
     /// any existing entry, so two threads — or two processes — storing
     /// the same key concurrently both succeed and readers only ever see
     /// a complete entry (one of the two, whole).
-    pub fn store(&self, key: &str, summary: &Arc<RunSummary>) {
+    pub fn store(&self, key: &str, summary: &RunSummary) -> bool {
         let text = render_entry(key, &self.fingerprint, summary);
-        let path = self.entry_path(key);
         let tmp = self.dir.join(format!(
             ".tmp-{}-{}",
             std::process::id(),
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        let ok = fs::write(&tmp, text).is_ok() && fs::rename(&tmp, &path).is_ok();
-        if ok {
-            self.stats.stores.fetch_add(1, Ordering::Relaxed);
-        } else {
+        let published =
+            fs::write(&tmp, text).is_ok() && fs::rename(&tmp, self.entry_path(key)).is_ok();
+        if !published {
             let _ = fs::remove_file(&tmp);
         }
-        let ev = lock_unpoisoned(&self.mem).insert(key, Arc::clone(summary));
-        self.stats.evictions.fetch_add(ev, Ordering::Relaxed);
+        published
     }
 }
 
@@ -819,19 +688,14 @@ mod tests {
         let s = Arc::new(summary());
         let key = s.config.key();
         assert!(matches!(cache.lookup(&key), CacheLookup::Miss));
-        cache.store(&key, &s);
-        // Through the in-memory layer…
-        let CacheLookup::Hit(hit) = cache.lookup(&key) else {
-            panic!("expected mem hit");
-        };
-        assert_bit_identical(&s, &hit);
-        // …and through the disk codec alone.
-        let cold = ExperimentCache::open(&dir).unwrap();
-        let CacheLookup::Hit(hit) = cold.lookup(&key) else {
-            panic!("expected disk hit");
-        };
-        assert_bit_identical(&s, &hit);
-        assert_eq!(cold.stats().hits(), 1);
+        assert!(cache.store(&key, &s));
+        // Through the writing handle and through a fresh one alike.
+        for handle in [&cache, &ExperimentCache::open(&dir).unwrap()] {
+            let CacheLookup::Hit(hit) = handle.lookup(&key) else {
+                panic!("expected disk hit");
+            };
+            assert_bit_identical(&s, &hit);
+        }
 
         // Awkward strings survive as fingerprint label and benchmark name.
         for text in [
@@ -895,7 +759,7 @@ mod tests {
     #[test]
     fn damaged_entries_never_yield_a_wrong_hit() {
         let dir = test_dir("damage");
-        let cache = ExperimentCache::open(&dir).unwrap().with_mem_capacity(0);
+        let cache = ExperimentCache::open(&dir).unwrap();
         let s = Arc::new(summary());
         let key = s.config.key();
         cache.store(&key, &s);
@@ -950,8 +814,6 @@ spans none
         let key = "moldyn|Jikes/GenCopy|32|PentiumM|Reduced|false";
         fs::write(cache.entry_path(key), V2_ENTRY).unwrap();
         assert!(matches!(cache.lookup(key), CacheLookup::Miss));
-        assert_eq!(cache.stats().misses(), 1);
-        assert_eq!(cache.stats().corrupt(), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -971,76 +833,10 @@ spans none
         fs::write(&path, bytes).unwrap();
         let cold = ExperimentCache::open(&dir).unwrap();
         assert!(matches!(cold.lookup(&key), CacheLookup::Corrupt));
-        assert_eq!(cold.stats().corrupt(), 1);
         // Recompute-and-overwrite heals the entry.
         cold.store(&key, &s);
         let fresh = ExperimentCache::open(&dir).unwrap();
         assert!(matches!(fresh.lookup(&key), CacheLookup::Hit(_)));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn hit_only_probes_count_hits_alone() {
-        let dir = test_dir("hit-only");
-        let cache = ExperimentCache::open(&dir).unwrap();
-        let s = Arc::new(summary());
-        let key = s.config.key();
-        let counts = |c: &ExperimentCache| {
-            let st = c.stats();
-            (st.hits(), st.misses(), st.corrupt())
-        };
-        assert!(cache.lookup_hit(&key).is_none());
-        assert_eq!(counts(&cache), (0, 0, 0), "a miss counts nothing");
-        // The counted probe that follows is the key's one miss.
-        assert!(matches!(cache.lookup(&key), CacheLookup::Miss));
-        assert_eq!(counts(&cache), (0, 1, 0));
-
-        cache.store(&key, &s);
-        let path = cache.entry_path(&key);
-        let stored = fs::read(&path).unwrap();
-        let mut damaged = stored.clone();
-        let mid = damaged.len() / 2;
-        damaged[mid] ^= 0x01;
-        fs::write(&path, &damaged).unwrap();
-        let cold = ExperimentCache::open(&dir).unwrap();
-        assert!(cold.lookup_hit(&key).is_none());
-        assert_eq!(counts(&cold), (0, 0, 0), "a damaged entry counts nothing");
-        assert!(matches!(cold.lookup(&key), CacheLookup::Corrupt));
-        assert_eq!(counts(&cold), (0, 0, 1));
-
-        fs::write(&path, &stored).unwrap();
-        let warm = ExperimentCache::open(&dir).unwrap();
-        let hit = warm.lookup_hit(&key).expect("a valid entry hits");
-        assert_bit_identical(&s, &hit);
-        assert_eq!(counts(&warm), (1, 0, 0), "a hit counts once");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn poisoned_index_lock_recovers_instead_of_panicking() {
-        // Regression: the in-memory index used `.lock().unwrap()`, so one
-        // panic while a guard was held poisoned the mutex and every later
-        // lookup/store on the shared cache panicked too. `lock_unpoisoned`
-        // recovers the guard — the index is a plain map, consistent at
-        // every instruction boundary, so the poison flag is noise.
-        let dir = test_dir("poison");
-        let cache = ExperimentCache::open(&dir).unwrap();
-        let s = Arc::new(summary());
-        let key = s.config.key();
-        cache.store(&key, &s);
-        let poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = cache.mem.lock().unwrap();
-            panic!("poison the index lock");
-        }));
-        assert!(poison.is_err());
-        assert!(
-            cache.mem.is_poisoned(),
-            "unwind must have poisoned the lock"
-        );
-        // Both the memory layer and the disk path still serve.
-        assert!(matches!(cache.lookup(&key), CacheLookup::Hit(_)));
-        cache.store(&key, &s);
-        assert!(matches!(cache.lookup(&key), CacheLookup::Hit(_)));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1077,7 +873,6 @@ spans none
             fs::write(&path, doctored).unwrap();
             let cold = ExperimentCache::open(&dir).unwrap();
             assert!(matches!(cold.lookup(&key), CacheLookup::Miss));
-            assert_eq!(cold.stats().corrupt(), 0);
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1101,20 +896,6 @@ spans none
     }
 
     #[test]
-    fn mem_layer_is_bounded_fifo() {
-        let dir = test_dir("bounded");
-        let cache = ExperimentCache::open(&dir).unwrap().with_mem_capacity(2);
-        let s = Arc::new(summary());
-        cache.store("k1", &s);
-        cache.store("k2", &s);
-        cache.store("k3", &s);
-        assert_eq!(cache.stats().evictions(), 1);
-        // Evicted entries still hit from disk.
-        assert!(matches!(cache.lookup("k1"), CacheLookup::Hit(_)));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn concurrent_stores_of_the_same_key_are_benign() {
         // The daemon shares one cache directory across tenants, each with
         // its own handle. Two threads hammering the same key through two
@@ -1124,19 +905,14 @@ spans none
         let dir = test_dir("shared");
         let a = ExperimentCache::open(&dir).unwrap();
         let b = ExperimentCache::open(&dir).unwrap();
-        // Reader bypasses both writers' in-memory layers: fresh handle per
-        // probe would be slow, one handle with capacity 0 reads from disk.
-        let reader = ExperimentCache::open(&dir).unwrap().with_mem_capacity(0);
+        let reader = ExperimentCache::open(&dir).unwrap();
         let s = Arc::new(summary());
         let key = s.config.key();
-        std::thread::scope(|scope| {
-            for cache in [&a, &b] {
-                scope.spawn(|| {
-                    for _ in 0..50 {
-                        cache.store(&key, &s);
-                    }
-                });
-            }
+        let published = std::thread::scope(|scope| {
+            let writers: Vec<_> = [&a, &b]
+                .into_iter()
+                .map(|cache| scope.spawn(|| (0..50).filter(|_| cache.store(&key, &s)).count()))
+                .collect();
             scope.spawn(|| {
                 for _ in 0..100 {
                     match reader.lookup(&key) {
@@ -1146,8 +922,12 @@ spans none
                     }
                 }
             });
+            writers
+                .into_iter()
+                .map(|w| w.join().unwrap())
+                .sum::<usize>()
         });
-        assert_eq!(a.stats().stores() + b.stats().stores(), 100);
+        assert_eq!(published, 100);
         // After the dust settles the entry is valid on disk.
         let cold = ExperimentCache::open(&dir).unwrap();
         assert!(matches!(cold.lookup(&key), CacheLookup::Hit(_)));

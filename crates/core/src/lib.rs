@@ -50,7 +50,7 @@ pub mod serve;
 pub mod sweep;
 mod table;
 
-pub use cache::{CacheLookup, CacheStats, ExperimentCache};
+pub use cache::{CacheLookup, ExperimentCache};
 pub use diff::{
     bootstrap_ci, golden_cells, BootstrapCi, ComponentDelta, DiffEngine, DiffOptions, DiffSide,
     RegressionReport,

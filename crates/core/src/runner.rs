@@ -88,7 +88,8 @@ struct ExecutionRecord {
     /// the memo's in-flight window, so the derived counters are
     /// deterministic across worker counts).
     cache_probe: CacheProbe,
-    /// A freshly computed summary was written through to the cache.
+    /// A freshly computed summary was published to the cache (a write
+    /// that failed leaves this false).
     cache_stored: bool,
     /// The summary is a smaller heap's run, relabelled (not simulated).
     shared: bool,
@@ -297,7 +298,9 @@ impl MemoHandle {
         let value = self.memo.try_get_or_compute(&key, || {
             let cache = self.cache.as_ref()?;
             let started = Instant::now();
-            let summary = cache.lookup_hit(&key)?;
+            let CacheLookup::Hit(summary) = cache.lookup(&key) else {
+                return None;
+            };
             restored = Some(hit_record(&summary, started));
             Some(Ok(summary))
         })?;
@@ -610,8 +613,7 @@ impl Runner {
                             };
                             rec.cache_probe = probe;
                             if let (Some(cache), Ok(summary)) = (&cache, &result) {
-                                cache.store(key, summary);
-                                rec.cache_stored = true;
+                                rec.cache_stored = cache.store(key, summary);
                             }
                             record = Some(rec);
                             result

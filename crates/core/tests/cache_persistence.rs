@@ -185,3 +185,54 @@ fn corrupted_entry_on_disk_is_recomputed_and_healed() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_write_that_fails_is_not_counted_as_stored() {
+    let dir = scratch_dir("vanished");
+    let cfg = ExperimentConfig::jikes("moldyn", CollectorKind::GenCopy, 32);
+    let (mut runner, tel) = cached_runner(&dir, 1);
+    // The directory disappears after the cache opened it: every write's
+    // temp file fails, yet the cell itself must still succeed.
+    std::fs::remove_dir_all(&dir).expect("remove cache dir");
+    runner.run(&cfg).expect("the cell runs without its cache");
+    assert_eq!(tel.counter(CounterId::CellsExecuted), 1);
+    assert_eq!(tel.counter(CounterId::CacheMisses), 1);
+    assert_eq!(tel.counter(CounterId::CacheStores), 0);
+    assert!(
+        !dir.exists(),
+        "a failed store must not recreate the directory"
+    );
+}
+
+#[test]
+fn a_restore_counts_only_the_entries_it_restores() {
+    let dir = scratch_dir("restore");
+    let cfg = ExperimentConfig::jikes("moldyn", CollectorKind::GenCopy, 32);
+    let cache_counts = |tel: &Telemetry| {
+        [
+            CounterId::CacheHits,
+            CounterId::CacheMisses,
+            CounterId::CacheCorrupt,
+        ]
+        .map(|id| tel.counter(id))
+    };
+
+    // An absent entry: the restore declines and counts nothing, so the
+    // runner's own probe is the key's one counted miss.
+    let (mut cold, tel) = cached_runner(&dir, 1);
+    assert!(cold.memo_handle().restore(&cfg, None).is_none());
+    assert_eq!(cache_counts(&tel), [0, 0, 0]);
+    let computed = cold.run(&cfg).expect("cold run");
+    assert_eq!(cache_counts(&tel), [0, 1, 0]);
+
+    // A stored entry: restored once, counted once, nothing executed.
+    let (warm, tel) = cached_runner(&dir, 1);
+    let restored = warm.memo_handle().restore(&cfg, None).expect("restored");
+    assert_eq!(cache_counts(&tel), [1, 0, 0]);
+    assert_eq!(tel.counter(CounterId::CellsExecuted), 0);
+    assert_eq!(
+        computed.report.total_energy.joules().to_bits(),
+        restored.report.total_energy.joules().to_bits()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

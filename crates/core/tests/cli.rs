@@ -314,6 +314,37 @@ fn cache_dir_round_trip_hits_on_the_second_run() {
             .join("\n")
     };
     assert_eq!(strip_wall(&cold.stdout), strip_wall(&warm.stdout));
+
+    // One flipped body byte fails the entry's checksum: the next run
+    // recomputes and replaces it, and the run after that restores it.
+    let entry = std::fs::read_dir(&cache)
+        .expect("read cache dir")
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .find(|p| p.extension().is_some_and(|x| x == "entry"))
+        .expect("one cache entry on disk");
+    let mut bytes = std::fs::read(&entry).expect("read entry");
+    let body = bytes.iter().position(|&b| b == b'\n').expect("header line") + 1;
+    let mid = body + (bytes.len() - body) / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&entry, &bytes).expect("write damage");
+    let hurt = bin().args(args).output().expect("binary runs");
+    assert!(hurt.status.success());
+    let err = String::from_utf8_lossy(&hurt.stderr);
+    assert!(
+        err.contains("resume: 0 cells restored")
+            && err.contains("1 recomputed (1 stored, 1 corrupt entries replaced)"),
+        "damaged stderr: {err}"
+    );
+    assert_eq!(strip_wall(&cold.stdout), strip_wall(&hurt.stdout));
+
+    let healed = bin().args(args).output().expect("binary runs");
+    assert!(healed.status.success());
+    let err = String::from_utf8_lossy(&healed.stderr);
+    assert!(
+        err.contains("resume: 1 cells restored") && err.contains("0 recomputed"),
+        "healed stderr: {err}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
