@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 use vmprobe::cache::build_fingerprint;
 use vmprobe::request::{self, Args, Source};
-use vmprobe::{golden_cells, DiffEngine, DiffOptions, DiffSide, ExperimentCache, Telemetry};
+use vmprobe::{golden_cells, DiffEngine, DiffOptions, ExperimentCache, Runner};
 
 /// Flags that never take a value.
 const SWITCHES: [&str; 1] = ["json"];
@@ -71,15 +71,18 @@ fn non_negative(args: &Args, flag: &str) -> Result<Option<f64>, String> {
     }
 }
 
-fn side(dir: Option<&str>, label: &str) -> Result<DiffSide, String> {
-    let mut side = DiffSide::new(label);
+/// The runner for the side labelled `label`: `jobs` workers, panics
+/// contained (a crashing cell is a typed error for the gate), and, with a
+/// cache directory, that side's entries addressed by `label`.
+fn runner(jobs: usize, dir: Option<&str>, label: &str) -> Result<Runner, String> {
+    let mut runner = Runner::new().jobs(jobs).contain_panics(true);
     if let Some(dir) = dir {
         let cache = ExperimentCache::open(dir)
             .map_err(|e| format!("cannot open cache {dir}: {e}"))?
             .with_fingerprint(label);
-        side = side.with_cache(Arc::new(cache));
+        runner = runner.with_cache(Arc::new(cache));
     }
-    Ok(side)
+    Ok(runner)
 }
 
 fn run(args: &Args) -> Result<ExitCode, String> {
@@ -95,7 +98,9 @@ fn run(args: &Args) -> Result<ExitCode, String> {
     if let Some(floor) = non_negative(args, "min-shift")? {
         options.min_rel_shift = floor;
     }
-    let jobs = args.u64_in("jobs", 1, usize::MAX as u64)?;
+    let jobs = args
+        .u64_in("jobs", 1, usize::MAX as u64)?
+        .map_or(1, |j| j as usize);
     let benchmarks = &args.positionals;
     let mut cells = golden_cells();
     if !benchmarks.is_empty() {
@@ -109,16 +114,20 @@ fn run(args: &Args) -> Result<ExitCode, String> {
 
     let build = build_fingerprint();
     let label = |flag| args.string(flag).unwrap_or_else(|| build.clone());
+    let base_label = label("baseline-fingerprint");
+    let cand_label = label("candidate-fingerprint");
     let dir = args.string("cache-dir");
-    let baseline = side(dir.as_deref(), &label("baseline-fingerprint"))?;
-    let candidate = side(dir.as_deref(), &label("candidate-fingerprint"))?;
+    let baseline = runner(jobs, dir.as_deref(), &base_label)?;
+    // One runner per distinct label: a self-diff sweeps once.
+    let candidate = if cand_label == base_label {
+        None
+    } else {
+        Some(runner(jobs, dir.as_deref(), &cand_label)?)
+    };
     let json = args.has("json");
-    let engine = DiffEngine::new(options, baseline, candidate)
-        .perturb(perturb)
-        .jobs(jobs.map_or(1, |j| j as usize))
-        .with_telemetry(Telemetry::counters_only());
+    let engine = DiffEngine::new(options, &base_label, &cand_label).perturb(perturb);
 
-    let report = engine.run(&cells)?;
+    let report = engine.run(&baseline, candidate.as_ref().unwrap_or(&baseline), &cells)?;
 
     if json {
         println!("{}", report.to_json());

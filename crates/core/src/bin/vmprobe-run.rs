@@ -415,17 +415,18 @@ fn run_observe(cli: &Cli) -> Result<(), String> {
         );
     }
     let grid = request::period_grid(&cli.args, "probe_period")?;
-    let cache = cli.open_cache()?;
     let telemetry = cli.make_telemetry();
-    let mut engine = ObserveEngine::new(grid)
-        .jobs(cli.jobs)
-        .with_telemetry(telemetry.clone());
-    if let Some(cache) = &cache {
-        engine = engine.with_cache(Arc::clone(cache));
-    }
-    let report = engine.run(&golden_cells())?;
+    let (verbose, cache) = (cli.args.has("verbose"), cli.open_cache()?);
+    let runner = cli
+        .runner(FaultPlan::none(), telemetry.clone(), verbose, cache)
+        .contain_panics(true);
+    let report = ObserveEngine::new(grid).run(&runner, &golden_cells())?;
     print!("{report}");
-    cli.finish(cache.as_deref(), || report.to_json(), &telemetry)
+    cli.finish(
+        runner.cache().map(Arc::as_ref),
+        || report.to_json(),
+        &telemetry,
+    )
 }
 
 /// Regenerate the requested paper artifacts on the parallel sweep engine,

@@ -10,9 +10,13 @@
 //!
 //! # Entry format
 //!
-//! One file per cell under the cache directory, named by a 128-bit hash of
-//! the cell's full cache key ([`ExperimentConfig::key`] plus the runner's
-//! fault-plan suffix). An entry is two lines of JSON, written and read
+//! One file per (fingerprint, cell) under the cache directory, named by a
+//! 128-bit hash of the fingerprint and the cell's full cache key
+//! ([`ExperimentConfig::key`] plus the runner's fault-plan suffix), so
+//! handles with different fingerprints — the two sides of a cross-build
+//! `vmprobe-diff` — keep their entries side by side in one directory.
+//! Entries of other builds are never overwritten; delete the directory to
+//! reclaim their space. An entry is two lines of JSON, written and read
 //! with the workspace's one codec ([`crate::json`]):
 //!
 //! ```text
@@ -141,8 +145,9 @@ impl ExperimentCache {
     /// Replace the entry fingerprint with an explicit `label`.
     ///
     /// Entries written by a handle only satisfy lookups from a handle with
-    /// the same fingerprint, so two handles with different labels partition
-    /// one directory into independent namespaces. `vmprobe-diff` uses this
+    /// the same fingerprint, and live in files of their own, so two
+    /// handles with different labels partition one directory into
+    /// independent namespaces. `vmprobe-diff` uses this
     /// to address a baseline build's entries (written under that build's
     /// [`build_fingerprint`]) from the candidate binary.
     #[must_use]
@@ -161,10 +166,15 @@ impl ExperimentCache {
         &self.dir
     }
 
-    /// File an entry for `key` lives in.
+    /// File the entry for `key` under this handle's fingerprint lives in:
+    /// one file per (fingerprint, key), so handles with different
+    /// fingerprints never overwrite each other's entries.
     pub fn entry_path(&self, key: &str) -> PathBuf {
-        let lo = fnv1a(key.as_bytes(), FNV_OFFSET);
-        let hi = fnv1a(key.as_bytes(), FNV_OFFSET ^ 0x9e37_79b9_7f4a_7c15);
+        let hash = |seed| {
+            let prefix = fnv1a(self.fingerprint.as_bytes(), seed);
+            fnv1a(key.as_bytes(), fnv1a(b"\0", prefix))
+        };
+        let (lo, hi) = (hash(FNV_OFFSET), hash(FNV_OFFSET ^ 0x9e37_79b9_7f4a_7c15));
         self.dir.join(format!("{hi:016x}{lo:016x}.entry"))
     }
 
@@ -873,6 +883,27 @@ spans none
             fs::write(&path, doctored).unwrap();
             let cold = ExperimentCache::open(&dir).unwrap();
             assert!(matches!(cold.lookup(&key), CacheLookup::Miss));
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn handles_with_different_fingerprints_keep_their_own_entries() {
+        let dir = test_dir("two-builds");
+        // Two builds, one cell, two different results.
+        let (a_summary, key) = (summary(), summary().config.key());
+        let mut b_summary = summary();
+        b_summary.result_checksum = None;
+        assert_ne!(a_summary.result_checksum, b_summary.result_checksum);
+        let a = ExperimentCache::open(&dir).unwrap().with_fingerprint("A");
+        let b = ExperimentCache::open(&dir).unwrap().with_fingerprint("B");
+        assert!(a.store(&key, &a_summary));
+        assert!(b.store(&key, &b_summary));
+        for (handle, stored) in [(&a, &a_summary), (&b, &b_summary)] {
+            let CacheLookup::Hit(hit) = handle.lookup(&key) else {
+                panic!("{} lost its entry", handle.fingerprint());
+            };
+            assert_bit_identical(stored, &hit);
         }
         let _ = fs::remove_dir_all(&dir);
     }

@@ -17,11 +17,13 @@
 //! merge in the runner, so a [`RegressionReport`] is byte-identical for any
 //! `--jobs N` and a fixed seed.
 //!
-//! The two sides are addressed by **cache fingerprint**
-//! ([`ExperimentCache::with_fingerprint`]): the baseline side of a diff
-//! against an older build is usually served entirely from that build's
-//! cache entries. When both sides carry the same fingerprint (a self-diff,
-//! or a perturbation experiment), the sweep runs once and is shared.
+//! The two sides are addressed by **label**, one runner per label: a
+//! runner whose cache carries that label as its fingerprint
+//! ([`crate::ExperimentCache::with_fingerprint`]) reads that build's
+//! entries, so the baseline side of a diff against an older build is
+//! usually served entirely from its cache. When both sides carry the same
+//! label (a self-diff, or a perturbation experiment), the sweep runs once
+//! and is shared.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -33,7 +35,6 @@ use vmprobe_power::{
 use vmprobe_telemetry::{CounterId, HistId, Telemetry};
 use vmprobe_workloads::{all_benchmarks, InputScale};
 
-use crate::cache::ExperimentCache;
 use crate::experiment::{ExperimentConfig, RunSummary};
 use crate::json::{self, JsonObj};
 use crate::runner::Runner;
@@ -263,56 +264,27 @@ impl RegressionReport {
     }
 }
 
-/// One side of a diff: a fingerprint label plus the cache handle that
-/// addresses that build's entries (if any cache is attached).
-#[derive(Debug, Clone)]
-pub struct DiffSide {
-    /// Fingerprint label recorded in the report and stamped on cache
-    /// entries.
-    pub label: String,
-    /// Cache handle whose fingerprint matches `label`.
-    pub cache: Option<Arc<ExperimentCache>>,
-}
-
-impl DiffSide {
-    /// A cache-less side addressed by `label`.
-    pub fn new(label: &str) -> Self {
-        Self {
-            label: label.to_owned(),
-            cache: None,
-        }
-    }
-
-    /// Attach the cache handle for this side.
-    #[must_use]
-    pub fn with_cache(mut self, cache: Arc<ExperimentCache>) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-}
-
-/// The diff engine: two sides, a perturbation, and the statistical knobs.
+/// The diff engine: two side labels, a perturbation, and the statistical
+/// knobs. The runs come from the runners [`DiffEngine::run`] borrows.
 #[derive(Debug)]
 pub struct DiffEngine {
     options: DiffOptions,
     perturb: EnergyPerturbation,
-    jobs: usize,
-    telemetry: Telemetry,
-    baseline: DiffSide,
-    candidate: DiffSide,
+    baseline_label: String,
+    candidate_label: String,
 }
 
 impl DiffEngine {
-    /// An engine comparing `baseline` to `candidate` under `options`, with
-    /// no perturbation, one worker, and disabled telemetry.
-    pub fn new(options: DiffOptions, baseline: DiffSide, candidate: DiffSide) -> Self {
+    /// An engine comparing the side labelled `baseline_label` to the side
+    /// labelled `candidate_label` under `options`, with no perturbation.
+    /// The labels are recorded in the report, and equal labels mean one
+    /// build: its sweep then serves both sides.
+    pub fn new(options: DiffOptions, baseline_label: &str, candidate_label: &str) -> Self {
         Self {
             options,
             perturb: EnergyPerturbation::none(),
-            jobs: 1,
-            telemetry: Telemetry::disabled(),
-            baseline,
-            candidate,
+            baseline_label: baseline_label.to_owned(),
+            candidate_label: candidate_label.to_owned(),
         }
     }
 
@@ -322,22 +294,6 @@ impl DiffEngine {
     #[must_use]
     pub fn perturb(mut self, p: EnergyPerturbation) -> Self {
         self.perturb = p;
-        self
-    }
-
-    /// Worker threads for the ensemble sweeps (reports are byte-identical
-    /// for any value).
-    #[must_use]
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
-        self
-    }
-
-    /// Record diff counters/histograms (and the underlying sweep metrics)
-    /// into `telemetry`.
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
         self
     }
 
@@ -353,30 +309,19 @@ impl DiffEngine {
         plan
     }
 
-    /// Run the seed ensemble for every cell on one side; returns
+    /// Run the seed ensemble for every cell on `runner`; returns
     /// `replicates` summaries per cell, in cell order.
     fn sweep(
         &self,
+        runner: &Runner,
         cells: &[ExperimentConfig],
-        cache: Option<&Arc<ExperimentCache>>,
     ) -> Result<Vec<Vec<Arc<RunSummary>>>, String> {
-        // Panics are contained so a crashing cell surfaces as a typed
-        // error to the gate (or the daemon's reader thread) instead of
-        // unwinding through it.
-        let mut runner = Runner::new()
-            .jobs(self.jobs)
-            .contain_panics(true)
-            .with_telemetry(self.telemetry.clone());
-        if let Some(cache) = cache {
-            runner = runner.with_cache(Arc::clone(cache));
-        }
         let batch: Vec<(ExperimentConfig, Option<FaultPlan>)> = cells
             .iter()
             .flat_map(|cell| {
                 (0..self.options.replicates).map(|r| (cell.clone(), Some(self.replicate_plan(r))))
             })
             .collect();
-        self.telemetry.count(CounterId::DiffSweeps, 1);
         let results = runner.run_batch_with_plans(&batch);
         let mut per_cell = Vec::with_capacity(cells.len());
         let mut it = results.into_iter();
@@ -394,30 +339,46 @@ impl DiffEngine {
         Ok(per_cell)
     }
 
-    /// Execute the diff over `cells` and assemble the report.
+    /// Execute the diff over `cells`, the baseline side's runs from
+    /// `baseline` and the candidate side's from `candidate`, and assemble
+    /// the report. With equal labels the baseline sweep serves both sides
+    /// (a self-diff passes one runner twice). Every `diff_*` count goes to
+    /// the baseline runner's telemetry hub.
+    ///
+    /// Panics are contained only when the runners contain them
+    /// ([`Runner::contain_panics`]); `vmprobe-diff` and the serving daemon
+    /// build theirs that way.
     ///
     /// # Errors
     ///
     /// A rendered [`crate::ExperimentError`] with its cell identity when
     /// any ensemble run fails on either side — the gate never compares
     /// partial ensembles.
-    pub fn run(&self, cells: &[ExperimentConfig]) -> Result<RegressionReport, String> {
+    pub fn run(
+        &self,
+        baseline: &Runner,
+        candidate: &Runner,
+        cells: &[ExperimentConfig],
+    ) -> Result<RegressionReport, String> {
         assert!(
             self.options.replicates > 0,
             "diff needs at least one replicate"
         );
-        let base_runs = self.sweep(cells, self.baseline.cache.as_ref())?;
-        // A self-diff (same fingerprint on both sides) shares one sweep:
-        // the sides differ only by the extraction-time perturbation.
-        let cand_runs = if self.baseline.label == self.candidate.label {
+        let telemetry = baseline.telemetry();
+        telemetry.count(CounterId::DiffSweeps, 1);
+        let base_runs = self.sweep(baseline, cells)?;
+        // A self-diff (same label on both sides) shares one sweep: the
+        // sides differ only by the extraction-time perturbation.
+        let cand_runs = if self.baseline_label == self.candidate_label {
             None
         } else {
-            Some(self.sweep(cells, self.candidate.cache.as_ref())?)
+            telemetry.count(CounterId::DiffSweeps, 1);
+            Some(self.sweep(candidate, cells)?)
         };
 
         let mut report = RegressionReport {
-            baseline_label: self.baseline.label.clone(),
-            candidate_label: self.candidate.label.clone(),
+            baseline_label: self.baseline_label.clone(),
+            candidate_label: self.candidate_label.clone(),
             perturb: self.perturb.to_string(),
             options: self.options,
             cells: cells.len(),
@@ -427,7 +388,7 @@ impl DiffEngine {
         };
 
         for (i, cell) in cells.iter().enumerate() {
-            self.telemetry.count(CounterId::DiffCellsCompared, 1);
+            telemetry.count(CounterId::DiffCellsCompared, 1);
             let base = &base_runs[i];
             let cand = cand_runs.as_ref().map_or(base, |runs| &runs[i]);
             // Every component either side's ensemble ever attributed a
@@ -446,8 +407,8 @@ impl DiffEngine {
                 };
                 let base_samples = extract(base, &none);
                 let cand_samples = extract(cand, &self.perturb);
-                let base_ci = self.ci(&base_samples, cell, component, "base");
-                let cand_ci = self.ci(&cand_samples, cell, component, "cand");
+                let base_ci = self.ci(telemetry, &base_samples, cell, component, "base");
+                let cand_ci = self.ci(telemetry, &cand_samples, cell, component, "cand");
                 report.comparisons += 1;
                 let rel_shift = if base_ci.mean == 0.0 {
                     if cand_ci.mean == 0.0 {
@@ -459,8 +420,7 @@ impl DiffEngine {
                     (cand_ci.mean - base_ci.mean) / base_ci.mean
                 };
                 if rel_shift.is_finite() {
-                    self.telemetry
-                        .observe(HistId::DiffShiftPpm, (rel_shift.abs() * 1e6).round() as u64);
+                    telemetry.observe(HistId::DiffShiftPpm, (rel_shift.abs() * 1e6).round() as u64);
                 }
                 let delta = ComponentDelta {
                     cell: cell.clone(),
@@ -470,7 +430,7 @@ impl DiffEngine {
                     rel_shift,
                 };
                 if cand_ci.lo > base_ci.hi && rel_shift >= self.options.min_rel_shift {
-                    self.telemetry.count(CounterId::DiffRegressions, 1);
+                    telemetry.count(CounterId::DiffRegressions, 1);
                     report.regressions.push(delta);
                 } else if cand_ci.hi < base_ci.lo && rel_shift <= -self.options.min_rel_shift {
                     report.improvements.push(delta);
@@ -484,6 +444,7 @@ impl DiffEngine {
     /// the interval depends only on (seed, cell, component, side).
     fn ci(
         &self,
+        telemetry: &Telemetry,
         samples: &[f64],
         cell: &ExperimentConfig,
         component: ComponentId,
@@ -494,8 +455,7 @@ impl DiffEngine {
             cell.key(),
             component.label()
         ));
-        self.telemetry
-            .count(CounterId::DiffResamples, u64::from(self.options.resamples));
+        telemetry.count(CounterId::DiffResamples, u64::from(self.options.resamples));
         bootstrap_ci(
             samples,
             self.options.confidence,

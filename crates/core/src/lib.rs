@@ -17,7 +17,7 @@
 //! use vmprobe_power::ComponentId;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let mut runner = Runner::new();
+//! let runner = Runner::new();
 //! let mut cfg = ExperimentConfig::jikes("_209_db", CollectorKind::GenCopy, 32);
 //! cfg.scale = vmprobe_workloads::InputScale::Reduced; // quick demo run
 //! let run = runner.run(&cfg)?;
@@ -52,7 +52,7 @@ mod table;
 
 pub use cache::{CacheLookup, ExperimentCache};
 pub use diff::{
-    bootstrap_ci, golden_cells, BootstrapCi, ComponentDelta, DiffEngine, DiffOptions, DiffSide,
+    bootstrap_ci, golden_cells, BootstrapCi, ComponentDelta, DiffEngine, DiffOptions,
     RegressionReport,
 };
 pub use experiment::{ExperimentConfig, ExperimentError, RunSummary, VmChoice};
@@ -60,7 +60,7 @@ pub use observe::{
     parse_period_grid, period_label, ObserveEngine, ObservePoint, ObserveReport, PeriodSummary,
     DEFAULT_PERIOD_GRID, MAX_OBSERVE_PERIODS,
 };
-pub use runner::{FailedCell, MemoHandle, QuarantinedConfig, RunReport, Runner};
+pub use runner::{FailedCell, QuarantinedConfig, RunReport, Runner};
 pub use scale::{heap_bytes, P6_HEAPS_MB, PXA_HEAPS_MB, SIM_SCALE};
 pub use sweep::{default_jobs, Memo, SweepError, SweepPool};
 pub use table::Table;

@@ -30,9 +30,8 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use vmprobe_power::{ComponentId, ProbeSpec};
-use vmprobe_telemetry::{CounterId, HistId, Telemetry};
+use vmprobe_telemetry::{CounterId, HistId};
 
-use crate::cache::ExperimentCache;
 use crate::experiment::{ExperimentConfig, RunSummary};
 use crate::json::JsonObj;
 use crate::runner::Runner;
@@ -321,18 +320,16 @@ impl std::fmt::Display for ObserveReport {
     }
 }
 
-/// The observer-effect sweep engine (see the module docs).
+/// The observer-effect sweep engine (see the module docs): a period grid,
+/// swept on the runner [`ObserveEngine::run`] borrows.
 #[derive(Debug)]
 pub struct ObserveEngine {
     periods: Vec<u64>,
-    jobs: usize,
-    telemetry: Telemetry,
-    cache: Option<Arc<ExperimentCache>>,
 }
 
 impl ObserveEngine {
     /// An engine sweeping `periods` (nanoseconds; deduplicated and
-    /// sorted), one worker, disabled telemetry, no cache.
+    /// sorted).
     ///
     /// # Panics
     ///
@@ -352,59 +349,27 @@ impl ObserveEngine {
             periods.len() <= MAX_OBSERVE_PERIODS,
             "observe grid exceeds MAX_OBSERVE_PERIODS"
         );
-        Self {
-            periods,
-            jobs: 1,
-            telemetry: Telemetry::disabled(),
-            cache: None,
-        }
+        Self { periods }
     }
 
-    /// Worker threads for the sweep (reports are byte-identical for any
-    /// value).
-    #[must_use]
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
-        self
-    }
-
-    /// Record observe counters/histograms (and the underlying sweep
-    /// metrics) into `telemetry`.
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Layer a persistent cache under the sweep. Probe specs are part of
-    /// each entry's key, so transparent and charged runs never alias.
-    #[must_use]
-    pub fn with_cache(mut self, cache: Arc<ExperimentCache>) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// The period grid the engine will sweep, ascending.
-    pub fn periods(&self) -> &[u64] {
-        &self.periods
-    }
-
-    /// Sweep `cells` across the period grid in both modes and assemble
-    /// the report.
+    /// Sweep `cells` across the period grid in both modes on `runner`, and
+    /// assemble the report. The `observe_*` counts go to the runner's
+    /// telemetry hub, and its persistent cache, if any, keeps the cells:
+    /// probe specs are part of each entry's key, so transparent and
+    /// charged runs never alias. Pass a runner with no fault plan and no
+    /// probe override, either of which would rewrite the cells compared.
     ///
     /// # Errors
     ///
     /// A rendered [`crate::ExperimentError`] with its cell identity when
     /// any run fails — partial sweeps would bias the aggregates.
-    pub fn run(&self, cells: &[ExperimentConfig]) -> Result<ObserveReport, String> {
-        self.telemetry.count(CounterId::ObserveSweeps, 1);
-        let mut runner = Runner::new()
-            .jobs(self.jobs)
-            .contain_panics(true)
-            .with_telemetry(self.telemetry.clone());
-        if let Some(cache) = &self.cache {
-            runner = runner.with_cache(Arc::clone(cache));
-        }
+    pub fn run(
+        &self,
+        runner: &Runner,
+        cells: &[ExperimentConfig],
+    ) -> Result<ObserveReport, String> {
+        let telemetry = runner.telemetry();
+        telemetry.count(CounterId::ObserveSweeps, 1);
 
         // Cell-major, period-minor, transparent before charged: one batch,
         // so the whole grid shares the worker pool.
@@ -433,10 +398,10 @@ impl ObserveEngine {
             for &period_ns in &self.periods {
                 let t = next(cell)?;
                 let nt = next(cell)?;
-                self.telemetry.count(CounterId::ObservePoints, 2);
+                telemetry.count(CounterId::ObservePoints, 2);
                 let us = period_ns / 1_000;
-                self.telemetry.observe(HistId::ProbePeriodUs, us);
-                self.telemetry.observe(HistId::ProbePeriodUs, us);
+                telemetry.observe(HistId::ProbePeriodUs, us);
+                telemetry.observe(HistId::ProbePeriodUs, us);
                 points.push(Self::point(cell, period_ns, &t, &nt));
             }
         }
@@ -538,6 +503,7 @@ impl ObserveEngine {
 mod tests {
     use super::*;
     use vmprobe_heap::CollectorKind;
+    use vmprobe_telemetry::Telemetry;
     use vmprobe_workloads::InputScale;
 
     #[test]
@@ -601,7 +567,9 @@ mod tests {
         // Periods shorter than the (reduced-scale) run: a grid point
         // longer than the run samples nothing and reads 0 J in both modes.
         let engine = ObserveEngine::new(vec![4_000, 400_000]);
-        let report = engine.run(&[quick_cell()]).expect("sweep runs");
+        let report = engine
+            .run(&Runner::new(), &[quick_cell()])
+            .expect("sweep runs");
         assert_eq!(report.cells, 1);
         assert_eq!(report.points.len(), 2);
         assert!(report.periods.contains(&report.recommended_ns));
@@ -627,13 +595,12 @@ mod tests {
     #[test]
     fn sweep_is_jobs_independent_and_counts_points() {
         let t1 = Telemetry::recording();
-        let a = ObserveEngine::new(vec![40_000, 400_000])
-            .with_telemetry(t1.clone())
-            .run(&[quick_cell()])
+        let engine = ObserveEngine::new(vec![40_000, 400_000]);
+        let a = engine
+            .run(&Runner::new().with_telemetry(t1.clone()), &[quick_cell()])
             .expect("jobs=1");
-        let b = ObserveEngine::new(vec![40_000, 400_000])
-            .jobs(8)
-            .run(&[quick_cell()])
+        let b = engine
+            .run(&Runner::new().jobs(8), &[quick_cell()])
             .expect("jobs=8");
         assert_eq!(a.to_json(), b.to_json(), "byte-identical across jobs");
         assert_eq!(t1.counter(CounterId::ObserveSweeps), 1);

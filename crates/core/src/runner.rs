@@ -30,6 +30,9 @@
 //! to their first occurrence *before* dispatch, and all report mutation
 //! happens on the calling thread in batch submission order after the pool
 //! drains. Only `verbose` stderr diagnostics may interleave differently.
+//! Batches submitted concurrently through one shared runner (the serving
+//! daemon's executor and its readers) each merge in their own submission
+//! order; the report then interleaves them in arrival order.
 //!
 //! Fault plans are attached at the runner level: a default plan applies to
 //! every configuration, and per-benchmark overrides let one benchmark fail
@@ -209,124 +212,30 @@ impl RunReport {
     }
 }
 
-/// How a submitted cell becomes the cell actually executed and its
-/// memo/cache key: the runner's fault plans and overrides. The runner and
-/// every [`MemoHandle`] it hands out derive keys through this one rule.
-#[derive(Debug, Clone, Default)]
-struct CellRule {
+/// The campaign report and the cells already listed in its
+/// `failed_cells`, under the runner's one lock.
+#[derive(Debug, Default)]
+struct Ledger {
+    report: RunReport,
+    /// [`ExperimentConfig::key`]s already listed in `failed_cells`.
+    seen_failed_cells: HashSet<String>,
+}
+
+/// Supervised memoizing parallel experiment runner (see the module docs).
+///
+/// Running takes `&self`, so every thread of a process shares one runner
+/// by reference: the serving daemon's executor and its connection readers
+/// resolve cells through the same memo, cache and report. Figure entry
+/// points take `&mut Runner`.
+#[derive(Debug, Default)]
+pub struct Runner {
+    memo: Memo<CellResult>,
+    jobs: usize,
     default_faults: FaultPlan,
     overrides: HashMap<String, FaultPlan>,
     scale_override: Option<InputScale>,
     probe_override: Option<ProbeSpec>,
-}
-
-impl CellRule {
-    /// One submitted cell as executed, with its master plan and its key.
-    ///
-    /// The scale and probe overrides apply, and span recording is switched
-    /// on when `spans` (the attached hub keeps span streams). `plan`, when
-    /// given, replaces the runner-level plan (the default, or the
-    /// benchmark's override). The key is the config key alone when the
-    /// plan injects nothing, else the config key suffixed with the
-    /// canonical plan spec: per-request plans (the serving daemon) and
-    /// runner-level plans share keys whenever the resulting master plan is
-    /// identical, so tenants hit each other's cache entries exactly when
-    /// their requests are equivalent.
-    fn resolve(
-        &self,
-        config: &ExperimentConfig,
-        plan: Option<FaultPlan>,
-        spans: bool,
-    ) -> (ExperimentConfig, FaultPlan, String) {
-        let mut c = config.clone();
-        if let Some(scale) = self.scale_override {
-            c.scale = scale;
-        }
-        if let Some(probe) = self.probe_override {
-            c.probe = probe;
-        }
-        c.record_spans |= spans;
-        let master = plan.unwrap_or_else(|| {
-            self.overrides
-                .get(&c.benchmark)
-                .copied()
-                .unwrap_or(self.default_faults)
-        });
-        let key = if master.is_none() {
-            c.key()
-        } else {
-            format!("{}|faults:{}", c.key(), master)
-        };
-        (c, master, key)
-    }
-}
-
-/// A cloneable handle to a runner's memo, persistent cache and report:
-/// resolves a cell that needs no simulation without going through the
-/// runner. It derives keys by the runner's fault plans and overrides, and
-/// probes the cache attached, as they stood when the handle was taken, so
-/// take it once the runner is built.
-#[derive(Debug, Clone)]
-pub struct MemoHandle {
-    memo: Arc<Memo<CellResult>>,
-    rule: CellRule,
-    telemetry: Telemetry,
-    cache: Option<Arc<ExperimentCache>>,
-    report: Arc<Mutex<RunReport>>,
-}
-
-impl MemoHandle {
-    /// The successful summary for `config` under `plan` (as in
-    /// [`Runner::run_batch_with_plans`]) when it can be had
-    /// without simulating: a memo hit, counted as `cells_from_cache`, or
-    /// else a valid persistent-cache entry, published to the memo and
-    /// accounted exactly as a batch accounts a cell it restores.
-    ///
-    /// Never waits: `None` at once when the cell is in flight elsewhere,
-    /// memoized as a quarantined failure, or not restorable. Those cases
-    /// count nothing, and a cache miss or damaged entry leaves the key to
-    /// the runner's one counted probe.
-    pub fn restore(
-        &self,
-        config: &ExperimentConfig,
-        plan: Option<FaultPlan>,
-    ) -> Option<Arc<RunSummary>> {
-        let (_, _, key) = self
-            .rule
-            .resolve(config, plan, self.telemetry.spans_enabled());
-        let mut restored = None;
-        let value = self.memo.try_get_or_compute(&key, || {
-            let cache = self.cache.as_ref()?;
-            let started = Instant::now();
-            let CacheLookup::Hit(summary) = cache.lookup(&key) else {
-                return None;
-            };
-            restored = Some(hit_record(&summary, started));
-            Some(Ok(summary))
-        })?;
-        match restored {
-            // A restored hit quarantines nothing, so there is nothing for
-            // `verbose` to log.
-            Some(rec) => account_resolved(&self.telemetry, &self.report, false, &key, rec, &value),
-            None if value.is_ok() => self.telemetry.count(CounterId::CellsFromCache, 1),
-            None => {}
-        }
-        value.ok()
-    }
-}
-
-/// Supervised memoizing parallel experiment runner (see the module docs);
-/// every figure entry point takes `&mut Runner`.
-#[derive(Debug, Default)]
-pub struct Runner {
-    memo: Arc<Memo<CellResult>>,
-    jobs: usize,
-    rule: CellRule,
-    /// Shared with every [`MemoHandle`], which folds the cells it
-    /// restores into it.
-    report: Arc<Mutex<RunReport>>,
-    /// [`ExperimentConfig::key`]s already listed in `failed_cells`.
-    seen_failed_cells: HashSet<String>,
+    ledger: Mutex<Ledger>,
     verbose: bool,
     contain_panics: bool,
     telemetry: Telemetry,
@@ -359,30 +268,10 @@ impl Runner {
     /// in-flight memo wait is counted, executed-cell span streams are
     /// collected (when the hub records spans), and verbose diagnostics
     /// route through the hub's sink.
-    ///
-    /// # Panics
-    ///
-    /// When a [`MemoHandle`] has already been taken: attach telemetry
-    /// while building the runner.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        Arc::get_mut(&mut self.memo)
-            .expect("telemetry is attached before the memo is shared")
-            .set_telemetry(telemetry.clone());
+        self.memo.set_telemetry(telemetry.clone());
         self.telemetry = telemetry;
         self
-    }
-
-    /// A handle to this runner's memo for lookups from other threads (the
-    /// serving daemon answers warm requests with it). Take it once the
-    /// runner is built, its cache included.
-    pub fn memo_handle(&self) -> MemoHandle {
-        MemoHandle {
-            memo: Arc::clone(&self.memo),
-            rule: self.rule.clone(),
-            telemetry: self.telemetry.clone(),
-            cache: self.cache.clone(),
-            report: Arc::clone(&self.report),
-        }
     }
 
     /// The runner's telemetry handle (disabled unless
@@ -427,7 +316,7 @@ impl Runner {
     /// the cell key, so results do not depend on sweep composition or
     /// execution order.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.rule.default_faults = plan;
+        self.default_faults = plan;
         self
     }
 
@@ -435,7 +324,7 @@ impl Runner {
     /// single benchmark to model a persistently failing workload while the
     /// rest of the sweep stays on the default plan).
     pub fn fault_override(mut self, benchmark: &str, plan: FaultPlan) -> Self {
-        self.rule.overrides.insert(benchmark.to_owned(), plan);
+        self.overrides.insert(benchmark.to_owned(), plan);
         self
     }
 
@@ -456,7 +345,7 @@ impl Runner {
     /// the determinism suite sweeps the full figure grids at `Reduced`
     /// scale to keep wall-clock sane without shrinking the grid shape.
     pub fn scale(mut self, scale: InputScale) -> Self {
-        self.rule.scale_override = Some(scale);
+        self.scale_override = Some(scale);
         self
     }
 
@@ -466,8 +355,81 @@ impl Runner {
     /// and unprobed variants of the same cell keep distinct memo/cache
     /// keys, so an override never contaminates transparent results.
     pub fn with_probe_override(mut self, probe: ProbeSpec) -> Self {
-        self.rule.probe_override = Some(probe);
+        self.probe_override = Some(probe);
         self
+    }
+
+    /// One submitted cell as executed, with its master plan and its
+    /// memo/cache key.
+    ///
+    /// The scale and probe overrides apply, and span recording is switched
+    /// on when the attached hub keeps span streams. `plan`, when given,
+    /// replaces the runner-level plan (the default, or the benchmark's
+    /// override). The key is the config key alone when the plan injects
+    /// nothing, else the config key suffixed with the canonical plan spec:
+    /// per-request plans (the serving daemon) and runner-level plans share
+    /// keys whenever the resulting master plan is identical, so tenants hit
+    /// each other's cache entries exactly when their requests are
+    /// equivalent.
+    fn resolve(
+        &self,
+        config: &ExperimentConfig,
+        plan: Option<FaultPlan>,
+    ) -> (ExperimentConfig, FaultPlan, String) {
+        let mut c = config.clone();
+        if let Some(scale) = self.scale_override {
+            c.scale = scale;
+        }
+        if let Some(probe) = self.probe_override {
+            c.probe = probe;
+        }
+        c.record_spans |= self.telemetry.spans_enabled();
+        let master = plan.unwrap_or_else(|| {
+            self.overrides
+                .get(&c.benchmark)
+                .copied()
+                .unwrap_or(self.default_faults)
+        });
+        let key = if master.is_none() {
+            c.key()
+        } else {
+            format!("{}|faults:{}", c.key(), master)
+        };
+        (c, master, key)
+    }
+
+    /// The successful summary for `config` under `plan` (as in
+    /// [`Runner::run_batch_with_plans`]) when it can be had without
+    /// simulating: a memo hit, counted as `cells_from_cache`, or else a
+    /// valid persistent-cache entry, published to the memo and accounted
+    /// exactly as a batch accounts a cell it restores.
+    ///
+    /// Never waits: `None` at once when the cell is in flight elsewhere,
+    /// memoized as a quarantined failure, or not restorable. Those cases
+    /// count nothing, and a cache miss or damaged entry leaves the key to
+    /// a batch's one counted probe.
+    pub fn restore(
+        &self,
+        config: &ExperimentConfig,
+        plan: Option<FaultPlan>,
+    ) -> Option<Arc<RunSummary>> {
+        let (_, _, key) = self.resolve(config, plan);
+        let mut restored = None;
+        let value = self.memo.try_get_or_compute(&key, || {
+            let cache = self.cache.as_ref()?;
+            let started = Instant::now();
+            let CacheLookup::Hit(summary) = cache.lookup(&key) else {
+                return None;
+            };
+            restored = Some(hit_record(&summary, started));
+            Some(Ok(summary))
+        })?;
+        match restored {
+            Some(rec) => self.account(&key, rec, &value),
+            None if value.is_ok() => self.telemetry.count(CounterId::CellsFromCache, 1),
+            None => {}
+        }
+        value.ok()
     }
 
     /// Run `config` (or return the cached result), quarantining it if it
@@ -478,7 +440,7 @@ impl Runner {
     /// The underlying [`ExperimentError`] when the run fails;
     /// [`ExperimentError::Quarantined`] (without executing anything) on
     /// every subsequent request for that configuration.
-    pub fn run(&mut self, config: &ExperimentConfig) -> Result<Arc<RunSummary>, ExperimentError> {
+    pub fn run(&self, config: &ExperimentConfig) -> Result<Arc<RunSummary>, ExperimentError> {
         self.run_batch(std::slice::from_ref(config))
             .pop()
             .expect("one result per submitted config")
@@ -494,7 +456,7 @@ impl Runner {
     /// accounting is merged in submission order after the pool drains,
     /// making the [`RunReport`] independent of thread count.
     pub fn run_batch(
-        &mut self,
+        &self,
         configs: &[ExperimentConfig],
     ) -> Vec<Result<Arc<RunSummary>, ExperimentError>> {
         let batch: Vec<(ExperimentConfig, Option<FaultPlan>)> =
@@ -511,13 +473,12 @@ impl Runner {
     /// carry its own fault plan, at a finer granularity than the runner's
     /// per-benchmark overrides can express.
     pub fn run_batch_with_plans(
-        &mut self,
+        &self,
         batch: &[(ExperimentConfig, Option<FaultPlan>)],
     ) -> Vec<Result<Arc<RunSummary>, ExperimentError>> {
-        let spans = self.telemetry.spans_enabled();
         let cells: Vec<(ExperimentConfig, FaultPlan, String)> = batch
             .iter()
-            .map(|(c, plan)| self.rule.resolve(c, *plan, spans))
+            .map(|(c, plan)| self.resolve(c, *plan))
             .collect();
 
         // First occurrence of each key; only unresolved first occurrences
@@ -558,11 +519,8 @@ impl Runner {
         self.telemetry.count(CounterId::BatchesSubmitted, 1);
         let _batch_span = self.telemetry.host_span("runner", "batch");
         let pool = SweepPool::new(self.jobs).with_telemetry(self.telemetry.clone());
-        let memo = &self.memo;
-        let verbose = self.verbose;
-        let contain = self.contain_panics;
-        let telemetry = self.telemetry.clone();
-        let cache = self.cache.clone();
+        let (memo, telemetry, cache) = (&self.memo, &self.telemetry, &self.cache);
+        let (verbose, contain) = (self.verbose, self.contain_panics);
         // A panicking cell aborts the batch with its ladder's keys in the
         // message rather than poisoning pool/memo locks (`SweepError`) —
         // unless `contain_panics` is on, in which case `execute_cell`
@@ -588,7 +546,7 @@ impl Runner {
                             // are held by the memo's in-flight window), so
                             // cache counters are thread-count-independent.
                             let mut probe = CacheProbe::None;
-                            if let Some(cache) = &cache {
+                            if let Some(cache) = cache {
                                 let started = Instant::now();
                                 match cache.lookup(key) {
                                     CacheLookup::Hit(summary) => {
@@ -600,11 +558,11 @@ impl Runner {
                                 }
                             }
                             let (result, mut rec) = match &trunk {
-                                Some(t) => share(t, config, verbose, &telemetry),
+                                Some(t) => share(t, config, verbose, telemetry),
                                 None => {
                                     let plan = config.derive_plan(*master);
                                     let (result, rec, shareable) =
-                                        execute_cell(config, plan, verbose, contain, &telemetry);
+                                        execute_cell(config, plan, verbose, contain, telemetry);
                                     if let (Ok(summary), true) = (&result, shareable) {
                                         trunk = Some(Arc::clone(summary));
                                     }
@@ -612,7 +570,7 @@ impl Runner {
                                 }
                             };
                             rec.cache_probe = probe;
-                            if let (Some(cache), Ok(summary)) = (&cache, &result) {
+                            if let (Some(cache), Ok(summary)) = (cache, &result) {
                                 rec.cache_stored = cache.store(key, summary);
                             }
                             record = Some(rec);
@@ -639,14 +597,7 @@ impl Runner {
             // computing it or by restoring it from the persistent cache.
             let rec = if first_here { records.remove(&i) } else { None };
             if let Some(rec) = rec {
-                account_resolved(
-                    &self.telemetry,
-                    &self.report,
-                    self.verbose,
-                    key,
-                    rec,
-                    &value,
-                );
+                self.account(key, rec, &value);
                 // The executing occurrence surfaces the underlying error.
                 out.push(value);
                 continue;
@@ -660,7 +611,7 @@ impl Runner {
                 1,
             );
             out.push(value.map_err(|failure| {
-                lock_unpoisoned(&self.report).quarantine_hits += 1;
+                lock_unpoisoned(&self.ledger).report.quarantine_hits += 1;
                 self.telemetry.count(CounterId::QuarantineHits, 1);
                 ExperimentError::Quarantined {
                     config: Box::new(config.clone()),
@@ -676,7 +627,7 @@ impl Runner {
     /// and, deduplicated, in the [`RunReport`]) and the corresponding
     /// slots come back `None`.
     pub fn cells(
-        &mut self,
+        &self,
         configs: &[ExperimentConfig],
         failed: &mut Vec<FailedCell>,
     ) -> Vec<Option<Arc<RunSummary>>> {
@@ -689,10 +640,9 @@ impl Runner {
                 Err(e) => {
                     self.telemetry.count(CounterId::CellsFailed, 1);
                     let cell = FailedCell::new(config, &e);
-                    if self.seen_failed_cells.insert(config.key()) {
-                        lock_unpoisoned(&self.report)
-                            .failed_cells
-                            .push(cell.clone());
+                    let mut ledger = lock_unpoisoned(&self.ledger);
+                    if ledger.seen_failed_cells.insert(config.key()) {
+                        ledger.report.failed_cells.push(cell.clone());
                     }
                     failed.push(cell);
                     None
@@ -706,83 +656,77 @@ impl Runner {
         self.memo.count_matching(|v| v.is_ok())
     }
 
-    /// The campaign report accumulated so far, including the cells its
-    /// [`MemoHandle`]s restored.
+    /// The campaign report accumulated so far, including the cells
+    /// [`Runner::restore`] restored.
     pub fn report(&self) -> RunReport {
-        lock_unpoisoned(&self.report).clone()
+        lock_unpoisoned(&self.ledger).report.clone()
     }
-}
 
-/// Account one cell a batch or a [`MemoHandle`] resolved, by computing it
-/// or restoring it from the persistent cache: the cache and execution
-/// counters, the record's faults (`runs_ok` and the
-/// fault merge), any quarantine, and the histograms and counters of a
-/// successful cell. This is the one place that accounting lives.
-fn account_resolved(
-    telemetry: &Telemetry,
-    report: &Mutex<RunReport>,
-    verbose: bool,
-    key: &str,
-    rec: ExecutionRecord,
-    value: &CellResult,
-) {
-    if rec.cache_probe == CacheProbe::Hit {
-        telemetry.count(CounterId::CacheHits, 1);
-    } else {
-        telemetry.count(CounterId::CellsExecuted, 1);
-        if rec.shared {
-            telemetry.count(CounterId::CellsShared, 1);
-        }
-        match rec.cache_probe {
-            CacheProbe::Miss => telemetry.count(CounterId::CacheMisses, 1),
-            CacheProbe::Corrupt => telemetry.count(CounterId::CacheCorrupt, 1),
-            CacheProbe::None | CacheProbe::Hit => {}
-        }
-        if rec.cache_stored {
-            telemetry.count(CounterId::CacheStores, 1);
-        }
-    }
-    telemetry.observe(HistId::CellHostUs, rec.host_us);
-    {
-        let mut report = lock_unpoisoned(report);
-        report.faults.injected_oom += rec.injected_oom;
-        report.faults.budget_exhausted += rec.budget_exhausted;
-        if let Some(faults) = rec.success_faults {
-            report.runs_ok += 1;
-            report.faults.merge(&faults);
-        }
-        if let Some(q) = rec.quarantined {
-            telemetry.count(CounterId::CellsQuarantined, 1);
-            if verbose {
-                telemetry.log(&format!("quarantined {}", q.config));
+    /// Account one cell a batch or [`Runner::restore`] resolved, by
+    /// computing it or restoring it from the persistent cache: the cache
+    /// and execution counters, the record's faults (`runs_ok` and the
+    /// fault merge), any quarantine, and the histograms and counters of a
+    /// successful cell. This is the one place that accounting lives.
+    fn account(&self, key: &str, rec: ExecutionRecord, value: &CellResult) {
+        let telemetry = &self.telemetry;
+        if rec.cache_probe == CacheProbe::Hit {
+            telemetry.count(CounterId::CacheHits, 1);
+        } else {
+            telemetry.count(CounterId::CellsExecuted, 1);
+            if rec.shared {
+                telemetry.count(CounterId::CellsShared, 1);
             }
-            report.quarantined.push(q);
+            match rec.cache_probe {
+                CacheProbe::Miss => telemetry.count(CounterId::CacheMisses, 1),
+                CacheProbe::Corrupt => telemetry.count(CounterId::CacheCorrupt, 1),
+                CacheProbe::None | CacheProbe::Hit => {}
+            }
+            if rec.cache_stored {
+                telemetry.count(CounterId::CacheStores, 1);
+            }
         }
-    }
-    let Ok(summary) = value else {
-        return;
-    };
-    // Virtual cell duration comes off the report, so counters-only hubs
-    // (`--metrics-out` without `--trace-out`) still fill this histogram.
-    telemetry.observe(
-        HistId::CellVirtualUs,
-        (summary.report.duration.seconds() * 1e6) as u64,
-    );
-    telemetry.count(
-        CounterId::CellEnergyUj,
-        (summary.report.total_energy.joules() * 1e6) as u64,
-    );
-    let probe = &summary.report.probe;
-    telemetry.count(CounterId::ProbePortStores, probe.port_stores);
-    telemetry.count(CounterId::ProbeDaqSamples, probe.daq_samples_paid);
-    telemetry.count(CounterId::ProbeHpmReads, probe.hpm_reads_paid);
-    telemetry.count(CounterId::ProbeCyclesPaid, probe.cycles_paid);
-    if let Some(trace) = &summary.spans {
-        // Appended in the caller's order: a batch merges in submission
-        // order, so its virtual span stream is byte-identical for any
-        // worker count.
-        telemetry.record_cell(key, trace);
-        telemetry.observe(HistId::CellSpans, trace.len() as u64);
+        telemetry.observe(HistId::CellHostUs, rec.host_us);
+        {
+            let report = &mut lock_unpoisoned(&self.ledger).report;
+            report.faults.injected_oom += rec.injected_oom;
+            report.faults.budget_exhausted += rec.budget_exhausted;
+            if let Some(faults) = rec.success_faults {
+                report.runs_ok += 1;
+                report.faults.merge(&faults);
+            }
+            if let Some(q) = rec.quarantined {
+                telemetry.count(CounterId::CellsQuarantined, 1);
+                if self.verbose {
+                    telemetry.log(&format!("quarantined {}", q.config));
+                }
+                report.quarantined.push(q);
+            }
+        }
+        let Ok(summary) = value else {
+            return;
+        };
+        // Virtual cell duration comes off the report, so counters-only hubs
+        // (`--metrics-out` without `--trace-out`) still fill this histogram.
+        telemetry.observe(
+            HistId::CellVirtualUs,
+            (summary.report.duration.seconds() * 1e6) as u64,
+        );
+        telemetry.count(
+            CounterId::CellEnergyUj,
+            (summary.report.total_energy.joules() * 1e6) as u64,
+        );
+        let probe = &summary.report.probe;
+        telemetry.count(CounterId::ProbePortStores, probe.port_stores);
+        telemetry.count(CounterId::ProbeDaqSamples, probe.daq_samples_paid);
+        telemetry.count(CounterId::ProbeHpmReads, probe.hpm_reads_paid);
+        telemetry.count(CounterId::ProbeCyclesPaid, probe.cycles_paid);
+        if let Some(trace) = &summary.spans {
+            // Appended in the caller's order: a batch merges in submission
+            // order, so its virtual span stream is byte-identical for any
+            // worker count.
+            telemetry.record_cell(key, trace);
+            telemetry.observe(HistId::CellSpans, trace.len() as u64);
+        }
     }
 }
 
@@ -913,7 +857,7 @@ mod tests {
 
     #[test]
     fn cache_hits_do_not_rerun() {
-        let mut r = Runner::new();
+        let r = Runner::new();
         let mut cfg = ExperimentConfig::jikes("moldyn", CollectorKind::SemiSpace, 32);
         cfg.scale = InputScale::Reduced;
         let a = r.run(&cfg).expect("runs");
@@ -925,7 +869,7 @@ mod tests {
     #[test]
     fn persistent_failure_runs_once_then_is_quarantined() {
         let oom = FaultPlan::parse("oom@1").unwrap();
-        let mut r = Runner::new().fault_override("moldyn", oom);
+        let r = Runner::new().fault_override("moldyn", oom);
         let cfg = quick("moldyn");
 
         let err = r.run(&cfg).expect_err("oom@1 always fails");
@@ -943,7 +887,7 @@ mod tests {
     #[test]
     fn override_only_hits_its_benchmark() {
         let oom = FaultPlan::parse("oom@1").unwrap();
-        let mut r = Runner::new().fault_override("moldyn", oom);
+        let r = Runner::new().fault_override("moldyn", oom);
         assert!(r.run(&quick("moldyn")).is_err());
         assert!(r.run(&quick("search")).is_ok());
         assert!(r.report().faults.is_clean() || r.report().faults.injected_oom > 0);
@@ -952,7 +896,7 @@ mod tests {
     #[test]
     fn tolerant_cell_records_failures_and_continues() {
         let oom = FaultPlan::parse("oom@1").unwrap();
-        let mut r = Runner::new().fault_override("moldyn", oom);
+        let r = Runner::new().fault_override("moldyn", oom);
         let mut failed = Vec::new();
         let moldyn = quick("moldyn");
         assert!(r.cells(std::slice::from_ref(&moldyn), &mut failed)[0].is_none());
@@ -970,7 +914,7 @@ mod tests {
     #[test]
     fn failed_cells_that_differ_only_in_platform_are_both_reported() {
         let oom = FaultPlan::parse("oom@1").unwrap();
-        let mut r = Runner::new().with_faults(oom);
+        let r = Runner::new().with_faults(oom);
         let mut p6 = ExperimentConfig::kaffe("search", 32);
         p6.scale = InputScale::Reduced;
         let pxa = ExperimentConfig::kaffe_pxa("search", 32);
@@ -983,7 +927,7 @@ mod tests {
     #[test]
     fn report_serializes_to_json() {
         let oom = FaultPlan::parse("oom@1").unwrap();
-        let mut r = Runner::new().fault_override("moldyn", oom);
+        let r = Runner::new().fault_override("moldyn", oom);
         let _ = r.run(&quick("moldyn"));
         let _ = r.run(&quick("search"));
         let json = r.report().to_json();
@@ -997,7 +941,7 @@ mod tests {
     #[test]
     fn default_fault_plan_applies_to_every_run() {
         let plan = FaultPlan::parse("drop=0.5,seed=3").unwrap();
-        let mut r = Runner::new().with_faults(plan);
+        let r = Runner::new().with_faults(plan);
         let run = r.run(&quick("search")).expect("faulted run completes");
         assert!(run.report.faults.samples_dropped > 0);
         assert!(r.report().faults.samples_dropped > 0);
@@ -1007,7 +951,7 @@ mod tests {
 
     #[test]
     fn batch_resolves_duplicates_without_reexecution() {
-        let mut r = Runner::new().jobs(4);
+        let r = Runner::new().jobs(4);
         let cfg = quick("search");
         let batch = vec![cfg.clone(), cfg.clone(), cfg.clone()];
         let results = r.run_batch(&batch);
@@ -1023,7 +967,7 @@ mod tests {
     #[test]
     fn batch_duplicate_of_quarantined_cell_counts_a_hit() {
         let oom = FaultPlan::parse("oom@1").unwrap();
-        let mut r = Runner::new().fault_override("moldyn", oom);
+        let r = Runner::new().fault_override("moldyn", oom);
         let cfg = quick("moldyn");
         let results = r.run_batch(&[cfg.clone(), cfg.clone()]);
         // First occurrence surfaces the underlying error, the duplicate is
@@ -1041,7 +985,7 @@ mod tests {
     #[test]
     fn per_request_plans_override_runner_policy() {
         let oom = FaultPlan::parse("oom@1").unwrap();
-        let mut r = Runner::new().jobs(2);
+        let r = Runner::new().jobs(2);
         let cfg = quick("moldyn");
         let results = r.run_batch_with_plans(&[(cfg.clone(), Some(oom)), (cfg.clone(), None)]);
         // Same benchmark, different plans: distinct cells, the poisoned
@@ -1066,8 +1010,8 @@ mod tests {
     fn contained_batch_preserves_normal_results() {
         // With containment on and nothing panicking, results are the same
         // object graph a plain batch produces (same memo, same report).
-        let mut plain = Runner::new();
-        let mut contained = Runner::new().contain_panics(true);
+        let plain = Runner::new();
+        let contained = Runner::new().contain_panics(true);
         let cfg = quick("search");
         let a = plain.run(&cfg).expect("runs");
         let b = contained.run(&cfg).expect("runs under containment");
@@ -1103,11 +1047,11 @@ mod tests {
     #[test]
     fn probe_override_pays_costs_without_sharing_cells() {
         let cfg = quick("search");
-        let mut bare = Runner::new();
+        let bare = Runner::new();
         let clean = bare.run(&cfg).expect("runs");
         assert_eq!(clean.report.probe.cycles_paid, 0);
 
-        let mut probed = Runner::new().with_probe_override(ProbeSpec::nontransparent_at(4_000));
+        let probed = Runner::new().with_probe_override(ProbeSpec::nontransparent_at(4_000));
         let paid = probed.run(&cfg).expect("runs probed");
         assert!(paid.report.probe.cycles_paid > 0, "probe charges cycles");
         assert!(
@@ -1124,7 +1068,7 @@ mod tests {
 
     #[test]
     fn scale_override_rewrites_every_config() {
-        let mut r = Runner::new().scale(InputScale::Reduced);
+        let r = Runner::new().scale(InputScale::Reduced);
         let full = ExperimentConfig::jikes("search", CollectorKind::SemiSpace, 32);
         let run = r.run(&full).expect("runs");
         assert_eq!(run.config.scale, InputScale::Reduced);

@@ -63,7 +63,7 @@ use vmprobe_telemetry::{CounterId, HistId, Telemetry};
 
 use crate::json::JsonObj;
 use crate::sweep::lock_unpoisoned;
-use crate::{ExperimentCache, MemoHandle, Runner};
+use crate::{ExperimentCache, Runner};
 
 use limits::Envelope;
 use scheduler::{Job, Scheduler};
@@ -181,11 +181,10 @@ pub struct ServeShared {
     pub envelope: Envelope,
     /// Per-connection outbox bound.
     pub outbox_cap: usize,
-    /// Shared persistent cache, if configured.
-    pub cache: Option<Arc<ExperimentCache>>,
-    /// The executor runner's memo and cache, for answering warm runs
-    /// inline.
-    memo: MemoHandle,
+    /// The daemon's one runner: the executor's batches, the readers'
+    /// inline restores and every `diff` and `observe` resolve cells
+    /// through its memo, persistent cache and report.
+    runner: Runner,
     /// Narrate admissions and results on stderr.
     verbose: bool,
     /// Memoized admission-time verification verdicts for resolved
@@ -284,10 +283,10 @@ impl ServeShared {
 
 /// The executor loop: drain round-robin batches from the scheduler,
 /// run them on the supervised pool, deliver one line per job.
-fn executor(shared: &ServeShared, runner: &mut Runner, batch_max: usize) {
+fn executor(shared: &ServeShared, batch_max: usize) {
     while let Some(jobs) = shared.scheduler.next_batch(batch_max) {
         let batch: Vec<_> = jobs.iter().map(|j| (j.config.clone(), j.plan)).collect();
-        let results = runner.run_batch_with_plans(&batch);
+        let results = shared.runner.run_batch_with_plans(&batch);
         for (job, result) in jobs.iter().zip(results) {
             deliver(shared, job, result, None);
             shared.scheduler.finish(&job.tenant);
@@ -355,14 +354,6 @@ pub fn serve(config: ServeConfig) -> Result<(), String> {
     SHUTDOWN.store(false, Ordering::SeqCst);
     install_signal_handlers();
 
-    let cache = match &config.cache_dir {
-        None => None,
-        Some(dir) => match ExperimentCache::open(dir) {
-            Ok(c) => Some(Arc::new(c)),
-            Err(e) => return Err(format!("cannot open cache dir {}: {e}", dir.display())),
-        },
-    };
-
     // Counters only: span recording would flip `record_spans` on every
     // config and change summaries/cache keys away from batch mode.
     let telemetry = Telemetry::counters_only();
@@ -371,8 +362,10 @@ pub fn serve(config: ServeConfig) -> Result<(), String> {
         .jobs(jobs)
         .contain_panics(true)
         .with_telemetry(telemetry.clone());
-    if let Some(cache) = &cache {
-        runner = runner.with_cache(Arc::clone(cache));
+    if let Some(dir) = &config.cache_dir {
+        let cache = ExperimentCache::open(dir)
+            .map_err(|e| format!("cannot open cache dir {}: {e}", dir.display()))?;
+        runner = runner.with_cache(Arc::new(cache));
     }
     let shared = Arc::new(ServeShared {
         scheduler: Scheduler::new(
@@ -384,8 +377,7 @@ pub fn serve(config: ServeConfig) -> Result<(), String> {
         telemetry: telemetry.clone(),
         envelope: config.envelope,
         outbox_cap: config.outbox_cap,
-        cache,
-        memo: runner.memo_handle(),
+        runner,
         verbose: config.verbose,
         verified: Mutex::new(std::collections::BTreeMap::new()),
         drain: AtomicBool::new(false),
@@ -415,10 +407,7 @@ pub fn serve(config: ServeConfig) -> Result<(), String> {
 
     let executor_handle = {
         let shared = Arc::clone(&shared);
-        std::thread::spawn(move || {
-            executor(&shared, &mut runner, jobs);
-            runner.report().to_json()
-        })
+        std::thread::spawn(move || executor(&shared, jobs))
     };
 
     let sessions: Mutex<Vec<SessionHandle>> = Mutex::new(Vec::new());
@@ -440,14 +429,11 @@ pub fn serve(config: ServeConfig) -> Result<(), String> {
     }
 
     // Drain: the scheduler stops admitting; the executor finishes the
-    // backlog (delivering every in-flight response) and returns the final
-    // report.
+    // backlog, delivering every in-flight response.
     if config.verbose {
         eprintln!("vmprobe-serve: draining…");
     }
-    let report_json = executor_handle
-        .join()
-        .unwrap_or_else(|_| String::from("{}"));
+    let _ = executor_handle.join();
 
     // Every queued response flushes before sockets close: say goodbye,
     // close outboxes (writers exit after the backlog), then unblock
@@ -467,8 +453,11 @@ pub fn serve(config: ServeConfig) -> Result<(), String> {
     }
     let _ = std::fs::remove_file(&config.socket);
 
+    // Every reader has returned, so the report covers every cell the
+    // daemon resolved, a `diff` or `observe` still running at the drain
+    // included.
     if let Some(dest) = &config.report_json {
-        std::fs::write(dest, &report_json)
+        std::fs::write(dest, shared.runner.report().to_json())
             .map_err(|e| format!("cannot write report to {}: {e}", dest.display()))?;
     }
     if let Some(dest) = &config.metrics_out {

@@ -120,10 +120,13 @@ pub const MAX_DIFF_REPLICATES: u64 = 16;
 pub const MAX_DIFF_RESAMPLES: u64 = 2000;
 
 /// One tenant-submitted regression-gate request: the cell named by the
-/// same fields as a [`RunRequest`], diffed against the daemon's shared
-/// cache under this build's fingerprint, optionally with a candidate-side
-/// perturbation. Executed inline like `verify` — no pool slot, no
-/// quarantine accounting.
+/// same fields as a [`RunRequest`], self-diffed under this build's
+/// fingerprint, optionally with a candidate-side perturbation. Answered on
+/// the connection's reader thread like `verify`, with no queue slot and no
+/// tenant quarantine accounting, but its ensemble runs on the daemon's one
+/// runner and its `--jobs` workers: the cells share the daemon's memo,
+/// persistent cache and report, so a repeated request is answered from the
+/// memo, and a repeated failing cell replays as `Quarantined`.
 #[derive(Debug, Clone)]
 pub struct DiffRequest {
     /// Client-chosen request id, echoed on the response line.
@@ -146,7 +149,8 @@ pub const MAX_OBSERVE_REQUEST_PERIODS: usize = 4;
 
 /// One tenant-submitted observer-effect request: the cell named by the
 /// same fields as a [`RunRequest`] plus an optional `periods` grid spec.
-/// Executed inline like `diff` — no pool slot, no quarantine accounting.
+/// Answered like `diff`: on the reader thread, with the sweep on the
+/// daemon's runner, memo, cache, report and `--jobs` workers.
 #[derive(Debug, Clone)]
 pub struct ObserveRequest {
     /// Client-chosen request id, echoed on the response line.

@@ -3,13 +3,14 @@
 //!
 //! Each accepted connection gets two threads. The **reader** parses one
 //! request per line and answers what it can on the spot: admission
-//! decisions, `status`, `verify`, `diff`, `observe`, and a `run` whose
-//! tenant has nothing queued or executing and whose cell needs no
+//! decisions, `status`, `verify`, `diff` and `observe` (on the daemon's
+//! runner, so their cells share its memo, cache and report), and a `run`
+//! whose tenant has nothing queued or executing and whose cell needs no
 //! simulation — memoized, or restorable from the persistent cache
-//! ([`MemoHandle::restore`](crate::MemoHandle::restore), which never
-//! waits on a cell in flight). Every other `run` goes to the shared
-//! executor thread, which pushes its result into the outbox of the
-//! connection that submitted it.
+//! ([`Runner::restore`](crate::Runner::restore), which never waits on a
+//! cell in flight). Every other `run` goes to the shared executor thread,
+//! which pushes its result into the outbox of the connection that
+//! submitted it.
 //!
 //! A line pushed while nothing is queued goes straight to the socket with
 //! a non-blocking `send`, and a run answered inline sends its `accepted`
@@ -409,23 +410,21 @@ fn handle_line(line: &[u8], outbox: &Arc<Outbox>, shared: &ServeShared) {
             }
         }
         Request::Diff(diff) => {
-            // Inline like `verify`, but it does execute experiments, so it
-            // passes the same admission gates as a run. No pool slot and no
-            // quarantine accounting — the ensemble is bounded at parse time
-            // and failures are typed back to the tenant.
+            // Answered on this thread like `verify`, but it does execute
+            // experiments, so it passes the same admission gates as a run.
+            // No queue slot and no tenant quarantine accounting — the
+            // ensemble is bounded at parse time and failures are typed back
+            // to the tenant. A self-diff of this build: the daemon's runner
+            // serves both sides, so a repeat is answered from its memo.
             if !admit(&diff.id, &diff.config, outbox, shared) {
                 return;
             }
             shared.telemetry.count(CounterId::ServeRequests, 1);
             let label = crate::cache::build_fingerprint();
-            let mut side = crate::diff::DiffSide::new(&label);
-            if let Some(cache) = &shared.cache {
-                side = side.with_cache(Arc::clone(cache));
-            }
-            let engine = crate::diff::DiffEngine::new(diff.options, side.clone(), side)
-                .perturb(diff.perturb)
-                .with_telemetry(shared.telemetry.clone());
-            match engine.run(std::slice::from_ref(&diff.config)) {
+            let engine =
+                crate::diff::DiffEngine::new(diff.options, &label, &label).perturb(diff.perturb);
+            let runner = &shared.runner;
+            match engine.run(runner, runner, std::slice::from_ref(&diff.config)) {
                 Ok(report) => {
                     shared.telemetry.count(CounterId::ServeResults, 1);
                     outbox.push_must(protocol::diff_line(&diff.id, &report));
@@ -440,21 +439,18 @@ fn handle_line(line: &[u8], outbox: &Arc<Outbox>, shared: &ServeShared) {
             }
         }
         Request::Observe(req) => {
-            // Inline like `diff`: executes experiments, so it passes the
-            // run-request admission gates, but the grid is hard-capped at
-            // parse time (MAX_OBSERVE_REQUEST_PERIODS) so the reader
-            // thread stays responsive. Cached cells make repeats cheap.
+            // Answered on this thread like `diff`: executes experiments, so
+            // it passes the run-request admission gates, but the grid is
+            // hard-capped at parse time (MAX_OBSERVE_REQUEST_PERIODS) so the
+            // reader thread stays responsive. The daemon's memo answers a
+            // repeat.
             if !admit(&req.id, &req.config, outbox, shared) {
                 return;
             }
             shared.telemetry.count(CounterId::ServeRequests, 1);
             shared.telemetry.count(CounterId::ServeObserve, 1);
-            let mut engine = crate::observe::ObserveEngine::new(req.periods.clone())
-                .with_telemetry(shared.telemetry.clone());
-            if let Some(cache) = &shared.cache {
-                engine = engine.with_cache(Arc::clone(cache));
-            }
-            match engine.run(std::slice::from_ref(&req.config)) {
+            let engine = crate::observe::ObserveEngine::new(req.periods);
+            match engine.run(&shared.runner, std::slice::from_ref(&req.config)) {
                 Ok(report) => {
                     shared.telemetry.count(CounterId::ServeResults, 1);
                     outbox.push_must(protocol::observe_line(&req.id, &report));
@@ -482,7 +478,7 @@ fn handle_line(line: &[u8], outbox: &Arc<Outbox>, shared: &ServeShared) {
             };
             let queued = match shared.scheduler.admit(job) {
                 Ok(Admitted::Inline(job, depth)) => {
-                    match shared.memo.restore(&job.config, job.plan) {
+                    match shared.runner.restore(&job.config, job.plan) {
                         Some(summary) => {
                             // Resolved and accounted as in a batch, minus
                             // the batch. The slot is released only once

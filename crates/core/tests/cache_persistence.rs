@@ -89,7 +89,7 @@ fn killed_sweep_resumes_paying_only_for_the_missing_cells() {
 
     // Reference pass on an uncached runner: what an uninterrupted sweep
     // produces.
-    let mut reference = Runner::new().jobs(2).scale(InputScale::Reduced);
+    let reference = Runner::new().jobs(2).scale(InputScale::Reduced);
     let expect: Vec<_> = reference
         .run_batch(&configs)
         .into_iter()
@@ -100,7 +100,7 @@ fn killed_sweep_resumes_paying_only_for_the_missing_cells() {
     // disappears (dropping the runner loses its in-memory memo; only the
     // cache directory survives).
     {
-        let (mut partial, tel) = cached_runner(&dir, 2);
+        let (partial, tel) = cached_runner(&dir, 2);
         for r in partial.run_batch(&configs[..half]) {
             r.expect("partial cell");
         }
@@ -110,7 +110,7 @@ fn killed_sweep_resumes_paying_only_for_the_missing_cells() {
     // Resumed sweep over the full grid: only the missing half is computed,
     // and every cell — restored or fresh — matches the reference run
     // bit for bit.
-    let (mut resumed, tel) = cached_runner(&dir, 2);
+    let (resumed, tel) = cached_runner(&dir, 2);
     let got: Vec<_> = resumed
         .run_batch(&configs)
         .into_iter()
@@ -145,7 +145,7 @@ fn corrupted_entry_on_disk_is_recomputed_and_healed() {
     let dir = scratch_dir("corrupt");
     let cfg = ExperimentConfig::jikes("_209_db", CollectorKind::GenCopy, 32);
 
-    let (mut cold, _) = cached_runner(&dir, 1);
+    let (cold, _) = cached_runner(&dir, 1);
     let clean = cold.run(&cfg).expect("cold run");
 
     // Flip bytes in the middle of the stored entry.
@@ -163,7 +163,7 @@ fn corrupted_entry_on_disk_is_recomputed_and_healed() {
 
     // A fresh runner sees the damage, recomputes, and matches the clean
     // result exactly; the rewritten entry then serves a third runner.
-    let (mut hurt, tel) = cached_runner(&dir, 1);
+    let (hurt, tel) = cached_runner(&dir, 1);
     let recomputed = hurt.run(&cfg).expect("recomputed run");
     assert_eq!(tel.counter(CounterId::CacheCorrupt), 1);
     assert_eq!(tel.counter(CounterId::CellsExecuted), 1);
@@ -174,7 +174,7 @@ fn corrupted_entry_on_disk_is_recomputed_and_healed() {
         "recomputed energy must match the pre-damage run"
     );
 
-    let (mut healed, tel) = cached_runner(&dir, 1);
+    let (healed, tel) = cached_runner(&dir, 1);
     let restored = healed.run(&cfg).expect("restored run");
     assert_eq!(tel.counter(CounterId::CacheHits), 1);
     assert_eq!(tel.counter(CounterId::CellsExecuted), 0);
@@ -190,7 +190,7 @@ fn corrupted_entry_on_disk_is_recomputed_and_healed() {
 fn a_write_that_fails_is_not_counted_as_stored() {
     let dir = scratch_dir("vanished");
     let cfg = ExperimentConfig::jikes("moldyn", CollectorKind::GenCopy, 32);
-    let (mut runner, tel) = cached_runner(&dir, 1);
+    let (runner, tel) = cached_runner(&dir, 1);
     // The directory disappears after the cache opened it: every write's
     // temp file fails, yet the cell itself must still succeed.
     std::fs::remove_dir_all(&dir).expect("remove cache dir");
@@ -219,15 +219,15 @@ fn a_restore_counts_only_the_entries_it_restores() {
 
     // An absent entry: the restore declines and counts nothing, so the
     // runner's own probe is the key's one counted miss.
-    let (mut cold, tel) = cached_runner(&dir, 1);
-    assert!(cold.memo_handle().restore(&cfg, None).is_none());
+    let (cold, tel) = cached_runner(&dir, 1);
+    assert!(cold.restore(&cfg, None).is_none());
     assert_eq!(cache_counts(&tel), [0, 0, 0]);
     let computed = cold.run(&cfg).expect("cold run");
     assert_eq!(cache_counts(&tel), [0, 1, 0]);
 
     // A stored entry: restored once, counted once, nothing executed.
     let (warm, tel) = cached_runner(&dir, 1);
-    let restored = warm.memo_handle().restore(&cfg, None).expect("restored");
+    let restored = warm.restore(&cfg, None).expect("restored");
     assert_eq!(cache_counts(&tel), [1, 0, 0]);
     assert_eq!(tel.counter(CounterId::CellsExecuted), 0);
     assert_eq!(

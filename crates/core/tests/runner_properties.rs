@@ -18,7 +18,7 @@ proptest! {
         extra_runs in 1u64..4,
     ) {
         let plan = FaultPlan::parse(&format!("oom@{oom_at}")).unwrap();
-        let mut runner = Runner::new().with_faults(plan);
+        let runner = Runner::new().with_faults(plan);
         let mut cfg = ExperimentConfig::jikes("moldyn", CollectorKind::GenCopy, 32);
         cfg.scale = InputScale::Reduced;
 

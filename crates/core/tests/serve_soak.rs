@@ -543,9 +543,17 @@ fn observe_requests_run_inline_and_match_the_batch_engine() {
     let dir = temp_dir("observe");
     let socket = dir.join("daemon.sock");
     let metrics = dir.join("metrics.prom");
+    let report_json = dir.join("report.json");
     let mut daemon = spawn_daemon(
         &socket,
-        &["--jobs", "2", "--metrics-out", metrics.to_str().unwrap()],
+        &[
+            "--jobs",
+            "2",
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+            "--report-json",
+            report_json.to_str().unwrap(),
+        ],
     );
 
     let mut alice = Client::connect(&socket);
@@ -568,7 +576,7 @@ fn observe_requests_run_inline_and_match_the_batch_engine() {
         probe: vmprobe::ProbeSpec::default(),
     };
     let report = ObserveEngine::new(vec![40_000, 400_000])
-        .run(std::slice::from_ref(&cfg))
+        .run(&Runner::new(), std::slice::from_ref(&cfg))
         .expect("baseline sweep runs");
     assert_eq!(line, observe_line("obs-1", &report));
 
@@ -595,6 +603,62 @@ fn observe_requests_run_inline_and_match_the_batch_engine() {
         metrics.contains("vmprobe_serve_observe_total 1"),
         "metrics: {metrics}"
     );
+    // The sweep ran on the daemon's runner: its 2 periods x 2 modes are
+    // in the final report.
+    let report_json = std::fs::read_to_string(&report_json).expect("report written");
+    assert!(
+        report_json.contains("\"runs_ok\":4"),
+        "report: {report_json}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn repeated_diff_and_observe_requests_are_answered_from_the_memo() {
+    let dir = temp_dir("repeat");
+    let socket = dir.join("daemon.sock");
+    let cache = dir.join("cache");
+    let daemon = Reaped(spawn_daemon(
+        &socket,
+        &["--jobs", "1", "--cache-dir", cache.to_str().unwrap()],
+    ));
+    let mut carol = Client::connect(&socket);
+    let cell =
+        r#""tenant":"carol","benchmark":"moldyn","collector":"gencopy","heap_mb":32,"scale":"s10""#;
+    let counters = [
+        "vmprobe_cells_executed_total",
+        "vmprobe_cache_hits_total",
+        "vmprobe_cells_from_cache_total",
+    ];
+    // Each request with its reply kind and its run count: 2 periods x 2
+    // modes, and a self-diff's one sweep of 2 replicates.
+    for (request, kind, runs) in [
+        (
+            format!(r#"{{"op":"observe","id":"o",{cell},"periods":"40us,400us"}}"#),
+            "observe",
+            4,
+        ),
+        (
+            format!(r#"{{"op":"diff","id":"d",{cell},"replicates":2,"resamples":20}}"#),
+            "diff",
+            2,
+        ),
+    ] {
+        carol.send(&request);
+        let (first, _) = carol.read_kind(&[kind, "error"]);
+        assert!(first.contains(&format!("\"kind\":\"{kind}\"")), "{first}");
+        let before = metrics_text(&mut carol);
+        carol.send(&request);
+        let (repeat, _) = carol.read_kind(&[kind, "error"]);
+        assert_eq!(repeat, first, "a repeat must not change a byte");
+        let after = metrics_text(&mut carol);
+        let [executed, hits, from_memo] =
+            counters.map(|name| (sample(&before, name), sample(&after, name)));
+        assert_eq!(executed.0, executed.1, "{kind}: the repeat executed a cell");
+        assert_eq!(hits.0, hits.1, "{kind}: the repeat read the disk");
+        assert_eq!(from_memo.1, from_memo.0 + runs, "{kind}: memo hits");
+    }
+    shut_down(carol, daemon);
     std::fs::remove_dir_all(&dir).ok();
 }
 

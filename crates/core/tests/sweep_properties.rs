@@ -82,7 +82,7 @@ fn batch_with_duplicates_executes_each_distinct_config_once() {
     // A batch that names every cell three times, executed on 8 workers:
     // the memo must collapse them to one execution each, with the report
     // counting each distinct run once.
-    let mut runner = Runner::new().jobs(8);
+    let runner = Runner::new().jobs(8);
     let mut batch = Vec::new();
     for heap in [32u32, 48, 64, 96] {
         for bench in ["_209_db", "search", "fop"] {
@@ -111,7 +111,7 @@ fn batch_with_duplicates_executes_each_distinct_config_once() {
 
 #[test]
 fn quarantined_configs_are_never_rerun_even_under_parallel_resubmission() {
-    let mut runner = Runner::new()
+    let runner = Runner::new()
         .jobs(8)
         .fault_override("moldyn", FaultPlan::parse("oom@1").unwrap());
     let cfg = quick("moldyn", 32);
@@ -151,7 +151,7 @@ fn quarantine_accounting_is_exact_for_concurrent_failing_cells() {
     // Three benchmarks fail persistently on concurrent workers; totals
     // must still be the exact sums.
     let oom = FaultPlan::parse("oom@1").unwrap();
-    let mut runner = Runner::new()
+    let runner = Runner::new()
         .jobs(8)
         .fault_override("moldyn", oom)
         .fault_override("search", oom)
@@ -173,7 +173,7 @@ fn quarantine_accounting_is_exact_for_concurrent_failing_cells() {
 #[test]
 fn report_json_is_stable_across_thread_counts_for_mixed_outcomes() {
     let render = |jobs: usize| {
-        let mut runner = Runner::new()
+        let runner = Runner::new()
             .jobs(jobs)
             .with_faults(FaultPlan::parse("drop=0.1,seed=9").unwrap())
             .fault_override("moldyn", FaultPlan::parse("oom@1").unwrap());

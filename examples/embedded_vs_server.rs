@@ -14,7 +14,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bench = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "_213_javac".into());
-    let mut runner = Runner::new();
+    let runner = Runner::new();
 
     // Matching the paper: s100 at 64 MB on the P6; s10 at 16 MB on the
     // board (Section VI-E reduces both input set and heap range).

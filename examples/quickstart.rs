@@ -15,7 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // consume up to 60% of total energy (Section VI-A).
     let config = ExperimentConfig::jikes("_213_javac", CollectorKind::SemiSpace, 32);
 
-    let mut runner = Runner::new();
+    let runner = Runner::new();
     let run = runner.run(&config)?;
 
     println!("configuration : {config}");

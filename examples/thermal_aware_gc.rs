@@ -24,7 +24,7 @@ use vmprobe_power::{Celsius, ComponentId, Seconds, ThermalConfig, ThermalSim, Wa
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Measure real component powers from a GC-active run.
-    let mut runner = Runner::new();
+    let runner = Runner::new();
     let run = runner.run(&ExperimentConfig::jikes(
         "_213_javac",
         CollectorKind::GenCopy,

@@ -16,8 +16,8 @@ use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 use vmprobe::{
-    bootstrap_ci, golden_cells, BootstrapCi, CounterId, DiffEngine, DiffOptions, DiffSide,
-    ExperimentConfig, RegressionReport, Telemetry, VmChoice,
+    bootstrap_ci, golden_cells, BootstrapCi, CounterId, DiffEngine, DiffOptions, ExperimentConfig,
+    RegressionReport, Runner, Telemetry, VmChoice,
 };
 use vmprobe_power::{DetRng, EnergyPerturbation};
 
@@ -45,16 +45,23 @@ fn db_cells() -> Vec<ExperimentConfig> {
     cells
 }
 
-/// A cache-less self-diff engine (shared sweep) with a candidate-side
-/// perturbation parsed from `spec`.
+/// A self-diff engine (shared sweep) with a candidate-side perturbation
+/// parsed from `spec`.
 fn perturbed_engine(spec: &str) -> DiffEngine {
-    let side = DiffSide::new("build-under-test");
-    DiffEngine::new(quick_options(), side.clone(), side)
+    DiffEngine::new(quick_options(), "build-under-test", "build-under-test")
         .perturb(EnergyPerturbation::parse(spec).expect("valid perturbation spec"))
 }
 
+/// `engine` over `cells`, both sides on `runner`.
+fn run_on(runner: &Runner, engine: &DiffEngine, cells: &[ExperimentConfig]) -> RegressionReport {
+    engine
+        .run(runner, runner, cells)
+        .expect("diff over golden cells must run")
+}
+
+/// `engine` over `cells` on a fresh cache-less runner.
 fn run(engine: &DiffEngine, cells: &[ExperimentConfig]) -> RegressionReport {
-    engine.run(cells).expect("diff over golden cells must run")
+    run_on(&Runner::new(), engine, cells)
 }
 
 #[test]
@@ -137,13 +144,9 @@ fn reports_are_byte_identical_across_worker_counts() {
         .into_iter()
         .filter(|c| c.benchmark == "_209_db" || c.benchmark == "moldyn")
         .collect();
-    let report_with_jobs = |jobs: usize| {
-        let side = DiffSide::new("build-under-test");
-        let engine = DiffEngine::new(quick_options(), side.clone(), side)
-            .perturb(EnergyPerturbation::parse("gc=+3%,jit=+1%").expect("valid spec"))
-            .jobs(jobs);
-        run(&engine, &cells).to_json()
-    };
+    let engine = perturbed_engine("gc=+3%,jit=+1%");
+    let report_with_jobs =
+        |jobs: usize| run_on(&Runner::new().jobs(jobs), &engine, &cells).to_json();
     let serial = report_with_jobs(1);
     let parallel = report_with_jobs(8);
     assert_eq!(
@@ -155,10 +158,8 @@ fn reports_are_byte_identical_across_worker_counts() {
 #[test]
 fn diff_telemetry_counters_record_the_run() {
     let telemetry = Telemetry::counters_only();
-    let side = DiffSide::new("build-under-test");
-    let engine =
-        DiffEngine::new(quick_options(), side.clone(), side).with_telemetry(telemetry.clone());
-    let report = run(&engine, &db_cells());
+    let runner = Runner::new().with_telemetry(telemetry.clone());
+    let report = run_on(&runner, &perturbed_engine(""), &db_cells());
     assert!(report.clean());
     assert_eq!(
         telemetry.counter(CounterId::DiffSweeps),
@@ -174,12 +175,12 @@ fn diff_telemetry_counters_record_the_run() {
     assert_eq!(telemetry.counter(CounterId::DiffRegressions), 0);
 
     let flagged = Telemetry::counters_only();
-    let gc_engine = perturbed_engine("gc=+3%").with_telemetry(flagged.clone());
-    let gc_report = run(&gc_engine, &db_cells());
+    let flagged_runner = Runner::new().with_telemetry(flagged.clone());
+    let gc_report = run_on(&flagged_runner, &perturbed_engine("gc=+3%"), &db_cells());
     assert_eq!(
         telemetry.counter(CounterId::DiffRegressions),
         0,
-        "engines must not share counter state"
+        "runners must not share counter state"
     );
     assert_eq!(
         flagged.counter(CounterId::DiffRegressions),
@@ -217,13 +218,12 @@ fn regression_report_json_matches_the_golden_fixture() {
     // Fixed side labels (not this build's fingerprint) keep the fixture
     // stable across version bumps; distinct labels exercise the
     // two-sweep path a real cross-build diff takes.
-    let engine = DiffEngine::new(
-        quick_options(),
-        DiffSide::new("baseline"),
-        DiffSide::new("candidate"),
-    )
-    .perturb(EnergyPerturbation::parse("gc=+5%").expect("valid spec"));
-    let report = run(&engine, &db_cells());
+    let engine = DiffEngine::new(quick_options(), "baseline", "candidate")
+        .perturb(EnergyPerturbation::parse("gc=+5%").expect("valid spec"));
+    let (baseline, candidate) = (Runner::new(), Runner::new());
+    let report = engine
+        .run(&baseline, &candidate, &db_cells())
+        .expect("diff over golden cells must run");
     assert_eq!(report.components_flagged(), ["GC"]);
     check_golden("report.json", &report.to_json());
 }

@@ -77,13 +77,12 @@ fn fixture_grid() -> Vec<u64> {
 #[test]
 fn observe_figure_matches_golden_and_is_jobs_invariant() {
     let cells = fixture_cells();
-    let r1 = ObserveEngine::new(fixture_grid())
-        .jobs(1)
-        .run(&cells)
+    let engine = ObserveEngine::new(fixture_grid());
+    let r1 = engine
+        .run(&Runner::new().jobs(1), &cells)
         .expect("sweep completes");
-    let r8 = ObserveEngine::new(fixture_grid())
-        .jobs(8)
-        .run(&cells)
+    let r8 = engine
+        .run(&Runner::new().jobs(8), &cells)
         .expect("sweep completes");
     assert_eq!(
         r1.to_string(),
@@ -140,7 +139,7 @@ fn attribution_error_is_monotone_as_the_period_shrinks() {
         cell("search", VmChoice::Kaffe, 32, PlatformKind::Pxa255),
     ];
     let report = ObserveEngine::new(fixture_grid())
-        .run(&cells)
+        .run(&Runner::new(), &cells)
         .expect("sweep completes");
     for c in &cells {
         // Points arrive cell-major in grid (ascending period) order.

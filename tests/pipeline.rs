@@ -111,7 +111,7 @@ fn runs_are_bit_for_bit_deterministic() {
 
 #[test]
 fn runner_caches_and_shares_runs() {
-    let mut runner = Runner::new();
+    let runner = Runner::new();
     let cfg = quick(
         "search",
         VmChoice::Jikes(CollectorKind::SemiSpace),

@@ -87,7 +87,7 @@ fn figure_text_is_unchanged_by_instrumentation() {
 #[test]
 fn schema_version_is_stamped_in_lockstep_across_artifacts() {
     let telemetry = Telemetry::recording();
-    let mut runner = Runner::new().with_telemetry(telemetry.clone());
+    let runner = Runner::new().with_telemetry(telemetry.clone());
     let mut cfg = ExperimentConfig::jikes("_209_db", CollectorKind::GenCopy, 32);
     cfg.scale = InputScale::Reduced;
     runner.run(&cfg).expect("runs");
