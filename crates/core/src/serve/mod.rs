@@ -5,8 +5,8 @@
 //! sessions, parameter-scan scripts — can share one warm process, one
 //! sweep pool and one content-addressed result cache. Requests
 //! arrive as line-delimited JSON over a local Unix socket
-//! ([`protocol`]); admission control, per-tenant fairness and quarantine
-//! live in [`scheduler`] and [`quarantine`]; per-connection backpressure
+//! ([`protocol`]); admission control, per-tenant fairness, quarantine
+//! and the drain flag live in [`scheduler`]; per-connection backpressure
 //! in [`session`]; the resource envelope in [`limits`].
 //!
 //! # Request path
@@ -36,10 +36,14 @@
 //!   ([`session::Outbox`]);
 //! * tenants whose requests keep failing are quarantined for a
 //!   deterministic cooldown measured in admission sequence numbers
-//!   ([`quarantine::QuarantineBook`]), visible in `status`;
-//! * SIGTERM drains gracefully: in-flight cells finish, their responses
-//!   are delivered, the final [`RunReport`](crate::RunReport) and metrics
-//!   are flushed, and the process exits 0.
+//!   ([`scheduler`]), visible in `status`;
+//! * SIGTERM or the `shutdown` op drains gracefully, in one order: stop
+//!   accepting and refuse new work; shut each connection's read half and
+//!   join its reader, which finishes the request in hand; let the
+//!   executor empty the queue; then say `bye`, close the outboxes and
+//!   flush them (for at most `FLUSH_TIMEOUT`). Every admitted request
+//!   is answered before `bye`; the final [`RunReport`](crate::RunReport)
+//!   and metrics are written, and the process exits 0.
 //!
 //! Determinism is preserved: the daemon runs a counters-only telemetry
 //! hub and applies no envelope caps by default, so a healthy request
@@ -48,40 +52,44 @@
 
 pub mod limits;
 pub mod protocol;
-pub mod quarantine;
 pub mod scheduler;
 pub mod session;
 
+use std::net::Shutdown;
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use vmprobe_telemetry::{CounterId, HistId, Telemetry};
 
 use crate::json::JsonObj;
-use crate::sweep::lock_unpoisoned;
 use crate::{ExperimentCache, Runner};
 
 use limits::Envelope;
 use scheduler::{Job, Scheduler};
 use session::SessionHandle;
 
-/// How long the accept loop waits for a connection before it checks the
-/// shutdown flags again.
+/// How long the accept loop waits for a connection before it checks for
+/// a drain again.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
-/// Signal-handler-set shutdown flag (SIGTERM/SIGINT): static because a
-/// signal handler can touch nothing else safely.
+/// How long the drain's final flush may take: a connection whose client
+/// has not read its last lines by then is given up on.
+const FLUSH_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Signal-handler-set shutdown request (SIGTERM/SIGINT): static because a
+/// signal handler can touch nothing else safely. The accept loop turns it
+/// into the scheduler's drain.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
 extern "C" fn on_signal(_sig: i32) {
     SHUTDOWN.store(true, Ordering::SeqCst);
 }
 
-/// Route SIGTERM and SIGINT to the drain flag. Declares libc's `signal`
+/// Route SIGTERM and SIGINT to the shutdown request. Declares libc's `signal`
 /// directly — the symbol is always present on Unix and the build stays
 /// dependency-free.
 fn install_signal_handlers() {
@@ -172,7 +180,7 @@ impl Default for ServeConfig {
 /// State shared between the accept loop, every session and the executor.
 #[derive(Debug)]
 pub struct ServeShared {
-    /// Admission queue and quarantine book.
+    /// Admission queue, tenant table and drain flag.
     pub scheduler: Scheduler,
     /// Counters-only hub (summaries must stay byte-identical to batch
     /// mode, so span recording is never enabled here).
@@ -187,84 +195,27 @@ pub struct ServeShared {
     runner: Runner,
     /// Narrate admissions and results on stderr.
     verbose: bool,
-    /// Memoized admission-time verification verdicts for resolved
-    /// benchmark programs, keyed by `benchmark@scale`. Benchmarks are
-    /// deterministic functions of that key, so one dataflow-verifier
-    /// pass per cell shape serves the daemon's whole lifetime.
-    verified: Mutex<std::collections::BTreeMap<String, Result<(), String>>>,
-    drain: AtomicBool,
 }
 
 impl ServeShared {
-    /// Flip the daemon into draining mode (idempotent): the scheduler
-    /// rejects new work and the accept/executor loops wind down.
-    pub fn begin_drain(&self) {
-        self.drain.store(true, Ordering::SeqCst);
-        self.scheduler.drain();
-    }
-
-    fn draining(&self) -> bool {
-        self.drain.load(Ordering::SeqCst) || SHUTDOWN.load(Ordering::SeqCst)
-    }
-
-    /// Admission-time verification of a resolved benchmark program,
-    /// memoized per `benchmark@scale`. `Err` carries the verifier's
-    /// diagnostic; either verdict is cached.
-    pub fn verify_benchmark(
-        &self,
-        bench: &vmprobe_workloads::Benchmark,
-        scale: vmprobe_workloads::InputScale,
-    ) -> Result<(), String> {
-        let key = format!("{}@{scale:?}", bench.name);
-        if let Some(verdict) = lock_unpoisoned(&self.verified).get(&key) {
-            return verdict.clone();
-        }
-        let verdict = vmprobe_analysis::verify_program(&bench.build(scale))
-            .map(|_| ())
-            .map_err(|e| e.to_string());
-        lock_unpoisoned(&self.verified).insert(key, verdict.clone());
-        verdict
-    }
-
     /// Render the `status` response line.
     pub fn status_line(&self) -> String {
         let s = self.scheduler.status();
-        let queues: std::collections::BTreeMap<&str, usize> = s
-            .tenant_queues
-            .iter()
-            .map(|(t, n)| (t.as_str(), *n))
-            .collect();
-        let tenants = s.standings.iter().map(|st| {
+        let tenants = s.tenants.iter().map(|row| {
             let mut o = JsonObj::new();
-            o.str("tenant", &st.tenant)
-                .u64("failure_streak", u64::from(st.failure_streak))
-                .u64(
-                    "queued",
-                    queues.get(st.tenant.as_str()).copied().unwrap_or(0) as u64,
-                )
-                .bool("quarantined", st.release_at.is_some());
-            if let Some(at) = st.release_at {
+            o.str("tenant", &row.tenant)
+                .u64("failure_streak", u64::from(row.failure_streak))
+                .u64("queued", row.queued as u64)
+                .bool("quarantined", row.release_at.is_some());
+            if let Some(at) = row.release_at {
                 o.u64("release_at_seq", at);
             }
             o.finish()
         });
-        let queued_only = s
-            .tenant_queues
-            .iter()
-            .filter(|(t, _)| !s.standings.iter().any(|st| &st.tenant == t))
-            .map(|(t, n)| {
-                let mut o = JsonObj::new();
-                o.str("tenant", t)
-                    .u64("failure_streak", 0)
-                    .u64("queued", *n as u64)
-                    .bool("quarantined", false);
-                o.finish()
-            });
-        let all: Vec<String> = tenants.chain(queued_only).collect();
         let mut o = JsonObj::new();
         o.bool("ok", true).str("kind", "status");
         o.schema_version()
-            .bool("draining", s.draining || self.draining())
+            .bool("draining", s.draining)
             .u64("queued", s.queued as u64)
             .u64("admission_seq", s.admitted_seq)
             .u64("cache_hits", self.telemetry.counter(CounterId::CacheHits))
@@ -276,7 +227,7 @@ impl ServeShared {
                 "verify_rejected",
                 self.telemetry.counter(CounterId::ServeVerifyRejected),
             )
-            .array("tenants", all);
+            .array("tenants", tenants);
         o.finish()
     }
 }
@@ -379,8 +330,6 @@ pub fn serve(config: ServeConfig) -> Result<(), String> {
         outbox_cap: config.outbox_cap,
         runner,
         verbose: config.verbose,
-        verified: Mutex::new(std::collections::BTreeMap::new()),
-        drain: AtomicBool::new(false),
     });
 
     // Replace a stale socket file from a previous unclean exit.
@@ -410,15 +359,17 @@ pub fn serve(config: ServeConfig) -> Result<(), String> {
         std::thread::spawn(move || executor(&shared, jobs))
     };
 
-    let sessions: Mutex<Vec<SessionHandle>> = Mutex::new(Vec::new());
+    let mut sessions: Vec<SessionHandle> = Vec::new();
     loop {
-        if shared.draining() {
-            shared.begin_drain();
+        if SHUTDOWN.load(Ordering::SeqCst) {
+            shared.scheduler.drain();
+        }
+        if shared.scheduler.draining() {
             break;
         }
         match listener.accept() {
             Ok((stream, _)) => match session::spawn(stream, Arc::clone(&shared)) {
-                Ok(handle) => lock_unpoisoned(&sessions).push(handle),
+                Ok(handle) => sessions.push(handle),
                 Err(e) => eprintln!("vmprobe-serve: cannot start session: {e}"),
             },
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -428,28 +379,46 @@ pub fn serve(config: ServeConfig) -> Result<(), String> {
         }
     }
 
-    // Drain: the scheduler stops admitting; the executor finishes the
-    // backlog, delivering every in-flight response.
+    // 1. New work is refused; stop accepting connections too.
+    drop(listener);
     if config.verbose {
         eprintln!("vmprobe-serve: draining…");
     }
+    // 2. Stop reading. Each reader answers what its socket already holds
+    //    (new work gets `draining`) without waiting for outbox room, then
+    //    returns, so joining it finishes the request in hand, a `diff` or
+    //    `observe` included.
+    for handle in &sessions {
+        let _ = handle.stream.shutdown(Shutdown::Read);
+        handle.outbox.release_reader();
+    }
+    let writers: Vec<_> = sessions
+        .into_iter()
+        .map(|handle| {
+            let _ = handle.reader.join();
+            (handle.outbox, handle.stream, handle.writer)
+        })
+        .collect();
+    // 3. No reader holds a run now: the executor empties the queue and
+    //    exits, delivering every queued response.
     let _ = executor_handle.join();
-
-    // Every queued response flushes before sockets close: say goodbye,
-    // close outboxes (writers exit after the backlog), then unblock
-    // readers by shutting the sockets down.
+    // 4. Say goodbye and flush. A client that does not read its last
+    //    lines within the flush bound is cut off, so it cannot hold the
+    //    daemon open.
     let mut bye = JsonObj::new();
     bye.bool("ok", true).str("kind", "bye");
     let bye = bye.finish();
-    let handles = std::mem::take(&mut *lock_unpoisoned(&sessions));
-    for handle in &handles {
-        handle.outbox.push_must(bye.clone());
-        handle.outbox.close();
+    for (outbox, ..) in &writers {
+        outbox.push_must(bye.clone());
+        outbox.close();
     }
-    for handle in handles {
-        let _ = handle.writer.join();
-        let _ = handle.stream.shutdown(std::net::Shutdown::Both);
-        let _ = handle.reader.join();
+    let deadline = Instant::now() + FLUSH_TIMEOUT;
+    for (_, stream, writer) in writers {
+        while !writer.is_finished() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let _ = stream.shutdown(Shutdown::Both);
+        let _ = writer.join();
     }
     let _ = std::fs::remove_file(&config.socket);
 

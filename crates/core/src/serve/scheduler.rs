@@ -1,4 +1,5 @@
-//! Admission control and fair cross-tenant scheduling.
+//! Admission control, fair cross-tenant scheduling, tenant quarantine
+//! and the drain flag.
 //!
 //! One bounded admission queue feeds one executor thread, which drains it
 //! in tenant round-robin order and submits each round as a batch to the
@@ -7,6 +8,11 @@
 //! one lock on the reader thread of whichever connection submitted the
 //! request, so every rejection is immediate and carries an exact reason.
 //!
+//! Everything the daemon knows about a tenant is one row of one table:
+//! its FIFO queue, its jobs outstanding (queued or executing), its
+//! failure streak and, while quarantined, the admission sequence that
+//! releases it. A row that holds none of these is dropped.
+//!
 //! [`Scheduler::admit`] hands a run request back to the reader thread
 //! when its tenant has nothing queued or executing, so the reader can
 //! answer it if its cell needs no simulation. A tenant with work
@@ -14,6 +20,37 @@
 //! request handed back holds a queue slot until the reader answers it
 //! ([`Scheduler::answered`]) or queues it ([`Scheduler::decline`]), and
 //! a draining executor waits for it.
+//!
+//! # Quarantine
+//!
+//! A tenant whose results keep failing is throttled as a whole, so a
+//! poisoned client cannot monopolize the pool by cycling through
+//! variations of a broken request:
+//!
+//! ```text
+//!           failure (streak < threshold)
+//!          ┌─────────────┐
+//!          ▼             │
+//!   ┌───────────┐ streak == threshold  ┌─────────────┐
+//!   │  Healthy  │─────────────────────▶│ Quarantined │
+//!   └───────────┘                      └─────────────┘
+//!          ▲        admission seq >= release_at            │
+//!          └───────────────────────────────────────────────┘
+//!                      (auto-release, streak reset)
+//! ```
+//!
+//! Time is measured in **admission sequence numbers**, not wall-clock:
+//! every run request that reaches [`Scheduler::admit`], admitted or
+//! refused, advances the clock by one, so a replayed request stream
+//! reproduces the exact same admission decisions. A success resets the streak; failures of cells
+//! admitted before the quarantine began do not extend it; threshold 0
+//! turns quarantine off.
+//!
+//! # Draining
+//!
+//! [`Scheduler::drain`] sets the daemon's one drain flag: from then on
+//! `run`, `diff` and `observe` are refused with `draining`, and the
+//! executor exits once the queue is empty and no reader holds a run.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
@@ -23,7 +60,6 @@ use vmprobe_power::FaultPlan;
 use vmprobe_telemetry::{CounterId, HistId, Telemetry};
 
 use super::protocol::ErrorCode;
-use super::quarantine::{Gate, QuarantineBook, TenantStanding};
 use super::session::Outbox;
 use crate::sweep::lock_unpoisoned;
 use crate::ExperimentConfig;
@@ -45,19 +81,29 @@ pub struct Job {
     pub admitted: Instant,
 }
 
+/// One tenant's row (see module docs).
+#[derive(Debug, Default)]
+struct Tenant {
+    /// Queued jobs, in admission order.
+    queue: VecDeque<Job>,
+    /// Jobs queued or executing: a warm request is answered inline only
+    /// when this is 0.
+    outstanding: usize,
+    /// Consecutive failed results (a success resets it).
+    failure_streak: u32,
+    /// `Some(seq)` while quarantined: released at admission seq `seq`.
+    release_at: Option<u64>,
+}
+
 #[derive(Debug, Default)]
 struct State {
-    /// Per-tenant FIFO queues; `BTreeMap` so round-robin order is the
+    /// The tenant table; `BTreeMap` so round-robin order is the
     /// deterministic lexicographic tenant order, not hash order.
-    queues: BTreeMap<String, VecDeque<Job>>,
+    tenants: BTreeMap<String, Tenant>,
     /// Jobs across all queues (the bounded quantity).
     total: usize,
     /// Tenant served last; the next round starts strictly after it.
     rr_last: Option<String>,
-    /// Jobs per tenant that are queued or executing (tenants with none
-    /// are absent): a warm request is answered inline only when its
-    /// tenant is absent.
-    outstanding: BTreeMap<String, usize>,
     /// Requests handed back to a reader and not yet answered or queued.
     /// Each holds a queue slot, and a draining executor waits for them,
     /// so the daemon says `bye` only after their results.
@@ -66,7 +112,17 @@ struct State {
     seq: u64,
     /// Draining: admit nothing, executor exits once queues are empty.
     draining: bool,
-    book: QuarantineBook,
+}
+
+impl State {
+    /// Drop `tenant`'s row if it no longer holds anything.
+    fn prune(&mut self, tenant: &str) {
+        let idle =
+            |t: &Tenant| t.outstanding == 0 && t.failure_streak == 0 && t.release_at.is_none();
+        if self.tenants.get(tenant).is_some_and(idle) {
+            self.tenants.remove(tenant);
+        }
+    }
 }
 
 /// A point-in-time view of the scheduler for `/status`.
@@ -78,10 +134,22 @@ pub struct SchedulerStatus {
     pub admitted_seq: u64,
     /// Whether the daemon is draining.
     pub draining: bool,
-    /// Per-tenant queue depths, lexicographic order.
-    pub tenant_queues: Vec<(String, usize)>,
-    /// Tenants with failures on record or under quarantine.
-    pub standings: Vec<TenantStanding>,
+    /// Tenants with jobs queued, failures on record or a quarantine, in
+    /// lexicographic order.
+    pub tenants: Vec<TenantRow>,
+}
+
+/// One row of the `/status` tenant table.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TenantRow {
+    /// Tenant name.
+    pub tenant: String,
+    /// Current consecutive-failure streak.
+    pub failure_streak: u32,
+    /// Jobs queued (not yet executing).
+    pub queued: usize,
+    /// Release sequence while quarantined.
+    pub release_at: Option<u64>,
 }
 
 /// How an admitted run request proceeds.
@@ -95,27 +163,30 @@ pub enum Admitted {
     Inline(Box<Job>, usize),
 }
 
-/// The daemon's admission queue (see module docs).
+/// The daemon's admission queue and tenant table (see module docs).
 #[derive(Debug)]
 pub struct Scheduler {
     state: Mutex<State>,
     ready: Condvar,
     cap: usize,
+    /// Consecutive failures before a tenant is quarantined (0 = never).
+    threshold: u32,
+    /// Admission sequences a quarantine lasts.
+    cooldown: u64,
     telemetry: Telemetry,
 }
 
 impl Scheduler {
-    /// A scheduler admitting at most `cap` queued jobs, quarantining
-    /// tenants per `threshold`/`cooldown` (see
-    /// [`QuarantineBook::new`]).
+    /// A scheduler admitting at most `cap` queued jobs, quarantining a
+    /// tenant after `threshold` consecutive failures (0 = never) for
+    /// `cooldown` admission sequences.
     pub fn new(cap: usize, threshold: u32, cooldown: u64, telemetry: Telemetry) -> Self {
         Self {
-            state: Mutex::new(State {
-                book: QuarantineBook::new(threshold, cooldown),
-                ..State::default()
-            }),
+            state: Mutex::new(State::default()),
             ready: Condvar::new(),
             cap: cap.max(1),
+            threshold,
+            cooldown,
             telemetry,
         }
     }
@@ -132,7 +203,10 @@ impl Scheduler {
     pub fn admit(&self, job: Job) -> Result<Admitted, (ErrorCode, String)> {
         let mut s = lock_unpoisoned(&self.state);
         let depth = self.gate(&mut s, &job.tenant)?;
-        if s.outstanding.contains_key(&job.tenant) {
+        if s.tenants
+            .get(&job.tenant)
+            .is_some_and(|t| t.outstanding > 0)
+        {
             self.enqueue(&mut s, job);
             Ok(Admitted::Queued(depth))
         } else {
@@ -161,6 +235,26 @@ impl Scheduler {
         s.total
     }
 
+    /// The draining gate of the admission path `run`, `diff` and
+    /// `observe` share. It ticks no admission clock: `diff` and `observe`
+    /// meet no other gate, and a `run` that passes meets [`Self::admit`]'s
+    /// gates next, which tick the clock and check draining again under
+    /// the same lock.
+    pub fn open(&self) -> Result<(), (ErrorCode, String)> {
+        if self.draining() {
+            return Err(self.refuse_draining());
+        }
+        Ok(())
+    }
+
+    fn refuse_draining(&self) -> (ErrorCode, String) {
+        self.telemetry.count(CounterId::ServeRejectedDraining, 1);
+        (
+            ErrorCode::Draining,
+            "daemon is draining for shutdown".into(),
+        )
+    }
+
     /// The admission gates, in order: the clock tick, draining,
     /// quarantine and the queue cap. A passing request is counted and its
     /// queue depth (queued jobs plus itself) returned.
@@ -168,26 +262,25 @@ impl Scheduler {
         s.seq += 1;
         let now = s.seq;
         if s.draining {
-            self.telemetry.count(CounterId::ServeRejectedDraining, 1);
-            return Err((
-                ErrorCode::Draining,
-                "daemon is draining for shutdown".into(),
-            ));
+            return Err(self.refuse_draining());
         }
-        match s.book.gate(tenant, now) {
-            Gate::Refused { release_at } => {
-                self.telemetry.count(CounterId::ServeRejectedQuarantine, 1);
-                return Err((
-                    ErrorCode::Quarantined,
-                    format!(
-                        "tenant '{tenant}' is quarantined until admission seq {release_at} (now {now})"
-                    ),
-                ));
-            }
-            Gate::Admit { released } => {
-                if released {
+        if let Some(row) = s.tenants.get_mut(tenant) {
+            match row.release_at {
+                Some(release_at) if now < release_at => {
+                    self.telemetry.count(CounterId::ServeRejectedQuarantine, 1);
+                    return Err((
+                        ErrorCode::Quarantined,
+                        format!(
+                            "tenant '{tenant}' is quarantined until admission seq {release_at} (now {now})"
+                        ),
+                    ));
+                }
+                Some(_) => {
+                    row.failure_streak = 0;
+                    row.release_at = None;
                     self.telemetry.count(CounterId::ServeQuarantineReleased, 1);
                 }
+                None => {}
             }
         }
         let held = s.total + s.inline;
@@ -206,11 +299,9 @@ impl Scheduler {
     }
 
     fn enqueue(&self, s: &mut State, job: Job) {
-        *s.outstanding.entry(job.tenant.clone()).or_default() += 1;
-        s.queues
-            .entry(job.tenant.clone())
-            .or_default()
-            .push_back(job);
+        let row = s.tenants.entry(job.tenant.clone()).or_default();
+        row.outstanding += 1;
+        row.queue.push_back(job);
         s.total += 1;
         self.ready.notify_all();
     }
@@ -236,48 +327,27 @@ impl Scheduler {
     fn take_round_robin(s: &mut State, max: usize) -> Vec<Job> {
         let mut batch = Vec::new();
         while batch.len() < max && s.total > 0 {
-            // One lap: tenants strictly after the round-robin cursor, in
-            // lexicographic order, wrapping around.
-            let tenants: Vec<String> = {
-                let after: Vec<String> = match &s.rr_last {
-                    Some(last) => s
-                        .queues
-                        .range::<String, _>((
-                            std::ops::Bound::Excluded(last.clone()),
-                            std::ops::Bound::Unbounded,
-                        ))
-                        .map(|(t, _)| t.clone())
-                        .collect(),
-                    None => Vec::new(),
-                };
-                let before = s
-                    .queues
-                    .keys()
-                    .filter(|t| !after.contains(t))
-                    .cloned()
-                    .collect::<Vec<_>>();
-                after.into_iter().chain(before).collect()
-            };
-            let mut took_any = false;
-            for tenant in tenants {
+            // One lap: tenants with queued jobs strictly after the
+            // round-robin cursor, in lexicographic order, wrapping around.
+            let mut lap: Vec<String> = s
+                .tenants
+                .iter()
+                .filter(|(_, t)| !t.queue.is_empty())
+                .map(|(name, _)| name.clone())
+                .collect();
+            if let Some(last) = &s.rr_last {
+                let after = lap.partition_point(|name| name <= last);
+                lap.rotate_left(after);
+            }
+            for name in lap {
                 if batch.len() >= max {
                     break;
                 }
-                let Some(queue) = s.queues.get_mut(&tenant) else {
-                    continue;
-                };
-                if let Some(job) = queue.pop_front() {
-                    if queue.is_empty() {
-                        s.queues.remove(&tenant);
-                    }
+                if let Some(job) = s.tenants.get_mut(&name).and_then(|t| t.queue.pop_front()) {
                     s.total -= 1;
-                    s.rr_last = Some(tenant);
+                    s.rr_last = Some(name);
                     batch.push(job);
-                    took_any = true;
                 }
-            }
-            if !took_any {
-                break;
             }
         }
         batch
@@ -287,44 +357,75 @@ impl Scheduler {
     /// back that tenant's warm requests.
     pub fn finish(&self, tenant: &str) {
         let mut s = lock_unpoisoned(&self.state);
-        if let Some(n) = s.outstanding.get_mut(tenant) {
-            *n -= 1;
-            if *n == 0 {
-                s.outstanding.remove(tenant);
-            }
+        if let Some(row) = s.tenants.get_mut(tenant) {
+            row.outstanding = row.outstanding.saturating_sub(1);
         }
+        s.prune(tenant);
     }
 
     /// Record one delivered result for quarantine accounting. Bumps the
     /// entered counter when this failure tips the tenant over the
     /// threshold; returns that release sequence for logging.
     pub fn record_outcome(&self, tenant: &str, ok: bool) -> Option<u64> {
-        let mut s = lock_unpoisoned(&self.state);
-        let now = s.seq;
-        let entered = s.book.record(tenant, ok, now);
-        if entered.is_some() {
-            self.telemetry.count(CounterId::ServeQuarantineEntered, 1);
+        if self.threshold == 0 {
+            return None;
         }
+        let mut s = lock_unpoisoned(&self.state);
+        if ok && !s.tenants.contains_key(tenant) {
+            return None;
+        }
+        let now = s.seq;
+        let row = s.tenants.entry(tenant.to_owned()).or_default();
+        let mut entered = None;
+        if ok {
+            row.failure_streak = 0;
+        } else if row.release_at.is_none() {
+            // Results for cells admitted before the quarantine began do
+            // not extend it.
+            row.failure_streak += 1;
+            if row.failure_streak >= self.threshold {
+                row.release_at = Some(now + self.cooldown);
+                entered = row.release_at;
+                self.telemetry.count(CounterId::ServeQuarantineEntered, 1);
+            }
+        }
+        s.prune(tenant);
         entered
     }
 
-    /// Stop admitting (new run requests get `draining`) and wake the
-    /// executor so it can finish the backlog and exit.
+    /// Begin the drain (idempotent): `run`, `diff` and `observe` are
+    /// refused from now on, and the executor is woken so it can finish
+    /// the backlog and exit.
     pub fn drain(&self) {
         let mut s = lock_unpoisoned(&self.state);
         s.draining = true;
         self.ready.notify_all();
     }
 
+    /// Whether the drain has begun.
+    pub fn draining(&self) -> bool {
+        lock_unpoisoned(&self.state).draining
+    }
+
     /// Point-in-time status for the `status` op.
     pub fn status(&self) -> SchedulerStatus {
         let s = lock_unpoisoned(&self.state);
+        let tenants = s
+            .tenants
+            .iter()
+            .filter(|(_, t)| !t.queue.is_empty() || t.failure_streak > 0 || t.release_at.is_some())
+            .map(|(name, t)| TenantRow {
+                tenant: name.clone(),
+                failure_streak: t.failure_streak,
+                queued: t.queue.len(),
+                release_at: t.release_at,
+            })
+            .collect();
         SchedulerStatus {
             queued: s.total,
             admitted_seq: s.seq,
             draining: s.draining,
-            tenant_queues: s.queues.iter().map(|(t, q)| (t.clone(), q.len())).collect(),
-            standings: s.book.snapshot(),
+            tenants,
         }
     }
 }
@@ -347,6 +448,19 @@ mod tests {
 
     fn sched(cap: usize) -> Scheduler {
         Scheduler::new(cap, 0, 0, Telemetry::counters_only())
+    }
+
+    /// One run admission attempt by `tenant`, settled at once (an inline
+    /// one is answered): it advances the admission clock by one.
+    fn attempt(s: &Scheduler, tenant: &str) -> Result<(), ErrorCode> {
+        match s.admit(job(tenant, "x")) {
+            Ok(Admitted::Inline(..)) => {
+                s.answered();
+                Ok(())
+            }
+            Ok(Admitted::Queued(_)) => Ok(()),
+            Err((code, _)) => Err(code),
+        }
     }
 
     /// Admit `job` into the queue, declining it when it is handed back.
@@ -529,16 +643,149 @@ mod tests {
     }
 
     #[test]
+    fn quarantine_enters_at_exactly_the_threshold() {
+        let s = Scheduler::new(16, 2, 4, Telemetry::counters_only());
+        assert_eq!(attempt(&s, "p"), Ok(())); // seq 1
+        assert_eq!(s.record_outcome("p", false), None, "one failure is free");
+        assert_eq!(attempt(&s, "p"), Ok(())); // seq 2
+        assert_eq!(s.record_outcome("p", false), Some(6), "second hits it");
+        assert_eq!(attempt(&s, "p"), Err(ErrorCode::Quarantined)); // seq 3
+                                                                   // Other tenants are unaffected.
+        assert_eq!(attempt(&s, "q"), Ok(())); // seq 4
+        assert_eq!(attempt(&s, "p"), Err(ErrorCode::Quarantined)); // seq 5
+        assert_eq!(s.telemetry.counter(CounterId::ServeQuarantineEntered), 1);
+        assert_eq!(s.telemetry.counter(CounterId::ServeRejectedQuarantine), 2);
+    }
+
+    #[test]
+    fn cooldown_elapses_on_the_admission_clock() {
+        let s = Scheduler::new(16, 1, 3, Telemetry::counters_only());
+        assert_eq!(attempt(&s, "p"), Ok(())); // seq 1
+        assert_eq!(s.record_outcome("p", false), Some(4));
+        // Requests that take no queue slot do not tick the clock.
+        for _ in 0..10 {
+            assert!(s.open().is_ok());
+            let _ = s.status();
+        }
+        assert_eq!(s.status().admitted_seq, 1);
+        // A refused attempt ticks it like an admitted one.
+        assert_eq!(attempt(&s, "p"), Err(ErrorCode::Quarantined)); // seq 2
+        assert_eq!(attempt(&s, "q"), Ok(())); // seq 3
+        assert_eq!(attempt(&s, "p"), Ok(()), "released at seq 4");
+        assert_eq!(s.telemetry.counter(CounterId::ServeQuarantineReleased), 1);
+        // Released clean: the streak restarted.
+        assert_eq!(s.record_outcome("p", false), Some(4 + 3));
+    }
+
+    #[test]
+    fn success_resets_the_streak() {
+        let s = Scheduler::new(16, 3, 4, Telemetry::counters_only());
+        assert_eq!(s.record_outcome("t", false), None);
+        assert_eq!(s.record_outcome("t", false), None);
+        assert_eq!(s.record_outcome("t", true), None);
+        assert_eq!(s.record_outcome("t", false), None, "streak restarted");
+        assert_eq!(s.record_outcome("t", false), None);
+        assert_eq!(attempt(&s, "t"), Ok(())); // seq 1
+        assert_eq!(s.record_outcome("t", false), Some(1 + 4));
+    }
+
+    #[test]
+    fn straggler_failures_do_not_extend_quarantine() {
+        let s = Scheduler::new(16, 1, 5, Telemetry::counters_only());
+        for _ in 0..3 {
+            attempt(&s, "q").unwrap();
+        }
+        assert_eq!(s.record_outcome("p", false), Some(8));
+        // A cell admitted before the quarantine finishes late and fails:
+        // the release sequence must not move.
+        attempt(&s, "q").unwrap(); // seq 4
+        assert_eq!(s.record_outcome("p", false), None);
+        assert_eq!(s.status().tenants[0].release_at, Some(8));
+        for seq in 5..8 {
+            assert_eq!(attempt(&s, "p"), Err(ErrorCode::Quarantined), "seq {seq}");
+        }
+        assert_eq!(attempt(&s, "p"), Ok(()), "seq 8 releases");
+        assert_eq!(s.telemetry.counter(CounterId::ServeQuarantineEntered), 1);
+    }
+
+    #[test]
+    fn threshold_zero_disables_quarantine() {
+        let s = Scheduler::new(16, 0, 4, Telemetry::counters_only());
+        for _ in 0..20 {
+            assert_eq!(attempt(&s, "t"), Ok(()));
+            assert_eq!(s.record_outcome("t", false), None);
+        }
+        assert!(s.status().tenants.is_empty());
+        assert_eq!(s.telemetry.counter(CounterId::ServeQuarantineEntered), 0);
+    }
+
+    #[test]
+    fn diff_and_observe_meet_only_the_draining_gate() {
+        let s = Scheduler::new(1, 1, 100, Telemetry::counters_only());
+        queue(&s, job("a", "1")).unwrap();
+        s.record_outcome("a", false);
+        // Full queue and a quarantined tenant: `open` does not care.
+        assert!(s.open().is_ok());
+        s.drain();
+        let (code, _) = s.open().unwrap_err();
+        assert_eq!(code, ErrorCode::Draining);
+        assert_eq!(s.telemetry.counter(CounterId::ServeRejectedDraining), 1);
+        assert_eq!(s.status().admitted_seq, 1, "no clock tick");
+    }
+
+    fn row(tenant: &str, failure_streak: u32, queued: usize, release_at: Option<u64>) -> TenantRow {
+        TenantRow {
+            tenant: tenant.to_owned(),
+            failure_streak,
+            queued,
+            release_at,
+        }
+    }
+
+    #[test]
     fn status_reports_queues_and_standings() {
         let s = Scheduler::new(16, 2, 3, Telemetry::counters_only());
-        queue(&s, job("a", "1")).unwrap();
-        queue(&s, job("a", "2")).unwrap();
+        queue(&s, job("c", "1")).unwrap();
+        queue(&s, job("c", "2")).unwrap();
         s.record_outcome("b", false);
+        s.record_outcome("a", false);
+        s.record_outcome("a", false);
+        attempt(&s, "d").unwrap();
+        s.record_outcome("d", true);
         let status = s.status();
         assert_eq!(status.queued, 2);
-        assert_eq!(status.tenant_queues, vec![("a".to_owned(), 2)]);
-        assert_eq!(status.standings.len(), 1);
-        assert_eq!(status.standings[0].tenant, "b");
         assert!(!status.draining);
+        // One list in tenant order; the healthy idle tenant `d` has none.
+        assert_eq!(
+            status.tenants,
+            [
+                row("a", 2, 0, Some(2 + 3)),
+                row("b", 1, 0, None),
+                row("c", 0, 2, None)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_tenant_with_a_streak_and_queued_jobs_is_one_row() {
+        let s = Scheduler::new(16, 3, 3, Telemetry::counters_only());
+        s.record_outcome("a", false);
+        queue(&s, job("a", "1")).unwrap();
+        queue(&s, job("a", "2")).unwrap();
+        assert_eq!(s.status().tenants, [row("a", 1, 2, None)]);
+    }
+
+    #[test]
+    fn a_row_holding_nothing_is_dropped() {
+        let s = Scheduler::new(16, 1, 2, Telemetry::counters_only());
+        queue(&s, job("a", "1")).unwrap();
+        s.record_outcome("b", false); // seq 1: b quarantined until 3
+        let batch = s.next_batch(4).unwrap();
+        s.record_outcome("a", true);
+        s.finish(&batch[0].tenant);
+        attempt(&s, "c").unwrap(); // seq 2
+        attempt(&s, "b").unwrap(); // seq 3: released
+        s.record_outcome("b", true);
+        assert!(lock_unpoisoned(&s.state).tenants.is_empty());
     }
 }

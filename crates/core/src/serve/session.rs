@@ -19,6 +19,19 @@
 //! therefore never blocks the executor (the [`Outbox`]'s drop policy
 //! absorbs it), and the reader stops reading a client's requests while
 //! that client's outbox is full.
+//!
+//! `run`, `diff` and `observe` pass one admission path: the resource
+//! envelope, the benchmark-name lookup, then the scheduler's draining
+//! gate (a `run` then meets the scheduler's own gates). The shipped
+//! benchmarks are not verified here: the class loader verifies every
+//! non-boot class as it loads it. The `verify` op verifies a program a
+//! tenant submits.
+//!
+//! At a drain the daemon shuts each connection's read half and releases
+//! its reader from the wait for outbox room
+//! (`Outbox::release_reader`): the reader answers what the socket
+//! already holds — new work gets `draining` — and returns, finishing the
+//! request in hand before the daemon says `bye`.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
@@ -70,6 +83,8 @@ struct OutState {
     dropped_pending: u64,
     /// No further pushes are accepted; the writer exits once drained.
     closed: bool,
+    /// The read half is shut: the reader no longer waits for room.
+    reader_released: bool,
 }
 
 /// A bounded per-connection output queue with a two-tier drop policy.
@@ -258,12 +273,21 @@ impl Outbox {
     }
 
     /// Block while `cap` or more lines are queued: a client that stops
-    /// reading its replies stops being read.
+    /// reading its replies stops being read, until
+    /// [`Outbox::release_reader`].
     fn wait_for_room(&self) {
         let mut s = lock_unpoisoned(&self.state);
-        while s.lines.len() >= self.cap && !s.closed {
+        while s.lines.len() >= self.cap && !s.closed && !s.reader_released {
             s = self.room.wait(s).unwrap_or_else(|p| p.into_inner());
         }
+    }
+
+    /// The connection's read half is shut: let the reader answer what the
+    /// socket still holds without waiting for room. What it pushes is
+    /// bounded by those few buffered lines.
+    pub(super) fn release_reader(&self) {
+        lock_unpoisoned(&self.state).reader_released = true;
+        self.room.notify_all();
     }
 
     /// Lines currently queued (tests and status).
@@ -317,9 +341,9 @@ pub(super) fn spawn(
                 outbox.wait_for_room();
                 handle_line(&line, &outbox, &shared);
             }
-            // Peer hung up: nothing more can be delivered to it, but the
-            // outbox stays open for stragglers so the executor's
-            // `push_must` calls stay cheap no-ops after `close`.
+            // End of input: the peer hung up or the drain shut the read
+            // half. The outbox stays open for the executor's results
+            // until the drain closes it.
         })
     };
 
@@ -381,7 +405,7 @@ fn handle_line(line: &[u8], outbox: &Arc<Outbox>, shared: &ServeShared) {
             let mut o = JsonObj::new();
             o.bool("ok", true).str("kind", "draining");
             outbox.push_must(o.finish());
-            shared.begin_drain();
+            shared.scheduler.drain();
         }
         Request::Verify(req) => {
             // Pure analysis on the reader thread: no pool slot, no queue
@@ -411,11 +435,12 @@ fn handle_line(line: &[u8], outbox: &Arc<Outbox>, shared: &ServeShared) {
         }
         Request::Diff(diff) => {
             // Answered on this thread like `verify`, but it does execute
-            // experiments, so it passes the same admission gates as a run.
-            // No queue slot and no tenant quarantine accounting — the
-            // ensemble is bounded at parse time and failures are typed back
-            // to the tenant. A self-diff of this build: the daemon's runner
-            // serves both sides, so a repeat is answered from its memo.
+            // experiments, so it passes the admission path a run does, up
+            // to the draining gate. No queue slot and no tenant quarantine
+            // accounting — the ensemble is bounded at parse time and
+            // failures are typed back to the tenant. A self-diff of this
+            // build: the daemon's runner serves both sides, so a repeat is
+            // answered from its memo.
             if !admit(&diff.id, &diff.config, outbox, shared) {
                 return;
             }
@@ -439,11 +464,10 @@ fn handle_line(line: &[u8], outbox: &Arc<Outbox>, shared: &ServeShared) {
             }
         }
         Request::Observe(req) => {
-            // Answered on this thread like `diff`: executes experiments, so
-            // it passes the run-request admission gates, but the grid is
-            // hard-capped at parse time (MAX_OBSERVE_REQUEST_PERIODS) so the
-            // reader thread stays responsive. The daemon's memo answers a
-            // repeat.
+            // Answered on this thread like `diff`, through the same
+            // admission path; the grid is hard-capped at parse time
+            // (MAX_OBSERVE_REQUEST_PERIODS) so the reader thread stays
+            // responsive. The daemon's memo answers a repeat.
             if !admit(&req.id, &req.config, outbox, shared) {
                 return;
             }
@@ -508,26 +532,22 @@ fn handle_line(line: &[u8], outbox: &Arc<Outbox>, shared: &ServeShared) {
     }
 }
 
-/// The admission gates every executing request passes, in order: the
-/// resource envelope, the benchmark lookup, and the memoized verification
-/// (per benchmark and scale) — so an ill-typed program is refused before
-/// it can consume a pool slot, and the refusal never touches quarantine.
-/// On refusal the error line is already queued and this returns `false`.
+/// The admission path every executing request passes, in order: the
+/// resource envelope, the benchmark-name lookup and the draining gate. On
+/// refusal the error line is already queued and this returns `false`.
 fn admit(id: &str, config: &ExperimentConfig, outbox: &Outbox, shared: &ServeShared) -> bool {
-    let (code, msg) = if let Err(refusal) = shared.envelope.admit(config) {
+    let refusal = if let Err(refusal) = shared.envelope.admit(config) {
         shared.telemetry.count(CounterId::ServeRejectedLimits, 1);
         refusal
-    } else if let Some(bench) = vmprobe_workloads::benchmark(&config.benchmark) {
-        let Err(reason) = shared.verify_benchmark(&bench, config.scale) else {
-            return true;
-        };
-        shared.telemetry.count(CounterId::ServeVerifyRejected, 1);
-        (ErrorCode::VerifyRejected, reason)
-    } else {
+    } else if vmprobe_workloads::benchmark(&config.benchmark).is_none() {
         let msg = format!("unknown benchmark '{}'", config.benchmark);
         (ErrorCode::BadRequest, msg)
+    } else if let Err(refusal) = shared.scheduler.open() {
+        refusal
+    } else {
+        return true;
     };
-    outbox.push_must(protocol::error_line(Some(id), code, &msg));
+    outbox.push_must(protocol::error_line(Some(id), refusal.0, &refusal.1));
     false
 }
 
@@ -690,6 +710,22 @@ mod tests {
         assert!(!waiter.is_finished(), "a full outbox holds the reader");
         assert_eq!(next_line(&outbox).as_deref(), Some("a"));
         assert_eq!(waiter.join().unwrap(), 1, "one line out lets it go on");
+    }
+
+    #[test]
+    fn a_released_reader_stops_waiting_for_room() {
+        let outbox = Arc::new(Outbox::new(1, Telemetry::disabled()));
+        outbox.push_must("a".into());
+        let waiter = {
+            let outbox = Arc::clone(&outbox);
+            std::thread::spawn(move || outbox.wait_for_room())
+        };
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(!waiter.is_finished(), "a full outbox holds the reader");
+        outbox.release_reader();
+        waiter.join().unwrap();
+        outbox.wait_for_room();
+        assert_eq!(outbox.depth(), 1, "released without taking a line");
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //!   visibly in `status`, and auto-released after its deterministic
 //!   cooldown;
 //! * SIGTERM (and the `shutdown` op) drain gracefully: every admitted
-//!   request's response is delivered, then `bye`, then exit code 0;
+//!   request's response is delivered, then `bye`, then exit code 0 — an
+//!   `observe` still running at the drain included — while `run`, `diff`
+//!   and `observe` sent after it are refused with `draining`, and a
+//!   client that stops reading cannot hold the daemon open;
 //! * a mixed concurrent tenant population (size via `VMPROBE_SOAK_CLIENTS`)
 //!   soaks the admission path without cross-tenant interference;
 //! * one tenant's pipelined results keep request order, warm ones included;
@@ -179,6 +182,21 @@ fn shut_down(mut client: Client, mut daemon: Reaped) {
     client.read_kind(&["bye"]);
     let status = daemon.0.wait().expect("daemon exits");
     assert_eq!(status.code(), Some(0));
+}
+
+/// Wait for a daemon to exit on its own, at most `limit`; its status.
+fn exits_within(daemon: &mut Reaped, limit: Duration) -> std::process::ExitStatus {
+    let deadline = Instant::now() + limit;
+    loop {
+        if let Some(status) = daemon.0.try_wait().expect("poll daemon") {
+            return status;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "daemon still running {limit:?} after the drain began"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
 }
 
 /// Have one daemon over `cache` compute and store `moldyn` GenCopy 32 MB
@@ -536,6 +554,150 @@ fn a_non_utf8_line_gets_bad_json_and_the_session_carries_on() {
     let status = daemon.wait().expect("daemon exits");
     assert_eq!(status.code(), Some(0));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn run_diff_and_observe_sent_after_shutdown_are_refused_with_draining() {
+    let dir = temp_dir("refuse");
+    let socket = dir.join("daemon.sock");
+    let report = dir.join("report.json");
+    let metrics = dir.join("metrics.prom");
+    let mut daemon = Reaped(spawn_daemon(
+        &socket,
+        &[
+            "--jobs",
+            "1",
+            "--report-json",
+            report.to_str().unwrap(),
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+        ],
+    ));
+    let cell =
+        r#""tenant":"t","benchmark":"moldyn","collector":"gencopy","heap_mb":32,"scale":"s10""#;
+    // One write, so all four lines reach the reader before the drain
+    // shuts its read half: the last three arrive after `shutdown`.
+    let lines = [
+        r#"{"op":"shutdown"}"#.to_owned(),
+        format!(r#"{{"op":"run","id":"r",{cell}}}"#),
+        format!(r#"{{"op":"diff","id":"d",{cell},"replicates":2,"resamples":20}}"#),
+        format!(r#"{{"op":"observe","id":"o",{cell},"periods":"40us"}}"#),
+    ];
+    let mut client = Client::connect(&socket);
+    client.send(&lines.join("\n"));
+    client.read_kind(&["draining"]);
+    for id in ["r", "d", "o"] {
+        let (line, v) = client.read_kind(&["error", "result", "diff", "observe", "bye"]);
+        assert_eq!(v.get("id").and_then(JsonValue::as_str), Some(id), "{line}");
+        assert_eq!(
+            v.get("code").and_then(JsonValue::as_str),
+            Some("draining"),
+            "{line}"
+        );
+    }
+    client.read_kind(&["bye"]);
+    assert_eq!(
+        exits_within(&mut daemon, Duration::from_secs(60)).code(),
+        Some(0)
+    );
+    let report = std::fs::read_to_string(&report).expect("report written");
+    assert!(report.contains("\"runs_ok\":0"), "nothing ran: {report}");
+    let metrics = std::fs::read_to_string(&metrics).expect("metrics written");
+    assert_eq!(sample(&metrics, "vmprobe_serve_rejected_draining_total"), 3);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_client_that_stops_reading_cannot_hold_the_drain() {
+    let dir = temp_dir("unread");
+    let socket = dir.join("daemon.sock");
+    let mut daemon = Reaped(spawn_daemon(&socket, &["--jobs", "1", "--outbox-cap", "4"]));
+    // Far more `metrics` replies (about 5 KB each) than the socket and
+    // the outbox hold, and never a read: the writer blocks on the full
+    // socket, and the reader on the full outbox.
+    let mut silent = Client::connect(&socket);
+    let flood = format!("{}\n", r#"{"op":"metrics"}"#).repeat(400);
+    silent.writer.write_all(flood.as_bytes()).expect("send");
+    let mut other = Client::connect(&socket);
+    other.send(r#"{"op":"status"}"#);
+    other.read_kind(&["status"]);
+
+    other.send(r#"{"op":"shutdown"}"#);
+    other.read_kind(&["draining"]);
+    other.read_kind(&["bye"]);
+    // The silent client is still connected; the daemon gives up on it
+    // after its flush bound and exits cleanly.
+    assert_eq!(
+        exits_within(&mut daemon, Duration::from_secs(30)).code(),
+        Some(0)
+    );
+    drop(silent);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An `observe` (8 runs) still running when the drain begins — by the
+/// `shutdown` op, or by SIGTERM — gets its reply before `bye`, and the
+/// final report counts its runs.
+fn observe_in_flight_at_the_drain_is_answered_before_bye(sigterm: bool) {
+    let dir = temp_dir(if sigterm {
+        "inflight-term"
+    } else {
+        "inflight-op"
+    });
+    let socket = dir.join("daemon.sock");
+    let report = dir.join("report.json");
+    let mut daemon = Reaped(spawn_daemon(
+        &socket,
+        &["--jobs", "1", "--report-json", report.to_str().unwrap()],
+    ));
+    let mut alice = Client::connect(&socket);
+    alice.send(
+        r#"{"op":"observe","id":"late","tenant":"alice","benchmark":"_213_javac","collector":"gencopy","heap_mb":64,"scale":"s10","periods":"4us,40us,400us,4ms"}"#,
+    );
+    // Wait until the observe is admitted, and check it is still running.
+    let mut bob = Client::connect(&socket);
+    loop {
+        let text = metrics_text(&mut bob);
+        if sample(&text, "vmprobe_serve_observe_total") == 1 {
+            assert_eq!(
+                sample(&text, "vmprobe_serve_results_total"),
+                0,
+                "the observe finished before the drain began"
+            );
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    if sigterm {
+        Command::new("kill")
+            .args(["-TERM", &daemon.0.id().to_string()])
+            .status()
+            .expect("kill runs");
+    } else {
+        bob.send(r#"{"op":"shutdown"}"#);
+        bob.read_kind(&["draining"]);
+    }
+    let (line, v) = alice.read_kind(&["observe", "error", "bye"]);
+    assert_eq!(v.get("kind").unwrap().as_str(), Some("observe"), "{line}");
+    alice.read_kind(&["bye"]);
+    bob.read_kind(&["bye"]);
+    assert_eq!(
+        exits_within(&mut daemon, Duration::from_secs(120)).code(),
+        Some(0)
+    );
+    let report = std::fs::read_to_string(&report).expect("report written");
+    assert!(report.contains("\"runs_ok\":8"), "report: {report}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_observe_in_flight_at_the_shutdown_op_is_answered_before_bye() {
+    observe_in_flight_at_the_drain_is_answered_before_bye(false);
+}
+
+#[test]
+fn an_observe_in_flight_at_sigterm_is_answered_before_bye() {
+    observe_in_flight_at_the_drain_is_answered_before_bye(true);
 }
 
 #[test]
