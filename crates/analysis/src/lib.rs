@@ -1,6 +1,6 @@
 //! Static analysis for vmprobe bytecode.
 //!
-//! Three pieces, all dependency-free (only sibling vmprobe crates):
+//! Five pieces, all dependency-free (only sibling vmprobe crates):
 //!
 //! * [`mod@cfg`] — per-method control-flow graphs (basic blocks, successor
 //!   edges, reachability, cycle detection with a topological order).
@@ -11,28 +11,30 @@
 //!   agreement with *typed* slots, uninitialized-local detection, and
 //!   unreachable-code reporting. This is the load-time verification tier
 //!   the VM's class loader and the serve daemon's admission path run.
-//! * [`bounds`] — static worst-case cost/energy bounds: folds the
-//!   platform's calibrated power coefficients over the program structure
-//!   and a step budget to produce an energy figure guaranteed to
-//!   dominate any measured run the VM clamps at that budget. The
-//!   `analyze-gate` CI job cross-checks domination on every golden
-//!   workload.
+//! * [`bounds`] — static worst-case cost/energy bounds per method: the
+//!   longest acyclic path through each method's CFG, costed at the
+//!   platform's peak modeled power.
+//! * [`closure`] — a run's energy in closed form over its counter file,
+//!   which the `analyze-gate` CI job checks the measured energy of every
+//!   golden workload against.
 //! * [`lint`] — the determinism lint engine behind the `vmprobe-lint`
 //!   binary: a substring scanner over the deterministic crates for
 //!   banned nondeterminism (wall clocks, OS RNG, unkeyed hash maps).
 //!
-//! See DESIGN.md §14 for the lattice, the worklist algorithm, and the
-//! bound soundness argument.
+//! See DESIGN.md §14 for the lattice, the worklist algorithm, the
+//! per-method bounds and the closure identity.
 
 #![warn(missing_docs)]
 
 pub mod bounds;
 pub mod cfg;
+pub mod closure;
 pub mod lint;
 pub mod verify;
 
-pub use bounds::{bound_program, p_max_watts, BoundParams, MethodBound, ProgramBound, VmTier};
+pub use bounds::{bound_program, p_max_watts, MethodBound, ProgramBound};
 pub use cfg::{Block, Cfg};
+pub use closure::closed_energy_j;
 pub use verify::{
     verify_class, verify_method, verify_program, AbsTy, AnalysisError, MethodAnalysis,
     ProgramAnalysis,

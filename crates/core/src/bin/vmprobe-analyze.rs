@@ -1,95 +1,77 @@
-//! Static analysis reports and the bound-domination CI gate.
+//! Static per-method bounds and the measured-energy closure gate.
 //!
 //! ```text
 //! vmprobe-analyze [<benchmark>...] [flags]
 //!   (no benchmarks = all of them)
 //! flags:
-//!   --scale <full|s10>    input scale to analyze (default s10)
-//!   --platform <p6|pxa255> platform the bound is calibrated for (default p6)
-//!   --vm <jikes|kaffe>    compilation-tier personality (default jikes)
-//!   --heap-mb <n>         simulated heap the GC term assumes (default 64)
-//!   --step-budget <n>     step clamp S the bound is instantiated at
-//!                         (default 50000000)
-//!   --json                emit the report as JSON instead of tables
-//!   --out <path>          also write the JSON report to a file
-//!   --check-golden        run every golden workload on both personalities
-//!                         and fail unless the static bound dominates the
-//!                         measured energy (the CI gate)
+//!   --scale <full|s10>     input scale to analyze (default s10)
+//!   --platform <p6|pxa255> platform the bounds are calibrated for (default p6)
+//!   --json                 emit the report as JSON instead of tables
+//!   --out <path>           also write the JSON report to a file
+//!   --check-golden         run every golden workload and fail unless its
+//!                          measured energy closes over its counter file
+//!                          (the CI gate)
 //! ```
 //!
 //! Plain mode is purely static: it assembles each benchmark's program,
-//! runs the dataflow verifier, and prints per-method worst-case bounds
-//! plus the program-wide energy bound. `--check-golden` additionally
-//! *executes* each workload and cross-checks `static bound ≥ measured
-//! energy`, instantiating the bound at the exact step count the run
-//! performed — this is what catches drift between the analyzer's
-//! mirrored cost constants and the VM's real meter.
+//! runs the dataflow verifier, and prints each method's worst-case
+//! acyclic bound. `--check-golden` *executes* each golden cell and checks
+//! `|Σ component energy − (closed − clipped)| ≤ 10⁻⁹ · closed`, where
+//! `closed` is the power model's linear form over the counter file at the
+//! last DAQ sample and `clipped` is what the saturation clips removed
+//! (DESIGN.md §14). A meter, analyzer or model change that moves a single
+//! window's energy breaks the equality.
 
 use std::process::ExitCode;
 
 use vmprobe::json::JsonObj;
 use vmprobe::request::{self, Args, Source};
-use vmprobe::{golden_cells, heap_bytes, ExperimentConfig, VmChoice};
-use vmprobe_analysis::{bound_program, verify_program, BoundParams, ProgramBound, VmTier};
-use vmprobe_heap::CollectorKind;
-use vmprobe_platform::PlatformKind;
-use vmprobe_vm::VmConfig;
+use vmprobe::{golden_cells, ExperimentConfig};
+use vmprobe_analysis::{bound_program, closed_energy_j, verify_program, MethodBound, ProgramBound};
+use vmprobe_platform::{CpuSpec, PlatformKind};
+use vmprobe_power::PowerCoeffs;
+use vmprobe_vm::Vm;
 use vmprobe_workloads::{all_benchmarks, benchmark, Benchmark, InputScale};
 
 /// Flags that never take a value.
 const SWITCHES: [&str; 2] = ["json", "check-golden"];
 
 /// Flags that take one.
-const VALUED: [&str; 6] = ["scale", "platform", "vm", "heap-mb", "step-budget", "out"];
+const VALUED: [&str; 3] = ["scale", "platform", "out"];
+
+/// Largest accepted `|measured − (closed − clipped)|`, relative to `closed`:
+/// far above floating-point summation error, far below any window's energy.
+const REL_TOLERANCE: f64 = 1e-9;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: vmprobe-analyze [<benchmark>...] [--scale full|s10] [--platform p6|pxa255]\n\
-         \x20                      [--vm jikes|kaffe] [--heap-mb <n>] [--step-budget <n>]\n\
          \x20                      [--json] [--out <path>] [--check-golden]"
     );
     ExitCode::from(2)
 }
 
-/// The input scale and bound parameters the flags select.
-fn parse(args: &Args) -> Result<(InputScale, BoundParams), String> {
-    let vm = match args.str("vm")? {
-        None | Some("jikes") => VmTier::Jikes,
-        Some("kaffe") => VmTier::Kaffe,
-        Some(other) => return Err(format!("unknown vm '{other}' (expected jikes or kaffe)")),
-    };
+/// The input scale and platform the flags select.
+fn parse(args: &Args) -> Result<(InputScale, PlatformKind), String> {
     let scale = args.str("scale")?.map(request::scale).transpose()?;
     let platform = args.str("platform")?.map(request::platform).transpose()?;
-    let platform = platform.unwrap_or(PlatformKind::PentiumM);
-    let params = BoundParams {
-        platform,
-        vm,
-        heap_bytes: heap_bytes(request::heap_mb(args)?.unwrap_or(64)),
-        quantum_cycles: quantum_cycles(platform),
-        step_budget: args.u64("step_budget")?.unwrap_or(50_000_000),
-    };
-    Ok((scale.unwrap_or(InputScale::Reduced), params))
-}
-
-/// The scheduler quantum the VM actually uses for a platform, read off a
-/// real `VmConfig` so the bound can never drift from the runtime.
-fn quantum_cycles(platform: PlatformKind) -> u64 {
-    VmConfig::jikes(CollectorKind::GenCopy, heap_bytes(32))
-        .platform(platform)
-        .quantum_cycles
+    Ok((
+        scale.unwrap_or(InputScale::Reduced),
+        platform.unwrap_or(PlatformKind::PentiumM),
+    ))
 }
 
 fn bound_for(
     bench: &Benchmark,
     scale: InputScale,
-    params: &BoundParams,
+    platform: PlatformKind,
 ) -> Result<ProgramBound, String> {
     let program = bench.build(scale);
     verify_program(&program).map_err(|e| format!("{} rejected: {e}", bench.name))?;
-    Ok(bound_program(&program, params))
+    Ok(bound_program(&program, platform))
 }
 
-fn method_json(b: &vmprobe_analysis::MethodBound) -> String {
+fn method_json(b: &MethodBound) -> String {
     let mut o = JsonObj::new();
     o.str("method", &b.method.to_string())
         .str("name", &b.name)
@@ -115,26 +97,15 @@ fn program_json(name: &str, scale: InputScale, b: &ProgramBound) -> String {
         .str("scale", &format!("{scale:?}"))
         .f64("p_max_w", b.p_max_w)
         .f64("freq_hz", b.freq_hz)
-        .u64("step_budget", b.step_budget)
-        .f64("classload_cycles", b.classload_cycles)
-        .f64("compile_cycles", b.compile_cycles)
-        .f64("interpret_cycles", b.interpret_cycles)
-        .f64("gc_cycles", b.gc_cycles)
-        .f64("quantum_multiplier", b.quantum_multiplier)
-        .f64("core_energy_j", b.core_energy_j)
-        .f64("total_energy_j", b.total_energy_j)
         .array("methods", b.methods.iter().map(method_json));
     o.finish()
 }
 
 fn print_table(name: &str, b: &ProgramBound) {
     println!(
-        "{name}: P_max {:.2} W, S = {}, bound {:.3e} J (core {:.3e} J, quantum ×{:.4})",
-        b.p_max_w, b.step_budget, b.total_energy_j, b.core_energy_j, b.quantum_multiplier
-    );
-    println!(
-        "  cycles: classload {:.3e}  compile {:.3e}  interpret {:.3e}  gc {:.3e}",
-        b.classload_cycles, b.compile_cycles, b.interpret_cycles, b.gc_cycles
+        "{name}: P_max {:.2} W at {:.0} MHz",
+        b.p_max_w,
+        b.freq_hz / 1e6
     );
     println!(
         "  {:>6}  {:<26} {:>5} {:>6}  {:>14}  {:>12}",
@@ -157,23 +128,41 @@ fn print_table(name: &str, b: &ProgramBound) {
     }
 }
 
-/// One golden-workload cross-check cell.
+/// One golden cell's closure check.
 struct GoldenRow {
     benchmark: String,
     vm: String,
     platform: PlatformKind,
-    bytecodes: u64,
+    /// Σ over components of committed CPU + DRAM energy.
     measured_j: f64,
-    bound_j: f64,
+    /// The linear model over the counter file at the last DAQ sample.
+    closed_j: f64,
+    /// Energy the saturation clips removed.
+    clipped_j: f64,
 }
 
 impl GoldenRow {
-    fn dominated(&self) -> bool {
-        self.bound_j.is_finite() && self.bound_j >= self.measured_j
+    /// `|measured − (closed − clipped)| / closed`; 0 when both sides are
+    /// 0 J (no window was sampled).
+    fn residual(&self) -> f64 {
+        let gap = (self.measured_j - (self.closed_j - self.clipped_j)).abs();
+        if gap == 0.0 {
+            0.0
+        } else {
+            gap / self.closed_j
+        }
     }
 
-    fn slack(&self) -> f64 {
-        self.bound_j / self.measured_j
+    fn closes(&self) -> bool {
+        self.residual() <= REL_TOLERANCE
+    }
+
+    fn clipped_share(&self) -> f64 {
+        if self.closed_j > 0.0 {
+            self.clipped_j / self.closed_j
+        } else {
+            0.0
+        }
     }
 
     fn to_json(&self) -> String {
@@ -181,86 +170,87 @@ impl GoldenRow {
         o.str("benchmark", &self.benchmark)
             .str("vm", &self.vm)
             .str("platform", self.platform.name())
-            .u64("bytecodes", self.bytecodes)
             .f64("measured_j", self.measured_j)
-            .f64("bound_j", self.bound_j)
-            .f64("slack", self.slack())
-            .bool("dominated", self.dominated());
+            .f64("closed_j", self.closed_j)
+            .f64("clipped_j", self.clipped_j)
+            .f64("clipped_share", self.clipped_share())
+            .f64("residual", self.residual())
+            .bool("closes", self.closes());
         o.finish()
     }
 }
 
-/// The bound analyzer's compilation-tier personality for a cell's VM.
-fn tier_for(vm: &VmChoice) -> VmTier {
-    match vm {
-        VmChoice::Jikes(_) => VmTier::Jikes,
-        VmChoice::Kaffe => VmTier::Kaffe,
-    }
-}
-
-/// Run one golden cell and bound it at exactly the step count it took.
+/// Run one golden cell and set its measured energy against the closed
+/// form over its counter file.
 fn golden_cell(bench: &Benchmark, cfg: &ExperimentConfig) -> Result<GoldenRow, String> {
-    let summary = cfg.run().map_err(|e| e.to_string())?;
-    let bound = bound_program(
-        &bench.build(cfg.scale),
-        &BoundParams {
-            platform: cfg.platform,
-            vm: tier_for(&cfg.vm),
-            heap_bytes: heap_bytes(cfg.heap_mb),
-            quantum_cycles: quantum_cycles(cfg.platform),
-            step_budget: summary.vm.bytecodes,
-        },
-    );
+    // The benchmark's program itself must pass the verifier before
+    // anything runs — the same admission gate the daemon applies.
+    let program = bench.build(cfg.scale);
+    verify_program(&program)
+        .map_err(|e| format!("{} rejected by the verifier: {e}", bench.name))?;
+    let vm_config = cfg.vm_config();
+    let out = Vm::try_new(program, vm_config)
+        .and_then(Vm::run)
+        .map_err(|e| format!("{cfg}: {e}"))?;
+    let coeffs = vm_config.dvfs.scale_coeffs(PowerCoeffs::of(cfg.platform));
+    let freq_hz = CpuSpec::of(cfg.platform)
+        .scaled(vm_config.dvfs.freq_factor)
+        .freq_hz;
     Ok(GoldenRow {
         benchmark: bench.name.to_owned(),
-        vm: summary.config.vm.to_string(),
+        vm: cfg.vm.to_string(),
         platform: cfg.platform,
-        bytecodes: summary.vm.bytecodes,
-        measured_j: summary.report.total_energy.joules(),
-        bound_j: bound.total_energy_j,
+        measured_j: out
+            .report
+            .components
+            .values()
+            .map(|p| p.energy.joules() + p.mem_energy.joules())
+            .sum(),
+        closed_j: closed_energy_j(&coeffs, freq_hz, &out.ledger.sampled),
+        clipped_j: out.ledger.clipped_j,
     })
 }
 
-/// The CI gate: every golden cell's static bound must dominate its
-/// measured energy.
+/// The CI gate: every golden cell's measured energy must close over its
+/// counter file.
 fn check_golden(out: Option<String>) -> Result<ExitCode, String> {
     let mut rows = Vec::new();
-    let mut violations = 0;
-    // The golden grid — every benchmark on both personalities: Jikes
-    // exercises baseline+opt compilation on the P6, Kaffe the
-    // JIT-everything path on the PXA255. Shared with the diff gate so the
-    // two CI gates can never drift apart on coverage.
+    // The golden grid — every benchmark on both personalities: Jikes on
+    // the P6, whose windows clip, and Kaffe on the PXA255, whose never
+    // do. Shared with the diff gate so the two CI gates can never drift
+    // apart on coverage.
     for cfg in golden_cells() {
         let bench = benchmark(&cfg.benchmark)
             .ok_or_else(|| format!("golden cell names unknown benchmark '{}'", cfg.benchmark))?;
-        // The benchmark's program itself must pass the verifier before
-        // anything runs — the same admission gate the daemon applies.
-        verify_program(&bench.build(cfg.scale))
-            .map_err(|e| format!("{} rejected by the verifier: {e}", bench.name))?;
         let row = golden_cell(&bench, &cfg)?;
-        if !row.dominated() {
-            violations += 1;
+        if !row.closes() {
             eprintln!(
-                "VIOLATION: {} on {} ({:?}): bound {:.3e} J < measured {:.3e} J",
-                row.benchmark, row.vm, cfg.platform, row.bound_j, row.measured_j
+                "VIOLATION: {} on {} ({}): measured {:.6e} J, closed − clipped {:.6e} J",
+                row.benchmark,
+                row.vm,
+                row.platform.name(),
+                row.measured_j,
+                row.closed_j - row.clipped_j
             );
         }
         rows.push(row);
     }
+    let violations = rows.iter().filter(|r| !r.closes()).count();
+    let max_residual = rows.iter().map(GoldenRow::residual).fold(0.0, f64::max);
     println!(
-        "{:<16} {:<10} {:>8} {:>12} {:>12} {:>12} {:>8}",
-        "benchmark", "vm", "platform", "bytecodes", "measured J", "bound J", "slack"
+        "{:<16} {:<14} {:>8} {:>12} {:>12} {:>8} {:>10}",
+        "benchmark", "vm", "platform", "measured J", "closed J", "clipped", "residual"
     );
     for r in &rows {
         println!(
-            "{:<16} {:<10} {:>8} {:>12} {:>12.4e} {:>12.4e} {:>8.1}",
+            "{:<16} {:<14} {:>8} {:>12.4e} {:>12.4e} {:>7.1}% {:>10.1e}",
             r.benchmark,
             r.vm,
             r.platform.name(),
-            r.bytecodes,
             r.measured_j,
-            r.bound_j,
-            r.slack()
+            r.closed_j,
+            100.0 * r.clipped_share(),
+            r.residual()
         );
     }
     if let Some(path) = out {
@@ -268,6 +258,7 @@ fn check_golden(out: Option<String>) -> Result<ExitCode, String> {
         o.schema_version()
             .bool("ok", violations == 0)
             .u64("violations", violations as u64)
+            .f64("max_residual", max_residual)
             .array("rows", rows.iter().map(GoldenRow::to_json));
         std::fs::write(&path, o.finish()).map_err(|e| format!("cannot write {path}: {e}"))?;
     }
@@ -276,14 +267,15 @@ fn check_golden(out: Option<String>) -> Result<ExitCode, String> {
         return Ok(ExitCode::FAILURE);
     }
     println!(
-        "analyze-gate: static bound dominates measured energy on all {} cells",
+        "analyze-gate: measured energy closes over the counter file on all {} cells \
+         (max residual {max_residual:.1e})",
         rows.len()
     );
     Ok(ExitCode::SUCCESS)
 }
 
 /// Plain mode: per-benchmark bound tables (or JSON), no execution.
-fn analyze(args: &Args, scale: InputScale, params: &BoundParams) -> Result<ExitCode, String> {
+fn analyze(args: &Args, scale: InputScale, platform: PlatformKind) -> Result<ExitCode, String> {
     let names: Vec<&str> = if args.positionals.is_empty() {
         all_benchmarks().iter().map(|b| b.name).collect()
     } else {
@@ -292,7 +284,7 @@ fn analyze(args: &Args, scale: InputScale, params: &BoundParams) -> Result<ExitC
     let mut reports = Vec::new();
     for name in names {
         let bench = benchmark(name).ok_or_else(|| format!("unknown benchmark '{name}'"))?;
-        let bound = bound_for(&bench, scale, params)?;
+        let bound = bound_for(&bench, scale, platform)?;
         let json = program_json(name, scale, &bound);
         if args.has("json") {
             println!("{json}");
@@ -312,7 +304,7 @@ fn analyze(args: &Args, scale: InputScale, params: &BoundParams) -> Result<ExitC
 fn main() -> ExitCode {
     let parsed = request::lex(std::env::args().skip(1), &SWITCHES, &VALUED)
         .and_then(|args| args.map(|args| Ok((parse(&args)?, args))).transpose());
-    let ((scale, params), args) = match parsed {
+    let ((scale, platform), args) = match parsed {
         Ok(Some(parsed)) => parsed,
         Ok(None) => return usage(),
         Err(msg) => {
@@ -323,7 +315,7 @@ fn main() -> ExitCode {
     let result = if args.has("check-golden") {
         check_golden(args.string("out"))
     } else {
-        analyze(&args, scale, &params)
+        analyze(&args, scale, platform)
     };
     result.unwrap_or_else(|e| {
         eprintln!("error: {e}");
@@ -334,6 +326,8 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vmprobe::VmChoice;
+    use vmprobe_heap::CollectorKind;
 
     /// The historical `--check-golden` enumeration, verbatim, against the
     /// shared helper: the two grids must agree cell for cell, or the
@@ -366,12 +360,26 @@ mod tests {
         assert_eq!(golden_cells(), legacy);
     }
 
+    fn row(measured_j: f64, closed_j: f64, clipped_j: f64) -> GoldenRow {
+        GoldenRow {
+            benchmark: "b".into(),
+            vm: "v".into(),
+            platform: PlatformKind::PentiumM,
+            measured_j,
+            closed_j,
+            clipped_j,
+        }
+    }
+
     #[test]
-    fn tiers_track_the_vm_personality() {
-        assert_eq!(
-            tier_for(&VmChoice::Jikes(CollectorKind::SemiSpace)),
-            VmTier::Jikes
-        );
-        assert_eq!(tier_for(&VmChoice::Kaffe), VmTier::Kaffe);
+    fn a_cell_closes_only_within_the_relative_tolerance() {
+        assert!(row(0.9, 1.0, 0.1).closes());
+        assert!(row(0.9 + 0.5e-9, 1.0, 0.1).closes());
+        assert!(!row(0.9 + 2e-9, 1.0, 0.1).closes());
+        assert!(!row(1.0, 1.0, 0.1).closes());
+        // No window sampled: both sides are 0 J.
+        assert!(row(0.0, 0.0, 0.0).closes());
+        assert_eq!(row(0.0, 0.0, 0.0).residual(), 0.0);
+        assert!(!row(1e-12, 0.0, 0.0).closes());
     }
 }

@@ -187,7 +187,8 @@ impl ExperimentConfig {
         format!("{}{}{}", self.fault_key(), spans, probe)
     }
 
-    fn vm_config(&self) -> VmConfig {
+    /// The VM configuration this experiment runs under, with no faults.
+    pub fn vm_config(&self) -> VmConfig {
         let heap = heap_bytes(self.heap_mb);
         let base = match self.vm {
             VmChoice::Jikes(c) => VmConfig::jikes(c, heap),

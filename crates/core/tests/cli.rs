@@ -439,6 +439,22 @@ fn boolean_flags_reject_inline_values() {
     assert!(err.contains("--verbose takes no value"), "stderr: {err}");
 }
 
+/// The analyze gate checks measured energy against the counter file, so
+/// the step budget of the old program-level bound is no flag at all.
+#[test]
+fn analyze_rejects_the_retired_step_budget_flag() {
+    let out = Command::new(env!("CARGO_BIN_EXE_vmprobe-analyze"))
+        .args(["--step-budget", "50000000"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "error: unknown flag --step-budget\n"
+    );
+    assert!(out.stdout.is_empty());
+}
+
 /// Every malformed argument, on every binary, fails at parse time with one
 /// `error:` line on stderr, nothing on stdout, and the binary's usage
 /// exit code (1 for run and serve, 2 for diff and analyze).
@@ -477,10 +493,10 @@ fn malformed_arguments_yield_one_error_line_on_every_binary() {
         ("vmprobe-diff", 2, &["--perturb", "warp=+5%"]),
         ("vmprobe-diff", 2, &["--seed"]),
         ("vmprobe-analyze", 2, &["--check-golden=no"]),
-        ("vmprobe-analyze", 2, &["--heap-mb", "0"]),
+        ("vmprobe-analyze", 2, &["--platform", "arm"]),
         ("vmprobe-analyze", 2, &["--scale", "s20"]),
-        ("vmprobe-analyze", 2, &["--vm", "hotspot"]),
-        ("vmprobe-analyze", 2, &["--step-budget", "lots"]),
+        ("vmprobe-analyze", 2, &["--out"]),
+        ("vmprobe-analyze", 2, &["--json=yes"]),
         ("vmprobe-serve", 1, &["--jobs", "0"]),
         ("vmprobe-serve", 1, &["--queue-cap", "0", "--socket", "s"]),
         ("vmprobe-serve", 1, &["--verbose=1"]),

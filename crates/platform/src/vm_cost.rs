@@ -1,6 +1,6 @@
-//! The VM's own work per unit, in integer µops. The VM charges these and
-//! the static energy bound (`vmprobe-analysis`) must dominate them, so
-//! both read them from here.
+//! The VM's own work per unit, in integer µops. The VM charges these; the
+//! per-method static bounds (`vmprobe-analysis`) read the dispatch cost
+//! from here too.
 
 /// Jikes RVM baseline compilation work per bytecode byte.
 pub const BASE_OPS_PER_BYTE: u32 = 80;

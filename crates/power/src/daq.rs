@@ -99,6 +99,19 @@ impl DaqReport {
     }
 }
 
+/// What a run's sampled windows add up to, for checking the meter against
+/// the counter file: the DAQ's windows tile `0..sampled.cycles`, so their
+/// clean energy is the power model's linear form over `sampled` minus
+/// `clipped_j` (DESIGN.md §14).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct DaqLedger {
+    /// The counter file at the last DAQ sample (all zeros if none fired).
+    pub sampled: HpmSnapshot,
+    /// Energy in joules the IPC and FP saturation clips removed from every
+    /// due window, dropped ones included.
+    pub clipped_j: f64,
+}
+
 /// The sampling DAQ.
 ///
 /// The measurement driver calls [`Daq::observe`] after every charged unit of
@@ -122,6 +135,8 @@ pub struct Daq {
     transition_windows: u64,
     /// Clean (CPU + DRAM) energy of those windows, in joules.
     transition_energy_j: f64,
+    /// Energy the saturation clips removed from every due window.
+    clipped_j: f64,
 }
 
 /// Per-DAQ fault-injection state: the plan, the derived RNG streams, the
@@ -184,6 +199,7 @@ impl Daq {
             pending_port_writes: 0,
             transition_windows: 0,
             transition_energy_j: 0.0,
+            clipped_j: 0.0,
         }
     }
 
@@ -237,6 +253,7 @@ impl Daq {
         let dt = self.sampler.seconds(delta.cycles);
         let cpu = self.model.cpu_power(&delta, dt);
         let mem = self.model.dram_power(&delta, dt);
+        self.clipped_j += self.model.clipped_j(&delta, dt);
         let dt_s = Seconds::new(dt);
         let f = &mut self.faults;
 
@@ -333,6 +350,14 @@ impl Daq {
     /// The power model in force.
     pub fn model(&self) -> &PowerModel {
         &self.model
+    }
+
+    /// The counter file at the last sample and the clip ledger.
+    pub fn ledger(&self) -> DaqLedger {
+        DaqLedger {
+            sampled: *self.sampler.last(),
+            clipped_j: self.clipped_j,
+        }
     }
 
     /// Aggregate the run.
@@ -444,6 +469,37 @@ mod tests {
         run_windows(&mut daq, &mut m, ComponentId::Gc, 2);
         assert_eq!(daq.transition_windows(), 1);
         assert_eq!(daq.report().transition_windows, 1);
+    }
+
+    #[test]
+    fn ledger_sums_the_clipped_energy_of_every_window() {
+        use vmprobe_platform::Hpm;
+        let snap = |cycles: u64, instructions: u64, fp_ops: u64| HpmSnapshot {
+            cycles,
+            counters: Hpm {
+                instructions,
+                fp_ops,
+                ..Hpm::default()
+            },
+        };
+        let mut daq = Daq::new(PlatformKind::PentiumM);
+        let c = *daq.model().coeffs();
+        // One 40 us window at IPC 2.0 and 0.8 FP ops/cycle, then one at
+        // IPC 0.8 and 0.2 FP ops/cycle: only the first is clipped.
+        let hot = snap(64_000, 128_000, 51_200);
+        assert!(daq.observe(&hot, ComponentId::Application));
+        let cool = snap(128_000, 128_000 + 51_200, 51_200 + 12_800);
+        assert!(daq.observe(&cool, ComponentId::Application));
+        let ledger = daq.ledger();
+        assert_eq!(ledger.sampled, cool);
+        let expected = (c.c_ipc * (2.0 - 1.15) + c.c_fp * (0.8 - 0.5)) * 40e-6;
+        assert!((ledger.clipped_j - expected).abs() <= 1e-18);
+        // A dropped window still enters the ledger.
+        let mut dropped =
+            Daq::new(PlatformKind::PentiumM).with_faults(FaultPlan::parse("drop=1").unwrap());
+        dropped.observe(&hot, ComponentId::Application);
+        assert_eq!(dropped.report().cpu_energy, Joules::ZERO);
+        assert_eq!(dropped.ledger().clipped_j, ledger.clipped_j);
     }
 
     #[test]

@@ -66,7 +66,7 @@ mod units;
 pub use analyzer::{analyze, ComponentProfile, Report};
 pub use calib::PowerCoeffs;
 pub use component::ComponentId;
-pub use daq::{ComponentPower, Daq, DaqReport, PowerSample, DAQ_PERIOD_S};
+pub use daq::{ComponentPower, Daq, DaqLedger, DaqReport, PowerSample, DAQ_PERIOD_S};
 pub use dvfs::DvfsPoint;
 pub use model::{PowerModel, FP_SATURATION, IPC_SATURATION};
 pub use perfmon::{PerfMonitor, PerfRecord};

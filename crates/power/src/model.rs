@@ -6,12 +6,14 @@ use crate::{PowerCoeffs, Watts};
 
 /// Retirement-rate saturation: issue width bounds how much of the core a
 /// window can light up, so the IPC term clips here (this is also what
-/// keeps modeled peaks inside the parts' thermal design power). The static
-/// energy bound's `P_max` reads the same clip.
+/// keeps modeled peaks inside the parts' thermal design power). The clip
+/// is the one non-linear step between the counter file and the measured
+/// energy: the DAQ's clip ledger ([`crate::DaqLedger`]) records what it
+/// removes, and the per-method static bounds' `P_max` reads it too.
 pub const IPC_SATURATION: f64 = 1.15;
 
-/// Clip of the FP-ops-per-cycle term, read by the static bound's `P_max`
-/// as well.
+/// Clip of the FP-ops-per-cycle term; recorded by the clip ledger and
+/// read by `P_max` like [`IPC_SATURATION`].
 pub const FP_SATURATION: f64 = 0.5;
 
 /// Converts HPM counter movement over a sampling window into CPU and DRAM
@@ -59,6 +61,22 @@ impl PowerModel {
                 + self.coeffs.c_fp * fp_per_cycle.min(FP_SATURATION)
                 + self.coeffs.c_mem * mem_per_us,
         )
+    }
+
+    /// Energy in joules the [`IPC_SATURATION`] and [`FP_SATURATION`]
+    /// clips remove from a window of `dt_s` seconds in which the counters
+    /// moved by `d`: the unclipped CPU energy minus
+    /// `cpu_power(d, dt_s) · dt_s`. It is computed from the rates' excess
+    /// over the clips, not through [`Self::cpu_power`], so the clip ledger
+    /// stays an independent record of what the clips did.
+    pub(crate) fn clipped_j(&self, d: &HpmDelta, dt_s: f64) -> f64 {
+        if d.cycles == 0 {
+            return 0.0;
+        }
+        let cycles = d.cycles as f64;
+        let ipc_excess = (d.instructions as f64 / cycles - IPC_SATURATION).max(0.0);
+        let fp_excess = (d.fp_ops as f64 / cycles - FP_SATURATION).max(0.0);
+        (self.coeffs.c_ipc * ipc_excess + self.coeffs.c_fp * fp_excess) * dt_s
     }
 
     /// DRAM power over the window.
@@ -127,6 +145,25 @@ mod tests {
         assert!(busy > quiet);
         // 10M accesses/s * 45nJ = 0.45 W over idle.
         assert!((busy.watts() - (0.25 + 0.45)).abs() < 1e-6);
+    }
+
+    #[test]
+    fn clip_ledger_records_exactly_what_the_clips_remove() {
+        let m = PowerModel::new(PlatformKind::PentiumM);
+        let c = m.coeffs();
+        // IPC 2.0 and 0.8 FP ops/cycle: both rates sit above their clips.
+        // The clipped power plus the ledger is the unclipped linear form.
+        let hot = window(128_000, 64_000, 51_200, 0);
+        let unclipped = c.cpu_idle_w + c.c_ipc * 2.0 + c.c_fp * 0.8;
+        let recovered = m.cpu_power(&hot, 40e-6).watts() * 40e-6 + m.clipped_j(&hot, 40e-6);
+        assert!((recovered - unclipped * 40e-6).abs() <= 1e-15);
+        // IPC 0.8 and 0.2 FP ops/cycle: below both clips, nothing removed.
+        assert_eq!(m.clipped_j(&window(51_200, 64_000, 12_800, 80), 40e-6), 0.0);
+        // Only the FP rate over its clip.
+        let fp_only = window(51_200, 64_000, 51_200, 0);
+        let fp_expected = c.c_fp * (0.8 - FP_SATURATION) * 40e-6;
+        assert!((m.clipped_j(&fp_only, 40e-6) - fp_expected).abs() <= 1e-18);
+        assert_eq!(m.clipped_j(&HpmDelta::default(), 0.0), 0.0);
     }
 
     #[test]

@@ -81,6 +81,12 @@ impl Sampler {
         self.period_cycles
     }
 
+    /// The counter file as read at the last sample (unwrapped when reads
+    /// go through the 32-bit view); all zeros before the first one.
+    pub(crate) fn last(&self) -> &HpmSnapshot {
+        &self.last
+    }
+
     /// Wall-clock seconds spanned by `cycles`.
     pub(crate) fn seconds(&self, cycles: u64) -> f64 {
         cycles as f64 / self.freq_hz

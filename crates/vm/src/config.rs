@@ -66,8 +66,6 @@ pub struct VmConfig {
     /// Record the full 40 µs power trace (needed for time-series figures;
     /// costs memory).
     pub trace_power: bool,
-    /// Maximum call-stack depth in frames.
-    pub max_frames: usize,
     /// Operating point for dynamic voltage and frequency scaling (the
     /// paper's Section VII future work; nominal by default).
     pub dvfs: DvfsPoint,
@@ -107,7 +105,6 @@ impl VmConfig {
             opt_threshold: 6_000,
             quantum_cycles: 1_600_000, // 1 ms at 1.6 GHz
             trace_power: false,
-            max_frames: 1024,
             dvfs: DvfsPoint::NOMINAL,
             nursery_bytes: None,
             faults: FaultPlan::none(),
@@ -128,7 +125,6 @@ impl VmConfig {
             opt_threshold: u64::MAX,
             quantum_cycles: 1_600_000,
             trace_power: false,
-            max_frames: 1024,
             dvfs: DvfsPoint::NOMINAL,
             nursery_bytes: None,
             faults: FaultPlan::none(),

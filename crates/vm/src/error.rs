@@ -49,9 +49,9 @@ pub enum VmError {
         /// The negative length popped by the instruction.
         len: i64,
     },
-    /// Call stack exceeded the configured frame limit.
+    /// Call stack exceeded the frame limit.
     StackOverflow {
-        /// The configured limit.
+        /// The VM's frame limit.
         limit: usize,
     },
     /// An instruction read a field/slot beyond the object's layout.

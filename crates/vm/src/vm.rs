@@ -8,7 +8,7 @@ use vmprobe_heap::{
     AllocRequest, CollectorKind, CollectorPlan, GcStats, ObjId, ObjectHeap, RootSet,
 };
 use vmprobe_platform::{Exec, STACK_BASE, VM_BASE};
-use vmprobe_power::{analyze, ComponentId, PowerSample, Report, Seconds};
+use vmprobe_power::{analyze, ComponentId, DaqLedger, PowerSample, Report, Seconds};
 
 use crate::rir::{RirBody, WindowPool};
 use crate::{
@@ -16,6 +16,8 @@ use crate::{
     VmConfig, VmError, VmStats,
 };
 
+/// Maximum call-stack depth in frames.
+const MAX_FRAMES: usize = 1024;
 /// Bytes of simulated stack frame per call depth.
 const FRAME_STRIDE: u64 = 512;
 /// Statics live at the start of the VM data region.
@@ -108,6 +110,11 @@ pub struct RunOutcome {
     /// same program under the same configuration with any larger heap
     /// yields this outcome exactly, so heap sweeps can share it.
     pub heap_bound: bool,
+    /// The counter file at the last DAQ sample and the energy the power
+    /// model's saturation clips removed: what the measured energy is
+    /// checked against (`vmprobe_analysis::closed_energy_j`). Kept off
+    /// [`Report`] so that report digests and cached summaries do not move.
+    pub ledger: DaqLedger,
 }
 
 /// A configured virtual machine ready to execute one program.
@@ -277,6 +284,7 @@ impl Vm {
         let probe_stats = self.meter.probe_stats();
         let (machine, daq, perf) = self.meter.into_parts();
         let mut report = analyze(&daq, &perf, &machine);
+        let ledger = daq.ledger();
         // The analyzer only sees the DAQ's transition exposure; the costs
         // actually paid are the metering adapter's ledger.
         report.probe = probe_stats;
@@ -293,6 +301,7 @@ impl Vm {
             spans,
             rir_bytecodes: self.stats.bytecodes,
             heap_bound,
+            ledger,
         })
     }
 
@@ -303,10 +312,8 @@ impl Vm {
     /// [`VmError::VerifyRejected`], even when the load-time dataflow tier
     /// is off.
     pub(crate) fn invoke(&mut self, m: MethodId) -> Result<(), VmError> {
-        if self.frames.len() >= self.config.max_frames {
-            return Err(VmError::StackOverflow {
-                limit: self.config.max_frames,
-            });
+        if self.frames.len() >= MAX_FRAMES {
+            return Err(VmError::StackOverflow { limit: MAX_FRAMES });
         }
         let program = Arc::clone(&self.program);
         let method = program.method(m);

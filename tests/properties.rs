@@ -8,11 +8,16 @@
 //! * A recorded corpus of random blueprints, crossed with every collector
 //!   and fault spec, must reproduce the committed digests of the stack
 //!   interpreter's observables on every tier.
+//! * Over random blueprints, collectors, platforms, DVFS points, fault
+//!   plans and probe specs, the measured energy must close over the
+//!   counter file at the last DAQ sample.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
+use vmprobe_analysis::closed_energy_j;
 use vmprobe_heap::{AllocRequest, CollectorKind, CollectorPlan, ObjId, ObjectHeap, RootSet};
-use vmprobe_platform::{Machine, PlatformKind};
+use vmprobe_platform::{CpuSpec, Machine, PlatformKind};
+use vmprobe_power::{DvfsPoint, PowerCoeffs, ProbeSpec};
 use vmprobe_vm::{RunOutcome, Vm, VmConfig, VmError};
 use vmprobe_workloads::{build_program, Blueprint, InputScale};
 
@@ -391,4 +396,85 @@ proptest! {
             );
         }
     }
+}
+
+/// Cases of the energy-closure property. Case `i` runs the blueprint drawn
+/// from `TestRng::from_seed(i)` under collector `i % 5`, at (platform, DVFS
+/// point) `i % 9` of both platforms' ladders, fault plan `i % 2` and probe
+/// `i / 2 % 4`. 5, 9 and 2 are coprime, so the 90 cases run every
+/// collector at every point both clean and faulted.
+const CLOSURE_CASES: u64 = 90;
+const CLOSURE_FAULTS: [&str; 2] = ["-", "drop=0.05,dup=0.02,noise=0.01,glitch=0.01,wrap32"];
+
+/// A run's clean energy is the power model's linear form over the counter
+/// file at the last DAQ sample minus what the saturation clips removed, and
+/// the energy committed to components differs from it by no more than the
+/// fault ledger's bound.
+#[test]
+fn measured_energy_closes_over_the_counter_file() {
+    let points: Vec<(PlatformKind, DvfsPoint)> = [PlatformKind::PentiumM, PlatformKind::Pxa255]
+        .into_iter()
+        .flat_map(|p| DvfsPoint::ladder(p).into_iter().map(move |d| (p, d)))
+        .collect();
+    let probes = [
+        ProbeSpec::default(),
+        ProbeSpec::nontransparent_at(4_000),
+        // 40.001 µs is a fractional number of cycles at every clock, so
+        // the sampler's carry moves the window boundaries.
+        ProbeSpec::transparent_at(40_001),
+        // Ten seconds: longer than any reduced-scale run, so no window is
+        // ever sampled.
+        ProbeSpec::transparent_at(10_000_000_000),
+    ];
+    let (mut clipped, mut unsampled, mut faulted) = (0, 0, 0);
+    for seed in 0..CLOSURE_CASES {
+        let i = seed as usize;
+        let bp = arb_blueprint().new_value(&mut TestRng::from_seed(seed));
+        let collector = ENGINE_COLLECTORS[i % ENGINE_COLLECTORS.len()];
+        let (platform, dvfs) = points[i % points.len()];
+        let faults = CLOSURE_FAULTS[i % CLOSURE_FAULTS.len()];
+        let probe = probes[i / 2 % probes.len()];
+        let heap = 1 << 20;
+        let mut cfg = match collector {
+            CollectorKind::KaffeIncremental => VmConfig::kaffe(heap),
+            k => VmConfig::jikes(k, heap),
+        }
+        .platform(platform)
+        .dvfs(dvfs)
+        .probe(probe);
+        if faults != "-" {
+            cfg = cfg.faults(vmprobe::FaultPlan::parse(faults).unwrap());
+        }
+        let out = Vm::new(build_program(&bp, InputScale::Reduced), cfg)
+            .run()
+            .expect("random blueprint must run");
+
+        let coeffs = dvfs.scale_coeffs(PowerCoeffs::of(platform));
+        let freq_hz = CpuSpec::of(platform).scaled(dvfs.freq_factor).freq_hz;
+        let closed = closed_energy_j(&coeffs, freq_hz, &out.ledger.sampled);
+        let expected = closed - out.ledger.clipped_j;
+        let case = format!("case {seed}: {collector:?} {platform:?} {dvfs} {faults} {probe:?}");
+        let clean = out.report.clean_total_energy.joules();
+        assert!(
+            (clean - expected).abs() <= 1e-9 * closed,
+            "{case}: clean {clean:e} J vs closed - clipped {expected:e} J"
+        );
+        let committed: f64 = out
+            .report
+            .components
+            .values()
+            .map(|p| p.energy.joules() + p.mem_energy.joules())
+            .sum();
+        let bound = out.report.faults.energy_error_bound_j();
+        assert!(
+            (committed - expected).abs() <= bound + 1e-9 * closed,
+            "{case}: committed {committed:e} J vs closed - clipped {expected:e} J (bound {bound:e} J)"
+        );
+        clipped += usize::from(out.ledger.clipped_j > 0.0);
+        unsampled += usize::from(out.report.faults.samples_total == 0);
+        faulted += usize::from(bound > 0.0);
+    }
+    assert!(clipped > 0, "no case clipped");
+    assert!(unsampled > 0, "every case sampled a window");
+    assert!(faulted > 0, "no case injected a fault");
 }
