@@ -5,9 +5,9 @@
 //!   randomly chosen collector.
 //! * All five collectors must agree on reachability for arbitrary mutation
 //!   sequences over a shared object-graph script.
-//! * A recorded corpus of random blueprints, crossed with every collector
-//!   and fault spec, must reproduce the committed digests of the stack
-//!   interpreter's observables on every tier.
+//! * A recorded corpus of random blueprints, crossed with every collector,
+//!   fault spec and measurement rig, must reproduce the committed digests
+//!   of the stack interpreter's observables on every tier.
 //! * Over random blueprints, collectors, platforms, DVFS points, fault
 //!   plans and probe specs, the measured energy must close over the
 //!   counter file at the last DAQ sample.
@@ -255,17 +255,46 @@ const ENGINE_COLLECTORS: [CollectorKind; 5] = [
 ];
 const ENGINE_FAULTS: [&str; 3] = ["-", "drop=0.1,dup=0.02,seed=11", "budget=25000"];
 
-fn engine_case(seed: u64) -> (Blueprint, CollectorKind, &'static str) {
+/// Cases past the first [`ENGINE_CASES`] run on another measurement rig,
+/// [`ENGINE_RIG_CASES`] consecutive cases for each of [`ENGINE_RIGS`]:
+/// the PXA255 (55-cycle fp ops, 420-cycle math, 32-way L1s, no L2) and
+/// the observe sweep's 4 µs period, transparent and charged. Their sample
+/// deadlines lie 1,600 to 16,000 cycles apart, against 64,000 on the
+/// classic P6 rig, so many more ops run close before a deadline.
+fn engine_rig(r: usize) -> (&'static str, PlatformKind, ProbeSpec) {
+    use PlatformKind::{PentiumM, Pxa255};
+    match r {
+        0 => ("pxa255", Pxa255, ProbeSpec::default()),
+        1 => ("p6/t4us", PentiumM, ProbeSpec::transparent_at(4_000)),
+        2 => ("p6/nt4us", PentiumM, ProbeSpec::nontransparent_at(4_000)),
+        _ => ("pxa255/nt4us", Pxa255, ProbeSpec::nontransparent_at(4_000)),
+    }
+}
+const ENGINE_RIGS: u64 = 4;
+const ENGINE_RIG_CASES: u64 = 8;
+
+/// A corpus case: blueprint, collector, fault spec and, past the first
+/// [`ENGINE_CASES`], the rig it runs on (`None`: the P6 classic rig).
+type EngineCase = (Blueprint, CollectorKind, &'static str, Option<usize>);
+
+fn engine_case(seed: u64) -> EngineCase {
     let mut rng = TestRng::from_seed(seed);
     let i = seed as usize;
     (
         arb_blueprint().new_value(&mut rng),
         ENGINE_COLLECTORS[i % ENGINE_COLLECTORS.len()],
         ENGINE_FAULTS[i % ENGINE_FAULTS.len()],
+        seed.checked_sub(ENGINE_CASES)
+            .map(|j| (j / ENGINE_RIG_CASES) as usize),
     )
 }
 
-fn run_engine_case(bp: &Blueprint, k: CollectorKind, faults: &str) -> Result<RunOutcome, VmError> {
+fn run_engine_case(
+    bp: &Blueprint,
+    k: CollectorKind,
+    faults: &str,
+    rig: Option<usize>,
+) -> Result<RunOutcome, VmError> {
     let program = build_program(bp, InputScale::Reduced);
     // A 64 KB heap makes about a quarter of the cases collect with
     // suspended frames on the stack, and the step budget cuts more than
@@ -282,6 +311,10 @@ fn run_engine_case(bp: &Blueprint, k: CollectorKind, faults: &str) -> Result<Run
     cfg.quantum_cycles = 5_000;
     if faults != "-" {
         cfg = cfg.faults(vmprobe::FaultPlan::parse(faults).unwrap());
+    }
+    if let Some(r) = rig {
+        let (_, platform, probe) = engine_rig(r);
+        cfg = cfg.platform(platform).probe(probe);
     }
     Vm::new(program, cfg).run()
 }
@@ -323,13 +356,13 @@ fn register_engine_is_bit_identical_to_stack_interpreter() {
         "# FNV-1a digests of each engine-corpus case's observables.".to_string(),
         "# seed collector faults digest".to_string(),
     ];
-    for seed in 0..ENGINE_CASES {
-        let (bp, k, faults) = engine_case(seed);
-        let out = run_engine_case(&bp, k, faults);
-        lines.push(format!(
-            "{seed} {k:?} {faults} {:016x}",
-            observables_digest(&out)
-        ));
+    for seed in 0..ENGINE_CASES + ENGINE_RIGS * ENGINE_RIG_CASES {
+        let (bp, k, faults, rig) = engine_case(seed);
+        let digest = observables_digest(&run_engine_case(&bp, k, faults, rig));
+        lines.push(match rig {
+            None => format!("{seed} {k:?} {faults} {digest:016x}"),
+            Some(r) => format!("{seed} {k:?} {faults} {} {digest:016x}", engine_rig(r).0),
+        });
     }
     let actual = lines.join("\n") + "\n";
     let path =
