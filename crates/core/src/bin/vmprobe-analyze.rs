@@ -10,7 +10,9 @@
 //!   --out <path>           also write the JSON report to a file
 //!   --check-golden         run every golden workload and fail unless its
 //!                          measured energy closes over its counter file
-//!                          (the CI gate)
+//!                          (the CI gate); it runs the fixed golden grid,
+//!                          so a benchmark name, --scale, --platform or
+//!                          --json beside it is an error
 //! ```
 //!
 //! Plain mode is purely static: it assembles each benchmark's program,
@@ -39,6 +41,10 @@ const SWITCHES: [&str; 2] = ["json", "check-golden"];
 /// Flags that take one.
 const VALUED: [&str; 3] = ["scale", "platform", "out"];
 
+/// The inputs plain mode reads and `--check-golden` does not: the gate
+/// runs the fixed golden grid and prints its own table.
+const NOT_WITH_CHECK_GOLDEN: [&str; 3] = ["scale", "platform", "json"];
+
 /// Largest accepted `|measured − (closed − clipped)|`, relative to `closed`:
 /// far above floating-point summation error, far below any window's energy.
 const REL_TOLERANCE: f64 = 1e-9;
@@ -53,6 +59,16 @@ fn usage() -> ExitCode {
 
 /// The input scale and platform the flags select.
 fn parse(args: &Args) -> Result<(InputScale, PlatformKind), String> {
+    if args.has("check-golden") {
+        if let Some(name) = args.positionals.first() {
+            return Err(format!(
+                "benchmark '{name}' is not used with --check-golden"
+            ));
+        }
+        if let Some(flag) = NOT_WITH_CHECK_GOLDEN.iter().find(|f| args.has(f)) {
+            return Err(format!("--{flag} is not used with --check-golden"));
+        }
+    }
     let scale = args.str("scale")?.map(request::scale).transpose()?;
     let platform = args.str("platform")?.map(request::platform).transpose()?;
     Ok((

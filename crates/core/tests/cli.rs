@@ -460,7 +460,7 @@ fn analyze_rejects_the_retired_step_budget_flag() {
 /// exit code (1 for run and serve, 2 for diff and analyze).
 #[test]
 fn malformed_arguments_yield_one_error_line_on_every_binary() {
-    let cases: [(&str, u8, &[&str]); 33] = [
+    let cases: [(&str, u8, &[&str]); 37] = [
         ("vmprobe-run", 1, &["moldyn", "semispace", "0", "p6", "s10"]),
         ("vmprobe-run", 1, &["moldyn", "gencopy", "4294967296"]),
         ("vmprobe-run", 1, &["moldyn", "gencopy", "lots"]),
@@ -497,6 +497,25 @@ fn malformed_arguments_yield_one_error_line_on_every_binary() {
         ("vmprobe-analyze", 2, &["--scale", "s20"]),
         ("vmprobe-analyze", 2, &["--out"]),
         ("vmprobe-analyze", 2, &["--json=yes"]),
+        (
+            "vmprobe-analyze",
+            2,
+            &[
+                "moldyn",
+                "--scale",
+                "full",
+                "--platform",
+                "pxa255",
+                "--check-golden",
+            ],
+        ),
+        ("vmprobe-analyze", 2, &["--check-golden", "--scale", "full"]),
+        (
+            "vmprobe-analyze",
+            2,
+            &["--platform", "pxa255", "--check-golden"],
+        ),
+        ("vmprobe-analyze", 2, &["--check-golden", "--json"]),
         ("vmprobe-serve", 1, &["--jobs", "0"]),
         ("vmprobe-serve", 1, &["--queue-cap", "0", "--socket", "s"]),
         ("vmprobe-serve", 1, &["--verbose=1"]),

@@ -95,6 +95,7 @@ impl Object {
     }
 
     /// Simulated address of the object header.
+    #[inline]
     pub fn addr(&self) -> Addr {
         self.addr
     }
@@ -105,6 +106,7 @@ impl Object {
     }
 
     /// Object kind.
+    #[inline]
     pub fn kind(&self) -> ObjKind {
         self.kind
     }
@@ -115,11 +117,13 @@ impl Object {
     }
 
     /// Number of reference slots (fields or array elements).
+    #[inline]
     pub fn ref_count(&self) -> usize {
         self.n_refs as usize
     }
 
     /// Number of primitive slots.
+    #[inline]
     pub fn prim_count(&self) -> usize {
         self.n_prims as usize
     }
@@ -299,6 +303,7 @@ impl ObjectHeap {
     ///
     /// Panics if `id` has been freed — with a correct collector and runtime
     /// this indicates a GC safety bug, so failing loudly is deliberate.
+    #[inline]
     pub fn get(&self, id: ObjId) -> &Object {
         self.slots[id.0 as usize]
             .as_ref()
@@ -312,6 +317,7 @@ impl ObjectHeap {
     }
 
     /// Slab index of reference slot `i` of `id`.
+    #[inline]
     fn ref_word(&self, id: ObjId, i: usize) -> usize {
         let obj = self.get(id);
         assert!(
@@ -323,6 +329,7 @@ impl ObjectHeap {
     }
 
     /// Slab index of primitive slot `i` of `id`.
+    #[inline]
     fn prim_word(&self, id: ObjId, i: usize) -> usize {
         let obj = self.get(id);
         assert!(
@@ -338,6 +345,7 @@ impl ObjectHeap {
     /// # Panics
     ///
     /// Panics on a freed `id` or out-of-range slot.
+    #[inline]
     pub fn get_ref(&self, id: ObjId, i: usize) -> Option<ObjId> {
         let w = self.words[self.ref_word(id, i)];
         w.checked_sub(1).map(|v| ObjId(v as u32))
@@ -359,6 +367,7 @@ impl ObjectHeap {
     /// # Panics
     ///
     /// Panics on a freed `id` or out-of-range slot.
+    #[inline]
     pub fn get_prim(&self, id: ObjId, i: usize) -> u64 {
         self.words[self.prim_word(id, i)]
     }
@@ -368,6 +377,7 @@ impl ObjectHeap {
     /// # Panics
     ///
     /// Panics on a freed `id` or out-of-range slot.
+    #[inline]
     pub fn set_prim(&mut self, id: ObjId, i: usize, v: u64) {
         let at = self.prim_word(id, i);
         self.words[at] = v;

@@ -108,13 +108,33 @@ impl Cache {
     #[inline]
     pub fn access(&mut self, addr: Addr) -> bool {
         self.stats.accesses += 1;
-        let line = addr >> self.line_shift;
-        let set = ((line as u32) & (self.sets - 1)) as usize;
-        let base = set * self.cfg.ways as usize;
+        let (base, line) = self.locate(addr);
         if self.tags[base] == line {
             return true;
         }
         self.access_rest(base, line)
+    }
+
+    /// Whether `addr` is in its set's most recent line: the one access
+    /// that changes nothing in the cache but its access count.
+    #[inline]
+    pub fn is_mru(&self, addr: Addr) -> bool {
+        let (base, line) = self.locate(addr);
+        self.tags[base] == line
+    }
+
+    /// Count `n` accesses that [`Cache::is_mru`] found in their set's most
+    /// recent line, without repeating them.
+    pub(crate) fn count_mru_hits(&mut self, n: u64) {
+        self.stats.accesses += n;
+    }
+
+    /// The first tag slot of `addr`'s set, and `addr`'s line.
+    #[inline]
+    fn locate(&self, addr: Addr) -> (usize, u64) {
+        let line = addr >> self.line_shift;
+        let set = ((line as u32) & (self.sets - 1)) as usize;
+        (set * self.cfg.ways as usize, line)
     }
 
     /// The part of `access` past the slot-0 check. A hit in slot `k`
@@ -141,9 +161,7 @@ impl Cache {
 
     /// Probe whether `addr` is resident without touching LRU state or stats.
     pub fn contains(&self, addr: Addr) -> bool {
-        let line = addr >> self.line_shift;
-        let set = (line as u32) & (self.sets - 1);
-        let base = (set * self.cfg.ways) as usize;
+        let (base, line) = self.locate(addr);
         self.tags[base..base + self.cfg.ways as usize].contains(&line)
     }
 
@@ -224,6 +242,20 @@ mod tests {
             c.access(i * 64);
         }
         assert_eq!(c.stats().miss_rate(), 0.5);
+    }
+
+    #[test]
+    fn only_the_most_recent_line_of_a_set_is_mru() {
+        let mut c = tiny();
+        let (a, b) = (0x0u64, 0x100); // same set
+        assert!(!c.is_mru(a)); // invalid ways never match
+        c.access(a);
+        assert!(c.is_mru(a) && c.is_mru(a + 63));
+        c.access(b);
+        assert!(c.is_mru(b) && !c.is_mru(a) && c.contains(a));
+        let before = c.stats();
+        assert!(c.is_mru(b));
+        assert_eq!(c.stats(), before, "the check is pure");
     }
 
     #[test]

@@ -42,8 +42,5 @@ pub use cache::{Cache, CacheConfig, CacheStats};
 pub use cpu::{CpuSpec, PlatformKind};
 pub use exec::Exec;
 pub use hpm::{Hpm, HpmDelta, HpmSnapshot, HpmUnwrapper, COUNTER_MASK_32, HPM_COUNTER_COUNT};
-pub use machine::Machine;
-pub use vm_cost::{
-    BASE_OPS_PER_BYTE, JIT_OPS_PER_BYTE, OPT_OPS_PER_BYTE, PARSE_OPS_PER_BYTE,
-    UNCOMPILED_DISPATCH_OPS, VERIFY_OPS_PER_BYTE,
-};
+pub use machine::{Ledger, Machine};
+pub use vm_cost::UNCOMPILED_DISPATCH_OPS;

@@ -7,10 +7,10 @@ use crate::{Addr, Cache, CacheStats, CpuSpec, Hpm, HpmSnapshot, PlatformKind};
 /// Every instruction and memory access the runtime performs is *charged*
 /// into the machine through the methods below; the machine advances its
 /// cycle counter, walks the cache hierarchy and counts the event. Each
-/// event is counted once: the machine keeps seven totals of its own, the
-/// caches keep their access and miss counts, and [`Machine::hpm`] derives
-/// the rest of the HPM counter file from both. Simulated wall-clock time
-/// is `cycles / freq`.
+/// event is counted once: the machine keeps seven totals of its own (the
+/// five retired-op counts in its [`Ledger`]), the caches keep their access
+/// and miss counts, and [`Machine::hpm`] derives the rest of the HPM
+/// counter file from both. Simulated wall-clock time is `cycles / freq`.
 ///
 /// Cycle accounting uses an `f64` accumulator (effective per-op costs are
 /// sub-cycle on the superscalar Pentium M); the public [`Machine::cycles`]
@@ -26,23 +26,97 @@ pub struct Machine {
     l1i: Cache,
     l1d: Cache,
     l2: Option<Cache>,
-    counted: Counted,
-    cycles: f64,
+    ledger: Ledger,
+    /// DRAM accesses (HPM counter).
+    mem_accesses: u64,
+    /// Stall cycles (HPM counter).
+    stall_cycles: u64,
     /// Last DRAM row touched (open-row tracking).
     dram_row: u64,
 }
 
-/// The HPM counters no cache keeps: retired operations by class, DRAM
-/// accesses and stall cycles. Retired instructions are their op sum.
+/// The cycle accumulator and the retired-op counts by class, as one `Copy`
+/// value: the machine's own totals, and what a caller checks out
+/// ([`Machine::check_out`]) to charge a run of cache-hitting work in
+/// registers and checks back in ([`Machine::check_in`]) with one call.
+///
+/// Each charge below is the exact `f64` operation the machine's own
+/// charge of that class performs, so a stream charged on a checked-out
+/// ledger leaves the accumulator bit-identical to the same stream charged
+/// on the machine. A checked-out ledger charges only the part of a load,
+/// store or ifetch that a hit in the most recent line of its L1 set costs
+/// ([`Machine::l1d_is_mru`], [`Machine::l1i_is_mru`]): such a hit adds
+/// nothing but the cache's access count, which check-in settles.
 #[derive(Debug, Clone, Copy, Default)]
-struct Counted {
+pub struct Ledger {
+    cycles: f64,
     int_ops: u64,
     fp_ops: u64,
     branches: u64,
     loads: u64,
     stores: u64,
-    mem_accesses: u64,
-    stall_cycles: u64,
+    /// Instruction fetches charged since check-out (all L1I hits in the
+    /// most recent line of their set); zero in the machine's own ledger.
+    ifetch_hits: u64,
+}
+
+impl Ledger {
+    /// The cycle accumulator.
+    #[inline]
+    pub fn cycles(&self) -> f64 {
+        self.cycles
+    }
+
+    /// Retire `n` integer ALU operations at `cost` cycles each.
+    #[inline]
+    pub fn int_ops(&mut self, n: u32, cost: f64) {
+        self.int_ops += u64::from(n);
+        self.cycles += f64::from(n) * cost;
+    }
+
+    /// Retire `n` floating point operations at `cost` cycles each.
+    #[inline]
+    pub fn fp_ops(&mut self, n: u32, cost: f64) {
+        self.fp_ops += u64::from(n);
+        self.cycles += f64::from(n) * cost;
+    }
+
+    /// Retire one transcendental math intrinsic costing `cost` cycles.
+    #[inline]
+    fn math_op(&mut self, cost: f64) {
+        self.fp_ops += 1;
+        self.cycles += cost;
+    }
+
+    /// Retire one branch costing `cost` cycles.
+    #[inline]
+    pub fn branch(&mut self, cost: f64) {
+        self.branches += 1;
+        self.cycles += cost;
+    }
+
+    /// Retire a load at base cost `cost`. On a checked-out ledger the
+    /// access must hit the most recent line of its L1D set.
+    #[inline]
+    pub fn load(&mut self, cost: f64) {
+        self.loads += 1;
+        self.cycles += cost;
+    }
+
+    /// Retire a store at base cost `cost`. On a checked-out ledger the
+    /// access must hit the most recent line of its L1D set.
+    #[inline]
+    pub fn store(&mut self, cost: f64) {
+        self.stores += 1;
+        self.cycles += cost;
+    }
+
+    /// Count an instruction fetch that hits the most recent line of its
+    /// L1I set (it costs no cycles).
+    #[inline]
+    pub fn ifetch_hit(&mut self) {
+        self.ifetch_hits += 1;
+    }
 }
 
 /// DRAM row size in bytes (open-page SDRAM row buffer).
@@ -67,8 +141,9 @@ impl Machine {
             l1i: Cache::new(spec.l1i),
             l1d: Cache::new(spec.l1d),
             l2: spec.l2.map(Cache::new),
-            counted: Counted::default(),
-            cycles: 0.0,
+            ledger: Ledger::default(),
+            mem_accesses: 0,
+            stall_cycles: 0,
             dram_row: u64::MAX,
             spec,
         }
@@ -100,19 +175,55 @@ impl Machine {
     /// Elapsed cycles (truncated from the internal accumulator).
     #[inline]
     pub fn cycles(&self) -> u64 {
-        self.cycles as u64
+        self.ledger.cycles as u64
     }
 
     /// The raw cycle accumulator. Comparing it against an integer deadline
     /// below 2⁵³ gives the same answer as comparing [`Machine::cycles`].
     #[inline]
     pub fn cycles_f64(&self) -> f64 {
-        self.cycles
+        self.ledger.cycles
     }
 
     /// Elapsed simulated wall-clock time in seconds.
     pub fn now(&self) -> f64 {
-        self.cycles / self.spec.freq_hz
+        self.ledger.cycles / self.spec.freq_hz
+    }
+
+    /// Check the ledger out by value. Until [`Machine::check_in`] returns
+    /// it, the machine's cycle count and op counts stand still, and the
+    /// caller must charge nothing on the machine itself.
+    #[inline]
+    pub fn check_out(&self) -> Ledger {
+        self.ledger
+    }
+
+    /// Check a ledger back in: its cycles and op counts become the
+    /// machine's, and its loads, stores and ifetches since
+    /// [`Machine::check_out`] become L1D and L1I accesses that hit.
+    #[inline]
+    pub fn check_in(&mut self, ledger: Ledger) {
+        let data = ledger.loads - self.ledger.loads + ledger.stores - self.ledger.stores;
+        self.l1d.count_mru_hits(data);
+        self.l1i.count_mru_hits(ledger.ifetch_hits);
+        self.ledger = Ledger {
+            ifetch_hits: 0,
+            ..ledger
+        };
+    }
+
+    /// Whether a data access to `addr` would hit the most recent line of
+    /// its L1D set (a pure check).
+    #[inline]
+    pub fn l1d_is_mru(&self, addr: Addr) -> bool {
+        self.l1d.is_mru(addr)
+    }
+
+    /// Whether an instruction fetch at `addr` would hit the most recent
+    /// line of its L1I set (a pure check).
+    #[inline]
+    pub fn l1i_is_mru(&self, addr: Addr) -> bool {
+        self.l1i.is_mru(addr)
     }
 
     /// The HPM counter file as of now. Retired instructions are the sum
@@ -120,7 +231,7 @@ impl Machine {
     /// are the caches' own [`Cache::stats`] (zero L2 traffic on a platform
     /// without an L2).
     pub fn hpm(&self) -> Hpm {
-        let c = self.counted;
+        let c = self.ledger;
         let l1i = self.l1i.stats();
         let l1d = self.l1d.stats();
         let l2 = self.l2_stats().unwrap_or_default();
@@ -137,8 +248,8 @@ impl Machine {
             l1d_misses: l1d.misses,
             l2_accesses: l2.accesses,
             l2_misses: l2.misses,
-            mem_accesses: c.mem_accesses,
-            stall_cycles: c.stall_cycles,
+            mem_accesses: self.mem_accesses,
+            stall_cycles: self.stall_cycles,
         }
     }
 
@@ -161,44 +272,38 @@ impl Machine {
     /// Retire `n` integer ALU operations.
     #[inline]
     pub fn int_ops(&mut self, n: u32) {
-        self.counted.int_ops += u64::from(n);
-        self.cycles += f64::from(n) * self.spec.int_cost;
+        self.ledger.int_ops(n, self.spec.int_cost);
     }
 
     /// Retire `n` floating point operations.
     #[inline]
     pub fn fp_ops(&mut self, n: u32) {
-        self.counted.fp_ops += u64::from(n);
-        self.cycles += f64::from(n) * self.spec.fp_cost;
+        self.ledger.fp_ops(n, self.spec.fp_cost);
     }
 
     /// Retire one transcendental math intrinsic (sqrt/sin/...).
     #[inline]
     pub fn math_op(&mut self) {
-        self.counted.fp_ops += 1;
-        self.cycles += self.spec.math_cost;
+        self.ledger.math_op(self.spec.math_cost);
     }
 
     /// Retire one branch.
     #[inline]
     pub fn branch(&mut self) {
-        self.counted.branches += 1;
-        self.cycles += self.spec.branch_cost;
+        self.ledger.branch(self.spec.branch_cost);
     }
 
     /// Retire a data load from `addr`, walking the cache hierarchy.
     #[inline]
     pub fn load(&mut self, addr: Addr) {
-        self.counted.loads += 1;
-        self.cycles += self.spec.mem_base_cost;
+        self.ledger.load(self.spec.mem_base_cost);
         self.data_access(addr);
     }
 
     /// Retire a data store to `addr` (write-allocate, charged like a load).
     #[inline]
     pub fn store(&mut self, addr: Addr) {
-        self.counted.stores += 1;
-        self.cycles += self.spec.mem_base_cost;
+        self.ledger.store(self.spec.mem_base_cost);
         self.data_access(addr);
     }
 
@@ -212,19 +317,19 @@ impl Machine {
                 None => true,
             };
             if to_dram {
-                self.counted.mem_accesses += 1;
+                self.mem_accesses += 1;
                 stall += self.dram_penalty(addr);
             }
-            self.counted.stall_cycles += stall as u64;
-            self.cycles += stall;
+            self.stall_cycles += stall as u64;
+            self.ledger.cycles += stall;
         }
     }
 
     /// Stall for raw `cycles` without retiring instructions (idle loops,
     /// throttling duty-off periods, bulk modeled work).
     pub fn stall(&mut self, cycles: f64) {
-        self.counted.stall_cycles += cycles as u64;
-        self.cycles += cycles;
+        self.stall_cycles += cycles as u64;
+        self.ledger.cycles += cycles;
     }
 
     /// Touch `bytes` starting at `addr` line-by-line as loads (streaming
@@ -271,11 +376,11 @@ impl Machine {
                 None => true,
             };
             if to_dram {
-                self.counted.mem_accesses += 1;
+                self.mem_accesses += 1;
                 stall += self.dram_penalty(addr);
             }
-            self.counted.stall_cycles += stall as u64;
-            self.cycles += stall;
+            self.stall_cycles += stall as u64;
+            self.ledger.cycles += stall;
         }
     }
 }
@@ -376,6 +481,70 @@ mod tests {
                 fractional > 10_000,
                 "{kind:?}: the stream must sit between integers"
             );
+        }
+    }
+
+    #[test]
+    fn a_checked_out_ledger_charges_bit_identically_to_the_machine() {
+        for kind in [PlatformKind::PentiumM, PlatformKind::Pxa255] {
+            let (mut direct, mut split) = (Machine::new(kind), Machine::new(kind));
+            let spec = *split.spec();
+            let mut led = split.check_out();
+            let mut x = 0x9E37_79B9_7F4A_7C15u64;
+            for _ in 0..50_000 {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                let addr = HEAP_BASE + (x >> 40) % 4096;
+                match (x >> 33) % 6 {
+                    0 => {
+                        direct.int_ops(3);
+                        led.int_ops(3, spec.int_cost);
+                    }
+                    1 => {
+                        direct.fp_ops(1);
+                        led.fp_ops(1, spec.fp_cost);
+                    }
+                    2 => {
+                        direct.branch();
+                        led.branch(spec.branch_cost);
+                    }
+                    op => {
+                        // Loads, stores and ifetches: on the ledger when
+                        // they hit the set's most recent line, otherwise
+                        // on the machine between a check-in and a check-out.
+                        let mru = match op {
+                            5 => split.l1i_is_mru(addr),
+                            _ => split.l1d_is_mru(addr),
+                        };
+                        match (op, mru) {
+                            (3, true) => led.load(spec.mem_base_cost),
+                            (4, true) => led.store(spec.mem_base_cost),
+                            (_, true) => led.ifetch_hit(),
+                            _ => {
+                                split.check_in(led);
+                                match op {
+                                    3 => split.load(addr),
+                                    4 => split.store(addr),
+                                    _ => split.ifetch(addr),
+                                }
+                                led = split.check_out();
+                            }
+                        }
+                        match op {
+                            3 => direct.load(addr),
+                            4 => direct.store(addr),
+                            _ => direct.ifetch(addr),
+                        }
+                    }
+                }
+            }
+            split.check_in(led);
+            assert_eq!(
+                direct.cycles_f64().to_bits(),
+                split.cycles_f64().to_bits(),
+                "{kind:?}"
+            );
+            assert_eq!(format!("{:?}", direct.hpm()), format!("{:?}", split.hpm()));
+            assert!(direct.hpm().l1d_misses > 0 && direct.hpm().l1i_misses > 0);
         }
     }
 

@@ -16,11 +16,15 @@
 //! on the XScale).
 
 use vmprobe_bytecode::{ClassId, Program, Ty};
-use vmprobe_platform::{
-    Exec, CLASSFILE_BASE, CODE_BASE, PARSE_OPS_PER_BYTE, VERIFY_OPS_PER_BYTE, VM_BASE,
-};
+use vmprobe_platform::{Exec, CLASSFILE_BASE, CODE_BASE, VM_BASE};
 
 use crate::{Meter, VmError};
+
+/// Class-file parse work per class-file byte, in integer µops.
+const PARSE_OPS_PER_BYTE: u32 = 2;
+/// Verification work per bytecode byte (abstract interpretation), in
+/// integer µops.
+const VERIFY_OPS_PER_BYTE: u32 = 3;
 
 /// Modeled size of the loader's own code, fetched while parsing. Larger
 /// than either platform's 32 KB L1I, so loading produces fetch misses.
@@ -59,6 +63,7 @@ impl ClassRuntime {
     }
 
     /// Field-index → slot mapping.
+    #[inline]
     pub fn layout(&self) -> &[FieldSlot] {
         &self.layout
     }
@@ -147,6 +152,7 @@ impl ClassLoader {
     /// # Panics
     ///
     /// Panics if `id` is not from the same program.
+    #[inline]
     pub fn class(&self, id: ClassId) -> &ClassRuntime {
         &self.classes[id.0 as usize]
     }

@@ -19,13 +19,18 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use vmprobe_bytecode::{MethodId, Program, VerifyError};
-use vmprobe_platform::{
-    Exec, BASE_OPS_PER_BYTE, CODE_BASE, JIT_OPS_PER_BYTE, OPT_OPS_PER_BYTE,
-    UNCOMPILED_DISPATCH_OPS, VM_BASE,
-};
+use vmprobe_platform::{Exec, CODE_BASE, UNCOMPILED_DISPATCH_OPS, VM_BASE};
 
 use crate::rir::{lower, RirBody};
 use crate::Meter;
+
+/// Jikes RVM baseline compilation work per bytecode byte, in integer µops.
+const BASE_OPS_PER_BYTE: u32 = 80;
+/// Kaffe JIT translation work per bytecode byte, in integer µops.
+const JIT_OPS_PER_BYTE: u32 = 140;
+/// Jikes RVM optimizing compilation work per bytecode byte, in integer
+/// µops.
+const OPT_OPS_PER_BYTE: u32 = 2_200;
 
 /// Compilation state of a method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -163,6 +168,7 @@ impl CompilerSubsystem {
     }
 
     /// Mutable runtime state of `m` (hotness bumps from the interpreter).
+    #[inline]
     pub fn method_mut(&mut self, m: MethodId) -> &mut MethodRuntime {
         &mut self.methods[m.0 as usize]
     }

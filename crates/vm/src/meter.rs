@@ -7,7 +7,9 @@
 //! running *during* GC pauses and compilations, exactly like the physical
 //! rig.
 
-use vmprobe_platform::{Addr, CpuSpec, Exec, Machine, PlatformKind, HPM_COUNTER_COUNT, PROBE_BASE};
+use vmprobe_platform::{
+    Addr, CpuSpec, Exec, Ledger, Machine, PlatformKind, HPM_COUNTER_COUNT, PROBE_BASE,
+};
 use vmprobe_power::{
     hpm_read_stall_cycles, ComponentId, ComponentPort, Daq, DvfsPoint, FaultPlan, PerfMonitor,
     PowerCoeffs, PowerModel, ProbeSpec, ProbeStats, DAQ_ISR_LINES,
@@ -149,8 +151,37 @@ impl Meter {
     }
 
     /// The underlying machine (read-only; charge work through `Exec`).
+    #[inline]
     pub fn machine(&self) -> &Machine {
         &self.machine
+    }
+
+    /// The cycle at which the next DAQ or HPM sample comes due, on the
+    /// machine's accumulator. A stream of charges that stays below it
+    /// takes no sample, so it may be charged on a checked-out ledger.
+    #[inline]
+    pub fn next_probe_at(&self) -> f64 {
+        self.next_probe_at
+    }
+
+    /// Check the machine's ledger out ([`Machine::check_out`]).
+    #[inline]
+    pub fn check_out(&self) -> Ledger {
+        self.machine.check_out()
+    }
+
+    /// Check a ledger back in ([`Machine::check_in`]). A ledger that
+    /// charged anything must lie below [`Meter::next_probe_at`]: a sample
+    /// that came due on it would be taken late. (The machine itself can
+    /// sit past the deadline at check-out, when a charged probe's own
+    /// cost overran the next period; the next exact charge samples then.)
+    #[inline]
+    pub fn check_in(&mut self, ledger: Ledger) {
+        debug_assert!(
+            ledger.cycles() < self.next_probe_at || ledger.cycles() == self.machine.cycles_f64(),
+            "a sample came due on the ledger"
+        );
+        self.machine.check_in(ledger);
     }
 
     /// The component register.

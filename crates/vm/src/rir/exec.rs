@@ -10,426 +10,685 @@
 //! invocation, is the only input that distinguishes baseline, JIT and
 //! optimized code.
 //!
-//! **Loop state.** `step` keeps the next pc, the bytecode count, the step
-//! budget, the quantum deadline and the ops slice in locals, so the hot
-//! loop does not reload them through `self` or `frame` after every
-//! charge. Nothing the loop calls reads the frame's pc or
-//! `stats.bytecodes`; the deadline is reloaded after each quantum, the
-//! one call that moves it. The pc and the bytecode count are written back
-//! at each exit: a call, a return, and every fault.
+//! **Two paths, one definition.** Each instruction is defined once, in
+//! `Vm::instr`, generic over the sink its charges go to, and `step` runs
+//! it on two paths, instantiated per tier with the tier's dispatch µops,
+//! locals-in-memory flag and code expansion as constants:
+//! - the *hot loop* charges into a [`Ledger`] checked out of the machine
+//!   and held in locals, with no deadline compare per charge;
+//! - the *exact path* charges the [`Meter`], which compares the cycle
+//!   accumulator with the next DAQ/HPM deadline after every charge, and
+//!   checks the quantum before the instruction.
+//!
+//! The hot loop runs an instruction only while the accumulator lies below
+//! its *horizon*: `min(next quantum, next DAQ/HPM deadline − the most one
+//! covered instruction can charge)`. That horizon stands in for the
+//! meter's per-charge deadline check and the engine's quantum check: under
+//! it, neither could fire inside the instruction. An instruction the
+//! ledger cannot charge exactly leaves the loop before it changes any
+//! state: an ifetch or data access outside the most recent line of its L1
+//! set, a fault, a math intrinsic, a call or return, an allocation, a
+//! reference store (write barrier) and an expiring step budget. The
+//! engine then checks the ledger back in with one call and runs that
+//! instruction, from its start, on the exact path. Nothing out of line is
+//! called while the ledger is live: a call would make the accumulator
+//! spill to the stack, and the hot loop exists to keep it in a register.
+//!
+//! **Loop state.** `step` keeps the next pc, the bytecode count and the
+//! frame's code in locals, so the loop does not reload them through
+//! `self` or `frame`. Nothing an instruction does reads the frame's pc or
+//! `stats.bytecodes`; both are written back when the frame leaves `step`:
+//! at a call, a return, and every fault.
 
+use vmprobe_bytecode::MethodId;
 use vmprobe_heap::{AllocRequest, ObjKind};
-use vmprobe_platform::Exec;
+use vmprobe_platform::{CpuSpec, Exec, Ledger};
 
-use super::{compare, f_alu, int_alu, math_fn, RirOp};
+use super::{compare, f_alu, int_alu, math_fn, RirBody, RirOp};
 use crate::vm::{Frame, Vm, STATICS_BASE};
-use crate::{Value, VmError};
+use crate::{Meter, Tier, Value, VmError};
+
+/// Cycles added to the horizon's margin for `f64` rounding. Below 2⁵³
+/// each addition to the accumulator rounds by at most half a cycle; a
+/// covered instruction makes at most three additions (dispatch and two
+/// charges of its own) and the horizon one subtraction.
+const ROUNDING_SLACK: f64 = 4.0;
+
+/// The most cycles one instruction the hot loop covers can add, at
+/// `dispatch` µops of dispatch, plus [`ROUNDING_SLACK`]. A covered
+/// instruction charges one fp op, one branch, or at most two integer µops
+/// and one data access hitting L1 (`ALoad`, `AStore`); its ifetch hits L1
+/// and costs nothing.
+fn max_covered_cycles(spec: &CpuSpec, dispatch: u32) -> f64 {
+    let own = spec
+        .fp_cost
+        .max(spec.branch_cost)
+        .max(2.0 * spec.int_cost + spec.mem_base_cost);
+    f64::from(dispatch) * spec.int_cost + own + ROUNDING_SLACK
+}
+
+/// Why an instruction stopped the frame's run.
+enum Exit {
+    /// The hot loop cannot charge this instruction exactly; it runs again
+    /// on the exact path.
+    Leave,
+    /// Call the method, with the operand stack saved at the given depth.
+    Call(MethodId, u16),
+    /// Return from the frame, with its value if it has one.
+    Ret(Option<Value>),
+    /// A typed fault at the instruction.
+    Fault(VmError),
+}
+
+/// Where an instruction's charges go: the [`Exec`] charges the engine
+/// makes, each of which may refuse with [`Exit::Leave`] where the ledger
+/// cannot take it.
+trait Sink {
+    fn ifetch(&mut self, m: &mut Meter, addr: u64) -> Result<(), Exit>;
+    fn int_ops(&mut self, m: &mut Meter, n: u32);
+    fn fp_ops(&mut self, m: &mut Meter, n: u32);
+    fn branch(&mut self, m: &mut Meter);
+    fn load(&mut self, m: &mut Meter, addr: u64) -> Result<(), Exit>;
+    fn store(&mut self, m: &mut Meter, addr: u64) -> Result<(), Exit>;
+    /// Admit work only the exact path does: math intrinsics, calls,
+    /// returns, allocation and write barriers.
+    fn exact(&self) -> Result<(), Exit>;
+    /// How a fault `e` stops the frame.
+    fn fault(&self, e: VmError) -> Exit;
+}
+
+/// The exact path: every charge goes to the meter, which takes any sample
+/// that comes due after it.
+struct Exact;
+
+impl Sink for Exact {
+    fn ifetch(&mut self, m: &mut Meter, addr: u64) -> Result<(), Exit> {
+        m.ifetch(addr);
+        Ok(())
+    }
+    fn int_ops(&mut self, m: &mut Meter, n: u32) {
+        m.int_ops(n);
+    }
+    fn fp_ops(&mut self, m: &mut Meter, n: u32) {
+        m.fp_ops(n);
+    }
+    fn branch(&mut self, m: &mut Meter) {
+        m.branch();
+    }
+    fn load(&mut self, m: &mut Meter, addr: u64) -> Result<(), Exit> {
+        m.load(addr);
+        Ok(())
+    }
+    fn store(&mut self, m: &mut Meter, addr: u64) -> Result<(), Exit> {
+        m.store(addr);
+        Ok(())
+    }
+    fn exact(&self) -> Result<(), Exit> {
+        Ok(())
+    }
+    fn fault(&self, e: VmError) -> Exit {
+        Exit::Fault(e)
+    }
+}
+
+/// The hot loop's sink: the checked-out ledger and the costs it charges,
+/// all in locals.
+#[derive(Clone, Copy)]
+struct Hot {
+    ledger: Ledger,
+    int_cost: f64,
+    fp_cost: f64,
+    branch_cost: f64,
+    mem_cost: f64,
+}
+
+impl Hot {
+    #[inline(always)]
+    fn check_out(m: &Meter) -> Self {
+        let spec = m.machine().spec();
+        Self {
+            ledger: m.check_out(),
+            int_cost: spec.int_cost,
+            fp_cost: spec.fp_cost,
+            branch_cost: spec.branch_cost,
+            mem_cost: spec.mem_base_cost,
+        }
+    }
+}
+
+impl Sink for Hot {
+    #[inline(always)]
+    fn ifetch(&mut self, m: &mut Meter, addr: u64) -> Result<(), Exit> {
+        if !m.machine().l1i_is_mru(addr) {
+            return Err(Exit::Leave);
+        }
+        self.ledger.ifetch_hit();
+        Ok(())
+    }
+    #[inline(always)]
+    fn int_ops(&mut self, _: &mut Meter, n: u32) {
+        self.ledger.int_ops(n, self.int_cost);
+    }
+    #[inline(always)]
+    fn fp_ops(&mut self, _: &mut Meter, n: u32) {
+        self.ledger.fp_ops(n, self.fp_cost);
+    }
+    #[inline(always)]
+    fn branch(&mut self, _: &mut Meter) {
+        self.ledger.branch(self.branch_cost);
+    }
+    #[inline(always)]
+    fn load(&mut self, m: &mut Meter, addr: u64) -> Result<(), Exit> {
+        if !m.machine().l1d_is_mru(addr) {
+            return Err(Exit::Leave);
+        }
+        self.ledger.load(self.mem_cost);
+        Ok(())
+    }
+    #[inline(always)]
+    fn store(&mut self, m: &mut Meter, addr: u64) -> Result<(), Exit> {
+        if !m.machine().l1d_is_mru(addr) {
+            return Err(Exit::Leave);
+        }
+        self.ledger.store(self.mem_cost);
+        Ok(())
+    }
+    #[inline(always)]
+    fn exact(&self) -> Result<(), Exit> {
+        Err(Exit::Leave)
+    }
+    #[inline(always)]
+    fn fault(&self, _: VmError) -> Exit {
+        Exit::Leave
+    }
+}
+
+/// The executing frame's fixed parts.
+struct Code<'a> {
+    body: &'a RirBody,
+    ops: &'a [RirOp],
+    method: MethodId,
+    code_addr: u64,
+    stack_addr: u64,
+    budget: u64,
+}
 
 impl Vm {
     /// Execute `frame` (already popped by the run loop) until it calls,
     /// returns, or faults.
-    pub(crate) fn step(&mut self, mut frame: Frame) -> Result<(), VmError> {
+    pub(crate) fn step(&mut self, frame: Frame) -> Result<(), VmError> {
+        macro_rules! run {
+            ($tier:expr) => {{
+                const DISPATCH: u32 = $tier.dispatch_ops();
+                const LOCALS_IN_MEMORY: bool = $tier.locals_in_memory();
+                const EXPANSION: u32 = $tier.code_expansion();
+                self.run_tier::<DISPATCH, LOCALS_IN_MEMORY, EXPANSION>(frame)
+            }};
+        }
+        match frame.tier {
+            Tier::Uncompiled => run!(Tier::Uncompiled),
+            Tier::Baseline => run!(Tier::Baseline),
+            Tier::Jit => run!(Tier::Jit),
+            Tier::Opt => run!(Tier::Opt),
+        }
+    }
+
+    /// [`Vm::step`] at one tier's metering constants.
+    fn run_tier<const DISPATCH: u32, const LOCALS_IN_MEMORY: bool, const EXPANSION: u32>(
+        &mut self,
+        mut frame: Frame,
+    ) -> Result<(), VmError> {
         let body = &*frame.body;
-        let ops = &*body.ops;
-        let n_locals = body.n_locals as usize;
-        let dispatch = frame.tier.dispatch_ops();
-        let locals_in_memory = frame.tier.locals_in_memory();
-        let expansion = u64::from(frame.tier.code_expansion());
-        let budget = self.step_budget;
-        let mut deadline = self.next_quantum;
+        let code = Code {
+            body,
+            ops: &body.ops,
+            method: frame.method,
+            code_addr: frame.code_addr,
+            stack_addr: frame.stack_addr,
+            budget: self.step_budget,
+        };
+        let max_op = max_covered_cycles(self.meter.machine().spec(), DISPATCH);
         let mut next = frame.pc as usize;
         let mut bytecodes = self.stats.bytecodes;
+        let exit = loop {
+            // Hot loop: charges go to the ledger, under the horizon.
+            let horizon = self.next_quantum.min(self.meter.next_probe_at() - max_op);
+            let mut hot = Hot::check_out(&self.meter);
+            while hot.ledger.cycles() < horizon {
+                // An instruction that leaves may already have charged its
+                // trial ledger, but it has changed no state: every
+                // instruction's state changes follow its charges.
+                let mut trial = hot;
+                match self.instr::<_, DISPATCH, LOCALS_IN_MEMORY, EXPANSION>(
+                    &mut trial,
+                    &code,
+                    &mut frame.window,
+                    next,
+                    bytecodes + 1,
+                ) {
+                    Ok(pc) => {
+                        hot = trial;
+                        next = pc;
+                        bytecodes += 1;
+                    }
+                    Err(_) => break,
+                }
+            }
+            self.meter.check_in(hot.ledger);
 
-        // Write the loop state back before the frame leaves `step`.
-        macro_rules! exit {
-            () => {{
-                frame.pc = next as u32;
-                self.stats.bytecodes = bytecodes;
-            }};
-        }
-        macro_rules! fault {
-            ($e:expr) => {{
-                let e = $e;
-                exit!();
-                self.frames.push(frame);
-                return Err(e);
-            }};
-        }
-
-        loop {
-            if self.meter.machine().cycles_f64() >= deadline {
+            // Exact path: one instruction, metered per charge.
+            if self.meter.machine().cycles_f64() >= self.next_quantum {
                 self.quantum();
-                deadline = self.next_quantum;
-            }
-            let pc = next;
-            if pc & 7 == 0 {
-                self.meter.ifetch(frame.code_addr + (pc as u64) * expansion);
-            }
-            if dispatch > 0 {
-                self.meter.int_ops(dispatch);
             }
             bytecodes += 1;
-            if bytecodes >= budget {
-                fault!(VmError::StepBudgetExhausted { budget });
+            match self.instr::<_, DISPATCH, LOCALS_IN_MEMORY, EXPANSION>(
+                &mut Exact,
+                &code,
+                &mut frame.window,
+                next,
+                bytecodes,
+            ) {
+                Ok(pc) => next = pc,
+                Err(exit) => break exit,
             }
-            let op = ops[pc];
-            next = pc + 1;
-            match op {
-                // ---- constants & moves ----
-                RirOp::ConstI { dst, lit } => {
-                    self.meter.int_ops(1);
-                    frame.window[dst as usize] = Value::I(body.pool_i[lit as usize]);
-                }
-                RirOp::ConstF { dst, lit } => {
-                    self.meter.int_ops(1);
-                    frame.window[dst as usize] = Value::F(body.pool_f[lit as usize]);
-                }
-                RirOp::ConstNull { dst } => {
-                    self.meter.int_ops(1);
-                    frame.window[dst as usize] = Value::Null;
-                }
-                RirOp::Mov { dst, src } => {
-                    self.meter.int_ops(1);
-                    frame.window[dst as usize] = frame.window[src as usize];
-                }
-                RirOp::LoadLocal { dst, local } => {
-                    if locals_in_memory {
-                        self.meter.load(frame.stack_addr + u64::from(local) * 8);
-                    } else {
-                        self.meter.int_ops(1);
-                    }
-                    frame.window[dst as usize] = frame.window[local as usize];
-                }
-                RirOp::StoreLocal { local, src } => {
-                    if locals_in_memory {
-                        self.meter.store(frame.stack_addr + u64::from(local) * 8);
-                    } else {
-                        self.meter.int_ops(1);
-                    }
-                    frame.window[local as usize] = frame.window[src as usize];
-                }
-                RirOp::Drop => {
-                    self.meter.int_ops(1);
-                }
-                RirOp::Swap { a, b } => {
-                    self.meter.int_ops(2);
-                    frame.window.swap(a as usize, b as usize);
-                }
+        };
 
-                // ---- integer ALU ----
-                RirOp::IntAlu { kind, dst, a, b } => {
-                    self.meter.int_ops(1);
-                    let av = frame.window[a as usize].as_i();
-                    let bv = frame.window[b as usize].as_i();
-                    frame.window[dst as usize] = Value::I(int_alu(kind, av, bv));
-                }
-                RirOp::Neg { dst, src } => {
-                    self.meter.int_ops(1);
-                    let a = frame.window[src as usize].as_i();
-                    frame.window[dst as usize] = Value::I(a.wrapping_neg());
-                }
-
-                // ---- float ALU ----
-                RirOp::FAlu { kind, dst, a, b } => {
-                    self.meter.fp_ops(1);
-                    let av = frame.window[a as usize].as_f();
-                    let bv = frame.window[b as usize].as_f();
-                    frame.window[dst as usize] = Value::F(f_alu(kind, av, bv));
-                }
-                RirOp::FNeg { dst, src } => {
-                    self.meter.fp_ops(1);
-                    let a = frame.window[src as usize].as_f();
-                    frame.window[dst as usize] = Value::F(-a);
-                }
-                RirOp::Math { f, dst, src } => {
-                    self.meter.math_op();
-                    let a = frame.window[src as usize].as_f();
-                    frame.window[dst as usize] = Value::F(math_fn(f, a));
-                }
-                RirOp::I2F { dst, src } => {
-                    self.meter.fp_ops(1);
-                    let a = frame.window[src as usize].as_i();
-                    frame.window[dst as usize] = Value::F(a as f64);
-                }
-                RirOp::F2I { dst, src } => {
-                    self.meter.fp_ops(1);
-                    let a = frame.window[src as usize].as_f();
-                    frame.window[dst as usize] = Value::I(if a.is_nan() { 0 } else { a as i64 });
-                }
-
-                // ---- comparisons ----
-                RirOp::Cmp { kind, dst, a, b } => {
-                    self.meter.int_ops(1);
-                    let r = compare(kind, frame.window[a as usize], frame.window[b as usize]);
-                    frame.window[dst as usize] = Value::I(i64::from(r));
-                }
-                RirOp::IsNull { dst, src } => {
-                    self.meter.int_ops(1);
-                    let r = frame.window[src as usize] == Value::Null;
-                    frame.window[dst as usize] = Value::I(i64::from(r));
-                }
-
-                // ---- control flow ----
-                RirOp::Jump { target, back_edge } => {
-                    self.meter.branch();
-                    if back_edge {
-                        self.compilers.method_mut(frame.method).hotness += 1;
-                    }
-                    next = target as usize;
-                }
-                RirOp::Br {
-                    cond,
-                    target,
-                    on_true,
-                    back_edge,
-                } => {
-                    self.meter.branch();
-                    let v = frame.window[cond as usize].truthy();
-                    if v == on_true {
-                        if back_edge {
-                            self.compilers.method_mut(frame.method).hotness += 1;
-                        }
-                        next = target as usize;
-                    }
-                }
-                RirOp::Call { m, save_sp } => {
-                    self.meter.int_ops(4);
-                    exit!();
-                    frame.live_sp = save_sp;
-                    self.frames.push(frame);
-                    return self.invoke(m);
-                }
-                RirOp::Ret => {
-                    self.meter.int_ops(3);
-                    exit!();
-                    self.windows.release(frame.window);
-                    return Ok(());
-                }
-                RirOp::RetV { src } => {
-                    self.meter.int_ops(3);
-                    exit!();
-                    let v = frame.window[src as usize];
+        self.stats.bytecodes = bytecodes;
+        match exit {
+            Exit::Call(m, save_sp) => {
+                // The caller resumes after the call.
+                frame.pc = next as u32 + 1;
+                frame.live_sp = save_sp;
+                self.frames.push(frame);
+                self.invoke(m)
+            }
+            Exit::Ret(v) => {
+                if let Some(v) = v {
                     match self.frames.last_mut() {
                         Some(caller) => caller.push_return(v),
                         None => self.result = Some(v),
                     }
-                    self.windows.release(frame.window);
-                    return Ok(());
                 }
+                self.windows.release(frame.window);
+                Ok(())
+            }
+            Exit::Fault(e) => {
+                frame.pc = next as u32;
+                self.frames.push(frame);
+                Err(e)
+            }
+            Exit::Leave => unreachable!("the exact path runs every instruction"),
+        }
+    }
 
-                // ---- objects & arrays ----
-                RirOp::New { class, dst, gc_sp } => {
-                    if let Err(e) = self
-                        .loader
-                        .ensure_loaded(&self.program, class, &mut self.meter)
-                    {
-                        fault!(e);
+    /// Run the instruction at `pc`, the frame's `count`-th bytecode,
+    /// charging `s`. Returns the next pc, or why the frame stops.
+    #[inline(always)]
+    fn instr<S: Sink, const DISPATCH: u32, const LOCALS_IN_MEMORY: bool, const EXPANSION: u32>(
+        &mut self,
+        s: &mut S,
+        code: &Code<'_>,
+        window: &mut [Value],
+        pc: usize,
+        count: u64,
+    ) -> Result<usize, Exit> {
+        macro_rules! fault {
+            ($e:expr) => {
+                return Err(s.fault($e))
+            };
+        }
+        let method = code.method;
+        let at = pc as u32;
+        if pc & 7 == 0 {
+            let addr = code.code_addr + (pc as u64) * u64::from(EXPANSION);
+            s.ifetch(&mut self.meter, addr)?;
+        }
+        if DISPATCH > 0 {
+            s.int_ops(&mut self.meter, DISPATCH);
+        }
+        if count >= code.budget {
+            fault!(VmError::StepBudgetExhausted {
+                budget: code.budget
+            });
+        }
+        let mut next = pc + 1;
+        match code.ops[pc] {
+            // ---- constants & moves ----
+            RirOp::ConstI { dst, lit } => {
+                s.int_ops(&mut self.meter, 1);
+                window[dst as usize] = Value::I(code.body.pool_i[lit as usize]);
+            }
+            RirOp::ConstF { dst, lit } => {
+                s.int_ops(&mut self.meter, 1);
+                window[dst as usize] = Value::F(code.body.pool_f[lit as usize]);
+            }
+            RirOp::ConstNull { dst } => {
+                s.int_ops(&mut self.meter, 1);
+                window[dst as usize] = Value::Null;
+            }
+            RirOp::Mov { dst, src } => {
+                s.int_ops(&mut self.meter, 1);
+                window[dst as usize] = window[src as usize];
+            }
+            RirOp::LoadLocal { dst, local } => {
+                if LOCALS_IN_MEMORY {
+                    s.load(&mut self.meter, code.stack_addr + u64::from(local) * 8)?;
+                } else {
+                    s.int_ops(&mut self.meter, 1);
+                }
+                window[dst as usize] = window[local as usize];
+            }
+            RirOp::StoreLocal { local, src } => {
+                if LOCALS_IN_MEMORY {
+                    s.store(&mut self.meter, code.stack_addr + u64::from(local) * 8)?;
+                } else {
+                    s.int_ops(&mut self.meter, 1);
+                }
+                window[local as usize] = window[src as usize];
+            }
+            RirOp::Drop => {
+                s.int_ops(&mut self.meter, 1);
+            }
+            RirOp::Swap { a, b } => {
+                s.int_ops(&mut self.meter, 2);
+                window.swap(a as usize, b as usize);
+            }
+
+            // ---- integer ALU ----
+            RirOp::IntAlu { kind, dst, a, b } => {
+                s.int_ops(&mut self.meter, 1);
+                let av = window[a as usize].as_i();
+                let bv = window[b as usize].as_i();
+                window[dst as usize] = Value::I(int_alu(kind, av, bv));
+            }
+            RirOp::Neg { dst, src } => {
+                s.int_ops(&mut self.meter, 1);
+                let a = window[src as usize].as_i();
+                window[dst as usize] = Value::I(a.wrapping_neg());
+            }
+
+            // ---- float ALU ----
+            RirOp::FAlu { kind, dst, a, b } => {
+                s.fp_ops(&mut self.meter, 1);
+                let av = window[a as usize].as_f();
+                let bv = window[b as usize].as_f();
+                window[dst as usize] = Value::F(f_alu(kind, av, bv));
+            }
+            RirOp::FNeg { dst, src } => {
+                s.fp_ops(&mut self.meter, 1);
+                let a = window[src as usize].as_f();
+                window[dst as usize] = Value::F(-a);
+            }
+            RirOp::Math { f, dst, src } => {
+                s.exact()?;
+                self.meter.math_op();
+                let a = window[src as usize].as_f();
+                window[dst as usize] = Value::F(math_fn(f, a));
+            }
+            RirOp::I2F { dst, src } => {
+                s.fp_ops(&mut self.meter, 1);
+                let a = window[src as usize].as_i();
+                window[dst as usize] = Value::F(a as f64);
+            }
+            RirOp::F2I { dst, src } => {
+                s.fp_ops(&mut self.meter, 1);
+                let a = window[src as usize].as_f();
+                window[dst as usize] = Value::I(if a.is_nan() { 0 } else { a as i64 });
+            }
+
+            // ---- comparisons ----
+            RirOp::Cmp { kind, dst, a, b } => {
+                s.int_ops(&mut self.meter, 1);
+                let r = compare(kind, window[a as usize], window[b as usize]);
+                window[dst as usize] = Value::I(i64::from(r));
+            }
+            RirOp::IsNull { dst, src } => {
+                s.int_ops(&mut self.meter, 1);
+                let r = window[src as usize] == Value::Null;
+                window[dst as usize] = Value::I(i64::from(r));
+            }
+
+            // ---- control flow ----
+            RirOp::Jump { target, back_edge } => {
+                s.branch(&mut self.meter);
+                if back_edge {
+                    self.compilers.method_mut(method).hotness += 1;
+                }
+                next = target as usize;
+            }
+            RirOp::Br {
+                cond,
+                target,
+                on_true,
+                back_edge,
+            } => {
+                s.branch(&mut self.meter);
+                let v = window[cond as usize].truthy();
+                if v == on_true {
+                    if back_edge {
+                        self.compilers.method_mut(method).hotness += 1;
                     }
-                    let rt = self.loader.class(class);
-                    let req = AllocRequest::instance(class.0, rt.ref_slots(), rt.prim_slots());
-                    let (live, rest) = frame.window.split_at(n_locals);
-                    match self.alloc(req, live, &rest[..gc_sp as usize]) {
-                        Ok(id) => frame.window[dst as usize] = Value::Ref(id),
-                        Err(e) => fault!(e),
-                    }
-                }
-                RirOp::NewArr {
-                    kind,
-                    len,
-                    dst,
-                    gc_sp,
-                } => {
-                    self.meter.int_ops(2);
-                    let len = frame.window[len as usize].as_i();
-                    if len < 0 {
-                        fault!(VmError::NegativeArrayLength {
-                            method: frame.method,
-                            pc: pc as u32,
-                            len,
-                        });
-                    }
-                    let len = len as u32;
-                    let req = match kind {
-                        vmprobe_bytecode::ArrKind::Int => AllocRequest::int_array(len),
-                        vmprobe_bytecode::ArrKind::Float => AllocRequest::float_array(len),
-                        vmprobe_bytecode::ArrKind::Ref => AllocRequest::ref_array(len),
-                    };
-                    let (live, rest) = frame.window.split_at(n_locals);
-                    match self.alloc(req, live, &rest[..gc_sp as usize]) {
-                        Ok(id) => frame.window[dst as usize] = Value::Ref(id),
-                        Err(e) => fault!(e),
-                    }
-                }
-                RirOp::GetField { obj, dst, fidx } => {
-                    let obj = frame.window[obj as usize];
-                    let Some(id) = obj.as_ref_id() else {
-                        fault!(VmError::NullDereference {
-                            method: frame.method,
-                            pc: pc as u32,
-                        });
-                    };
-                    let ObjKind::Instance { class } = self.heap.get(id).kind() else {
-                        fault!(VmError::BadSlot {
-                            method: frame.method,
-                            pc: pc as u32,
-                            slot: fidx,
-                        });
-                    };
-                    let layout = self.loader.class(vmprobe_bytecode::ClassId(class)).layout();
-                    let Some(&slot) = layout.get(fidx as usize) else {
-                        fault!(VmError::BadSlot {
-                            method: frame.method,
-                            pc: pc as u32,
-                            slot: fidx,
-                        });
-                    };
-                    self.meter
-                        .load(self.heap.get(id).addr() + 16 + u64::from(fidx) * 8);
-                    let v = if slot.is_ref {
-                        match self.heap.get_ref(id, slot.slot as usize) {
-                            Some(r) => Value::Ref(r),
-                            None => Value::Null,
-                        }
-                    } else {
-                        let bits = self.heap.get_prim(id, slot.slot as usize);
-                        if slot.is_float {
-                            Value::F(f64::from_bits(bits))
-                        } else {
-                            Value::I(bits as i64)
-                        }
-                    };
-                    frame.window[dst as usize] = v;
-                }
-                RirOp::PutField { obj, val, fidx } => {
-                    let v = frame.window[val as usize];
-                    let obj = frame.window[obj as usize];
-                    let Some(id) = obj.as_ref_id() else {
-                        fault!(VmError::NullDereference {
-                            method: frame.method,
-                            pc: pc as u32,
-                        });
-                    };
-                    let ObjKind::Instance { class } = self.heap.get(id).kind() else {
-                        fault!(VmError::BadSlot {
-                            method: frame.method,
-                            pc: pc as u32,
-                            slot: fidx,
-                        });
-                    };
-                    let layout = self.loader.class(vmprobe_bytecode::ClassId(class)).layout();
-                    let Some(&slot) = layout.get(fidx as usize) else {
-                        fault!(VmError::BadSlot {
-                            method: frame.method,
-                            pc: pc as u32,
-                            slot: fidx,
-                        });
-                    };
-                    self.meter
-                        .store(self.heap.get(id).addr() + 16 + u64::from(fidx) * 8);
-                    if slot.is_ref {
-                        let target = v.as_ref_id();
-                        self.plan
-                            .write_barrier(&mut self.heap, id, target, &mut self.meter);
-                        self.heap.set_ref(id, slot.slot as usize, target);
-                    } else {
-                        self.heap.set_prim(id, slot.slot as usize, v.to_bits());
-                    }
-                }
-                RirOp::GetStatic { dst, slot } => {
-                    self.meter.load(STATICS_BASE + u64::from(slot) * 8);
-                    frame.window[dst as usize] = self.statics[slot as usize];
-                }
-                RirOp::PutStatic { src, slot } => {
-                    self.meter.store(STATICS_BASE + u64::from(slot) * 8);
-                    self.statics[slot as usize] = frame.window[src as usize];
-                }
-                RirOp::ALoad { arr, idx, dst } => {
-                    let idx = frame.window[idx as usize].as_i();
-                    let arr = frame.window[arr as usize];
-                    let Some(id) = arr.as_ref_id() else {
-                        fault!(VmError::NullDereference {
-                            method: frame.method,
-                            pc: pc as u32,
-                        });
-                    };
-                    self.meter.int_ops(2); // bounds check
-                    let (kind, len) = {
-                        let o = self.heap.get(id);
-                        (o.kind(), o.ref_count().max(o.prim_count()))
-                    };
-                    if idx < 0 || idx as usize >= len {
-                        fault!(VmError::IndexOutOfBounds {
-                            method: frame.method,
-                            pc: pc as u32,
-                            index: idx,
-                            len,
-                        });
-                    }
-                    self.meter
-                        .load(self.heap.get(id).addr() + 16 + (idx as u64) * 8);
-                    let v = match kind {
-                        ObjKind::RefArray => match self.heap.get_ref(id, idx as usize) {
-                            Some(r) => Value::Ref(r),
-                            None => Value::Null,
-                        },
-                        ObjKind::FloatArray => {
-                            Value::F(f64::from_bits(self.heap.get_prim(id, idx as usize)))
-                        }
-                        _ => Value::I(self.heap.get_prim(id, idx as usize) as i64),
-                    };
-                    frame.window[dst as usize] = v;
-                }
-                RirOp::AStore { arr, idx, val } => {
-                    let v = frame.window[val as usize];
-                    let idx = frame.window[idx as usize].as_i();
-                    let arr = frame.window[arr as usize];
-                    let Some(id) = arr.as_ref_id() else {
-                        fault!(VmError::NullDereference {
-                            method: frame.method,
-                            pc: pc as u32,
-                        });
-                    };
-                    self.meter.int_ops(2);
-                    let (kind, len) = {
-                        let o = self.heap.get(id);
-                        (o.kind(), o.ref_count().max(o.prim_count()))
-                    };
-                    if idx < 0 || idx as usize >= len {
-                        fault!(VmError::IndexOutOfBounds {
-                            method: frame.method,
-                            pc: pc as u32,
-                            index: idx,
-                            len,
-                        });
-                    }
-                    self.meter
-                        .store(self.heap.get(id).addr() + 16 + (idx as u64) * 8);
-                    if kind == ObjKind::RefArray {
-                        let target = v.as_ref_id();
-                        self.plan
-                            .write_barrier(&mut self.heap, id, target, &mut self.meter);
-                        self.heap.set_ref(id, idx as usize, target);
-                    } else {
-                        self.heap.set_prim(id, idx as usize, v.to_bits());
-                    }
-                }
-                RirOp::ArrLen { arr, dst } => {
-                    let arr = frame.window[arr as usize];
-                    let Some(id) = arr.as_ref_id() else {
-                        fault!(VmError::NullDereference {
-                            method: frame.method,
-                            pc: pc as u32,
-                        });
-                    };
-                    // Length lives in the array header.
-                    self.meter.load(self.heap.get(id).addr());
-                    let o = self.heap.get(id);
-                    frame.window[dst as usize] = Value::I(o.ref_count().max(o.prim_count()) as i64);
-                }
-                RirOp::Nop => {
-                    self.meter.int_ops(1);
+                    next = target as usize;
                 }
             }
+            RirOp::Call { m, save_sp } => {
+                s.exact()?;
+                self.meter.int_ops(4);
+                return Err(Exit::Call(m, save_sp));
+            }
+            RirOp::Ret => {
+                s.exact()?;
+                self.meter.int_ops(3);
+                return Err(Exit::Ret(None));
+            }
+            RirOp::RetV { src } => {
+                s.exact()?;
+                self.meter.int_ops(3);
+                return Err(Exit::Ret(Some(window[src as usize])));
+            }
+
+            // ---- objects & arrays ----
+            RirOp::New { class, dst, gc_sp } => {
+                s.exact()?;
+                if let Err(e) = self
+                    .loader
+                    .ensure_loaded(&self.program, class, &mut self.meter)
+                {
+                    fault!(e);
+                }
+                let rt = self.loader.class(class);
+                let req = AllocRequest::instance(class.0, rt.ref_slots(), rt.prim_slots());
+                let (live, rest) = window.split_at(code.body.n_locals as usize);
+                match self.alloc(req, live, &rest[..gc_sp as usize]) {
+                    Ok(id) => window[dst as usize] = Value::Ref(id),
+                    Err(e) => fault!(e),
+                }
+            }
+            RirOp::NewArr {
+                kind,
+                len,
+                dst,
+                gc_sp,
+            } => {
+                s.exact()?;
+                self.meter.int_ops(2);
+                let len = window[len as usize].as_i();
+                if len < 0 {
+                    fault!(VmError::NegativeArrayLength {
+                        method,
+                        pc: at,
+                        len,
+                    });
+                }
+                let len = len as u32;
+                let req = match kind {
+                    vmprobe_bytecode::ArrKind::Int => AllocRequest::int_array(len),
+                    vmprobe_bytecode::ArrKind::Float => AllocRequest::float_array(len),
+                    vmprobe_bytecode::ArrKind::Ref => AllocRequest::ref_array(len),
+                };
+                let (live, rest) = window.split_at(code.body.n_locals as usize);
+                match self.alloc(req, live, &rest[..gc_sp as usize]) {
+                    Ok(id) => window[dst as usize] = Value::Ref(id),
+                    Err(e) => fault!(e),
+                }
+            }
+            RirOp::GetField { obj, dst, fidx } => {
+                let obj = window[obj as usize];
+                let Some(id) = obj.as_ref_id() else {
+                    fault!(VmError::NullDereference { method, pc: at });
+                };
+                let ObjKind::Instance { class } = self.heap.get(id).kind() else {
+                    fault!(VmError::BadSlot {
+                        method,
+                        pc: at,
+                        slot: fidx,
+                    });
+                };
+                let layout = self.loader.class(vmprobe_bytecode::ClassId(class)).layout();
+                let Some(&slot) = layout.get(fidx as usize) else {
+                    fault!(VmError::BadSlot {
+                        method,
+                        pc: at,
+                        slot: fidx,
+                    });
+                };
+                let addr = self.heap.get(id).addr() + 16 + u64::from(fidx) * 8;
+                s.load(&mut self.meter, addr)?;
+                let v = if slot.is_ref {
+                    match self.heap.get_ref(id, slot.slot as usize) {
+                        Some(r) => Value::Ref(r),
+                        None => Value::Null,
+                    }
+                } else {
+                    let bits = self.heap.get_prim(id, slot.slot as usize);
+                    if slot.is_float {
+                        Value::F(f64::from_bits(bits))
+                    } else {
+                        Value::I(bits as i64)
+                    }
+                };
+                window[dst as usize] = v;
+            }
+            RirOp::PutField { obj, val, fidx } => {
+                let v = window[val as usize];
+                let obj = window[obj as usize];
+                let Some(id) = obj.as_ref_id() else {
+                    fault!(VmError::NullDereference { method, pc: at });
+                };
+                let ObjKind::Instance { class } = self.heap.get(id).kind() else {
+                    fault!(VmError::BadSlot {
+                        method,
+                        pc: at,
+                        slot: fidx,
+                    });
+                };
+                let layout = self.loader.class(vmprobe_bytecode::ClassId(class)).layout();
+                let Some(&slot) = layout.get(fidx as usize) else {
+                    fault!(VmError::BadSlot {
+                        method,
+                        pc: at,
+                        slot: fidx,
+                    });
+                };
+                let addr = self.heap.get(id).addr() + 16 + u64::from(fidx) * 8;
+                s.store(&mut self.meter, addr)?;
+                if slot.is_ref {
+                    s.exact()?;
+                    let target = v.as_ref_id();
+                    self.plan
+                        .write_barrier(&mut self.heap, id, target, &mut self.meter);
+                    self.heap.set_ref(id, slot.slot as usize, target);
+                } else {
+                    self.heap.set_prim(id, slot.slot as usize, v.to_bits());
+                }
+            }
+            RirOp::GetStatic { dst, slot } => {
+                s.load(&mut self.meter, STATICS_BASE + u64::from(slot) * 8)?;
+                window[dst as usize] = self.statics[slot as usize];
+            }
+            RirOp::PutStatic { src, slot } => {
+                s.store(&mut self.meter, STATICS_BASE + u64::from(slot) * 8)?;
+                self.statics[slot as usize] = window[src as usize];
+            }
+            RirOp::ALoad { arr, idx, dst } => {
+                let idx = window[idx as usize].as_i();
+                let arr = window[arr as usize];
+                let Some(id) = arr.as_ref_id() else {
+                    fault!(VmError::NullDereference { method, pc: at });
+                };
+                s.int_ops(&mut self.meter, 2); // bounds check
+                let (kind, len) = {
+                    let o = self.heap.get(id);
+                    (o.kind(), o.ref_count().max(o.prim_count()))
+                };
+                if idx < 0 || idx as usize >= len {
+                    fault!(VmError::IndexOutOfBounds {
+                        method,
+                        pc: at,
+                        index: idx,
+                        len,
+                    });
+                }
+                let addr = self.heap.get(id).addr() + 16 + (idx as u64) * 8;
+                s.load(&mut self.meter, addr)?;
+                let v = match kind {
+                    ObjKind::RefArray => match self.heap.get_ref(id, idx as usize) {
+                        Some(r) => Value::Ref(r),
+                        None => Value::Null,
+                    },
+                    ObjKind::FloatArray => {
+                        Value::F(f64::from_bits(self.heap.get_prim(id, idx as usize)))
+                    }
+                    _ => Value::I(self.heap.get_prim(id, idx as usize) as i64),
+                };
+                window[dst as usize] = v;
+            }
+            RirOp::AStore { arr, idx, val } => {
+                let v = window[val as usize];
+                let idx = window[idx as usize].as_i();
+                let arr = window[arr as usize];
+                let Some(id) = arr.as_ref_id() else {
+                    fault!(VmError::NullDereference { method, pc: at });
+                };
+                s.int_ops(&mut self.meter, 2);
+                let (kind, len) = {
+                    let o = self.heap.get(id);
+                    (o.kind(), o.ref_count().max(o.prim_count()))
+                };
+                if idx < 0 || idx as usize >= len {
+                    fault!(VmError::IndexOutOfBounds {
+                        method,
+                        pc: at,
+                        index: idx,
+                        len,
+                    });
+                }
+                let addr = self.heap.get(id).addr() + 16 + (idx as u64) * 8;
+                s.store(&mut self.meter, addr)?;
+                if kind == ObjKind::RefArray {
+                    s.exact()?;
+                    let target = v.as_ref_id();
+                    self.plan
+                        .write_barrier(&mut self.heap, id, target, &mut self.meter);
+                    self.heap.set_ref(id, idx as usize, target);
+                } else {
+                    self.heap.set_prim(id, idx as usize, v.to_bits());
+                }
+            }
+            RirOp::ArrLen { arr, dst } => {
+                let arr = window[arr as usize];
+                let Some(id) = arr.as_ref_id() else {
+                    fault!(VmError::NullDereference { method, pc: at });
+                };
+                // Length lives in the array header.
+                s.load(&mut self.meter, self.heap.get(id).addr())?;
+                let o = self.heap.get(id);
+                window[dst as usize] = Value::I(o.ref_count().max(o.prim_count()) as i64);
+            }
+            RirOp::Nop => {
+                s.int_ops(&mut self.meter, 1);
+            }
         }
+        Ok(next)
     }
 }
