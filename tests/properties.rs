@@ -273,6 +273,23 @@ fn engine_rig(r: usize) -> (&'static str, PlatformKind, ProbeSpec) {
 const ENGINE_RIGS: u64 = 4;
 const ENGINE_RIG_CASES: u64 = 8;
 
+/// Cases after the rig cases: `(seed, step budget)` pairs run on the P6
+/// classic rig and on the PXA255 (rig 0). Each seed's run executes a
+/// four-op fused idiom from bytecode 25,000 (seed 14, Kaffe's JIT tier)
+/// or 25,002 (seed 17, GenCopy), so the budgets expire on each of its
+/// components in turn: the hot loop must drop the idiom's trial and the
+/// exact path must run up to the expiring bytecode alone.
+const ENGINE_BUDGET_CASES: [(u64, u64); 8] = [
+    (14, 25_000),
+    (14, 25_001),
+    (14, 25_002),
+    (14, 25_003),
+    (17, 25_002),
+    (17, 25_003),
+    (17, 25_004),
+    (17, 25_005),
+];
+
 /// A corpus case: blueprint, collector, fault spec and, past the first
 /// [`ENGINE_CASES`], the rig it runs on (`None`: the P6 classic rig).
 type EngineCase = (Blueprint, CollectorKind, &'static str, Option<usize>);
@@ -363,6 +380,14 @@ fn register_engine_is_bit_identical_to_stack_interpreter() {
             None => format!("{seed} {k:?} {faults} {digest:016x}"),
             Some(r) => format!("{seed} {k:?} {faults} {} {digest:016x}", engine_rig(r).0),
         });
+    }
+    for (seed, budget) in ENGINE_BUDGET_CASES {
+        let (bp, k, _, _) = engine_case(seed);
+        let faults = format!("budget={budget}");
+        for (label, rig) in [("p6", None), ("pxa255", Some(0))] {
+            let digest = observables_digest(&run_engine_case(&bp, k, &faults, rig));
+            lines.push(format!("{seed} {k:?} {faults} {label} {digest:016x}"));
+        }
     }
     let actual = lines.join("\n") + "\n";
     let path =
