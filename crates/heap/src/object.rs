@@ -303,7 +303,7 @@ impl ObjectHeap {
     ///
     /// Panics if `id` has been freed — with a correct collector and runtime
     /// this indicates a GC safety bug, so failing loudly is deliberate.
-    #[inline]
+    #[inline(always)]
     pub fn get(&self, id: ObjId) -> &Object {
         self.slots[id.0 as usize]
             .as_ref()
@@ -317,7 +317,7 @@ impl ObjectHeap {
     }
 
     /// Slab index of reference slot `i` of `id`.
-    #[inline]
+    #[inline(always)]
     fn ref_word(&self, id: ObjId, i: usize) -> usize {
         let obj = self.get(id);
         assert!(
@@ -329,7 +329,7 @@ impl ObjectHeap {
     }
 
     /// Slab index of primitive slot `i` of `id`.
-    #[inline]
+    #[inline(always)]
     fn prim_word(&self, id: ObjId, i: usize) -> usize {
         let obj = self.get(id);
         assert!(
@@ -345,7 +345,7 @@ impl ObjectHeap {
     /// # Panics
     ///
     /// Panics on a freed `id` or out-of-range slot.
-    #[inline]
+    #[inline(always)]
     pub fn get_ref(&self, id: ObjId, i: usize) -> Option<ObjId> {
         let w = self.words[self.ref_word(id, i)];
         w.checked_sub(1).map(|v| ObjId(v as u32))
@@ -367,7 +367,7 @@ impl ObjectHeap {
     /// # Panics
     ///
     /// Panics on a freed `id` or out-of-range slot.
-    #[inline]
+    #[inline(always)]
     pub fn get_prim(&self, id: ObjId, i: usize) -> u64 {
         self.words[self.prim_word(id, i)]
     }
@@ -377,7 +377,7 @@ impl ObjectHeap {
     /// # Panics
     ///
     /// Panics on a freed `id` or out-of-range slot.
-    #[inline]
+    #[inline(always)]
     pub fn set_prim(&mut self, id: ObjId, i: usize, v: u64) {
         let at = self.prim_word(id, i);
         self.words[at] = v;

@@ -14,25 +14,38 @@
 //! `Vm::instr`, generic over the sink its charges go to, and `step` runs
 //! it on two paths, instantiated per tier with the tier's dispatch µops,
 //! locals-in-memory flag and code expansion as constants:
-//! - the *hot loop* charges into a [`Ledger`] checked out of the machine
-//!   and held in locals, with no deadline compare per charge;
-//! - the *exact path* charges the [`Meter`], which compares the cycle
-//!   accumulator with the next DAQ/HPM deadline after every charge, and
-//!   checks the quantum before the instruction.
+//! - the *hot loop* (`Vm::hot_loop`, kept out of line) runs the body's
+//!   fused stream, where one entry may be an idiom of up to
+//!   [`MAX_IDIOM`] ops (`super::fuse`), and charges into a [`Ledger`]
+//!   checked out of the machine and held in registers, with no deadline
+//!   compare per charge;
+//! - the *exact path* runs the canonical stream and charges the
+//!   [`Meter`], which compares the cycle accumulator with the next DAQ/HPM
+//!   deadline after every charge, and checks the quantum before the
+//!   instruction.
 //!
-//! The hot loop runs an instruction only while the accumulator lies below
-//! its *horizon*: `min(next quantum, next DAQ/HPM deadline − the most one
-//! covered instruction can charge)`. That horizon stands in for the
-//! meter's per-charge deadline check and the engine's quantum check: under
-//! it, neither could fire inside the instruction. An instruction the
+//! An idiom is metered as its ops would be, one after another: each
+//! component's ifetch, dispatch µops and step-budget check at its own pc
+//! and count, then its own charges; its state changes (window, statics,
+//! the back-edge hotness bump) all follow its last charge, in component
+//! order.
+//!
+//! The hot loop runs an entry only while the accumulator lies below its
+//! *horizon*: `min(next quantum, next DAQ/HPM deadline − the most the
+//! entry's ops can charge)`, where an idiom counts [`MAX_IDIOM`] ops (one
+//! fewer against the quantum, which is checked before an op). That
+//! horizon stands in for the meter's per-charge deadline check and the
+//! engine's quantum check: under it, neither could fire inside the entry.
+//! Between the two horizons the loop runs the canonical op. An entry the
 //! ledger cannot charge exactly leaves the loop before it changes any
 //! state: an ifetch or data access outside the most recent line of its L1
 //! set, a fault, a math intrinsic, a call or return, an allocation, a
-//! reference store (write barrier) and an expiring step budget. The
-//! engine then checks the ledger back in with one call and runs that
-//! instruction, from its start, on the exact path. Nothing out of line is
-//! called while the ledger is live: a call would make the accumulator
-//! spill to the stack, and the hot loop exists to keep it in a register.
+//! reference store (write barrier) and an expiring step budget. An idiom
+//! that leaves is retried as its first op alone; an op that leaves makes
+//! the engine check the ledger back in with one call and run that op,
+//! from its start, on the exact path. Nothing out of line is called while
+//! the ledger is live: a call would make the accumulator spill to the
+//! stack, and the hot loop exists to keep it in a register.
 //!
 //! **Loop state.** `step` keeps the next pc, the bytecode count and the
 //! frame's code in locals, so the loop does not reload them through
@@ -44,6 +57,7 @@ use vmprobe_bytecode::MethodId;
 use vmprobe_heap::{AllocRequest, ObjKind};
 use vmprobe_platform::{CpuSpec, Exec, Ledger};
 
+use super::fuse::MAX_IDIOM;
 use super::{compare, f_alu, int_alu, math_fn, RirBody, RirOp};
 use crate::vm::{Frame, Vm, STATICS_BASE};
 use crate::{Meter, Tier, Value, VmError};
@@ -67,6 +81,14 @@ fn max_covered_cycles(spec: &CpuSpec, dispatch: u32) -> f64 {
     f64::from(dispatch) * spec.int_cost + own + ROUNDING_SLACK
 }
 
+/// Where the hot loop may run: below `op` an op's charges, below `idiom`
+/// an idiom's, can reach neither the quantum nor a sample deadline.
+#[derive(Clone, Copy)]
+struct Horizon {
+    op: f64,
+    idiom: f64,
+}
+
 /// Why an instruction stopped the frame's run.
 enum Exit {
     /// The hot loop cannot charge this instruction exactly; it runs again
@@ -84,6 +106,8 @@ enum Exit {
 /// makes, each of which may refuse with [`Exit::Leave`] where the ledger
 /// cannot take it.
 trait Sink {
+    /// Whether this path runs the fused stream (only the hot loop does).
+    const FUSED: bool;
     fn ifetch(&mut self, m: &mut Meter, addr: u64) -> Result<(), Exit>;
     fn int_ops(&mut self, m: &mut Meter, n: u32);
     fn fp_ops(&mut self, m: &mut Meter, n: u32);
@@ -102,6 +126,7 @@ trait Sink {
 struct Exact;
 
 impl Sink for Exact {
+    const FUSED: bool = false;
     fn ifetch(&mut self, m: &mut Meter, addr: u64) -> Result<(), Exit> {
         m.ifetch(addr);
         Ok(())
@@ -157,6 +182,7 @@ impl Hot {
 }
 
 impl Sink for Hot {
+    const FUSED: bool = true;
     #[inline(always)]
     fn ifetch(&mut self, m: &mut Meter, addr: u64) -> Result<(), Exit> {
         if !m.machine().l1i_is_mru(addr) {
@@ -207,6 +233,7 @@ impl Sink for Hot {
 struct Code<'a> {
     body: &'a RirBody,
     ops: &'a [RirOp],
+    fused: &'a [RirOp],
     method: MethodId,
     code_addr: u64,
     stack_addr: u64,
@@ -226,7 +253,9 @@ impl Vm {
             }};
         }
         match frame.tier {
-            Tier::Uncompiled => run!(Tier::Uncompiled),
+            Tier::Uncompiled => {
+                unreachable!("Vm::invoke compiles a method before it pushes its frame")
+            }
             Tier::Baseline => run!(Tier::Baseline),
             Tier::Jit => run!(Tier::Jit),
             Tier::Opt => run!(Tier::Opt),
@@ -242,39 +271,34 @@ impl Vm {
         let code = Code {
             body,
             ops: &body.ops,
+            fused: &body.fused,
             method: frame.method,
             code_addr: frame.code_addr,
             stack_addr: frame.stack_addr,
             budget: self.step_budget,
         };
+        // An idiom's last component starts at most `MAX_IDIOM - 1` covered
+        // ops past the horizon and ends at most `MAX_IDIOM` past it.
         let max_op = max_covered_cycles(self.meter.machine().spec(), DISPATCH);
+        let idiom_quantum_margin = (MAX_IDIOM - 1) as f64 * max_op;
+        let idiom_probe_margin = MAX_IDIOM as f64 * max_op;
         let mut next = frame.pc as usize;
         let mut bytecodes = self.stats.bytecodes;
         let exit = loop {
             // Hot loop: charges go to the ledger, under the horizon.
-            let horizon = self.next_quantum.min(self.meter.next_probe_at() - max_op);
-            let mut hot = Hot::check_out(&self.meter);
-            while hot.ledger.cycles() < horizon {
-                // An instruction that leaves may already have charged its
-                // trial ledger, but it has changed no state: every
-                // instruction's state changes follow its charges.
-                let mut trial = hot;
-                match self.instr::<_, DISPATCH, LOCALS_IN_MEMORY, EXPANSION>(
-                    &mut trial,
-                    &code,
-                    &mut frame.window,
-                    next,
-                    bytecodes + 1,
-                ) {
-                    Ok(pc) => {
-                        hot = trial;
-                        next = pc;
-                        bytecodes += 1;
-                    }
-                    Err(_) => break,
-                }
-            }
-            self.meter.check_in(hot.ledger);
+            let next_probe = self.meter.next_probe_at();
+            let horizon = Horizon {
+                op: self.next_quantum.min(next_probe - max_op),
+                idiom: (self.next_quantum - idiom_quantum_margin)
+                    .min(next_probe - idiom_probe_margin),
+            };
+            (next, bytecodes) = self.hot_loop::<DISPATCH, LOCALS_IN_MEMORY, EXPANSION>(
+                &code,
+                &mut frame.window,
+                next,
+                bytecodes,
+                horizon,
+            );
 
             // Exact path: one instruction, metered per charge.
             if self.meter.machine().cycles_f64() >= self.next_quantum {
@@ -287,8 +311,9 @@ impl Vm {
                 &mut frame.window,
                 next,
                 bytecodes,
+                false,
             ) {
-                Ok(pc) => next = pc,
+                Ok((pc, _)) => next = pc,
                 Err(exit) => break exit,
             }
         };
@@ -321,8 +346,64 @@ impl Vm {
         }
     }
 
-    /// Run the instruction at `pc`, the frame's `count`-th bytecode,
-    /// charging `s`. Returns the next pc, or why the frame stops.
+    /// The hot loop: check the ledger out, run the fused stream from
+    /// `next` into it while it lies below the horizon and can take each
+    /// entry's charges, and check it back in. An idiom whose trial is dropped gets one more try
+    /// as its first op alone, and an idiom that would start above
+    /// `horizon.idiom` runs that way too. Returns the pc and bytecode
+    /// count the loop stopped at. Kept out of line, so that its ledger,
+    /// costs and loop state have the registers to themselves.
+    #[inline(never)]
+    fn hot_loop<const DISPATCH: u32, const LOCALS_IN_MEMORY: bool, const EXPANSION: u32>(
+        &mut self,
+        code: &Code<'_>,
+        window: &mut [Value],
+        mut next: usize,
+        mut bytecodes: u64,
+        horizon: Horizon,
+    ) -> (usize, u64) {
+        let mut ledger = Hot::check_out(&self.meter);
+        let mut retry = false;
+        while ledger.ledger.cycles() < horizon.op {
+            let fused = !retry && ledger.ledger.cycles() < horizon.idiom;
+            // An entry that leaves may already have charged its trial
+            // ledger, but it has changed no state: every entry's state
+            // changes follow its charges.
+            let mut trial = ledger;
+            match self.instr::<_, DISPATCH, LOCALS_IN_MEMORY, EXPANSION>(
+                &mut trial,
+                code,
+                window,
+                next,
+                bytecodes + 1,
+                fused,
+            ) {
+                Ok((pc, n)) => {
+                    ledger = trial;
+                    next = pc;
+                    bytecodes += n;
+                    retry = false;
+                }
+                // An idiom is the one entry that differs from its pc's
+                // canonical op in kind.
+                Err(_)
+                    if fused
+                        && std::mem::discriminant(&code.fused[next])
+                            != std::mem::discriminant(&code.ops[next]) =>
+                {
+                    retry = true
+                }
+                Err(_) => break,
+            }
+        }
+        self.meter.check_in(ledger.ledger);
+        (next, bytecodes)
+    }
+
+    /// Run the entry at `pc`, the frame's `count`-th bytecode, charging
+    /// `s`: the canonical op, or with `fused` on the hot loop the fused
+    /// stream's entry (an idiom or the canonical op). Returns the next pc
+    /// and the bytecodes run, or why the frame stops.
     #[inline(always)]
     fn instr<S: Sink, const DISPATCH: u32, const LOCALS_IN_MEMORY: bool, const EXPANSION: u32>(
         &mut self,
@@ -331,28 +412,76 @@ impl Vm {
         window: &mut [Value],
         pc: usize,
         count: u64,
-    ) -> Result<usize, Exit> {
+        fused: bool,
+    ) -> Result<(usize, u64), Exit> {
+        let method = code.method;
+        let at = pc as u32;
         macro_rules! fault {
             ($e:expr) => {
                 return Err(s.fault($e))
             };
         }
-        let method = code.method;
-        let at = pc as u32;
-        if pc & 7 == 0 {
-            let addr = code.code_addr + (pc as u64) * u64::from(EXPANSION);
-            s.ifetch(&mut self.meter, addr)?;
+        // The metering every op starts with: the `pc & 7 == 0` ifetch at
+        // the tier's expansion, the tier's dispatch µops, then the step
+        // budget at the op's own count. Component `$i` of an idiom runs it
+        // at `pc + $i`.
+        macro_rules! enter {
+            ($i:expr) => {{
+                let pc = pc + $i;
+                if pc & 7 == 0 {
+                    let addr = code.code_addr + (pc as u64) * u64::from(EXPANSION);
+                    s.ifetch(&mut self.meter, addr)?;
+                }
+                if DISPATCH > 0 {
+                    s.int_ops(&mut self.meter, DISPATCH);
+                }
+                if count + $i >= code.budget {
+                    fault!(VmError::StepBudgetExhausted {
+                        budget: code.budget
+                    });
+                }
+            }};
         }
-        if DISPATCH > 0 {
-            s.int_ops(&mut self.meter, DISPATCH);
+        // A `LoadLocal`/`StoreLocal` charge: stack-memory traffic when the
+        // tier keeps locals in memory, one µop when it does not.
+        macro_rules! local {
+            ($access:ident, $local:expr) => {
+                if LOCALS_IN_MEMORY {
+                    s.$access(&mut self.meter, code.stack_addr + u64::from($local) * 8)?;
+                } else {
+                    s.int_ops(&mut self.meter, 1);
+                }
+            };
         }
-        if count >= code.budget {
-            fault!(VmError::StepBudgetExhausted {
-                budget: code.budget
-            });
+        // A branch component `$len - 1` of the entry: its state change
+        // (the back-edge hotness bump) and where the frame goes next.
+        macro_rules! branch {
+            ($taken:expr, $target:expr, $back_edge:expr, $len:expr) => {{
+                if $taken {
+                    if $back_edge {
+                        self.compilers.method_mut(method).hotness += 1;
+                    }
+                    return Ok(($target as usize, $len));
+                }
+                return Ok((pc + $len, $len));
+            }};
         }
-        let mut next = pc + 1;
-        match code.ops[pc] {
+        // The arms of fused idioms: unreachable on the exact path, which
+        // reads the canonical stream.
+        macro_rules! hot_only {
+            () => {
+                if !S::FUSED {
+                    unreachable!("the canonical stream holds no fused idiom")
+                }
+            };
+        }
+        let op = if S::FUSED && fused {
+            code.fused[pc]
+        } else {
+            code.ops[pc]
+        };
+        enter!(0);
+        match op {
             // ---- constants & moves ----
             RirOp::ConstI { dst, lit } => {
                 s.int_ops(&mut self.meter, 1);
@@ -371,19 +500,11 @@ impl Vm {
                 window[dst as usize] = window[src as usize];
             }
             RirOp::LoadLocal { dst, local } => {
-                if LOCALS_IN_MEMORY {
-                    s.load(&mut self.meter, code.stack_addr + u64::from(local) * 8)?;
-                } else {
-                    s.int_ops(&mut self.meter, 1);
-                }
+                local!(load, local);
                 window[dst as usize] = window[local as usize];
             }
             RirOp::StoreLocal { local, src } => {
-                if LOCALS_IN_MEMORY {
-                    s.store(&mut self.meter, code.stack_addr + u64::from(local) * 8)?;
-                } else {
-                    s.int_ops(&mut self.meter, 1);
-                }
+                local!(store, local);
                 window[local as usize] = window[src as usize];
             }
             RirOp::Drop => {
@@ -451,10 +572,7 @@ impl Vm {
             // ---- control flow ----
             RirOp::Jump { target, back_edge } => {
                 s.branch(&mut self.meter);
-                if back_edge {
-                    self.compilers.method_mut(method).hotness += 1;
-                }
-                next = target as usize;
+                branch!(true, target, back_edge, 1);
             }
             RirOp::Br {
                 cond,
@@ -463,13 +581,12 @@ impl Vm {
                 back_edge,
             } => {
                 s.branch(&mut self.meter);
-                let v = window[cond as usize].truthy();
-                if v == on_true {
-                    if back_edge {
-                        self.compilers.method_mut(method).hotness += 1;
-                    }
-                    next = target as usize;
-                }
+                branch!(
+                    window[cond as usize].truthy() == on_true,
+                    target,
+                    back_edge,
+                    1
+                );
             }
             RirOp::Call { m, save_sp } => {
                 s.exact()?;
@@ -533,41 +650,7 @@ impl Vm {
                 }
             }
             RirOp::GetField { obj, dst, fidx } => {
-                let obj = window[obj as usize];
-                let Some(id) = obj.as_ref_id() else {
-                    fault!(VmError::NullDereference { method, pc: at });
-                };
-                let ObjKind::Instance { class } = self.heap.get(id).kind() else {
-                    fault!(VmError::BadSlot {
-                        method,
-                        pc: at,
-                        slot: fidx,
-                    });
-                };
-                let layout = self.loader.class(vmprobe_bytecode::ClassId(class)).layout();
-                let Some(&slot) = layout.get(fidx as usize) else {
-                    fault!(VmError::BadSlot {
-                        method,
-                        pc: at,
-                        slot: fidx,
-                    });
-                };
-                let addr = self.heap.get(id).addr() + 16 + u64::from(fidx) * 8;
-                s.load(&mut self.meter, addr)?;
-                let v = if slot.is_ref {
-                    match self.heap.get_ref(id, slot.slot as usize) {
-                        Some(r) => Value::Ref(r),
-                        None => Value::Null,
-                    }
-                } else {
-                    let bits = self.heap.get_prim(id, slot.slot as usize);
-                    if slot.is_float {
-                        Value::F(f64::from_bits(bits))
-                    } else {
-                        Value::I(bits as i64)
-                    }
-                };
-                window[dst as usize] = v;
+                window[dst as usize] = self.get_field(s, method, at, window[obj as usize], fidx)?;
             }
             RirOp::PutField { obj, val, fidx } => {
                 let v = window[val as usize];
@@ -611,37 +694,8 @@ impl Vm {
                 self.statics[slot as usize] = window[src as usize];
             }
             RirOp::ALoad { arr, idx, dst } => {
-                let idx = window[idx as usize].as_i();
-                let arr = window[arr as usize];
-                let Some(id) = arr.as_ref_id() else {
-                    fault!(VmError::NullDereference { method, pc: at });
-                };
-                s.int_ops(&mut self.meter, 2); // bounds check
-                let (kind, len) = {
-                    let o = self.heap.get(id);
-                    (o.kind(), o.ref_count().max(o.prim_count()))
-                };
-                if idx < 0 || idx as usize >= len {
-                    fault!(VmError::IndexOutOfBounds {
-                        method,
-                        pc: at,
-                        index: idx,
-                        len,
-                    });
-                }
-                let addr = self.heap.get(id).addr() + 16 + (idx as u64) * 8;
-                s.load(&mut self.meter, addr)?;
-                let v = match kind {
-                    ObjKind::RefArray => match self.heap.get_ref(id, idx as usize) {
-                        Some(r) => Value::Ref(r),
-                        None => Value::Null,
-                    },
-                    ObjKind::FloatArray => {
-                        Value::F(f64::from_bits(self.heap.get_prim(id, idx as usize)))
-                    }
-                    _ => Value::I(self.heap.get_prim(id, idx as usize) as i64),
-                };
-                window[dst as usize] = v;
+                let (arr, idx) = (window[arr as usize], window[idx as usize]);
+                window[dst as usize] = self.array_load(s, method, at, arr, idx)?;
             }
             RirOp::AStore { arr, idx, val } => {
                 let v = window[val as usize];
@@ -688,7 +742,394 @@ impl Vm {
             RirOp::Nop => {
                 s.int_ops(&mut self.meter, 1);
             }
+
+            // ---- fused idioms (`fuse::components` gives each one's
+            // ops): every component's metering in order, then every state
+            // change in component order ----
+            RirOp::LdLdCmpBr {
+                a,
+                b,
+                d,
+                kind,
+                on_true,
+                back_edge,
+                target,
+            } => {
+                hot_only!();
+                local!(load, a);
+                enter!(1);
+                local!(load, b);
+                enter!(2);
+                s.int_ops(&mut self.meter, 1);
+                enter!(3);
+                s.branch(&mut self.meter);
+                let d = d as usize;
+                let (va, vb) = (window[a as usize], window[b as usize]);
+                let r = Value::I(i64::from(compare(kind, va, vb)));
+                window[d] = va;
+                window[d + 1] = vb;
+                window[d] = r;
+                branch!(r.truthy() == on_true, target, back_edge, 4);
+            }
+            RirOp::LdConstIAluSt { a, d, c, kind, lit } => {
+                hot_only!();
+                local!(load, a);
+                enter!(1);
+                s.int_ops(&mut self.meter, 1);
+                enter!(2);
+                s.int_ops(&mut self.meter, 1);
+                enter!(3);
+                local!(store, c);
+                let d = d as usize;
+                let va = window[a as usize];
+                let k = code.body.pool_i[lit as usize];
+                let r = Value::I(int_alu(kind, va.as_i(), k));
+                window[d] = va;
+                window[d + 1] = Value::I(k);
+                window[d] = r;
+                window[c as usize] = r;
+                return Ok((pc + 4, 4));
+            }
+            RirOp::LdConstFFAluFAlu { a, d, k1, k2, lit } => {
+                hot_only!();
+                local!(load, a);
+                enter!(1);
+                s.int_ops(&mut self.meter, 1);
+                enter!(2);
+                s.fp_ops(&mut self.meter, 1);
+                enter!(3);
+                s.fp_ops(&mut self.meter, 1);
+                let d = d as usize;
+                let va = window[a as usize];
+                let k = code.body.pool_f[lit as usize];
+                let x = f_alu(k1, va.as_f(), k);
+                let y = f_alu(k2, window[d].as_f(), x);
+                window[d + 1] = va;
+                window[d + 2] = Value::F(k);
+                window[d + 1] = Value::F(x);
+                window[d] = Value::F(y);
+                return Ok((pc + 4, 4));
+            }
+            RirOp::LdConstIAlu { a, d, kind, lit } => {
+                hot_only!();
+                local!(load, a);
+                enter!(1);
+                s.int_ops(&mut self.meter, 1);
+                enter!(2);
+                s.int_ops(&mut self.meter, 1);
+                let d = d as usize;
+                let va = window[a as usize];
+                let k = code.body.pool_i[lit as usize];
+                window[d] = va;
+                window[d + 1] = Value::I(k);
+                window[d] = Value::I(int_alu(kind, va.as_i(), k));
+                return Ok((pc + 3, 3));
+            }
+            RirOp::LdConstFFAlu { a, d, kind, lit } => {
+                hot_only!();
+                local!(load, a);
+                enter!(1);
+                s.int_ops(&mut self.meter, 1);
+                enter!(2);
+                s.fp_ops(&mut self.meter, 1);
+                let d = d as usize;
+                let va = window[a as usize];
+                let k = code.body.pool_f[lit as usize];
+                window[d] = va;
+                window[d + 1] = Value::F(k);
+                window[d] = Value::F(f_alu(kind, va.as_f(), k));
+                return Ok((pc + 3, 3));
+            }
+            RirOp::ConstICmpBr {
+                d,
+                kind,
+                on_true,
+                back_edge,
+                lit,
+                target,
+            } => {
+                hot_only!();
+                s.int_ops(&mut self.meter, 1);
+                enter!(1);
+                s.int_ops(&mut self.meter, 1);
+                enter!(2);
+                s.branch(&mut self.meter);
+                let d = d as usize;
+                let k = Value::I(code.body.pool_i[lit as usize]);
+                let r = Value::I(i64::from(compare(kind, window[d], k)));
+                window[d + 1] = k;
+                window[d] = r;
+                branch!(r.truthy() == on_true, target, back_edge, 3);
+            }
+            RirOp::GetSLdGetF { slot, a, d, fidx } => {
+                hot_only!();
+                s.load(&mut self.meter, STATICS_BASE + u64::from(slot) * 8)?;
+                enter!(1);
+                local!(load, a);
+                enter!(2);
+                let va = window[a as usize];
+                let v = self.get_field(s, method, at + 2, va, fidx)?;
+                let d = d as usize;
+                window[d] = self.statics[slot as usize];
+                window[d + 1] = va;
+                window[d + 1] = v;
+                return Ok((pc + 3, 3));
+            }
+            RirOp::LdLd { a, b, d } => {
+                hot_only!();
+                local!(load, a);
+                enter!(1);
+                local!(load, b);
+                let d = d as usize;
+                let (va, vb) = (window[a as usize], window[b as usize]);
+                window[d] = va;
+                window[d + 1] = vb;
+                return Ok((pc + 2, 2));
+            }
+            RirOp::ConstIAlu { d, kind, lit } => {
+                hot_only!();
+                s.int_ops(&mut self.meter, 1);
+                enter!(1);
+                s.int_ops(&mut self.meter, 1);
+                let d = d as usize;
+                let k = code.body.pool_i[lit as usize];
+                window[d + 1] = Value::I(k);
+                window[d] = Value::I(int_alu(kind, window[d].as_i(), k));
+                return Ok((pc + 2, 2));
+            }
+            RirOp::ConstFFAlu { d, kind, lit } => {
+                hot_only!();
+                s.int_ops(&mut self.meter, 1);
+                enter!(1);
+                s.fp_ops(&mut self.meter, 1);
+                let d = d as usize;
+                let k = code.body.pool_f[lit as usize];
+                window[d + 1] = Value::F(k);
+                window[d] = Value::F(f_alu(kind, window[d].as_f(), k));
+                return Ok((pc + 2, 2));
+            }
+            RirOp::LdAlu { a, d, kind } => {
+                hot_only!();
+                local!(load, a);
+                enter!(1);
+                s.int_ops(&mut self.meter, 1);
+                let d = d as usize;
+                let va = window[a as usize];
+                window[d + 1] = va;
+                window[d] = Value::I(int_alu(kind, window[d].as_i(), va.as_i()));
+                return Ok((pc + 2, 2));
+            }
+            RirOp::FAluSt { d, c, kind } => {
+                hot_only!();
+                s.fp_ops(&mut self.meter, 1);
+                enter!(1);
+                local!(store, c);
+                let d = d as usize;
+                let r = Value::F(f_alu(kind, window[d].as_f(), window[d + 1].as_f()));
+                window[d] = r;
+                window[c as usize] = r;
+                return Ok((pc + 2, 2));
+            }
+            RirOp::AluPutS { d, slot, kind } => {
+                hot_only!();
+                s.int_ops(&mut self.meter, 1);
+                enter!(1);
+                s.store(&mut self.meter, STATICS_BASE + u64::from(slot) * 8)?;
+                let d = d as usize;
+                let r = Value::I(int_alu(kind, window[d].as_i(), window[d + 1].as_i()));
+                window[d] = r;
+                self.statics[slot as usize] = r;
+                return Ok((pc + 2, 2));
+            }
+            RirOp::LdALoad { a, d } => {
+                hot_only!();
+                local!(load, a);
+                enter!(1);
+                let d = d as usize;
+                let va = window[a as usize];
+                let v = self.array_load(s, method, at + 1, window[d], va)?;
+                window[d + 1] = va;
+                window[d] = v;
+                return Ok((pc + 2, 2));
+            }
+            RirOp::MovMov { d } => {
+                hot_only!();
+                s.int_ops(&mut self.meter, 1);
+                enter!(1);
+                s.int_ops(&mut self.meter, 1);
+                let d = d as usize;
+                let v = window[d];
+                window[d + 1] = v;
+                window[d + 2] = v;
+                return Ok((pc + 2, 2));
+            }
         }
-        Ok(next)
+        Ok((pc + 1, 1))
+    }
+
+    /// `GetField`'s checks, charge and read of `obj.field[fidx]` for the
+    /// op at `at`.
+    #[inline(always)]
+    fn get_field<S: Sink>(
+        &mut self,
+        s: &mut S,
+        method: MethodId,
+        at: u32,
+        obj: Value,
+        fidx: u16,
+    ) -> Result<Value, Exit> {
+        let Some(id) = obj.as_ref_id() else {
+            return Err(s.fault(VmError::NullDereference { method, pc: at }));
+        };
+        let bad_slot = VmError::BadSlot {
+            method,
+            pc: at,
+            slot: fidx,
+        };
+        let ObjKind::Instance { class } = self.heap.get(id).kind() else {
+            return Err(s.fault(bad_slot));
+        };
+        let layout = self.loader.class(vmprobe_bytecode::ClassId(class)).layout();
+        let Some(&slot) = layout.get(fidx as usize) else {
+            return Err(s.fault(bad_slot));
+        };
+        let addr = self.heap.get(id).addr() + 16 + u64::from(fidx) * 8;
+        s.load(&mut self.meter, addr)?;
+        Ok(if slot.is_ref {
+            match self.heap.get_ref(id, slot.slot as usize) {
+                Some(r) => Value::Ref(r),
+                None => Value::Null,
+            }
+        } else {
+            let bits = self.heap.get_prim(id, slot.slot as usize);
+            if slot.is_float {
+                Value::F(f64::from_bits(bits))
+            } else {
+                Value::I(bits as i64)
+            }
+        })
+    }
+
+    /// `ALoad`'s checks, charges and read of `arr[idx]` for the op at
+    /// `at`.
+    #[inline(always)]
+    fn array_load<S: Sink>(
+        &mut self,
+        s: &mut S,
+        method: MethodId,
+        at: u32,
+        arr: Value,
+        idx: Value,
+    ) -> Result<Value, Exit> {
+        let idx = idx.as_i();
+        let Some(id) = arr.as_ref_id() else {
+            return Err(s.fault(VmError::NullDereference { method, pc: at }));
+        };
+        s.int_ops(&mut self.meter, 2); // bounds check
+        let (kind, len) = {
+            let o = self.heap.get(id);
+            (o.kind(), o.ref_count().max(o.prim_count()))
+        };
+        if idx < 0 || idx as usize >= len {
+            return Err(s.fault(VmError::IndexOutOfBounds {
+                method,
+                pc: at,
+                index: idx,
+                len,
+            }));
+        }
+        let addr = self.heap.get(id).addr() + 16 + (idx as u64) * 8;
+        s.load(&mut self.meter, addr)?;
+        Ok(match kind {
+            ObjKind::RefArray => match self.heap.get_ref(id, idx as usize) {
+                Some(r) => Value::Ref(r),
+                None => Value::Null,
+            },
+            ObjKind::FloatArray => Value::F(f64::from_bits(self.heap.get_prim(id, idx as usize))),
+            _ => Value::I(self.heap.get_prim(id, idx as usize) as i64),
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use vmprobe_faults::FaultPlan;
+    use vmprobe_heap::CollectorKind;
+    use vmprobe_platform::PlatformKind;
+    use vmprobe_workloads::InputScale;
+
+    use crate::rir::RirBody;
+    use crate::{Personality, Vm, VmConfig, VmError};
+
+    /// Run `vm` until its step budget expires and render everything the
+    /// engine had changed by then: the machine, the meter's counts, the
+    /// bytecode count, the faulting frame and the statics. With `fused`
+    /// false, every frame runs a body whose fused stream is its canonical
+    /// one.
+    fn state_at_budget(mut vm: Vm, fused: bool) -> String {
+        if vm.config().personality == Personality::JikesRvm {
+            vm.loader.preload_boot_image(&vm.program);
+        }
+        vm.meter.set_base(vmprobe_power::ComponentId::Application);
+        vm.invoke(vm.program.entry()).unwrap();
+        while let Some(mut frame) = vm.frames.pop() {
+            if !fused && frame.body.fused != frame.body.ops {
+                frame.body = Arc::new(RirBody {
+                    fused: frame.body.ops.clone(),
+                    ..(*frame.body).clone()
+                });
+            }
+            match vm.step(frame) {
+                Ok(()) => {}
+                Err(VmError::StepBudgetExhausted { .. }) => {
+                    let f = vm.frames.last().unwrap();
+                    return format!(
+                        "{:?} {:?} {} {} {:?} {:?}",
+                        vm.meter.machine(),
+                        vm.meter.probe_stats(),
+                        vm.stats.bytecodes,
+                        f.pc,
+                        f.window,
+                        vm.statics
+                    );
+                }
+                Err(e) => panic!("unexpected fault {e}"),
+            }
+        }
+        panic!("the run ended before its step budget")
+    }
+
+    /// A step budget can expire on any component of a fused idiom: the
+    /// hot loop then drops the whole trial and the exact path runs the
+    /// idiom's ops one at a time up to the expiring one. At every budget
+    /// in a window of each benchmark's steady state, on the P6 (Jikes) and
+    /// the PXA255 (Kaffe), the machine and the frame at the fault must be
+    /// those of a run without fused entries.
+    #[test]
+    fn budgets_expiring_inside_idioms_leave_the_unfused_state() {
+        for name in ["_222_mpegaudio", "_209_db", "fop"] {
+            let program = vmprobe_workloads::benchmark(name)
+                .unwrap()
+                .build(InputScale::Reduced);
+            for (platform, config) in [
+                (
+                    PlatformKind::PentiumM,
+                    VmConfig::jikes(CollectorKind::GenCopy, 32 << 20),
+                ),
+                (PlatformKind::Pxa255, VmConfig::kaffe(16 << 20)),
+            ] {
+                for budget in 30_000..30_024 {
+                    let plan = FaultPlan::parse(&format!("budget={budget}")).unwrap();
+                    let vm = || Vm::new(program.clone(), config.platform(platform).faults(plan));
+                    assert_eq!(
+                        state_at_budget(vm(), true),
+                        state_at_budget(vm(), false),
+                        "{name} on {platform:?} at budget {budget}"
+                    );
+                }
+            }
+        }
     }
 }

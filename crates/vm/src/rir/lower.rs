@@ -213,6 +213,7 @@ pub(crate) fn lower(program: &Program, method: &Method) -> Result<RirBody, Verif
     }
 
     Ok(RirBody {
+        fused: super::fuse::fuse(&ops),
         ops,
         n_locals,
         n_regs,

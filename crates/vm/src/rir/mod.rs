@@ -15,7 +15,9 @@
 //! [`locals_in_memory`](crate::Tier::locals_in_memory) holds and as one
 //! register µop when it does not. The instruction stream is 1:1 with the
 //! bytecode, so ifetch cadence, branch targets and fault pcs are the
-//! bytecode's own.
+//! bytecode's own. The hot loop dispatches a second stream derived from
+//! it (`fuse`), in which one entry may stand for a measured idiom of up
+//! to four ops and is metered as those ops would be.
 //!
 //! **Recorded oracle.** `tests/golden/engine/digests.txt` holds digests
 //! of a stack-machine interpreter's observables (reports, stats, spans,
@@ -24,6 +26,7 @@
 //! A divergence is a bug here, never a re-bless.
 
 mod exec;
+mod fuse;
 mod lower;
 
 pub(crate) use lower::lower;
@@ -135,7 +138,7 @@ impl CmpKind {
 }
 
 /// Integer ALU semantics.
-#[inline]
+#[inline(always)]
 pub(crate) fn int_alu(kind: AluKind, a: i64, b: i64) -> i64 {
     match kind {
         AluKind::Add => a.wrapping_add(b),
@@ -164,7 +167,7 @@ pub(crate) fn int_alu(kind: AluKind, a: i64, b: i64) -> i64 {
 }
 
 /// Float ALU semantics.
-#[inline]
+#[inline(always)]
 pub(crate) fn f_alu(kind: FAluKind, a: f64, b: f64) -> f64 {
     match kind {
         FAluKind::Add => a + b,
@@ -182,8 +185,9 @@ pub(crate) fn f_alu(kind: FAluKind, a: f64, b: f64) -> f64 {
 
 /// Comparison semantics: float contagion when
 /// either operand is a float, identity (plus handle-order `Lt`) for
-/// reference pairs, integer views otherwise.
-#[inline]
+/// reference pairs, integer views otherwise. Always inlined: the hot
+/// loop's accumulator stays in a register only while nothing is called.
+#[inline(always)]
 pub(crate) fn compare(kind: CmpKind, a: Value, b: Value) -> bool {
     match (a, b) {
         (Value::F(x), y) | (y, Value::F(x)) => {
@@ -236,9 +240,12 @@ pub(crate) fn math_fn(f: MathFn, a: f64) -> f64 {
 /// Register operands index the frame's window: registers `0..n_locals`
 /// are the method locals, register `n_locals + d` is the operand-stack
 /// slot at depth `d` (the verifier guarantees a single static depth per
-/// pc, so the mapping is total). The instruction stream is 1:1 with the
+/// pc, so the mapping is total). The canonical stream is 1:1 with the
 /// source bytecode — instruction index *is* the bytecode pc — which keeps
 /// the ifetch cadence, branch targets and fault pcs those of the bytecode.
+/// The fused idioms, after `Nop`, appear only in the fused stream; their
+/// operands are those of their components, expressed from a base
+/// register `d` ([`fuse::components`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum RirOp {
     /// `window[dst] = pool_i[lit]`.
@@ -342,7 +349,85 @@ pub(crate) enum RirOp {
     ArrLen { arr: u16, dst: u16 },
     /// No operation (also the placeholder for unreachable bytecode).
     Nop,
+
+    // ---- fused idioms: the hot stream only (see `fuse`) ----
+    /// `LoadLocal a; LoadLocal b; Cmp; Br` over registers `d`, `d + 1`.
+    LdLdCmpBr {
+        a: u16,
+        b: u16,
+        d: u16,
+        kind: CmpKind,
+        on_true: bool,
+        back_edge: bool,
+        target: u32,
+    },
+    /// `LoadLocal a; ConstI; IntAlu; StoreLocal c` over `d`, `d + 1`.
+    LdConstIAluSt {
+        a: u16,
+        d: u16,
+        c: u16,
+        kind: AluKind,
+        lit: u32,
+    },
+    /// `LoadLocal a; ConstF; FAlu k1; FAlu k2` over `d`..`d + 2`.
+    LdConstFFAluFAlu {
+        a: u16,
+        d: u16,
+        k1: FAluKind,
+        k2: FAluKind,
+        lit: u32,
+    },
+    /// `LoadLocal a; ConstI; IntAlu` over `d`, `d + 1`.
+    LdConstIAlu {
+        a: u16,
+        d: u16,
+        kind: AluKind,
+        lit: u32,
+    },
+    /// `LoadLocal a; ConstF; FAlu` over `d`, `d + 1`.
+    LdConstFFAlu {
+        a: u16,
+        d: u16,
+        kind: FAluKind,
+        lit: u32,
+    },
+    /// `ConstI; Cmp; Br` over `d`, `d + 1`.
+    ConstICmpBr {
+        d: u16,
+        kind: CmpKind,
+        on_true: bool,
+        back_edge: bool,
+        lit: u32,
+        target: u32,
+    },
+    /// `GetStatic slot; LoadLocal a; GetField fidx` over `d`, `d + 1`.
+    GetSLdGetF {
+        slot: u16,
+        a: u16,
+        d: u16,
+        fidx: u16,
+    },
+    /// `LoadLocal a; LoadLocal b` into `d`, `d + 1`.
+    LdLd { a: u16, b: u16, d: u16 },
+    /// `ConstI; IntAlu` over `d`, `d + 1`.
+    ConstIAlu { d: u16, kind: AluKind, lit: u32 },
+    /// `ConstF; FAlu` over `d`, `d + 1`.
+    ConstFFAlu { d: u16, kind: FAluKind, lit: u32 },
+    /// `LoadLocal a; IntAlu` over `d`, `d + 1`.
+    LdAlu { a: u16, d: u16, kind: AluKind },
+    /// `FAlu; StoreLocal c` over `d`, `d + 1`.
+    FAluSt { d: u16, c: u16, kind: FAluKind },
+    /// `IntAlu; PutStatic slot` over `d`, `d + 1`.
+    AluPutS { d: u16, slot: u16, kind: AluKind },
+    /// `LoadLocal a; ALoad` over `d`, `d + 1`.
+    LdALoad { a: u16, d: u16 },
+    /// `Mov; Mov` (two `Dup`s) over `d`..`d + 2`.
+    MovMov { d: u16 },
 }
+
+// The hot loop copies one entry per dispatch; the fused idioms' operands
+// must not widen it past two words.
+const _: () = assert!(std::mem::size_of::<RirOp>() <= 16);
 
 /// A lowered method body: the register instruction stream plus its
 /// load-time-resolved literal pools and window shape.
@@ -350,6 +435,9 @@ pub(crate) enum RirOp {
 pub(crate) struct RirBody {
     /// Fixed-width instruction stream, 1:1 with the source bytecode.
     pub ops: Vec<RirOp>,
+    /// The hot loop's stream, derived from `ops` ([`fuse::fuse`]): entry
+    /// `pc` is the longest fused idiom that starts at `pc`, or `ops[pc]`.
+    pub fused: Vec<RirOp>,
     /// Local slots (registers `0..n_locals`).
     pub n_locals: u16,
     /// Total window size: locals plus the method's maximum operand depth.
