@@ -142,8 +142,7 @@ impl CostModel {
 /// Compute the per-method bounds of `program` on `platform`.
 ///
 /// The caller is expected to have verified the program first (the CFG
-/// walk assumes structural validity); [`crate::verify_program`] does
-/// both tiers.
+/// walk assumes structural validity), with [`crate::verify_program`].
 pub fn bound_program(program: &Program, platform: PlatformKind) -> ProgramBound {
     let cost = CostModel::of(platform);
     let freq_hz = CpuSpec::of(platform).freq_hz;

@@ -3,12 +3,13 @@
 //! A method body is partitioned into basic blocks at the classic leader
 //! points: the entry instruction, every branch target, and every
 //! instruction following a branch or terminator. The resulting graph is
-//! what both the dataflow verifier (worklist over blocks) and the bound
-//! computation (longest weighted path over an acyclic graph) walk.
+//! what the bound computation (longest weighted path over an acyclic
+//! graph) walks; verification needs no CFG.
 //!
-//! Construction assumes the body already passed the structural verifier
-//! ([`vmprobe_bytecode::verify_method`]): every branch target is in range
-//! and the body does not fall off the end.
+//! Construction assumes the body already passed the verifier's structural
+//! phase ([`vmprobe_bytecode::stack_depths`]): every reachable branch
+//! target is in range and the body does not fall off the end. An
+//! unreachable branch may still dangle; it gets no edge.
 
 use vmprobe_bytecode::{Method, Op};
 
@@ -34,8 +35,6 @@ impl Block {
 #[derive(Debug, Clone)]
 pub struct Cfg {
     blocks: Vec<Block>,
-    /// Block index owning each instruction.
-    block_of: Vec<usize>,
 }
 
 impl Cfg {
@@ -86,12 +85,12 @@ impl Cfg {
             let last = block.end - 1;
             let mut succs = Vec::new();
             match code[last] {
-                Op::Jump(t) => succs.push(block_of[t as usize]),
+                Op::Jump(t) => succs.extend(block_of.get(t as usize)),
                 Op::BrTrue(t) | Op::BrFalse(t) => {
                     if last + 1 < n {
                         succs.push(block_of[last + 1]);
                     }
-                    succs.push(block_of[t as usize]);
+                    succs.extend(block_of.get(t as usize));
                 }
                 Op::Ret | Op::RetV => {}
                 _ => {
@@ -103,36 +102,12 @@ impl Cfg {
             block.succs = succs;
         }
 
-        Self { blocks, block_of }
+        Self { blocks }
     }
 
     /// The blocks, in instruction order (block 0 is the entry).
     pub fn blocks(&self) -> &[Block] {
         &self.blocks
-    }
-
-    /// The block containing instruction `pc`.
-    pub fn block_of(&self, pc: usize) -> usize {
-        self.block_of[pc]
-    }
-
-    /// Blocks reachable from the entry (bitset over block indices).
-    pub fn reachable(&self) -> Vec<bool> {
-        let mut seen = vec![false; self.blocks.len()];
-        if self.blocks.is_empty() {
-            return seen;
-        }
-        let mut stack = vec![0usize];
-        seen[0] = true;
-        while let Some(b) = stack.pop() {
-            for &s in &self.blocks[b].succs {
-                if !seen[s] {
-                    seen[s] = true;
-                    stack.push(s);
-                }
-            }
-        }
-        seen
     }
 
     /// Whether any cycle is reachable from the entry, plus a reverse
@@ -215,7 +190,7 @@ mod tests {
         let (cyclic, order) = cfg.cycle_and_order();
         assert!(!cyclic);
         assert!(cfg.blocks().len() >= 4, "blocks: {}", cfg.blocks().len());
-        assert_eq!(order.len(), cfg.reachable().iter().filter(|&&r| r).count());
+        assert_eq!(order.len(), cfg.blocks().len(), "every block is reachable");
     }
 
     #[test]
@@ -232,5 +207,16 @@ mod tests {
         let cfg = Cfg::new(prog.method(main));
         let (cyclic, _) = cfg.cycle_and_order();
         assert!(cyclic);
+    }
+
+    #[test]
+    fn a_dangling_unreachable_branch_gets_no_edge() {
+        // The verifier judges reachable code only, so this verifies; the
+        // CFG once indexed past its block table here.
+        let prog = vmprobe_bytecode::assemble(".method main 0 0\n ret\n jump @99\n").unwrap();
+        vmprobe_bytecode::verify_program(&prog).expect("unreachable code is not judged");
+        let cfg = Cfg::new(prog.method(prog.entry()));
+        assert_eq!(cfg.blocks().len(), 2);
+        assert!(cfg.blocks()[1].succs.is_empty());
     }
 }

@@ -1,16 +1,14 @@
 //! Static analysis for vmprobe bytecode.
 //!
-//! Five pieces, all dependency-free (only sibling vmprobe crates):
+//! Four pieces, all dependency-free (only sibling vmprobe crates), plus
+//! the verifier, which lives in `vmprobe_bytecode` and is re-exported here
+//! ([`verify_method`], [`verify_class`], [`verify_program`]): one typed
+//! worklist per method whose structural phase the builder and the VM's
+//! lowering run alone, and whose type phase the class loader, the serve
+//! daemon's `verify` op and `vmprobe-analyze` add.
 //!
 //! * [`mod@cfg`] — per-method control-flow graphs (basic blocks, successor
-//!   edges, reachability, cycle detection with a topological order).
-//! * [`verify`] — an abstract interpreter over the CFG: a worklist
-//!   dataflow pass with a small type lattice per stack slot and local.
-//!   It subsumes the builder's structural verifier (which it runs first)
-//!   and adds merge-point-correct checks: branch-target stack-shape
-//!   agreement with *typed* slots, uninitialized-local detection, and
-//!   unreachable-code reporting. This is the load-time verification tier
-//!   the VM's class loader and the serve daemon's admission path run.
+//!   edges, cycle detection with a topological order).
 //! * [`bounds`] — static worst-case cost/energy bounds per method: the
 //!   longest acyclic path through each method's CFG, costed at the
 //!   platform's peak modeled power.
@@ -21,7 +19,7 @@
 //!   binary: a substring scanner over the deterministic crates for
 //!   banned nondeterminism (wall clocks, OS RNG, unkeyed hash maps).
 //!
-//! See DESIGN.md §14 for the lattice, the worklist algorithm, the
+//! See DESIGN.md §14 for the lattice, the verifier's two phases, the
 //! per-method bounds and the closure identity.
 
 #![warn(missing_docs)]
@@ -30,12 +28,8 @@ pub mod bounds;
 pub mod cfg;
 pub mod closure;
 pub mod lint;
-pub mod verify;
 
 pub use bounds::{bound_program, p_max_watts, MethodBound, ProgramBound};
 pub use cfg::{Block, Cfg};
 pub use closure::closed_energy_j;
-pub use verify::{
-    verify_class, verify_method, verify_program, AbsTy, AnalysisError, MethodAnalysis,
-    ProgramAnalysis,
-};
+pub use vmprobe_bytecode::{verify_class, verify_method, verify_program, AbsTy, VerifyError};

@@ -1,17 +1,19 @@
-//! Property and mutation tests for the dataflow verifier.
+//! Property and mutation tests for the verifier.
 //!
 //! Two obligations: every program the builder emits (including all
-//! shipped benchmarks at both input scales) passes the dataflow tier,
-//! and corrupted programs are rejected — never verified, never a panic.
+//! shipped benchmarks at both input scales) passes both phases, and
+//! corrupted programs are rejected — never verified, never a panic — with
+//! phase 1 alone (the builder's screen and lowering's depth table) and
+//! both phases agreeing.
 
 use proptest::prelude::*;
-use vmprobe_analysis::{verify_program, AnalysisError};
-use vmprobe_bytecode::{ClassId, MathFn, MethodId, Op, Program, ProgramBuilder, Ty};
+use vmprobe_analysis::{verify_method, verify_program, VerifyError};
+use vmprobe_bytecode::{stack_depths, ClassId, MathFn, MethodId, Op, Program, ProgramBuilder, Ty};
 use vmprobe_workloads::{all_benchmarks, InputScale};
 
-/// Every shipped benchmark, at both input scales, passes both tiers.
-/// These are the exact programs the golden energy figures run, so the
-/// load-time verification tier must wave all of them through.
+/// Every shipped benchmark, at both input scales, passes both phases.
+/// These are the exact programs the golden energy figures run, so
+/// load-time verification must wave all of them through.
 #[test]
 fn all_benchmarks_pass_the_dataflow_verifier() {
     for bench in all_benchmarks() {
@@ -55,7 +57,7 @@ fn victim() -> Program {
 }
 
 /// Targeted corruptions that reference out-of-range entities must always
-/// be rejected by some tier — and must never panic.
+/// be rejected — and must never panic.
 #[test]
 fn out_of_range_ids_are_always_rejected() {
     let program = victim();
@@ -89,7 +91,7 @@ fn out_of_range_ids_are_always_rejected() {
 
 /// The merge-point regression from the old linear-era verifier: two
 /// branches reaching one join with *different depths* must be rejected
-/// by the structural tier the dataflow pass delegates to.
+/// by phase 1.
 #[test]
 fn depth_mismatch_at_join_is_structurally_rejected() {
     let program = victim();
@@ -107,19 +109,19 @@ fn depth_mismatch_at_join_is_structurally_rejected() {
     ];
     let corrupt = program.with_method_code(main, code);
     let err = verify_program(&corrupt).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            AnalysisError::Structural(_) | AnalysisError::ShapeMismatch { .. }
-        ),
-        "got {err:?}"
+    assert_eq!(
+        stack_depths(&corrupt, corrupt.method(main)),
+        Err(err),
+        "phase 1 rejects it"
     );
 }
 
-/// An arbitrary single-opcode replacement drawn from the full ISA with
-/// in-range operands. Such a mutation may legitimately still verify (a
-/// `Nop` for a `Nop`, an `Add` for a `Sub`); the property is that the
-/// verifier always *terminates with a verdict* — it never panics.
+/// An arbitrary single-opcode replacement drawn from the full ISA. Method,
+/// class and static ids are drawn in range or past their table, up to
+/// `u16::MAX` as a tenant's `@N` can name them. Such a mutation may
+/// legitimately still verify (a `Nop` for a `Nop`, an `Add` for a `Sub`);
+/// the property is that the verifier always *terminates with a verdict*
+/// (it never panics) and that both phases agree on it.
 fn arb_op(
     code_len: usize,
     n_methods: u32,
@@ -143,14 +145,15 @@ fn arb_op(
         target.clone().prop_map(Op::Jump),
         target.clone().prop_map(Op::BrTrue),
         target.prop_map(Op::BrFalse),
-        (0..n_methods.max(1)).prop_map(|m| Op::Call(MethodId(m))),
+        prop_oneof![0..n_methods.max(1), n_methods..=u32::from(u16::MAX)]
+            .prop_map(|m| Op::Call(MethodId(m))),
         Just(Op::Ret),
         Just(Op::RetV),
-        (0..n_classes.max(1)).prop_map(|c| Op::New(ClassId(c))),
+        prop_oneof![0..n_classes.max(1), n_classes..=u16::MAX].prop_map(|c| Op::New(ClassId(c))),
         (0u16..4).prop_map(Op::GetField),
         (0u16..4).prop_map(Op::PutField),
-        (0..n_statics.max(1)).prop_map(Op::GetStatic),
-        (0..n_statics.max(1)).prop_map(Op::PutStatic),
+        prop_oneof![0..n_statics.max(1), n_statics..=u16::MAX].prop_map(Op::GetStatic),
+        prop_oneof![0..n_statics.max(1), n_statics..=u16::MAX].prop_map(Op::PutStatic),
         Just(Op::ALoad),
         Just(Op::AStore),
         Just(Op::ArrLen),
@@ -184,8 +187,30 @@ proptest! {
         let corrupt = program.with_method_code(main, mutated);
         // A random replacement may legitimately still verify (Nop for
         // Nop, Add for Sub); the property is that the verifier always
-        // terminates with a verdict and never panics.
-        let verdict = std::panic::catch_unwind(|| verify_program(&corrupt).map(|_| ()));
-        prop_assert!(verdict.is_ok(), "verifier panicked on {:?} at pc {}", op, pc);
+        // terminates with a verdict and never panics …
+        let verdicts = std::panic::catch_unwind(|| {
+            (
+                stack_depths(&corrupt, corrupt.method(main)),
+                verify_method(&corrupt, main),
+            )
+        });
+        prop_assert!(verdicts.is_ok(), "verifier panicked on {:?} at pc {}", op, pc);
+        let (phase1, full) = verdicts.unwrap();
+        // … and that phase 1 alone agrees with both phases.
+        match (&phase1, &full) {
+            // Full acceptance implies phase 1's, with the same depth
+            // table: `stack_depths` is what lowering reads.
+            (_, Ok(depths)) => prop_assert_eq!(phase1.as_ref(), Ok(depths)),
+            // Phase 1's rejection is the full verdict, error included.
+            (Err(e), _) => prop_assert_eq!(full.as_ref(), Err(e)),
+            // Otherwise phase 2 rejected on operand types.
+            (Ok(_), Err(e)) => prop_assert!(
+                matches!(e, VerifyError::TypeConflict { .. } | VerifyError::UninitLocal { .. }),
+                "phase 1 accepted {:?} at pc {} but full verification said {}",
+                op,
+                pc,
+                e
+            ),
+        }
     }
 }

@@ -3,15 +3,16 @@
 //! The serving daemon's `verify` operation accepts tenant-submitted
 //! bytecode as text; this module is the parser behind it. It is the one
 //! sanctioned way to construct a [`Program`] that has *not* passed the
-//! builder's verifier — which is exactly the point: the daemon and the
-//! analysis crate's dataflow verifier need real invalid programs to
-//! reject, and tests need a compact notation for them.
+//! builder's structural check, which is exactly the point: the daemon and
+//! the verifier's tests need real invalid programs to reject, and tests
+//! need a compact notation for them.
 //!
 //! **Verify an assembled program before running it.** Run it through
-//! `vmprobe-analysis`' `verify_program` first (the daemon does). The
-//! runtime rejects a structurally unsound method with a typed error at
-//! its first compile even when verification is off, but only the
-//! dataflow tier catches ill-typed code.
+//! [`verify_program`](crate::verify_program) first (the daemon does). The
+//! runtime runs the verifier's structural phase at each method's first
+//! compile even when verification is off, so a structurally unsound
+//! method is rejected with a typed error there, but only the type phase
+//! catches ill-typed code.
 //!
 //! # Notation
 //!
@@ -45,7 +46,7 @@
 //! `call` takes a method name or `@N`; `get_static`/`put_static` take a
 //! static name or a raw slot number; `get_field`/`put_field` a field
 //! name or slot number; `new` takes no operand (the implicit class) or
-//! `@N` for an arbitrary class id.
+//! `@N` for an arbitrary class id up to `@65535`.
 
 use std::fmt;
 
@@ -98,8 +99,9 @@ struct MethodInProgress {
 /// or undefined label, undefined method/static/field name, or a program
 /// with no methods — is an [`AsmError`] naming the line. Semantic
 /// defects (bad stack shapes, dangling `@N` targets, out-of-range ids)
-/// are deliberately *not* errors here: detecting those is the dataflow
-/// verifier's job.
+/// are deliberately *not* errors here: detecting those is the
+/// verifier's job. An `@N` class id past 65535 is an error: no program
+/// can declare it, and it would otherwise wrap to a declared one.
 pub fn assemble(source: &str) -> Result<Program, AsmError> {
     let mut fields: Vec<FieldDef> = Vec::new();
     let mut statics: Vec<StaticDef> = Vec::new();
@@ -421,8 +423,12 @@ fn parse_instruction(
         "ret_value" => none(Op::RetV),
         "new" => match operands {
             [] => Ok(Op::New(ClassId(0))),
-            [tok] => match raw(tok) {
-                Some(n) => Ok(Op::New(ClassId(n as u16))),
+            [tok] => match raw(tok).map(u16::try_from) {
+                Some(Ok(n)) => Ok(Op::New(ClassId(n))),
+                Some(Err(_)) => Err(err(format!(
+                    "class reference '{tok}' exceeds @{}",
+                    u16::MAX
+                ))),
                 None => Err(err(format!("bad class reference '{tok}' (want @N)"))),
             },
             _ => Err(err("'new' wants at most one operand".into())),
@@ -500,8 +506,8 @@ mod tests {
         assert_eq!(code[10], Op::Jump(2));
         assert_eq!(code[12], Op::Dup);
         assert_eq!(code[13], Op::PutStatic(0));
-        // The assembled loop passes the structural verifier too.
-        crate::verify_program(&p).expect("structurally valid");
+        // The assembled loop passes the verifier too.
+        crate::verify_program(&p).expect("verifies");
     }
 
     #[test]
@@ -528,7 +534,7 @@ mod tests {
     #[test]
     fn raw_targets_may_dangle() {
         // `@N` operands skip resolution entirely: this is how tests and
-        // tenants hand the dataflow verifier garbage to reject.
+        // tenants hand the verifier garbage to reject.
         let p = assemble(".method main 0 0\n jump @99\n ret").expect("assembles");
         assert_eq!(p.method(MethodId(0)).code()[0], Op::Jump(99));
         assert!(crate::verify_program(&p).is_err(), "dangling target");
@@ -543,6 +549,11 @@ mod tests {
             (".method m 0 0\n call ghost\n ret", "undefined method"),
             (".method m 0 0\n get_static missing\n ret", "not declared"),
             (".method m 0 0\n l: nop\n l: nop", "duplicate label"),
+            // Past `u16::MAX`, once wrapped to a declared class id.
+            (
+                ".method m 0 0\n new @65536\n pop\n ret",
+                "line 2: class reference '@65536' exceeds @65535",
+            ),
             ("", "no .method"),
         ] {
             let e = assemble(src).expect_err(src);

@@ -4,7 +4,7 @@
 //! against this builder: classes with fields, methods with structured
 //! control flow, and global static slots that act as GC roots.
 
-use crate::verifier::verify_program;
+use crate::verifier::stack_depths;
 use crate::{
     ArrKind, Class, ClassId, MathFn, Method, MethodId, Op, Program, StaticDef, Ty, VerifyError,
 };
@@ -170,7 +170,9 @@ impl ProgramBuilder {
         self.classes.len()
     }
 
-    /// Verify every method and seal the program.
+    /// Check every method's structure (verification's phase 1,
+    /// [`stack_depths`]) and seal the program. Operand types are judged
+    /// later, when the class loader verifies a class.
     ///
     /// # Errors
     ///
@@ -190,7 +192,9 @@ impl ProgramBuilder {
             }
         }
         let program = Program::new(self.classes, methods, self.statics, entry);
-        verify_program(&program)?;
+        for m in program.methods() {
+            stack_depths(&program, m)?;
+        }
         Ok(program)
     }
 }

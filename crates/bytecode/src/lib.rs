@@ -12,8 +12,9 @@
 //!   size* (drives class-loading cost),
 //! * methods with a modeled *bytecode length* (drives baseline / optimizing /
 //!   JIT compilation cost and code-cache footprint),
-//! * a verifier pass (class loading in real JVMs verifies bytecode; we model
-//!   both its safety function and its cost),
+//! * a verifier, one typed worklist over each method (class loading in real
+//!   JVMs verifies bytecode; we model both its safety function and its
+//!   cost),
 //! * reference-typed fields and arrays so that real object graphs exist for
 //!   the garbage collectors to trace.
 //!
@@ -56,4 +57,4 @@ pub use disasm::disassemble;
 pub use method::{Method, MethodId};
 pub use opcode::{ArrKind, MathFn, Op, Ty};
 pub use program::Program;
-pub use verifier::{stack_depths, verify_method, verify_program, VerifyError};
+pub use verifier::{stack_depths, verify_class, verify_method, verify_program, AbsTy, VerifyError};

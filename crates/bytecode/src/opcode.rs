@@ -77,7 +77,7 @@ pub enum MathFn {
 ///
 /// Control-flow targets (`Jump`, `BrTrue`, `BrFalse`) are absolute indices
 /// into the owning method's code vector, validated by
-/// [`verify_method`](crate::verify_method).
+/// [`stack_depths`](crate::stack_depths).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Op {
     // ---- constants and stack shuffling ----
@@ -217,45 +217,6 @@ impl Op {
         }
     }
 
-    /// Number of operand-stack values this instruction pops.
-    ///
-    /// `Call` pops the callee's argument count, which is not knowable from
-    /// the opcode alone; the verifier special-cases it.
-    pub fn pops(&self) -> usize {
-        match self {
-            Op::ConstI(_) | Op::ConstF(_) | Op::ConstNull | Op::Load(_) => 0,
-            Op::GetStatic(_) | Op::Jump(_) | Op::Ret | Op::Nop | Op::New(_) => 0,
-            Op::Dup => 1,
-            Op::Pop | Op::Store(_) | Op::Neg | Op::FNeg | Op::Math(_) => 1,
-            Op::I2F | Op::F2I | Op::IsNull | Op::BrTrue(_) | Op::BrFalse(_) => 1,
-            Op::RetV | Op::GetField(_) | Op::PutStatic(_) => 1,
-            Op::NewArr(_) | Op::ArrLen => 1,
-            Op::Swap => 2,
-            Op::Add | Op::Sub | Op::Mul | Op::Div | Op::Rem => 2,
-            Op::Shl | Op::Shr | Op::And | Op::Or | Op::Xor => 2,
-            Op::FAdd | Op::FSub | Op::FMul | Op::FDiv => 2,
-            Op::Lt | Op::Le | Op::Gt | Op::Ge | Op::Eq | Op::Ne => 2,
-            Op::PutField(_) | Op::ALoad => 2,
-            Op::AStore => 3,
-            Op::Call(_) => 0, // verifier consults the callee signature
-        }
-    }
-
-    /// Number of operand-stack values this instruction pushes.
-    ///
-    /// `Call` pushes 0 or 1 depending on the callee; the verifier
-    /// special-cases it.
-    pub fn pushes(&self) -> usize {
-        match self {
-            Op::Pop | Op::Store(_) | Op::Jump(_) | Op::BrTrue(_) | Op::BrFalse(_) => 0,
-            Op::Ret | Op::RetV | Op::PutField(_) | Op::PutStatic(_) | Op::AStore | Op::Nop => 0,
-            Op::Swap => 2,
-            Op::Dup => 2,
-            Op::Call(_) => 0, // verifier consults the callee signature
-            _ => 1,
-        }
-    }
-
     /// Whether this instruction unconditionally transfers control (the
     /// instruction after it is not a fall-through successor).
     pub const fn is_terminator(&self) -> bool {
@@ -281,18 +242,6 @@ mod tests {
         assert_eq!(Op::Jump(0).encoded_len(), 3);
         assert_eq!(Op::Load(0).encoded_len(), 2);
         assert_eq!(Op::Add.encoded_len(), 1);
-    }
-
-    #[test]
-    fn stack_effects_balance_for_simple_ops() {
-        // A binary op consumes two and produces one.
-        for op in [Op::Add, Op::FMul, Op::Lt, Op::Xor] {
-            assert_eq!(op.pops(), 2);
-            assert_eq!(op.pushes(), 1);
-        }
-        // Dup nets +1, Pop nets -1.
-        assert_eq!(Op::Dup.pushes() as isize - Op::Dup.pops() as isize, 1);
-        assert_eq!(Op::Pop.pushes() as isize - Op::Pop.pops() as isize, -1);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! ```
 //!
 //! Plain mode is purely static: it assembles each benchmark's program,
-//! runs the dataflow verifier, and prints each method's worst-case
+//! verifies it, and prints each method's worst-case
 //! acyclic bound. `--check-golden` *executes* each golden cell and checks
 //! `|Σ component energy − (closed − clipped)| ≤ 10⁻⁹ · closed`, where
 //! `closed` is the power model's linear form over the counter file at the

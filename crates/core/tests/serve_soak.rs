@@ -956,8 +956,8 @@ fn malformed_programs_are_rejected_at_admission_without_touching_quarantine() {
 
     // The merge-point regression program: both branch arms reach `merge`
     // at depth 1, one with an int and one with a float, and the merged
-    // value feeds an integer add. The old structural verifier accepted
-    // this shape (depths agree); the dataflow verifier must reject it.
+    // value feeds an integer add. The depths agree, so only the
+    // verifier's type phase rejects it.
     let merge_conflict = ".method main 0 0 ret\\n const_i 1\\n br_true thenarm\\n \
                           const_f 2.0\\n jump merge\\nthenarm: const_i 3\\n\
                           merge: const_i 1\\n add\\n ret_value";
@@ -965,12 +965,20 @@ fn malformed_programs_are_rejected_at_admission_without_touching_quarantine() {
     let dangling = ".method main 0 0\\n jump @99\\n ret";
     // One that does not even assemble.
     let garbage = ".method main 0 0\\n frobnicate\\n ret";
+    // A class id past `u16::MAX`, which once wrapped to class 0.
+    let wide_class = ".method main 0 0\\n new @65536\\n pop\\n ret";
 
     // More rejections than the quarantine threshold: none of them may
     // count against the tenant.
-    for (i, program) in [merge_conflict, dangling, garbage, merge_conflict]
-        .iter()
-        .enumerate()
+    for (i, program) in [
+        merge_conflict,
+        dangling,
+        garbage,
+        wide_class,
+        merge_conflict,
+    ]
+    .iter()
+    .enumerate()
     {
         carol.send(&format!(
             "{{\"op\":\"verify\",\"id\":\"v{i}\",\"program\":\"{program}\"}}"
@@ -987,7 +995,7 @@ fn malformed_programs_are_rejected_at_admission_without_touching_quarantine() {
         );
     }
 
-    // A well-formed program passes both verifier tiers over the wire.
+    // A well-formed program passes both verifier phases over the wire.
     let good = ".method main 0 1 ret\\n const_i 1\\n br_true thenarm\\n \
                 const_i 2\\n jump merge\\nthenarm: const_i 3\\n\
                 merge: store 0\\n load 0\\n ret_value";
@@ -1009,7 +1017,7 @@ fn malformed_programs_are_rejected_at_admission_without_touching_quarantine() {
     let (status_line, status) = carol.read_kind(&["status"]);
     assert_eq!(
         status.get("verify_rejected").and_then(JsonValue::as_u64),
-        Some(4),
+        Some(5),
         "{status_line}"
     );
     assert!(

@@ -89,8 +89,8 @@ pub struct ClassLoader {
     pub bytes_loaded: u64,
     /// Calls into the loader (including fast-path already-loaded checks).
     pub load_calls: u64,
-    /// Whether first-load runs the dataflow verification tier
-    /// ([`vmprobe_analysis::verify_class`]). Host-side only: it charges
+    /// Whether first-load verifies the class through both phases
+    /// ([`vmprobe_bytecode::verify_class`]). Host-side only: it charges
     /// zero simulated cycles either way.
     verify: bool,
 }
@@ -172,11 +172,11 @@ impl ClassLoader {
     /// happened, `Ok(false)` on the already-loaded fast path.
     ///
     /// On first load (boot-image classes excluded — they are trusted)
-    /// the dataflow verification tier runs over every method of the
-    /// class and a failure aborts the load with
-    /// [`VmError::VerifyRejected`]. The real tier replaces the modeled
+    /// the verifier checks every method of the class, structure and
+    /// types, and a failure aborts the load with
+    /// [`VmError::VerifyRejected`]. The real verifier replaces the modeled
     /// per-byte "verification" charge below only in *function* — the
-    /// energy model is unchanged: analysis runs host-side and charges
+    /// energy model is unchanged: verification runs host-side and charges
     /// zero simulated cycles, so accepted runs are bit-identical with
     /// verification on or off.
     ///
@@ -196,7 +196,7 @@ impl ClassLoader {
             return Ok(false);
         }
         if self.verify {
-            if let Err(e) = vmprobe_analysis::verify_class(program, id) {
+            if let Err(e) = vmprobe_bytecode::verify_class(program, id) {
                 return Err(VmError::VerifyRejected {
                     class: id,
                     reason: e.to_string(),
@@ -352,7 +352,7 @@ mod tests {
     fn corrupt_class_is_rejected_at_load_time_unless_verification_is_off() {
         let prog = sample_program();
         // Corrupt App::main (class 1): add an Int and a Float merged at a
-        // join, consumed by an integer op — the dataflow tier's case.
+        // join, consumed by an integer op — the type phase's case.
         let main = prog.entry();
         let corrupt = prog.with_method_code(
             main,

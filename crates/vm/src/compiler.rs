@@ -206,8 +206,8 @@ impl CompilerSubsystem {
     ///
     /// # Errors
     ///
-    /// The structural verifier's error when `m` cannot be lowered; nothing
-    /// is charged or installed then.
+    /// The verifier's structural-phase error when `m` cannot be lowered;
+    /// nothing is charged or installed then.
     pub fn baseline_compile(
         &mut self,
         program: &Program,

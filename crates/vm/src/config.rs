@@ -79,10 +79,11 @@ pub struct VmConfig {
     /// the telemetry layer. Recording charges zero simulated cycles, so
     /// every report is bit-identical with this on or off.
     pub record_spans: bool,
-    /// Run the dataflow verification tier when a class is first loaded
+    /// Verify a class through both phases when it is first loaded
     /// (rejecting the run with [`VmError::VerifyRejected`] on failure).
-    /// On by default; `verify(false)` clears it. The
-    /// structural pass runs regardless, at each method's first compile.
+    /// On by default; `verify(false)` clears it. The structural phase
+    /// runs regardless, at each method's first compile, since lowering
+    /// reads its depth table.
     /// Verification happens host-side and charges zero simulated cycles,
     /// so results are bit-identical with this on or off.
     ///

@@ -38,8 +38,8 @@ pub enum VmError {
         /// Array length.
         len: usize,
     },
-    /// `newarray` was given a negative length. The structural and
-    /// dataflow verifiers track types, not value ranges, so this can only
+    /// `newarray` was given a negative length. The verifier tracks
+    /// stack shapes and types, not value ranges, so this can only
     /// be caught at runtime — as a typed fault, not a silent clamp.
     NegativeArrayLength {
         /// Method executing at the fault.
@@ -84,11 +84,12 @@ pub enum VmError {
         /// The configured budget in bytecodes.
         budget: u64,
     },
-    /// The verifier rejected a class: some method failed the load-time
-    /// dataflow tier (merge-point type conflict, uninitialized local,
-    /// structural defect), or failed the structural pass at its first
+    /// The verifier rejected a class: some method failed load-time
+    /// verification (structural defect, merge-point type conflict,
+    /// uninitialized local), or failed the structural phase at its first
     /// compile. Turning verification off ([`VmConfig::verify`]`(false)`)
-    /// skips only the dataflow tier.
+    /// skips only the load-time check; the structural phase still runs at
+    /// each method's first compile.
     ///
     /// [`VmConfig::verify`]: crate::VmConfig::verify
     VerifyRejected {

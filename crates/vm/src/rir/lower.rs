@@ -1,6 +1,6 @@
 //! Lowering from stack bytecode to the register IR.
 //!
-//! The structural verifier's depth table
+//! The depth table of the verifier's structural phase
 //! ([`vmprobe_bytecode::stack_depths`]) gives every reachable pc exactly
 //! one static operand-stack depth, which makes the stack-to-register
 //! mapping total: local `n` is register `n`, the operand slot at depth
@@ -9,10 +9,10 @@
 //! cadence (`pc & 7 == 0`) and fault pcs carry over unchanged.
 //! Unreachable pcs lower to `Nop` placeholders that can never execute.
 //!
-//! The structural pass runs here even when the program was verified
+//! The structural phase runs here even when the program was verified
 //! before: `vmprobe_bytecode::assemble` does not verify, and
-//! `VmConfig::verify(false)` skips only the dataflow tier, so the
-//! compiler subsystem may be handed a structurally broken method. Its
+//! `VmConfig::verify(false)` skips the load-time check, so the compiler
+//! subsystem may be handed a structurally broken method. Its
 //! [`VerifyError`] then rejects the method at its first compile.
 //!
 //! Lowering happens host-side at a method's first compile and charges

@@ -307,10 +307,10 @@ impl Vm {
 
     /// Call `m`: load its class, compile on first invocation, push a frame.
     ///
-    /// The first compile lowers the method to the register IR, so a
-    /// structurally unsound body is rejected here with
-    /// [`VmError::VerifyRejected`], even when the load-time dataflow tier
-    /// is off.
+    /// The first compile lowers the method to the register IR through the
+    /// verifier's structural phase, so a structurally unsound body is
+    /// rejected here with [`VmError::VerifyRejected`], even when
+    /// load-time verification is off.
     pub(crate) fn invoke(&mut self, m: MethodId) -> Result<(), VmError> {
         if self.frames.len() >= MAX_FRAMES {
             return Err(VmError::StackOverflow { limit: MAX_FRAMES });

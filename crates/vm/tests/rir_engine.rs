@@ -264,8 +264,8 @@ fn negative_array_length_faults_at_the_recorded_pc_after_promotion() {
 
 #[test]
 fn structurally_broken_bodies_are_rejected_even_unverified() {
-    // `verify(false)` skips the dataflow tier, but the structural pass runs
-    // at every method's first compile, so an unsound body is a typed
+    // `verify(false)` skips load-time verification, but the structural
+    // phase runs at every method's first compile, so an unsound body is a typed
     // rejection, not a panic inside the engine.
     for (src, what) in [
         (".method main 0 1\n add\n ret\n", "stack underflow"),
