@@ -1,17 +1,12 @@
-//! Static analysis for vmprobe bytecode.
+//! Analysis for vmprobe bytecode and runs.
 //!
-//! Four pieces, all dependency-free (only sibling vmprobe crates), plus
+//! Two pieces, all dependency-free (only sibling vmprobe crates), plus
 //! the verifier, which lives in `vmprobe_bytecode` and is re-exported here
 //! ([`verify_method`], [`verify_class`], [`verify_program`]): one typed
 //! worklist per method whose structural phase the builder and the VM's
 //! lowering run alone, and whose type phase the class loader, the serve
 //! daemon's `verify` op and `vmprobe-analyze` add.
 //!
-//! * [`mod@cfg`] — per-method control-flow graphs (basic blocks, successor
-//!   edges, cycle detection with a topological order).
-//! * [`bounds`] — static worst-case cost/energy bounds per method: the
-//!   longest acyclic path through each method's CFG, costed at the
-//!   platform's peak modeled power.
 //! * [`closure`] — a run's energy in closed form over its counter file,
 //!   which the `analyze-gate` CI job checks the measured energy of every
 //!   golden workload against.
@@ -19,17 +14,13 @@
 //!   binary: a substring scanner over the deterministic crates for
 //!   banned nondeterminism (wall clocks, OS RNG, unkeyed hash maps).
 //!
-//! See DESIGN.md §14 for the lattice, the verifier's two phases, the
-//! per-method bounds and the closure identity.
+//! See DESIGN.md §14 for the lattice, the verifier's two phases and the
+//! closure identity.
 
 #![warn(missing_docs)]
 
-pub mod bounds;
-pub mod cfg;
 pub mod closure;
 pub mod lint;
 
-pub use bounds::{bound_program, p_max_watts, MethodBound, ProgramBound};
-pub use cfg::{Block, Cfg};
 pub use closure::closed_energy_j;
 pub use vmprobe_bytecode::{verify_class, verify_method, verify_program, AbsTy, VerifyError};

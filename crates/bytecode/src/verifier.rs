@@ -908,6 +908,16 @@ mod tests {
     }
 
     #[test]
+    fn a_dangling_branch_in_unreachable_code_is_not_judged() {
+        // `jump @99` targets no instruction, but nothing reaches it.
+        let prog = crate::assemble(".method main 0 0\n ret\n jump @99\n").unwrap();
+        let depths = stack_depths(&prog, prog.method(prog.entry())).unwrap();
+        assert_eq!(depths, vec![Some(0), None]);
+        assert_eq!(verify_method(&prog, prog.entry()).unwrap(), depths);
+        verify_program(&prog).expect("unreachable code is not judged");
+    }
+
+    #[test]
     fn stack_effects_balance_for_simple_ops() {
         // A binary op consumes two and produces one; Dup nets +1 and Pop
         // nets -1. The depth table shows each effect as a step.

@@ -1,147 +1,57 @@
-//! Static per-method bounds and the measured-energy closure gate.
+//! The measured-energy closure gate.
 //!
 //! ```text
-//! vmprobe-analyze [<benchmark>...] [flags]
-//!   (no benchmarks = all of them)
+//! vmprobe-analyze --check-golden [--out <path>]
 //! flags:
-//!   --scale <full|s10>     input scale to analyze (default s10)
-//!   --platform <p6|pxa255> platform the bounds are calibrated for (default p6)
-//!   --json                 emit the report as JSON instead of tables
-//!   --out <path>           also write the JSON report to a file
-//!   --check-golden         run every golden workload and fail unless its
-//!                          measured energy closes over its counter file
-//!                          (the CI gate); it runs the fixed golden grid,
-//!                          so a benchmark name, --scale, --platform or
-//!                          --json beside it is an error
+//!   --check-golden   run every golden workload and fail unless its
+//!                    measured energy closes over its counter file
+//!                    (the CI gate)
+//!   --out <path>     also write the JSON report to a file
 //! ```
 //!
-//! Plain mode is purely static: it assembles each benchmark's program,
-//! verifies it, and prints each method's worst-case
-//! acyclic bound. `--check-golden` *executes* each golden cell and checks
+//! `--check-golden` executes each golden cell and checks
 //! `|Σ component energy − (closed − clipped)| ≤ 10⁻⁹ · closed`, where
 //! `closed` is the power model's linear form over the counter file at the
 //! last DAQ sample and `clipped` is what the saturation clips removed
 //! (DESIGN.md §14). A meter, analyzer or model change that moves a single
-//! window's energy breaks the equality.
+//! window's energy breaks the equality. Any other invocation is an error.
 
 use std::process::ExitCode;
 
 use vmprobe::json::JsonObj;
-use vmprobe::request::{self, Args, Source};
+use vmprobe::request::{self, Args};
 use vmprobe::{golden_cells, ExperimentConfig};
-use vmprobe_analysis::{bound_program, closed_energy_j, verify_program, MethodBound, ProgramBound};
+use vmprobe_analysis::{closed_energy_j, verify_program};
 use vmprobe_platform::{CpuSpec, PlatformKind};
 use vmprobe_power::PowerCoeffs;
 use vmprobe_vm::Vm;
-use vmprobe_workloads::{all_benchmarks, benchmark, Benchmark, InputScale};
+use vmprobe_workloads::{benchmark, Benchmark};
 
 /// Flags that never take a value.
-const SWITCHES: [&str; 2] = ["json", "check-golden"];
+const SWITCHES: [&str; 1] = ["check-golden"];
 
 /// Flags that take one.
-const VALUED: [&str; 3] = ["scale", "platform", "out"];
-
-/// The inputs plain mode reads and `--check-golden` does not: the gate
-/// runs the fixed golden grid and prints its own table.
-const NOT_WITH_CHECK_GOLDEN: [&str; 3] = ["scale", "platform", "json"];
+const VALUED: [&str; 1] = ["out"];
 
 /// Largest accepted `|measured − (closed − clipped)|`, relative to `closed`:
 /// far above floating-point summation error, far below any window's energy.
 const REL_TOLERANCE: f64 = 1e-9;
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: vmprobe-analyze [<benchmark>...] [--scale full|s10] [--platform p6|pxa255]\n\
-         \x20                      [--json] [--out <path>] [--check-golden]"
-    );
+    eprintln!("usage: vmprobe-analyze --check-golden [--out <path>]");
     ExitCode::from(2)
 }
 
-/// The input scale and platform the flags select.
-fn parse(args: &Args) -> Result<(InputScale, PlatformKind), String> {
-    if args.has("check-golden") {
-        if let Some(name) = args.positionals.first() {
-            return Err(format!(
-                "benchmark '{name}' is not used with --check-golden"
-            ));
-        }
-        if let Some(flag) = NOT_WITH_CHECK_GOLDEN.iter().find(|f| args.has(f)) {
-            return Err(format!("--{flag} is not used with --check-golden"));
-        }
+/// The gate runs the fixed golden grid, so it takes no positional and
+/// must be asked for.
+fn parse(args: &Args) -> Result<(), String> {
+    if let Some(arg) = args.positionals.first() {
+        return Err(format!("unexpected argument '{arg}'"));
     }
-    let scale = args.str("scale")?.map(request::scale).transpose()?;
-    let platform = args.str("platform")?.map(request::platform).transpose()?;
-    Ok((
-        scale.unwrap_or(InputScale::Reduced),
-        platform.unwrap_or(PlatformKind::PentiumM),
-    ))
-}
-
-fn bound_for(
-    bench: &Benchmark,
-    scale: InputScale,
-    platform: PlatformKind,
-) -> Result<ProgramBound, String> {
-    let program = bench.build(scale);
-    verify_program(&program).map_err(|e| format!("{} rejected: {e}", bench.name))?;
-    Ok(bound_program(&program, platform))
-}
-
-fn method_json(b: &MethodBound) -> String {
-    let mut o = JsonObj::new();
-    o.str("method", &b.method.to_string())
-        .str("name", &b.name)
-        .u64("ops", b.ops as u64)
-        .u64("blocks", b.blocks as u64)
-        .bool("cyclic", b.cyclic);
-    match (b.acyclic_cycles, b.acyclic_energy_j) {
-        (Some(c), Some(e)) => {
-            o.f64("acyclic_cycles", c).f64("acyclic_energy_j", e);
-        }
-        _ => {
-            o.raw("acyclic_cycles", "null")
-                .raw("acyclic_energy_j", "null");
-        }
+    if !args.has("check-golden") {
+        return Err("--check-golden is required".into());
     }
-    o.finish()
-}
-
-fn program_json(name: &str, scale: InputScale, b: &ProgramBound) -> String {
-    let mut o = JsonObj::new();
-    o.schema_version()
-        .str("benchmark", name)
-        .str("scale", &format!("{scale:?}"))
-        .f64("p_max_w", b.p_max_w)
-        .f64("freq_hz", b.freq_hz)
-        .array("methods", b.methods.iter().map(method_json));
-    o.finish()
-}
-
-fn print_table(name: &str, b: &ProgramBound) {
-    println!(
-        "{name}: P_max {:.2} W at {:.0} MHz",
-        b.p_max_w,
-        b.freq_hz / 1e6
-    );
-    println!(
-        "  {:>6}  {:<26} {:>5} {:>6}  {:>14}  {:>12}",
-        "method", "name", "ops", "blocks", "acyclic cycles", "bound (J)"
-    );
-    for m in &b.methods {
-        let (cycles, energy) = match (m.acyclic_cycles, m.acyclic_energy_j) {
-            (Some(c), Some(e)) => (format!("{c:.1}"), format!("{e:.3e}")),
-            _ => ("cyclic".into(), "—".into()),
-        };
-        println!(
-            "  {:>6}  {:<26} {:>5} {:>6}  {:>14}  {:>12}",
-            m.method.to_string(),
-            m.name,
-            m.ops,
-            m.blocks,
-            cycles,
-            energy
-        );
-    }
+    Ok(())
 }
 
 /// One golden cell's closure check.
@@ -290,50 +200,18 @@ fn check_golden(out: Option<String>) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Plain mode: per-benchmark bound tables (or JSON), no execution.
-fn analyze(args: &Args, scale: InputScale, platform: PlatformKind) -> Result<ExitCode, String> {
-    let names: Vec<&str> = if args.positionals.is_empty() {
-        all_benchmarks().iter().map(|b| b.name).collect()
-    } else {
-        args.positionals.iter().map(String::as_str).collect()
-    };
-    let mut reports = Vec::new();
-    for name in names {
-        let bench = benchmark(name).ok_or_else(|| format!("unknown benchmark '{name}'"))?;
-        let bound = bound_for(&bench, scale, platform)?;
-        let json = program_json(name, scale, &bound);
-        if args.has("json") {
-            println!("{json}");
-        } else {
-            print_table(name, &bound);
-        }
-        reports.push(json);
-    }
-    if let Some(path) = args.string("out") {
-        let mut o = JsonObj::new();
-        o.schema_version().array("programs", reports);
-        std::fs::write(&path, o.finish()).map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
 fn main() -> ExitCode {
     let parsed = request::lex(std::env::args().skip(1), &SWITCHES, &VALUED)
-        .and_then(|args| args.map(|args| Ok((parse(&args)?, args))).transpose());
-    let ((scale, platform), args) = match parsed {
-        Ok(Some(parsed)) => parsed,
+        .and_then(|args| args.map(|args| parse(&args).map(|()| args)).transpose());
+    let args = match parsed {
+        Ok(Some(args)) => args,
         Ok(None) => return usage(),
         Err(msg) => {
             eprintln!("error: {msg}");
             return ExitCode::from(2);
         }
     };
-    let result = if args.has("check-golden") {
-        check_golden(args.string("out"))
-    } else {
-        analyze(&args, scale, platform)
-    };
-    result.unwrap_or_else(|e| {
+    check_golden(args.string("out")).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         ExitCode::FAILURE
     })
@@ -344,6 +222,7 @@ mod tests {
     use super::*;
     use vmprobe::VmChoice;
     use vmprobe_heap::CollectorKind;
+    use vmprobe_workloads::{all_benchmarks, InputScale};
 
     /// The historical `--check-golden` enumeration, verbatim, against the
     /// shared helper: the two grids must agree cell for cell, or the

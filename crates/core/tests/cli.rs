@@ -439,20 +439,30 @@ fn boolean_flags_reject_inline_values() {
     assert!(err.contains("--verbose takes no value"), "stderr: {err}");
 }
 
-/// The analyze gate checks measured energy against the counter file, so
-/// the step budget of the old program-level bound is no flag at all.
+/// `vmprobe-analyze` only runs the closure gate over the fixed golden
+/// grid: the old bounds' step budget, scale, platform and JSON switches
+/// are no flags at all.
 #[test]
-fn analyze_rejects_the_retired_step_budget_flag() {
-    let out = Command::new(env!("CARGO_BIN_EXE_vmprobe-analyze"))
-        .args(["--step-budget", "50000000"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
-    assert_eq!(
-        String::from_utf8_lossy(&out.stderr),
-        "error: unknown flag --step-budget\n"
-    );
-    assert!(out.stdout.is_empty());
+fn analyze_rejects_every_retired_flag() {
+    for (flag, value) in [
+        ("step-budget", Some("50000000")),
+        ("scale", Some("s10")),
+        ("platform", Some("p6")),
+        ("json", None),
+    ] {
+        let flag_arg = format!("--{flag}");
+        let out = Command::new(env!("CARGO_BIN_EXE_vmprobe-analyze"))
+            .arg(&flag_arg)
+            .args(value)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{flag_arg}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!("error: unknown flag {flag_arg}\n")
+        );
+        assert!(out.stdout.is_empty(), "{flag_arg}");
+    }
 }
 
 /// Every malformed argument, on every binary, fails at parse time with one
@@ -460,7 +470,7 @@ fn analyze_rejects_the_retired_step_budget_flag() {
 /// exit code (1 for run and serve, 2 for diff and analyze).
 #[test]
 fn malformed_arguments_yield_one_error_line_on_every_binary() {
-    let cases: [(&str, u8, &[&str]); 37] = [
+    let cases: [(&str, u8, &[&str]); 41] = [
         ("vmprobe-run", 1, &["moldyn", "semispace", "0", "p6", "s10"]),
         ("vmprobe-run", 1, &["moldyn", "gencopy", "4294967296"]),
         ("vmprobe-run", 1, &["moldyn", "gencopy", "lots"]),
@@ -516,6 +526,10 @@ fn malformed_arguments_yield_one_error_line_on_every_binary() {
             &["--platform", "pxa255", "--check-golden"],
         ),
         ("vmprobe-analyze", 2, &["--check-golden", "--json"]),
+        ("vmprobe-analyze", 2, &[]),
+        ("vmprobe-analyze", 2, &["_209_db"]),
+        ("vmprobe-analyze", 2, &["--json"]),
+        ("vmprobe-analyze", 2, &["--platform", "p6"]),
         ("vmprobe-serve", 1, &["--jobs", "0"]),
         ("vmprobe-serve", 1, &["--queue-cap", "0", "--socket", "s"]),
         ("vmprobe-serve", 1, &["--verbose=1"]),

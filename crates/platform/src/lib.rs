@@ -35,7 +35,6 @@ mod cpu;
 mod exec;
 mod hpm;
 mod machine;
-mod vm_cost;
 
 pub use addr::{Addr, CLASSFILE_BASE, CODE_BASE, HEAP_BASE, PROBE_BASE, STACK_BASE, VM_BASE};
 pub use cache::{Cache, CacheConfig, CacheStats};
@@ -43,4 +42,3 @@ pub use cpu::{CpuSpec, PlatformKind};
 pub use exec::Exec;
 pub use hpm::{Hpm, HpmDelta, HpmSnapshot, HpmUnwrapper, COUNTER_MASK_32, HPM_COUNTER_COUNT};
 pub use machine::{Ledger, Machine};
-pub use vm_cost::UNCOMPILED_DISPATCH_OPS;

@@ -68,7 +68,7 @@ pub use calib::PowerCoeffs;
 pub use component::ComponentId;
 pub use daq::{ComponentPower, Daq, DaqLedger, DaqReport, PowerSample, DAQ_PERIOD_S};
 pub use dvfs::DvfsPoint;
-pub use model::{PowerModel, FP_SATURATION, IPC_SATURATION};
+pub use model::PowerModel;
 pub use perfmon::{PerfMonitor, PerfRecord};
 pub use perturb::{perturbed_component_energy, EnergyPerturbation, PerturbSpecError};
 pub use port::ComponentPort;

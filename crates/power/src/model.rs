@@ -9,12 +9,12 @@ use crate::{PowerCoeffs, Watts};
 /// keeps modeled peaks inside the parts' thermal design power). The clip
 /// is the one non-linear step between the counter file and the measured
 /// energy: the DAQ's clip ledger ([`crate::DaqLedger`]) records what it
-/// removes, and the per-method static bounds' `P_max` reads it too.
-pub const IPC_SATURATION: f64 = 1.15;
+/// removes.
+pub(crate) const IPC_SATURATION: f64 = 1.15;
 
-/// Clip of the FP-ops-per-cycle term; recorded by the clip ledger and
-/// read by `P_max` like [`IPC_SATURATION`].
-pub const FP_SATURATION: f64 = 0.5;
+/// Clip of the FP-ops-per-cycle term; recorded by the clip ledger like
+/// [`IPC_SATURATION`].
+pub(crate) const FP_SATURATION: f64 = 0.5;
 
 /// Converts HPM counter movement over a sampling window into CPU and DRAM
 /// power, playing the role of the paper's sense resistors + V·I

@@ -19,11 +19,14 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use vmprobe_bytecode::{MethodId, Program, VerifyError};
-use vmprobe_platform::{Exec, CODE_BASE, UNCOMPILED_DISPATCH_OPS, VM_BASE};
+use vmprobe_platform::{Exec, CODE_BASE, VM_BASE};
 
 use crate::rir::{lower, RirBody};
 use crate::Meter;
 
+/// Dispatch work per bytecode a not-yet-compiled method executes: the
+/// costliest tier's dispatch, in integer µops.
+const UNCOMPILED_OPS_PER_BYTECODE: u32 = 8;
 /// Jikes RVM baseline compilation work per bytecode byte, in integer µops.
 const BASE_OPS_PER_BYTE: u32 = 80;
 /// Kaffe JIT translation work per bytecode byte, in integer µops.
@@ -59,7 +62,7 @@ impl Tier {
     /// `promotion_mid_activation_keeps_the_old_tier` test.
     pub const fn dispatch_ops(self) -> u32 {
         match self {
-            Tier::Uncompiled => UNCOMPILED_DISPATCH_OPS, // interpreted fallback
+            Tier::Uncompiled => UNCOMPILED_OPS_PER_BYTECODE, // interpreted fallback
             Tier::Baseline | Tier::Jit => 2,
             Tier::Opt => 0,
         }

@@ -1,4 +1,4 @@
-//! Metamorphic relations over heap size.
+//! Metamorphic relations over heap size and platform.
 //!
 //! A simulated run has no oracle for its absolute numbers, but runs that
 //! differ only in heap size must relate:
@@ -12,12 +12,19 @@
 //!   checked on plans driven by random scripts, on raw VM runs over random
 //!   blueprints, and through runner batches at jobs 1 and 2.
 //!
-//! The last tests pin where ladder sharing fires and where it must not.
+//! The next tests pin where ladder sharing fires and where it must not.
+//!
+//! Runs that differ only in platform must relate too:
+//!
+//! * **Platform-free counts.** The platform sets cycles, caches and power,
+//!   never what the VM executes, so the P6 and the PXA255 run the same
+//!   bytecodes, calls, allocations, collections, copies, barriers, class
+//!   loads and baseline/JIT compiles.
 
 use proptest::prelude::*;
 use proptest::test_runner::{run_cases, ProptestConfig, TestCaseError, TestRng};
 use vmprobe::figures::{self, Grid};
-use vmprobe::{CounterId, ExperimentConfig, FaultPlan, Runner, Telemetry};
+use vmprobe::{CounterId, ExperimentConfig, FaultPlan, RunSummary, Runner, Telemetry};
 use vmprobe_heap::{AllocRequest, CollectorKind, CollectorPlan, ObjId, ObjectHeap, RootSet};
 use vmprobe_platform::{Machine, PlatformKind};
 use vmprobe_vm::{RunOutcome, Vm, VmConfig, VmError};
@@ -505,5 +512,46 @@ fn a_failing_trunk_never_fails_a_larger_heap() {
     assert!(want[1].is_ok(), "64 MB must run");
     for jobs in [1, 2] {
         assert_eq!(batch(jobs, &cells), (want.clone(), 0));
+    }
+}
+
+/// What a run executed, allocated, collected and compiled at the baseline
+/// and JIT tiers. Opt compiles are left out: the adaptive controller
+/// samples on simulated time, and the slower PXA255 takes more samples
+/// per bytecode, so it may promote methods the P6 never does.
+fn platform_free_counts(s: &RunSummary) -> [(&'static str, u64); 13] {
+    [
+        ("bytecodes", s.vm.bytecodes),
+        ("calls", s.vm.calls),
+        ("allocations", s.vm.allocations),
+        ("classes_loaded", s.vm.classes_loaded),
+        ("collections", s.gc.collections),
+        ("minor_collections", s.gc.minor_collections),
+        ("major_collections", s.gc.major_collections),
+        ("increments", s.gc.increments),
+        ("copied_bytes", s.gc.total_copied_bytes),
+        ("barrier_stores", s.gc.barrier_stores),
+        ("barrier_remembers", s.gc.barrier_remembers),
+        ("baseline_compiles", s.compiler.baseline_compiles),
+        ("jit_compiles", s.compiler.jit_compiles),
+    ]
+}
+
+#[test]
+fn vm_counts_do_not_depend_on_the_platform() {
+    for bench in ["_209_db", "_213_javac", "_227_mtrt"] {
+        for base in [
+            ExperimentConfig::kaffe(bench, 16),
+            ExperimentConfig::jikes(bench, CollectorKind::GenCopy, 32),
+        ] {
+            let counts = [PlatformKind::PentiumM, PlatformKind::Pxa255].map(|platform| {
+                let mut cfg = base.clone();
+                cfg.platform = platform;
+                cfg.scale = InputScale::Reduced;
+                let summary = cfg.run().unwrap_or_else(|e| panic!("{cfg}: {e}"));
+                platform_free_counts(&summary)
+            });
+            assert_eq!(counts[0], counts[1], "{bench} on {}", base.vm);
+        }
     }
 }
