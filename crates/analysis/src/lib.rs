@@ -3,9 +3,9 @@
 //! Two pieces, all dependency-free (only sibling vmprobe crates), plus
 //! the verifier, which lives in `vmprobe_bytecode` and is re-exported here
 //! ([`verify_method`], [`verify_class`], [`verify_program`]): one typed
-//! worklist per method whose structural phase the builder and the VM's
-//! lowering run alone, and whose type phase the class loader, the serve
-//! daemon's `verify` op and `vmprobe-analyze` add.
+//! worklist per method whose structural phase runs once, when a `Program`
+//! is built, and whose type phase these run for the class loader, the
+//! serve daemon's `verify` op and `vmprobe-analyze`.
 //!
 //! * [`closure`] — a run's energy in closed form over its counter file,
 //!   which the `analyze-gate` CI job checks the measured energy of every

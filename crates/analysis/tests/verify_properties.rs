@@ -3,12 +3,13 @@
 //! Two obligations: every program the builder emits (including all
 //! shipped benchmarks at both input scales) passes both phases, and
 //! corrupted programs are rejected — never verified, never a panic — with
-//! phase 1 alone (the builder's screen and lowering's depth table) and
-//! both phases agreeing.
+//! structural defects caught when the program is built (phase 1, in the
+//! `Program` constructor) and only operand-type defects left to
+//! verification (phase 2).
 
 use proptest::prelude::*;
 use vmprobe_analysis::{verify_method, verify_program, VerifyError};
-use vmprobe_bytecode::{stack_depths, ClassId, MathFn, MethodId, Op, Program, ProgramBuilder, Ty};
+use vmprobe_bytecode::{ClassId, MathFn, MethodId, Op, Program, ProgramBuilder, Ty};
 use vmprobe_workloads::{all_benchmarks, InputScale};
 
 /// Every shipped benchmark, at both input scales, passes both phases.
@@ -56,8 +57,21 @@ fn victim() -> Program {
     p.finish(main).expect("victim verifies")
 }
 
+/// A program rebuilt from its own bodies equals the original, stored
+/// depth tables and join frames included: what the constructor keeps is
+/// what a fresh walk gives.
+#[test]
+fn rebuilding_an_unmutated_body_gives_an_equal_program() {
+    let program = victim();
+    for m in program.methods() {
+        let rebuilt = program.with_method_code(m.id(), m.code().to_vec());
+        assert_eq!(rebuilt.as_ref(), Ok(&program), "{}", m.name());
+    }
+}
+
 /// Targeted corruptions that reference out-of-range entities must always
-/// be rejected — and must never panic.
+/// be rejected, when the program is built or when it is verified — and
+/// must never panic.
 #[test]
 fn out_of_range_ids_are_always_rejected() {
     let program = victim();
@@ -78,8 +92,9 @@ fn out_of_range_ids_are_always_rejected() {
         for pc in 0..code.len() {
             let mut mutated = code.clone();
             mutated[pc] = bad;
-            let corrupt = program.with_method_code(main, mutated);
-            let verdict = std::panic::catch_unwind(|| verify_program(&corrupt).map(|_| ()));
+            let verdict = std::panic::catch_unwind(|| {
+                verify_program(&program.with_method_code(main, mutated)?)
+            });
             match verdict {
                 Ok(Err(_)) => {}
                 Ok(Ok(())) => panic!("{bad:?} at pc {pc} verified"),
@@ -91,7 +106,7 @@ fn out_of_range_ids_are_always_rejected() {
 
 /// The merge-point regression from the old linear-era verifier: two
 /// branches reaching one join with *different depths* must be rejected
-/// by phase 1.
+/// by phase 1, when the program is built.
 #[test]
 fn depth_mismatch_at_join_is_structurally_rejected() {
     let program = victim();
@@ -105,13 +120,16 @@ fn depth_mismatch_at_join_is_structurally_rejected() {
         Op::Jump(6),
         Op::ConstI(9), // join predecessor with depth 1 vs 2
         Op::Pop,
-        Op::Ret,
+        Op::RetV, // main returns a value
     ];
-    let corrupt = program.with_method_code(main, code);
-    let err = verify_program(&corrupt).unwrap_err();
     assert_eq!(
-        stack_depths(&corrupt, corrupt.method(main)),
-        Err(err),
+        program.with_method_code(main, code),
+        Err(VerifyError::StackDepthMismatch {
+            method: main,
+            pc: 6,
+            expected: 2,
+            found: 1,
+        }),
         "phase 1 rejects it"
     );
 }
@@ -121,7 +139,7 @@ fn depth_mismatch_at_join_is_structurally_rejected() {
 /// `u16::MAX` as a tenant's `@N` can name them. Such a mutation may
 /// legitimately still verify (a `Nop` for a `Nop`, an `Add` for a `Sub`);
 /// the property is that the verifier always *terminates with a verdict*
-/// (it never panics) and that both phases agree on it.
+/// (it never panics) and that each phase gives only its own errors.
 fn arb_op(
     code_len: usize,
     n_methods: u32,
@@ -184,33 +202,34 @@ proptest! {
         let main = program.entry();
         let mut mutated = program.method(main).code().to_vec();
         mutated[pc] = op;
-        let corrupt = program.with_method_code(main, mutated);
         // A random replacement may legitimately still verify (Nop for
-        // Nop, Add for Sub); the property is that the verifier always
-        // terminates with a verdict and never panics …
+        // Nop, Add for Sub); the property is that both steps always
+        // terminate with a verdict and never panic …
         let verdicts = std::panic::catch_unwind(|| {
-            (
-                stack_depths(&corrupt, corrupt.method(main)),
-                verify_method(&corrupt, main),
-            )
+            program
+                .with_method_code(main, mutated)
+                .map(|corrupt| verify_method(&corrupt, main))
         });
         prop_assert!(verdicts.is_ok(), "verifier panicked on {:?} at pc {}", op, pc);
-        let (phase1, full) = verdicts.unwrap();
-        // … and that phase 1 alone agrees with both phases.
-        match (&phase1, &full) {
-            // Full acceptance implies phase 1's, with the same depth
-            // table: `stack_depths` is what lowering reads.
-            (_, Ok(depths)) => prop_assert_eq!(phase1.as_ref(), Ok(depths)),
-            // Phase 1's rejection is the full verdict, error included.
-            (Err(e), _) => prop_assert_eq!(full.as_ref(), Err(e)),
-            // Otherwise phase 2 rejected on operand types.
-            (Ok(_), Err(e)) => prop_assert!(
-                matches!(e, VerifyError::TypeConflict { .. } | VerifyError::UninitLocal { .. }),
-                "phase 1 accepted {:?} at pc {} but full verification said {}",
+        let is_type_error =
+            |e: &VerifyError| matches!(e, VerifyError::TypeConflict { .. } | VerifyError::UninitLocal { .. });
+        // … and that building rejects only structure, verifying only types.
+        match verdicts.unwrap() {
+            Err(e) => prop_assert!(
+                !is_type_error(&e),
+                "building rejected {:?} at pc {} on a type: {}",
                 op,
                 pc,
                 e
             ),
+            Ok(Err(e)) => prop_assert!(
+                is_type_error(&e),
+                "verification rejected {:?} at pc {} on structure: {}",
+                op,
+                pc,
+                e
+            ),
+            Ok(Ok(())) => {}
         }
     }
 }

@@ -1,18 +1,16 @@
-//! A tiny mnemonic assembler producing **unverified** [`Program`]s.
+//! A tiny mnemonic assembler producing [`Program`]s.
 //!
 //! The serving daemon's `verify` operation accepts tenant-submitted
-//! bytecode as text; this module is the parser behind it. It is the one
-//! sanctioned way to construct a [`Program`] that has *not* passed the
-//! builder's structural check, which is exactly the point: the daemon and
-//! the verifier's tests need real invalid programs to reject, and tests
-//! need a compact notation for them.
+//! bytecode as text; this module is the parser behind it, and tests use
+//! it as a compact notation for programs, valid or not.
 //!
-//! **Verify an assembled program before running it.** Run it through
-//! [`verify_program`](crate::verify_program) first (the daemon does). The
-//! runtime runs the verifier's structural phase at each method's first
-//! compile even when verification is off, so a structurally unsound
-//! method is rejected with a typed error there, but only the type phase
-//! catches ill-typed code.
+//! An assembled program goes through the same constructor as a built one,
+//! so verification's structural phase runs on every method and a
+//! structurally unsound body (a stack underflow, a reachable dangling
+//! branch, more arguments than locals) is an [`AsmError`] on its
+//! `.method` line. Operand types are not judged here: run
+//! [`verify_program`](crate::verify_program) before trusting an assembled
+//! program's types (the daemon does).
 //!
 //! # Notation
 //!
@@ -42,7 +40,7 @@
 //! ```
 //!
 //! Branch targets are label names or raw absolute indices written `@N`
-//! (raw targets may dangle — useful for feeding the verifier garbage).
+//! (a raw target may dangle where nothing reaches it).
 //! `call` takes a method name or `@N`; `get_static`/`put_static` take a
 //! static name or a raw slot number; `get_field`/`put_field` a field
 //! name or slot number; `new` takes no operand (the implicit class) or
@@ -91,17 +89,18 @@ struct MethodInProgress {
     pending: Vec<PendingRef>,
 }
 
-/// Assemble `source` into an **unverified** [`Program`].
+/// Assemble `source` into a structurally sound [`Program`].
 ///
 /// # Errors
 ///
 /// Any syntactic defect — unknown mnemonic, malformed operand, duplicate
 /// or undefined label, undefined method/static/field name, or a program
-/// with no methods — is an [`AsmError`] naming the line. Semantic
-/// defects (bad stack shapes, dangling `@N` targets, out-of-range ids)
-/// are deliberately *not* errors here: detecting those is the
-/// verifier's job. An `@N` class id past 65535 is an error: no program
-/// can declare it, and it would otherwise wrap to a declared one.
+/// with no methods — is an [`AsmError`] naming the line. An `@N` class id
+/// past 65535 is an error: no program can declare it, and it would
+/// otherwise wrap to a declared one. A structural defect (bad stack
+/// shapes, reachable dangling `@N` targets, out-of-range ids) is an
+/// [`AsmError`] on the failing method's `.method` line whose message is
+/// the [`VerifyError`](crate::VerifyError)'s text.
 pub fn assemble(source: &str) -> Result<Program, AsmError> {
     let mut fields: Vec<FieldDef> = Vec::new();
     let mut statics: Vec<StaticDef> = Vec::new();
@@ -217,7 +216,8 @@ pub fn assemble(source: &str) -> Result<Program, AsmError> {
         ));
     }
 
-    Ok(Program::new(vec![class], frozen, statics, MethodId(0)))
+    Program::new(vec![class], frozen, statics, MethodId(0))
+        .map_err(|e| err(methods[e.method().0 as usize].decl_line, e.to_string()))
 }
 
 fn is_ident(s: &str) -> bool {
@@ -533,11 +533,61 @@ mod tests {
 
     #[test]
     fn raw_targets_may_dangle() {
-        // `@N` operands skip resolution entirely: this is how tests and
-        // tenants hand the verifier garbage to reject.
-        let p = assemble(".method main 0 0\n jump @99\n ret").expect("assembles");
-        assert_eq!(p.method(MethodId(0)).code()[0], Op::Jump(99));
-        assert!(crate::verify_program(&p).is_err(), "dangling target");
+        // `@N` operands skip label resolution: a dangling one in
+        // unreachable code assembles …
+        let p = assemble(".method main 0 0\n ret\n jump @99").expect("assembles");
+        assert_eq!(p.method(MethodId(0)).code()[1], Op::Jump(99));
+        // … and a reachable one is the structural phase's error.
+        assert!(
+            assemble(".method main 0 0\n jump @99\n ret").is_err(),
+            "dangling target"
+        );
+    }
+
+    #[test]
+    fn structurally_broken_bodies_fail_on_their_method_line() {
+        use crate::VerifyError;
+        let (m0, m1) = (MethodId(0), MethodId(1));
+        for (src, line, expected) in [
+            (
+                ".method main 0 1\n add\n ret\n",
+                1,
+                VerifyError::StackUnderflow { method: m0, pc: 0 },
+            ),
+            (
+                ".method main 0 1\n nop\n",
+                1,
+                VerifyError::FallsOffEnd { method: m0 },
+            ),
+            (
+                ".method main 0 1\n const_i 1\n const_i 2\n call f\n ret\n.method f 2 1\n ret\n",
+                6,
+                VerifyError::ArgsExceedLocals {
+                    method: m1,
+                    n_args: 2,
+                    n_locals: 1,
+                },
+            ),
+            (
+                ".method main 0 0\n jump @99\n ret\n",
+                1,
+                VerifyError::BranchOutOfRange {
+                    method: m0,
+                    pc: 0,
+                    target: 99,
+                },
+            ),
+        ] {
+            let e = assemble(src).expect_err(src);
+            assert_eq!(
+                e,
+                AsmError {
+                    line,
+                    message: expected.to_string()
+                },
+                "{src}"
+            );
+        }
     }
 
     #[test]

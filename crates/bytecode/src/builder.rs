@@ -4,7 +4,6 @@
 //! against this builder: classes with fields, methods with structured
 //! control flow, and global static slots that act as GC roots.
 
-use crate::verifier::stack_depths;
 use crate::{
     ArrKind, Class, ClassId, MathFn, Method, MethodId, Op, Program, StaticDef, Ty, VerifyError,
 };
@@ -170,32 +169,24 @@ impl ProgramBuilder {
         self.classes.len()
     }
 
-    /// Check every method's structure (verification's phase 1,
-    /// [`stack_depths`]) and seal the program. Operand types are judged
-    /// later, when the class loader verifies a class.
+    /// Seal the program; its constructor checks every method's structure
+    /// (verification's phase 1) once. Operand types are judged later, when
+    /// the class loader verifies a class.
     ///
     /// # Errors
     ///
     /// Returns the first [`VerifyError`] found: out-of-range branch targets
-    /// or locals, operand-stack underflow or join-depth mismatch, undefined
-    /// methods, falling off the end of a body, or inconsistent returns.
+    /// or locals, operand-stack underflow or join-depth mismatch, a bodiless
+    /// method or unminted `entry`, falling off the end of a body, or
+    /// inconsistent returns.
     pub fn finish(self, entry: MethodId) -> Result<Program, VerifyError> {
         let mut methods = Vec::with_capacity(self.methods.len());
-        for (i, m) in self.methods.into_iter().enumerate() {
-            match m {
-                Some(m) => methods.push(m),
-                None => {
-                    return Err(VerifyError::UndefinedMethod {
-                        method: MethodId(i as u32),
-                    })
-                }
-            }
+        for (m, i) in self.methods.into_iter().zip(0..) {
+            methods.push(m.ok_or(VerifyError::UndefinedMethod {
+                method: MethodId(i),
+            })?);
         }
-        let program = Program::new(self.classes, methods, self.statics, entry);
-        for m in program.methods() {
-            stack_depths(&program, m)?;
-        }
-        Ok(program)
+        Program::new(self.classes, methods, self.statics, entry)
     }
 }
 
@@ -669,6 +660,27 @@ mod tests {
             p.finish(m),
             Err(VerifyError::UndefinedMethod { .. })
         ));
+    }
+
+    #[test]
+    fn an_entry_the_builder_never_minted_is_rejected() {
+        let empty = ProgramBuilder::new().finish(MethodId(0));
+        assert_eq!(
+            empty,
+            Err(VerifyError::UndefinedMethod {
+                method: MethodId(0)
+            })
+        );
+        let mut p = ProgramBuilder::new();
+        p.function("main", 0, 0, |b| {
+            b.ret();
+        });
+        assert_eq!(
+            p.finish(MethodId(1)),
+            Err(VerifyError::UndefinedMethod {
+                method: MethodId(1)
+            })
+        );
     }
 
     #[test]

@@ -57,4 +57,4 @@ pub use disasm::disassemble;
 pub use method::{Method, MethodId};
 pub use opcode::{ArrKind, MathFn, Op, Ty};
 pub use program::Program;
-pub use verifier::{stack_depths, verify_class, verify_method, verify_program, AbsTy, VerifyError};
+pub use verifier::{verify_class, verify_method, verify_program, AbsTy, VerifyError};

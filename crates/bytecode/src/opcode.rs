@@ -76,8 +76,8 @@ pub enum MathFn {
 /// move values between the stack and method-local slots.
 ///
 /// Control-flow targets (`Jump`, `BrTrue`, `BrFalse`) are absolute indices
-/// into the owning method's code vector, validated by
-/// [`stack_depths`](crate::stack_depths).
+/// into the owning method's code vector, validated when the
+/// [`Program`](crate::Program) is built.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Op {
     // ---- constants and stack shuffling ----

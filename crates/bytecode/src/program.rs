@@ -1,35 +1,46 @@
-//! A complete verified program: classes, methods, statics and an entry point.
+//! A complete, structurally sound program: classes, methods, statics, entry.
 
-use serde::{Deserialize, Serialize};
+use crate::verifier::{propagate, Flow};
+use crate::{Class, ClassId, Method, MethodId, Op, StaticDef, VerifyError};
 
-use crate::{Class, ClassId, Method, MethodId, Op, StaticDef};
-
-/// An immutable, verified program ready for execution by the runtime.
+/// An immutable, structurally sound program ready for the runtime.
 ///
-/// Produced by [`ProgramBuilder::finish`](crate::ProgramBuilder::finish),
-/// which runs the verifier over every method. Indexing by [`ClassId`] /
+/// Its one constructor, behind [`ProgramBuilder::finish`](crate::ProgramBuilder::finish)
+/// and [`assemble`](crate::assemble), walks each method's structure once
+/// (verification's phase 1) and keeps the result. Indexing by [`ClassId`] /
 /// [`MethodId`] is infallible for ids minted by the same builder.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     classes: Vec<Class>,
     methods: Vec<Method>,
     statics: Vec<StaticDef>,
     entry: MethodId,
+    /// Phase 1's result for each method, indexable by [`MethodId`].
+    flows: Vec<Flow>,
 }
 
 impl Program {
+    /// Seal a program; an entry past the method table is
+    /// `UndefinedMethod`, else the first structural error fails it.
     pub(crate) fn new(
         classes: Vec<Class>,
         methods: Vec<Method>,
         statics: Vec<StaticDef>,
         entry: MethodId,
-    ) -> Self {
-        Self {
+    ) -> Result<Self, VerifyError> {
+        if entry.0 as usize >= methods.len() {
+            return Err(VerifyError::UndefinedMethod { method: entry });
+        }
+        let mut program = Self {
             classes,
             methods,
             statics,
             entry,
-        }
+            flows: Vec::new(),
+        };
+        let flows = program.methods.iter().map(|m| propagate(&program, m));
+        program.flows = flows.collect::<Result<_, _>>()?;
+        Ok(program)
     }
 
     /// All classes, indexable by [`ClassId`].
@@ -103,20 +114,33 @@ impl Program {
         self.methods.len()
     }
 
-    /// Return a copy of this program with `method`'s body replaced by
-    /// `code`, **bypassing all verification**.
+    /// The operand-stack depth every path reaches each pc of `id` with
+    /// (`None` where unreachable); locals plus depth fit a `u16` index.
     ///
-    /// The result may be structurally invalid (dangling branch targets,
-    /// unbalanced stacks, out-of-range ids); the modeled bytecode length
-    /// is recomputed but nothing is checked. This exists for verifier
-    /// and fault-injection testing — mutating a known-good program into
-    /// a corrupt one that the verifiers must reject without panicking.
-    /// Never feed an unverified program to the runtime.
+    /// # Panics
+    ///
+    /// Panics if `id` was not minted for this program.
+    pub fn stack_depths(&self, id: MethodId) -> &[Option<u16>] {
+        &self.flow(id).depths
+    }
+
+    /// Phase 1's stored result for `id`.
+    pub(crate) fn flow(&self, id: MethodId) -> &Flow {
+        &self.flows[id.0 as usize]
+    }
+
+    /// Return a copy of this program with `method`'s body replaced by
+    /// `code`; the modeled bytecode length is recomputed. Verifier and
+    /// fault-injection tests use it to mutate a known-good program.
+    ///
+    /// # Errors
+    ///
+    /// The first structural [`VerifyError`], as for every program.
     ///
     /// # Panics
     ///
     /// Panics if `method` was not minted for this program.
-    pub fn with_method_code(&self, method: MethodId, code: Vec<Op>) -> Self {
+    pub fn with_method_code(&self, method: MethodId, code: Vec<Op>) -> Result<Self, VerifyError> {
         let mut p = self.clone();
         let m = &p.methods[method.0 as usize];
         p.methods[method.0 as usize] = Method::new(
@@ -128,7 +152,7 @@ impl Program {
             m.returns_value(),
             code,
         );
-        p
+        Self::new(p.classes, p.methods, p.statics, p.entry)
     }
 }
 

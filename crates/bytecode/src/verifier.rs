@@ -8,28 +8,28 @@
 //! local and per stack slot, and the frame's stack length *is* the
 //! operand-stack depth.
 //!
-//! **Phase 1** ([`stack_depths`]) is one worklist over the method's pcs.
-//! At every instruction it reaches it checks the static operands (branch
-//! targets; local, method, class and static indices; the return kind),
-//! stack underflow and the 65535-slot frame bound, and it moves the typed
-//! frame to the instruction's successors. Paths meet only at the entry and
-//! at branch targets: there the incoming frames are joined, and two
-//! different depths are an error. Elsewhere the frame is carried in place.
-//! The worklist is a stack of `(join pc, frame)` edges; a fall-through
-//! edge is walked at once and a branch edge after it, so diagnostics come
-//! in the order of a depth-first walk. Phase 1 judges no operand type and
-//! stops at the fixpoint, with the depth table and the merged frame at
-//! every join.
+//! **Phase 1** is one worklist over the method's pcs. At every
+//! instruction it reaches it checks the static operands (branch targets;
+//! local, method, class and static indices; the return kind), stack
+//! underflow and the 65535-slot frame bound, and it moves the typed frame
+//! to the instruction's successors. Paths meet only at the entry and at
+//! branch targets: there the incoming frames are joined, and two different
+//! depths are an error. Elsewhere the frame is carried in place. The
+//! worklist is a stack of `(join pc, frame)` edges; a fall-through edge is
+//! walked at once and a branch edge after it, so diagnostics come in the
+//! order of a depth-first walk. Phase 1 judges no operand type and stops
+//! at the fixpoint, with the depth table and the merged frame at every
+//! join.
 //!
 //! **Phase 2** judges every reachable instruction's operand types against
-//! its *final* in-state, in pc order, so a merge point reports the merged
-//! type (`conflict`), not whichever branch the worklist happened to walk
-//! first.
+//! its *final* in-state, in one linear pass in pc order, so a merge point
+//! reports the merged type (`conflict`), not whichever branch the
+//! worklist happened to walk first.
 //!
-//! Phase 1 alone is the cheap screen: [`ProgramBuilder::finish`] runs it
-//! on every method, and the VM's lowering reads its depth table. The
-//! VM's class loader, the serve daemon's `verify` op and `vmprobe-analyze`
-//! run both phases, through [`verify_class`] and [`verify_program`].
+//! Phase 1 runs once per method, in the one [`Program`] constructor, which
+//! keeps its result: lowering reads the depth table
+//! ([`Program::stack_depths`]), and phase 2 ([`verify_class`],
+//! [`verify_program`]) the joins.
 //!
 //! # The lattice
 //!
@@ -68,7 +68,6 @@
 //! * unreachable instructions are accepted (dead code is wasteful, not
 //!   wrong); their depth-table entries are `None`.
 //!
-//! [`ProgramBuilder::finish`]: crate::ProgramBuilder::finish
 
 use std::error::Error;
 use std::fmt;
@@ -386,34 +385,45 @@ impl fmt::Display for VerifyError {
 
 impl Error for VerifyError {}
 
-/// Phase 1 alone: check a method's structure and return its operand-stack
-/// depth table. Entry `pc` is the one static depth every path reaches
-/// `pc` with, or `None` when `pc` is unreachable. Locals plus any recorded
-/// depth fit in a `u16` frame slot index.
-///
-/// # Errors
-///
-/// The first structural [`VerifyError`] the walk meets; never
-/// [`VerifyError::TypeConflict`] or [`VerifyError::UninitLocal`].
-pub fn stack_depths(program: &Program, method: &Method) -> Result<Vec<Option<u16>>, VerifyError> {
-    propagate(program, method).map(|flow| flow.depths)
+impl VerifyError {
+    /// The method the error is in.
+    pub(crate) fn method(&self) -> MethodId {
+        match *self {
+            VerifyError::BranchOutOfRange { method, .. }
+            | VerifyError::LocalOutOfRange { method, .. }
+            | VerifyError::StackUnderflow { method, .. }
+            | VerifyError::StackDepthMismatch { method, .. }
+            | VerifyError::FallsOffEnd { method }
+            | VerifyError::EmptyBody { method }
+            | VerifyError::InconsistentReturn { method, .. }
+            | VerifyError::UnknownMethod { method, .. }
+            | VerifyError::UnknownClass { method, .. }
+            | VerifyError::UnknownStatic { method, .. }
+            | VerifyError::UndefinedMethod { method }
+            | VerifyError::ArgsExceedLocals { method, .. }
+            | VerifyError::FrameTooLarge { method, .. }
+            | VerifyError::TypeConflict { method, .. }
+            | VerifyError::UninitLocal { method, .. } => method,
+        }
+    }
 }
 
-/// Verify one method through both phases and return phase 1's depth
-/// table (as [`stack_depths`] does).
+/// Verify one method's operand types (phase 2) over the joins phase 1
+/// stored when the program was built.
 ///
 /// # Errors
 ///
-/// Phase 1's error if it rejects the method, else the first operand-type
-/// error in pc order.
-pub fn verify_method(program: &Program, id: MethodId) -> Result<Vec<Option<u16>>, VerifyError> {
+/// The first operand-type error in pc order: [`VerifyError::TypeConflict`]
+/// or [`VerifyError::UninitLocal`].
+pub fn verify_method(program: &Program, id: MethodId) -> Result<(), VerifyError> {
     let method = program.method(id);
-    let flow = propagate(program, method)?;
+    let flow = program.flow(id);
     let verifier = Verifier {
         program,
         method,
         check: true,
     };
+    let mut joins = flow.joins.iter().peekable();
     let mut frame = Frame::entry(method);
     for (pc, depth) in flow.depths.iter().enumerate() {
         if depth.is_none() {
@@ -421,16 +431,15 @@ pub fn verify_method(program: &Program, id: MethodId) -> Result<Vec<Option<u16>>
         }
         // A reachable pc that is no join is reached only by falling
         // through from `pc - 1`, so the carried frame is its in-state.
-        if let Some(joined) = &flow.joins[pc] {
+        if let Some((_, joined)) = joins.next_if(|(at, _)| *at as usize == pc) {
             frame.clone_from(joined);
         }
         verifier.transfer(pc, &mut frame)?;
     }
-    Ok(flow.depths)
+    Ok(())
 }
 
-/// Verify every method of one class (the load-time granularity) through
-/// both phases.
+/// Verify every method of one class (the load-time granularity).
 ///
 /// # Errors
 ///
@@ -442,7 +451,7 @@ pub fn verify_class(program: &Program, id: ClassId) -> Result<(), VerifyError> {
     Ok(())
 }
 
-/// Verify every method of the program through both phases.
+/// Verify every method of the program.
 ///
 /// # Errors
 ///
@@ -456,8 +465,8 @@ pub fn verify_program(program: &Program) -> Result<(), VerifyError> {
 }
 
 /// A typed frame: the method's locals, then its operand stack.
-#[derive(Debug, Clone)]
-struct Frame {
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Frame {
     slots: Vec<AbsTy>,
     locals: usize,
 }
@@ -490,17 +499,18 @@ impl Frame {
     }
 }
 
-/// What phase 1 leaves for phase 2 and for lowering.
-struct Flow {
-    /// The depth table [`stack_depths`] returns.
-    depths: Vec<Option<u16>>,
+/// Phase 1's result, which a [`Program`] keeps for each method.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Flow {
+    /// The depth table [`Program::stack_depths`] returns.
+    pub(crate) depths: Vec<Option<u16>>,
     /// The merged in-state at every reached join (the entry and the
-    /// branch targets); `None` elsewhere.
-    joins: Vec<Option<Frame>>,
+    /// branch targets), in pc order.
+    joins: Vec<(u32, Frame)>,
 }
 
 /// Phase 1: walk `method` to the fixpoint, checking its structure.
-fn propagate(program: &Program, method: &Method) -> Result<Flow, VerifyError> {
+pub(crate) fn propagate(program: &Program, method: &Method) -> Result<Flow, VerifyError> {
     let id = method.id();
     let code = method.code();
     if code.is_empty() {
@@ -583,6 +593,10 @@ fn propagate(program: &Program, method: &Method) -> Result<Flow, VerifyError> {
             }
         }
     }
+    let joins = (0..)
+        .zip(joins)
+        .filter_map(|(pc, join)| Some((pc, join?)))
+        .collect();
     Ok(Flow { depths, joins })
 }
 
@@ -903,17 +917,15 @@ mod tests {
     fn depth_table_records_one_depth_per_reachable_pc() {
         let prog =
             crate::assemble(".method main 0 1\n const_i 1\n pop\n ret\n nop\n ret\n").unwrap();
-        let depths = stack_depths(&prog, prog.method(prog.entry())).unwrap();
-        assert_eq!(depths, vec![Some(0), Some(1), Some(0), None, None]);
+        let depths = prog.stack_depths(prog.entry());
+        assert_eq!(depths, [Some(0), Some(1), Some(0), None, None]);
     }
 
     #[test]
     fn a_dangling_branch_in_unreachable_code_is_not_judged() {
         // `jump @99` targets no instruction, but nothing reaches it.
         let prog = crate::assemble(".method main 0 0\n ret\n jump @99\n").unwrap();
-        let depths = stack_depths(&prog, prog.method(prog.entry())).unwrap();
-        assert_eq!(depths, vec![Some(0), None]);
-        assert_eq!(verify_method(&prog, prog.entry()).unwrap(), depths);
+        assert_eq!(prog.stack_depths(prog.entry()), [Some(0), None]);
         verify_program(&prog).expect("unreachable code is not judged");
     }
 
@@ -924,26 +936,13 @@ mod tests {
         for op in ["add", "fmul", "lt", "xor"] {
             let src = format!(".method main 0 0\n const_i 1\n const_i 2\n {op}\n pop\n ret\n");
             let prog = crate::assemble(&src).unwrap();
-            let depths = stack_depths(&prog, prog.method(prog.entry())).unwrap();
+            let depths = prog.stack_depths(prog.entry());
             assert_eq!(depths[2..4], [Some(2), Some(1)], "{op}");
         }
         let prog =
             crate::assemble(".method main 0 0\n const_i 1\n dup\n pop\n pop\n ret\n").unwrap();
-        let depths = stack_depths(&prog, prog.method(prog.entry())).unwrap();
-        assert_eq!(depths, vec![Some(0), Some(1), Some(2), Some(1), Some(0)]);
-    }
-
-    #[test]
-    fn rejects_more_arguments_than_locals() {
-        let prog = crate::assemble(".method main 0 1\n ret\n.method f 2 1\n ret\n").unwrap();
-        assert!(matches!(
-            verify_program(&prog),
-            Err(VerifyError::ArgsExceedLocals {
-                n_args: 2,
-                n_locals: 1,
-                ..
-            })
-        ));
+        let depths = prog.stack_depths(prog.entry());
+        assert_eq!(depths, [Some(0), Some(1), Some(2), Some(1), Some(0)]);
     }
 
     #[test]
@@ -1002,8 +1001,8 @@ mod tests {
             b.const_i(40).store(0).load(0).const_i(2).add().ret_value();
         });
         let prog = p.finish(main).unwrap();
-        verify_program(&prog).unwrap();
-        let depths = verify_method(&prog, main).unwrap();
+        verify_method(&prog, main).unwrap();
+        let depths = prog.stack_depths(main);
         assert!(depths.iter().all(Option::is_some), "no unreachable pc");
     }
 
@@ -1162,9 +1161,8 @@ mod tests {
              head: load 0\n const_i 1\n add\n pop\n const_f 1.0\n store 0\n \
              const_i 1\n br_true head\n const_i 0\n ret_value\n",
         )
-        .unwrap();
+        .expect("phase 1 accepts");
         let f = prog.methods()[1].id();
-        stack_depths(&prog, prog.method(f)).expect("phase 1 accepts");
         let err = verify_method(&prog, f).unwrap_err();
         assert!(
             matches!(

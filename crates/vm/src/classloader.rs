@@ -89,7 +89,7 @@ pub struct ClassLoader {
     pub bytes_loaded: u64,
     /// Calls into the loader (including fast-path already-loaded checks).
     pub load_calls: u64,
-    /// Whether first-load verifies the class through both phases
+    /// Whether first-load verifies the class's operand types
     /// ([`vmprobe_bytecode::verify_class`]). Host-side only: it charges
     /// zero simulated cycles either way.
     verify: bool,
@@ -172,13 +172,13 @@ impl ClassLoader {
     /// happened, `Ok(false)` on the already-loaded fast path.
     ///
     /// On first load (boot-image classes excluded — they are trusted)
-    /// the verifier checks every method of the class, structure and
-    /// types, and a failure aborts the load with
-    /// [`VmError::VerifyRejected`]. The real verifier replaces the modeled
-    /// per-byte "verification" charge below only in *function* — the
-    /// energy model is unchanged: verification runs host-side and charges
-    /// zero simulated cycles, so accepted runs are bit-identical with
-    /// verification on or off.
+    /// the verifier checks the operand types of every method of the class
+    /// (structure was checked when the program was built), and a failure
+    /// aborts the load with [`VmError::VerifyRejected`]. The real verifier
+    /// replaces the modeled per-byte "verification" charge below only in
+    /// *function* — the energy model is unchanged: verification runs
+    /// host-side and charges zero simulated cycles, so accepted runs are
+    /// bit-identical with verification on or off.
     ///
     /// The caller is responsible for having entered/exiting no component:
     /// this method brackets itself with
@@ -352,22 +352,25 @@ mod tests {
     fn corrupt_class_is_rejected_at_load_time_unless_verification_is_off() {
         let prog = sample_program();
         // Corrupt App::main (class 1): add an Int and a Float merged at a
-        // join, consumed by an integer op — the type phase's case.
+        // join, consumed by an integer op — the type phase's case, which
+        // the structural phase accepts.
         let main = prog.entry();
-        let corrupt = prog.with_method_code(
-            main,
-            vec![
-                vmprobe_bytecode::Op::ConstI(1),
-                vmprobe_bytecode::Op::BrFalse(4),
-                vmprobe_bytecode::Op::ConstI(7),
-                vmprobe_bytecode::Op::Jump(5),
-                vmprobe_bytecode::Op::ConstF(7.0),
-                vmprobe_bytecode::Op::ConstI(1),
-                vmprobe_bytecode::Op::Add,
-                vmprobe_bytecode::Op::Pop,
-                vmprobe_bytecode::Op::Ret,
-            ],
-        );
+        let corrupt = prog
+            .with_method_code(
+                main,
+                vec![
+                    vmprobe_bytecode::Op::ConstI(1),
+                    vmprobe_bytecode::Op::BrFalse(4),
+                    vmprobe_bytecode::Op::ConstI(7),
+                    vmprobe_bytecode::Op::Jump(5),
+                    vmprobe_bytecode::Op::ConstF(7.0),
+                    vmprobe_bytecode::Op::ConstI(1),
+                    vmprobe_bytecode::Op::Add,
+                    vmprobe_bytecode::Op::Pop,
+                    vmprobe_bytecode::Op::Ret,
+                ],
+            )
+            .expect("structurally sound");
         let mut loader = ClassLoader::new(&corrupt);
         let mut meter = Meter::new(PlatformKind::PentiumM, false);
         let err = loader

@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use vmprobe_bytecode::{MethodId, Program, VerifyError};
+use vmprobe_bytecode::{MethodId, Program};
 use vmprobe_platform::{Exec, CODE_BASE, VM_BASE};
 
 use crate::rir::{lower, RirBody};
@@ -160,9 +160,8 @@ impl CompilerSubsystem {
     }
 
     /// Lower `m` to the register IR (its first compile).
-    fn lower(&mut self, program: &Program, m: MethodId) -> Result<(), VerifyError> {
-        self.rir[m.0 as usize] = Some(Arc::new(lower(program, program.method(m))?));
-        Ok(())
+    fn lower(&mut self, program: &Program, m: MethodId) {
+        self.rir[m.0 as usize] = Some(Arc::new(lower(program, program.method(m))));
     }
 
     /// Runtime state of `m`.
@@ -206,44 +205,23 @@ impl CompilerSubsystem {
 
     /// Baseline-compile `m` (charged to the caller's current component;
     /// the VM brackets this with `BaseCompiler`).
-    ///
-    /// # Errors
-    ///
-    /// The verifier's structural-phase error when `m` cannot be lowered;
-    /// nothing is charged or installed then.
-    pub fn baseline_compile(
-        &mut self,
-        program: &Program,
-        m: MethodId,
-        meter: &mut Meter,
-    ) -> Result<(), VerifyError> {
-        self.lower(program, m)?;
+    pub fn baseline_compile(&mut self, program: &Program, m: MethodId, meter: &mut Meter) {
+        self.lower(program, m);
         let bytes = program.method(m).bytecode_bytes();
         self.charge_compile(meter, bytes, BASE_OPS_PER_BYTE);
         self.install_code(meter, m, bytes, Tier::Baseline);
         self.stats.baseline_compiles += 1;
         self.stats.bytes_compiled += u64::from(bytes);
-        Ok(())
     }
 
     /// JIT-translate `m` (Kaffe).
-    ///
-    /// # Errors
-    ///
-    /// As [`CompilerSubsystem::baseline_compile`].
-    pub fn jit_compile(
-        &mut self,
-        program: &Program,
-        m: MethodId,
-        meter: &mut Meter,
-    ) -> Result<(), VerifyError> {
-        self.lower(program, m)?;
+    pub fn jit_compile(&mut self, program: &Program, m: MethodId, meter: &mut Meter) {
+        self.lower(program, m);
         let bytes = program.method(m).bytecode_bytes();
         self.charge_compile(meter, bytes, JIT_OPS_PER_BYTE);
         self.install_code(meter, m, bytes, Tier::Jit);
         self.stats.jit_compiles += 1;
         self.stats.bytes_compiled += u64::from(bytes);
-        Ok(())
     }
 
     /// Recompile `m` with the optimizing compiler (Jikes compiler thread).
@@ -324,7 +302,7 @@ mod tests {
         let prog = program_with_methods(2);
         let mut cs = CompilerSubsystem::new(&prog);
         let mut meter = Meter::new(PlatformKind::PentiumM, false);
-        cs.baseline_compile(&prog, MethodId(0), &mut meter).unwrap();
+        cs.baseline_compile(&prog, MethodId(0), &mut meter);
         let base_cost = meter.cycles();
         cs.opt_compile(&prog, MethodId(1), &mut meter);
         let opt_cost = meter.cycles() - base_cost;
@@ -345,7 +323,7 @@ mod tests {
         let prog = program_with_methods(3);
         let mut cs = CompilerSubsystem::new(&prog);
         let mut meter = Meter::new(PlatformKind::PentiumM, false);
-        cs.baseline_compile(&prog, MethodId(1), &mut meter).unwrap();
+        cs.baseline_compile(&prog, MethodId(1), &mut meter);
         cs.method_mut(MethodId(1)).hotness = 10_000;
         let mut ctrl = Controller::default();
         ctrl.scan(&mut cs, 6_000, &mut meter);

@@ -79,11 +79,11 @@ pub struct VmConfig {
     /// the telemetry layer. Recording charges zero simulated cycles, so
     /// every report is bit-identical with this on or off.
     pub record_spans: bool,
-    /// Verify a class through both phases when it is first loaded
-    /// (rejecting the run with [`VmError::VerifyRejected`] on failure).
-    /// On by default; `verify(false)` clears it. The structural phase
-    /// runs regardless, at each method's first compile, since lowering
-    /// reads its depth table.
+    /// Verify a class's operand types (the verifier's type phase) when it
+    /// is first loaded, rejecting the run with [`VmError::VerifyRejected`]
+    /// on failure. On by default; `verify(false)` skips it. Structure
+    /// needs no switch: every [`Program`](vmprobe_bytecode::Program) was
+    /// checked when it was built.
     /// Verification happens host-side and charges zero simulated cycles,
     /// so results are bit-identical with this on or off.
     ///

@@ -84,12 +84,11 @@ pub enum VmError {
         /// The configured budget in bytecodes.
         budget: u64,
     },
-    /// The verifier rejected a class: some method failed load-time
-    /// verification (structural defect, merge-point type conflict,
-    /// uninitialized local), or failed the structural phase at its first
-    /// compile. Turning verification off ([`VmConfig::verify`]`(false)`)
-    /// skips only the load-time check; the structural phase still runs at
-    /// each method's first compile.
+    /// The class loader's verifier rejected a class: some method failed
+    /// the type phase (merge-point type conflict, uninitialized local).
+    /// Every program is structurally sound by construction, so nothing
+    /// else raises this, and with verification off
+    /// ([`VmConfig::verify`]`(false)`) nothing does.
     ///
     /// [`VmConfig::verify`]: crate::VmConfig::verify
     VerifyRejected {

@@ -267,7 +267,7 @@ mod tests {
                 let program = bench.build(scale);
                 for m in 0..program.method_count() {
                     let method = program.method(MethodId(m as u32));
-                    let body = lower(&program, method).unwrap();
+                    let body = lower(&program, method);
                     assert_eq!(body.fused.len(), body.ops.len());
                     for (pc, entry) in body.fused.iter().enumerate() {
                         let ops = components(entry);
@@ -294,7 +294,7 @@ mod tests {
             b.ret();
         });
         let prog = p.finish(m).unwrap();
-        let body = lower(&prog, prog.method(prog.entry())).unwrap();
+        let body = lower(&prog, prog.method(prog.entry()));
         // `load load` at 0 (the `lt` after it is no `Br`), `load lt` is
         // no idiom, so pc 1 falls back to `load`; `const add store` has
         // no leading `load`, so pc 3 is the pair `const add`.

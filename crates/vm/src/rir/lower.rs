@@ -1,19 +1,16 @@
 //! Lowering from stack bytecode to the register IR.
 //!
-//! The depth table of the verifier's structural phase
-//! ([`vmprobe_bytecode::stack_depths`]) gives every reachable pc exactly
-//! one static operand-stack depth, which makes the stack-to-register
+//! The depth table the program stored when its structural phase ran
+//! ([`Program::stack_depths`]) gives every reachable pc exactly one
+//! static operand-stack depth, which makes the stack-to-register
 //! mapping total: local `n` is register `n`, the operand slot at depth
 //! `d` is register `n_locals + d`. Emission is then strictly 1:1: register
 //! instruction `i` is bytecode `pc == i`, so branch targets, the ifetch
 //! cadence (`pc & 7 == 0`) and fault pcs carry over unchanged.
 //! Unreachable pcs lower to `Nop` placeholders that can never execute.
 //!
-//! The structural phase runs here even when the program was verified
-//! before: `vmprobe_bytecode::assemble` does not verify, and
-//! `VmConfig::verify(false)` skips the load-time check, so the compiler
-//! subsystem may be handed a structurally broken method. Its
-//! [`VerifyError`] then rejects the method at its first compile.
+//! Every [`Program`] is structurally sound by construction, so lowering
+//! cannot fail and walks nothing again.
 //!
 //! Lowering happens host-side at a method's first compile and charges
 //! zero simulated cycles: the *modeled* compilation cost is the
@@ -22,16 +19,15 @@
 
 use std::collections::BTreeMap;
 
-use vmprobe_bytecode::{stack_depths, Method, Op, Program, VerifyError};
+use vmprobe_bytecode::{Method, Op, Program};
 
 use super::{AluKind, CmpKind, FAluKind, RirBody, RirOp};
 
-/// Lower `method` to a register body, or report why it is structurally
-/// unsound.
-pub(crate) fn lower(program: &Program, method: &Method) -> Result<RirBody, VerifyError> {
-    let depth_at = stack_depths(program, method)?;
+/// Lower `method` to a register body.
+pub(crate) fn lower(program: &Program, method: &Method) -> RirBody {
+    let depth_at = program.stack_depths(method.id());
     let n_locals = u16::from(method.n_locals());
-    // `stack_depths` bounds `n_locals + depth` by `u16::MAX`.
+    // The structural phase bounds `n_locals + depth` by `u16::MAX`.
     let max_depth = depth_at.iter().flatten().copied().max().unwrap_or(0);
     let n_regs = n_locals + max_depth;
 
@@ -212,14 +208,14 @@ pub(crate) fn lower(program: &Program, method: &Method) -> Result<RirBody, Verif
         ops.push(lowered);
     }
 
-    Ok(RirBody {
+    RirBody {
         fused: super::fuse::fuse(&ops),
         ops,
         n_locals,
         n_regs,
         pool_i,
         pool_f,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -231,7 +227,7 @@ mod tests {
         let mut p = ProgramBuilder::new();
         let m = p.function("t", 1, 2, f);
         let prog = p.finish(m).unwrap();
-        lower(&prog, prog.method(prog.entry())).unwrap()
+        lower(&prog, prog.method(prog.entry()))
     }
 
     #[test]
@@ -303,22 +299,11 @@ mod tests {
     }
 
     #[test]
-    fn rejects_what_the_structural_verifier_rejects() {
-        // Assembled (unverified) code can underflow; lowering must bail.
-        let prog = vmprobe_bytecode::assemble(".method main 0 1\n    add\n    ret\n").unwrap();
-        let err = lower(&prog, prog.method(prog.entry())).unwrap_err();
-        assert!(matches!(err, VerifyError::StackUnderflow { pc: 0, .. }));
-        let prog = vmprobe_bytecode::assemble(".method main 0 1\n    nop\n").unwrap();
-        let err = lower(&prog, prog.method(prog.entry())).unwrap_err();
-        assert!(matches!(err, VerifyError::FallsOffEnd { .. }));
-    }
-
-    #[test]
     fn unreachable_code_lowers_to_nop_placeholders() {
         let prog =
             vmprobe_bytecode::assemble(".method main 0 1\n    ret\n    const_i 1\n    ret_value\n")
                 .unwrap();
-        let body = lower(&prog, prog.method(prog.entry())).unwrap();
+        let body = lower(&prog, prog.method(prog.entry()));
         assert_eq!(body.ops[1], RirOp::Nop);
         assert_eq!(body.ops[2], RirOp::Nop);
     }

@@ -248,8 +248,9 @@ impl Vm {
     /// # Errors
     ///
     /// Returns [`VmError`] on heap exhaustion, a runtime fault (null
-    /// dereference, out-of-bounds access, stack overflow), a rejected
-    /// method body, or an entry method that takes arguments.
+    /// dereference, out-of-bounds access, stack overflow), a class the
+    /// load-time verifier rejects, or an entry method that takes
+    /// arguments.
     pub fn run(mut self) -> Result<RunOutcome, VmError> {
         let entry = self.program.entry();
         let n_args = self.program.method(entry).n_args();
@@ -307,10 +308,9 @@ impl Vm {
 
     /// Call `m`: load its class, compile on first invocation, push a frame.
     ///
-    /// The first compile lowers the method to the register IR through the
-    /// verifier's structural phase, so a structurally unsound body is
-    /// rejected here with [`VmError::VerifyRejected`], even when
-    /// load-time verification is off.
+    /// Loading the class may reject it with [`VmError::VerifyRejected`];
+    /// the first compile lowers the method to the register IR and cannot
+    /// fail, since every program is structurally sound.
     pub(crate) fn invoke(&mut self, m: MethodId) -> Result<(), VmError> {
         if self.frames.len() >= MAX_FRAMES {
             return Err(VmError::StackOverflow { limit: MAX_FRAMES });
@@ -327,17 +327,13 @@ impl Vm {
             } else {
                 ComponentId::JitCompiler
             });
-            let compiled = if jikes {
+            if jikes {
                 self.compilers
-                    .baseline_compile(&program, m, &mut self.meter)
+                    .baseline_compile(&program, m, &mut self.meter);
             } else {
-                self.compilers.jit_compile(&program, m, &mut self.meter)
-            };
+                self.compilers.jit_compile(&program, m, &mut self.meter);
+            }
             self.meter.exit();
-            compiled.map_err(|e| VmError::VerifyRejected {
-                class: method.class(),
-                reason: e.to_string(),
-            })?;
         }
         self.compilers.method_mut(m).hotness += 1;
         self.stats.calls += 1;

@@ -263,35 +263,6 @@ fn negative_array_length_faults_at_the_recorded_pc_after_promotion() {
 }
 
 #[test]
-fn structurally_broken_bodies_are_rejected_even_unverified() {
-    // `verify(false)` skips load-time verification, but the structural
-    // phase runs at every method's first compile, so an unsound body is a typed
-    // rejection, not a panic inside the engine.
-    for (src, what) in [
-        (".method main 0 1\n add\n ret\n", "stack underflow"),
-        (".method main 0 1\n nop\n", "falls off the end"),
-        (
-            ".method main 0 1\n const_i 1\n const_i 2\n call f\n ret\n.method f 2 1\n ret\n",
-            "more arguments than locals",
-        ),
-    ] {
-        let program = assemble(src).unwrap();
-        for cfg in [
-            VmConfig::jikes(CollectorKind::SemiSpace, 1 << 20),
-            VmConfig::kaffe(1 << 20),
-        ] {
-            let err = Vm::new(program.clone(), cfg.verify(false))
-                .run()
-                .unwrap_err();
-            assert!(
-                matches!(err, VmError::VerifyRejected { .. }),
-                "{what}: expected VerifyRejected, got {err}"
-            );
-        }
-    }
-}
-
-#[test]
 fn entry_method_with_arguments_is_a_typed_error() {
     let program = assemble(".method main 1 1\n ret\n").unwrap();
     let err = Vm::new(program, VmConfig::jikes(CollectorKind::SemiSpace, 1 << 20))
