@@ -30,15 +30,24 @@
 //! *bit-identical* to the computed one — the property that lets a warm
 //! cache re-render byte-identical figures.
 //!
+//! A lookup decodes both lines in one pass with the codec's pull
+//! [`Reader`]: fields are read in the order `render_entry` writes them,
+//! straight into the [`RunSummary`], with no tree, no `String` per key and
+//! none per float. A first touch therefore costs about the file read, the
+//! checksum and one walk over the bytes.
+//!
 //! # Invalidation and corruption
 //!
 //! A probe returns [`CacheLookup::Miss`] when the entry is absent or
 //! *stale* (another format version, including the v1/v2 line format,
 //! another build fingerprint, or a filename-hash collision whose stored
-//! key differs), and [`CacheLookup::Corrupt`] when the header does not
-//! parse, the body fails its checksum or does not decode, or bytes follow
-//! the body line. Neither is ever an error: the runner
-//! recomputes the cell and overwrites the entry. Writes are atomic
+//! key differs), and [`CacheLookup::Corrupt`] when the header is not the
+//! v3 header, the body fails its checksum or does not follow the body
+//! schema, or bytes follow the body. The schema is strict: a missing,
+//! extra, repeated or reordered field, a value of the wrong type, a float
+//! that is not 16 hex digits or a fixed-shape array of another length is
+//! damage even under a matching checksum. Neither is ever an error: the
+//! runner recomputes the cell and overwrites the entry. Writes are atomic
 //! (unique temp file in the cache directory, then `rename`), so a killed
 //! sweep never leaves a truncated entry a later resume would trust.
 
@@ -60,7 +69,7 @@ use vmprobe_vm::{CompilerStats, VmStats};
 use vmprobe_workloads::InputScale;
 
 use crate::experiment::{ExperimentConfig, RunSummary, VmChoice};
-use crate::json::{self, JsonObj, JsonValue};
+use crate::json::{self, JsonObj, Reader, Token};
 
 /// On-disk format version; bumping it invalidates every existing entry.
 /// v2 added the measurement-mode config fields and the probe ledger; v3
@@ -99,8 +108,8 @@ pub enum CacheLookup {
     /// No entry, or a stale one (different build fingerprint or a
     /// filename collision with a different key).
     Miss,
-    /// An entry exists for this key but failed its checksum or did not
-    /// parse; the caller recomputes and overwrites it.
+    /// An entry exists for this key but failed its checksum or left the
+    /// entry schema; the caller recomputes and overwrites it.
     Corrupt,
 }
 
@@ -242,15 +251,15 @@ macro_rules! flat_codec {
             ])
         }
 
-        fn $decode(v: &JsonValue) -> Option<$ty> {
-            let [$($int,)* $($($float,)*)? $($($unit,)*)?] = v.as_array()? else {
-                return None;
+        fn $decode(r: &mut Reader<'_>) -> Result<$ty, String> {
+            r.array()?;
+            let decoded = $ty {
+                $($int: item(r, Reader::u64)?,)*
+                $($($float: item(r, Reader::f64_bits)?,)*)?
+                $($($unit: $wrap::new(item(r, Reader::f64_bits)?),)*)?
             };
-            Some($ty {
-                $($int: $int.as_u64()?,)*
-                $($($float: $float.as_f64_bits()?,)*)?
-                $($($unit: $wrap::new($unit.as_f64_bits()?),)*)?
-            })
+            r.array_end()?;
+            Ok(decoded)
         }
     };
 }
@@ -396,109 +405,194 @@ fn encode_body(s: &RunSummary) -> String {
     o.finish()
 }
 
-fn decode_body(b: &JsonValue) -> Option<RunSummary> {
-    let c = b.get("config")?;
-    let text = |k: &str| c.get(k)?.as_str();
-    let config = ExperimentConfig {
-        benchmark: text("benchmark")?.to_owned(),
-        vm: match text("vm")? {
-            "Kaffe" => VmChoice::Kaffe,
-            vm => VmChoice::Jikes(CollectorKind::from_name(vm.strip_prefix("Jikes/")?)?),
-        },
-        heap_mb: u32::try_from(c.get("heap_mb")?.as_u64()?).ok()?,
-        platform: PlatformKind::from_name(text("platform")?)?,
-        scale: InputScale::from_name(text("scale")?)?,
-        trace_power: c.get("trace_power")?.as_bool()?,
-        record_spans: c.get("record_spans")?.as_bool()?,
-        probe: ProbeSpec {
-            daq_period_ns: c.get("daq_period_ns")?.as_u64()?,
-            nontransparent: c.get("nontransparent")?.as_bool()?,
-        },
-    };
-    let result_checksum = match b.get("checksum")? {
-        JsonValue::Null => None,
-        v => Some(v.as_i64()?),
-    };
+/// Field `name` of the open object, read by `read`: the next field must
+/// be this one.
+fn field<'a, T>(
+    r: &mut Reader<'a>,
+    name: &str,
+    read: impl FnOnce(&mut Reader<'a>) -> Result<T, String>,
+) -> Result<T, String> {
+    r.field(name)?;
+    read(r)
+}
 
-    let r = b.get("report")?;
-    let JsonValue::Obj(fields) = r.get("components")? else {
-        return None;
-    };
-    let mut components = BTreeMap::new();
-    for (label, p) in fields {
-        components.insert(ComponentId::from_label(label)?, decode_profile(p)?);
+/// The next item of the open array, read by `read`.
+fn item<'a, T>(
+    r: &mut Reader<'a>,
+    read: impl FnOnce(&mut Reader<'a>) -> Result<T, String>,
+) -> Result<T, String> {
+    r.item()?;
+    read(r)
+}
+
+/// The next string, looked up by `from_name`.
+fn named<T>(r: &mut Reader<'_>, from_name: impl FnOnce(&str) -> Option<T>) -> Result<T, String> {
+    let name = r.str()?;
+    from_name(&name).ok_or_else(|| format!("unknown name '{name}'"))
+}
+
+/// The next integer, which must fit `T`.
+fn int<T: TryFrom<u64>>(r: &mut Reader<'_>) -> Result<T, String> {
+    let n = r.u64()?;
+    T::try_from(n).map_err(|_| format!("{n} out of range"))
+}
+
+/// The next value: `null`, or what `read` reads after the opening token
+/// `open` ([`Token::Arr`] or [`Token::Obj`]).
+fn nullable<'a, T>(
+    r: &mut Reader<'a>,
+    open: Token<'static>,
+    read: impl FnOnce(&mut Reader<'a>) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    match r.value()? {
+        Token::Null => Ok(None),
+        t if t == open => read(r).map(Some),
+        _ => Err(format!("expected null or {open:?}")),
     }
-    let bits = |k: &str| r.get(k)?.as_f64_bits();
-    let report = Report {
-        platform: PlatformKind::from_name(r.get("platform")?.as_str()?)?,
-        components,
-        duration: Seconds::new(bits("duration")?),
-        cpu_energy: Joules::new(bits("cpu_energy")?),
-        mem_energy: Joules::new(bits("mem_energy")?),
-        total_energy: Joules::new(bits("total_energy")?),
-        edp: EnergyDelay::new(bits("edp")?),
-        clean_total_energy: Joules::new(bits("clean_total_energy")?),
-        faults: decode_faults(r.get("faults")?)?,
-        probe: decode_probe(r.get("probe")?)?,
-    };
+}
 
-    let power_trace = match b.get("power_trace")? {
-        JsonValue::Null => None,
-        t => Some(
-            t.as_array()?
-                .iter()
-                .map(|sample| match sample.as_array()? {
-                    [t, cpu_w, mem_w, component] => Some(PowerSample {
-                        t: t.as_f64_bits()?,
-                        cpu_w: cpu_w.as_f64_bits()?,
-                        mem_w: mem_w.as_f64_bits()?,
-                        component: ComponentId::from_label(component.as_str()?)?,
-                    }),
-                    _ => None,
-                })
-                .collect::<Option<Vec<_>>>()?,
-        ),
-    };
-    let spans = match b.get("spans")? {
-        JsonValue::Null => None,
-        t => {
-            let spans = t
-                .get("spans")?
-                .as_array()?
-                .iter()
-                .map(|span| match span.as_array()? {
-                    // Span names are component labels, restored as the
-                    // registry's `&'static str`.
-                    [name, start, end, depth] => Some(VirtualSpan {
-                        name: ComponentId::from_label(name.as_str()?)?.label(),
-                        start_cycles: start.as_u64()?,
-                        end_cycles: end.as_u64()?,
-                        depth: u8::try_from(depth.as_u64()?).ok()?,
-                    }),
-                    _ => None,
-                })
-                .collect::<Option<Vec<_>>>()?;
-            Some(SpanTrace::from_parts(
-                t.get("clock_hz")?.as_f64_bits()?,
-                spans,
-                usize::try_from(t.get("max_depth")?.as_u64()?).ok()?,
-                t.get("total_cycles")?.as_u64()?,
-            ))
-        }
-    };
-
-    Some(RunSummary {
+/// The body line read back by [`encode_body`]'s schema, field by field
+/// and in its order, straight from the reader: a missing, extra, repeated
+/// or reordered field, a wrongly typed value or a fixed-shape array of
+/// another length is an error.
+fn decode_body(r: &mut Reader<'_>) -> Result<RunSummary, String> {
+    r.object()?;
+    let config = field(r, "config", decode_config)?;
+    let result_checksum = field(r, "checksum", |r| match r.value()? {
+        Token::Null => Ok(None),
+        Token::Int(v) => i64::try_from(v)
+            .map(Some)
+            .map_err(|_| "checksum out of range".into()),
+        _ => Err("checksum is not an integer".into()),
+    })?;
+    let summary = RunSummary {
         config,
         result_checksum,
-        report,
-        gc: decode_gc(b.get("gc")?)?,
-        vm: decode_vm(b.get("vm")?)?,
-        compiler: decode_compiler(b.get("compiler")?)?,
-        power_trace,
-        total_alloc_bytes: b.get("total_alloc_bytes")?.as_u64()?,
-        live_bytes_end: b.get("live_bytes_end")?.as_u64()?,
-        spans,
+        report: field(r, "report", decode_report)?,
+        gc: field(r, "gc", decode_gc)?,
+        vm: field(r, "vm", decode_vm)?,
+        compiler: field(r, "compiler", decode_compiler)?,
+        total_alloc_bytes: field(r, "total_alloc_bytes", Reader::u64)?,
+        live_bytes_end: field(r, "live_bytes_end", Reader::u64)?,
+        power_trace: field(r, "power_trace", |r| nullable(r, Token::Arr, power_trace))?,
+        spans: field(r, "spans", |r| nullable(r, Token::Obj, decode_spans))?,
+    };
+    r.object_end()?;
+    Ok(summary)
+}
+
+/// The power trace's samples, `[t, cpu_w, mem_w, component]` each, after
+/// the opening bracket.
+fn power_trace(r: &mut Reader<'_>) -> Result<Vec<PowerSample>, String> {
+    let mut samples = Vec::new();
+    while r.more_items()? {
+        r.array()?;
+        samples.push(PowerSample {
+            t: item(r, Reader::f64_bits)?,
+            cpu_w: item(r, Reader::f64_bits)?,
+            mem_w: item(r, Reader::f64_bits)?,
+            component: item(r, |r| named(r, ComponentId::from_label))?,
+        });
+        r.array_end()?;
+    }
+    Ok(samples)
+}
+
+fn decode_config(r: &mut Reader<'_>) -> Result<ExperimentConfig, String> {
+    r.object()?;
+    let config = ExperimentConfig {
+        benchmark: field(r, "benchmark", Reader::str)?.into_owned(),
+        vm: field(r, "vm", |r| {
+            named(r, |vm| match vm {
+                "Kaffe" => Some(VmChoice::Kaffe),
+                vm => vm
+                    .strip_prefix("Jikes/")
+                    .and_then(CollectorKind::from_name)
+                    .map(VmChoice::Jikes),
+            })
+        })?,
+        heap_mb: field(r, "heap_mb", int)?,
+        platform: field(r, "platform", |r| named(r, PlatformKind::from_name))?,
+        scale: field(r, "scale", |r| named(r, InputScale::from_name))?,
+        trace_power: field(r, "trace_power", Reader::bool)?,
+        record_spans: field(r, "record_spans", Reader::bool)?,
+        probe: ProbeSpec {
+            daq_period_ns: field(r, "daq_period_ns", Reader::u64)?,
+            nontransparent: field(r, "nontransparent", Reader::bool)?,
+        },
+    };
+    r.object_end()?;
+    Ok(config)
+}
+
+fn decode_report(r: &mut Reader<'_>) -> Result<Report, String> {
+    r.object()?;
+    let platform = field(r, "platform", |r| named(r, PlatformKind::from_name))?;
+    let mut bits = |name| field(r, name, Reader::f64_bits);
+    let duration = Seconds::new(bits("duration")?);
+    let cpu_energy = Joules::new(bits("cpu_energy")?);
+    let mem_energy = Joules::new(bits("mem_energy")?);
+    let total_energy = Joules::new(bits("total_energy")?);
+    let edp = EnergyDelay::new(bits("edp")?);
+    let clean_total_energy = Joules::new(bits("clean_total_energy")?);
+    let faults = field(r, "faults", decode_faults)?;
+    let probe = field(r, "probe", decode_probe)?;
+    r.field("components")?;
+    r.object()?;
+    // Labels come in the map's order, each once.
+    let mut components = BTreeMap::new();
+    while let Some(label) = r.next_key()? {
+        let id = ComponentId::from_label(&label)
+            .filter(|id| {
+                components
+                    .last_key_value()
+                    .is_none_or(|(last, _)| last < id)
+            })
+            .ok_or_else(|| format!("component '{label}' unknown or out of order"))?;
+        components.insert(id, decode_profile(r)?);
+    }
+    r.object_end()?;
+    Ok(Report {
+        platform,
+        components,
+        duration,
+        cpu_energy,
+        mem_energy,
+        total_energy,
+        edp,
+        clean_total_energy,
+        faults,
+        probe,
     })
+}
+
+/// The `spans` object after its opening brace.
+fn decode_spans(r: &mut Reader<'_>) -> Result<SpanTrace, String> {
+    let clock_hz = field(r, "clock_hz", Reader::f64_bits)?;
+    let max_depth = field(r, "max_depth", int)?;
+    let total_cycles = field(r, "total_cycles", Reader::u64)?;
+    r.field("spans")?;
+    r.array()?;
+    let mut spans = Vec::new();
+    while r.more_items()? {
+        r.array()?;
+        spans.push(VirtualSpan {
+            // Span names are component labels, restored as the registry's
+            // `&'static str`.
+            name: item(r, |r| named(r, ComponentId::from_label))?.label(),
+            start_cycles: item(r, Reader::u64)?,
+            end_cycles: item(r, Reader::u64)?,
+            depth: item(r, int)?,
+        });
+        r.array_end()?;
+    }
+    r.object_end()?;
+    Ok(SpanTrace::from_parts(
+        clock_hz,
+        spans,
+        max_depth,
+        total_cycles,
+    ))
 }
 
 /// An entry is two lines: a JSON header carrying the format, fingerprint,
@@ -520,7 +614,9 @@ fn body_checksum(body: &str) -> String {
 }
 
 /// Read an entry's text for `key`: a stale entry (another format, build
-/// fingerprint or key) is a `Miss`, a damaged one `Corrupt`.
+/// fingerprint or key) is a `Miss`, a damaged one `Corrupt`. Both lines
+/// are read by their schema in the order [`render_entry`] writes them, so
+/// an entry that passes its checksum but is off-schema is `Corrupt` too.
 fn parse_entry(text: &str, key: &str, fingerprint: &str) -> CacheLookup {
     let Some((header, rest)) = text.split_once('\n') else {
         return CacheLookup::Corrupt;
@@ -529,20 +625,28 @@ fn parse_entry(text: &str, key: &str, fingerprint: &str) -> CacheLookup {
     if header.starts_with("vmprobe-cache ") {
         return CacheLookup::Miss;
     }
-    let Ok(header) = JsonValue::parse(header) else {
-        return CacheLookup::Corrupt;
-    };
-    match header.get("format").and_then(JsonValue::as_u64) {
-        Some(f) if f == u64::from(FORMAT_VERSION) => {}
-        Some(_) => return CacheLookup::Miss,
-        None => return CacheLookup::Corrupt,
+    let mut h = Reader::new(header);
+    match h
+        .object()
+        .and_then(|()| h.field("format"))
+        .and_then(|()| h.u64())
+    {
+        // The rest of another format's header is that format's business.
+        Ok(f) if f != u64::from(FORMAT_VERSION) => return CacheLookup::Miss,
+        Ok(_) => {}
+        Err(_) => return CacheLookup::Corrupt,
     }
-    let field = |k: &str| header.get(k).and_then(JsonValue::as_str);
-    let (Some(fp), Some(stored_key), Some(sum)) =
-        (field("fingerprint"), field("key"), field("fnv"))
+    let mut field = |name: &str| {
+        h.field(name)?;
+        h.str()
+    };
+    let (Ok(fp), Ok(stored_key), Ok(sum)) = (field("fingerprint"), field("key"), field("fnv"))
     else {
         return CacheLookup::Corrupt;
     };
+    if h.object_end().and_then(|()| h.end()).is_err() {
+        return CacheLookup::Corrupt;
+    }
     if fp != fingerprint || stored_key != key {
         return CacheLookup::Miss;
     }
@@ -554,9 +658,10 @@ fn parse_entry(text: &str, key: &str, fingerprint: &str) -> CacheLookup {
     if sum != body_checksum(body) {
         return CacheLookup::Corrupt;
     }
-    match JsonValue::parse(body).ok().as_ref().and_then(decode_body) {
-        Some(summary) => CacheLookup::Hit(Arc::new(summary)),
-        None => CacheLookup::Corrupt,
+    let mut r = Reader::new(body);
+    match decode_body(&mut r).and_then(|s| r.end().map(|()| s)) {
+        Ok(summary) => CacheLookup::Hit(Arc::new(summary)),
+        Err(_) => CacheLookup::Corrupt,
     }
 }
 
@@ -755,8 +860,8 @@ mod tests {
                     s.report.platform = platform;
                     s.result_checksum = None;
                     s.power_trace = None;
-                    let body = JsonValue::parse(&encode_body(&s)).unwrap();
-                    let back = decode_body(&body).expect("decodes");
+                    let body = encode_body(&s);
+                    let back = decode_body(&mut Reader::new(&body)).expect("decodes");
                     assert_bit_identical(&s, &back);
                 }
             }
@@ -765,7 +870,8 @@ mod tests {
 
     /// Every truncation and every single-byte flip of a stored entry reads
     /// as a miss, as damage, or as a hit identical to the original — and
-    /// never panics.
+    /// never panics. A body that leaves the entry schema is damage even
+    /// under a matching checksum.
     #[test]
     fn damaged_entries_never_yield_a_wrong_hit() {
         let dir = test_dir("damage");
@@ -791,6 +897,95 @@ mod tests {
                 check(&bytes);
             }
         }
+
+        // A body edited off its schema and sealed with a fresh checksum
+        // still never hits: the decoder reads the schema, not the bytes.
+        let text = String::from_utf8(original).unwrap();
+        let (header, body) = text.trim_end().split_once('\n').unwrap();
+        let verdict = |entry: String| {
+            fs::write(&path, entry).unwrap();
+            cache.lookup(&key)
+        };
+        let resealed = |edited: &str| {
+            let header = header.replace(&body_checksum(body), &body_checksum(edited));
+            format!("{header}\n{edited}\n")
+        };
+        assert!(matches!(verdict(resealed(body)), CacheLookup::Hit(_)));
+        let tail = ",\"live_bytes_end\":12345";
+        let float = json::f64_bits(s.report.duration.seconds());
+        let gc = encode_gc(&s.gc);
+        let app = encode_profile(&s.report.components[&ComponentId::Application]);
+        let edits = [
+            ("a dropped field", tail.to_owned(), String::new()),
+            (
+                "an added field",
+                tail.to_owned(),
+                format!("{tail},\"extra\":0"),
+            ),
+            (
+                "two swapped fields",
+                "\"total_alloc_bytes\":8589934592,\"live_bytes_end\":12345".to_owned(),
+                "\"live_bytes_end\":12345,\"total_alloc_bytes\":8589934592".to_owned(),
+            ),
+            ("a duplicated key", tail.to_owned(), format!("{tail}{tail}")),
+            (
+                "a duplicated component",
+                "\"components\":{".to_owned(),
+                format!("\"components\":{{\"App\":{app},"),
+            ),
+            (
+                "a 15-digit float",
+                float.clone(),
+                format!("{}\"", &float[..16]),
+            ),
+            (
+                "a non-hex float",
+                float.clone(),
+                format!("{}g\"", &float[..16]),
+            ),
+            (
+                "a string for an integer",
+                "\"heap_mb\":48".to_owned(),
+                "\"heap_mb\":\"48\"".to_owned(),
+            ),
+            (
+                "a flat array one item short",
+                gc.clone(),
+                format!("{}]", &gc[..gc.rfind(',').unwrap()]),
+            ),
+            (
+                "a flat array one item long",
+                gc.clone(),
+                format!("{},0]", &gc[..gc.len() - 1]),
+            ),
+        ];
+        for (what, from, to) in edits {
+            assert!(body.contains(&from), "{what}: {from} not in the body");
+            let edited = body.replacen(&from, &to, 1);
+            let got = verdict(resealed(&edited));
+            assert!(matches!(got, CacheLookup::Corrupt), "{what}: {got:?}");
+        }
+        for after in ["x", "{}", ",0"] {
+            let got = verdict(resealed(&format!("{body}{after}")));
+            assert!(
+                matches!(got, CacheLookup::Corrupt),
+                "bytes after the body: {got:?}"
+            );
+        }
+        // The header's outcomes of DESIGN §12: another format is stale, a
+        // header without its checksum is damage.
+        let other_format = header.replace("\"format\":3,", "\"format\":2,");
+        assert!(matches!(
+            verdict(format!("{other_format}\n{body}\n")),
+            CacheLookup::Miss
+        ));
+        let fnv = format!(",\"fnv\":\"{}\"", body_checksum(body));
+        let no_fnv = header.replace(&fnv, "");
+        assert_ne!(no_fnv, header);
+        assert!(matches!(
+            verdict(format!("{no_fnv}\n{body}\n")),
+            CacheLookup::Corrupt
+        ));
         let _ = fs::remove_dir_all(&dir);
     }
 

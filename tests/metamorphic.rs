@@ -1,4 +1,4 @@
-//! Metamorphic relations over heap size and platform.
+//! Metamorphic relations over heap size, platform and clock.
 //!
 //! A simulated run has no oracle for its absolute numbers, but runs that
 //! differ only in heap size must relate:
@@ -20,15 +20,21 @@
 //!   never what the VM executes, so the P6 and the PXA255 run the same
 //!   bytecodes, calls, allocations, collections, copies, barriers, class
 //!   loads and baseline/JIT compiles.
+//! * **DVFS.** So does the operating point. A lower clock keeps those
+//!   counts, never needs more simulated cycles (only DRAM latency is fixed
+//!   in nanoseconds, so only its stalls shrink) and never finishes sooner.
 
 use proptest::prelude::*;
 use proptest::test_runner::{run_cases, ProptestConfig, TestCaseError, TestRng};
 use vmprobe::figures::{self, Grid};
-use vmprobe::{CounterId, ExperimentConfig, FaultPlan, RunSummary, Runner, Telemetry};
-use vmprobe_heap::{AllocRequest, CollectorKind, CollectorPlan, ObjId, ObjectHeap, RootSet};
+use vmprobe::{CounterId, ExperimentConfig, FaultPlan, Runner, Telemetry};
+use vmprobe_heap::{
+    AllocRequest, CollectorKind, CollectorPlan, GcStats, ObjId, ObjectHeap, RootSet,
+};
 use vmprobe_platform::{Machine, PlatformKind};
-use vmprobe_vm::{RunOutcome, Vm, VmConfig, VmError};
-use vmprobe_workloads::{build_program, Blueprint, InputScale};
+use vmprobe_power::DvfsPoint;
+use vmprobe_vm::{CompilerStats, RunOutcome, Vm, VmConfig, VmError, VmStats};
+use vmprobe_workloads::{benchmark, build_program, Blueprint, InputScale};
 
 const COLLECTORS: [CollectorKind; 5] = [
     CollectorKind::SemiSpace,
@@ -517,23 +523,23 @@ fn a_failing_trunk_never_fails_a_larger_heap() {
 
 /// What a run executed, allocated, collected and compiled at the baseline
 /// and JIT tiers. Opt compiles are left out: the adaptive controller
-/// samples on simulated time, and the slower PXA255 takes more samples
-/// per bytecode, so it may promote methods the P6 never does.
-fn platform_free_counts(s: &RunSummary) -> [(&'static str, u64); 13] {
+/// samples on simulated time, and a slower clock takes more samples per
+/// bytecode, so it may promote methods a faster one never does.
+fn vm_counts(vm: &VmStats, gc: &GcStats, compiler: &CompilerStats) -> [(&'static str, u64); 13] {
     [
-        ("bytecodes", s.vm.bytecodes),
-        ("calls", s.vm.calls),
-        ("allocations", s.vm.allocations),
-        ("classes_loaded", s.vm.classes_loaded),
-        ("collections", s.gc.collections),
-        ("minor_collections", s.gc.minor_collections),
-        ("major_collections", s.gc.major_collections),
-        ("increments", s.gc.increments),
-        ("copied_bytes", s.gc.total_copied_bytes),
-        ("barrier_stores", s.gc.barrier_stores),
-        ("barrier_remembers", s.gc.barrier_remembers),
-        ("baseline_compiles", s.compiler.baseline_compiles),
-        ("jit_compiles", s.compiler.jit_compiles),
+        ("bytecodes", vm.bytecodes),
+        ("calls", vm.calls),
+        ("allocations", vm.allocations),
+        ("classes_loaded", vm.classes_loaded),
+        ("collections", gc.collections),
+        ("minor_collections", gc.minor_collections),
+        ("major_collections", gc.major_collections),
+        ("increments", gc.increments),
+        ("copied_bytes", gc.total_copied_bytes),
+        ("barrier_stores", gc.barrier_stores),
+        ("barrier_remembers", gc.barrier_remembers),
+        ("baseline_compiles", compiler.baseline_compiles),
+        ("jit_compiles", compiler.jit_compiles),
     ]
 }
 
@@ -548,10 +554,65 @@ fn vm_counts_do_not_depend_on_the_platform() {
                 let mut cfg = base.clone();
                 cfg.platform = platform;
                 cfg.scale = InputScale::Reduced;
-                let summary = cfg.run().unwrap_or_else(|e| panic!("{cfg}: {e}"));
-                platform_free_counts(&summary)
+                let s = cfg.run().unwrap_or_else(|e| panic!("{cfg}: {e}"));
+                vm_counts(&s.vm, &s.gc, &s.compiler)
             });
             assert_eq!(counts[0], counts[1], "{bench} on {}", base.vm);
+        }
+    }
+}
+
+#[test]
+fn dvfs_keeps_vm_counts_and_never_speeds_a_run_up() {
+    let p6 = DvfsPoint::ladder(PlatformKind::PentiumM);
+    for bench in ["_209_db", "fop"] {
+        let program = benchmark(bench)
+            .expect("registered")
+            .build(InputScale::Reduced);
+        for (mut cell, points) in [
+            // The PXA255's three run modes.
+            (
+                ExperimentConfig::kaffe_pxa(bench, 16),
+                DvfsPoint::ladder(PlatformKind::Pxa255),
+            ),
+            // Both ends of the P6 ladder, where L2 hits stall too.
+            (
+                ExperimentConfig::jikes(bench, CollectorKind::SemiSpace, 32),
+                vec![p6[0], p6[p6.len() - 1]],
+            ),
+        ] {
+            cell.scale = InputScale::Reduced;
+            // Spans charge no cycles; they carry the run's cycle count.
+            cell.record_spans = true;
+            let runs: Vec<_> = points
+                .iter()
+                .map(|&point| {
+                    let out = Vm::try_new(program.clone(), cell.vm_config().dvfs(point))
+                        .and_then(Vm::run)
+                        .unwrap_or_else(|e| panic!("{cell} at {}: {e}", point.name));
+                    let cycles = out.spans.as_ref().expect("spans recorded").total_cycles();
+                    let counts = vm_counts(&out.vm, &out.gc, &out.compiler);
+                    (point, counts, cycles, out.duration.seconds())
+                })
+                .collect();
+            for pair in runs.windows(2) {
+                let [(fast, fast_counts, fast_cycles, fast_s), (slow, slow_counts, slow_cycles, slow_s)] =
+                    pair
+                else {
+                    unreachable!("windows of two");
+                };
+                let at = format!("{cell}: {} -> {}", fast.name, slow.name);
+                assert!(slow.freq_factor < fast.freq_factor, "{at}: ladder order");
+                assert_eq!(fast_counts, slow_counts, "{at}");
+                // Only DRAM latency is fixed in nanoseconds (DESIGN.md §7),
+                // so a slower clock waits fewer cycles on it and no more on
+                // anything else.
+                assert!(
+                    slow_cycles <= fast_cycles,
+                    "{at}: {fast_cycles} -> {slow_cycles} cycles"
+                );
+                assert!(slow_s >= fast_s, "{at}: {fast_s} -> {slow_s} s");
+            }
         }
     }
 }
