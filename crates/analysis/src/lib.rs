@@ -1,18 +1,16 @@
-//! Analysis for vmprobe bytecode and runs.
-//!
-//! Two pieces, all dependency-free (only sibling vmprobe crates), plus
-//! the verifier, which lives in `vmprobe_bytecode` and is re-exported here
-//! ([`verify_method`], [`verify_class`], [`verify_program`]): one typed
-//! worklist per method whose structural phase runs once, when a `Program`
-//! is built, and whose type phase these run for the class loader, the
-//! serve daemon's `verify` op and `vmprobe-analyze`.
+//! Analysis for vmprobe runs.
 //!
 //! * [`closure`] — a run's energy in closed form over its counter file,
 //!   which the `analyze-gate` CI job checks the measured energy of every
 //!   golden workload against.
-//! * [`lint`] — the determinism lint engine behind the `vmprobe-lint`
-//!   binary: a substring scanner over the deterministic crates for
-//!   banned nondeterminism (wall clocks, OS RNG, unkeyed hash maps).
+//!
+//! The verifier lives in `vmprobe_bytecode`: one typed worklist per method
+//! whose structural phase runs once, when a `Program` is built, and whose
+//! type phase the class loader, the serve daemon's `verify` op and
+//! `vmprobe-analyze` run. The re-export here ([`verify_method`],
+//! [`verify_class`], [`verify_program`]) is kept for `benchmark/`, which
+//! reaches the verifier through this crate until ROADMAP item 14 moves
+//! `closure` and retires the crate.
 //!
 //! See DESIGN.md §14 for the lattice, the verifier's two phases and the
 //! closure identity.
@@ -20,7 +18,6 @@
 #![warn(missing_docs)]
 
 pub mod closure;
-pub mod lint;
 
 pub use closure::closed_energy_j;
 pub use vmprobe_bytecode::{verify_class, verify_method, verify_program, AbsTy, VerifyError};

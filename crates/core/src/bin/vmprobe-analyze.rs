@@ -21,7 +21,8 @@ use std::process::ExitCode;
 use vmprobe::json::JsonObj;
 use vmprobe::request::{self, Args};
 use vmprobe::{golden_cells, ExperimentConfig};
-use vmprobe_analysis::{closed_energy_j, verify_program};
+use vmprobe_analysis::closed_energy_j;
+use vmprobe_bytecode::verify_program;
 use vmprobe_platform::{CpuSpec, PlatformKind};
 use vmprobe_power::PowerCoeffs;
 use vmprobe_vm::Vm;

@@ -415,7 +415,7 @@ fn handle_line(line: &[u8], outbox: &Arc<Outbox>, shared: &ServeShared) {
             let verdict = vmprobe_bytecode::assemble(&req.program)
                 .map_err(|e| e.to_string())
                 .and_then(|p| {
-                    vmprobe_analysis::verify_program(&p)
+                    vmprobe_bytecode::verify_program(&p)
                         .map(|_| p.method_count())
                         .map_err(|e| e.to_string())
                 });

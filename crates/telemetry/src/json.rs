@@ -21,7 +21,7 @@
 //! Floats that must survive a round trip bit for bit are written with
 //! [`JsonObj::f64_bits`] as 16-hex-digit strings of their IEEE bit
 //! pattern, and read back with [`Reader::f64_bits`] straight from those 16
-//! bytes, or with [`JsonValue::as_f64_bits`] from a tree.
+//! bytes.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -54,8 +54,7 @@ fn escape_into(out: &mut String, s: &str) {
 
 /// The JSON string literal holding `v`'s IEEE bit pattern as 16 hex
 /// digits: exact for every value, including `-0.0`, subnormals and
-/// non-finite ones. Read it back with [`Reader::f64_bits`] or
-/// [`JsonValue::as_f64_bits`].
+/// non-finite ones. Read it back with [`Reader::f64_bits`].
 pub fn f64_bits(v: f64) -> String {
     format!("\"{:016x}\"", v.to_bits())
 }
@@ -240,22 +239,6 @@ impl JsonValue {
         }
     }
 
-    /// The value as a boolean, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The value's elements, if it is an array.
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
     /// The value as a non-negative integer, if it is one exactly. A
     /// non-integral spelling of an integer, such as `32.0` or `1e3`, is
     /// accepted.
@@ -269,15 +252,6 @@ impl JsonValue {
         }
     }
 
-    /// The value as a signed integer, if it is an integer literal in the
-    /// `i64` range.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            JsonValue::Int(i) => i64::try_from(*i).ok(),
-            _ => None,
-        }
-    }
-
     /// The value as a float, if it is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -285,12 +259,6 @@ impl JsonValue {
             JsonValue::Num(n) => Some(*n),
             _ => None,
         }
-    }
-
-    /// The float an [`f64_bits`] literal holds: a string of exactly
-    /// 16 hex digits, read as an IEEE bit pattern.
-    pub fn as_f64_bits(&self) -> Option<f64> {
-        hex16(self.as_str()?.as_bytes()).map(f64::from_bits)
     }
 }
 
@@ -979,7 +947,7 @@ mod tests {
         o.u64("max", u64::MAX).i64("min", i64::MIN).u64("zero", 0);
         let v = JsonValue::parse(&o.finish()).unwrap();
         assert_eq!(v.get("max").unwrap().as_u64(), Some(u64::MAX));
-        assert_eq!(v.get("min").unwrap().as_i64(), Some(i64::MIN));
+        assert_eq!(v.get("min"), Some(&JsonValue::Int(i128::from(i64::MIN))));
         assert_eq!(v.get("min").unwrap().as_u64(), None);
         assert_eq!(v.get("zero").unwrap().as_u64(), Some(0));
         // Integral spellings the wire has always accepted still count.
@@ -1014,25 +982,38 @@ mod tests {
         for x in values {
             let mut o = JsonObj::new();
             o.f64("dec", x).f64_bits("bits", x);
-            let v = JsonValue::parse(&o.finish()).unwrap();
+            let text = o.finish();
+            let v = JsonValue::parse(&text).unwrap();
             let dec = v.get("dec").unwrap().as_f64().unwrap();
             assert_eq!(dec.to_bits(), x.to_bits(), "decimal spelling of {x:e}");
-            let bits = v.get("bits").unwrap().as_f64_bits().unwrap();
+            let mut r = Reader::new(&text);
+            r.object().unwrap();
+            r.field("dec").unwrap();
+            r.value().unwrap();
+            r.field("bits").unwrap();
+            let bits = r.f64_bits().unwrap();
             assert_eq!(bits.to_bits(), x.to_bits(), "bit spelling of {x:e}");
         }
         let mut o = JsonObj::new();
         o.f64_bits("nan", f64::NAN)
             .f64_bits("inf", f64::NEG_INFINITY);
-        let v = JsonValue::parse(&o.finish()).unwrap();
-        assert!(v.get("nan").unwrap().as_f64_bits().unwrap().is_nan());
-        assert_eq!(v.get("inf").unwrap().as_f64_bits(), Some(f64::NEG_INFINITY));
+        let text = o.finish();
+        let mut r = Reader::new(&text);
+        r.object().unwrap();
+        r.field("nan").unwrap();
+        assert!(r.f64_bits().unwrap().is_nan());
+        r.field("inf").unwrap();
+        assert_eq!(r.f64_bits(), Ok(f64::NEG_INFINITY));
+        r.object_end().unwrap();
+        r.end().unwrap();
         for bad in [
             "\"3ff\"",
             "\"+ff0000000000000\"",
             "\"3ff000000000000g\"",
             "1",
         ] {
-            assert_eq!(JsonValue::parse(bad).unwrap().as_f64_bits(), None, "{bad}");
+            JsonValue::parse(bad).unwrap_or_else(|e| panic!("{bad} is JSON: {e}"));
+            assert!(Reader::new(bad).f64_bits().is_err(), "{bad}");
         }
     }
 
